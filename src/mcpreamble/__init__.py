@@ -70,22 +70,3 @@ from .preambles import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AmbiguityTable", "ChannelRealization", "CpOfdmFrame", "CurveSpec",
-    "EstimationResult", "ExperimentConfig", "MseCurve", "MsePrediction",
-    "OptimalityReport", "OqamGrid", "Preamble", "PrototypeFilter",
-    "SystemConfig", "TapProfile", "TprReport",
-    "afb", "afb_column", "afb_noise_cov", "ambiguity", "antenna_energy",
-    "cfr_from_cir", "cfr_samples_to_cir", "closed_form_mse", "cp_energy",
-    "cp_gram", "data_phase", "demodulate", "design_prototype",
-    "dft_submatrix", "ebn0_to_sigma2", "equispaced_set", "error_floor",
-    "estimate_from_pilots", "expected_error_floor", "expected_helper_ratio",
-    "gen_veh_a",
-    "genie_mse", "help_pilot", "load_preamble_values", "load_prototype",
-    "ls_cfr", "make_full_equal", "make_full_equipower_qam",
-    "make_sparse_data", "make_sparse_equal", "modulate", "papr", "preset",
-    "preset_names", "project_full", "propagate", "pseudo_pilot",
-    "run_experiment", "sample_profile", "save_preamble", "save_prototype",
-    "sfb", "tpr", "truncate_prototype", "verify_optimality", "write_csv",
-]

@@ -3,8 +3,8 @@
 Conventions used by every routine here:
 
   * MSE values are for the full CFR estimate, E||H_hat - H||^2 summed
-    over the M tones, unless a result object says domain="cir"; the two
-    differ exactly by a factor M because F_{M x L_h}^H F_{M x L_h} = M*I.
+    over the M tones; genie_mse also gives the CIR-domain value, which
+    differs exactly by a factor M because F_{M x L_h}^H F_{M x L_h} = M*I.
   * Training power ratios compare declared training energies per
     observation window, (E_1/R_1)/(E_2/R_2); payload data counts only
     through the side cost it forces on the training (prefix spillage,
@@ -27,6 +27,7 @@ from .fourier import dft_submatrix
 from .oqam import AmbiguityTable, PrototypeFilter, ambiguity, design_prototype, sfb
 from .preambles import (
     Preamble,
+    _oqam_context,
     make_full_equal,
     make_full_equipower_qam,
     make_sparse_data,
@@ -88,7 +89,6 @@ class MsePrediction:
     noise: float
     floor: float
     tag: str
-    domain: str = "cfr"
 
     @property
     def mse(self) -> float:
@@ -102,14 +102,6 @@ def genie_mse(sigma2: float, E: float, config: SystemConfig,
     return v * config.M if domain == "cfr" else v
 
 
-def _oqam_context(config, proto, table):
-    if proto is None:
-        proto = design_prototype(config.M, config.K)
-    if table is None:
-        table = ambiguity(proto)
-    return proto, table
-
-
 def closed_form_mse(
     preamble: Preamble,
     sigma2: float,
@@ -117,39 +109,27 @@ def closed_form_mse(
     mode: str = "auto",
     proto: PrototypeFilter | None = None,
     table: AmbiguityTable | None = None,
-    channel=None,
 ) -> MsePrediction:
-    """Noise MSE of the LS estimator, plus the expected floor if any.
+    """Noise MSE of the LS estimator; the floor part is always 0.0.
 
     mode follows estimate_from_pilots ("raw" | "projected" | "auto").
-    The floor term needs a channel realization; without one it is zero,
-    which is exact for every scheme except the sparse-plus-data OQAM
-    scenarios.
+    The formulas are shared by both systems, except that a full OQAM
+    column estimated projected goes through the correlated AFB noise.
+    The interference floor of the sparse-plus-data OQAM layouts depends
+    on the channel; expected_error_floor gives it.
     """
     if mode == "auto":
         mode = "raw" if preamble.n_pilots == config.M else "projected"
     M, L_h, N = config.M, config.L_h, preamble.n_pilots
     inv2 = np.sum(1.0 / np.abs(preamble.divisors) ** 2)
-
-    if preamble.system == "cpofdm":
-        if mode == "raw":
-            pred = MsePrediction(noise=float(sigma2 * inv2), floor=0.0, tag="per-tone")
-        else:
-            pred = MsePrediction(
-                noise=float(sigma2 * M * L_h / N ** 2 * inv2), floor=0.0,
-                tag="interp-ls",
-            )
-        return pred
-
-    proto, table = _oqam_context(config, proto, table)
     if mode == "raw":
         if N != M:
             raise ValueError("raw mode needs a full-grid preamble")
-        noise = float(sigma2 * inv2)
-        tag = "per-tone"
-    elif N == M:
+        return MsePrediction(noise=float(sigma2 * inv2), floor=0.0, tag="per-tone")
+    if preamble.system == "oqam" and N == M:
         # exact projected noise through the correlated AFB outputs:
         # (sigma^2/M) tr(D^H G0 D B) with D = diag(1/c), G0 = F F^H
+        proto, table = _oqam_context(config, proto, table)
         B = afb_noise_cov(proto, config, table=table)
         d = 1.0 / preamble.divisors
         F = dft_submatrix(M, np.arange(M), np.arange(L_h))
@@ -157,32 +137,27 @@ def closed_form_mse(
         noise = float(np.real(
             np.sum(np.conj(d)[:, None] * G0 * d[None, :] * B.T)
         ) * sigma2 / M)
-        tag = "projected-exact"
-    else:
-        # pilots >= 2 subcarriers apart: AFB noise uncorrelated across them
-        noise = float(sigma2 * M * L_h / N ** 2 * inv2)
-        tag = "interp-ls"
-    floor = 0.0
-    if channel is not None and preamble.family == "sparse_data":
-        floor = expected_error_floor(preamble, channel, config, table=table, mode=mode)
-    return MsePrediction(noise=noise, floor=floor, tag=tag)
+        return MsePrediction(noise=noise, floor=0.0, tag="projected-exact")
+    # white pilot noise: CP-OFDM tones, or OQAM pilots >= 2 subcarriers apart
+    return MsePrediction(noise=float(sigma2 * M * L_h / N ** 2 * inv2),
+                         floor=0.0, tag="interp-ls")
 
 
-def _flat_grid_outputs(grid, H, table: AmbiguityTable, points) -> np.ndarray:
+def _flat_grid_outputs(grid, H, table: AmbiguityTable, pilots) -> np.ndarray:
     """Noiseless AFB outputs under the per-subcarrier-flat channel model.
 
     Every pulse (m, n) arrives scaled by H_m; the output at pilot point
     (p, 0) sums the exact inner products of the whole grid.
     """
     x = grid.x
-    out = np.zeros(len(points), dtype=complex)
-    for i, (p, q) in enumerate(points):
+    out = np.zeros(len(pilots), dtype=complex)
+    for i, p in enumerate(pilots):
         acc = 0.0 + 0.0j
         for n in range(grid.n_cols):
             col = H * x[:, n]
             if not col.any():
                 continue
-            acc += np.dot(table.row(int(p), n - int(q), pilot_col=int(q)), col)
+            acc += np.dot(table.row(int(p), n), col)
         out[i] = acc
     return out
 
@@ -210,18 +185,13 @@ def error_floor(
     h = channel.h if hasattr(channel, "h") else np.asarray(channel)
     H = cfr_from_cir(h, M)
     idx = preamble.pilot_idx
-    pts = [(int(p), 0) for p in idx]
-    y0 = _flat_grid_outputs(preamble.grid, H, table, pts)
+    y0 = _flat_grid_outputs(preamble.grid, H, table, idx)
     w1 = y0 / preamble.divisors - H[idx]
     if mode == "raw":
         return float(np.sum(np.abs(w1) ** 2))
     F = dft_submatrix(M, idx, np.arange(L_h))
     h_w = F.conj().T @ w1 / N
     return float(M * np.sum(np.abs(h_w) ** 2))
-
-
-def _first_order_member(dm_mod: int, dn: int, M: int) -> bool:
-    return dn in (0, 1) and dm_mod in (1, M - 1)
 
 
 def expected_error_floor(

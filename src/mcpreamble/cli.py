@@ -69,10 +69,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     out = opts.pop("out", None)
-    if "ebn0_db" in opts:
-        opts["ebn0_db"] = _parse_grid(str(opts["ebn0_db"]))
-    cfg = preset(name, **opts)
-    curves = run_experiment(cfg)
+    try:
+        if "ebn0_db" in opts:
+            opts["ebn0_db"] = _parse_grid(str(opts["ebn0_db"]))
+        cfg = preset(name, **opts)
+        curves = run_experiment(cfg)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if out:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
         write_csv(curves, out, cfg.name)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,8 +55,6 @@ class CurveSpec:
     estimator: str               # "raw" | "projected"
     n_pilots: int | None = None  # sparse families
     scenario: str | None = None  # sparse_data only
-    energy_mode: str = "antenna"
-    divisor: str = "pseudo"      # oqam full only
     e_scale: float = 1.0         # budget multiplier before equalization
     equalize: bool = False       # match training power to the first curve
     truncate_to: int | None = None  # prototype truncation (oqam)
@@ -107,90 +106,78 @@ class MseCurve:
 
 
 class _CurveRuntime:
-    """Per-process expansion of a CurveSpec: preamble, pulses, scaling."""
+    """Per-process expansion of a CurveSpec, with its system picked once.
 
-    def __init__(self, spec: CurveSpec, cfg: ExperimentConfig):
+    `preamble` is scaled to the curve's power: the static preamble, or
+    draw 0 of a data-sharing layout, whose layout (not data values) sets
+    the floor and the closed form.  Every draw shares the pilot points.
+    """
+
+    def __init__(self, spec: CurveSpec, cfg: ExperimentConfig,
+                 ref: _CurveRuntime | None = None):
         self.spec = spec
-        sc = cfg.system
-        self.sc = sc
-        self.proto = None
-        self.table = None
-        if spec.system == "oqam":
-            base = design_prototype(sc.M, sc.K)
-            self.proto = (base if spec.truncate_to is None
-                          else truncate_prototype(base, spec.truncate_to))
-            self.table = ambiguity(self.proto)
-        self.scale = 1.0
+        sc = self.sc = cfg.system
+        if spec.system == "cpofdm":
+            self.proto = self.table = None
+            self.synthesize = lambda p: modulate(p.x, sc).s
+            self.receive = lambda r: demodulate(r, sc)[self.pilot_idx]
+        else:
+            proto = design_prototype(sc.M, sc.K)
+            if spec.truncate_to is not None:
+                proto = truncate_prototype(proto, spec.truncate_to)
+            self.proto, self.table = proto, ambiguity(proto)
+            self.synthesize = lambda p: sfb(p.grid, proto, sc)
+            self.receive = lambda r: afb(r, proto, sc, self.points)
         e = cfg.E * spec.e_scale
+        ctx = dict(proto=self.proto, table=self.table)
+        self.make = None
         if spec.family == "sparse_data":
-            self.factory = lambda seed: make_sparse_data(
-                spec.system, spec.scenario, e, seed, sc,
-                proto=self.proto, table=self.table)
-            self.base = self.factory(np.random.SeedSequence([cfg.seed, _TAG_DATA, 0]))
+            self.make = lambda seed: make_sparse_data(
+                spec.system, spec.scenario, e, seed, sc, **ctx)
+            base = self.make(np.random.SeedSequence([cfg.seed, _TAG_DATA, 0]))
         elif spec.family == "sparse":
-            self.base = make_sparse_equal(
-                spec.system, spec.n_pilots, 0, e, sc,
-                proto=self.proto, table=self.table)
-            self.factory = None
+            base = make_sparse_equal(spec.system, spec.n_pilots, 0, e, sc, **ctx)
         elif spec.family == "full":
-            self.base = make_full_equal(
-                spec.system, e, spec.energy_mode, sc,
-                proto=self.proto, table=self.table, divisor=spec.divisor)
-            self.factory = None
+            base = make_full_equal(spec.system, e, "antenna", sc, **ctx)
         else:
             raise ValueError(f"unknown curve family {spec.family!r}")
+        self.scale = 1.0
+        if ref is not None and spec.equalize:
+            self.scale = float(np.sqrt(tpr(ref.preamble, base, sc).value))
+        self.preamble = self._scaled(base)
+        self.pilot_idx = base.pilot_idx
+        self.points = [(int(m), 0) for m in self.pilot_idx]
+        self.tx = None if self.make else self.synthesize(self.preamble)
 
-    def preamble(self, data_seed=None):
-        if self.factory is None:
-            p = self.base
-        else:
-            p = self.factory(data_seed)
+    def _scaled(self, p):
         return p if self.scale == 1.0 else p.scaled(self.scale)
 
-    def synthesize(self, p):
-        if self.spec.system == "cpofdm":
-            return modulate(p.x, self.sc).s
-        return sfb(p.grid, self.proto, self.sc)
-
-    def receive(self, r, p):
-        if self.spec.system == "cpofdm":
-            return demodulate(r, self.sc)[p.pilot_idx]
-        return afb(r, self.proto, self.sc, [(int(m), 0) for m in p.pilot_idx])
+    def draw(self, seed: int, c: int, t: int) -> tuple:
+        """Preamble and transmit samples of noise draw t on channel c."""
+        if self.make is None:
+            return self.preamble, self.tx
+        p = self._scaled(self.make(np.random.SeedSequence([seed, _TAG_DATA, c, t])))
+        return p, self.synthesize(p)
 
     def estimate(self, y, p):
-        if self.spec.estimator == "raw":
-            return estimate_from_pilots(y, p, self.sc, mode="raw").H_hat
-        if p.n_pilots == self.sc.M:
+        if self.spec.estimator == "projected" and p.n_pilots == self.sc.M:
             raw = estimate_from_pilots(y, p, self.sc, mode="raw").H_hat
             return project_full(raw, self.sc).H_hat
-        return estimate_from_pilots(y, p, self.sc, mode="projected").H_hat
+        return estimate_from_pilots(y, p, self.sc, mode=self.spec.estimator).H_hat
 
 
-def _build_runtimes(cfg: ExperimentConfig) -> list[_CurveRuntime]:
-    runtimes = [_CurveRuntime(spec, cfg) for spec in cfg.curves]
-    ref = runtimes[0]
-    for rt in runtimes[1:]:
-        if rt.spec.equalize:
-            ratio = tpr(ref.base, rt.base, cfg.system).value
-            rt.scale = float(np.sqrt(ratio))
-    return runtimes
-
-
-_RUNTIME_CACHE: dict = {}
-
-
-def _runtimes_for(cfg: ExperimentConfig) -> list[_CurveRuntime]:
-    if cfg not in _RUNTIME_CACHE:
-        _RUNTIME_CACHE.clear()
-        _RUNTIME_CACHE[cfg] = _build_runtimes(cfg)
-    return _RUNTIME_CACHE[cfg]
+@lru_cache(maxsize=1)
+def _runtimes(cfg: ExperimentConfig) -> list[_CurveRuntime]:
+    """The curves of cfg, power-equalized to the first, once per process."""
+    ref = _CurveRuntime(cfg.curves[0], cfg)
+    return [ref] + [_CurveRuntime(spec, cfg, ref) for spec in cfg.curves[1:]]
 
 
 def _run_channel(args) -> tuple:
     """All trials of one channel: per-curve, per-SNR mean NMSE ratios."""
     cfg, c = args
     sc = cfg.system
-    runtimes = _runtimes_for(cfg)
+    runtimes = _runtimes(cfg)
     ch = gen_veh_a(np.random.SeedSequence([cfg.seed, _TAG_CHANNEL, c]), sc)
     H = ch.cfr(sc.M)
     norm_h2 = float(np.sum(np.abs(H) ** 2))
@@ -200,23 +187,14 @@ def _run_channel(args) -> tuple:
     ratios = np.zeros((len(runtimes), len(sigmas)))
     floors = np.zeros(len(runtimes))
     for i, rt in enumerate(runtimes):
-        static = rt.factory is None
-        if static:
-            p0 = rt.preamble()
-            s0 = rt.synthesize(p0)
-        # layout (not data values) determines the expected floor
-        rep = rt.base if rt.scale == 1.0 else rt.base.scaled(rt.scale)
         floors[i] = expected_error_floor(
-            rep, ch, sc, proto=rt.proto, table=rt.table) / norm_h2
+            rt.preamble, ch, sc, proto=rt.proto, table=rt.table) / norm_h2
         for t in range(cfg.n_noise):
-            if not static:
-                p0 = rt.preamble(np.random.SeedSequence([cfg.seed, _TAG_DATA, c, t]))
-                s0 = rt.synthesize(p0)
+            p, s = rt.draw(cfg.seed, c, t)
             for k, sig2 in enumerate(sigmas):
-                r = propagate(s0, ch.h, sig2,
+                r = propagate(s, ch.h, sig2,
                               np.random.SeedSequence([cfg.seed, _TAG_NOISE, c, t, k]))
-                y = rt.receive(r, p0)
-                H_hat = rt.estimate(y, p0)
+                H_hat = rt.estimate(rt.receive(r), p)
                 err = float(np.sum(np.abs(H_hat - H) ** 2))
                 ratios[i, k] += err / norm_h2
     ratios /= cfg.n_noise
@@ -224,7 +202,20 @@ def _run_channel(args) -> tuple:
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[MseCurve]:
-    """Run all curves of an experiment and aggregate across channels."""
+    """Run all curves of an experiment and aggregate across channels.
+
+    Bad dimensions or counts raise ValueError before any work is done.
+    """
+    sc = cfg.system
+    if cfg.n_channels < 2:
+        raise ValueError("n_channels must be >= 2 (the standard error is "
+                         f"taken across channels), got {cfg.n_channels}")
+    if cfg.n_noise < 1:
+        raise ValueError(f"n_noise must be >= 1, got {cfg.n_noise}")
+    if not cfg.ebn0_db:
+        raise ValueError("the Eb/N0 grid is empty")
+    if cfg.workers < 1:
+        raise ValueError(f"workers must be >= 1, got {cfg.workers}")
     jobs = [(cfg, c) for c in range(cfg.n_channels)]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as ex:
@@ -232,8 +223,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[MseCurve]:
     else:
         per_channel = [_run_channel(j) for j in jobs]
 
-    runtimes = _runtimes_for(cfg)
-    sc = cfg.system
     e_sym = cfg.E / sc.M
     sigmas = [ebn0_to_sigma2(g, e_sym) for g in cfg.ebn0_db]
     all_ratios = np.stack([pc[0] for pc in per_channel])   # (c, curve, snr)
@@ -241,15 +230,14 @@ def run_experiment(cfg: ExperimentConfig) -> list[MseCurve]:
     inv_h2 = np.array([pc[2] for pc in per_channel])
 
     curves = []
-    for i, rt in enumerate(runtimes):
+    for i, rt in enumerate(_runtimes(cfg)):
         per_ch = all_ratios[:, i, :]
         nmse = per_ch.mean(axis=0)
         stderr = per_ch.std(axis=0, ddof=1) / np.sqrt(cfg.n_channels)
         stderr_db = 10.0 / np.log(10.0) * stderr / nmse
-        rep = rt.base if rt.scale == 1.0 else rt.base.scaled(rt.scale)
         floor = float(all_floors[:, i].mean())
         pred = np.array([
-            closed_form_mse(rep, sig2, sc, mode=rt.spec.estimator,
+            closed_form_mse(rt.preamble, sig2, sc, mode=rt.spec.estimator,
                             proto=rt.proto, table=rt.table).mse
             for sig2 in sigmas
         ]) * inv_h2.mean() + floor

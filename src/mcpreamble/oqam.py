@@ -296,16 +296,6 @@ class AmbiguityTable:
     def wtilde(self) -> float:
         return float(abs(self.weight(1, 1)))
 
-    def u(self, dm: int, dn: int) -> float:
-        """Data-mode real interference weight.
-
-        With staggered phases the cross term at offset (dm, dn) is
-        j * u(dm, dn) times the interfering real symbol; u is real up to
-        roundoff for the first-order neighborhood.
-        """
-        val = 1j ** ((dm + dn - 1) % 4) * self.weight(dm, dn)
-        return float(val.real)
-
     def pr_residual(self) -> float:
         """Worst real-orthogonality violation over the pulse overlap range.
 

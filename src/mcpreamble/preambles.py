@@ -25,7 +25,7 @@ for the sparse-plus-data ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,7 +70,6 @@ class Preamble:
     E: float
     E_train: float
     window: int
-    energy_mode: str = "antenna"
     data_positions: tuple | None = None
     helper_map: dict | None = None
 
@@ -89,11 +88,8 @@ class Preamble:
 
     def scaled(self, amp: float) -> "Preamble":
         """Same layout with every amplitude multiplied by amp."""
-        return Preamble(
-            system=self.system,
-            family=self.family,
-            scenario=self.scenario,
-            pilot_idx=self.pilot_idx.copy(),
+        return replace(
+            self,
             divisors=self.divisors * amp,
             x=None if self.x is None else self.x * amp,
             grid=None if self.grid is None else OqamGrid(
@@ -101,10 +97,6 @@ class Preamble:
             ),
             E=self.E * amp ** 2,
             E_train=self.E_train * amp ** 2,
-            window=self.window,
-            energy_mode=self.energy_mode,
-            data_positions=self.data_positions,
-            helper_map=self.helper_map,
         )
 
 
@@ -145,11 +137,6 @@ def _oqam_context(config: SystemConfig, proto, table):
     return proto, table
 
 
-def _sfb_energy_sparse(a: float, N: int) -> float:
-    # isolated pilots: all cross products vanish exactly
-    return a * a * N
-
-
 def make_sparse_equal(
     system: str,
     N: int,
@@ -179,11 +166,12 @@ def make_sparse_equal(
         proto, table = _oqam_context(config, proto, table)
         grid = OqamGrid.zeros(config.M, 1)
         grid.a[idx, 0] = amp
+        # isolated pilots: all pulse cross products vanish exactly
         return Preamble(
             system=system, family="sparse", scenario=None,
             pilot_idx=idx, divisors=np.full(N, amp, dtype=complex),
             x=None, grid=grid,
-            E=E, E_train=_sfb_energy_sparse(amp, N), window=proto.L_g,
+            E=E, E_train=amp * amp * N, window=proto.L_g,
         )
     raise ValueError(f"unknown system {system!r}")
 
@@ -200,13 +188,14 @@ def make_full_equal(
     """Equal real symbols on all M tones of one multicarrier symbol.
 
     energy_mode "antenna" solves the amplitude so the energy leaving the
-    antenna equals E; "sfb_input" (OQAM) or "subcarrier" (CP-OFDM) puts E
-    on the symbols themselves and lets the antenna energy differ.
+    antenna equals E; "sfb_input" (OQAM only) puts E on the symbols
+    themselves and lets the antenna energy differ.  The equal CP-OFDM
+    comb has no prefix energy, so it has only the "antenna" mode.
     """
     M = config.M
     idx = np.arange(M, dtype=np.int64)
     if system == "cpofdm":
-        if energy_mode not in ("antenna", "subcarrier"):
+        if energy_mode != "antenna":
             raise ValueError(f"unknown energy_mode {energy_mode!r}")
         amp = np.sqrt(E / M)
         x = np.full(M, amp, dtype=complex)
@@ -215,7 +204,6 @@ def make_full_equal(
             system=system, family="full", scenario=None,
             pilot_idx=idx, divisors=x.copy(), x=x, grid=None,
             E=E, E_train=M * amp ** 2 + e_cp, window=M + config.nu,
-            energy_mode=energy_mode,
         )
     if system == "oqam":
         proto, table = _oqam_context(config, proto, table)
@@ -241,7 +229,6 @@ def make_full_equal(
             system=system, family="full", scenario=None,
             pilot_idx=idx, divisors=div, x=None, grid=grid,
             E=E, E_train=amp ** 2 * ant_factor, window=proto.L_g,
-            energy_mode=energy_mode,
         )
     raise ValueError(f"unknown system {system!r}")
 
@@ -315,7 +302,6 @@ def make_sparse_data(
     config: SystemConfig,
     proto: PrototypeFilter | None = None,
     table: AmbiguityTable | None = None,
-    i_0: int = 0,
 ) -> Preamble:
     """Sparse pilots sharing the training symbol with payload data.
 
@@ -329,14 +315,15 @@ def make_sparse_data(
       oqam-3   as 2 with data also on the pilot-adjacent tones of the
                pilot column (larger help pilots).
 
-    The data symbols are redrawn from data_seed on every call; pilots
-    carry E/N each, data tones the same constellation energy.
+    The data symbols are redrawn from data_seed on every call; pilots sit
+    on the comb from tone 0 in every draw and carry E/N each, data tones
+    the same constellation energy.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"scenario must be one of {SCENARIOS}")
     rng = np.random.default_rng(data_seed)
     N = config.L_h
-    idx = equispaced_set(config.M, N, i_0)
+    idx = equispaced_set(config.M, N, 0)
     e_x = E / N
     amp = np.sqrt(e_x)
     M = config.M

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from mcpreamble import load_preamble_values
 from mcpreamble.cli import main
@@ -19,6 +20,20 @@ def test_run_requires_preset(capsys):
     rc = main(["run", "--scale", "desk"])
     assert rc == 2
     assert "no preset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [
+    ["--n-noise", "0"], ["--n-channels", "1"], ["--workers", "0"],
+    ["--ebn0", ","], ["--M", "100"],
+], ids=["n-noise=0", "n-channels=1", "workers=0", "empty-ebn0", "M=100"])
+def test_run_rejects_bad_options(tmp_path, capsys, bad):
+    out = tmp_path / "bad.csv"
+    rc = main(["run", "--preset", "fig1a", "--n-channels", "2",
+               "--n-noise", "2", *bad, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

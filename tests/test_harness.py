@@ -4,6 +4,7 @@ import pytest
 from mcpreamble import (
     CurveSpec,
     ExperimentConfig,
+    harness,
     preset,
     preset_names,
     run_experiment,
@@ -51,9 +52,11 @@ def test_runs_are_deterministic(tmp_path):
     assert read_bytes(a) == read_bytes(b)
 
 
-def test_parallel_equals_serial(tmp_path):
-    serial = preset("fig4b", scale="desk", **SMALL)
-    parallel = preset("fig4b", scale="desk", workers=2, **SMALL)
+# static preambles, CP-OFDM data redrawn per draw, OQAM help pilots
+@pytest.mark.parametrize("name", ["fig4b", "fig3", "fig6"])
+def test_parallel_equals_serial(tmp_path, name):
+    serial = preset(name, scale="desk", **SMALL)
+    parallel = preset(name, scale="desk", workers=2, **SMALL)
     a = tmp_path / "serial.csv"
     b = tmp_path / "parallel.csv"
     write_csv(run_experiment(serial), a, serial.name)
@@ -118,3 +121,17 @@ def test_experiment_config_system():
         ebn0_db=(0.0,), n_channels=1, n_noise=1, seed=1)
     assert cfg.system.M == 64
     assert cfg.with_(M=128).system.M == 128
+
+
+@pytest.mark.parametrize("bad", [
+    dict(n_channels=1), dict(n_noise=0), dict(ebn0_db=()), dict(workers=0),
+    dict(M=100),
+], ids=["n_channels=1", "n_noise=0", "empty_ebn0", "workers=0", "M=100"])
+def test_run_experiment_rejects_bad_inputs_before_any_work(monkeypatch, bad):
+    def work(args):
+        raise AssertionError("a channel ran")
+
+    monkeypatch.setattr(harness, "_run_channel", work)
+    cfg = preset("fig1a", scale="desk", **{"n_channels": 3, "n_noise": 2, **bad})
+    with pytest.raises(ValueError):
+        run_experiment(cfg)
