@@ -35,7 +35,7 @@ for _ in range(6):
     print(f"{k:>4d} {g2:>8.3f} {th:>7.3f} {spread:>11.2e} "
           f"{cp:>9.2e} {10 * np.log10(pr):>8.2f} {mse / genie:>10.6f}")
 
-flat = make_full_equal("cpofdm", cfg.E, "antenna", cfg)
+flat = make_full_equal("cpofdm", cfg.E, cfg)
 pr = papr(modulate(flat.x, cfg).useful)
 print(f"\nequal-value column (a single time impulse) for comparison: papr "
       f"{10 * np.log10(pr):.2f} dB; any proper two-impulse split does better")

@@ -7,7 +7,6 @@ the optimality claims behind the designs.
 """
 
 from .analysis import (
-    MsePrediction,
     OptimalityReport,
     TprReport,
     afb_noise_cov,
@@ -31,7 +30,7 @@ from .channel import (
 )
 from .config import SystemConfig
 from .cpofdm import CpOfdmFrame, cp_energy, demodulate, ls_cfr, modulate
-from .estimation import EstimationResult, estimate_from_pilots, project_full
+from .estimation import EstimationResult, estimate_from_pilots
 from .fourier import cfr_samples_to_cir, cp_gram, dft_submatrix, equispaced_set
 from .harness import (
     CurveSpec,

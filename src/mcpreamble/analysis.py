@@ -9,8 +9,8 @@ Conventions used by every routine here:
     observation window, (E_1/R_1)/(E_2/R_2); payload data counts only
     through the side cost it forces on the training (prefix spillage,
     help pilots), never through its own useful energy.
-  * Error floors are the sigma -> 0 residuals of the estimators under
-    the per-subcarrier-flat channel model, built from the exact pulse
+  * Error floors are the sigma -> 0 residuals of the projected estimator
+    under the per-subcarrier-flat channel model, built from the exact pulse
     inner products of the whole grid, not just the first-order ones.
 """
 
@@ -23,7 +23,8 @@ import numpy as np
 from .channel import cfr_from_cir, gen_veh_a
 from .config import SystemConfig
 from .cpofdm import modulate
-from .fourier import dft_submatrix
+from .estimation import _check_mode
+from .fourier import cfr_samples_to_cir, dft_submatrix
 from .oqam import AmbiguityTable, PrototypeFilter, ambiguity, design_prototype, sfb
 from .preambles import (
     Preamble,
@@ -82,19 +83,6 @@ def tpr(p1: Preamble, p2: Preamble, config: SystemConfig) -> TprReport:
                      r1=p1.window, r2=p2.window, value=value)
 
 
-@dataclass(frozen=True)
-class MsePrediction:
-    """Closed-form estimation MSE split into noise part and floor."""
-
-    noise: float
-    floor: float
-    tag: str
-
-    @property
-    def mse(self) -> float:
-        return self.noise + self.floor
-
-
 def genie_mse(sigma2: float, E: float, config: SystemConfig,
               domain: str = "cir") -> float:
     """Estimation-theoretic lower bound L_h*sigma^2/E (cir domain)."""
@@ -106,26 +94,23 @@ def closed_form_mse(
     preamble: Preamble,
     sigma2: float,
     config: SystemConfig,
-    mode: str = "auto",
+    mode: str = "projected",
     proto: PrototypeFilter | None = None,
     table: AmbiguityTable | None = None,
-) -> MsePrediction:
-    """Noise MSE of the LS estimator; the floor part is always 0.0.
+) -> float:
+    """Noise MSE of the LS estimator, linear in sigma2.
 
-    mode follows estimate_from_pilots ("raw" | "projected" | "auto").
-    The formulas are shared by both systems, except that a full OQAM
-    column estimated projected goes through the correlated AFB noise.
-    The interference floor of the sparse-plus-data OQAM layouts depends
-    on the channel; expected_error_floor gives it.
+    mode is "raw" or "projected", as in estimate_from_pilots.  The
+    formulas are shared by both systems, except that a full OQAM column
+    estimated projected goes through the correlated AFB noise.  The
+    interference floor of the sparse-plus-data OQAM layouts depends on
+    the channel; expected_error_floor gives it.
     """
-    if mode == "auto":
-        mode = "raw" if preamble.n_pilots == config.M else "projected"
     M, L_h, N = config.M, config.L_h, preamble.n_pilots
+    _check_mode(mode, N, M)
     inv2 = np.sum(1.0 / np.abs(preamble.divisors) ** 2)
     if mode == "raw":
-        if N != M:
-            raise ValueError("raw mode needs a full-grid preamble")
-        return MsePrediction(noise=float(sigma2 * inv2), floor=0.0, tag="per-tone")
+        return float(sigma2 * inv2)
     if preamble.system == "oqam" and N == M:
         # exact projected noise through the correlated AFB outputs:
         # (sigma^2/M) tr(D^H G0 D B) with D = diag(1/c), G0 = F F^H
@@ -134,13 +119,11 @@ def closed_form_mse(
         d = 1.0 / preamble.divisors
         F = dft_submatrix(M, np.arange(M), np.arange(L_h))
         G0 = F @ F.conj().T
-        noise = float(np.real(
+        return float(np.real(
             np.sum(np.conj(d)[:, None] * G0 * d[None, :] * B.T)
         ) * sigma2 / M)
-        return MsePrediction(noise=noise, floor=0.0, tag="projected-exact")
     # white pilot noise: CP-OFDM tones, or OQAM pilots >= 2 subcarriers apart
-    return MsePrediction(noise=float(sigma2 * M * L_h / N ** 2 * inv2),
-                         floor=0.0, tag="interp-ls")
+    return float(sigma2 * M * L_h / N ** 2 * inv2)
 
 
 def _flat_grid_outputs(grid, H, table: AmbiguityTable, pilots) -> np.ndarray:
@@ -168,29 +151,23 @@ def error_floor(
     config: SystemConfig,
     proto: PrototypeFilter | None = None,
     table: AmbiguityTable | None = None,
-    mode: str = "auto",
 ) -> float:
-    """Zero-noise residual CFR MSE of this preamble instance.
+    """Zero-noise residual CFR MSE of this preamble instance, projected.
 
     CP-OFDM preambles have none (the demodulated model is exact inside
     the prefix).  OQAM floors come from the interference the divisor does
-    not account for, propagated through the estimator.
+    not account for, propagated through the projected estimator.
     """
-    if mode == "auto":
-        mode = "raw" if preamble.n_pilots == config.M else "projected"
     if preamble.system == "cpofdm":
         return 0.0
     proto, table = _oqam_context(config, proto, table)
-    M, L_h, N = config.M, config.L_h, preamble.n_pilots
+    M = config.M
     h = channel.h if hasattr(channel, "h") else np.asarray(channel)
     H = cfr_from_cir(h, M)
     idx = preamble.pilot_idx
     y0 = _flat_grid_outputs(preamble.grid, H, table, idx)
     w1 = y0 / preamble.divisors - H[idx]
-    if mode == "raw":
-        return float(np.sum(np.abs(w1) ** 2))
-    F = dft_submatrix(M, idx, np.arange(L_h))
-    h_w = F.conj().T @ w1 / N
+    h_w = cfr_samples_to_cir(w1, M, idx, config.L_h)
     return float(M * np.sum(np.abs(h_w) ** 2))
 
 
@@ -200,7 +177,6 @@ def expected_error_floor(
     config: SystemConfig,
     proto: PrototypeFilter | None = None,
     table: AmbiguityTable | None = None,
-    mode: str = "projected",
 ) -> float:
     """Floor of error_floor averaged exactly over the random data.
 
@@ -212,10 +188,8 @@ def expected_error_floor(
     """
     if preamble.system == "cpofdm" or not preamble.data_positions:
         return 0.0
-    if mode == "raw":
-        raise ValueError("sparse-plus-data preambles are estimated projected")
     proto, table = _oqam_context(config, proto, table)
-    M, L_h = config.M, config.L_h
+    M = config.M
     h = channel.h if hasattr(channel, "h") else np.asarray(channel)
     H = cfr_from_cir(h, M)
     idx = preamble.pilot_idx
@@ -244,8 +218,7 @@ def expected_error_floor(
             for P in near_helped.get(m, ()):
                 acc -= W[(P, n)][m] / rho * H[P] * W[(int(p), 1)][P]
             T[i, j] = phase * acc / a[i]
-    F = dft_submatrix(M, idx, np.arange(L_h))
-    A = F.conj().T @ T / N
+    A = cfr_samples_to_cir(T, M, idx, config.L_h)
     return float(e_d * M * np.sum(np.abs(A) ** 2))
 
 
@@ -498,7 +471,7 @@ def verify_optimality(
 
     # PAPR: any proper two-impulse split beats the single-impulse column
     p_half = make_full_equipower_qam(0, M // 2, np.sqrt(0.5), 0.0, E, config)
-    p_flat = make_full_equal("cpofdm", E, "antenna", config)
+    p_flat = make_full_equal("cpofdm", E, config)
     pr_two = papr(modulate(p_half.x, config).useful)
     pr_one = papr(modulate(p_flat.x, config).useful)
     add(CheckResult(

@@ -7,7 +7,8 @@ Three subcommands:
   design  print a two-impulse equal-subcarrier-power preamble
 
 Options can also come from an INI file ([experiment] and [system]
-sections); flags given on the command line win over the file.
+sections); flags given on the command line win over the file.  A bad
+option, dimension or config file prints one `error:` line and exits 2.
 """
 
 from __future__ import annotations
@@ -44,7 +45,11 @@ def _load_ini(path: str) -> dict:
                 target = {k.lower(): k for k in keys}.get(key.lower())
                 if target is None:
                     raise ValueError(f"unknown key {key!r} in [{section}]")
-                out[target] = keys[target](val)
+                try:
+                    out[target] = keys[target](val)
+                except ValueError:
+                    raise ValueError(
+                        f"bad value {val!r} for {key!r} in [{section}]") from None
     return out
 
 
@@ -52,10 +57,15 @@ def _parse_grid(text: str) -> tuple:
     return tuple(float(v) for v in text.replace(",", " ").split())
 
 
+def _system(args: argparse.Namespace) -> SystemConfig:
+    """SystemConfig from the flags; an unset flag takes its default."""
+    vals = {"M": 128, "L_h": 8, "K": 4, "E": 1.0}
+    vals.update({k: getattr(args, k) for k in vals if getattr(args, k) is not None})
+    return SystemConfig(**vals)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    opts: dict = {}
-    if args.config:
-        opts.update(_load_ini(args.config))
+    opts = _load_ini(args.config) if args.config else {}
     for key in ("preset", "scale", "seed", "out", "n_channels", "n_noise",
                 "workers", "M", "L_h", "K", "E"):
         val = getattr(args, key)
@@ -65,18 +75,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         opts["ebn0_db"] = args.ebn0
     name = opts.pop("preset", None)
     if name is None:
-        print("error: no preset given (flag --preset or config file)",
-              file=sys.stderr)
-        return 2
+        raise ValueError("no preset given (flag --preset or config file)")
     out = opts.pop("out", None)
-    try:
-        if "ebn0_db" in opts:
-            opts["ebn0_db"] = _parse_grid(str(opts["ebn0_db"]))
-        cfg = preset(name, **opts)
-        curves = run_experiment(cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if "ebn0_db" in opts:
+        opts["ebn0_db"] = _parse_grid(str(opts["ebn0_db"]))
+    cfg = preset(name, **opts)
+    curves = run_experiment(cfg)
     if out:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
         write_csv(curves, out, cfg.name)
@@ -95,20 +99,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = SystemConfig(M=args.M or 128, L_h=args.L_h or 8, K=args.K or 4,
-                       E=args.E or 1.0)
-    report = verify_optimality(cfg, trials=args.trials, seed=args.seed or 1)
+    report = verify_optimality(_system(args), trials=args.trials, seed=args.seed)
     print(report.to_text())
     return 0 if report.passed else 1
 
 
 def _cmd_design(args: argparse.Namespace) -> int:
-    cfg = SystemConfig(M=args.M or 128, L_h=args.L_h or 8, K=args.K or 4,
-                       E=args.E or 1.0)
+    cfg = _system(args)
     k = args.k if args.k is not None else 0
     m = args.m if args.m is not None else k + cfg.M // 2
     gamma = args.gamma if args.gamma is not None else float(np.sqrt(0.5))
-    theta = args.theta or 0.0
+    theta = args.theta
     p = make_full_equipower_qam(k, m, gamma, theta, cfg.E, cfg)
     mods = np.abs(p.x) ** 2
     frame = modulate(p.x, cfg)
@@ -161,7 +162,7 @@ def main(argv=None) -> int:
 
     pv = sub.add_parser("verify", help="run the optimality suite")
     pv.add_argument("--trials", type=int, default=10000)
-    pv.add_argument("--seed", type=int, default=None)
+    pv.add_argument("--seed", type=int, default=1)
     _add_system_flags(pv)
     pv.set_defaults(func=_cmd_verify)
 
@@ -169,13 +170,17 @@ def main(argv=None) -> int:
     pd.add_argument("--k", type=int, default=None)
     pd.add_argument("--m", type=int, default=None)
     pd.add_argument("--gamma", type=float, default=None)
-    pd.add_argument("--theta", type=float, default=None)
+    pd.add_argument("--theta", type=float, default=0.0)
     pd.add_argument("--out", default=None)
     _add_system_flags(pd)
     pd.set_defaults(func=_cmd_design)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (FileNotFoundError, ValueError, configparser.Error) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -2,11 +2,11 @@
 
 The receiver observes one value per pilot tone (a demodulated CP-OFDM
 tone or an analysis filter bank output).  Per-tone division by the
-preamble's divisor gives raw frequency samples; when the pilots are a
-proper subset of the tones, the channel's short impulse response is the
-least-squares fit through those samples, and the estimate everywhere is
-its zero-padded DFT.  Projecting a full-grid raw estimate onto length
-L_h is the same operation with N = M.
+preamble's divisor gives raw frequency samples.  The estimator has two
+modes: "raw" keeps those samples (full-grid preambles only), and
+"projected" fits the channel's short impulse response through them by
+least squares and returns its zero-padded DFT.  The fit is one operator
+for every equispaced pilot comb, the full grid (N = M) included.
 """
 
 from __future__ import annotations
@@ -29,44 +29,32 @@ class EstimationResult:
     method: str
 
 
+def _check_mode(mode: str, n_pilots: int, M: int) -> None:
+    """Accept "projected" on any comb and "raw" on the full grid only."""
+    if mode not in ("raw", "projected"):
+        raise ValueError(f"mode must be 'raw' or 'projected', got {mode!r}")
+    if mode == "raw" and n_pilots != M:
+        raise ValueError("raw mode needs a measurement on every tone")
+
+
 def estimate_from_pilots(
-    y, preamble: Preamble, config: SystemConfig, mode: str = "auto"
+    y, preamble: Preamble, config: SystemConfig, mode: str = "projected"
 ) -> EstimationResult:
     """LS channel estimate from the pilot measurements y.
 
-    mode "raw" keeps the per-tone ratios (full-grid preambles only);
-    "projected" fits an L_h-tap response through the ratios; "auto"
-    picks raw for full grids and projected otherwise.
+    mode "raw" keeps the per-tone ratios; "projected" fits an L_h-tap
+    response through them.
     """
     y = np.asarray(y, dtype=complex).reshape(-1)
     N = preamble.n_pilots
+    _check_mode(mode, N, config.M)
     if len(y) != N:
         raise ValueError(f"expected {N} pilot measurements, got {len(y)}")
     if np.any(preamble.divisors == 0):
         raise ValueError("preamble has a zero divisor")
     ratios = y / preamble.divisors
-    if mode == "auto":
-        mode = "raw" if N == config.M else "projected"
     if mode == "raw":
-        if N != config.M:
-            raise ValueError("raw mode needs a measurement on every tone")
         return EstimationResult(H_hat=ratios, h_hat=None, method="raw")
-    if mode != "projected":
-        raise ValueError(f"unknown mode {mode!r}")
     h_hat = cfr_samples_to_cir(ratios, config.M, preamble.pilot_idx, config.L_h)
-    H_hat = np.fft.fft(h_hat, n=config.M)
-    return EstimationResult(H_hat=H_hat, h_hat=h_hat, method="projected")
-
-
-def project_full(H_hat_raw, config: SystemConfig) -> EstimationResult:
-    """Project a full-grid raw estimate onto the L_h-tap subspace.
-
-    h = first L_h entries of ifft(H_raw); equivalently the least-squares
-    CIR through all M raw samples, since F_{M x L_h}^H F_{M x L_h} = M*I.
-    """
-    H_hat_raw = np.asarray(H_hat_raw, dtype=complex).reshape(-1)
-    if len(H_hat_raw) != config.M:
-        raise ValueError(f"expected {config.M} raw samples")
-    h_hat = np.fft.ifft(H_hat_raw)[:config.L_h]
     H_hat = np.fft.fft(h_hat, n=config.M)
     return EstimationResult(H_hat=H_hat, h_hat=h_hat, method="projected")

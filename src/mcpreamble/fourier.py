@@ -70,18 +70,23 @@ def cfr_samples_to_cir(H_sub, M: int, indices, L_h: int) -> np.ndarray:
     """Least-squares CIR from CFR samples on an equispaced index set.
 
     Solves min_h || H_sub - F_{N x L_h} h || where the rows are the given
-    indices.  For an equispaced set with N >= L_h the normal matrix is
-    N * I, so the solution is h = F_{N x L_h}^H H_sub / N.
+    indices i_0 + k*M/N.  For N >= L_h the normal matrix is N * I, so the
+    solution h = F_{N x L_h}^H H_sub / N is the first L_h outputs of an
+    N-point inverse FFT, rotated by exp(2j*pi*i_0*l/M) when i_0 != 0.
+    H_sub is one sample vector or a matrix with one sample set per column.
     """
     idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-    H_sub = np.asarray(H_sub, dtype=complex).reshape(-1)
+    H_sub = np.asarray(H_sub, dtype=complex)
     N = len(idx)
-    if len(H_sub) != N:
+    if H_sub.shape[:1] != (N,):
         raise ValueError("index set and sample vector lengths differ")
     if N < L_h:
         raise ValueError(f"need at least L_h={L_h} samples, got {N}")
     step = M // N
     if N * step != M or np.any(np.diff(idx) != step):
         raise ValueError("index set is not equispaced over 0..M-1")
-    F = dft_submatrix(M, idx, np.arange(L_h))
-    return (F.conj().T @ H_sub) / N
+    h = np.fft.ifft(H_sub, axis=0)[:L_h]
+    if idx[0]:
+        rot = np.exp(2j * np.pi * idx[0] * np.arange(L_h) / M)
+        h *= rot.reshape((L_h,) + (1,) * (h.ndim - 1))
+    return h

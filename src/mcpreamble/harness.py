@@ -31,7 +31,7 @@ from .analysis import closed_form_mse, expected_error_floor, tpr
 from .channel import ebn0_to_sigma2, gen_veh_a, propagate
 from .config import SystemConfig
 from .cpofdm import demodulate, modulate
-from .estimation import estimate_from_pilots, project_full
+from .estimation import estimate_from_pilots
 from .oqam import afb, ambiguity, design_prototype, sfb, truncate_prototype
 from .preambles import (
     make_full_equal,
@@ -116,7 +116,7 @@ class _CurveRuntime:
     def __init__(self, spec: CurveSpec, cfg: ExperimentConfig,
                  ref: _CurveRuntime | None = None):
         self.spec = spec
-        sc = self.sc = cfg.system
+        sc = cfg.system
         if spec.system == "cpofdm":
             self.proto = self.table = None
             self.synthesize = lambda p: modulate(p.x, sc).s
@@ -138,7 +138,7 @@ class _CurveRuntime:
         elif spec.family == "sparse":
             base = make_sparse_equal(spec.system, spec.n_pilots, 0, e, sc, **ctx)
         elif spec.family == "full":
-            base = make_full_equal(spec.system, e, "antenna", sc, **ctx)
+            base = make_full_equal(spec.system, e, sc, **ctx)
         else:
             raise ValueError(f"unknown curve family {spec.family!r}")
         self.scale = 1.0
@@ -158,12 +158,6 @@ class _CurveRuntime:
             return self.preamble, self.tx
         p = self._scaled(self.make(np.random.SeedSequence([seed, _TAG_DATA, c, t])))
         return p, self.synthesize(p)
-
-    def estimate(self, y, p):
-        if self.spec.estimator == "projected" and p.n_pilots == self.sc.M:
-            raw = estimate_from_pilots(y, p, self.sc, mode="raw").H_hat
-            return project_full(raw, self.sc).H_hat
-        return estimate_from_pilots(y, p, self.sc, mode=self.spec.estimator).H_hat
 
 
 @lru_cache(maxsize=1)
@@ -194,7 +188,8 @@ def _run_channel(args) -> tuple:
             for k, sig2 in enumerate(sigmas):
                 r = propagate(s, ch.h, sig2,
                               np.random.SeedSequence([cfg.seed, _TAG_NOISE, c, t, k]))
-                H_hat = rt.estimate(rt.receive(r), p)
+                H_hat = estimate_from_pilots(rt.receive(r), p, sc,
+                                             mode=rt.spec.estimator).H_hat
                 err = float(np.sum(np.abs(H_hat - H) ** 2))
                 ratios[i, k] += err / norm_h2
     ratios /= cfg.n_noise
@@ -236,11 +231,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[MseCurve]:
         stderr = per_ch.std(axis=0, ddof=1) / np.sqrt(cfg.n_channels)
         stderr_db = 10.0 / np.log(10.0) * stderr / nmse
         floor = float(all_floors[:, i].mean())
-        pred = np.array([
-            closed_form_mse(rt.preamble, sig2, sc, mode=rt.spec.estimator,
-                            proto=rt.proto, table=rt.table).mse
-            for sig2 in sigmas
-        ]) * inv_h2.mean() + floor
+        # the closed form is linear in sigma^2: evaluate it once per curve
+        gain = closed_form_mse(rt.preamble, 1.0, sc, mode=rt.spec.estimator,
+                               proto=rt.proto, table=rt.table)
+        pred = gain * np.array(sigmas) * inv_h2.mean() + floor
         curves.append(MseCurve(
             label=rt.spec.label, system=rt.spec.system,
             ebn0_db=np.asarray(cfg.ebn0_db, dtype=float),

@@ -43,8 +43,6 @@ from .oqam import (
     pseudo_pilot,
 )
 
-DIVISOR_MODES = ("plain", "pseudo")
-
 SCENARIOS = ("qam-sd", "oqam-1a", "oqam-1b", "oqam-2", "oqam-3")
 
 
@@ -179,24 +177,19 @@ def make_sparse_equal(
 def make_full_equal(
     system: str,
     E: float,
-    energy_mode: str,
     config: SystemConfig,
     proto: PrototypeFilter | None = None,
     table: AmbiguityTable | None = None,
-    divisor: str = "pseudo",
 ) -> Preamble:
     """Equal real symbols on all M tones of one multicarrier symbol.
 
-    energy_mode "antenna" solves the amplitude so the energy leaving the
-    antenna equals E; "sfb_input" (OQAM only) puts E on the symbols
-    themselves and lets the antenna energy differ.  The equal CP-OFDM
-    comb has no prefix energy, so it has only the "antenna" mode.
+    The amplitude is solved so the energy leaving the antenna equals E.
+    OQAM divisors are the pseudo pilots, which add the intrinsic
+    interference of the neighboring tones to each symbol.
     """
     M = config.M
     idx = np.arange(M, dtype=np.int64)
     if system == "cpofdm":
-        if energy_mode != "antenna":
-            raise ValueError(f"unknown energy_mode {energy_mode!r}")
         amp = np.sqrt(E / M)
         x = np.full(M, amp, dtype=complex)
         e_cp = cp_energy(x, config)  # exactly zero for the equal comb
@@ -207,24 +200,12 @@ def make_full_equal(
         )
     if system == "oqam":
         proto, table = _oqam_context(config, proto, table)
-        if divisor not in DIVISOR_MODES:
-            raise ValueError(f"divisor must be one of {DIVISOR_MODES}")
         beta = table.beta
         ant_factor = M * (1.0 + 2.0 * beta) - 4.0 * beta
-        if energy_mode == "antenna":
-            amp = np.sqrt(E / ant_factor)
-        elif energy_mode == "sfb_input":
-            amp = np.sqrt(E / M)
-        else:
-            raise ValueError(f"unknown energy_mode {energy_mode!r}")
+        amp = np.sqrt(E / ant_factor)
         grid = OqamGrid.zeros(M, 1)
         grid.a[:, 0] = amp
-        if divisor == "plain":
-            div = np.full(M, amp, dtype=complex)
-        else:
-            div = np.array(
-                [pseudo_pilot(grid, table, (m, 0)) for m in range(M)]
-            )
+        div = np.array([pseudo_pilot(grid, table, (m, 0)) for m in range(M)])
         return Preamble(
             system=system, family="full", scenario=None,
             pilot_idx=idx, divisors=div, x=None, grid=grid,

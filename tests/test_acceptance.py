@@ -217,7 +217,7 @@ def test_exact_property_suite():
     proto = design_prototype(M, 4)
     table = ambiguity(proto)
     beta = table.beta
-    pf = make_full_equal("oqam", E, "antenna", cfg, proto=proto, table=table)
+    pf = make_full_equal("oqam", E, cfg, proto=proto, table=table)
     a2 = float(pf.grid.a[0, 0]) ** 2
     dev_energy = abs(a2 * (M * (1.0 + 2.0 * beta) - 4.0 * beta) / E - 1.0)
     energy_ok = dev_energy <= 1e-6

@@ -69,3 +69,37 @@ def test_design_prints_and_saves(tmp_path, capsys):
     mods = np.abs(vals) ** 2
     assert len(vals) == 32
     assert np.max(mods) - np.min(mods) < 1e-12
+
+
+@pytest.mark.parametrize("ini", [
+    None,
+    "[experiment]\npreset = fig1a\nbogus = 1\n",
+    "[experiment]\npreset = fig1a\nn_channels = x\n",
+], ids=["missing-file", "unknown-key", "bad-value"])
+def test_run_rejects_bad_config(tmp_path, capsys, ini):
+    path = tmp_path / "exp.ini"
+    if ini is not None:
+        path.write_text(ini)
+    out = tmp_path / "bad.csv"
+    rc = main(["run", "--config", str(path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_verify_keeps_explicit_zero_seed(capsys):
+    rc = main(["verify", "--M", "64", "--L-h", "4", "--trials", "200",
+               "--seed", "0"])
+    assert rc == 0
+    assert "seed=0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--M", "0", "--trials", "200"], ["design", "--E", "0"],
+], ids=["verify-M=0", "design-E=0"])
+def test_zero_dimension_is_rejected(capsys, argv):
+    rc = main(argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

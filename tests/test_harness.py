@@ -4,6 +4,7 @@ import pytest
 from mcpreamble import (
     CurveSpec,
     ExperimentConfig,
+    ebn0_to_sigma2,
     harness,
     preset,
     preset_names,
@@ -135,3 +136,12 @@ def test_run_experiment_rejects_bad_inputs_before_any_work(monkeypatch, bad):
     cfg = preset("fig1a", scale="desk", **{"n_channels": 3, "n_noise": 2, **bad})
     with pytest.raises(ValueError):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize("name", ["fig4b", "fig6"])
+def test_prediction_is_linear_in_sigma2(name):
+    cfg = preset(name, scale="desk", n_channels=3, n_noise=2)
+    sigma2 = np.array([ebn0_to_sigma2(g, cfg.E / cfg.M) for g in cfg.ebn0_db])
+    for cu in run_experiment(cfg):
+        gain = (cu.predicted - cu.floor) / sigma2
+        assert np.max(np.abs(gain / gain[0] - 1.0)) < 1e-12

@@ -194,7 +194,7 @@ def test_pseudo_pilot_predicts_flat_channel_output(small, small_proto, small_tab
 def test_full_preamble_pseudo_pilots_exact(desk, proto, table):
     # one occupied column: in-column weights beyond first order vanish,
     # so the pseudo pilots equal the flat-channel outputs to precision
-    p = make_full_equal("oqam", desk.E, "antenna", desk, proto, table)
+    p = make_full_equal("oqam", desk.E, desk, proto, table)
     s = sfb(p.grid, proto)
     y = afb(s, proto, desk, [(m, 0) for m in range(desk.M)])
     assert np.max(np.abs(y - p.divisors)) < 1e-12

@@ -48,29 +48,16 @@ def test_sparse_equal_rejects_bad_counts(desk, proto, table):
 
 
 def test_full_equal_energy_modes(desk, proto, table):
-    q = make_full_equal("cpofdm", desk.E, "antenna", desk)
+    q = make_full_equal("cpofdm", desk.E, desk)
     assert abs(antenna_energy(q, desk) - desk.E) < E_REL * desk.E
-    o_ant = make_full_equal("oqam", desk.E, "antenna", desk, proto, table)
+    o_ant = make_full_equal("oqam", desk.E, desk, proto, table)
     assert abs(antenna_energy(o_ant, desk, proto) - desk.E) < E_REL * desk.E
-    o_in = make_full_equal("oqam", desk.E, "sfb_input", desk, proto, table)
-    # sfb-input accounting: M amplitudes of E/M each, the antenna then
-    # radiates the interference-enhanced power
-    assert abs(np.sum(o_in.grid.a ** 2) - desk.E) < E_REL * desk.E
-    boost = antenna_energy(o_in, desk, proto) / desk.E
-    factor = (desk.M * (1 + 2 * table.beta) - 4 * table.beta) / desk.M
-    assert abs(boost - factor) < 1e-6
 
 
 def test_full_equal_divisor_styles(desk, proto, table):
-    pseudo = make_full_equal("oqam", desk.E, "antenna", desk, proto, table)
-    plain = make_full_equal("oqam", desk.E, "antenna", desk, proto, table,
-                            divisor="plain")
-    a = plain.grid.a[0, 0]
-    assert np.max(np.abs(plain.divisors - plain.grid.x[:, 0])) < 1e-12
+    pseudo = make_full_equal("oqam", desk.E, desk, proto, table)
+    a = pseudo.grid.a[0, 0]
     assert abs(pseudo.divisors[5] / a - (1 + 2 * table.beta)) < 1e-9
-    with pytest.raises(ValueError):
-        make_full_equal("oqam", desk.E, "antenna", desk, proto, table,
-                        divisor="other")
 
 
 def test_equipower_two_impulse_family(desk):
