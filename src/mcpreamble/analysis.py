@@ -113,15 +113,15 @@ def closed_form_mse(
         return float(sigma2 * inv2)
     if preamble.system == "oqam" and N == M:
         # exact projected noise through the correlated AFB outputs:
-        # (sigma^2/M) tr(D^H G0 D B) with D = diag(1/c), G0 = F F^H
+        # (sigma^2/M) tr(D^H G0 D B^T), D = diag(d = 1/c), G0 = F F^H.  As
+        # G0[p, q] = g0(p - q) and B[q, p] = b(p - q) for the literal offset,
+        # it is (sigma^2/M) sum_delta g0 b r_d, r_d the autocorrelation of d
         proto, table = _oqam_context(config, proto, table)
-        B = afb_noise_cov(proto, config, table=table)
-        d = 1.0 / preamble.divisors
-        F = dft_submatrix(M, np.arange(M), np.arange(L_h))
-        G0 = F @ F.conj().T
-        return float(np.real(
-            np.sum(np.conj(d)[:, None] * G0 * d[None, :] * B.T)
-        ) * sigma2 / M)
+        delta = np.arange(-(M - 1), M)
+        g0 = dft_submatrix(M, delta, np.arange(L_h)).sum(axis=1)
+        D = np.fft.fft(1.0 / preamble.divisors, 2 * M)
+        r_d = np.fft.ifft(D * np.conj(D))[-delta]
+        return float(np.real(np.sum(g0 * table.kernel(0) * r_d)) * sigma2 / M)
     # white pilot noise: CP-OFDM tones, or OQAM pilots >= 2 subcarriers apart
     return float(sigma2 * M * L_h / N ** 2 * inv2)
 
@@ -134,14 +134,10 @@ def _flat_grid_outputs(grid, H, table: AmbiguityTable, pilots) -> np.ndarray:
     """
     x = grid.x
     out = np.zeros(len(pilots), dtype=complex)
-    for i, p in enumerate(pilots):
-        acc = 0.0 + 0.0j
-        for n in range(grid.n_cols):
-            col = H * x[:, n]
-            if not col.any():
-                continue
-            acc += np.dot(table.row(int(p), n), col)
-        out[i] = acc
+    for n in range(grid.n_cols):
+        col = H * x[:, n]
+        if col.any():
+            out += table.row(pilots, n) @ col
     return out
 
 
@@ -193,31 +189,24 @@ def expected_error_floor(
     h = channel.h if hasattr(channel, "h") else np.asarray(channel)
     H = cfr_from_cir(h, M)
     idx = preamble.pilot_idx
-    N = len(idx)
     a = np.abs(preamble.divisors)
     e_d = preamble.pilot_energy / 2.0
-    rho = table.rho
-    helped = preamble.helper_map or {}
-    n_cols = preamble.grid.n_cols
-    W = {(int(p), n): table.row(int(p), n, pilot_col=0)
-         for p in idx for n in range(n_cols)}
-    # tones adjacent to a helped pilot act through its help pilot too
+    # amb[n, M - 1 + d] = A(d, n): weight of a tone d above the pilot, column n
+    amb = np.stack([table.kernel(n) for n in range(preamble.grid.n_cols)])
+    m, n = np.array(preamble.data_positions).T
+    # T[i, j]: distortion at pilot i per unit data symbol at position j
+    acc = H[m] * amb[n, M - 1 + m - idx[:, None]]
+    # tones P +/- 1 of a helped pilot P act through its help pilot too
     # (the help amplitude is linear in the data, computed channel-blind
     # at the transmitter, so it arrives faded by the pilot tone's gain)
-    near_helped: dict[int, list[int]] = {}
-    for P in helped:
-        near_helped.setdefault((P + 1) % M, []).append(int(P))
-        near_helped.setdefault((P - 1) % M, []).append(int(P))
-
-    # T[i, j]: distortion at pilot i per unit data symbol at position j
-    T = np.zeros((N, len(preamble.data_positions)), dtype=complex)
-    for j, (m, n) in enumerate(preamble.data_positions):
-        phase = np.exp(1j * preamble.grid.phi[m, n])
-        for i, p in enumerate(idx):
-            acc = H[m] * W[(int(p), n)][m]
-            for P in near_helped.get(m, ()):
-                acc -= W[(P, n)][m] / rho * H[P] * W[(int(p), 1)][P]
-            T[i, j] = phase * acc / a[i]
+    if preamble.helper_map:
+        helped = np.isin(np.arange(M), list(preamble.helper_map))
+        for side in (1, -1):
+            j = np.flatnonzero(helped[(m - side) % M])
+            P = (m[j] - side) % M
+            acc[:, j] -= (amb[n[j], M - 1 + m[j] - P] / table.rho * H[P]
+                          * amb[1, M - 1 + P - idx[:, None]])
+    T = np.exp(1j * preamble.grid.phi[m, n]) * acc / a[:, None]
     A = cfr_samples_to_cir(T, M, idx, config.L_h)
     return float(e_d * M * np.sum(np.abs(A) ** 2))
 
@@ -229,14 +218,15 @@ def afb_noise_cov(
 ) -> np.ndarray:
     """Covariance of the AFB outputs of one column under unit-variance AWGN.
 
-    B[p, q] = <g'_{q,n}, g'_{p,n}> = A(q - p, 0): unit diagonal, +/-beta
-    on the first off-diagonals with the sign flipped at the wrap corners,
-    and exactly zero beyond for the frequency-sampling prototypes.
+    B[p, q] = <g'_{q,n}, g'_{p,n}> = A(q - p, 0) = b(q - p), b = table.kernel(0)
+    (which closed_form_mse contracts without forming B): b(0) = 1, b(+/-1) =
+    beta, b(+/-(M-1)) = -beta, and zero elsewhere for frequency sampling.
     """
     if table is None:
         table = ambiguity(proto)
     M = config.M
-    return np.vstack([table.row(p, 0) for p in range(M)])
+    delta = np.arange(M)[None, :] - np.arange(M)[:, None]
+    return table.kernel(0)[delta + M - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +300,8 @@ def verify_optimality(
     Plus stationarity/curvature of (a) and (b) at their optimizers and
     the exact sparse OQAM energy identity.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     M, L_h, nu, E = config.M, config.L_h, config.nu, config.E
     proto, table = _oqam_context(config, proto, table)
@@ -370,7 +362,7 @@ def verify_optimality(
     # (the interference matrix J has negacyclic eigenvalues
     # 1 + 2*beta*cos(pi*(2k+1)/M), all strictly below 1 + 2*beta).
     bound_b = M ** 2 * sigma2 / (E * (1.0 + 2.0 * beta) ** 2)
-    n_t = max(1, trials)
+    n_t = trials
     A_rand = np.abs(rng.standard_normal((n_t, M))) + 0.05
     A_rand *= np.sqrt(E / np.sum(A_rand ** 2, axis=1))[:, None]
     C = A_rand + beta * (np.roll(A_rand, 1, axis=1) + np.roll(A_rand, -1, axis=1))
@@ -441,7 +433,7 @@ def verify_optimality(
         f"floor(2) <= floor(3): {ordered}"))
 
     # (d) two-impulse family: uniqueness searched, membership verified
-    n_t = max(1, trials)
+    n_t = trials
     theta = rng.uniform(0, 2 * np.pi, size=(n_t, M))
     X = np.sqrt(E / M) * np.exp(1j * theta)
     cps = _cp_energy_batch(X, nu) / M

@@ -121,8 +121,8 @@ def propagate(s, h, sigma2: float, seed) -> np.ndarray:
     """
     s = np.asarray(s, dtype=complex).reshape(-1)
     h = np.asarray(h, dtype=complex).reshape(-1)
-    if sigma2 < 0:
-        raise ValueError("noise variance must be nonnegative")
+    if not sigma2 >= 0:
+        raise ValueError(f"noise variance must be nonnegative, got {sigma2}")
     r = np.convolve(s, h)
     if sigma2 > 0:
         rng = np.random.default_rng(seed)

@@ -209,6 +209,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[MseCurve]:
         raise ValueError(f"n_noise must be >= 1, got {cfg.n_noise}")
     if not cfg.ebn0_db:
         raise ValueError("the Eb/N0 grid is empty")
+    if not np.all(np.isfinite(cfg.ebn0_db)):
+        raise ValueError(f"Eb/N0 values must be finite, got {cfg.ebn0_db}")
     if cfg.workers < 1:
         raise ValueError(f"workers must be >= 1, got {cfg.workers}")
     jobs = [(cfg, c) for c in range(cfg.n_channels)]

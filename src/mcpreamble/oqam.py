@@ -159,9 +159,6 @@ class OqamGrid:
     def x(self) -> np.ndarray:
         return self.a * np.exp(1j * self.phi)
 
-    def copy(self) -> "OqamGrid":
-        return OqamGrid(a=self.a.copy(), phi=self.phi.copy())
-
 
 def sfb(grid: OqamGrid, proto: PrototypeFilter, config: SystemConfig | None = None) -> np.ndarray:
     """Synthesis filter bank output for the whole grid.
@@ -238,8 +235,9 @@ def afb(r, proto: PrototypeFilter, config: SystemConfig | None, points) -> np.nd
 class AmbiguityTable:
     """Cached pulse inner products A(dm, dn) for one prototype.
 
-    weight() returns the literal-offset inner product; row() returns the
-    weights of every tone of one column onto a given analysis point.
+    weight() returns the literal-offset inner product, kernel() all of them
+    for one column offset; row() gathers the weights of every tone of one
+    column onto one analysis point, or onto each of an array of them.
     """
 
     proto: PrototypeFilter
@@ -273,12 +271,18 @@ class AmbiguityTable:
             a = -a
         return complex(a)
 
-    def row(self, p: int, dn: int, pilot_col: int = 0) -> np.ndarray:
-        """Weights of tones m = 0..M-1 (column pilot_col + dn) onto (p, pilot_col)."""
+    def kernel(self, dn: int) -> np.ndarray:
+        """A(dm, dn) at every literal offset dm = -(M-1)..M-1, in that order."""
         M = self.M
+        dm = np.arange(1 - M, M)
         what = self._shifted_fft(dn)
-        dm = np.arange(M) - p
-        w = np.exp(-2j * np.pi * dm * self.proto.center / M) * what[dm % M]
+        return np.exp(-2j * np.pi * dm * self.proto.center / M) * what[dm % M]
+
+    def row(self, p, dn: int, pilot_col: int = 0) -> np.ndarray:
+        """Weights of tones 0..M-1 (column pilot_col + dn) onto (p, pilot_col), per tone p."""
+        M = self.M
+        dm = np.arange(M) - np.asarray(p)[..., None]
+        w = self.kernel(dn)[dm + M - 1]
         if pilot_col % 2:
             w = np.where(dm % 2, -w, w)
         return w
@@ -330,6 +334,26 @@ FIRST_ORDER_OFFSETS = [
 ]
 
 
+def _symbol(grid: OqamGrid, m: int, n: int) -> complex:
+    """One entry of grid.x, without evaluating the whole grid."""
+    return grid.a[m, n] * np.exp(1j * grid.phi[m, n])
+
+
+def _first_order_sum(grid: OqamGrid, table: AmbiguityTable, p: int, q: int,
+                     skip=None) -> complex:
+    """x_{p,q} plus every nonzero first-order term at (p, q) except `skip`."""
+    c = complex(_symbol(grid, p, q))
+    for dm, dn in FIRST_ORDER_OFFSETS:
+        n = q + dn
+        if not (0 <= n < grid.n_cols):
+            continue
+        m = (p + dm) % grid.M
+        x = _symbol(grid, m, n)
+        if x != 0 and (m, n) != skip:
+            c += x * table.weight(m - p, dn, pilot_col=q)
+    return c
+
+
 def pseudo_pilot(grid: OqamGrid, table: AmbiguityTable, point) -> complex:
     """First-order equivalent pilot at a grid point.
 
@@ -341,18 +365,7 @@ def pseudo_pilot(grid: OqamGrid, table: AmbiguityTable, point) -> complex:
     which this returns.  Dividing the measurement by c instead of x alone
     removes the dominant intrinsic interference.
     """
-    p, q = int(point[0]), int(point[1])
-    M, x = grid.M, grid.x
-    c = complex(x[p, q])
-    for dm, dn in FIRST_ORDER_OFFSETS:
-        n = q + dn
-        if not (0 <= n < grid.n_cols):
-            continue
-        m = (p + dm) % M
-        if x[m, n] == 0:
-            continue
-        c += x[m, n] * table.weight(m - p, dn, pilot_col=q)
-    return c
+    return _first_order_sum(grid, table, int(point[0]), int(point[1]))
 
 
 def help_pilot(grid: OqamGrid, table: AmbiguityTable, pilot, helper) -> float:
@@ -366,10 +379,7 @@ def help_pilot(grid: OqamGrid, table: AmbiguityTable, pilot, helper) -> float:
     """
     p, q = int(pilot[0]), int(pilot[1])
     r, s = int(helper[0]), int(helper[1])
-    work = grid.copy()
-    work.a[r, s] = 0.0
-    c = pseudo_pilot(work, table, (p, q))
-    v = c - complex(work.x[p, q])
+    v = _first_order_sum(grid, table, p, q, skip=(r, s)) - complex(_symbol(grid, p, q))
     w_h = table.weight(r - p, s - q, pilot_col=q)
     if abs(w_h) == 0:
         raise ValueError("helper position does not reach the pilot at first order")

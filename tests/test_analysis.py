@@ -5,9 +5,14 @@ from mcpreamble import (
     SystemConfig,
     afb,
     afb_noise_cov,
+    ambiguity,
     antenna_energy,
+    cfr_from_cir,
+    cfr_samples_to_cir,
     closed_form_mse,
     demodulate,
+    design_prototype,
+    dft_submatrix,
     error_floor,
     estimate_from_pilots,
     expected_error_floor,
@@ -21,6 +26,7 @@ from mcpreamble import (
     papr,
     propagate,
     sfb,
+    truncate_prototype,
     verify_optimality,
 )
 
@@ -125,6 +131,76 @@ def test_afb_noise_cov_matches_monte_carlo(small, small_proto, small_table):
         acc += np.outer(y, y.conj())
     acc /= trials
     assert np.max(np.abs(acc - B)) < 0.04
+
+
+def test_afb_noise_cov_stacks_table_rows(desk, proto, table):
+    B = afb_noise_cov(proto, desk, table)
+    rows = np.vstack([table.row(p, 0) for p in range(desk.M)])
+    assert np.max(np.abs(B - rows)) <= 1e-12 * np.max(np.abs(rows))
+
+
+def _dense_full_projected_mse(p, sigma2, cfg, table):
+    """(sigma^2/M) tr(D^H G0 D B^T) with the M x M matrices formed."""
+    M = cfg.M
+    B = np.vstack([table.row(q, 0) for q in range(M)])
+    F = dft_submatrix(M, np.arange(M), np.arange(cfg.L_h))
+    d = 1.0 / p.divisors
+    G0 = F @ F.conj().T
+    return float(np.real(np.sum(np.conj(d)[:, None] * G0 * d[None, :] * B.T))
+                 * sigma2 / M)
+
+
+@pytest.mark.parametrize("K,truncate", [(2, None), (3, None), (4, None),
+                                        (5, None), (4, 128 + 8 - 1)])
+def test_full_oqam_projected_mse_matches_dense_trace(desk, K, truncate):
+    cfg = SystemConfig(M=desk.M, L_h=desk.L_h, K=K)
+    proto = design_prototype(cfg.M, K)
+    if truncate is not None:
+        proto = truncate_prototype(proto, truncate)
+    table = ambiguity(proto)
+    p = make_full_equal("oqam", cfg.E, cfg, proto, table)
+    got = closed_form_mse(p, 0.01, cfg, proto=proto, table=table)
+    want = _dense_full_projected_mse(p, 0.01, cfg, table)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def _loop_expected_floor(p, channel, cfg, table):
+    """expected_error_floor written pilot by pilot, data symbol by symbol."""
+    M, idx = cfg.M, p.pilot_idx
+    H = cfr_from_cir(channel.h, M)
+    a = np.abs(p.divisors)
+    T = np.zeros((len(idx), len(p.data_positions)), dtype=complex)
+    for j, (m, n) in enumerate(p.data_positions):
+        for i, q in enumerate(idx):
+            # own pulse of the data symbol onto pilot (q, 0)
+            acc = H[m] * table.row(q, n)[m]
+            # help pilot of a pilot P = m -/+ 1, solved channel-blind
+            for P in (p.helper_map or {}):
+                if m in ((P + 1) % M, (P - 1) % M):
+                    acc -= (table.row(P, n)[m] / table.rho * H[P]
+                            * table.row(q, 1)[P])
+            T[i, j] = np.exp(1j * p.grid.phi[m, n]) * acc / a[i]
+    A = cfr_samples_to_cir(T, M, idx, cfg.L_h)
+    return float(p.pilot_energy / 2.0 * M * np.sum(np.abs(A) ** 2))
+
+
+@pytest.mark.parametrize("scenario", ["oqam-1a", "oqam-1b", "oqam-2", "oqam-3"])
+def test_expected_error_floor_matches_loop_definition(desk, proto, table,
+                                                      scenario):
+    ch = gen_veh_a(8, desk)
+    p = make_sparse_data("oqam", scenario, desk.E, 2, desk, proto, table)
+    want = _loop_expected_floor(p, ch, desk, table)
+    got = expected_error_floor(p, ch, desk, proto, table)
+    if scenario == "oqam-1b":
+        # guarded pilots: exactly zero up to roundoff of the O(1) terms
+        assert got < 1e-20 * desk.M and want < 1e-20 * desk.M
+    else:
+        assert abs(got - want) <= 1e-12 * want
+
+
+def test_verify_optimality_rejects_bad_trial_count(desk):
+    with pytest.raises(ValueError):
+        verify_optimality(desk, trials=0)
 
 
 def test_error_floor_expectation(desk, proto, table):

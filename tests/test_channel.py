@@ -86,6 +86,12 @@ def test_propagate_noiseless_is_convolution():
     assert np.array_equal(propagate(s, h, 0.0, seed=1), np.convolve(s, h))
 
 
+@pytest.mark.parametrize("sigma2", [-1.0, float("nan")], ids=["negative", "nan"])
+def test_propagate_rejects_bad_noise_variance(sigma2):
+    with pytest.raises(ValueError):
+        propagate(np.ones(8, dtype=complex), np.ones(2), sigma2, seed=1)
+
+
 def test_propagate_noise_variance_and_prefix_stability():
     rng = np.random.default_rng(2)
     s = np.zeros(64, dtype=complex)

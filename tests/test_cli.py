@@ -24,8 +24,9 @@ def test_run_requires_preset(capsys):
 
 @pytest.mark.parametrize("bad", [
     ["--n-noise", "0"], ["--n-channels", "1"], ["--workers", "0"],
-    ["--ebn0", ","], ["--M", "100"],
-], ids=["n-noise=0", "n-channels=1", "workers=0", "empty-ebn0", "M=100"])
+    ["--ebn0", ","], ["--M", "100"], ["--ebn0", "nan"], ["--ebn0", "0,inf"],
+], ids=["n-noise=0", "n-channels=1", "workers=0", "empty-ebn0", "M=100",
+        "nan-ebn0", "inf-ebn0"])
 def test_run_rejects_bad_options(tmp_path, capsys, bad):
     out = tmp_path / "bad.csv"
     rc = main(["run", "--preset", "fig1a", "--n-channels", "2",
@@ -103,3 +104,12 @@ def test_zero_dimension_is_rejected(capsys, argv):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_bad_trial_count(capsys, trials):
+    rc = main(["verify", "--M", "64", "--L-h", "4", "--trials", trials])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "overall" not in captured.out

@@ -126,8 +126,10 @@ def test_experiment_config_system():
 
 @pytest.mark.parametrize("bad", [
     dict(n_channels=1), dict(n_noise=0), dict(ebn0_db=()), dict(workers=0),
-    dict(M=100),
-], ids=["n_channels=1", "n_noise=0", "empty_ebn0", "workers=0", "M=100"])
+    dict(M=100), dict(ebn0_db=(float("nan"),)), dict(ebn0_db=(0.0, np.inf)),
+    dict(ebn0_db=(-np.inf, 10.0)),
+], ids=["n_channels=1", "n_noise=0", "empty_ebn0", "workers=0", "M=100",
+        "nan_ebn0", "inf_ebn0", "-inf_ebn0"])
 def test_run_experiment_rejects_bad_inputs_before_any_work(monkeypatch, bad):
     def work(args):
         raise AssertionError("a channel ran")

@@ -84,6 +84,18 @@ def test_ambiguity_symmetries():
         assert abs(t.weight(dm + cfg.M, dn) + a) < 1e-12
 
 
+def test_row_of_tone_array_stacks_single_rows(small, small_table):
+    tones = np.array([0, 3, small.M - 1])
+    for dn, col in ((0, 0), (1, 0), (-1, 1), (2, 1)):
+        rows = small_table.row(tones, dn, pilot_col=col)
+        want = np.vstack([small_table.row(int(t), dn, pilot_col=col)
+                          for t in tones])
+        assert np.array_equal(rows, want)
+        # entry [i, m] is the literal-offset weight onto tone i
+        assert rows[1, 5] == pytest.approx(
+            small_table.weight(5 - 3, dn, pilot_col=col), abs=1e-15)
+
+
 def test_ambiguity_against_direct_sum():
     proto = design_prototype(32, 3)
     t = ambiguity(proto)
