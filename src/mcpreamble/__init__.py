@@ -22,6 +22,7 @@ from .analysis import (
 from .channel import (
     ChannelRealization,
     TapProfile,
+    awgn,
     cfr_from_cir,
     ebn0_to_sigma2,
     gen_veh_a,

@@ -182,7 +182,7 @@ def expected_error_floor(
     independent zero-mean data of energy e_d per symbol the expected
     residual is e_d times a squared Frobenius norm of that linear map.
     """
-    if preamble.system == "cpofdm" or not preamble.data_positions:
+    if preamble.system == "cpofdm" or len(preamble.data_positions) == 0:
         return 0.0
     proto, table = _oqam_context(config, proto, table)
     M = config.M
@@ -193,7 +193,7 @@ def expected_error_floor(
     e_d = preamble.pilot_energy / 2.0
     # amb[n, M - 1 + d] = A(d, n): weight of a tone d above the pilot, column n
     amb = np.stack([table.kernel(n) for n in range(preamble.grid.n_cols)])
-    m, n = np.array(preamble.data_positions).T
+    m, n = preamble.data_positions.T
     # T[i, j]: distortion at pilot i per unit data symbol at position j
     acc = H[m] * amb[n, M - 1 + m - idx[:, None]]
     # tones P +/- 1 of a helped pilot P act through its help pilot too

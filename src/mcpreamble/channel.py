@@ -113,11 +113,23 @@ def cfr_from_cir(h, M: int) -> np.ndarray:
     return np.fft.fft(h, n=M)
 
 
+def awgn(n: int, seed) -> np.ndarray:
+    """n samples of circular complex white Gaussian noise of unit variance.
+
+    The draw is interleaved (real, imaginary) per sample, so the first n
+    samples of a stream do not depend on n: equal seeds give common noise
+    across windows of different lengths.
+    """
+    z = np.random.default_rng(seed).standard_normal((n, 2))
+    return np.sqrt(0.5) * z.view(complex)[:, 0]
+
+
 def propagate(s, h, sigma2: float, seed) -> np.ndarray:
     """Linear convolution with h plus circular complex AWGN.
 
     Returns the full convolution, length len(s) + len(h) - 1.  sigma2 is
-    the total noise variance per complex sample (sigma2/2 per component).
+    the total noise variance per complex sample (sigma2/2 per component);
+    the noise is sqrt(sigma2) * awgn(len(r), seed).
     """
     s = np.asarray(s, dtype=complex).reshape(-1)
     h = np.asarray(h, dtype=complex).reshape(-1)
@@ -125,11 +137,7 @@ def propagate(s, h, sigma2: float, seed) -> np.ndarray:
         raise ValueError(f"noise variance must be nonnegative, got {sigma2}")
     r = np.convolve(s, h)
     if sigma2 > 0:
-        rng = np.random.default_rng(seed)
-        # interleaved draw: the first n samples of the noise stream do not
-        # depend on n, so equal seeds give common noise across windows
-        z = rng.standard_normal((len(r), 2))
-        r = r + np.sqrt(sigma2 / 2.0) * (z[:, 0] + 1j * z[:, 1])
+        r = r + np.sqrt(sigma2) * awgn(len(r), seed)
     return r
 
 

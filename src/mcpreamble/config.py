@@ -9,6 +9,7 @@ accounting) takes one of these instead of loose integers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -24,7 +25,8 @@ class SystemConfig:
     L_h  -- channel impulse response length in samples, power of two,
             with 2 <= L_h <= M/2 so that M/L_h is an integer >= 2
     K    -- prototype overlapping factor, integer 1..5 (OQAM only)
-    E    -- training energy budget used by the preamble constructors
+    E    -- training energy budget used by the preamble constructors,
+            positive and finite
     """
 
     M: int
@@ -45,8 +47,8 @@ class SystemConfig:
             raise ValueError("M must be an integer multiple of L_h")
         if not (1 <= int(self.K) <= 5):
             raise ValueError(f"K must be an integer in 1..5, got {self.K}")
-        if not (self.E > 0):
-            raise ValueError(f"E must be positive, got {self.E}")
+        if not (math.isfinite(self.E) and self.E > 0):
+            raise ValueError(f"E must be positive and finite, got {self.E}")
 
     @property
     def nu(self) -> int:

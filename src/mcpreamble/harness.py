@@ -3,9 +3,13 @@
 An experiment is a set of curves (scheme + preamble + estimator) swept
 over an Eb/N0 grid against a common set of channel realizations.  All
 randomness derives from one master seed through named SeedSequence
-branches, and the channel and noise draws are shared between the curves
-of an experiment, so compared curves differ only through their preambles
-and estimators.
+branches: the channel per index c, and the data and the noise per
+(channel, draw) pair.  One noise draw serves every Eb/N0 point: the LS
+estimate is linear in the received samples, so a trial is one noiseless
+pass plus one pass of unit noise scaled to each point.  Channel and noise
+are shared between the curves of an experiment too (the first n noise
+samples of a seed do not depend on n), so compared curves differ only
+through their preambles and estimators.
 
 Results aggregate per channel first (mean over noise draws of
 ||H_hat - H||^2 / ||H||^2), then over channels; the reported standard
@@ -28,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .analysis import closed_form_mse, expected_error_floor, tpr
-from .channel import ebn0_to_sigma2, gen_veh_a, propagate
+from .channel import awgn, ebn0_to_sigma2, gen_veh_a, propagate
 from .config import SystemConfig
 from .cpofdm import demodulate, modulate
 from .estimation import estimate_from_pilots
@@ -116,7 +120,7 @@ class _CurveRuntime:
     def __init__(self, spec: CurveSpec, cfg: ExperimentConfig,
                  ref: _CurveRuntime | None = None):
         self.spec = spec
-        sc = cfg.system
+        self.sc = sc = cfg.system
         if spec.system == "cpofdm":
             self.proto = self.table = None
             self.synthesize = lambda p: modulate(p.x, sc).s
@@ -146,8 +150,13 @@ class _CurveRuntime:
             self.scale = float(np.sqrt(tpr(ref.preamble, base, sc).value))
         self.preamble = self._scaled(base)
         self.pilot_idx = base.pilot_idx
-        self.points = [(int(m), 0) for m in self.pilot_idx]
+        self.points = np.stack([self.pilot_idx, 0 * self.pilot_idx], axis=1)
         self.tx = None if self.make else self.synthesize(self.preamble)
+
+    def estimate(self, r, p) -> np.ndarray:
+        """Channel estimate over all M tones from receive samples r."""
+        return estimate_from_pilots(self.receive(r), p, self.sc,
+                                    mode=self.spec.estimator).H_hat
 
     def _scaled(self, p):
         return p if self.scale == 1.0 else p.scaled(self.scale)
@@ -168,7 +177,13 @@ def _runtimes(cfg: ExperimentConfig) -> list[_CurveRuntime]:
 
 
 def _run_channel(args) -> tuple:
-    """All trials of one channel: per-curve, per-SNR mean NMSE ratios."""
+    """All trials of one channel: per-curve, per-SNR mean NMSE ratios.
+
+    The estimate is linear in the received samples, so the error of draw t
+    at noise level sigma is a + sigma * e: a from the noiseless pass (once
+    per curve for a static preamble, once per draw otherwise), e from one
+    pass of unit noise per draw, and every Eb/N0 point at once.
+    """
     cfg, c = args
     sc = cfg.system
     runtimes = _runtimes(cfg)
@@ -176,22 +191,21 @@ def _run_channel(args) -> tuple:
     H = ch.cfr(sc.M)
     norm_h2 = float(np.sum(np.abs(H) ** 2))
     e_sym = cfg.E / sc.M
-    sigmas = [ebn0_to_sigma2(g, e_sym) for g in cfg.ebn0_db]
+    sig = np.sqrt([ebn0_to_sigma2(g, e_sym) for g in cfg.ebn0_db])[:, None]
 
-    ratios = np.zeros((len(runtimes), len(sigmas)))
+    ratios = np.zeros((len(runtimes), len(sig)))
     floors = np.zeros(len(runtimes))
     for i, rt in enumerate(runtimes):
         floors[i] = expected_error_floor(
             rt.preamble, ch, sc, proto=rt.proto, table=rt.table) / norm_h2
         for t in range(cfg.n_noise):
             p, s = rt.draw(cfg.seed, c, t)
-            for k, sig2 in enumerate(sigmas):
-                r = propagate(s, ch.h, sig2,
-                              np.random.SeedSequence([cfg.seed, _TAG_NOISE, c, t, k]))
-                H_hat = estimate_from_pilots(rt.receive(r), p, sc,
-                                             mode=rt.spec.estimator).H_hat
-                err = float(np.sum(np.abs(H_hat - H) ** 2))
-                ratios[i, k] += err / norm_h2
+            if t == 0 or rt.make is not None:
+                a = rt.estimate(propagate(s, ch.h, 0.0, None), p) - H
+            w = awgn(len(s) + sc.L_h - 1,
+                     np.random.SeedSequence([cfg.seed, _TAG_NOISE, c, t]))
+            e = rt.estimate(w, p)
+            ratios[i] += np.sum(np.abs(a + sig * e) ** 2, axis=1) / norm_h2
     ratios /= cfg.n_noise
     return ratios, floors, 1.0 / norm_h2
 

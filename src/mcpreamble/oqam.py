@@ -217,17 +217,17 @@ def afb_column(r, proto: PrototypeFilter, n: int) -> np.ndarray:
 
 
 def afb(r, proto: PrototypeFilter, config: SystemConfig | None, points) -> np.ndarray:
-    """Analysis filter bank outputs at the given (m, n) grid points."""
+    """Analysis filter bank outputs at the given (m, n) grid points.
+
+    points is anything that converts to an (N, 2) integer array; each
+    distinct column n takes one afb_column pass.
+    """
     r = np.asarray(r, dtype=complex).reshape(-1)
-    pts = list(points)
-    out = np.zeros(len(pts), dtype=complex)
-    by_col: dict[int, list[int]] = {}
-    for i, (m, n) in enumerate(pts):
-        by_col.setdefault(int(n), []).append(i)
-    for n, idxs in by_col.items():
-        col = afb_column(r, proto, n)
-        for i in idxs:
-            out[i] = col[int(pts[i][0])]
+    pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+    out = np.empty(len(pts), dtype=complex)
+    for n in np.unique(pts[:, 1]):
+        at = pts[:, 1] == n
+        out[at] = afb_column(r, proto, int(n))[pts[at, 0]]
     return out
 
 

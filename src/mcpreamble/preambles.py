@@ -25,7 +25,7 @@ for the sparse-plus-data ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -56,6 +56,7 @@ class Preamble:
     R of the observation interval the training occupies, used by the
     power-ratio comparisons.  E_train is the declared training energy
     (exact for deterministic preambles, expected over data otherwise).
+    data_positions holds one (m, n) row per data symbol (none without data).
     """
 
     system: str
@@ -68,7 +69,8 @@ class Preamble:
     E: float
     E_train: float
     window: int
-    data_positions: tuple | None = None
+    data_positions: np.ndarray = field(
+        default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
     helper_map: dict | None = None
 
     @property
@@ -96,6 +98,11 @@ class Preamble:
             E=self.E * amp ** 2,
             E_train=self.E_train * amp ** 2,
         )
+
+
+def _positions(tones: np.ndarray, n: int) -> np.ndarray:
+    """(m, n) rows, one per tone m of column n, as a (J, 2) int64 array."""
+    return np.stack([tones, np.full_like(tones, n)], axis=1).astype(np.int64)
 
 
 def save_preamble(p: Preamble, path) -> None:
@@ -323,7 +330,7 @@ def make_sparse_data(
             system=system, family="sparse_data", scenario=scenario,
             pilot_idx=idx, divisors=np.full(N, amp, dtype=complex), x=x,
             grid=None, E=E, E_train=e_train, window=M + config.nu,
-            data_positions=tuple((int(mm), 0) for mm in np.where(mask)[0]),
+            data_positions=_positions(np.flatnonzero(mask), 0),
         )
 
     if system != "oqam":
@@ -345,18 +352,18 @@ def make_sparse_data(
     pilot_mask = np.zeros(M, dtype=bool)
     pilot_mask[idx] = True
 
-    data_positions = []
     col0_data = np.where(~pilot_mask & ~guard)[0]
     grid.a[col0_data, 0] = _real_halves(rng, len(col0_data), e_x)
     grid.phi[col0_data, 0] = data_phase(col0_data, 0)
-    data_positions += [(int(mm), 0) for mm in col0_data]
+    data_positions = _positions(col0_data, 0)
 
     helper_map = None
     if n_cols == 2:
         col1_data = np.where(~pilot_mask)[0]
         grid.a[col1_data, 1] = _real_halves(rng, len(col1_data), e_x)
         grid.phi[col1_data, 1] = data_phase(col1_data, 1)
-        data_positions += [(int(mm), 1) for mm in col1_data]
+        data_positions = np.concatenate(
+            [data_positions, _positions(col1_data, 1)])
         grid.phi[idx, 1] = data_phase(idx, 1)
         helper_map = {}
         for p in idx:
@@ -369,5 +376,5 @@ def make_sparse_data(
         system=system, family="sparse_data", scenario=scenario,
         pilot_idx=idx, divisors=np.full(N, amp, dtype=complex), x=None,
         grid=grid, E=E, E_train=N * e_x * (1.0 + zeta), window=window,
-        data_positions=tuple(data_positions), helper_map=helper_map,
+        data_positions=data_positions, helper_map=helper_map,
     )

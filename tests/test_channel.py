@@ -4,6 +4,7 @@ import pytest
 from mcpreamble import (
     SystemConfig,
     TapProfile,
+    awgn,
     cfr_from_cir,
     ebn0_to_sigma2,
     gen_veh_a,
@@ -108,6 +109,22 @@ def test_propagate_noise_variance_and_prefix_stability():
     r1 = propagate(np.zeros(16, dtype=complex), h, sigma2, seed=(3, 4))
     r2 = propagate(np.zeros(64, dtype=complex), h, sigma2, seed=(3, 4))
     assert np.array_equal(r1, r2[: len(r1)])
+
+
+def test_propagate_noise_is_scaled_awgn():
+    # noise has one definition: propagate adds sqrt(sigma2) * awgn
+    rng = np.random.default_rng(3)
+    s = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    sigma2 = 0.3
+    seed = np.random.SeedSequence([7, 301, 2, 5])
+    noise = propagate(s, h, sigma2, seed) - propagate(s, h, 0.0, None)
+    expect = np.sqrt(sigma2) * awgn(len(s) + len(h) - 1, seed)
+    assert np.allclose(noise, expect, rtol=0, atol=1e-13)
+    w = awgn(20000, 11)
+    assert abs(np.mean(np.abs(w) ** 2) - 1.0) < 0.03
+    assert abs(np.mean(w.real ** 2) - np.mean(w.imag ** 2)) < 0.03
+    assert np.array_equal(awgn(16, 11), w[:16])
 
 
 def test_ebn0_conversion():

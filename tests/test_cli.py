@@ -25,8 +25,9 @@ def test_run_requires_preset(capsys):
 @pytest.mark.parametrize("bad", [
     ["--n-noise", "0"], ["--n-channels", "1"], ["--workers", "0"],
     ["--ebn0", ","], ["--M", "100"], ["--ebn0", "nan"], ["--ebn0", "0,inf"],
+    ["--E", "inf"],
 ], ids=["n-noise=0", "n-channels=1", "workers=0", "empty-ebn0", "M=100",
-        "nan-ebn0", "inf-ebn0"])
+        "nan-ebn0", "inf-ebn0", "inf-E"])
 def test_run_rejects_bad_options(tmp_path, capsys, bad):
     out = tmp_path / "bad.csv"
     rc = main(["run", "--preset", "fig1a", "--n-channels", "2",

@@ -4,10 +4,15 @@ import pytest
 from mcpreamble import (
     CurveSpec,
     ExperimentConfig,
+    afb,
+    demodulate,
     ebn0_to_sigma2,
+    estimate_from_pilots,
+    gen_veh_a,
     harness,
     preset,
     preset_names,
+    propagate,
     run_experiment,
     write_csv,
 )
@@ -147,3 +152,43 @@ def test_prediction_is_linear_in_sigma2(name):
     for cu in run_experiment(cfg):
         gain = (cu.predicted - cu.floor) / sigma2
         assert np.max(np.abs(gain / gain[0] - 1.0)) < 1e-12
+
+
+# static OQAM preambles, CP-OFDM data redrawn per draw, OQAM help pilots
+@pytest.mark.parametrize("name", ["fig4b", "fig3", "fig6"])
+def test_superposed_trials_match_chain_loop(name):
+    # the harness adds the noiseless error and sigma times the unit-noise
+    # response; the loop runs the whole chain at every point instead.
+    # Two draws, so a preamble redrawn per draw needs its own noiseless pass.
+    cfg = preset(name, scale="desk", n_channels=2, n_noise=2)
+    sc = cfg.system
+    for c in (0, 1):
+        ratios, floors, inv_h2 = harness._run_channel((cfg, c))
+        ch = gen_veh_a(np.random.SeedSequence([cfg.seed, 101, c]), sc)
+        H = ch.cfr(sc.M)
+        assert inv_h2 == 1.0 / np.sum(np.abs(H) ** 2)
+        for i, rt in enumerate(harness._runtimes(cfg)):
+            want = np.zeros(len(cfg.ebn0_db))
+            for t in range(cfg.n_noise):
+                p, s = rt.draw(cfg.seed, c, t)
+                for k, g in enumerate(cfg.ebn0_db):
+                    sigma2 = ebn0_to_sigma2(g, cfg.E / sc.M)
+                    r = propagate(s, ch.h, sigma2,
+                                  np.random.SeedSequence([cfg.seed, 301, c, t]))
+                    if rt.spec.system == "oqam":
+                        y = afb(r, rt.proto, sc, [(m, 0) for m in p.pilot_idx])
+                    else:
+                        y = demodulate(r, sc)[p.pilot_idx]
+                    H_hat = estimate_from_pilots(y, p, sc,
+                                                 mode=rt.spec.estimator).H_hat
+                    want[k] += np.sum(np.abs(H_hat - H) ** 2) * inv_h2
+            want /= cfg.n_noise
+            assert np.all(np.abs(ratios[i] - want) <= 1e-10 * want)
+
+
+def test_ebn0_grid_does_not_change_a_point():
+    grid = preset("fig4b", scale="desk", ebn0_db=(0.0, 10.0, 20.0), **SMALL)
+    alone = grid.with_(ebn0_db=(10.0,))
+    for a, b in zip(run_experiment(grid), run_experiment(alone)):
+        assert a.nmse[1] == b.nmse[0]
+        assert a.stderr_db[1] == b.stderr_db[0]

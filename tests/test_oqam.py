@@ -148,6 +148,17 @@ def test_afb_matches_direct_form(small, small_proto):
     assert np.max(np.abs(col - y[small.M : 2 * small.M])) < 1e-12
 
 
+def test_afb_gathers_mixed_points_per_column(small, small_proto):
+    rng = np.random.default_rng(12)
+    span = small.M // 2 + small_proto.L_g
+    r = rng.standard_normal(span) + 1j * rng.standard_normal(span)
+    pts = [(5, 1), (0, 0), (31, 1), (5, 0), (17, 1), (2, 0), (5, 1)]
+    cols = {n: afb_column(r, small_proto, n) for n in (0, 1)}
+    expect = np.array([cols[n][m] for m, n in pts])
+    assert np.array_equal(afb(r, small_proto, small, pts), expect)
+    assert np.array_equal(afb(r, small_proto, small, np.array(pts)), expect)
+
+
 def test_transmultiplexer_identity(small, small_proto, small_table):
     # a lone unit pilot at (p, q) lands on (p+dm, q+dn) with weight
     # (-1)^{dm q} conj(A(dm, dn))

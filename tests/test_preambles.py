@@ -80,6 +80,10 @@ def test_sparse_data_energy_declarations(desk, proto, table):
     e_x = desk.E / desk.L_h
     want = desk.L_h * e_x + (desk.M - desk.L_h) * e_x * desk.nu / desk.M
     assert abs(sd.E_train - want) < 1e-9 * want
+    assert sd.data_positions.shape == (desk.M - desk.L_h, 2)
+    assert not sd.data_positions[:, 1].any()
+    assert np.array_equal(sd.data_positions[:, 0],
+                          np.setdiff1d(np.arange(desk.M), sd.pilot_idx))
     # measured prefix energy of the data-filled symbol matches the
     # declared nu/M share on average
     got = []
@@ -102,6 +106,12 @@ def test_sparse_data_scenarios_layout(desk, proto, table):
         occupied = np.count_nonzero(p.grid.a)
         # a helper amplitude may solve to exactly zero for lucky data
         assert desk.M * cols - guards - helpers <= occupied <= desk.M * cols - guards
+        # one (m, n) row per data symbol, none on a pilot
+        pos = p.data_positions
+        assert pos.dtype == np.int64
+        assert pos.shape == (desk.M * cols - guards - helpers - desk.L_h, 2)
+        assert len(np.unique(pos[:, 0] + desk.M * pos[:, 1])) == len(pos)
+        assert not np.isin(pos[pos[:, 1] == 0, 0], p.pilot_idx).any()
         if scenario in ("oqam-1b", "oqam-2"):
             for i in p.pilot_idx:
                 assert p.grid.a[(i + 1) % desk.M, 0] == 0.0
