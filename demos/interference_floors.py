@@ -11,15 +11,14 @@ NMSE of exactly beta^2, whatever the channel does.
 
 import numpy as np
 
-from mcpreamble import (SystemConfig, ambiguity, cfr_from_cir,
+from mcpreamble import (SystemConfig, cfr_from_cir,
                         design_prototype, expected_error_floor, gen_veh_a,
                         make_sparse_data)
 
 cfg = SystemConfig(M=128, L_h=8, K=4, E=128.0)
 proto = design_prototype(cfg.M, cfg.K)
-table = ambiguity(proto)
-print(f"M={cfg.M}  L_h={cfg.L_h}  K={cfg.K}  beta={table.beta:.6f}  "
-      f"beta^2 = {10 * np.log10(table.beta ** 2):.2f} dB")
+print(f"M={cfg.M}  L_h={cfg.L_h}  K={cfg.K}  beta={proto.beta:.6f}  "
+      f"beta^2 = {10 * np.log10(proto.beta ** 2):.2f} dB")
 
 ch = gen_veh_a(np.random.SeedSequence([42]), cfg)
 den = float(np.sum(np.abs(cfr_from_cir(ch.h, cfg.M)) ** 2))
@@ -28,8 +27,8 @@ print(f"{'layout':>10s} {'guards':>7s} {'helpers':>8s} {'floor NMSE':>11s} "
       f"{'dB':>8s}")
 for sc in ("oqam-1a", "oqam-1b", "oqam-2", "oqam-3"):
     p = make_sparse_data("oqam", sc, cfg.E, np.random.SeedSequence([7]),
-                         cfg, proto=proto, table=table)
-    floor = expected_error_floor(p, ch, cfg, proto=proto, table=table) / den
+                         cfg, proto=proto)
+    floor = expected_error_floor(p, ch, cfg) / den
     cells = p.grid.n_cols * cfg.M
     guards = cells - p.n_pilots - len(p.data_positions) \
         - len(p.helper_map or {})

@@ -43,18 +43,14 @@ from .harness import (
     write_csv,
 )
 from .oqam import (
-    AmbiguityTable,
     OqamGrid,
     PrototypeFilter,
     afb,
     afb_column,
-    ambiguity,
     data_phase,
     design_prototype,
     help_pilot,
-    load_prototype,
     pseudo_pilot,
-    save_prototype,
     sfb,
     truncate_prototype,
 )

@@ -12,6 +12,8 @@ Conventions used by every routine here:
   * Error floors are the sigma -> 0 residuals of the projected estimator
     under the per-subcarrier-flat channel model, built from the exact pulse
     inner products of the whole grid, not just the first-order ones.
+  * An OQAM preamble carries the pulse it was built for (Preamble.proto);
+    every OQAM quantity here reads its inner products from that pulse.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ from .config import SystemConfig
 from .cpofdm import modulate
 from .estimation import _check_mode
 from .fourier import cfr_samples_to_cir, dft_submatrix
-from .oqam import AmbiguityTable, PrototypeFilter, ambiguity, design_prototype, sfb
+from .oqam import PrototypeFilter, design_prototype, sfb
 from .preambles import (
     Preamble,
-    _oqam_context,
     make_full_equal,
     make_full_equipower_qam,
     make_sparse_data,
@@ -44,8 +45,7 @@ def papr(s) -> float:
     return float(p.max() / p.mean())
 
 
-def antenna_energy(preamble: Preamble, config: SystemConfig,
-                   proto: PrototypeFilter | None = None) -> float:
+def antenna_energy(preamble: Preamble, config: SystemConfig) -> float:
     """Exact synthesized energy of the preamble over its window.
 
     For CP-OFDM this includes the prefix; for OQAM it is the SFB output
@@ -55,9 +55,7 @@ def antenna_energy(preamble: Preamble, config: SystemConfig,
     """
     if preamble.system == "cpofdm":
         return modulate(preamble.x, config).energy
-    if proto is None:
-        proto = design_prototype(config.M, config.K)
-    s = sfb(preamble.grid, proto, config)
+    s = sfb(preamble.grid, preamble.proto)
     return float(np.sum(np.abs(s) ** 2))
 
 
@@ -95,8 +93,6 @@ def closed_form_mse(
     sigma2: float,
     config: SystemConfig,
     mode: str = "projected",
-    proto: PrototypeFilter | None = None,
-    table: AmbiguityTable | None = None,
 ) -> float:
     """Noise MSE of the LS estimator, linear in sigma2.
 
@@ -116,17 +112,16 @@ def closed_form_mse(
         # (sigma^2/M) tr(D^H G0 D B^T), D = diag(d = 1/c), G0 = F F^H.  As
         # G0[p, q] = g0(p - q) and B[q, p] = b(p - q) for the literal offset,
         # it is (sigma^2/M) sum_delta g0 b r_d, r_d the autocorrelation of d
-        proto, table = _oqam_context(config, proto, table)
         delta = np.arange(-(M - 1), M)
         g0 = dft_submatrix(M, delta, np.arange(L_h)).sum(axis=1)
         D = np.fft.fft(1.0 / preamble.divisors, 2 * M)
         r_d = np.fft.ifft(D * np.conj(D))[-delta]
-        return float(np.real(np.sum(g0 * table.kernel(0) * r_d)) * sigma2 / M)
+        return float(np.real(np.sum(g0 * preamble.proto.kernel(0) * r_d)) * sigma2 / M)
     # white pilot noise: CP-OFDM tones, or OQAM pilots >= 2 subcarriers apart
     return float(sigma2 * M * L_h / N ** 2 * inv2)
 
 
-def _flat_grid_outputs(grid, H, table: AmbiguityTable, pilots) -> np.ndarray:
+def _flat_grid_outputs(grid, H, proto: PrototypeFilter, pilots) -> np.ndarray:
     """Noiseless AFB outputs under the per-subcarrier-flat channel model.
 
     Every pulse (m, n) arrives scaled by H_m; the output at pilot point
@@ -137,7 +132,7 @@ def _flat_grid_outputs(grid, H, table: AmbiguityTable, pilots) -> np.ndarray:
     for n in range(grid.n_cols):
         col = H * x[:, n]
         if col.any():
-            out += table.row(pilots, n) @ col
+            out += proto.row(pilots, n) @ col
     return out
 
 
@@ -145,8 +140,6 @@ def error_floor(
     preamble: Preamble,
     channel,
     config: SystemConfig,
-    proto: PrototypeFilter | None = None,
-    table: AmbiguityTable | None = None,
 ) -> float:
     """Zero-noise residual CFR MSE of this preamble instance, projected.
 
@@ -156,12 +149,11 @@ def error_floor(
     """
     if preamble.system == "cpofdm":
         return 0.0
-    proto, table = _oqam_context(config, proto, table)
     M = config.M
     h = channel.h if hasattr(channel, "h") else np.asarray(channel)
     H = cfr_from_cir(h, M)
     idx = preamble.pilot_idx
-    y0 = _flat_grid_outputs(preamble.grid, H, table, idx)
+    y0 = _flat_grid_outputs(preamble.grid, H, preamble.proto, idx)
     w1 = y0 / preamble.divisors - H[idx]
     h_w = cfr_samples_to_cir(w1, M, idx, config.L_h)
     return float(M * np.sum(np.abs(h_w) ** 2))
@@ -171,8 +163,6 @@ def expected_error_floor(
     preamble: Preamble,
     channel,
     config: SystemConfig,
-    proto: PrototypeFilter | None = None,
-    table: AmbiguityTable | None = None,
 ) -> float:
     """Floor of error_floor averaged exactly over the random data.
 
@@ -184,7 +174,7 @@ def expected_error_floor(
     """
     if preamble.system == "cpofdm" or len(preamble.data_positions) == 0:
         return 0.0
-    proto, table = _oqam_context(config, proto, table)
+    proto = preamble.proto
     M = config.M
     h = channel.h if hasattr(channel, "h") else np.asarray(channel)
     H = cfr_from_cir(h, M)
@@ -192,7 +182,7 @@ def expected_error_floor(
     a = np.abs(preamble.divisors)
     e_d = preamble.pilot_energy / 2.0
     # amb[n, M - 1 + d] = A(d, n): weight of a tone d above the pilot, column n
-    amb = np.stack([table.kernel(n) for n in range(preamble.grid.n_cols)])
+    amb = np.stack([proto.kernel(n) for n in range(preamble.grid.n_cols)])
     m, n = preamble.data_positions.T
     # T[i, j]: distortion at pilot i per unit data symbol at position j
     acc = H[m] * amb[n, M - 1 + m - idx[:, None]]
@@ -204,29 +194,23 @@ def expected_error_floor(
         for side in (1, -1):
             j = np.flatnonzero(helped[(m - side) % M])
             P = (m[j] - side) % M
-            acc[:, j] -= (amb[n[j], M - 1 + m[j] - P] / table.rho * H[P]
+            acc[:, j] -= (amb[n[j], M - 1 + m[j] - P] / proto.rho * H[P]
                           * amb[1, M - 1 + P - idx[:, None]])
     T = np.exp(1j * preamble.grid.phi[m, n]) * acc / a[:, None]
     A = cfr_samples_to_cir(T, M, idx, config.L_h)
     return float(e_d * M * np.sum(np.abs(A) ** 2))
 
 
-def afb_noise_cov(
-    proto: PrototypeFilter,
-    config: SystemConfig,
-    table: AmbiguityTable | None = None,
-) -> np.ndarray:
+def afb_noise_cov(proto: PrototypeFilter, config: SystemConfig) -> np.ndarray:
     """Covariance of the AFB outputs of one column under unit-variance AWGN.
 
-    B[p, q] = <g'_{q,n}, g'_{p,n}> = A(q - p, 0) = b(q - p), b = table.kernel(0)
+    B[p, q] = <g'_{q,n}, g'_{p,n}> = A(q - p, 0) = b(q - p), b = proto.kernel(0)
     (which closed_form_mse contracts without forming B): b(0) = 1, b(+/-1) =
     beta, b(+/-(M-1)) = -beta, and zero elsewhere for frequency sampling.
     """
-    if table is None:
-        table = ambiguity(proto)
     M = config.M
     delta = np.arange(M)[None, :] - np.arange(M)[:, None]
-    return table.kernel(0)[delta + M - 1]
+    return proto.kernel(0)[delta + M - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +265,6 @@ def verify_optimality(
     trials: int = 10000,
     seed: int = 1,
     sigma2: float = 1.0,
-    proto: PrototypeFilter | None = None,
-    table: AmbiguityTable | None = None,
 ) -> OptimalityReport:
     """Numerical verification of the optimality claims.
 
@@ -304,8 +286,8 @@ def verify_optimality(
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     M, L_h, nu, E = config.M, config.L_h, config.nu, config.E
-    proto, table = _oqam_context(config, proto, table)
-    beta = table.beta
+    proto = design_prototype(M, config.K)
+    beta = proto.beta
     report = OptimalityReport(config=config, trials=trials, seed=seed)
     add = report.checks.append
 
@@ -416,8 +398,8 @@ def verify_optimality(
     floors = {}
     for sc in ("oqam-1a", "oqam-1b", "oqam-2", "oqam-3"):
         p = make_sparse_data("oqam", sc, E, np.random.SeedSequence([seed, 11]),
-                             config, proto=proto, table=table)
-        floors[sc] = expected_error_floor(p, ch, config, proto=proto, table=table)
+                             config, proto=proto)
+        floors[sc] = expected_error_floor(p, ch, config)
     ratio_guard = floors["oqam-1b"] / floors["oqam-1a"]
     ratio_help = max(floors["oqam-2"], floors["oqam-3"]) / floors["oqam-1a"]
     # help pilots are solved channel-blind, so a residual proportional to
@@ -471,8 +453,8 @@ def verify_optimality(
         f"two-impulse PAPR {pr_two:.1f} < equal-value column PAPR {pr_one:.1f}"))
 
     # sparse OQAM energy identity: isolated pulses add exactly
-    p_sp = make_sparse_equal("oqam", L_h, 0, E, config, proto=proto, table=table)
-    e_meas = antenna_energy(p_sp, config, proto=proto)
+    p_sp = make_sparse_equal("oqam", L_h, 0, E, config, proto=proto)
+    e_meas = antenna_energy(p_sp, config)
     dev_e = abs(e_meas - E) / E
     add(CheckResult(
         "oqam_sparse_energy_exact", dev_e < 1e-12, dev_e, 1e-12,

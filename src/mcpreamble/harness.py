@@ -36,7 +36,7 @@ from .channel import awgn, ebn0_to_sigma2, gen_veh_a, propagate
 from .config import SystemConfig
 from .cpofdm import demodulate, modulate
 from .estimation import estimate_from_pilots
-from .oqam import afb, ambiguity, design_prototype, sfb, truncate_prototype
+from .oqam import afb, design_prototype, sfb, truncate_prototype
 from .preambles import (
     make_full_equal,
     make_sparse_data,
@@ -122,27 +122,27 @@ class _CurveRuntime:
         self.spec = spec
         self.sc = sc = cfg.system
         if spec.system == "cpofdm":
-            self.proto = self.table = None
+            self.proto = None
             self.synthesize = lambda p: modulate(p.x, sc).s
             self.receive = lambda r: demodulate(r, sc)[self.pilot_idx]
         else:
             proto = design_prototype(sc.M, sc.K)
             if spec.truncate_to is not None:
                 proto = truncate_prototype(proto, spec.truncate_to)
-            self.proto, self.table = proto, ambiguity(proto)
-            self.synthesize = lambda p: sfb(p.grid, proto, sc)
-            self.receive = lambda r: afb(r, proto, sc, self.points)
+            self.proto = proto
+            self.synthesize = lambda p: sfb(p.grid, proto)
+            self.receive = lambda r: afb(r, proto, self.points)
         e = cfg.E * spec.e_scale
-        ctx = dict(proto=self.proto, table=self.table)
         self.make = None
         if spec.family == "sparse_data":
             self.make = lambda seed: make_sparse_data(
-                spec.system, spec.scenario, e, seed, sc, **ctx)
+                spec.system, spec.scenario, e, seed, sc, proto=self.proto)
             base = self.make(np.random.SeedSequence([cfg.seed, _TAG_DATA, 0]))
         elif spec.family == "sparse":
-            base = make_sparse_equal(spec.system, spec.n_pilots, 0, e, sc, **ctx)
+            base = make_sparse_equal(spec.system, spec.n_pilots, 0, e, sc,
+                                     proto=self.proto)
         elif spec.family == "full":
-            base = make_full_equal(spec.system, e, sc, **ctx)
+            base = make_full_equal(spec.system, e, sc, proto=self.proto)
         else:
             raise ValueError(f"unknown curve family {spec.family!r}")
         self.scale = 1.0
@@ -182,7 +182,9 @@ def _run_channel(args) -> tuple:
     The estimate is linear in the received samples, so the error of draw t
     at noise level sigma is a + sigma * e: a from the noiseless pass (once
     per curve for a static preamble, once per draw otherwise), e from one
-    pass of unit noise per draw, and every Eb/N0 point at once.
+    pass of unit noise per draw, and every Eb/N0 point at once.  The unit
+    noise of draw t is drawn once, at the longest window, and each curve
+    reads its own prefix of it.
     """
     cfg, c = args
     sc = cfg.system
@@ -193,19 +195,19 @@ def _run_channel(args) -> tuple:
     e_sym = cfg.E / sc.M
     sig = np.sqrt([ebn0_to_sigma2(g, e_sym) for g in cfg.ebn0_db])[:, None]
 
+    floors = np.array([expected_error_floor(rt.preamble, ch, sc)
+                       for rt in runtimes]) / norm_h2
     ratios = np.zeros((len(runtimes), len(sig)))
-    floors = np.zeros(len(runtimes))
-    for i, rt in enumerate(runtimes):
-        floors[i] = expected_error_floor(
-            rt.preamble, ch, sc, proto=rt.proto, table=rt.table) / norm_h2
-        for t in range(cfg.n_noise):
-            p, s = rt.draw(cfg.seed, c, t)
+    a = [None] * len(runtimes)
+    for t in range(cfg.n_noise):
+        draws = [rt.draw(cfg.seed, c, t) for rt in runtimes]
+        w = awgn(max(len(s) for _, s in draws) + sc.L_h - 1,
+                 np.random.SeedSequence([cfg.seed, _TAG_NOISE, c, t]))
+        for i, (rt, (p, s)) in enumerate(zip(runtimes, draws)):
             if t == 0 or rt.make is not None:
-                a = rt.estimate(propagate(s, ch.h, 0.0, None), p) - H
-            w = awgn(len(s) + sc.L_h - 1,
-                     np.random.SeedSequence([cfg.seed, _TAG_NOISE, c, t]))
-            e = rt.estimate(w, p)
-            ratios[i] += np.sum(np.abs(a + sig * e) ** 2, axis=1) / norm_h2
+                a[i] = rt.estimate(propagate(s, ch.h, 0.0, None), p) - H
+            e = rt.estimate(w[:len(s) + sc.L_h - 1], p)
+            ratios[i] += np.sum(np.abs(a[i] + sig * e) ** 2, axis=1) / norm_h2
     ratios /= cfg.n_noise
     return ratios, floors, 1.0 / norm_h2
 
@@ -248,8 +250,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[MseCurve]:
         stderr_db = 10.0 / np.log(10.0) * stderr / nmse
         floor = float(all_floors[:, i].mean())
         # the closed form is linear in sigma^2: evaluate it once per curve
-        gain = closed_form_mse(rt.preamble, 1.0, sc, mode=rt.spec.estimator,
-                               proto=rt.proto, table=rt.table)
+        gain = closed_form_mse(rt.preamble, 1.0, sc, mode=rt.spec.estimator)
         pred = gain * np.array(sigmas) * inv_h2.mean() + floor
         curves.append(MseCurve(
             label=rt.spec.label, system=rt.spec.system,

@@ -1,4 +1,4 @@
-"""OFDM/OQAM synthesis and analysis filter banks and their ambiguity table.
+"""OFDM/OQAM prototype pulses, with their inner products, and filter banks.
 
 Subcarrier m at half-symbol position n carries the pulse
 
@@ -19,7 +19,7 @@ than two subcarrier spacings, which makes every inner product between
 pulses two or more subcarriers apart on the same column vanish exactly;
 cross-column products decay with |dm| but are nonzero for |dm| <= 1.
 
-The ambiguity table caches the inner products
+Each prototype computes and caches its own inner products
 
     A(dm, dn) = sum_l g(l - dn*M/2) * g(l) * exp(j*2*pi*dm*(l - c)/M)
 
@@ -39,8 +39,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import SystemConfig
-
 # Frequency-sampling prototype coefficients G_0..G_{K-1} (G_0 = 1; the
 # remaining 2*K-1 frequency samples follow by symmetry and the power
 # complementarity G_k^2 + G_{K-k}^2 = 1).
@@ -58,12 +56,17 @@ class PrototypeFilter:
     """Real symmetric unit-energy pulse tied to a subcarrier count M.
 
     K is the overlapping factor for frequency-sampling designs and None
-    for pulses of other lengths (e.g. truncated ones).
+    for pulses of other lengths (e.g. truncated ones).  The pulse owns its
+    inner products: weight() returns the literal-offset one, kernel() all
+    of them for one column offset; row() gathers the weights of every tone
+    of one column onto one analysis point, or onto each of an array of them.
     """
 
     g: np.ndarray
     M: int
     K: int | None
+    _fold_fft: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self) -> None:
         g = np.asarray(self.g, dtype=float)
@@ -82,6 +85,77 @@ class PrototypeFilter:
     @property
     def energy(self) -> float:
         return float(np.sum(self.g ** 2))
+
+    def _shifted_fft(self, dn: int) -> np.ndarray:
+        """W_hat[k] = sum_l g(l - dn*M/2) g(l) exp(+j*2*pi*k*l/M), k = 0..M-1."""
+        if dn not in self._fold_fft:
+            M, L_g = self.M, self.L_g
+            shift = dn * (M // 2)
+            l = np.arange(L_g)
+            src = l - shift
+            valid = (src >= 0) & (src < L_g)
+            w = np.zeros(L_g)
+            w[valid] = self.g[src[valid]] * self.g[l[valid]]
+            folded = np.zeros(M, dtype=complex)
+            np.add.at(folded, l % M, w)
+            self._fold_fft[dn] = M * np.fft.ifft(folded)
+        return self._fold_fft[dn]
+
+    def weight(self, dm: int, dn: int, pilot_col: int = 0) -> complex:
+        """<g'_{p+dm, q+dn}, g'_{p, q}> for literal offsets, q = pilot_col."""
+        M = self.M
+        what = self._shifted_fft(dn)
+        a = np.exp(-2j * np.pi * dm * self.center / M) * what[dm % M]
+        if (dm * pilot_col) % 2:
+            a = -a
+        return complex(a)
+
+    def kernel(self, dn: int) -> np.ndarray:
+        """A(dm, dn) at every literal offset dm = -(M-1)..M-1, in that order."""
+        M = self.M
+        dm = np.arange(1 - M, M)
+        what = self._shifted_fft(dn)
+        return np.exp(-2j * np.pi * dm * self.center / M) * what[dm % M]
+
+    def row(self, p, dn: int, pilot_col: int = 0) -> np.ndarray:
+        """Weights of tones 0..M-1 (column pilot_col + dn) onto (p, pilot_col), per tone p."""
+        M = self.M
+        dm = np.arange(M) - np.asarray(p)[..., None]
+        w = self.kernel(dn)[dm + M - 1]
+        if pilot_col % 2:
+            w = np.where(dm % 2, -w, w)
+        return w
+
+    # Scalar shorthands for the first-order neighborhood.
+    @property
+    def beta(self) -> float:
+        return float(self.weight(1, 0).real)
+
+    @property
+    def rho(self) -> float:
+        return float(self.weight(0, 1).real)
+
+    @property
+    def wtilde(self) -> float:
+        return float(abs(self.weight(1, 1)))
+
+    def pr_residual(self) -> float:
+        """Worst real-orthogonality violation over the pulse overlap range.
+
+        Perfect reconstruction in the real field requires
+        Re[j^-(dm+dn) A(dm, dn)] = delta(dm, dn); the first-order terms
+        satisfy it exactly by symmetry, so the residual is dominated by
+        second-order frequency offsets.
+        """
+        n_cols = 2 * (self.L_g // self.M) + 1
+        worst = 0.0
+        for dn in range(0, n_cols):
+            for dm in (0, 1, 2):
+                if dm == 0 and dn == 0:
+                    continue
+                val = (1j ** (-(dm + dn) % 4) * self.weight(dm, dn)).real
+                worst = max(worst, abs(val))
+        return worst
 
 
 def design_prototype(M: int, K: int) -> PrototypeFilter:
@@ -107,18 +181,6 @@ def truncate_prototype(proto: PrototypeFilter, length: int) -> PrototypeFilter:
     g = proto.g[start:start + length].copy()
     g /= np.sqrt(np.sum(g ** 2))
     return PrototypeFilter(g=g, M=proto.M, K=None)
-
-
-def save_prototype(proto: PrototypeFilter, path) -> None:
-    """Write the pulse taps as plain text, one real per line."""
-    np.savetxt(path, proto.g, fmt="%.17g")
-
-
-def load_prototype(path, M: int) -> PrototypeFilter:
-    """Read a pulse written by save_prototype."""
-    g = np.loadtxt(path, dtype=float).reshape(-1)
-    K = len(g) // M if len(g) % M == 0 else None
-    return PrototypeFilter(g=g, M=M, K=K)
 
 
 def data_phase(m, n) -> np.ndarray:
@@ -160,7 +222,7 @@ class OqamGrid:
         return self.a * np.exp(1j * self.phi)
 
 
-def sfb(grid: OqamGrid, proto: PrototypeFilter, config: SystemConfig | None = None) -> np.ndarray:
+def sfb(grid: OqamGrid, proto: PrototypeFilter) -> np.ndarray:
     """Synthesis filter bank output for the whole grid.
 
     Per column n the M tones share the pulse window, so the sum over m is
@@ -173,8 +235,6 @@ def sfb(grid: OqamGrid, proto: PrototypeFilter, config: SystemConfig | None = No
     M = grid.M
     if proto.M != M:
         raise ValueError("prototype and grid disagree on M")
-    if config is not None and config.M != M:
-        raise ValueError("config and grid disagree on M")
     L_g, half = proto.L_g, M // 2
     s = np.zeros((grid.n_cols - 1) * half + L_g, dtype=complex)
     derot = np.exp(-2j * np.pi * np.arange(M) * proto.center / M)
@@ -216,7 +276,7 @@ def afb_column(r, proto: PrototypeFilter, n: int) -> np.ndarray:
     return np.fft.fft(folded) * rerot
 
 
-def afb(r, proto: PrototypeFilter, config: SystemConfig | None, points) -> np.ndarray:
+def afb(r, proto: PrototypeFilter, points) -> np.ndarray:
     """Analysis filter bank outputs at the given (m, n) grid points.
 
     points is anything that converts to an (N, 2) integer array; each
@@ -229,101 +289,6 @@ def afb(r, proto: PrototypeFilter, config: SystemConfig | None, points) -> np.nd
         at = pts[:, 1] == n
         out[at] = afb_column(r, proto, int(n))[pts[at, 0]]
     return out
-
-
-@dataclass
-class AmbiguityTable:
-    """Cached pulse inner products A(dm, dn) for one prototype.
-
-    weight() returns the literal-offset inner product, kernel() all of them
-    for one column offset; row() gathers the weights of every tone of one
-    column onto one analysis point, or onto each of an array of them.
-    """
-
-    proto: PrototypeFilter
-    _fold_fft: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def M(self) -> int:
-        return self.proto.M
-
-    def _shifted_fft(self, dn: int) -> np.ndarray:
-        """W_hat[k] = sum_l g(l - dn*M/2) g(l) exp(+j*2*pi*k*l/M), k = 0..M-1."""
-        if dn not in self._fold_fft:
-            M, L_g = self.M, self.proto.L_g
-            shift = dn * (M // 2)
-            l = np.arange(L_g)
-            src = l - shift
-            valid = (src >= 0) & (src < L_g)
-            w = np.zeros(L_g)
-            w[valid] = self.proto.g[src[valid]] * self.proto.g[l[valid]]
-            folded = np.zeros(M, dtype=complex)
-            np.add.at(folded, l % M, w)
-            self._fold_fft[dn] = M * np.fft.ifft(folded)
-        return self._fold_fft[dn]
-
-    def weight(self, dm: int, dn: int, pilot_col: int = 0) -> complex:
-        """<g'_{p+dm, q+dn}, g'_{p, q}> for literal offsets, q = pilot_col."""
-        M = self.M
-        what = self._shifted_fft(dn)
-        a = np.exp(-2j * np.pi * dm * self.proto.center / M) * what[dm % M]
-        if (dm * pilot_col) % 2:
-            a = -a
-        return complex(a)
-
-    def kernel(self, dn: int) -> np.ndarray:
-        """A(dm, dn) at every literal offset dm = -(M-1)..M-1, in that order."""
-        M = self.M
-        dm = np.arange(1 - M, M)
-        what = self._shifted_fft(dn)
-        return np.exp(-2j * np.pi * dm * self.proto.center / M) * what[dm % M]
-
-    def row(self, p, dn: int, pilot_col: int = 0) -> np.ndarray:
-        """Weights of tones 0..M-1 (column pilot_col + dn) onto (p, pilot_col), per tone p."""
-        M = self.M
-        dm = np.arange(M) - np.asarray(p)[..., None]
-        w = self.kernel(dn)[dm + M - 1]
-        if pilot_col % 2:
-            w = np.where(dm % 2, -w, w)
-        return w
-
-    # Scalar shorthands for the first-order neighborhood.
-    @property
-    def beta(self) -> float:
-        return float(self.weight(1, 0).real)
-
-    @property
-    def rho(self) -> float:
-        return float(self.weight(0, 1).real)
-
-    @property
-    def wtilde(self) -> float:
-        return float(abs(self.weight(1, 1)))
-
-    def pr_residual(self) -> float:
-        """Worst real-orthogonality violation over the pulse overlap range.
-
-        Perfect reconstruction in the real field requires
-        Re[j^-(dm+dn) A(dm, dn)] = delta(dm, dn); the first-order terms
-        satisfy it exactly by symmetry, so the residual is dominated by
-        second-order frequency offsets.
-        """
-        n_cols = 2 * (self.proto.L_g // self.M) + 1
-        worst = 0.0
-        for dn in range(0, n_cols):
-            for dm in (0, 1, 2):
-                if dm == 0 and dn == 0:
-                    continue
-                val = (1j ** (-(dm + dn) % 4) * self.weight(dm, dn)).real
-                worst = max(worst, abs(val))
-        return worst
-
-
-def ambiguity(proto: PrototypeFilter, config: SystemConfig | None = None) -> AmbiguityTable:
-    """Build the ambiguity table for a prototype."""
-    if config is not None and config.M != proto.M:
-        raise ValueError("config and prototype disagree on M")
-    return AmbiguityTable(proto=proto)
 
 
 # Offsets whose pulse inner products are first order in magnitude.
@@ -339,7 +304,7 @@ def _symbol(grid: OqamGrid, m: int, n: int) -> complex:
     return grid.a[m, n] * np.exp(1j * grid.phi[m, n])
 
 
-def _first_order_sum(grid: OqamGrid, table: AmbiguityTable, p: int, q: int,
+def _first_order_sum(grid: OqamGrid, proto: PrototypeFilter, p: int, q: int,
                      skip=None) -> complex:
     """x_{p,q} plus every nonzero first-order term at (p, q) except `skip`."""
     c = complex(_symbol(grid, p, q))
@@ -350,11 +315,11 @@ def _first_order_sum(grid: OqamGrid, table: AmbiguityTable, p: int, q: int,
         m = (p + dm) % grid.M
         x = _symbol(grid, m, n)
         if x != 0 and (m, n) != skip:
-            c += x * table.weight(m - p, dn, pilot_col=q)
+            c += x * proto.weight(m - p, dn, pilot_col=q)
     return c
 
 
-def pseudo_pilot(grid: OqamGrid, table: AmbiguityTable, point) -> complex:
+def pseudo_pilot(grid: OqamGrid, proto: PrototypeFilter, point) -> complex:
     """First-order equivalent pilot at a grid point.
 
     Over a channel flat across the pulse neighborhood, the analysis
@@ -365,10 +330,10 @@ def pseudo_pilot(grid: OqamGrid, table: AmbiguityTable, point) -> complex:
     which this returns.  Dividing the measurement by c instead of x alone
     removes the dominant intrinsic interference.
     """
-    return _first_order_sum(grid, table, int(point[0]), int(point[1]))
+    return _first_order_sum(grid, proto, int(point[0]), int(point[1]))
 
 
-def help_pilot(grid: OqamGrid, table: AmbiguityTable, pilot, helper) -> float:
+def help_pilot(grid: OqamGrid, proto: PrototypeFilter, pilot, helper) -> float:
     """Real amplitude at `helper` that cancels the interference at `pilot`.
 
     The grid must already hold phases at the helper position (its current
@@ -379,8 +344,8 @@ def help_pilot(grid: OqamGrid, table: AmbiguityTable, pilot, helper) -> float:
     """
     p, q = int(pilot[0]), int(pilot[1])
     r, s = int(helper[0]), int(helper[1])
-    v = _first_order_sum(grid, table, p, q, skip=(r, s)) - complex(_symbol(grid, p, q))
-    w_h = table.weight(r - p, s - q, pilot_col=q)
+    v = _first_order_sum(grid, proto, p, q, skip=(r, s)) - complex(_symbol(grid, p, q))
+    w_h = proto.weight(r - p, s - q, pilot_col=q)
     if abs(w_h) == 0:
         raise ValueError("helper position does not reach the pilot at first order")
     amp = -v / (np.exp(1j * grid.phi[r, s]) * w_h)

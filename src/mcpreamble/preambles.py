@@ -33,10 +33,8 @@ from .config import SystemConfig
 from .cpofdm import cp_energy
 from .fourier import equispaced_set
 from .oqam import (
-    AmbiguityTable,
     OqamGrid,
     PrototypeFilter,
-    ambiguity,
     data_phase,
     design_prototype,
     help_pilot,
@@ -57,6 +55,8 @@ class Preamble:
     power-ratio comparisons.  E_train is the declared training energy
     (exact for deterministic preambles, expected over data otherwise).
     data_positions holds one (m, n) row per data symbol (none without data).
+    proto is the pulse an OQAM preamble's divisors, window and help pilots
+    were solved for (None for CP-OFDM).
     """
 
     system: str
@@ -72,6 +72,7 @@ class Preamble:
     data_positions: np.ndarray = field(
         default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
     helper_map: dict | None = None
+    proto: PrototypeFilter | None = None
 
     @property
     def n_pilots(self) -> int:
@@ -134,14 +135,6 @@ def load_preamble_values(path) -> tuple[np.ndarray, np.ndarray]:
     return idx, raw[:, 1] + 1j * raw[:, 2]
 
 
-def _oqam_context(config: SystemConfig, proto, table):
-    if proto is None:
-        proto = design_prototype(config.M, config.K)
-    if table is None:
-        table = ambiguity(proto)
-    return proto, table
-
-
 def make_sparse_equal(
     system: str,
     N: int,
@@ -149,9 +142,12 @@ def make_sparse_equal(
     E: float,
     config: SystemConfig,
     proto: PrototypeFilter | None = None,
-    table: AmbiguityTable | None = None,
 ) -> Preamble:
-    """Equal real pilots on an equispaced set of N >= L_h tones."""
+    """Equal real pilots on an equispaced set of N >= L_h tones.
+
+    proto (OQAM only) defaults to the frequency-sampling design for the
+    config's M and K; a pulse for another M is rejected.
+    """
     if N < config.L_h:
         raise ValueError(f"need N >= L_h={config.L_h} pilots, got {N}")
     idx = equispaced_set(config.M, N, i_0)
@@ -168,7 +164,10 @@ def make_sparse_equal(
     if system == "oqam":
         if config.M // N < 2:
             raise ValueError("OQAM pilots need spacing >= 2 subcarriers")
-        proto, table = _oqam_context(config, proto, table)
+        if proto is None:
+            proto = design_prototype(config.M, config.K)
+        if proto.M != config.M:
+            raise ValueError(f"prototype M={proto.M} != config M={config.M}")
         grid = OqamGrid.zeros(config.M, 1)
         grid.a[idx, 0] = amp
         # isolated pilots: all pulse cross products vanish exactly
@@ -176,7 +175,7 @@ def make_sparse_equal(
             system=system, family="sparse", scenario=None,
             pilot_idx=idx, divisors=np.full(N, amp, dtype=complex),
             x=None, grid=grid,
-            E=E, E_train=amp * amp * N, window=proto.L_g,
+            E=E, E_train=amp * amp * N, window=proto.L_g, proto=proto,
         )
     raise ValueError(f"unknown system {system!r}")
 
@@ -186,7 +185,6 @@ def make_full_equal(
     E: float,
     config: SystemConfig,
     proto: PrototypeFilter | None = None,
-    table: AmbiguityTable | None = None,
 ) -> Preamble:
     """Equal real symbols on all M tones of one multicarrier symbol.
 
@@ -206,17 +204,20 @@ def make_full_equal(
             E=E, E_train=M * amp ** 2 + e_cp, window=M + config.nu,
         )
     if system == "oqam":
-        proto, table = _oqam_context(config, proto, table)
-        beta = table.beta
+        if proto is None:
+            proto = design_prototype(config.M, config.K)
+        if proto.M != config.M:
+            raise ValueError(f"prototype M={proto.M} != config M={config.M}")
+        beta = proto.beta
         ant_factor = M * (1.0 + 2.0 * beta) - 4.0 * beta
         amp = np.sqrt(E / ant_factor)
         grid = OqamGrid.zeros(M, 1)
         grid.a[:, 0] = amp
-        div = np.array([pseudo_pilot(grid, table, (m, 0)) for m in range(M)])
+        div = np.array([pseudo_pilot(grid, proto, (m, 0)) for m in range(M)])
         return Preamble(
             system=system, family="full", scenario=None,
             pilot_idx=idx, divisors=div, x=None, grid=grid,
-            E=E, E_train=amp ** 2 * ant_factor, window=proto.L_g,
+            E=E, E_train=amp ** 2 * ant_factor, window=proto.L_g, proto=proto,
         )
     raise ValueError(f"unknown system {system!r}")
 
@@ -268,7 +269,7 @@ def _real_halves(rng: np.random.Generator, n: int, energy: float) -> np.ndarray:
     return np.sqrt(energy / 2.0) * (1 - 2 * rng.integers(0, 2, size=n))
 
 
-def expected_helper_ratio(scenario: str, table: AmbiguityTable) -> float:
+def expected_helper_ratio(scenario: str, proto: PrototypeFilter) -> float:
     """zeta = E[helper^2] / E_x for the helper-pilot scenarios.
 
     The helper cancels the first-order interference v at its pilot, so
@@ -276,9 +277,9 @@ def expected_helper_ratio(scenario: str, table: AmbiguityTable) -> float:
     neighbors (each carrying E_x/2).
     """
     if scenario == "oqam-2":
-        return table.wtilde ** 2 / table.rho ** 2
+        return proto.wtilde ** 2 / proto.rho ** 2
     if scenario == "oqam-3":
-        return (table.beta ** 2 + table.wtilde ** 2) / table.rho ** 2
+        return (proto.beta ** 2 + proto.wtilde ** 2) / proto.rho ** 2
     return 0.0
 
 
@@ -289,7 +290,6 @@ def make_sparse_data(
     data_seed,
     config: SystemConfig,
     proto: PrototypeFilter | None = None,
-    table: AmbiguityTable | None = None,
 ) -> Preamble:
     """Sparse pilots sharing the training symbol with payload data.
 
@@ -337,7 +337,10 @@ def make_sparse_data(
         raise ValueError(f"unknown system {system!r}")
     if scenario == "qam-sd":
         raise ValueError("qam-sd is not an OQAM layout")
-    proto, table = _oqam_context(config, proto, table)
+    if proto is None:
+        proto = design_prototype(config.M, config.K)
+    if proto.M != config.M:
+        raise ValueError(f"prototype M={proto.M} != config M={config.M}")
     if config.M // N < 2:
         raise ValueError("OQAM pilots need spacing >= 2 subcarriers")
 
@@ -367,14 +370,14 @@ def make_sparse_data(
         grid.phi[idx, 1] = data_phase(idx, 1)
         helper_map = {}
         for p in idx:
-            grid.a[p, 1] = help_pilot(grid, table, (int(p), 0), (int(p), 1))
+            grid.a[p, 1] = help_pilot(grid, proto, (int(p), 0), (int(p), 1))
             helper_map[int(p)] = (int(p), 1)
 
-    zeta = expected_helper_ratio(scenario, table)
+    zeta = expected_helper_ratio(scenario, proto)
     window = proto.L_g + (M // 2 if n_cols == 2 else 0)
     return Preamble(
         system=system, family="sparse_data", scenario=scenario,
         pilot_idx=idx, divisors=np.full(N, amp, dtype=complex), x=None,
         grid=grid, E=E, E_train=N * e_x * (1.0 + zeta), window=window,
-        data_positions=data_positions, helper_map=helper_map,
+        data_positions=data_positions, helper_map=helper_map, proto=proto,
     )

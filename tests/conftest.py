@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mcpreamble import SystemConfig, ambiguity, design_prototype
+from mcpreamble import SystemConfig, design_prototype
 
 
 @pytest.fixture(scope="session")
@@ -15,11 +15,6 @@ def proto(desk):
 
 
 @pytest.fixture(scope="session")
-def table(desk, proto):
-    return ambiguity(proto, desk)
-
-
-@pytest.fixture(scope="session")
 def small():
     return SystemConfig(M=32, L_h=4, K=4)
 
@@ -27,11 +22,6 @@ def small():
 @pytest.fixture(scope="session")
 def small_proto(small):
     return design_prototype(small.M, small.K)
-
-
-@pytest.fixture(scope="session")
-def small_table(small, small_proto):
-    return ambiguity(small_proto, small)
 
 
 def cgauss(rng, *shape):

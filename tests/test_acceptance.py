@@ -17,7 +17,6 @@ from mcpreamble import (
     SystemConfig,
     afb_column,
     afb_noise_cov,
-    ambiguity,
     cfr_from_cir,
     cp_energy,
     cp_gram,
@@ -137,7 +136,7 @@ def test_oqam_full_vs_sparse_gap():
     # the dense offset-QAM preamble is read through pseudo pilots of
     # gain 1+2beta, so the sparse comb wins M/(L_h(1+2beta))
     proto = design_prototype(1024, 4)
-    beta = ambiguity(proto).beta
+    beta = proto.beta
     want = 10.0 * np.log10(1024.0 / (32.0 * (1.0 + 2.0 * beta)))
     gap = _gap_db("fig4a", "full-pseudo-raw", scale="paper", n_channels=16,
                   n_noise=10, ebn0_db=(0.0, 5.0, 10.0, 15.0))
@@ -154,23 +153,22 @@ def test_error_floors():
     # all sample |H|^2 to the same (L_h/M)||H||^2); CP-OFDM has no floor
     cfg = SystemConfig(1024, 32, K=4, E=1024.0)
     proto = design_prototype(cfg.M, cfg.K)
-    table = ambiguity(proto)
-    closed = (cfg.M / cfg.L_h) * table.beta ** 2 * (cfg.L_h / cfg.M)
+    closed = (cfg.M / cfg.L_h) * proto.beta ** 2 * (cfg.L_h / cfg.M)
     p = make_sparse_data("oqam", "oqam-1a", cfg.E,
                          np.random.SeedSequence([77]), cfg,
-                         proto=proto, table=table)
+                         proto=proto)
     worst_exact = 0.0
     sims = []
     for i in range(10):
         ch = gen_veh_a(np.random.SeedSequence([9000 + i]), cfg)
         den = float(np.sum(np.abs(cfr_from_cir(ch.h, cfg.M)) ** 2))
-        nmse = expected_error_floor(p, ch, cfg, proto=proto, table=table) / den
+        nmse = expected_error_floor(p, ch, cfg) / den
         worst_exact = max(worst_exact, abs(nmse / closed - 1.0))
         for d in range(150):
             pd = make_sparse_data("oqam", "oqam-1a", cfg.E,
                                   np.random.SeedSequence([77, i, d]), cfg,
-                                  proto=proto, table=table)
-            sims.append(error_floor(pd, ch, cfg, proto=proto, table=table) / den)
+                                  proto=proto)
+            sims.append(error_floor(pd, ch, cfg) / den)
     mc_dev = abs(float(np.mean(sims)) / closed - 1.0)
 
     grid = tuple(float(g) for g in range(0, 65, 5))
@@ -215,15 +213,13 @@ def test_exact_property_suite():
         abs(pe.E_train - E) / E <= 1e-12
 
     proto = design_prototype(M, 4)
-    table = ambiguity(proto)
-    beta = table.beta
-    pf = make_full_equal("oqam", E, cfg, proto=proto, table=table)
+    beta = proto.beta
+    pf = make_full_equal("oqam", E, cfg, proto=proto)
     a2 = float(pf.grid.a[0, 0]) ** 2
     dev_energy = abs(a2 * (M * (1.0 + 2.0 * beta) - 4.0 * beta) / E - 1.0)
     energy_ok = dev_energy <= 1e-6
 
-    report = verify_optimality(cfg, trials=10000, seed=1,
-                               proto=proto, table=table)
+    report = verify_optimality(cfg, trials=10000, seed=1)
 
     small = SystemConfig(32, 4, K=4, E=32.0)
     sproto = design_prototype(small.M, small.K)

@@ -5,7 +5,6 @@ from mcpreamble import (
     SystemConfig,
     afb,
     afb_noise_cov,
-    ambiguity,
     antenna_energy,
     cfr_from_cir,
     cfr_samples_to_cir,
@@ -78,30 +77,29 @@ def test_qam_closed_forms_against_simulation(desk):
         assert abs(acc / trials - pred) < 0.04 * pred
 
 
-def test_oqam_closed_forms_against_simulation(desk, proto, table):
+def test_oqam_closed_forms_against_simulation(desk, proto):
     sigma2 = 0.01
     # sparse comb estimates through the flat-per-subcarrier front end
-    p = make_sparse_equal("oqam", 2 * desk.L_h, 0, desk.E, desk, proto, table)
-    pred = closed_form_mse(p, sigma2, desk, proto=proto, table=table)
+    p = make_sparse_equal("oqam", 2 * desk.L_h, 0, desk.E, desk, proto)
+    pred = closed_form_mse(p, sigma2, desk)
     acc = 0.0
     trials = 500
     pts = [(m, 0) for m in p.pilot_idx]
     for t in range(trials):
         ch = gen_veh_a((3, t), desk)
         r = propagate(sfb(p.grid, proto), ch.h, sigma2, seed=(4, t))
-        y = afb(r[: p.window], proto, desk, pts)
+        y = afb(r[: p.window], proto, pts)
         res = estimate_from_pilots(y, p, desk)
         acc += np.sum(np.abs(res.H_hat - ch.cfr(desk.M)) ** 2)
     assert abs(acc / trials - pred) < 0.05 * pred
 
 
-def test_oqam_full_projected_uses_noise_correlation(desk, proto, table):
+def test_oqam_full_projected_uses_noise_correlation(desk, proto):
     # the exact projected form differs from the white-noise shortcut by
     # the analysis-bank correlation; simulation arbitrates
     sigma2 = 0.01
-    p = make_full_equal("oqam", desk.E, desk, proto, table)
-    pred = closed_form_mse(p, sigma2, desk, mode="projected", proto=proto,
-                           table=table)
+    p = make_full_equal("oqam", desk.E, desk, proto)
+    pred = closed_form_mse(p, sigma2, desk, mode="projected")
     white = sigma2 * desk.L_h / desk.M * np.sum(1.0 / np.abs(p.divisors) ** 2)
     assert abs(pred / white - 1.0) > 0.1
     acc = 0.0
@@ -110,14 +108,14 @@ def test_oqam_full_projected_uses_noise_correlation(desk, proto, table):
     for t in range(trials):
         ch = gen_veh_a((5, t), desk)
         r = propagate(sfb(p.grid, proto), ch.h, sigma2, seed=(6, t))
-        y = afb(r[: p.window], proto, desk, pts)
+        y = afb(r[: p.window], proto, pts)
         res = estimate_from_pilots(y, p, desk, mode="projected")
         acc += np.sum(np.abs(res.H_hat - ch.cfr(desk.M)) ** 2)
     assert abs(acc / trials - pred) < 0.05 * pred
 
 
-def test_afb_noise_cov_matches_monte_carlo(small, small_proto, small_table):
-    B = afb_noise_cov(small_proto, small, small_table)
+def test_afb_noise_cov_matches_monte_carlo(small, small_proto):
+    B = afb_noise_cov(small_proto, small)
     assert np.max(np.abs(np.diag(B) - 1.0)) < 1e-9
     assert np.max(np.abs(B - B.conj().T)) < 1e-12
     rng = np.random.default_rng(1)
@@ -127,22 +125,22 @@ def test_afb_noise_cov_matches_monte_carlo(small, small_proto, small_table):
     for _ in range(trials):
         z = (rng.standard_normal(small_proto.L_g)
              + 1j * rng.standard_normal(small_proto.L_g)) / np.sqrt(2)
-        y = afb(z, small_proto, small, pts)
+        y = afb(z, small_proto, pts)
         acc += np.outer(y, y.conj())
     acc /= trials
     assert np.max(np.abs(acc - B)) < 0.04
 
 
-def test_afb_noise_cov_stacks_table_rows(desk, proto, table):
-    B = afb_noise_cov(proto, desk, table)
-    rows = np.vstack([table.row(p, 0) for p in range(desk.M)])
+def test_afb_noise_cov_stacks_table_rows(desk, proto):
+    B = afb_noise_cov(proto, desk)
+    rows = np.vstack([proto.row(p, 0) for p in range(desk.M)])
     assert np.max(np.abs(B - rows)) <= 1e-12 * np.max(np.abs(rows))
 
 
-def _dense_full_projected_mse(p, sigma2, cfg, table):
+def _dense_full_projected_mse(p, sigma2, cfg):
     """(sigma^2/M) tr(D^H G0 D B^T) with the M x M matrices formed."""
     M = cfg.M
-    B = np.vstack([table.row(q, 0) for q in range(M)])
+    B = np.vstack([p.proto.row(q, 0) for q in range(M)])
     F = dft_submatrix(M, np.arange(M), np.arange(cfg.L_h))
     d = 1.0 / p.divisors
     G0 = F @ F.conj().T
@@ -157,14 +155,13 @@ def test_full_oqam_projected_mse_matches_dense_trace(desk, K, truncate):
     proto = design_prototype(cfg.M, K)
     if truncate is not None:
         proto = truncate_prototype(proto, truncate)
-    table = ambiguity(proto)
-    p = make_full_equal("oqam", cfg.E, cfg, proto, table)
-    got = closed_form_mse(p, 0.01, cfg, proto=proto, table=table)
-    want = _dense_full_projected_mse(p, 0.01, cfg, table)
+    p = make_full_equal("oqam", cfg.E, cfg, proto)
+    got = closed_form_mse(p, 0.01, cfg)
+    want = _dense_full_projected_mse(p, 0.01, cfg)
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
-def _loop_expected_floor(p, channel, cfg, table):
+def _loop_expected_floor(p, channel, cfg):
     """expected_error_floor written pilot by pilot, data symbol by symbol."""
     M, idx = cfg.M, p.pilot_idx
     H = cfr_from_cir(channel.h, M)
@@ -173,24 +170,23 @@ def _loop_expected_floor(p, channel, cfg, table):
     for j, (m, n) in enumerate(p.data_positions):
         for i, q in enumerate(idx):
             # own pulse of the data symbol onto pilot (q, 0)
-            acc = H[m] * table.row(q, n)[m]
+            acc = H[m] * p.proto.row(q, n)[m]
             # help pilot of a pilot P = m -/+ 1, solved channel-blind
             for P in (p.helper_map or {}):
                 if m in ((P + 1) % M, (P - 1) % M):
-                    acc -= (table.row(P, n)[m] / table.rho * H[P]
-                            * table.row(q, 1)[P])
+                    acc -= (p.proto.row(P, n)[m] / p.proto.rho * H[P]
+                            * p.proto.row(q, 1)[P])
             T[i, j] = np.exp(1j * p.grid.phi[m, n]) * acc / a[i]
     A = cfr_samples_to_cir(T, M, idx, cfg.L_h)
     return float(p.pilot_energy / 2.0 * M * np.sum(np.abs(A) ** 2))
 
 
 @pytest.mark.parametrize("scenario", ["oqam-1a", "oqam-1b", "oqam-2", "oqam-3"])
-def test_expected_error_floor_matches_loop_definition(desk, proto, table,
-                                                      scenario):
+def test_expected_error_floor_matches_loop_definition(desk, proto, scenario):
     ch = gen_veh_a(8, desk)
-    p = make_sparse_data("oqam", scenario, desk.E, 2, desk, proto, table)
-    want = _loop_expected_floor(p, ch, desk, table)
-    got = expected_error_floor(p, ch, desk, proto, table)
+    p = make_sparse_data("oqam", scenario, desk.E, 2, desk, proto)
+    want = _loop_expected_floor(p, ch, desk)
+    got = expected_error_floor(p, ch, desk)
     if scenario == "oqam-1b":
         # guarded pilots: exactly zero up to roundoff of the O(1) terms
         assert got < 1e-20 * desk.M and want < 1e-20 * desk.M
@@ -203,32 +199,32 @@ def test_verify_optimality_rejects_bad_trial_count(desk):
         verify_optimality(desk, trials=0)
 
 
-def test_error_floor_expectation(desk, proto, table):
+def test_error_floor_expectation(desk, proto):
     ch = gen_veh_a(3, desk)
     for scenario, rel_tol in (("oqam-1a", 0.1), ("oqam-2", 0.15), ("oqam-3", 0.15)):
-        p0 = make_sparse_data("oqam", scenario, desk.E, 0, desk, proto, table)
-        want = expected_error_floor(p0, ch, desk, proto, table)
+        p0 = make_sparse_data("oqam", scenario, desk.E, 0, desk, proto)
+        want = expected_error_floor(p0, ch, desk)
         sims = []
         for seed in range(120):
-            p = make_sparse_data("oqam", scenario, desk.E, seed, desk, proto, table)
-            sims.append(error_floor(p, ch, desk, proto, table))
+            p = make_sparse_data("oqam", scenario, desk.E, seed, desk, proto)
+            sims.append(error_floor(p, ch, desk))
         assert abs(np.mean(sims) - want) < rel_tol * want
 
 
-def test_error_floor_orderings(desk, proto, table):
+def test_error_floor_orderings(desk, proto):
     ch = gen_veh_a(4, desk)
     f = {}
     for scenario in ("oqam-1a", "oqam-1b", "oqam-2", "oqam-3"):
-        p = make_sparse_data("oqam", scenario, desk.E, 0, desk, proto, table)
-        f[scenario] = expected_error_floor(p, ch, desk, proto, table)
+        p = make_sparse_data("oqam", scenario, desk.E, 0, desk, proto)
+        f[scenario] = expected_error_floor(p, ch, desk)
     assert f["oqam-1b"] < 1e-9 * f["oqam-1a"]
     assert f["oqam-2"] <= f["oqam-3"] * (1 + 1e-9)
     assert f["oqam-3"] < 0.2 * f["oqam-1a"]
 
 
-def test_qam_scenarios_have_no_floor(desk, proto, table):
+def test_qam_scenarios_have_no_floor(desk, proto):
     ch = gen_veh_a(5, desk)
-    p = make_sparse_data("cpofdm", "qam-sd", desk.E, 3, desk, proto, table)
+    p = make_sparse_data("cpofdm", "qam-sd", desk.E, 3, desk, proto)
     r = np.convolve(modulate(p.x, desk).s, ch.h)
     y = demodulate(r[: desk.M + desk.nu], desk)[p.pilot_idx]
     res = estimate_from_pilots(y, p, desk)
@@ -236,11 +232,11 @@ def test_qam_scenarios_have_no_floor(desk, proto, table):
     assert err < 1e-18 * desk.M
 
 
-def test_antenna_energy_dispatch(desk, proto, table):
+def test_antenna_energy_dispatch(desk, proto):
     q = make_sparse_equal("cpofdm", desk.L_h, 0, desk.E, desk)
-    o = make_sparse_equal("oqam", desk.L_h, 0, desk.E, desk, proto, table)
+    o = make_sparse_equal("oqam", desk.L_h, 0, desk.E, desk, proto)
     assert abs(antenna_energy(q, desk) - desk.E) < 1e-9
-    assert abs(antenna_energy(o, desk, proto) - desk.E) < 1e-9
+    assert abs(antenna_energy(o, desk) - desk.E) < 1e-9
 
 
 def test_verify_optimality_report(desk):

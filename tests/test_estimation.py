@@ -25,11 +25,11 @@ def test_noiseless_sparse_estimate_is_exact(desk):
     assert np.max(np.abs(res.h_hat - ch.h)) < 1e-9
 
 
-def test_noiseless_oqam_sparse_estimate(desk, proto, table):
-    p = make_sparse_equal("oqam", desk.L_h, 0, desk.E, desk, proto, table)
+def test_noiseless_oqam_sparse_estimate(desk, proto):
+    p = make_sparse_equal("oqam", desk.L_h, 0, desk.E, desk, proto)
     ch = gen_veh_a(2, desk)
     r = np.convolve(sfb(p.grid, proto), ch.h)
-    y = afb(r[: p.window], proto, desk, [(m, 0) for m in p.pilot_idx])
+    y = afb(r[: p.window], proto, [(m, 0) for m in p.pilot_idx])
     res = estimate_from_pilots(y, p, desk)
     # limited by the flat-per-subcarrier front end, not by noise
     assert np.max(np.abs(res.H_hat - ch.cfr(desk.M))) < 0.05 * np.max(np.abs(ch.cfr(desk.M)))

@@ -5,6 +5,7 @@ from mcpreamble import (
     CurveSpec,
     ExperimentConfig,
     afb,
+    awgn,
     demodulate,
     ebn0_to_sigma2,
     estimate_from_pilots,
@@ -68,6 +69,20 @@ def test_parallel_equals_serial(tmp_path, name):
     write_csv(run_experiment(serial), a, serial.name)
     write_csv(run_experiment(parallel), b, parallel.name)
     assert read_bytes(a) == read_bytes(b)
+
+
+@pytest.mark.parametrize("name", ["fig4b", "fig6"])
+def test_noise_is_drawn_once_per_channel_and_draw(monkeypatch, name):
+    # every curve reads its own prefix of one unit-noise draw
+    calls = []
+
+    def counted(n, seed):
+        calls.append(n)
+        return awgn(n, seed)
+
+    monkeypatch.setattr(harness, "awgn", counted)
+    run_experiment(preset(name, scale="desk", n_channels=2, n_noise=3))
+    assert len(calls) == 6
 
 
 def test_seed_changes_output(tmp_path):
@@ -176,7 +191,7 @@ def test_superposed_trials_match_chain_loop(name):
                     r = propagate(s, ch.h, sigma2,
                                   np.random.SeedSequence([cfg.seed, 301, c, t]))
                     if rt.spec.system == "oqam":
-                        y = afb(r, rt.proto, sc, [(m, 0) for m in p.pilot_idx])
+                        y = afb(r, rt.proto, [(m, 0) for m in p.pilot_idx])
                     else:
                         y = demodulate(r, sc)[p.pilot_idx]
                     H_hat = estimate_from_pilots(y, p, sc,

@@ -6,14 +6,11 @@ from mcpreamble import (
     SystemConfig,
     afb,
     afb_column,
-    ambiguity,
     data_phase,
     design_prototype,
     help_pilot,
-    load_prototype,
     make_full_equal,
     pseudo_pilot,
-    save_prototype,
     sfb,
     truncate_prototype,
 )
@@ -51,29 +48,29 @@ def test_prototype_rejects_unknown_overlap():
 def test_interference_weights_frozen():
     cfg = SystemConfig(M=128, L_h=8)
     for K, beta in BETA.items():
-        t = ambiguity(design_prototype(cfg.M, K), cfg.with_(K=K))
+        t = design_prototype(cfg.M, K)
         assert abs(t.beta - beta) < 1e-9
         assert abs(t.pr_residual()) <= 1.05 * PR_RESIDUAL[K]
-    t4 = ambiguity(design_prototype(cfg.M, 4), cfg)
+    t4 = design_prototype(cfg.M, 4)
     assert abs(t4.rho - RHO4) < 1e-9
     assert abs(t4.wtilde - WTILDE4) < 1e-9
 
 
 def test_beta_independent_of_m():
-    b = [ambiguity(design_prototype(M, 4)).beta for M in (32, 64, 256)]
+    b = [design_prototype(M, 4).beta for M in (32, 64, 256)]
     assert np.max(np.abs(np.diff(b))) < 1e-12
 
 
 def test_far_in_column_weights_vanish():
     # the frequency-sampling construction nulls every |dm| >= 2, dn = 0
-    t = ambiguity(design_prototype(64, 4))
+    t = design_prototype(64, 4)
     for dm in range(2, 64 - 1):
         assert abs(t.weight(dm, 0)) < 1e-12
 
 
 def test_ambiguity_symmetries():
     cfg = SystemConfig(M=64, L_h=8)
-    t = ambiguity(design_prototype(cfg.M, 4), cfg)
+    t = design_prototype(cfg.M, 4)
     for dm, dn in ((1, 0), (0, 1), (1, 1), (2, 1), (3, 2), (1, 3)):
         a = t.weight(dm, dn)
         # reflection in frequency conjugates
@@ -84,21 +81,20 @@ def test_ambiguity_symmetries():
         assert abs(t.weight(dm + cfg.M, dn) + a) < 1e-12
 
 
-def test_row_of_tone_array_stacks_single_rows(small, small_table):
+def test_row_of_tone_array_stacks_single_rows(small, small_proto):
     tones = np.array([0, 3, small.M - 1])
     for dn, col in ((0, 0), (1, 0), (-1, 1), (2, 1)):
-        rows = small_table.row(tones, dn, pilot_col=col)
-        want = np.vstack([small_table.row(int(t), dn, pilot_col=col)
+        rows = small_proto.row(tones, dn, pilot_col=col)
+        want = np.vstack([small_proto.row(int(t), dn, pilot_col=col)
                           for t in tones])
         assert np.array_equal(rows, want)
         # entry [i, m] is the literal-offset weight onto tone i
         assert rows[1, 5] == pytest.approx(
-            small_table.weight(5 - 3, dn, pilot_col=col), abs=1e-15)
+            small_proto.weight(5 - 3, dn, pilot_col=col), abs=1e-15)
 
 
 def test_ambiguity_against_direct_sum():
     proto = design_prototype(32, 3)
-    t = ambiguity(proto)
     M, L_g, c = 32, proto.L_g, proto.center
     l = np.arange(L_g)
     rng = np.random.default_rng(0)
@@ -111,7 +107,7 @@ def test_ambiguity_against_direct_sum():
         ok = (src >= 0) & (src < L_g)
         shifted[ok] = proto.g[src[ok]]
         direct = np.sum(shifted * proto.g * np.exp(2j * np.pi * dm * (l - c) / M))
-        assert abs(t.weight(dm, dn) - direct) < 1e-9
+        assert abs(proto.weight(dm, dn) - direct) < 1e-9
 
 
 def test_sfb_matches_direct_form(small, small_proto):
@@ -138,7 +134,7 @@ def test_afb_matches_direct_form(small, small_proto):
     span = (n_cols - 1) * small.M // 2 + small_proto.L_g
     r = rng.standard_normal(span) + 1j * rng.standard_normal(span)
     pts = [(m, n) for n in range(n_cols) for m in range(small.M)]
-    y = afb(r, small_proto, small, pts)
+    y = afb(r, small_proto, pts)
     half = small.M // 2
     for i, (m, n) in enumerate(pts):
         seg = r[n * half : n * half + small_proto.L_g]
@@ -155,11 +151,11 @@ def test_afb_gathers_mixed_points_per_column(small, small_proto):
     pts = [(5, 1), (0, 0), (31, 1), (5, 0), (17, 1), (2, 0), (5, 1)]
     cols = {n: afb_column(r, small_proto, n) for n in (0, 1)}
     expect = np.array([cols[n][m] for m, n in pts])
-    assert np.array_equal(afb(r, small_proto, small, pts), expect)
-    assert np.array_equal(afb(r, small_proto, small, np.array(pts)), expect)
+    assert np.array_equal(afb(r, small_proto, pts), expect)
+    assert np.array_equal(afb(r, small_proto, np.array(pts)), expect)
 
 
-def test_transmultiplexer_identity(small, small_proto, small_table):
+def test_transmultiplexer_identity(small, small_proto):
     # a lone unit pilot at (p, q) lands on (p+dm, q+dn) with weight
     # (-1)^{dm q} conj(A(dm, dn))
     for (p, q) in ((5, 1), (0, 2), (31, 0)):
@@ -171,10 +167,10 @@ def test_transmultiplexer_identity(small, small_proto, small_table):
         for dn in (-1, 0, 1):
             if not 0 <= q + dn < 4:
                 continue
-            y = afb(s, small_proto, small, [(m, q + dn) for m in range(small.M)])
+            y = afb(s, small_proto, [(m, q + dn) for m in range(small.M)])
             for m in range(small.M):
                 dm = m - p
-                want = (-1) ** (dm * q) * np.conj(small_table.weight(dm, dn)) * x
+                want = (-1) ** (dm * q) * np.conj(small_proto.weight(dm, dn)) * x
                 assert abs(y[m] - want) < 1e-10
 
 
@@ -189,13 +185,13 @@ def test_real_orthogonality_of_phased_grid(small, small_proto):
             grid.phi[m, n] = data_phase(m, n)
     s = sfb(grid, small_proto)
     pts = [(m, 2) for m in range(small.M)]
-    y = afb(s, small_proto, small, pts)
+    y = afb(s, small_proto, pts)
     derot = np.array([np.exp(-1j * data_phase(m, 2)) for m in range(small.M)])
     rec = np.real(y * derot)
     assert np.max(np.abs(rec - grid.a[:, 2])) < 5e-3 * np.max(np.abs(grid.a))
 
 
-def test_pseudo_pilot_predicts_flat_channel_output(small, small_proto, small_table):
+def test_pseudo_pilot_predicts_flat_channel_output(small, small_proto):
     rng = np.random.default_rng(10)
     grid = OqamGrid.zeros(small.M, 2)
     grid.a[:] = rng.standard_normal((small.M, 2))
@@ -204,31 +200,31 @@ def test_pseudo_pilot_predicts_flat_channel_output(small, small_proto, small_tab
             grid.phi[m, n] = data_phase(m, n)
     s = sfb(grid, small_proto)
     pts = [(m, 0) for m in range(small.M)]
-    y = afb(s, small_proto, small, pts)
+    y = afb(s, small_proto, pts)
     worst = 0.0
     for m in range(small.M):
-        c = pseudo_pilot(grid, small_table, (m, 0))
+        c = pseudo_pilot(grid, small_proto, (m, 0))
         worst = max(worst, abs(y[m] - c))
     # the pseudo pilot keeps first-order neighbours; the rest is the
     # prototype's (tiny) higher-order leakage
     assert worst < 5e-3 * np.max(np.abs(y))
 
 
-def test_full_preamble_pseudo_pilots_exact(desk, proto, table):
+def test_full_preamble_pseudo_pilots_exact(desk, proto):
     # one occupied column: in-column weights beyond first order vanish,
     # so the pseudo pilots equal the flat-channel outputs to precision
-    p = make_full_equal("oqam", desk.E, desk, proto, table)
+    p = make_full_equal("oqam", desk.E, desk, proto)
     s = sfb(p.grid, proto)
-    y = afb(s, proto, desk, [(m, 0) for m in range(desk.M)])
+    y = afb(s, proto, [(m, 0) for m in range(desk.M)])
     assert np.max(np.abs(y - p.divisors)) < 1e-12
     a = p.grid.a[0, 0]
     assert abs(p.divisors[0] - a) < 1e-12
     assert abs(p.divisors[desk.M - 1] - a) < 1e-12
     mid = p.divisors[3]
-    assert abs(mid - a * (1 + 2 * table.beta)) < 1e-12
+    assert abs(mid - a * (1 + 2 * proto.beta)) < 1e-12
 
 
-def test_help_pilot_cancels_imaginary_part(small, small_proto, small_table):
+def test_help_pilot_cancels_imaginary_part(small, small_proto):
     rng = np.random.default_rng(11)
     grid = OqamGrid.zeros(small.M, 2)
     pilot = (8, 0)
@@ -242,15 +238,15 @@ def test_help_pilot_cancels_imaginary_part(small, small_proto, small_table):
         grid.phi[m, 1] = data_phase(m, 1)
     helper = (8, 1)
     grid.phi[helper] = data_phase(*helper)
-    grid.a[helper] = help_pilot(grid, small_table, pilot, helper)
+    grid.a[helper] = help_pilot(grid, small_proto, pilot, helper)
     s = sfb(grid, small_proto)
-    y = afb(s, small_proto, small, [pilot])[0]
+    y = afb(s, small_proto, [pilot])[0]
     derot = np.exp(-1j * grid.phi[pilot])
     # imaginary residual drops to the higher-order leakage level
     assert abs(np.imag(y * derot)) < 5e-3 * abs(np.real(y * derot))
 
 
-def test_help_pilot_needs_aligned_axis(small, small_table):
+def test_help_pilot_needs_aligned_axis(small, small_proto):
     grid = OqamGrid.zeros(small.M, 2)
     grid.a[4, 0] = 1.0
     grid.phi[4, 0] = data_phase(4, 0)
@@ -258,16 +254,7 @@ def test_help_pilot_needs_aligned_axis(small, small_table):
     grid.phi[5, 0] = data_phase(4, 0)  # wrong quarter turn for (5, 0)
     grid.phi[4, 1] = data_phase(4, 1)
     with pytest.raises(ValueError):
-        help_pilot(grid, small_table, (4, 0), (4, 1))
-
-
-def test_prototype_save_load_roundtrip(tmp_path):
-    p = design_prototype(64, 3)
-    path = tmp_path / "proto.txt"
-    save_prototype(p, path)
-    q = load_prototype(path, p.M)
-    assert q.M == p.M
-    assert np.max(np.abs(q.g - p.g)) < 1e-15
+        help_pilot(grid, small_proto, (4, 0), (4, 1))
 
 
 def test_truncate_prototype_recenters_and_renormalizes():

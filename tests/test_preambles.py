@@ -5,6 +5,7 @@ from mcpreamble import (
     SystemConfig,
     antenna_energy,
     cp_energy,
+    design_prototype,
     expected_helper_ratio,
     load_preamble_values,
     make_full_equal,
@@ -14,18 +15,18 @@ from mcpreamble import (
     save_preamble,
     sfb,
     tpr,
+    truncate_prototype,
 )
 
 E_REL = 1e-6
 
 
-def test_sparse_equal_declared_energy_is_emitted(desk, proto, table):
+def test_sparse_equal_declared_energy_is_emitted(desk, proto):
     for system in ("cpofdm", "oqam"):
         for N in (desk.L_h, 2 * desk.L_h, 4 * desk.L_h):
             p = make_sparse_equal(system, N, 0, desk.E, desk,
-                                  proto if system == "oqam" else None,
-                                  table if system == "oqam" else None)
-            meas = antenna_energy(p, desk, proto if system == "oqam" else None)
+                                  proto if system == "oqam" else None)
+            meas = antenna_energy(p, desk)
             assert abs(meas - p.E_train) < E_REL * p.E_train
             assert p.n_pilots == N
             # equispaced equal combs leave the prefix empty
@@ -39,25 +40,46 @@ def test_sparse_equal_comb_offset(desk):
     assert cp_energy(p.x, desk) < 1e-12 * desk.E
 
 
-def test_sparse_equal_rejects_bad_counts(desk, proto, table):
+def test_sparse_equal_rejects_bad_counts(desk, proto):
     with pytest.raises(ValueError):
         make_sparse_equal("cpofdm", desk.L_h // 2, 0, desk.E, desk)
     with pytest.raises(ValueError):
         # OQAM pilots need an empty tone between occupied tones
-        make_sparse_equal("oqam", desk.M, 0, desk.E, desk, proto, table)
+        make_sparse_equal("oqam", desk.M, 0, desk.E, desk, proto)
 
 
-def test_full_equal_energy_modes(desk, proto, table):
+def test_oqam_constructors_reject_a_pulse_for_another_m(desk):
+    other = design_prototype(desk.M // 2, 4)
+    with pytest.raises(ValueError):
+        make_sparse_equal("oqam", desk.L_h, 0, desk.E, desk, proto=other)
+    with pytest.raises(ValueError):
+        make_full_equal("oqam", desk.E, desk, proto=other)
+    with pytest.raises(ValueError):
+        make_sparse_data("oqam", "oqam-2", desk.E, 1, desk, proto=other)
+
+
+def test_truncated_pulse_sets_window_and_energy(desk, proto):
+    # the pulse passed in alone fixes the window and the synthesized energy
+    short = truncate_prototype(proto, desk.M + desk.L_h - 1)
+    p = make_sparse_equal("oqam", desk.L_h, 0, desk.E, desk, proto=short)
+    assert p.proto is short and p.scaled(0.5).proto is short
+    assert p.window == short.L_g == 135
+    want = float(np.sum(np.abs(sfb(p.grid, short)) ** 2))
+    assert antenna_energy(p, desk) == want
+    assert abs(want - desk.E) > 1e-3 * desk.E
+
+
+def test_full_equal_energy_modes(desk, proto):
     q = make_full_equal("cpofdm", desk.E, desk)
     assert abs(antenna_energy(q, desk) - desk.E) < E_REL * desk.E
-    o_ant = make_full_equal("oqam", desk.E, desk, proto, table)
-    assert abs(antenna_energy(o_ant, desk, proto) - desk.E) < E_REL * desk.E
+    o_ant = make_full_equal("oqam", desk.E, desk, proto)
+    assert abs(antenna_energy(o_ant, desk) - desk.E) < E_REL * desk.E
 
 
-def test_full_equal_divisor_styles(desk, proto, table):
-    pseudo = make_full_equal("oqam", desk.E, desk, proto, table)
+def test_full_equal_divisor_styles(desk, proto):
+    pseudo = make_full_equal("oqam", desk.E, desk, proto)
     a = pseudo.grid.a[0, 0]
-    assert abs(pseudo.divisors[5] / a - (1 + 2 * table.beta)) < 1e-9
+    assert abs(pseudo.divisors[5] / a - (1 + 2 * proto.beta)) < 1e-9
 
 
 def test_equipower_two_impulse_family(desk):
@@ -75,8 +97,8 @@ def test_equipower_two_impulse_family(desk):
         make_full_equipower_qam(0, 3, 0.5, 0.0, desk.E, desk)
 
 
-def test_sparse_data_energy_declarations(desk, proto, table):
-    sd = make_sparse_data("cpofdm", "qam-sd", desk.E, 5, desk, proto, table)
+def test_sparse_data_energy_declarations(desk, proto):
+    sd = make_sparse_data("cpofdm", "qam-sd", desk.E, 5, desk, proto)
     e_x = desk.E / desk.L_h
     want = desk.L_h * e_x + (desk.M - desk.L_h) * e_x * desk.nu / desk.M
     assert abs(sd.E_train - want) < 1e-9 * want
@@ -88,19 +110,19 @@ def test_sparse_data_energy_declarations(desk, proto, table):
     # declared nu/M share on average
     got = []
     for seed in range(200):
-        p = make_sparse_data("cpofdm", "qam-sd", desk.E, seed, desk, proto, table)
+        p = make_sparse_data("cpofdm", "qam-sd", desk.E, seed, desk, proto)
         got.append(cp_energy(p.x, desk))
     assert abs(np.mean(got) - (want - desk.E)) < 0.05 * (want - desk.E)
 
 
-def test_sparse_data_scenarios_layout(desk, proto, table):
+def test_sparse_data_scenarios_layout(desk, proto):
     for scenario, guards, helpers, cols in (
         ("oqam-1a", 0, 0, 1),
         ("oqam-1b", 2 * desk.L_h, 0, 1),
         ("oqam-2", 2 * desk.L_h, desk.L_h, 2),
         ("oqam-3", 0, desk.L_h, 2),
     ):
-        p = make_sparse_data("oqam", scenario, desk.E, 9, desk, proto, table)
+        p = make_sparse_data("oqam", scenario, desk.E, 9, desk, proto)
         assert p.grid.n_cols == cols
         assert len(p.helper_map or {}) == helpers
         occupied = np.count_nonzero(p.grid.a)
@@ -118,22 +140,22 @@ def test_sparse_data_scenarios_layout(desk, proto, table):
                 assert p.grid.a[(i - 1) % desk.M, 0] == 0.0
 
 
-def test_sparse_data_helper_energy_ratio(desk, proto, table):
+def test_sparse_data_helper_energy_ratio(desk, proto):
     for scenario in ("oqam-2", "oqam-3"):
-        zeta = expected_helper_ratio(scenario, table)
+        zeta = expected_helper_ratio(scenario, proto)
         assert zeta > 0
         ratios = []
         for seed in range(300):
-            p = make_sparse_data("oqam", scenario, desk.E, seed, desk, proto, table)
+            p = make_sparse_data("oqam", scenario, desk.E, seed, desk, proto)
             e_h = sum(p.grid.a[pos] ** 2 for pos in p.helper_map.values())
             e_p = sum(p.grid.a[i, 0] ** 2 for i in p.pilot_idx)
             ratios.append(e_h / e_p)
         assert abs(np.mean(ratios) - zeta) < 0.1 * zeta
-    assert (expected_helper_ratio("oqam-3", table)
-            > expected_helper_ratio("oqam-2", table))
+    assert (expected_helper_ratio("oqam-3", proto)
+            > expected_helper_ratio("oqam-2", proto))
 
 
-def test_sparse_data_flat_channel_pilots(desk, proto, table):
+def test_sparse_data_flat_channel_pilots(desk, proto):
     # noise-free flat channel: guards or helpers keep the pilot ratios
     # at 1 up to the higher-order leakage, while the unprotected layout
     # exposes the neighbour interference that causes its error floor
@@ -141,9 +163,9 @@ def test_sparse_data_flat_channel_pilots(desk, proto, table):
 
     devs = {}
     for scenario in ("oqam-1a", "oqam-1b", "oqam-2", "oqam-3"):
-        p = make_sparse_data("oqam", scenario, desk.E, 4, desk, proto, table)
+        p = make_sparse_data("oqam", scenario, desk.E, 4, desk, proto)
         s = sfb(p.grid, proto)
-        y = afb(s, proto, desk, [(m, 0) for m in p.pilot_idx])
+        y = afb(s, proto, [(m, 0) for m in p.pilot_idx])
         devs[scenario] = np.max(np.abs(y / p.divisors - 1.0))
     assert devs["oqam-1b"] < 1e-12
     assert devs["oqam-2"] < 2e-4
@@ -151,25 +173,25 @@ def test_sparse_data_flat_channel_pilots(desk, proto, table):
     assert devs["oqam-1a"] > 1e-2
 
 
-def test_tpr_windows_and_values(desk, proto, table):
+def test_tpr_windows_and_values(desk, proto):
     q_sp = make_sparse_equal("cpofdm", desk.L_h, 0, desk.E, desk)
-    o_sp = make_sparse_equal("oqam", desk.L_h, 0, desk.E, desk, proto, table)
+    o_sp = make_sparse_equal("oqam", desk.L_h, 0, desk.E, desk, proto)
     r = tpr(q_sp, o_sp, desk)
     assert abs(r.value - desk.K * desk.M / (desk.M + desk.nu)) < 1e-9
     assert abs(r.db - 10 * np.log10(r.value)) < 1e-12
-    sd = make_sparse_data("cpofdm", "qam-sd", desk.E, 5, desk, proto, table)
+    sd = make_sparse_data("cpofdm", "qam-sd", desk.E, 5, desk, proto)
     r2 = tpr(sd, q_sp, desk)
     want = 1 + (desk.M - desk.L_h) * (desk.L_h - 1) / (desk.M * desk.L_h)
     assert abs(r2.value - want) < 1e-9
     # two-column scenarios stretch the training window by half a symbol
-    p2 = make_sparse_data("oqam", "oqam-2", desk.E, 5, desk, proto, table)
+    p2 = make_sparse_data("oqam", "oqam-2", desk.E, 5, desk, proto)
     assert p2.window == proto.L_g + desk.M // 2
     assert q_sp.window == desk.M + desk.nu
     assert o_sp.window == proto.L_g
 
 
-def test_scaled_preamble(desk, proto, table):
-    p = make_sparse_equal("oqam", desk.L_h, 0, desk.E, desk, proto, table)
+def test_scaled_preamble(desk, proto):
+    p = make_sparse_equal("oqam", desk.L_h, 0, desk.E, desk, proto)
     q = p.scaled(0.5)
     assert abs(q.E_train - 0.25 * p.E_train) < 1e-12
     assert np.max(np.abs(q.divisors - 0.5 * p.divisors)) < 1e-12
@@ -177,7 +199,7 @@ def test_scaled_preamble(desk, proto, table):
     assert p.grid.a[p.pilot_idx[0], 0] != q.grid.a[p.pilot_idx[0], 0]
 
 
-def test_preamble_serialization_roundtrip(tmp_path, desk, proto, table):
+def test_preamble_serialization_roundtrip(tmp_path, desk, proto):
     q = make_sparse_equal("cpofdm", desk.L_h, 0, desk.E, desk)
     path = tmp_path / "qam.csv"
     save_preamble(q, path)
@@ -185,7 +207,7 @@ def test_preamble_serialization_roundtrip(tmp_path, desk, proto, table):
     assert np.array_equal(idx, q.pilot_idx)
     assert np.max(np.abs(vals - q.x[q.pilot_idx])) == 0.0
 
-    o = make_sparse_data("oqam", "oqam-2", desk.E, 5, desk, proto, table)
+    o = make_sparse_data("oqam", "oqam-2", desk.E, 5, desk, proto)
     path2 = tmp_path / "oqam.csv"
     save_preamble(o, path2)
     idx2, vals2 = load_preamble_values(path2)
