@@ -26,14 +26,15 @@ den = float(np.sum(np.abs(cfr_from_cir(ch.h, cfg.M)) ** 2))
 print(f"{'layout':>10s} {'guards':>7s} {'helpers':>8s} {'floor NMSE':>11s} "
       f"{'dB':>8s}")
 for sc in ("oqam-1a", "oqam-1b", "oqam-2", "oqam-3"):
-    p = make_sparse_data("oqam", sc, cfg.E, np.random.SeedSequence([7]),
-                         cfg, proto=proto)
+    p = make_sparse_data(sc, cfg.E, np.random.SeedSequence([7]), cfg,
+                         proto=proto)
     floor = expected_error_floor(p, ch, cfg) / den
-    cells = p.grid.n_cols * cfg.M
-    guards = cells - p.n_pilots - len(p.data_positions) \
-        - len(p.helper_map or {})
+    n_cols = p.symbols.n_cols
+    # a two-column grid has a help pilot above every pilot
+    helpers = p.n_pilots if n_cols == 2 else 0
+    guards = n_cols * cfg.M - p.n_pilots - len(p.data_positions) - helpers
     db = 10 * np.log10(floor) if floor > 0 else float("-inf")
-    print(f"{sc:>10s} {guards:>7d} {len(p.helper_map or {}):>8d} "
+    print(f"{sc:>10s} {guards:>7d} {helpers:>8d} "
           f"{floor:>11.3e} {db:>8.2f}")
 
 print("\nthe unguarded floor equals beta^2 exactly: any L_h-spaced comb "

@@ -27,15 +27,15 @@ for _ in range(6):
     g2 = float(rng.uniform(0.1, 0.9))
     th = float(rng.uniform(0.0, 2.0 * np.pi))
     p = make_full_equipower_qam(k, k + cfg.M // 2, np.sqrt(g2), th, cfg.E, cfg)
-    mods = np.abs(p.x) ** 2
+    mods = np.abs(p.symbols) ** 2
     spread = float(np.ptp(mods)) / (cfg.E / cfg.M)
-    cp = cp_energy(p.x, cfg) / cfg.E
-    pr = papr(modulate(p.x, cfg).useful)
+    cp = cp_energy(p.symbols, cfg) / cfg.E
+    pr = papr(modulate(p.symbols, cfg).useful)
     mse = (cfg.L_h * sigma2 / cfg.M ** 2) * float(np.sum(1.0 / mods))
     print(f"{k:>4d} {g2:>8.3f} {th:>7.3f} {spread:>11.2e} "
           f"{cp:>9.2e} {10 * np.log10(pr):>8.2f} {mse / genie:>10.6f}")
 
 flat = make_full_equal("cpofdm", cfg.E, cfg)
-pr = papr(modulate(flat.x, cfg).useful)
+pr = papr(modulate(flat.symbols, cfg).useful)
 print(f"\nequal-value column (a single time impulse) for comparison: papr "
       f"{10 * np.log10(pr):.2f} dB; any proper two-impulse split does better")

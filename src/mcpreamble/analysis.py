@@ -12,8 +12,9 @@ Conventions used by every routine here:
   * Error floors are the sigma -> 0 residuals of the projected estimator
     under the per-subcarrier-flat channel model, built from the exact pulse
     inner products of the whole grid, not just the first-order ones.
-  * An OQAM preamble carries the pulse it was built for (Preamble.proto);
-    every OQAM quantity here reads its inner products from that pulse.
+  * A preamble is OQAM exactly when it carries the pulse it was built for
+    (Preamble.proto); every OQAM quantity here reads its inner products
+    from that pulse.
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ def antenna_energy(preamble: Preamble, config: SystemConfig) -> float:
     realized data energy here; their declared training energy E_train is
     the expectation-based accounting instead.
     """
-    if preamble.system == "cpofdm":
-        return modulate(preamble.x, config).energy
-    s = sfb(preamble.grid, preamble.proto)
+    if preamble.proto is None:
+        return modulate(preamble.symbols, config).energy
+    s = sfb(preamble.symbols, preamble.proto)
     return float(np.sum(np.abs(s) ** 2))
 
 
@@ -107,7 +108,7 @@ def closed_form_mse(
     inv2 = np.sum(1.0 / np.abs(preamble.divisors) ** 2)
     if mode == "raw":
         return float(sigma2 * inv2)
-    if preamble.system == "oqam" and N == M:
+    if preamble.proto is not None and N == M:
         # exact projected noise through the correlated AFB outputs:
         # (sigma^2/M) tr(D^H G0 D B^T), D = diag(d = 1/c), G0 = F F^H.  As
         # G0[p, q] = g0(p - q) and B[q, p] = b(p - q) for the literal offset,
@@ -147,13 +148,13 @@ def error_floor(
     the prefix).  OQAM floors come from the interference the divisor does
     not account for, propagated through the projected estimator.
     """
-    if preamble.system == "cpofdm":
+    if preamble.proto is None:
         return 0.0
     M = config.M
     h = channel.h if hasattr(channel, "h") else np.asarray(channel)
     H = cfr_from_cir(h, M)
     idx = preamble.pilot_idx
-    y0 = _flat_grid_outputs(preamble.grid, H, preamble.proto, idx)
+    y0 = _flat_grid_outputs(preamble.symbols, H, preamble.proto, idx)
     w1 = y0 / preamble.divisors - H[idx]
     h_w = cfr_samples_to_cir(w1, M, idx, config.L_h)
     return float(M * np.sum(np.abs(h_w) ** 2))
@@ -172,43 +173,45 @@ def expected_error_floor(
     independent zero-mean data of energy e_d per symbol the expected
     residual is e_d times a squared Frobenius norm of that linear map.
     """
-    if preamble.system == "cpofdm" or len(preamble.data_positions) == 0:
+    if preamble.proto is None or len(preamble.data_positions) == 0:
         return 0.0
-    proto = preamble.proto
+    proto, grid = preamble.proto, preamble.symbols
     M = config.M
     h = channel.h if hasattr(channel, "h") else np.asarray(channel)
     H = cfr_from_cir(h, M)
     idx = preamble.pilot_idx
-    a = np.abs(preamble.divisors)
-    e_d = preamble.pilot_energy / 2.0
+    a = np.abs(preamble.divisors)  # the pilot amplitudes
+    e_d = np.mean(a ** 2) / 2.0
     # amb[n, M - 1 + d] = A(d, n): weight of a tone d above the pilot, column n
-    amb = np.stack([proto.kernel(n) for n in range(preamble.grid.n_cols)])
+    amb = np.stack([proto.kernel(n) for n in range(grid.n_cols)])
     m, n = preamble.data_positions.T
     # T[i, j]: distortion at pilot i per unit data symbol at position j
     acc = H[m] * amb[n, M - 1 + m - idx[:, None]]
-    # tones P +/- 1 of a helped pilot P act through its help pilot too
-    # (the help amplitude is linear in the data, computed channel-blind
-    # at the transmitter, so it arrives faded by the pilot tone's gain)
-    if preamble.helper_map:
-        helped = np.isin(np.arange(M), list(preamble.helper_map))
+    # tones P +/- 1 of a helped pilot P act through its help pilot (P, 1)
+    # too (the help amplitude is linear in the data, computed channel-blind
+    # at the transmitter, so it arrives faded by the pilot tone's gain);
+    # every pilot of a two-column grid is helped
+    if grid.n_cols == 2:
+        helped = np.zeros(M, dtype=bool)
+        helped[idx] = True
         for side in (1, -1):
             j = np.flatnonzero(helped[(m - side) % M])
             P = (m[j] - side) % M
             acc[:, j] -= (amb[n[j], M - 1 + m[j] - P] / proto.rho * H[P]
                           * amb[1, M - 1 + P - idx[:, None]])
-    T = np.exp(1j * preamble.grid.phi[m, n]) * acc / a[:, None]
+    T = np.exp(1j * grid.phi[m, n]) * acc / a[:, None]
     A = cfr_samples_to_cir(T, M, idx, config.L_h)
     return float(e_d * M * np.sum(np.abs(A) ** 2))
 
 
-def afb_noise_cov(proto: PrototypeFilter, config: SystemConfig) -> np.ndarray:
+def afb_noise_cov(proto: PrototypeFilter) -> np.ndarray:
     """Covariance of the AFB outputs of one column under unit-variance AWGN.
 
     B[p, q] = <g'_{q,n}, g'_{p,n}> = A(q - p, 0) = b(q - p), b = proto.kernel(0)
     (which closed_form_mse contracts without forming B): b(0) = 1, b(+/-1) =
     beta, b(+/-(M-1)) = -beta, and zero elsewhere for frequency sampling.
     """
-    M = config.M
+    M = proto.M
     delta = np.arange(M)[None, :] - np.arange(M)[:, None]
     return proto.kernel(0)[delta + M - 1]
 
@@ -397,8 +400,8 @@ def verify_optimality(
     ch = gen_veh_a(np.random.SeedSequence([seed, 7]), config)
     floors = {}
     for sc in ("oqam-1a", "oqam-1b", "oqam-2", "oqam-3"):
-        p = make_sparse_data("oqam", sc, E, np.random.SeedSequence([seed, 11]),
-                             config, proto=proto)
+        p = make_sparse_data(sc, E, np.random.SeedSequence([seed, 11]), config,
+                             proto=proto)
         floors[sc] = expected_error_floor(p, ch, config)
     ratio_guard = floors["oqam-1b"] / floors["oqam-1a"]
     ratio_help = max(floors["oqam-2"], floors["oqam-3"]) / floors["oqam-1a"]
@@ -428,7 +431,7 @@ def verify_optimality(
     for k, g, th in zip(ks, gammas, thetas):
         p = make_full_equipower_qam(int(k), int(k) + M // 2, float(g), float(th),
                                     E, config)
-        mods = np.abs(p.x) ** 2
+        mods = np.abs(p.symbols) ** 2
         dev_mod = float(np.max(np.abs(mods - E / M)) / (E / M))
         mse_t = (L_h * sigma2 / M ** 2) * np.sum(1.0 / mods)
         dev_mse = abs(mse_t / bound_a - 1.0)
@@ -446,8 +449,8 @@ def verify_optimality(
     # PAPR: any proper two-impulse split beats the single-impulse column
     p_half = make_full_equipower_qam(0, M // 2, np.sqrt(0.5), 0.0, E, config)
     p_flat = make_full_equal("cpofdm", E, config)
-    pr_two = papr(modulate(p_half.x, config).useful)
-    pr_one = papr(modulate(p_flat.x, config).useful)
+    pr_two = papr(modulate(p_half.symbols, config).useful)
+    pr_one = papr(modulate(p_flat.symbols, config).useful)
     add(CheckResult(
         "equipower_papr", pr_two < pr_one - 1e-9, pr_two, pr_one,
         f"two-impulse PAPR {pr_two:.1f} < equal-value column PAPR {pr_one:.1f}"))

@@ -111,8 +111,8 @@ def _cmd_design(args: argparse.Namespace) -> int:
     gamma = args.gamma if args.gamma is not None else float(np.sqrt(0.5))
     theta = args.theta
     p = make_full_equipower_qam(k, m, gamma, theta, cfg.E, cfg)
-    mods = np.abs(p.x) ** 2
-    frame = modulate(p.x, cfg)
+    mods = np.abs(p.symbols) ** 2
+    frame = modulate(p.symbols, cfg)
     print(f"two-impulse equal-power preamble  M={cfg.M} L_h={cfg.L_h} "
           f"E={cfg.E:g}")
     print(f"k={k} m={m} gamma={gamma:.6f} theta={theta:.6f}")
@@ -126,7 +126,7 @@ def _cmd_design(args: argparse.Namespace) -> int:
         print(f"wrote {args.out}")
     else:
         print("index,re,im")
-        for i, v in enumerate(p.x):
+        for i, v in enumerate(p.symbols):
             print(f"{i},{v.real:.17g},{v.imag:.17g}")
     return 0
 

@@ -54,19 +54,3 @@ class SystemConfig:
     def nu(self) -> int:
         """Cyclic prefix length, always L_h - 1."""
         return self.L_h - 1
-
-    @property
-    def L_g(self) -> int:
-        """Prototype filter length K*M."""
-        return self.K * self.M
-
-    @property
-    def spacing(self) -> int:
-        """Subcarrier spacing M/L_h of the densest equispaced pilot set."""
-        return self.M // self.L_h
-
-    def with_(self, **kw) -> "SystemConfig":
-        """Copy with selected fields replaced."""
-        vals = {"M": self.M, "L_h": self.L_h, "K": self.K, "E": self.E}
-        vals.update(kw)
-        return SystemConfig(**vals)

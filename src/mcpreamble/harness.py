@@ -123,20 +123,20 @@ class _CurveRuntime:
         self.sc = sc = cfg.system
         if spec.system == "cpofdm":
             self.proto = None
-            self.synthesize = lambda p: modulate(p.x, sc).s
+            self.synthesize = lambda p: modulate(p.symbols, sc).s
             self.receive = lambda r: demodulate(r, sc)[self.pilot_idx]
         else:
             proto = design_prototype(sc.M, sc.K)
             if spec.truncate_to is not None:
                 proto = truncate_prototype(proto, spec.truncate_to)
             self.proto = proto
-            self.synthesize = lambda p: sfb(p.grid, proto)
+            self.synthesize = lambda p: sfb(p.symbols, proto)
             self.receive = lambda r: afb(r, proto, self.points)
         e = cfg.E * spec.e_scale
         self.make = None
         if spec.family == "sparse_data":
             self.make = lambda seed: make_sparse_data(
-                spec.system, spec.scenario, e, seed, sc, proto=self.proto)
+                spec.scenario, e, seed, sc, proto=self.proto)
             base = self.make(np.random.SeedSequence([cfg.seed, _TAG_DATA, 0]))
         elif spec.family == "sparse":
             base = make_sparse_equal(spec.system, spec.n_pilots, 0, e, sc,

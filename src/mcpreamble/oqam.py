@@ -51,7 +51,7 @@ PROTO_COEFFS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrototypeFilter:
     """Real symmetric unit-energy pulse tied to a subcarrier count M.
 
@@ -60,13 +60,13 @@ class PrototypeFilter:
     inner products: weight() returns the literal-offset one, kernel() all
     of them for one column offset; row() gathers the weights of every tone
     of one column onto one analysis point, or onto each of an array of them.
+    Pulses compare and hash by identity.
     """
 
     g: np.ndarray
     M: int
     K: int | None
-    _fold_fft: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
+    _fold_fft: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         g = np.asarray(self.g, dtype=float)

@@ -48,54 +48,46 @@ SCENARIOS = ("qam-sd", "oqam-1a", "oqam-1b", "oqam-2", "oqam-3")
 class Preamble:
     """One constructed training preamble plus its accounting.
 
-    x is the CP-OFDM frequency vector (None for OQAM); grid is the OQAM
-    time-frequency grid (None for CP-OFDM).  divisors holds what the
-    per-pilot least-squares estimator divides by.  window is the length
-    R of the observation interval the training occupies, used by the
-    power-ratio comparisons.  E_train is the declared training energy
-    (exact for deterministic preambles, expected over data otherwise).
-    data_positions holds one (m, n) row per data symbol (none without data).
-    proto is the pulse an OQAM preamble's divisors, window and help pilots
-    were solved for (None for CP-OFDM).
+    A preamble is OQAM exactly when it carries a pulse: proto is the pulse
+    its divisors, window and help pilots were solved for, and symbols is
+    then its OqamGrid; without a pulse, symbols is the CP-OFDM frequency
+    vector.  divisors holds what the per-pilot least-squares estimator
+    divides by.  window is the length R of the observation interval the
+    training occupies, used by the power-ratio comparisons.  E_train is
+    the declared training energy (exact for deterministic preambles,
+    expected over data otherwise).  data_positions holds one (m, n) row
+    per data symbol (none without data).  A two-column grid carries a help
+    pilot at (p, 1) above every pilot p, and only the helped layouts have
+    two columns.
     """
 
-    system: str
-    family: str
-    scenario: str | None
     pilot_idx: np.ndarray
     divisors: np.ndarray
-    x: np.ndarray | None
-    grid: OqamGrid | None
+    symbols: np.ndarray | OqamGrid
     E: float
     E_train: float
     window: int
     data_positions: np.ndarray = field(
         default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
-    helper_map: dict | None = None
     proto: PrototypeFilter | None = None
+
+    def __post_init__(self) -> None:
+        if isinstance(self.symbols, OqamGrid) != (self.proto is not None):
+            raise ValueError("an OQAM grid needs its pulse, and only a grid "
+                             "takes one")
 
     @property
     def n_pilots(self) -> int:
         return len(self.pilot_idx)
 
-    @property
-    def pilot_energy(self) -> float:
-        """Per-pilot symbol energy E_x."""
-        if self.system == "cpofdm":
-            vals = self.x[self.pilot_idx]
-        else:
-            vals = self.grid.a[self.pilot_idx, 0]
-        return float(np.mean(np.abs(vals) ** 2))
-
     def scaled(self, amp: float) -> "Preamble":
         """Same layout with every amplitude multiplied by amp."""
+        s = self.symbols
         return replace(
             self,
             divisors=self.divisors * amp,
-            x=None if self.x is None else self.x * amp,
-            grid=None if self.grid is None else OqamGrid(
-                a=self.grid.a * amp, phi=self.grid.phi.copy()
-            ),
+            symbols=s * amp if self.proto is None
+            else OqamGrid(a=s.a * amp, phi=s.phi.copy()),
             E=self.E * amp ** 2,
             E_train=self.E_train * amp ** 2,
         )
@@ -107,25 +99,14 @@ def _positions(tones: np.ndarray, n: int) -> np.ndarray:
 
 
 def save_preamble(p: Preamble, path) -> None:
-    """Plain-text form: one `index,re,im` row per nonzero grid entry.
-
-    For OQAM the index of grid point (m, n) is m + n*M.
-    """
-    if p.system == "cpofdm":
-        entries = [(m, v) for m, v in enumerate(p.x) if v != 0]
-    else:
-        x = p.grid.x
-        M = p.grid.M
-        entries = [
-            (m + n * M, x[m, n])
-            for n in range(p.grid.n_cols)
-            for m in range(M)
-            if x[m, n] != 0
-        ]
+    """Plain-text form of a CP-OFDM preamble: `index,re,im` per nonzero tone."""
+    if p.proto is not None:
+        raise ValueError("save_preamble writes CP-OFDM frequency vectors only")
     with open(path, "w") as fh:
         fh.write("index,re,im\n")
-        for i, v in entries:
-            fh.write(f"{i},{v.real:.17g},{v.imag:.17g}\n")
+        for i, v in enumerate(p.symbols):
+            if v != 0:
+                fh.write(f"{i},{v.real:.17g},{v.imag:.17g}\n")
 
 
 def load_preamble_values(path) -> tuple[np.ndarray, np.ndarray]:
@@ -157,8 +138,7 @@ def make_sparse_equal(
         x[idx] = amp
         e_cp = cp_energy(x, config)
         return Preamble(
-            system=system, family="sparse", scenario=None,
-            pilot_idx=idx, divisors=x[idx].copy(), x=x, grid=None,
+            pilot_idx=idx, divisors=x[idx].copy(), symbols=x,
             E=E, E_train=N * amp ** 2 + e_cp, window=config.M + config.nu,
         )
     if system == "oqam":
@@ -172,9 +152,7 @@ def make_sparse_equal(
         grid.a[idx, 0] = amp
         # isolated pilots: all pulse cross products vanish exactly
         return Preamble(
-            system=system, family="sparse", scenario=None,
-            pilot_idx=idx, divisors=np.full(N, amp, dtype=complex),
-            x=None, grid=grid,
+            pilot_idx=idx, divisors=np.full(N, amp, dtype=complex), symbols=grid,
             E=E, E_train=amp * amp * N, window=proto.L_g, proto=proto,
         )
     raise ValueError(f"unknown system {system!r}")
@@ -199,8 +177,7 @@ def make_full_equal(
         x = np.full(M, amp, dtype=complex)
         e_cp = cp_energy(x, config)  # exactly zero for the equal comb
         return Preamble(
-            system=system, family="full", scenario=None,
-            pilot_idx=idx, divisors=x.copy(), x=x, grid=None,
+            pilot_idx=idx, divisors=x.copy(), symbols=x,
             E=E, E_train=M * amp ** 2 + e_cp, window=M + config.nu,
         )
     if system == "oqam":
@@ -215,8 +192,7 @@ def make_full_equal(
         grid.a[:, 0] = amp
         div = np.array([pseudo_pilot(grid, proto, (m, 0)) for m in range(M)])
         return Preamble(
-            system=system, family="full", scenario=None,
-            pilot_idx=idx, divisors=div, x=None, grid=grid,
+            pilot_idx=idx, divisors=div, symbols=grid,
             E=E, E_train=amp ** 2 * ant_factor, window=proto.L_g, proto=proto,
         )
     raise ValueError(f"unknown system {system!r}")
@@ -251,8 +227,7 @@ def make_full_equipower_qam(
     x = a_k * np.exp(-2j * np.pi * r * k / M) + a_m * np.exp(-2j * np.pi * r * m / M)
     e_cp = cp_energy(x, config)
     return Preamble(
-        system="cpofdm", family="equipower", scenario=None,
-        pilot_idx=r.astype(np.int64), divisors=x.copy(), x=x, grid=None,
+        pilot_idx=r.astype(np.int64), divisors=x.copy(), symbols=x,
         E=E, E_train=float(np.sum(np.abs(x) ** 2)) + e_cp,
         window=M + config.nu,
     )
@@ -284,7 +259,6 @@ def expected_helper_ratio(scenario: str, proto: PrototypeFilter) -> float:
 
 
 def make_sparse_data(
-    system: str,
     scenario: str,
     E: float,
     data_seed,
@@ -303,9 +277,10 @@ def make_sparse_data(
       oqam-3   as 2 with data also on the pilot-adjacent tones of the
                pilot column (larger help pilots).
 
-    The data symbols are redrawn from data_seed on every call; pilots sit
-    on the comb from tone 0 in every draw and carry E/N each, data tones
-    the same constellation energy.
+    The scenario names the system.  The data symbols are redrawn from
+    data_seed on every call; pilots sit on the comb from tone 0 in every
+    draw and carry E/N each, data tones the same constellation energy.
+    proto (OQAM only) is as in make_sparse_equal.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"scenario must be one of {SCENARIOS}")
@@ -316,9 +291,7 @@ def make_sparse_data(
     amp = np.sqrt(e_x)
     M = config.M
 
-    if system == "cpofdm":
-        if scenario != "qam-sd":
-            raise ValueError(f"scenario {scenario!r} is not a CP-OFDM layout")
+    if scenario == "qam-sd":
         x = np.zeros(M, dtype=complex)
         x[idx] = amp
         mask = np.ones(M, dtype=bool)
@@ -327,16 +300,11 @@ def make_sparse_data(
         # expected prefix cost of the data comb: E_x * nu / M per tone
         e_train = N * e_x + (M - N) * e_x * config.nu / M
         return Preamble(
-            system=system, family="sparse_data", scenario=scenario,
-            pilot_idx=idx, divisors=np.full(N, amp, dtype=complex), x=x,
-            grid=None, E=E, E_train=e_train, window=M + config.nu,
+            pilot_idx=idx, divisors=np.full(N, amp, dtype=complex), symbols=x,
+            E=E, E_train=e_train, window=M + config.nu,
             data_positions=_positions(np.flatnonzero(mask), 0),
         )
 
-    if system != "oqam":
-        raise ValueError(f"unknown system {system!r}")
-    if scenario == "qam-sd":
-        raise ValueError("qam-sd is not an OQAM layout")
     if proto is None:
         proto = design_prototype(config.M, config.K)
     if proto.M != config.M:
@@ -360,7 +328,6 @@ def make_sparse_data(
     grid.phi[col0_data, 0] = data_phase(col0_data, 0)
     data_positions = _positions(col0_data, 0)
 
-    helper_map = None
     if n_cols == 2:
         col1_data = np.where(~pilot_mask)[0]
         grid.a[col1_data, 1] = _real_halves(rng, len(col1_data), e_x)
@@ -368,16 +335,13 @@ def make_sparse_data(
         data_positions = np.concatenate(
             [data_positions, _positions(col1_data, 1)])
         grid.phi[idx, 1] = data_phase(idx, 1)
-        helper_map = {}
         for p in idx:
             grid.a[p, 1] = help_pilot(grid, proto, (int(p), 0), (int(p), 1))
-            helper_map[int(p)] = (int(p), 1)
 
     zeta = expected_helper_ratio(scenario, proto)
     window = proto.L_g + (M // 2 if n_cols == 2 else 0)
     return Preamble(
-        system=system, family="sparse_data", scenario=scenario,
-        pilot_idx=idx, divisors=np.full(N, amp, dtype=complex), x=None,
-        grid=grid, E=E, E_train=N * e_x * (1.0 + zeta), window=window,
-        data_positions=data_positions, helper_map=helper_map, proto=proto,
+        pilot_idx=idx, divisors=np.full(N, amp, dtype=complex), symbols=grid,
+        E=E, E_train=N * e_x * (1.0 + zeta), window=window,
+        data_positions=data_positions, proto=proto,
     )

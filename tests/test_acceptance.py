@@ -154,8 +154,7 @@ def test_error_floors():
     cfg = SystemConfig(1024, 32, K=4, E=1024.0)
     proto = design_prototype(cfg.M, cfg.K)
     closed = (cfg.M / cfg.L_h) * proto.beta ** 2 * (cfg.L_h / cfg.M)
-    p = make_sparse_data("oqam", "oqam-1a", cfg.E,
-                         np.random.SeedSequence([77]), cfg,
+    p = make_sparse_data("oqam-1a", cfg.E, np.random.SeedSequence([77]), cfg,
                          proto=proto)
     worst_exact = 0.0
     sims = []
@@ -165,7 +164,7 @@ def test_error_floors():
         nmse = expected_error_floor(p, ch, cfg) / den
         worst_exact = max(worst_exact, abs(nmse / closed - 1.0))
         for d in range(150):
-            pd = make_sparse_data("oqam", "oqam-1a", cfg.E,
+            pd = make_sparse_data("oqam-1a", cfg.E,
                                   np.random.SeedSequence([77, i, d]), cfg,
                                   proto=proto)
             sims.append(error_floor(pd, ch, cfg) / den)
@@ -201,11 +200,11 @@ def test_exact_property_suite():
     cp_rel = 0.0
     for N, i_0 in ((L_h, 0), (2 * L_h, 0), (L_h, 3)):
         comb = make_sparse_equal("cpofdm", N, i_0, E, cfg)
-        cp_rel = max(cp_rel, cp_energy(comb.x, cfg) / E)
+        cp_rel = max(cp_rel, cp_energy(comb.symbols, cfg) / E)
     comb_ok = cp_rel <= 1e-18
 
     pe = make_full_equipower_qam(0, M // 2, np.sqrt(0.5), 0.0, E, cfg)
-    mods = np.abs(pe.x) ** 2
+    mods = np.abs(pe.symbols) ** 2
     dev_mod = float(np.ptp(mods)) / (E / M)
     mse = (L_h / M ** 2) * float(np.sum(1.0 / mods))  # sigma2 = 1
     dev_mse = abs(mse / (L_h / E) - 1.0)
@@ -215,7 +214,7 @@ def test_exact_property_suite():
     proto = design_prototype(M, 4)
     beta = proto.beta
     pf = make_full_equal("oqam", E, cfg, proto=proto)
-    a2 = float(pf.grid.a[0, 0]) ** 2
+    a2 = float(pf.symbols.a[0, 0]) ** 2
     dev_energy = abs(a2 * (M * (1.0 + 2.0 * beta) - 4.0 * beta) / E - 1.0)
     energy_ok = dev_energy <= 1e-6
 
@@ -223,7 +222,7 @@ def test_exact_property_suite():
 
     small = SystemConfig(32, 4, K=4, E=32.0)
     sproto = design_prototype(small.M, small.K)
-    B = afb_noise_cov(sproto, small)
+    B = afb_noise_cov(sproto)
     rng = np.random.default_rng(5)
     n_tr, Mm, L_g = 200_000, small.M, sproto.g.size
     acc = np.zeros((Mm, Mm), dtype=complex)

@@ -70,7 +70,7 @@ def test_qam_closed_forms_against_simulation(desk):
         trials = 600
         for t in range(trials):
             ch = gen_veh_a((1, t), desk)
-            r = propagate(modulate(p.x, desk).s, ch.h, sigma2, seed=(2, t))
+            r = propagate(modulate(p.symbols, desk).s, ch.h, sigma2, seed=(2, t))
             y = demodulate(r[: desk.M + desk.nu], desk)[p.pilot_idx]
             res = estimate_from_pilots(y, p, desk, mode=mode)
             acc += np.sum(np.abs(res.H_hat - ch.cfr(desk.M)) ** 2)
@@ -87,7 +87,7 @@ def test_oqam_closed_forms_against_simulation(desk, proto):
     pts = [(m, 0) for m in p.pilot_idx]
     for t in range(trials):
         ch = gen_veh_a((3, t), desk)
-        r = propagate(sfb(p.grid, proto), ch.h, sigma2, seed=(4, t))
+        r = propagate(sfb(p.symbols, proto), ch.h, sigma2, seed=(4, t))
         y = afb(r[: p.window], proto, pts)
         res = estimate_from_pilots(y, p, desk)
         acc += np.sum(np.abs(res.H_hat - ch.cfr(desk.M)) ** 2)
@@ -107,7 +107,7 @@ def test_oqam_full_projected_uses_noise_correlation(desk, proto):
     pts = [(m, 0) for m in range(desk.M)]
     for t in range(trials):
         ch = gen_veh_a((5, t), desk)
-        r = propagate(sfb(p.grid, proto), ch.h, sigma2, seed=(6, t))
+        r = propagate(sfb(p.symbols, proto), ch.h, sigma2, seed=(6, t))
         y = afb(r[: p.window], proto, pts)
         res = estimate_from_pilots(y, p, desk, mode="projected")
         acc += np.sum(np.abs(res.H_hat - ch.cfr(desk.M)) ** 2)
@@ -115,7 +115,7 @@ def test_oqam_full_projected_uses_noise_correlation(desk, proto):
 
 
 def test_afb_noise_cov_matches_monte_carlo(small, small_proto):
-    B = afb_noise_cov(small_proto, small)
+    B = afb_noise_cov(small_proto)
     assert np.max(np.abs(np.diag(B) - 1.0)) < 1e-9
     assert np.max(np.abs(B - B.conj().T)) < 1e-12
     rng = np.random.default_rng(1)
@@ -132,9 +132,17 @@ def test_afb_noise_cov_matches_monte_carlo(small, small_proto):
 
 
 def test_afb_noise_cov_stacks_table_rows(desk, proto):
-    B = afb_noise_cov(proto, desk)
+    B = afb_noise_cov(proto)
     rows = np.vstack([proto.row(p, 0) for p in range(desk.M)])
     assert np.max(np.abs(B - rows)) <= 1e-12 * np.max(np.abs(rows))
+
+
+def test_afb_noise_cov_is_sized_by_its_pulse():
+    proto = design_prototype(64, 4)
+    B = afb_noise_cov(proto)
+    assert B.shape == (64, 64)
+    assert abs(B[0, 1] - proto.beta) < 1e-12
+    assert abs(B[0, 63] + proto.beta) < 1e-12
 
 
 def _dense_full_projected_mse(p, sigma2, cfg):
@@ -163,28 +171,31 @@ def test_full_oqam_projected_mse_matches_dense_trace(desk, K, truncate):
 
 def _loop_expected_floor(p, channel, cfg):
     """expected_error_floor written pilot by pilot, data symbol by symbol."""
-    M, idx = cfg.M, p.pilot_idx
+    M, idx, grid = cfg.M, p.pilot_idx, p.symbols
     H = cfr_from_cir(channel.h, M)
     a = np.abs(p.divisors)
+    # a two-column grid has a help pilot above every pilot
+    helped = idx if grid.n_cols == 2 else ()
     T = np.zeros((len(idx), len(p.data_positions)), dtype=complex)
     for j, (m, n) in enumerate(p.data_positions):
         for i, q in enumerate(idx):
             # own pulse of the data symbol onto pilot (q, 0)
             acc = H[m] * p.proto.row(q, n)[m]
             # help pilot of a pilot P = m -/+ 1, solved channel-blind
-            for P in (p.helper_map or {}):
+            for P in helped:
                 if m in ((P + 1) % M, (P - 1) % M):
                     acc -= (p.proto.row(P, n)[m] / p.proto.rho * H[P]
                             * p.proto.row(q, 1)[P])
-            T[i, j] = np.exp(1j * p.grid.phi[m, n]) * acc / a[i]
+            T[i, j] = np.exp(1j * grid.phi[m, n]) * acc / a[i]
     A = cfr_samples_to_cir(T, M, idx, cfg.L_h)
-    return float(p.pilot_energy / 2.0 * M * np.sum(np.abs(A) ** 2))
+    e_d = np.mean(grid.a[idx, 0] ** 2) / 2.0
+    return float(e_d * M * np.sum(np.abs(A) ** 2))
 
 
 @pytest.mark.parametrize("scenario", ["oqam-1a", "oqam-1b", "oqam-2", "oqam-3"])
 def test_expected_error_floor_matches_loop_definition(desk, proto, scenario):
     ch = gen_veh_a(8, desk)
-    p = make_sparse_data("oqam", scenario, desk.E, 2, desk, proto)
+    p = make_sparse_data(scenario, desk.E, 2, desk, proto)
     want = _loop_expected_floor(p, ch, desk)
     got = expected_error_floor(p, ch, desk)
     if scenario == "oqam-1b":
@@ -202,11 +213,11 @@ def test_verify_optimality_rejects_bad_trial_count(desk):
 def test_error_floor_expectation(desk, proto):
     ch = gen_veh_a(3, desk)
     for scenario, rel_tol in (("oqam-1a", 0.1), ("oqam-2", 0.15), ("oqam-3", 0.15)):
-        p0 = make_sparse_data("oqam", scenario, desk.E, 0, desk, proto)
+        p0 = make_sparse_data(scenario, desk.E, 0, desk, proto)
         want = expected_error_floor(p0, ch, desk)
         sims = []
         for seed in range(120):
-            p = make_sparse_data("oqam", scenario, desk.E, seed, desk, proto)
+            p = make_sparse_data(scenario, desk.E, seed, desk, proto)
             sims.append(error_floor(p, ch, desk))
         assert abs(np.mean(sims) - want) < rel_tol * want
 
@@ -215,7 +226,7 @@ def test_error_floor_orderings(desk, proto):
     ch = gen_veh_a(4, desk)
     f = {}
     for scenario in ("oqam-1a", "oqam-1b", "oqam-2", "oqam-3"):
-        p = make_sparse_data("oqam", scenario, desk.E, 0, desk, proto)
+        p = make_sparse_data(scenario, desk.E, 0, desk, proto)
         f[scenario] = expected_error_floor(p, ch, desk)
     assert f["oqam-1b"] < 1e-9 * f["oqam-1a"]
     assert f["oqam-2"] <= f["oqam-3"] * (1 + 1e-9)
@@ -224,8 +235,8 @@ def test_error_floor_orderings(desk, proto):
 
 def test_qam_scenarios_have_no_floor(desk, proto):
     ch = gen_veh_a(5, desk)
-    p = make_sparse_data("cpofdm", "qam-sd", desk.E, 3, desk, proto)
-    r = np.convolve(modulate(p.x, desk).s, ch.h)
+    p = make_sparse_data("qam-sd", desk.E, 3, desk)
+    r = np.convolve(modulate(p.symbols, desk).s, ch.h)
     y = demodulate(r[: desk.M + desk.nu], desk)[p.pilot_idx]
     res = estimate_from_pilots(y, p, desk)
     err = np.sum(np.abs(res.H_hat - ch.cfr(desk.M)) ** 2)

@@ -1,14 +1,25 @@
-"""Every script under demos/ runs to the end and prints its results."""
+"""Every script under demos/ and the README quick start run to the end."""
 
+import re
 import runpy
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_quick_start():
+    text = (ROOT / "README.md").read_text()
+    (code,) = re.findall(r"```python\n(.*?)```", text, re.S)
+    scope = {}
+    exec(code, scope)
+    assert np.isfinite(scope["nmse"]) and scope["nmse"] < 1

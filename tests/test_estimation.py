@@ -17,7 +17,7 @@ from mcpreamble import (
 def test_noiseless_sparse_estimate_is_exact(desk):
     p = make_sparse_equal("cpofdm", 2 * desk.L_h, 0, desk.E, desk)
     ch = gen_veh_a(1, desk)
-    r = np.convolve(modulate(p.x, desk).s, ch.h)
+    r = np.convolve(modulate(p.symbols, desk).s, ch.h)
     y = demodulate(r[: desk.M + desk.nu], desk)[p.pilot_idx]
     res = estimate_from_pilots(y, p, desk)
     assert res.method == "projected"
@@ -28,7 +28,7 @@ def test_noiseless_sparse_estimate_is_exact(desk):
 def test_noiseless_oqam_sparse_estimate(desk, proto):
     p = make_sparse_equal("oqam", desk.L_h, 0, desk.E, desk, proto)
     ch = gen_veh_a(2, desk)
-    r = np.convolve(sfb(p.grid, proto), ch.h)
+    r = np.convolve(sfb(p.symbols, proto), ch.h)
     y = afb(r[: p.window], proto, [(m, 0) for m in p.pilot_idx])
     res = estimate_from_pilots(y, p, desk)
     # limited by the flat-per-subcarrier front end, not by noise

@@ -24,6 +24,13 @@ PR_RESIDUAL = {1: 1e-15, 2: 1e-15, 3: 2.2537696983e-03, 4: 2.0349029918e-04,
                5: 5.9994751428e-04}
 
 
+def test_prototype_compares_by_identity():
+    p = design_prototype(64, 4)
+    assert p == p
+    assert p != design_prototype(64, 4)
+    assert {p: 1}[p] == 1
+
+
 def direct_pulse(proto, m, n):
     """Tone-m pulse of column n on the absolute time axis."""
     M, L_g, c = proto.M, proto.L_g, proto.center
@@ -214,10 +221,10 @@ def test_full_preamble_pseudo_pilots_exact(desk, proto):
     # one occupied column: in-column weights beyond first order vanish,
     # so the pseudo pilots equal the flat-channel outputs to precision
     p = make_full_equal("oqam", desk.E, desk, proto)
-    s = sfb(p.grid, proto)
+    s = sfb(p.symbols, proto)
     y = afb(s, proto, [(m, 0) for m in range(desk.M)])
     assert np.max(np.abs(y - p.divisors)) < 1e-12
-    a = p.grid.a[0, 0]
+    a = p.symbols.a[0, 0]
     assert abs(p.divisors[0] - a) < 1e-12
     assert abs(p.divisors[desk.M - 1] - a) < 1e-12
     mid = p.divisors[3]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,7 @@ def test_sparse_equal_comb_offset(desk):
     p = make_sparse_equal("cpofdm", desk.L_h, 3, desk.E, desk)
     step = desk.M // desk.L_h
     assert list(p.pilot_idx) == list(range(3, desk.M, step))
-    assert cp_energy(p.x, desk) < 1e-12 * desk.E
+    assert cp_energy(p.symbols, desk) < 1e-12 * desk.E
 
 
 def test_sparse_equal_rejects_bad_counts(desk, proto):
@@ -55,7 +57,7 @@ def test_oqam_constructors_reject_a_pulse_for_another_m(desk):
     with pytest.raises(ValueError):
         make_full_equal("oqam", desk.E, desk, proto=other)
     with pytest.raises(ValueError):
-        make_sparse_data("oqam", "oqam-2", desk.E, 1, desk, proto=other)
+        make_sparse_data("oqam-2", desk.E, 1, desk, proto=other)
 
 
 def test_truncated_pulse_sets_window_and_energy(desk, proto):
@@ -64,7 +66,7 @@ def test_truncated_pulse_sets_window_and_energy(desk, proto):
     p = make_sparse_equal("oqam", desk.L_h, 0, desk.E, desk, proto=short)
     assert p.proto is short and p.scaled(0.5).proto is short
     assert p.window == short.L_g == 135
-    want = float(np.sum(np.abs(sfb(p.grid, short)) ** 2))
+    want = float(np.sum(np.abs(sfb(p.symbols, short)) ** 2))
     assert antenna_energy(p, desk) == want
     assert abs(want - desk.E) > 1e-3 * desk.E
 
@@ -78,7 +80,7 @@ def test_full_equal_energy_modes(desk, proto):
 
 def test_full_equal_divisor_styles(desk, proto):
     pseudo = make_full_equal("oqam", desk.E, desk, proto)
-    a = pseudo.grid.a[0, 0]
+    a = pseudo.symbols.a[0, 0]
     assert abs(pseudo.divisors[5] / a - (1 + 2 * proto.beta)) < 1e-9
 
 
@@ -90,7 +92,7 @@ def test_equipower_two_impulse_family(desk):
         gamma = float(rng.uniform(0, 1))
         theta = float(rng.uniform(0, 2 * np.pi))
         p = make_full_equipower_qam(k, m, gamma, theta, desk.E, desk)
-        mods = np.abs(p.x) ** 2
+        mods = np.abs(p.symbols) ** 2
         assert np.max(mods) - np.min(mods) < 1e-12 * desk.E / desk.M
         assert abs(p.E_train - desk.E) < 1e-9 * desk.E
     with pytest.raises(ValueError):
@@ -98,7 +100,7 @@ def test_equipower_two_impulse_family(desk):
 
 
 def test_sparse_data_energy_declarations(desk, proto):
-    sd = make_sparse_data("cpofdm", "qam-sd", desk.E, 5, desk, proto)
+    sd = make_sparse_data("qam-sd", desk.E, 5, desk)
     e_x = desk.E / desk.L_h
     want = desk.L_h * e_x + (desk.M - desk.L_h) * e_x * desk.nu / desk.M
     assert abs(sd.E_train - want) < 1e-9 * want
@@ -110,8 +112,8 @@ def test_sparse_data_energy_declarations(desk, proto):
     # declared nu/M share on average
     got = []
     for seed in range(200):
-        p = make_sparse_data("cpofdm", "qam-sd", desk.E, seed, desk, proto)
-        got.append(cp_energy(p.x, desk))
+        p = make_sparse_data("qam-sd", desk.E, seed, desk)
+        got.append(cp_energy(p.symbols, desk))
     assert abs(np.mean(got) - (want - desk.E)) < 0.05 * (want - desk.E)
 
 
@@ -122,10 +124,9 @@ def test_sparse_data_scenarios_layout(desk, proto):
         ("oqam-2", 2 * desk.L_h, desk.L_h, 2),
         ("oqam-3", 0, desk.L_h, 2),
     ):
-        p = make_sparse_data("oqam", scenario, desk.E, 9, desk, proto)
-        assert p.grid.n_cols == cols
-        assert len(p.helper_map or {}) == helpers
-        occupied = np.count_nonzero(p.grid.a)
+        p = make_sparse_data(scenario, desk.E, 9, desk, proto)
+        assert p.symbols.n_cols == cols
+        occupied = np.count_nonzero(p.symbols.a)
         # a helper amplitude may solve to exactly zero for lucky data
         assert desk.M * cols - guards - helpers <= occupied <= desk.M * cols - guards
         # one (m, n) row per data symbol, none on a pilot
@@ -134,10 +135,12 @@ def test_sparse_data_scenarios_layout(desk, proto):
         assert pos.shape == (desk.M * cols - guards - helpers - desk.L_h, 2)
         assert len(np.unique(pos[:, 0] + desk.M * pos[:, 1])) == len(pos)
         assert not np.isin(pos[pos[:, 1] == 0, 0], p.pilot_idx).any()
+        # help pilots sit at (p, 1) above every pilot p, never on data
+        assert not np.isin(pos[pos[:, 1] == 1, 0], p.pilot_idx).any()
         if scenario in ("oqam-1b", "oqam-2"):
             for i in p.pilot_idx:
-                assert p.grid.a[(i + 1) % desk.M, 0] == 0.0
-                assert p.grid.a[(i - 1) % desk.M, 0] == 0.0
+                assert p.symbols.a[(i + 1) % desk.M, 0] == 0.0
+                assert p.symbols.a[(i - 1) % desk.M, 0] == 0.0
 
 
 def test_sparse_data_helper_energy_ratio(desk, proto):
@@ -146,9 +149,9 @@ def test_sparse_data_helper_energy_ratio(desk, proto):
         assert zeta > 0
         ratios = []
         for seed in range(300):
-            p = make_sparse_data("oqam", scenario, desk.E, seed, desk, proto)
-            e_h = sum(p.grid.a[pos] ** 2 for pos in p.helper_map.values())
-            e_p = sum(p.grid.a[i, 0] ** 2 for i in p.pilot_idx)
+            p = make_sparse_data(scenario, desk.E, seed, desk, proto)
+            e_h = np.sum(p.symbols.a[p.pilot_idx, 1] ** 2)
+            e_p = np.sum(p.symbols.a[p.pilot_idx, 0] ** 2)
             ratios.append(e_h / e_p)
         assert abs(np.mean(ratios) - zeta) < 0.1 * zeta
     assert (expected_helper_ratio("oqam-3", proto)
@@ -163,8 +166,8 @@ def test_sparse_data_flat_channel_pilots(desk, proto):
 
     devs = {}
     for scenario in ("oqam-1a", "oqam-1b", "oqam-2", "oqam-3"):
-        p = make_sparse_data("oqam", scenario, desk.E, 4, desk, proto)
-        s = sfb(p.grid, proto)
+        p = make_sparse_data(scenario, desk.E, 4, desk, proto)
+        s = sfb(p.symbols, proto)
         y = afb(s, proto, [(m, 0) for m in p.pilot_idx])
         devs[scenario] = np.max(np.abs(y / p.divisors - 1.0))
     assert devs["oqam-1b"] < 1e-12
@@ -179,12 +182,12 @@ def test_tpr_windows_and_values(desk, proto):
     r = tpr(q_sp, o_sp, desk)
     assert abs(r.value - desk.K * desk.M / (desk.M + desk.nu)) < 1e-9
     assert abs(r.db - 10 * np.log10(r.value)) < 1e-12
-    sd = make_sparse_data("cpofdm", "qam-sd", desk.E, 5, desk, proto)
+    sd = make_sparse_data("qam-sd", desk.E, 5, desk)
     r2 = tpr(sd, q_sp, desk)
     want = 1 + (desk.M - desk.L_h) * (desk.L_h - 1) / (desk.M * desk.L_h)
     assert abs(r2.value - want) < 1e-9
     # two-column scenarios stretch the training window by half a symbol
-    p2 = make_sparse_data("oqam", "oqam-2", desk.E, 5, desk, proto)
+    p2 = make_sparse_data("oqam-2", desk.E, 5, desk, proto)
     assert p2.window == proto.L_g + desk.M // 2
     assert q_sp.window == desk.M + desk.nu
     assert o_sp.window == proto.L_g
@@ -195,8 +198,8 @@ def test_scaled_preamble(desk, proto):
     q = p.scaled(0.5)
     assert abs(q.E_train - 0.25 * p.E_train) < 1e-12
     assert np.max(np.abs(q.divisors - 0.5 * p.divisors)) < 1e-12
-    assert np.max(np.abs(q.grid.a - 0.5 * p.grid.a)) < 1e-12
-    assert p.grid.a[p.pilot_idx[0], 0] != q.grid.a[p.pilot_idx[0], 0]
+    assert np.max(np.abs(q.symbols.a - 0.5 * p.symbols.a)) < 1e-12
+    assert p.symbols.a[p.pilot_idx[0], 0] != q.symbols.a[p.pilot_idx[0], 0]
 
 
 def test_preamble_serialization_roundtrip(tmp_path, desk, proto):
@@ -205,11 +208,18 @@ def test_preamble_serialization_roundtrip(tmp_path, desk, proto):
     save_preamble(q, path)
     idx, vals = load_preamble_values(path)
     assert np.array_equal(idx, q.pilot_idx)
-    assert np.max(np.abs(vals - q.x[q.pilot_idx])) == 0.0
+    assert np.max(np.abs(vals - q.symbols[q.pilot_idx])) == 0.0
 
-    o = make_sparse_data("oqam", "oqam-2", desk.E, 5, desk, proto)
-    path2 = tmp_path / "oqam.csv"
-    save_preamble(o, path2)
-    idx2, vals2 = load_preamble_values(path2)
-    flat = (o.grid.x.T).reshape(-1)
-    assert np.max(np.abs(vals2 - flat[idx2])) == 0.0
+    # only CP-OFDM frequency vectors have a plain-text form
+    o = make_sparse_data("oqam-2", desk.E, 5, desk, proto)
+    with pytest.raises(ValueError):
+        save_preamble(o, tmp_path / "oqam.csv")
+
+
+def test_preamble_rejects_a_grid_without_its_pulse(desk):
+    oqam = make_sparse_equal("oqam", desk.L_h, 0, desk.E, desk)
+    with pytest.raises(ValueError):
+        dataclasses.replace(oqam, proto=None)
+    qam = make_sparse_equal("cpofdm", desk.L_h, 0, desk.E, desk)
+    with pytest.raises(ValueError):
+        dataclasses.replace(qam, proto=design_prototype(desk.M, desk.K))
