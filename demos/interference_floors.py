@@ -29,7 +29,7 @@ for sc in ("oqam-1a", "oqam-1b", "oqam-2", "oqam-3"):
     p = make_sparse_data(sc, cfg.E, np.random.SeedSequence([7]), cfg,
                          proto=proto)
     floor = expected_error_floor(p, ch, cfg) / den
-    n_cols = p.symbols.n_cols
+    n_cols = p.symbols.shape[1]
     # a two-column grid has a help pilot above every pilot
     helpers = p.n_pilots if n_cols == 2 else 0
     guards = n_cols * cfg.M - p.n_pilots - len(p.data_positions) - helpers

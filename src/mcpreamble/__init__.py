@@ -30,7 +30,7 @@ from .channel import (
     sample_profile,
 )
 from .config import SystemConfig
-from .cpofdm import CpOfdmFrame, cp_energy, demodulate, ls_cfr, modulate
+from .cpofdm import CpOfdmFrame, cp_energy, demodulate, modulate
 from .estimation import EstimationResult, estimate_from_pilots
 from .fourier import cfr_samples_to_cir, cp_gram, dft_submatrix, equispaced_set
 from .harness import (
@@ -43,7 +43,6 @@ from .harness import (
     write_csv,
 )
 from .oqam import (
-    OqamGrid,
     PrototypeFilter,
     afb,
     afb_column,

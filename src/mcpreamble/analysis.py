@@ -3,8 +3,9 @@
 Conventions used by every routine here:
 
   * MSE values are for the full CFR estimate, E||H_hat - H||^2 summed
-    over the M tones; genie_mse also gives the CIR-domain value, which
-    differs exactly by a factor M because F_{M x L_h}^H F_{M x L_h} = M*I.
+    over the M tones, except genie_mse, which gives the CIR-domain value;
+    the two differ exactly by a factor M because
+    F_{M x L_h}^H F_{M x L_h} = M*I.
   * Training power ratios compare declared training energies per
     observation window, (E_1/R_1)/(E_2/R_2); payload data counts only
     through the side cost it forces on the training (prefix spillage,
@@ -28,7 +29,7 @@ from .config import SystemConfig
 from .cpofdm import modulate
 from .estimation import _check_mode
 from .fourier import cfr_samples_to_cir, dft_submatrix
-from .oqam import PrototypeFilter, design_prototype, sfb
+from .oqam import PrototypeFilter, data_phase, design_prototype, sfb
 from .preambles import (
     Preamble,
     make_full_equal,
@@ -82,11 +83,9 @@ def tpr(p1: Preamble, p2: Preamble, config: SystemConfig) -> TprReport:
                      r1=p1.window, r2=p2.window, value=value)
 
 
-def genie_mse(sigma2: float, E: float, config: SystemConfig,
-              domain: str = "cir") -> float:
-    """Estimation-theoretic lower bound L_h*sigma^2/E (cir domain)."""
-    v = config.L_h * sigma2 / E
-    return v * config.M if domain == "cfr" else v
+def genie_mse(sigma2: float, E: float, config: SystemConfig) -> float:
+    """Estimation-theoretic lower bound L_h*sigma^2/E (CIR domain)."""
+    return config.L_h * sigma2 / E
 
 
 def closed_form_mse(
@@ -122,15 +121,15 @@ def closed_form_mse(
     return float(sigma2 * M * L_h / N ** 2 * inv2)
 
 
-def _flat_grid_outputs(grid, H, proto: PrototypeFilter, pilots) -> np.ndarray:
+def _flat_grid_outputs(x: np.ndarray, H, proto: PrototypeFilter,
+                       pilots) -> np.ndarray:
     """Noiseless AFB outputs under the per-subcarrier-flat channel model.
 
     Every pulse (m, n) arrives scaled by H_m; the output at pilot point
-    (p, 0) sums the exact inner products of the whole grid.
+    (p, 0) sums the exact inner products of the whole grid x.
     """
-    x = grid.x
     out = np.zeros(len(pilots), dtype=complex)
-    for n in range(grid.n_cols):
+    for n in range(x.shape[1]):
         col = H * x[:, n]
         if col.any():
             out += proto.row(pilots, n) @ col
@@ -175,7 +174,7 @@ def expected_error_floor(
     """
     if preamble.proto is None or len(preamble.data_positions) == 0:
         return 0.0
-    proto, grid = preamble.proto, preamble.symbols
+    proto, n_cols = preamble.proto, preamble.symbols.shape[1]
     M = config.M
     h = channel.h if hasattr(channel, "h") else np.asarray(channel)
     H = cfr_from_cir(h, M)
@@ -183,7 +182,7 @@ def expected_error_floor(
     a = np.abs(preamble.divisors)  # the pilot amplitudes
     e_d = np.mean(a ** 2) / 2.0
     # amb[n, M - 1 + d] = A(d, n): weight of a tone d above the pilot, column n
-    amb = np.stack([proto.kernel(n) for n in range(grid.n_cols)])
+    amb = np.stack([proto.kernel(n) for n in range(n_cols)])
     m, n = preamble.data_positions.T
     # T[i, j]: distortion at pilot i per unit data symbol at position j
     acc = H[m] * amb[n, M - 1 + m - idx[:, None]]
@@ -191,7 +190,7 @@ def expected_error_floor(
     # too (the help amplitude is linear in the data, computed channel-blind
     # at the transmitter, so it arrives faded by the pilot tone's gain);
     # every pilot of a two-column grid is helped
-    if grid.n_cols == 2:
+    if n_cols == 2:
         helped = np.zeros(M, dtype=bool)
         helped[idx] = True
         for side in (1, -1):
@@ -199,7 +198,7 @@ def expected_error_floor(
             P = (m[j] - side) % M
             acc[:, j] -= (amb[n[j], M - 1 + m[j] - P] / proto.rho * H[P]
                           * amb[1, M - 1 + P - idx[:, None]])
-    T = np.exp(1j * grid.phi[m, n]) * acc / a[:, None]
+    T = np.exp(1j * data_phase(m, n)) * acc / a[:, None]
     A = cfr_samples_to_cir(T, M, idx, config.L_h)
     return float(e_d * M * np.sum(np.abs(A) ** 2))
 

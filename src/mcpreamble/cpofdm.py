@@ -1,4 +1,4 @@
-"""CP-OFDM modulator, demodulator, and per-tone least-squares estimator.
+"""CP-OFDM modulator, demodulator, and cyclic-prefix energy.
 
 One training symbol: the frequency vector x (length M) is carried to time
 by the scaled inverse DFT u = F^H x / sqrt(M), and the last nu samples
@@ -60,17 +60,6 @@ def demodulate(r, config: SystemConfig) -> np.ndarray:
     if len(r) < nu + M:
         raise ValueError(f"need at least nu+M={nu + M} samples, got {len(r)}")
     return np.fft.fft(r[nu:nu + M]) / np.sqrt(M)
-
-
-def ls_cfr(y, x) -> np.ndarray:
-    """Per-tone least-squares ratios H_hat = y / x (zero entries rejected)."""
-    y = np.asarray(y, dtype=complex).reshape(-1)
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    if y.shape != x.shape:
-        raise ValueError("y and x must have equal length")
-    if np.any(x == 0):
-        raise ValueError("training symbols must be nonzero on every estimated tone")
-    return y / x
 
 
 def cp_energy(x, config: SystemConfig) -> float:

@@ -7,7 +7,9 @@ Subcarrier m at half-symbol position n carries the pulse
 where g is a real, symmetric, unit-energy prototype of length L_g.  The
 grid symbol at (m, n) is x_{m,n} = a_{m,n} * exp(j*phi_{m,n}) with real
 amplitude a and a phase that is either 0 on every point (equal-phase
-training) or follows the staggered rule phi = (pi/2)*(m+n) mod pi.
+training) or follows the staggered rule phi = (pi/2)*(m+n) mod pi.  A
+grid is stored as the complex (M, n_cols) array x itself; column n
+occupies time offset n*M/2.
 
 Prototypes come from the frequency-sampling construction: L_g = K*M taps
 obtained from 2*K-1 frequency samples,
@@ -188,42 +190,8 @@ def data_phase(m, n) -> np.ndarray:
     return (np.pi / 2.0) * (np.asarray(m + n) % 2)
 
 
-@dataclass
-class OqamGrid:
-    """Real amplitudes and phases on the time-frequency grid.
-
-    a and phi are (M, n_cols) real arrays; column n occupies time offset
-    n*M/2.  The transmitted symbol is x = a * exp(j*phi).
-    """
-
-    a: np.ndarray
-    phi: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.a = np.asarray(self.a, dtype=float)
-        self.phi = np.asarray(self.phi, dtype=float)
-        if self.a.shape != self.phi.shape or self.a.ndim != 2:
-            raise ValueError("a and phi must be 2-d arrays of equal shape")
-
-    @classmethod
-    def zeros(cls, M: int, n_cols: int) -> "OqamGrid":
-        return cls(a=np.zeros((M, n_cols)), phi=np.zeros((M, n_cols)))
-
-    @property
-    def M(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.a.shape[1]
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.a * np.exp(1j * self.phi)
-
-
-def sfb(grid: OqamGrid, proto: PrototypeFilter) -> np.ndarray:
-    """Synthesis filter bank output for the whole grid.
+def sfb(x: np.ndarray, proto: PrototypeFilter) -> np.ndarray:
+    """Synthesis filter bank output for the whole (M, n_cols) grid x.
 
     Per column n the M tones share the pulse window, so the sum over m is
     an M-point inverse DFT of the phase-derotated symbols, tiled modulo M
@@ -232,15 +200,14 @@ def sfb(grid: OqamGrid, proto: PrototypeFilter) -> np.ndarray:
 
         s(n*M/2 + l) += g(l) * (M * ifft(x_n * e^{-j2pi m c/M}))[(n*M/2 + l) mod M]
     """
-    M = grid.M
+    M, n_cols = x.shape
     if proto.M != M:
         raise ValueError("prototype and grid disagree on M")
     L_g, half = proto.L_g, M // 2
-    s = np.zeros((grid.n_cols - 1) * half + L_g, dtype=complex)
+    s = np.zeros((n_cols - 1) * half + L_g, dtype=complex)
     derot = np.exp(-2j * np.pi * np.arange(M) * proto.center / M)
-    x = grid.x
     offsets = np.arange(L_g)
-    for n in range(grid.n_cols):
+    for n in range(n_cols):
         col = x[:, n]
         if not col.any():
             continue
@@ -299,27 +266,22 @@ FIRST_ORDER_OFFSETS = [
 ]
 
 
-def _symbol(grid: OqamGrid, m: int, n: int) -> complex:
-    """One entry of grid.x, without evaluating the whole grid."""
-    return grid.a[m, n] * np.exp(1j * grid.phi[m, n])
-
-
-def _first_order_sum(grid: OqamGrid, proto: PrototypeFilter, p: int, q: int,
+def _first_order_sum(x: np.ndarray, proto: PrototypeFilter, p: int, q: int,
                      skip=None) -> complex:
     """x_{p,q} plus every nonzero first-order term at (p, q) except `skip`."""
-    c = complex(_symbol(grid, p, q))
+    M, n_cols = x.shape
+    c = complex(x[p, q])
     for dm, dn in FIRST_ORDER_OFFSETS:
         n = q + dn
-        if not (0 <= n < grid.n_cols):
+        if not (0 <= n < n_cols):
             continue
-        m = (p + dm) % grid.M
-        x = _symbol(grid, m, n)
-        if x != 0 and (m, n) != skip:
-            c += x * proto.weight(m - p, dn, pilot_col=q)
+        m = (p + dm) % M
+        if x[m, n] != 0 and (m, n) != skip:
+            c += x[m, n] * proto.weight(m - p, dn, pilot_col=q)
     return c
 
 
-def pseudo_pilot(grid: OqamGrid, proto: PrototypeFilter, point) -> complex:
+def pseudo_pilot(x: np.ndarray, proto: PrototypeFilter, point) -> complex:
     """First-order equivalent pilot at a grid point.
 
     Over a channel flat across the pulse neighborhood, the analysis
@@ -330,25 +292,25 @@ def pseudo_pilot(grid: OqamGrid, proto: PrototypeFilter, point) -> complex:
     which this returns.  Dividing the measurement by c instead of x alone
     removes the dominant intrinsic interference.
     """
-    return _first_order_sum(grid, proto, int(point[0]), int(point[1]))
+    return _first_order_sum(x, proto, int(point[0]), int(point[1]))
 
 
-def help_pilot(grid: OqamGrid, proto: PrototypeFilter, pilot, helper) -> float:
+def help_pilot(x: np.ndarray, proto: PrototypeFilter, pilot, helper) -> float:
     """Real amplitude at `helper` that cancels the interference at `pilot`.
 
-    The grid must already hold phases at the helper position (its current
-    amplitude is ignored).  All eight first-order contributions to an
+    The helper carries the staggered phase data_phase(helper); the value
+    x holds there is ignored.  All eight first-order contributions to an
     equal-phase pilot share one complex axis, so a single real amplitude
     cancels them; the solve is rejected if the residual axis mismatch
     exceeds roundoff by a wide margin.
     """
     p, q = int(pilot[0]), int(pilot[1])
     r, s = int(helper[0]), int(helper[1])
-    v = _first_order_sum(grid, proto, p, q, skip=(r, s)) - complex(_symbol(grid, p, q))
+    v = _first_order_sum(x, proto, p, q, skip=(r, s)) - complex(x[p, q])
     w_h = proto.weight(r - p, s - q, pilot_col=q)
     if abs(w_h) == 0:
         raise ValueError("helper position does not reach the pilot at first order")
-    amp = -v / (np.exp(1j * grid.phi[r, s]) * w_h)
+    amp = -v / (np.exp(1j * data_phase(r, s)) * w_h)
     if abs(amp.imag) > 1e-9 * max(1.0, abs(amp.real)):
         raise ValueError(
             f"interference at pilot {pilot} is not on the helper axis "

@@ -33,7 +33,6 @@ from .config import SystemConfig
 from .cpofdm import cp_energy
 from .fourier import equispaced_set
 from .oqam import (
-    OqamGrid,
     PrototypeFilter,
     data_phase,
     design_prototype,
@@ -50,20 +49,20 @@ class Preamble:
 
     A preamble is OQAM exactly when it carries a pulse: proto is the pulse
     its divisors, window and help pilots were solved for, and symbols is
-    then its OqamGrid; without a pulse, symbols is the CP-OFDM frequency
-    vector.  divisors holds what the per-pilot least-squares estimator
-    divides by.  window is the length R of the observation interval the
-    training occupies, used by the power-ratio comparisons.  E_train is
-    the declared training energy (exact for deterministic preambles,
-    expected over data otherwise).  data_positions holds one (m, n) row
-    per data symbol (none without data).  A two-column grid carries a help
-    pilot at (p, 1) above every pilot p, and only the helped layouts have
-    two columns.
+    then its complex (M, n_cols) grid x (see oqam); without a pulse,
+    symbols is the (M,) CP-OFDM frequency vector.  divisors holds what
+    the per-pilot least-squares estimator divides by.  window is the
+    length R of the observation interval the training occupies, used by
+    the power-ratio comparisons.  E_train is the declared training energy
+    (exact for deterministic preambles, expected over data otherwise).
+    data_positions holds one (m, n) row per data symbol (none without
+    data).  A two-column grid carries a help pilot at (p, 1) above every
+    pilot p, and only the helped layouts have two columns.
     """
 
     pilot_idx: np.ndarray
     divisors: np.ndarray
-    symbols: np.ndarray | OqamGrid
+    symbols: np.ndarray
     E: float
     E_train: float
     window: int
@@ -72,7 +71,7 @@ class Preamble:
     proto: PrototypeFilter | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.symbols, OqamGrid) != (self.proto is not None):
+        if (np.ndim(self.symbols) == 2) != (self.proto is not None):
             raise ValueError("an OQAM grid needs its pulse, and only a grid "
                              "takes one")
 
@@ -82,12 +81,10 @@ class Preamble:
 
     def scaled(self, amp: float) -> "Preamble":
         """Same layout with every amplitude multiplied by amp."""
-        s = self.symbols
         return replace(
             self,
             divisors=self.divisors * amp,
-            symbols=s * amp if self.proto is None
-            else OqamGrid(a=s.a * amp, phi=s.phi.copy()),
+            symbols=self.symbols * amp,
             E=self.E * amp ** 2,
             E_train=self.E_train * amp ** 2,
         )
@@ -127,7 +124,8 @@ def make_sparse_equal(
     """Equal real pilots on an equispaced set of N >= L_h tones.
 
     proto (OQAM only) defaults to the frequency-sampling design for the
-    config's M and K; a pulse for another M is rejected.
+    config's M and K; a pulse for another M, or any pulse for CP-OFDM, is
+    rejected.
     """
     if N < config.L_h:
         raise ValueError(f"need N >= L_h={config.L_h} pilots, got {N}")
@@ -140,6 +138,7 @@ def make_sparse_equal(
         return Preamble(
             pilot_idx=idx, divisors=x[idx].copy(), symbols=x,
             E=E, E_train=N * amp ** 2 + e_cp, window=config.M + config.nu,
+            proto=proto,
         )
     if system == "oqam":
         if config.M // N < 2:
@@ -148,11 +147,11 @@ def make_sparse_equal(
             proto = design_prototype(config.M, config.K)
         if proto.M != config.M:
             raise ValueError(f"prototype M={proto.M} != config M={config.M}")
-        grid = OqamGrid.zeros(config.M, 1)
-        grid.a[idx, 0] = amp
+        x = np.zeros((config.M, 1), dtype=complex)
+        x[idx, 0] = amp
         # isolated pilots: all pulse cross products vanish exactly
         return Preamble(
-            pilot_idx=idx, divisors=np.full(N, amp, dtype=complex), symbols=grid,
+            pilot_idx=idx, divisors=np.full(N, amp, dtype=complex), symbols=x,
             E=E, E_train=amp * amp * N, window=proto.L_g, proto=proto,
         )
     raise ValueError(f"unknown system {system!r}")
@@ -168,7 +167,8 @@ def make_full_equal(
 
     The amplitude is solved so the energy leaving the antenna equals E.
     OQAM divisors are the pseudo pilots, which add the intrinsic
-    interference of the neighboring tones to each symbol.
+    interference of the neighboring tones to each symbol.  proto is as in
+    make_sparse_equal.
     """
     M = config.M
     idx = np.arange(M, dtype=np.int64)
@@ -179,6 +179,7 @@ def make_full_equal(
         return Preamble(
             pilot_idx=idx, divisors=x.copy(), symbols=x,
             E=E, E_train=M * amp ** 2 + e_cp, window=M + config.nu,
+            proto=proto,
         )
     if system == "oqam":
         if proto is None:
@@ -188,11 +189,10 @@ def make_full_equal(
         beta = proto.beta
         ant_factor = M * (1.0 + 2.0 * beta) - 4.0 * beta
         amp = np.sqrt(E / ant_factor)
-        grid = OqamGrid.zeros(M, 1)
-        grid.a[:, 0] = amp
-        div = np.array([pseudo_pilot(grid, proto, (m, 0)) for m in range(M)])
+        x = np.full((M, 1), amp, dtype=complex)
+        div = np.array([pseudo_pilot(x, proto, (m, 0)) for m in range(M)])
         return Preamble(
-            pilot_idx=idx, divisors=div, symbols=grid,
+            pilot_idx=idx, divisors=div, symbols=x,
             E=E, E_train=amp ** 2 * ant_factor, window=proto.L_g, proto=proto,
         )
     raise ValueError(f"unknown system {system!r}")
@@ -302,7 +302,7 @@ def make_sparse_data(
         return Preamble(
             pilot_idx=idx, divisors=np.full(N, amp, dtype=complex), symbols=x,
             E=E, E_train=e_train, window=M + config.nu,
-            data_positions=_positions(np.flatnonzero(mask), 0),
+            data_positions=_positions(np.flatnonzero(mask), 0), proto=proto,
         )
 
     if proto is None:
@@ -313,8 +313,8 @@ def make_sparse_data(
         raise ValueError("OQAM pilots need spacing >= 2 subcarriers")
 
     n_cols = 1 if scenario in ("oqam-1a", "oqam-1b") else 2
-    grid = OqamGrid.zeros(M, n_cols)
-    grid.a[idx, 0] = amp
+    x = np.zeros((M, n_cols), dtype=complex)
+    x[idx, 0] = amp
 
     guard = np.zeros(M, dtype=bool)
     if scenario in ("oqam-1b", "oqam-2"):
@@ -324,24 +324,24 @@ def make_sparse_data(
     pilot_mask[idx] = True
 
     col0_data = np.where(~pilot_mask & ~guard)[0]
-    grid.a[col0_data, 0] = _real_halves(rng, len(col0_data), e_x)
-    grid.phi[col0_data, 0] = data_phase(col0_data, 0)
+    x[col0_data, 0] = (_real_halves(rng, len(col0_data), e_x)
+                       * np.exp(1j * data_phase(col0_data, 0)))
     data_positions = _positions(col0_data, 0)
 
     if n_cols == 2:
         col1_data = np.where(~pilot_mask)[0]
-        grid.a[col1_data, 1] = _real_halves(rng, len(col1_data), e_x)
-        grid.phi[col1_data, 1] = data_phase(col1_data, 1)
+        x[col1_data, 1] = (_real_halves(rng, len(col1_data), e_x)
+                           * np.exp(1j * data_phase(col1_data, 1)))
         data_positions = np.concatenate(
             [data_positions, _positions(col1_data, 1)])
-        grid.phi[idx, 1] = data_phase(idx, 1)
         for p in idx:
-            grid.a[p, 1] = help_pilot(grid, proto, (int(p), 0), (int(p), 1))
+            x[p, 1] = (help_pilot(x, proto, (p, 0), (p, 1))
+                       * np.exp(1j * data_phase(p, 1)))
 
     zeta = expected_helper_ratio(scenario, proto)
     window = proto.L_g + (M // 2 if n_cols == 2 else 0)
     return Preamble(
-        pilot_idx=idx, divisors=np.full(N, amp, dtype=complex), symbols=grid,
+        pilot_idx=idx, divisors=np.full(N, amp, dtype=complex), symbols=x,
         E=E, E_train=N * e_x * (1.0 + zeta), window=window,
         data_positions=data_positions, proto=proto,
     )

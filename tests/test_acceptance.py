@@ -214,7 +214,7 @@ def test_exact_property_suite():
     proto = design_prototype(M, 4)
     beta = proto.beta
     pf = make_full_equal("oqam", E, cfg, proto=proto)
-    a2 = float(pf.symbols.a[0, 0]) ** 2
+    a2 = float(pf.symbols[0, 0].real) ** 2
     dev_energy = abs(a2 * (M * (1.0 + 2.0 * beta) - 4.0 * beta) / E - 1.0)
     energy_ok = dev_energy <= 1e-6
 

@@ -9,6 +9,7 @@ from mcpreamble import (
     cfr_from_cir,
     cfr_samples_to_cir,
     closed_form_mse,
+    data_phase,
     demodulate,
     design_prototype,
     dft_submatrix,
@@ -40,7 +41,9 @@ def test_papr_reference_points():
 def test_genie_mse_domains(desk):
     v = genie_mse(0.01, desk.E, desk)
     assert abs(v - desk.L_h * 0.01 / desk.E) < 1e-15
-    assert abs(genie_mse(0.01, desk.E, desk, domain="cfr") - desk.M * v) < 1e-12
+    # the CFR-domain bound is M times larger: F_{M x L_h}^H F_{M x L_h} = M*I
+    F = dft_submatrix(desk.M, np.arange(desk.M), np.arange(desk.L_h))
+    assert np.max(np.abs(F.conj().T @ F - desk.M * np.eye(desk.L_h))) < 1e-9
 
 
 def test_equispaced_equal_comb_attains_genie(desk):
@@ -48,13 +51,13 @@ def test_equispaced_equal_comb_attains_genie(desk):
     for N in (desk.L_h, 2 * desk.L_h):
         p = make_sparse_equal("cpofdm", N, 0, desk.E, desk)
         pred = closed_form_mse(p, 0.01, desk)
-        assert abs(pred - genie_mse(0.01, desk.E, desk, "cfr")) < 1e-9
+        assert abs(pred - desk.M * genie_mse(0.01, desk.E, desk)) < 1e-9
 
 
 def test_equipower_two_impulse_attains_genie(desk):
     p = make_full_equipower_qam(0, desk.M // 2, np.sqrt(0.5), 0.3, desk.E, desk)
     pred = closed_form_mse(p, 0.01, desk, mode="projected")
-    assert abs(pred - genie_mse(0.01, desk.E, desk, "cfr")) < 1e-9
+    assert abs(pred - desk.M * genie_mse(0.01, desk.E, desk)) < 1e-9
 
 
 def test_qam_closed_forms_against_simulation(desk):
@@ -175,7 +178,7 @@ def _loop_expected_floor(p, channel, cfg):
     H = cfr_from_cir(channel.h, M)
     a = np.abs(p.divisors)
     # a two-column grid has a help pilot above every pilot
-    helped = idx if grid.n_cols == 2 else ()
+    helped = idx if grid.shape[1] == 2 else ()
     T = np.zeros((len(idx), len(p.data_positions)), dtype=complex)
     for j, (m, n) in enumerate(p.data_positions):
         for i, q in enumerate(idx):
@@ -186,9 +189,9 @@ def _loop_expected_floor(p, channel, cfg):
                 if m in ((P + 1) % M, (P - 1) % M):
                     acc -= (p.proto.row(P, n)[m] / p.proto.rho * H[P]
                             * p.proto.row(q, 1)[P])
-            T[i, j] = np.exp(1j * grid.phi[m, n]) * acc / a[i]
+            T[i, j] = np.exp(1j * data_phase(m, n)) * acc / a[i]
     A = cfr_samples_to_cir(T, M, idx, cfg.L_h)
-    e_d = np.mean(grid.a[idx, 0] ** 2) / 2.0
+    e_d = np.mean(np.abs(grid[idx, 0]) ** 2) / 2.0
     return float(e_d * M * np.sum(np.abs(A) ** 2))
 
 

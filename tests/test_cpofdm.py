@@ -1,12 +1,10 @@
 import numpy as np
-import pytest
 
 from mcpreamble import (
     SystemConfig,
     cp_energy,
     demodulate,
     gen_veh_a,
-    ls_cfr,
     modulate,
 )
 
@@ -44,15 +42,6 @@ def test_channel_diagonalization_is_exact():
         y = demodulate(r, cfg)
         H = ch.cfr(M)
         assert np.max(np.abs(y - H * x)) < 1e-10 * np.max(np.abs(H * x))
-
-
-def test_ls_cfr_inverts_known_symbols():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    H = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    assert np.max(np.abs(ls_cfr(H * x, x) - H)) < 1e-10
-    with pytest.raises(ValueError):
-        ls_cfr(np.ones(4), np.array([1.0, 0.0, 1.0, 1.0]))
 
 
 def test_cp_energy_of_combs_is_zero():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,17 @@ def test_raw_estimate_is_plain_division(desk):
     res = estimate_from_pilots(y, full, desk, mode="raw")
     assert np.max(np.abs(res.H_hat - y / full.divisors)) < 1e-12
     assert res.h_hat is None
+
+
+def test_zero_divisor_is_rejected(desk):
+    full = make_full_equal("cpofdm", desk.E, desk)
+    divisors = full.divisors.copy()
+    divisors[5] = 0.0
+    bad = dataclasses.replace(full, divisors=divisors)
+    y = np.ones(desk.M, dtype=complex)
+    for mode in ("raw", "projected"):
+        with pytest.raises(ValueError):
+            estimate_from_pilots(y, bad, desk, mode=mode)
 
 
 def _projected_from_raw(H_raw, full, desk):

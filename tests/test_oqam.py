@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mcpreamble import (
-    OqamGrid,
     SystemConfig,
     afb,
     afb_column,
@@ -117,17 +116,18 @@ def test_ambiguity_against_direct_sum():
         assert abs(proto.weight(dm, dn) - direct) < 1e-9
 
 
+def phased(a):
+    """Grid of real amplitudes a under the staggered phase rule."""
+    m, n = np.indices(a.shape)
+    return a * np.exp(1j * data_phase(m, n))
+
+
 def test_sfb_matches_direct_form(small, small_proto):
     rng = np.random.default_rng(7)
-    grid = OqamGrid.zeros(small.M, 4)
-    grid.a[:] = rng.standard_normal((small.M, 4))
-    for m in range(small.M):
-        for n in range(4):
-            grid.phi[m, n] = data_phase(m, n)
-    s = sfb(grid, small_proto)
+    x = phased(rng.standard_normal((small.M, 4)))
+    s = sfb(x, small_proto)
     direct = np.zeros_like(s)
     half = small.M // 2
-    x = grid.x
     for n in range(4):
         seg = slice(n * half, n * half + small_proto.L_g)
         for m in range(small.M):
@@ -166,11 +166,9 @@ def test_transmultiplexer_identity(small, small_proto):
     # a lone unit pilot at (p, q) lands on (p+dm, q+dn) with weight
     # (-1)^{dm q} conj(A(dm, dn))
     for (p, q) in ((5, 1), (0, 2), (31, 0)):
-        grid = OqamGrid.zeros(small.M, 4)
-        grid.a[p, q] = 1.0
-        grid.phi[p, q] = data_phase(p, q)
+        grid = np.zeros((small.M, 4), dtype=complex)
+        x = grid[p, q] = np.exp(1j * data_phase(p, q))
         s = sfb(grid, small_proto)
-        x = grid.x[p, q]
         for dn in (-1, 0, 1):
             if not 0 <= q + dn < 4:
                 continue
@@ -185,26 +183,18 @@ def test_real_orthogonality_of_phased_grid(small, small_proto):
     # after the quarter-turn phase map, taking real parts recovers the
     # amplitudes up to the reconstruction residual of the prototype
     rng = np.random.default_rng(9)
-    grid = OqamGrid.zeros(small.M, 5)
-    grid.a[:] = rng.standard_normal((small.M, 5))
-    for m in range(small.M):
-        for n in range(5):
-            grid.phi[m, n] = data_phase(m, n)
-    s = sfb(grid, small_proto)
+    a = rng.standard_normal((small.M, 5))
+    s = sfb(phased(a), small_proto)
     pts = [(m, 2) for m in range(small.M)]
     y = afb(s, small_proto, pts)
     derot = np.array([np.exp(-1j * data_phase(m, 2)) for m in range(small.M)])
     rec = np.real(y * derot)
-    assert np.max(np.abs(rec - grid.a[:, 2])) < 5e-3 * np.max(np.abs(grid.a))
+    assert np.max(np.abs(rec - a[:, 2])) < 5e-3 * np.max(np.abs(a))
 
 
 def test_pseudo_pilot_predicts_flat_channel_output(small, small_proto):
     rng = np.random.default_rng(10)
-    grid = OqamGrid.zeros(small.M, 2)
-    grid.a[:] = rng.standard_normal((small.M, 2))
-    for m in range(small.M):
-        for n in range(2):
-            grid.phi[m, n] = data_phase(m, n)
+    grid = phased(rng.standard_normal((small.M, 2)))
     s = sfb(grid, small_proto)
     pts = [(m, 0) for m in range(small.M)]
     y = afb(s, small_proto, pts)
@@ -224,7 +214,7 @@ def test_full_preamble_pseudo_pilots_exact(desk, proto):
     s = sfb(p.symbols, proto)
     y = afb(s, proto, [(m, 0) for m in range(desk.M)])
     assert np.max(np.abs(y - p.divisors)) < 1e-12
-    a = p.symbols.a[0, 0]
+    a = p.symbols[0, 0].real
     assert abs(p.divisors[0] - a) < 1e-12
     assert abs(p.divisors[desk.M - 1] - a) < 1e-12
     mid = p.divisors[3]
@@ -233,33 +223,27 @@ def test_full_preamble_pseudo_pilots_exact(desk, proto):
 
 def test_help_pilot_cancels_imaginary_part(small, small_proto):
     rng = np.random.default_rng(11)
-    grid = OqamGrid.zeros(small.M, 2)
+    grid = np.zeros((small.M, 2), dtype=complex)
     pilot = (8, 0)
-    grid.a[pilot] = 2.0
-    grid.phi[pilot] = data_phase(*pilot)
+    grid[pilot] = 2.0 * np.exp(1j * data_phase(*pilot))
     for m in range(small.M):
         if m != pilot[0]:
-            grid.a[m, 0] = rng.standard_normal()
-            grid.phi[m, 0] = data_phase(m, 0)
-        grid.a[m, 1] = rng.standard_normal()
-        grid.phi[m, 1] = data_phase(m, 1)
+            grid[m, 0] = rng.standard_normal() * np.exp(1j * data_phase(m, 0))
+        grid[m, 1] = rng.standard_normal() * np.exp(1j * data_phase(m, 1))
     helper = (8, 1)
-    grid.phi[helper] = data_phase(*helper)
-    grid.a[helper] = help_pilot(grid, small_proto, pilot, helper)
+    grid[helper] = (help_pilot(grid, small_proto, pilot, helper)
+                    * np.exp(1j * data_phase(*helper)))
     s = sfb(grid, small_proto)
     y = afb(s, small_proto, [pilot])[0]
-    derot = np.exp(-1j * grid.phi[pilot])
+    derot = np.exp(-1j * data_phase(*pilot))
     # imaginary residual drops to the higher-order leakage level
     assert abs(np.imag(y * derot)) < 5e-3 * abs(np.real(y * derot))
 
 
 def test_help_pilot_needs_aligned_axis(small, small_proto):
-    grid = OqamGrid.zeros(small.M, 2)
-    grid.a[4, 0] = 1.0
-    grid.phi[4, 0] = data_phase(4, 0)
-    grid.a[5, 0] = 1.0
-    grid.phi[5, 0] = data_phase(4, 0)  # wrong quarter turn for (5, 0)
-    grid.phi[4, 1] = data_phase(4, 1)
+    grid = np.zeros((small.M, 2), dtype=complex)
+    grid[4, 0] = np.exp(1j * data_phase(4, 0))
+    grid[5, 0] = np.exp(1j * data_phase(4, 0))  # wrong quarter turn for (5, 0)
     with pytest.raises(ValueError):
         help_pilot(grid, small_proto, (4, 0), (4, 1))
 

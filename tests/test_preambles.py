@@ -60,6 +60,16 @@ def test_oqam_constructors_reject_a_pulse_for_another_m(desk):
         make_sparse_data("oqam-2", desk.E, 1, desk, proto=other)
 
 
+@pytest.mark.parametrize("make", [
+    lambda cfg, pulse: make_sparse_equal("cpofdm", cfg.L_h, 0, cfg.E, cfg, pulse),
+    lambda cfg, pulse: make_full_equal("cpofdm", cfg.E, cfg, pulse),
+    lambda cfg, pulse: make_sparse_data("qam-sd", cfg.E, 5, cfg, pulse),
+], ids=["sparse-equal", "full-equal", "qam-sd"])
+def test_cpofdm_constructors_reject_a_pulse(desk, proto, make):
+    with pytest.raises(ValueError):
+        make(desk, proto)
+
+
 def test_truncated_pulse_sets_window_and_energy(desk, proto):
     # the pulse passed in alone fixes the window and the synthesized energy
     short = truncate_prototype(proto, desk.M + desk.L_h - 1)
@@ -80,7 +90,7 @@ def test_full_equal_energy_modes(desk, proto):
 
 def test_full_equal_divisor_styles(desk, proto):
     pseudo = make_full_equal("oqam", desk.E, desk, proto)
-    a = pseudo.symbols.a[0, 0]
+    a = pseudo.symbols[0, 0].real
     assert abs(pseudo.divisors[5] / a - (1 + 2 * proto.beta)) < 1e-9
 
 
@@ -125,8 +135,8 @@ def test_sparse_data_scenarios_layout(desk, proto):
         ("oqam-3", 0, desk.L_h, 2),
     ):
         p = make_sparse_data(scenario, desk.E, 9, desk, proto)
-        assert p.symbols.n_cols == cols
-        occupied = np.count_nonzero(p.symbols.a)
+        assert p.symbols.shape == (desk.M, cols)
+        occupied = np.count_nonzero(p.symbols)
         # a helper amplitude may solve to exactly zero for lucky data
         assert desk.M * cols - guards - helpers <= occupied <= desk.M * cols - guards
         # one (m, n) row per data symbol, none on a pilot
@@ -139,8 +149,8 @@ def test_sparse_data_scenarios_layout(desk, proto):
         assert not np.isin(pos[pos[:, 1] == 1, 0], p.pilot_idx).any()
         if scenario in ("oqam-1b", "oqam-2"):
             for i in p.pilot_idx:
-                assert p.symbols.a[(i + 1) % desk.M, 0] == 0.0
-                assert p.symbols.a[(i - 1) % desk.M, 0] == 0.0
+                assert p.symbols[(i + 1) % desk.M, 0] == 0.0
+                assert p.symbols[(i - 1) % desk.M, 0] == 0.0
 
 
 def test_sparse_data_helper_energy_ratio(desk, proto):
@@ -150,8 +160,8 @@ def test_sparse_data_helper_energy_ratio(desk, proto):
         ratios = []
         for seed in range(300):
             p = make_sparse_data(scenario, desk.E, seed, desk, proto)
-            e_h = np.sum(p.symbols.a[p.pilot_idx, 1] ** 2)
-            e_p = np.sum(p.symbols.a[p.pilot_idx, 0] ** 2)
+            e_h = np.sum(np.abs(p.symbols[p.pilot_idx, 1]) ** 2)
+            e_p = np.sum(np.abs(p.symbols[p.pilot_idx, 0]) ** 2)
             ratios.append(e_h / e_p)
         assert abs(np.mean(ratios) - zeta) < 0.1 * zeta
     assert (expected_helper_ratio("oqam-3", proto)
@@ -198,8 +208,8 @@ def test_scaled_preamble(desk, proto):
     q = p.scaled(0.5)
     assert abs(q.E_train - 0.25 * p.E_train) < 1e-12
     assert np.max(np.abs(q.divisors - 0.5 * p.divisors)) < 1e-12
-    assert np.max(np.abs(q.symbols.a - 0.5 * p.symbols.a)) < 1e-12
-    assert p.symbols.a[p.pilot_idx[0], 0] != q.symbols.a[p.pilot_idx[0], 0]
+    assert np.max(np.abs(q.symbols - 0.5 * p.symbols)) < 1e-12
+    assert p.symbols[p.pilot_idx[0], 0] != q.symbols[p.pilot_idx[0], 0]
 
 
 def test_preamble_serialization_roundtrip(tmp_path, desk, proto):
