@@ -10,9 +10,8 @@ power split is a free knob for PAPR.
 
 import numpy as np
 
-from mcpreamble import (SystemConfig, cp_energy, genie_mse,
-                        make_full_equipower_qam, make_full_equal, modulate,
-                        papr)
+from mcpreamble import (SystemConfig, cp_energy, genie_mse, make_equal_comb,
+                        make_full_equipower_qam, modulate, papr)
 
 cfg = SystemConfig(M=128, L_h=8, K=4, E=128.0)
 sigma2 = 1.0
@@ -35,7 +34,7 @@ for _ in range(6):
     print(f"{k:>4d} {g2:>8.3f} {th:>7.3f} {spread:>11.2e} "
           f"{cp:>9.2e} {10 * np.log10(pr):>8.2f} {mse / genie:>10.6f}")
 
-flat = make_full_equal("cpofdm", cfg.E, cfg)
+flat = make_equal_comb(cfg.M, 0, cfg.E, cfg)
 pr = papr(modulate(flat.symbols, cfg).useful)
 print(f"\nequal-value column (a single time impulse) for comparison: papr "
       f"{10 * np.log10(pr):.2f} dB; any proper two-impulse split does better")

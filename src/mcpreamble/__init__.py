@@ -8,7 +8,6 @@ the optimality claims behind the designs.
 
 from .analysis import (
     OptimalityReport,
-    TprReport,
     afb_noise_cov,
     antenna_energy,
     closed_form_mse,
@@ -57,10 +56,9 @@ from .preambles import (
     Preamble,
     expected_helper_ratio,
     load_preamble_values,
-    make_full_equal,
+    make_equal_comb,
     make_full_equipower_qam,
     make_sparse_data,
-    make_sparse_equal,
     save_preamble,
 )
 

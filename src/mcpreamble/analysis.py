@@ -32,10 +32,9 @@ from .fourier import cfr_samples_to_cir, dft_submatrix
 from .oqam import PrototypeFilter, data_phase, design_prototype, sfb
 from .preambles import (
     Preamble,
-    make_full_equal,
+    make_equal_comb,
     make_full_equipower_qam,
     make_sparse_data,
-    make_sparse_equal,
 )
 
 
@@ -61,26 +60,9 @@ def antenna_energy(preamble: Preamble, config: SystemConfig) -> float:
     return float(np.sum(np.abs(s) ** 2))
 
 
-@dataclass(frozen=True)
-class TprReport:
-    """Training power ratio between two preambles."""
-
-    e1: float
-    e2: float
-    r1: int
-    r2: int
-    value: float
-
-    @property
-    def db(self) -> float:
-        return 10.0 * np.log10(self.value)
-
-
-def tpr(p1: Preamble, p2: Preamble, config: SystemConfig) -> TprReport:
+def tpr(p1: Preamble, p2: Preamble) -> float:
     """Training power ratio (E_1/R_1) / (E_2/R_2) of declared energies."""
-    value = (p1.E_train / p1.window) / (p2.E_train / p2.window)
-    return TprReport(e1=p1.E_train, e2=p2.E_train,
-                     r1=p1.window, r2=p2.window, value=value)
+    return (p1.E_train / p1.window) / (p2.E_train / p2.window)
 
 
 def genie_mse(sigma2: float, E: float, config: SystemConfig) -> float:
@@ -447,7 +429,7 @@ def verify_optimality(
 
     # PAPR: any proper two-impulse split beats the single-impulse column
     p_half = make_full_equipower_qam(0, M // 2, np.sqrt(0.5), 0.0, E, config)
-    p_flat = make_full_equal("cpofdm", E, config)
+    p_flat = make_equal_comb(M, 0, E, config)
     pr_two = papr(modulate(p_half.symbols, config).useful)
     pr_one = papr(modulate(p_flat.symbols, config).useful)
     add(CheckResult(
@@ -455,7 +437,7 @@ def verify_optimality(
         f"two-impulse PAPR {pr_two:.1f} < equal-value column PAPR {pr_one:.1f}"))
 
     # sparse OQAM energy identity: isolated pulses add exactly
-    p_sp = make_sparse_equal("oqam", L_h, 0, E, config, proto=proto)
+    p_sp = make_equal_comb(L_h, 0, E, config, proto=proto)
     e_meas = antenna_energy(p_sp, config)
     dev_e = abs(e_meas - E) / E
     add(CheckResult(

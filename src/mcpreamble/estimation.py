@@ -26,7 +26,6 @@ class EstimationResult:
 
     H_hat: np.ndarray
     h_hat: np.ndarray | None
-    method: str
 
 
 def _check_mode(mode: str, n_pilots: int, M: int) -> None:
@@ -54,7 +53,7 @@ def estimate_from_pilots(
         raise ValueError("preamble has a zero divisor")
     ratios = y / preamble.divisors
     if mode == "raw":
-        return EstimationResult(H_hat=ratios, h_hat=None, method="raw")
+        return EstimationResult(H_hat=ratios, h_hat=None)
     h_hat = cfr_samples_to_cir(ratios, config.M, preamble.pilot_idx, config.L_h)
     H_hat = np.fft.fft(h_hat, n=config.M)
-    return EstimationResult(H_hat=H_hat, h_hat=h_hat, method="projected")
+    return EstimationResult(H_hat=H_hat, h_hat=h_hat)

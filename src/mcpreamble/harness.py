@@ -26,7 +26,7 @@ deliberately matches per-pilot gain instead.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -37,11 +37,7 @@ from .config import SystemConfig
 from .cpofdm import demodulate, modulate
 from .estimation import estimate_from_pilots
 from .oqam import afb, design_prototype, sfb, truncate_prototype
-from .preambles import (
-    make_full_equal,
-    make_sparse_data,
-    make_sparse_equal,
-)
+from .preambles import make_equal_comb, make_sparse_data
 
 # seed branch tags
 _TAG_CHANNEL = 101
@@ -82,9 +78,6 @@ class ExperimentConfig:
     @property
     def system(self) -> SystemConfig:
         return SystemConfig(M=self.M, L_h=self.L_h, K=self.K, E=self.E)
-
-    def with_(self, **kw) -> "ExperimentConfig":
-        return replace(self, **kw)
 
 
 @dataclass
@@ -138,16 +131,14 @@ class _CurveRuntime:
             self.make = lambda seed: make_sparse_data(
                 spec.scenario, e, seed, sc, proto=self.proto)
             base = self.make(np.random.SeedSequence([cfg.seed, _TAG_DATA, 0]))
-        elif spec.family == "sparse":
-            base = make_sparse_equal(spec.system, spec.n_pilots, 0, e, sc,
-                                     proto=self.proto)
-        elif spec.family == "full":
-            base = make_full_equal(spec.system, e, sc, proto=self.proto)
+        elif spec.family in ("sparse", "full"):
+            base = make_equal_comb(spec.n_pilots or sc.M, 0, e, sc,
+                                   proto=self.proto)
         else:
             raise ValueError(f"unknown curve family {spec.family!r}")
         self.scale = 1.0
         if ref is not None and spec.equalize:
-            self.scale = float(np.sqrt(tpr(ref.preamble, base, sc).value))
+            self.scale = float(np.sqrt(tpr(ref.preamble, base)))
         self.preamble = self._scaled(base)
         self.pilot_idx = base.pilot_idx
         self.points = np.stack([self.pilot_idx, 0 * self.pilot_idx], axis=1)

@@ -4,7 +4,8 @@ Subcarrier m at half-symbol position n carries the pulse
 
     g'_{m,n}(l) = g(l - n*M/2) * exp(j*(2*pi/M)*m*(l - c)),   c = (L_g-1)/2,
 
-where g is a real, symmetric, unit-energy prototype of length L_g.  The
+where g is a real unit-energy prototype of length L_g, symmetric about c
+unless it is an odd-length cut (see truncate_prototype).  The
 grid symbol at (m, n) is x_{m,n} = a_{m,n} * exp(j*phi_{m,n}) with real
 amplitude a and a phase that is either 0 on every point (equal-phase
 training) or follows the staggered rule phi = (pi/2)*(m+n) mod pi.  A
@@ -55,14 +56,15 @@ PROTO_COEFFS = {
 
 @dataclass(frozen=True, eq=False)
 class PrototypeFilter:
-    """Real symmetric unit-energy pulse tied to a subcarrier count M.
+    """Real unit-energy pulse tied to a subcarrier count M.
 
     K is the overlapping factor for frequency-sampling designs and None
     for pulses of other lengths (e.g. truncated ones).  The pulse owns its
     inner products: weight() returns the literal-offset one, kernel() all
     of them for one column offset; row() gathers the weights of every tone
     of one column onto one analysis point, or onto each of an array of them.
-    Pulses compare and hash by identity.
+    Pulses compare and hash by identity.  A designed pulse is symmetric,
+    g == g[::-1]; an odd-length cut of one is not (see truncate_prototype).
     """
 
     g: np.ndarray
@@ -128,7 +130,9 @@ class PrototypeFilter:
             w = np.where(dm % 2, -w, w)
         return w
 
-    # Scalar shorthands for the first-order neighborhood.
+    # Scalar shorthands for the first-order neighborhood: the real parts of
+    # its weights, which are real for a symmetric pulse.  An odd-length cut
+    # gives weight(1, 0) a small imaginary part, which beta drops.
     @property
     def beta(self) -> float:
         return float(self.weight(1, 0).real)
@@ -176,13 +180,24 @@ def design_prototype(M: int, K: int) -> PrototypeFilter:
 
 
 def truncate_prototype(proto: PrototypeFilter, length: int) -> PrototypeFilter:
-    """Central `length` samples of a prototype, renormalized to unit energy."""
+    """Central `length` samples of a prototype, renormalized to unit energy.
+
+    An even cut of a designed pulse stays symmetric.  An odd cut cannot be
+    centred: its g[1:] is the palindrome, so the pulse sits half a sample
+    off its centre c, and the help-pilot solve rejects it.
+    """
     if not (0 < length <= proto.L_g):
         raise ValueError(f"length must lie in 1..{proto.L_g}, got {length}")
     start = (proto.L_g - length) // 2
     g = proto.g[start:start + length].copy()
     g /= np.sqrt(np.sum(g ** 2))
     return PrototypeFilter(g=g, M=proto.M, K=None)
+
+
+def _check_pulse(proto: PrototypeFilter, M: int) -> None:
+    """Reject a pulse built for another subcarrier count than the grid's M."""
+    if proto.M != M:
+        raise ValueError(f"pulse for M={proto.M} on a grid of M={M}")
 
 
 def data_phase(m, n) -> np.ndarray:
@@ -201,8 +216,7 @@ def sfb(x: np.ndarray, proto: PrototypeFilter) -> np.ndarray:
         s(n*M/2 + l) += g(l) * (M * ifft(x_n * e^{-j2pi m c/M}))[(n*M/2 + l) mod M]
     """
     M, n_cols = x.shape
-    if proto.M != M:
-        raise ValueError("prototype and grid disagree on M")
+    _check_pulse(proto, M)
     L_g, half = proto.L_g, M // 2
     s = np.zeros((n_cols - 1) * half + L_g, dtype=complex)
     derot = np.exp(-2j * np.pi * np.arange(M) * proto.center / M)
@@ -270,6 +284,7 @@ def _first_order_sum(x: np.ndarray, proto: PrototypeFilter, p: int, q: int,
                      skip=None) -> complex:
     """x_{p,q} plus every nonzero first-order term at (p, q) except `skip`."""
     M, n_cols = x.shape
+    _check_pulse(proto, M)
     c = complex(x[p, q])
     for dm, dn in FIRST_ORDER_OFFSETS:
         n = q + dn

@@ -8,9 +8,9 @@ antenna over its observation window:
     energy is exactly zero (no time sample of the equispaced comb falls
     in the copied range), so the antenna energy equals the subcarrier
     energy.
-  * OFDM/OQAM, isolated pilots (spacing >= 2, frequency-sampling pulse):
-    pulse cross products vanish exactly, antenna energy = sum of a_p^2.
-  * OFDM/OQAM, full equal-phase column: antenna energy is
+  * OFDM/OQAM, N < M isolated pilots (frequency-sampling pulse): pulse
+    cross products vanish exactly, antenna energy = sum of a_p^2.
+  * OFDM/OQAM, the full (N = M) equal-phase column: antenna energy is
     a^2 * (M*(1+2*beta) - 4*beta); the -4*beta comes from the two
     wrap-around pairs whose weight is -beta instead of +beta.
   * sparse-plus-data scenarios: the data symbols are information, not
@@ -18,9 +18,11 @@ antenna over its observation window:
     require side pilots (OQAM), and that expected cost is part of the
     declared training energy.
 
-Amplitudes are solved so the declared training energy equals E exactly
-for the deterministic constructions, and in expectation over the data
-for the sparse-plus-data ones.
+A constructor builds an OQAM preamble exactly when it is given a pulse,
+and a Preamble rejects a pulse built for another M.  Amplitudes are
+solved so the declared training energy equals E exactly for the
+deterministic constructions, and in expectation over the data for the
+sparse-plus-data ones.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from .cpofdm import cp_energy
 from .fourier import equispaced_set
 from .oqam import (
     PrototypeFilter,
+    _check_pulse,
     data_phase,
-    design_prototype,
     help_pilot,
     pseudo_pilot,
 )
@@ -47,17 +49,18 @@ SCENARIOS = ("qam-sd", "oqam-1a", "oqam-1b", "oqam-2", "oqam-3")
 class Preamble:
     """One constructed training preamble plus its accounting.
 
-    A preamble is OQAM exactly when it carries a pulse: proto is the pulse
-    its divisors, window and help pilots were solved for, and symbols is
-    then its complex (M, n_cols) grid x (see oqam); without a pulse,
-    symbols is the (M,) CP-OFDM frequency vector.  divisors holds what
-    the per-pilot least-squares estimator divides by.  window is the
-    length R of the observation interval the training occupies, used by
-    the power-ratio comparisons.  E_train is the declared training energy
-    (exact for deterministic preambles, expected over data otherwise).
-    data_positions holds one (m, n) row per data symbol (none without
-    data).  A two-column grid carries a help pilot at (p, 1) above every
-    pilot p, and only the helped layouts have two columns.
+    A preamble is OQAM exactly when it carries a pulse: proto is the pulse,
+    for the grid's M, that its divisors, window and help pilots were
+    solved for, and symbols is then its complex (M, n_cols) grid x (see
+    oqam); without a pulse, symbols is the (M,) CP-OFDM frequency vector.
+    divisors holds what the per-pilot least-squares estimator divides by.
+    window is the length R of the observation interval the training
+    occupies, used by the power-ratio comparisons.  E_train is the
+    declared training energy (exact for deterministic preambles, expected
+    over data otherwise).  data_positions holds one (m, n) row per data
+    symbol (none without data).  A two-column grid carries a help pilot at
+    (p, 1) above every pilot p, and only the helped layouts have two
+    columns.
     """
 
     pilot_idx: np.ndarray
@@ -74,6 +77,8 @@ class Preamble:
         if (np.ndim(self.symbols) == 2) != (self.proto is not None):
             raise ValueError("an OQAM grid needs its pulse, and only a grid "
                              "takes one")
+        if self.proto is not None:
+            _check_pulse(self.proto, len(self.symbols))
 
     @property
     def n_pilots(self) -> int:
@@ -113,8 +118,7 @@ def load_preamble_values(path) -> tuple[np.ndarray, np.ndarray]:
     return idx, raw[:, 1] + 1j * raw[:, 2]
 
 
-def make_sparse_equal(
-    system: str,
+def make_equal_comb(
     N: int,
     i_0: int,
     E: float,
@@ -123,79 +127,38 @@ def make_sparse_equal(
 ) -> Preamble:
     """Equal real pilots on an equispaced set of N >= L_h tones.
 
-    proto (OQAM only) defaults to the frequency-sampling design for the
-    config's M and K; a pulse for another M, or any pulse for CP-OFDM, is
-    rejected.
+    N = M is the full preamble.  Without a pulse this is a CP-OFDM
+    symbol; with one it is an OQAM column whose divisors are the pseudo
+    pilots, which equal the amplitude wherever the pilots are isolated.
+    The amplitude is solved so the energy leaving the antenna equals E.
     """
     if N < config.L_h:
         raise ValueError(f"need N >= L_h={config.L_h} pilots, got {N}")
-    idx = equispaced_set(config.M, N, i_0)
-    amp = np.sqrt(E / N)
-    if system == "cpofdm":
-        x = np.zeros(config.M, dtype=complex)
+    M = config.M
+    idx = equispaced_set(M, N, i_0)
+    if proto is None:
+        amp = np.sqrt(E / N)
+        x = np.zeros(M, dtype=complex)
         x[idx] = amp
-        e_cp = cp_energy(x, config)
         return Preamble(
             pilot_idx=idx, divisors=x[idx].copy(), symbols=x,
-            E=E, E_train=N * amp ** 2 + e_cp, window=config.M + config.nu,
-            proto=proto,
+            E=E, E_train=N * amp ** 2 + cp_energy(x, config),
+            window=M + config.nu,
         )
-    if system == "oqam":
-        if config.M // N < 2:
-            raise ValueError("OQAM pilots need spacing >= 2 subcarriers")
-        if proto is None:
-            proto = design_prototype(config.M, config.K)
-        if proto.M != config.M:
-            raise ValueError(f"prototype M={proto.M} != config M={config.M}")
-        x = np.zeros((config.M, 1), dtype=complex)
-        x[idx, 0] = amp
-        # isolated pilots: all pulse cross products vanish exactly
-        return Preamble(
-            pilot_idx=idx, divisors=np.full(N, amp, dtype=complex), symbols=x,
-            E=E, E_train=amp * amp * N, window=proto.L_g, proto=proto,
-        )
-    raise ValueError(f"unknown system {system!r}")
-
-
-def make_full_equal(
-    system: str,
-    E: float,
-    config: SystemConfig,
-    proto: PrototypeFilter | None = None,
-) -> Preamble:
-    """Equal real symbols on all M tones of one multicarrier symbol.
-
-    The amplitude is solved so the energy leaving the antenna equals E.
-    OQAM divisors are the pseudo pilots, which add the intrinsic
-    interference of the neighboring tones to each symbol.  proto is as in
-    make_sparse_equal.
-    """
-    M = config.M
-    idx = np.arange(M, dtype=np.int64)
-    if system == "cpofdm":
-        amp = np.sqrt(E / M)
-        x = np.full(M, amp, dtype=complex)
-        e_cp = cp_energy(x, config)  # exactly zero for the equal comb
-        return Preamble(
-            pilot_idx=idx, divisors=x.copy(), symbols=x,
-            E=E, E_train=M * amp ** 2 + e_cp, window=M + config.nu,
-            proto=proto,
-        )
-    if system == "oqam":
-        if proto is None:
-            proto = design_prototype(config.M, config.K)
-        if proto.M != config.M:
-            raise ValueError(f"prototype M={proto.M} != config M={config.M}")
-        beta = proto.beta
-        ant_factor = M * (1.0 + 2.0 * beta) - 4.0 * beta
-        amp = np.sqrt(E / ant_factor)
-        x = np.full((M, 1), amp, dtype=complex)
-        div = np.array([pseudo_pilot(x, proto, (m, 0)) for m in range(M)])
-        return Preamble(
-            pilot_idx=idx, divisors=div, symbols=x,
-            E=E, E_train=amp ** 2 * ant_factor, window=proto.L_g, proto=proto,
-        )
-    raise ValueError(f"unknown system {system!r}")
+    # energy per a^2 (module docstring): isolated pilots add their
+    # energies, the full column adds its neighbour products too
+    if N < M:
+        ant_factor = N
+    else:
+        ant_factor = M * (1.0 + 2.0 * proto.beta) - 4.0 * proto.beta
+    amp = np.sqrt(E / ant_factor)
+    x = np.zeros((M, 1), dtype=complex)
+    x[idx, 0] = amp
+    div = np.array([pseudo_pilot(x, proto, (m, 0)) for m in idx])
+    return Preamble(
+        pilot_idx=idx, divisors=div, symbols=x,
+        E=E, E_train=amp ** 2 * ant_factor, window=proto.L_g, proto=proto,
+    )
 
 
 def make_full_equipower_qam(
@@ -277,10 +240,12 @@ def make_sparse_data(
       oqam-3   as 2 with data also on the pilot-adjacent tones of the
                pilot column (larger help pilots).
 
-    The scenario names the system.  The data symbols are redrawn from
-    data_seed on every call; pilots sit on the comb from tone 0 in every
-    draw and carry E/N each, data tones the same constellation energy.
-    proto (OQAM only) is as in make_sparse_equal.
+    The scenario names the system: qam-sd rejects a pulse and every
+    OQAM layout needs one.  The helped layouts (2 and 3) reject an
+    odd-length cut, which is not symmetric (see truncate_prototype).
+    The data symbols are redrawn from data_seed on every call; pilots sit
+    on the comb from tone 0 in every draw and carry E/N each, data tones
+    the same constellation energy.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"scenario must be one of {SCENARIOS}")
@@ -306,11 +271,7 @@ def make_sparse_data(
         )
 
     if proto is None:
-        proto = design_prototype(config.M, config.K)
-    if proto.M != config.M:
-        raise ValueError(f"prototype M={proto.M} != config M={config.M}")
-    if config.M // N < 2:
-        raise ValueError("OQAM pilots need spacing >= 2 subcarriers")
+        raise ValueError(f"scenario {scenario} is OQAM and needs its pulse")
 
     n_cols = 1 if scenario in ("oqam-1a", "oqam-1b") else 2
     x = np.zeros((M, n_cols), dtype=complex)

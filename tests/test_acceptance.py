@@ -25,10 +25,9 @@ from mcpreamble import (
     error_floor,
     expected_error_floor,
     gen_veh_a,
-    make_full_equal,
+    make_equal_comb,
     make_full_equipower_qam,
     make_sparse_data,
-    make_sparse_equal,
     preset,
     run_experiment,
     verify_optimality,
@@ -199,7 +198,7 @@ def test_exact_property_suite():
 
     cp_rel = 0.0
     for N, i_0 in ((L_h, 0), (2 * L_h, 0), (L_h, 3)):
-        comb = make_sparse_equal("cpofdm", N, i_0, E, cfg)
+        comb = make_equal_comb(N, i_0, E, cfg)
         cp_rel = max(cp_rel, cp_energy(comb.symbols, cfg) / E)
     comb_ok = cp_rel <= 1e-18
 
@@ -213,7 +212,7 @@ def test_exact_property_suite():
 
     proto = design_prototype(M, 4)
     beta = proto.beta
-    pf = make_full_equal("oqam", E, cfg, proto=proto)
+    pf = make_equal_comb(cfg.M, 0, E, cfg, proto=proto)
     a2 = float(pf.symbols[0, 0].real) ** 2
     dev_energy = abs(a2 * (M * (1.0 + 2.0 * beta) - 4.0 * beta) / E - 1.0)
     energy_ok = dev_energy <= 1e-6

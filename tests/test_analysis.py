@@ -18,10 +18,9 @@ from mcpreamble import (
     expected_error_floor,
     gen_veh_a,
     genie_mse,
-    make_full_equal,
+    make_equal_comb,
     make_full_equipower_qam,
     make_sparse_data,
-    make_sparse_equal,
     modulate,
     papr,
     propagate,
@@ -49,7 +48,7 @@ def test_genie_mse_domains(desk):
 def test_equispaced_equal_comb_attains_genie(desk):
     # the closed form for the projected equal comb reduces to the bound
     for N in (desk.L_h, 2 * desk.L_h):
-        p = make_sparse_equal("cpofdm", N, 0, desk.E, desk)
+        p = make_equal_comb(N, 0, desk.E, desk)
         pred = closed_form_mse(p, 0.01, desk)
         assert abs(pred - desk.M * genie_mse(0.01, desk.E, desk)) < 1e-9
 
@@ -63,9 +62,9 @@ def test_equipower_two_impulse_attains_genie(desk):
 def test_qam_closed_forms_against_simulation(desk):
     sigma2 = 0.01
     cases = [
-        (make_sparse_equal("cpofdm", 2 * desk.L_h, 0, desk.E, desk), "projected"),
-        (make_full_equal("cpofdm", desk.E, desk), "raw"),
-        (make_full_equal("cpofdm", desk.E, desk), "projected"),
+        (make_equal_comb(2 * desk.L_h, 0, desk.E, desk), "projected"),
+        (make_equal_comb(desk.M, 0, desk.E, desk), "raw"),
+        (make_equal_comb(desk.M, 0, desk.E, desk), "projected"),
     ]
     for p, mode in cases:
         pred = closed_form_mse(p, sigma2, desk, mode=mode)
@@ -83,7 +82,7 @@ def test_qam_closed_forms_against_simulation(desk):
 def test_oqam_closed_forms_against_simulation(desk, proto):
     sigma2 = 0.01
     # sparse comb estimates through the flat-per-subcarrier front end
-    p = make_sparse_equal("oqam", 2 * desk.L_h, 0, desk.E, desk, proto)
+    p = make_equal_comb(2 * desk.L_h, 0, desk.E, desk, proto)
     pred = closed_form_mse(p, sigma2, desk)
     acc = 0.0
     trials = 500
@@ -101,7 +100,7 @@ def test_oqam_full_projected_uses_noise_correlation(desk, proto):
     # the exact projected form differs from the white-noise shortcut by
     # the analysis-bank correlation; simulation arbitrates
     sigma2 = 0.01
-    p = make_full_equal("oqam", desk.E, desk, proto)
+    p = make_equal_comb(desk.M, 0, desk.E, desk, proto)
     pred = closed_form_mse(p, sigma2, desk, mode="projected")
     white = sigma2 * desk.L_h / desk.M * np.sum(1.0 / np.abs(p.divisors) ** 2)
     assert abs(pred / white - 1.0) > 0.1
@@ -166,7 +165,7 @@ def test_full_oqam_projected_mse_matches_dense_trace(desk, K, truncate):
     proto = design_prototype(cfg.M, K)
     if truncate is not None:
         proto = truncate_prototype(proto, truncate)
-    p = make_full_equal("oqam", cfg.E, cfg, proto)
+    p = make_equal_comb(cfg.M, 0, cfg.E, cfg, proto)
     got = closed_form_mse(p, 0.01, cfg)
     want = _dense_full_projected_mse(p, 0.01, cfg)
     assert abs(got - want) <= 1e-12 * abs(want)
@@ -247,8 +246,8 @@ def test_qam_scenarios_have_no_floor(desk, proto):
 
 
 def test_antenna_energy_dispatch(desk, proto):
-    q = make_sparse_equal("cpofdm", desk.L_h, 0, desk.E, desk)
-    o = make_sparse_equal("oqam", desk.L_h, 0, desk.E, desk, proto)
+    q = make_equal_comb(desk.L_h, 0, desk.E, desk)
+    o = make_equal_comb(desk.L_h, 0, desk.E, desk, proto)
     assert abs(antenna_energy(q, desk) - desk.E) < 1e-9
     assert abs(antenna_energy(o, desk) - desk.E) < 1e-9
 

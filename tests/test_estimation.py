@@ -9,26 +9,24 @@ from mcpreamble import (
     demodulate,
     estimate_from_pilots,
     gen_veh_a,
-    make_full_equal,
-    make_sparse_equal,
+    make_equal_comb,
     modulate,
     sfb,
 )
 
 
 def test_noiseless_sparse_estimate_is_exact(desk):
-    p = make_sparse_equal("cpofdm", 2 * desk.L_h, 0, desk.E, desk)
+    p = make_equal_comb(2 * desk.L_h, 0, desk.E, desk)
     ch = gen_veh_a(1, desk)
     r = np.convolve(modulate(p.symbols, desk).s, ch.h)
     y = demodulate(r[: desk.M + desk.nu], desk)[p.pilot_idx]
     res = estimate_from_pilots(y, p, desk)
-    assert res.method == "projected"
     assert np.max(np.abs(res.H_hat - ch.cfr(desk.M))) < 1e-9
     assert np.max(np.abs(res.h_hat - ch.h)) < 1e-9
 
 
 def test_noiseless_oqam_sparse_estimate(desk, proto):
-    p = make_sparse_equal("oqam", desk.L_h, 0, desk.E, desk, proto)
+    p = make_equal_comb(desk.L_h, 0, desk.E, desk, proto)
     ch = gen_veh_a(2, desk)
     r = np.convolve(sfb(p.symbols, proto), ch.h)
     y = afb(r[: p.window], proto, [(m, 0) for m in p.pilot_idx])
@@ -38,14 +36,15 @@ def test_noiseless_oqam_sparse_estimate(desk, proto):
 
 
 def test_estimator_has_two_explicit_modes(desk):
-    full = make_full_equal("cpofdm", desk.E, desk)
-    sparse = make_sparse_equal("cpofdm", desk.L_h, 0, desk.E, desk)
+    full = make_equal_comb(desk.M, 0, desk.E, desk)
+    sparse = make_equal_comb(desk.L_h, 0, desk.E, desk)
     y_full = np.ones(desk.M, dtype=complex)
     y_sp = np.ones(desk.L_h, dtype=complex)
-    # projected is the default on every layout, the full grid included
-    assert estimate_from_pilots(y_full, full, desk).method == "projected"
-    assert estimate_from_pilots(y_sp, sparse, desk).method == "projected"
-    assert estimate_from_pilots(y_full, full, desk, mode="raw").method == "raw"
+    # projected, which fits a CIR, is the default on every layout, the
+    # full grid included
+    assert estimate_from_pilots(y_full, full, desk).h_hat is not None
+    assert estimate_from_pilots(y_sp, sparse, desk).h_hat is not None
+    assert estimate_from_pilots(y_full, full, desk, mode="raw").h_hat is None
     with pytest.raises(ValueError):
         estimate_from_pilots(y_sp, sparse, desk, mode="raw")
     with pytest.raises(ValueError):
@@ -58,7 +57,7 @@ def test_estimator_has_two_explicit_modes(desk):
 
 
 def test_raw_estimate_is_plain_division(desk):
-    full = make_full_equal("cpofdm", desk.E, desk)
+    full = make_equal_comb(desk.M, 0, desk.E, desk)
     rng = np.random.default_rng(3)
     y = rng.standard_normal(desk.M) + 1j * rng.standard_normal(desk.M)
     res = estimate_from_pilots(y, full, desk, mode="raw")
@@ -67,7 +66,7 @@ def test_raw_estimate_is_plain_division(desk):
 
 
 def test_zero_divisor_is_rejected(desk):
-    full = make_full_equal("cpofdm", desk.E, desk)
+    full = make_equal_comb(desk.M, 0, desk.E, desk)
     divisors = full.divisors.copy()
     divisors[5] = 0.0
     bad = dataclasses.replace(full, divisors=divisors)
@@ -83,7 +82,7 @@ def _projected_from_raw(H_raw, full, desk):
 
 
 def test_full_grid_projection_reduces_to_support(desk):
-    full = make_full_equal("cpofdm", desk.E, desk)
+    full = make_equal_comb(desk.M, 0, desk.E, desk)
     rng = np.random.default_rng(4)
     h = np.zeros(desk.M, dtype=complex)
     h[: desk.L_h] = rng.standard_normal(desk.L_h) + 1j * rng.standard_normal(desk.L_h)
@@ -100,7 +99,7 @@ def test_full_grid_projection_reduces_to_support(desk):
 
 
 def test_projection_is_idempotent(desk):
-    full = make_full_equal("cpofdm", desk.E, desk)
+    full = make_equal_comb(desk.M, 0, desk.E, desk)
     rng = np.random.default_rng(5)
     noisy = rng.standard_normal(desk.M) + 1j * rng.standard_normal(desk.M)
     once = _projected_from_raw(noisy, full, desk)

@@ -8,7 +8,7 @@ from mcpreamble import (
     data_phase,
     design_prototype,
     help_pilot,
-    make_full_equal,
+    make_equal_comb,
     pseudo_pilot,
     sfb,
     truncate_prototype,
@@ -210,7 +210,7 @@ def test_pseudo_pilot_predicts_flat_channel_output(small, small_proto):
 def test_full_preamble_pseudo_pilots_exact(desk, proto):
     # one occupied column: in-column weights beyond first order vanish,
     # so the pseudo pilots equal the flat-channel outputs to precision
-    p = make_full_equal("oqam", desk.E, desk, proto)
+    p = make_equal_comb(desk.M, 0, desk.E, desk, proto)
     s = sfb(p.symbols, proto)
     y = afb(s, proto, [(m, 0) for m in range(desk.M)])
     assert np.max(np.abs(y - p.divisors)) < 1e-12
@@ -258,6 +258,20 @@ def test_truncate_prototype_recenters_and_renormalizes():
     start = (p.L_g - t.L_g) // 2
     seg = p.g[start : start + t.L_g]
     assert np.max(np.abs(t.g - seg / np.linalg.norm(seg))) < 1e-12
+
+
+def test_only_an_even_cut_stays_symmetric(desk, proto):
+    # a designed pulse has even length and g == g[::-1]; an odd cut
+    # cannot be centred on that axis, so only its g[1:] is a palindrome
+    # and the in-column weight leaves the real axis
+    assert np.array_equal(proto.g, proto.g[::-1])
+    even = truncate_prototype(proto, desk.M + desk.L_h)
+    odd = truncate_prototype(proto, desk.M + desk.L_h - 1)
+    assert np.array_equal(even.g, even.g[::-1])
+    assert np.array_equal(odd.g[1:], odd.g[:0:-1])
+    assert not np.array_equal(odd.g, odd.g[::-1])
+    assert abs(odd.weight(1, 0).imag) > 1e-4
+    assert abs(even.weight(1, 0).imag) < 1e-12
 
 
 def test_truncated_energy_capture():

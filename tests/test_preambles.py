@@ -10,10 +10,10 @@ from mcpreamble import (
     design_prototype,
     expected_helper_ratio,
     load_preamble_values,
-    make_full_equal,
+    make_equal_comb,
     make_full_equipower_qam,
     make_sparse_data,
-    make_sparse_equal,
+    pseudo_pilot,
     save_preamble,
     sfb,
     tpr,
@@ -24,10 +24,9 @@ E_REL = 1e-6
 
 
 def test_sparse_equal_declared_energy_is_emitted(desk, proto):
-    for system in ("cpofdm", "oqam"):
+    for pulse in (None, proto):
         for N in (desk.L_h, 2 * desk.L_h, 4 * desk.L_h):
-            p = make_sparse_equal(system, N, 0, desk.E, desk,
-                                  proto if system == "oqam" else None)
+            p = make_equal_comb(N, 0, desk.E, desk, pulse)
             meas = antenna_energy(p, desk)
             assert abs(meas - p.E_train) < E_REL * p.E_train
             assert p.n_pilots == N
@@ -36,7 +35,7 @@ def test_sparse_equal_declared_energy_is_emitted(desk, proto):
 
 
 def test_sparse_equal_comb_offset(desk):
-    p = make_sparse_equal("cpofdm", desk.L_h, 3, desk.E, desk)
+    p = make_equal_comb(desk.L_h, 3, desk.E, desk)
     step = desk.M // desk.L_h
     assert list(p.pilot_idx) == list(range(3, desk.M, step))
     assert cp_energy(p.symbols, desk) < 1e-12 * desk.E
@@ -44,28 +43,41 @@ def test_sparse_equal_comb_offset(desk):
 
 def test_sparse_equal_rejects_bad_counts(desk, proto):
     with pytest.raises(ValueError):
-        make_sparse_equal("cpofdm", desk.L_h // 2, 0, desk.E, desk)
-    with pytest.raises(ValueError):
-        # OQAM pilots need an empty tone between occupied tones
-        make_sparse_equal("oqam", desk.M, 0, desk.E, desk, proto)
+        make_equal_comb(desk.L_h // 2, 0, desk.E, desk)
+    # N = M is no bad count: the OQAM comb is then the full column, whose
+    # divisors are the pseudo pilots of its neighbour interference
+    full = make_equal_comb(desk.M, 0, desk.E, desk, proto)
+    assert list(full.pilot_idx) == list(range(desk.M))
+    assert full.symbols.shape == (desk.M, 1)
+    assert np.array_equal(full.divisors, [
+        pseudo_pilot(full.symbols, proto, (m, 0)) for m in range(desk.M)])
+    assert not np.array_equal(full.divisors, full.symbols[:, 0])
 
 
 def test_oqam_constructors_reject_a_pulse_for_another_m(desk):
     other = design_prototype(desk.M // 2, 4)
-    with pytest.raises(ValueError):
-        make_sparse_equal("oqam", desk.L_h, 0, desk.E, desk, proto=other)
-    with pytest.raises(ValueError):
-        make_full_equal("oqam", desk.E, desk, proto=other)
-    with pytest.raises(ValueError):
-        make_sparse_data("oqam-2", desk.E, 1, desk, proto=other)
+    both = rf"M={desk.M // 2} .*M={desk.M}\b"
+    with pytest.raises(ValueError, match=both):
+        make_equal_comb(desk.L_h, 0, desk.E, desk, proto=other)
+    with pytest.raises(ValueError, match=both):
+        make_equal_comb(desk.M, 0, desk.E, desk, proto=other)
+    for scenario in ("oqam-1a", "oqam-2"):
+        with pytest.raises(ValueError, match=both):
+            make_sparse_data(scenario, desk.E, 1, desk, proto=other)
+
+
+def test_oqam_scenarios_need_their_pulse(desk):
+    for scenario in ("oqam-1a", "oqam-2"):
+        with pytest.raises(ValueError, match=scenario):
+            make_sparse_data(scenario, desk.E, 1, desk)
 
 
 @pytest.mark.parametrize("make", [
-    lambda cfg, pulse: make_sparse_equal("cpofdm", cfg.L_h, 0, cfg.E, cfg, pulse),
-    lambda cfg, pulse: make_full_equal("cpofdm", cfg.E, cfg, pulse),
     lambda cfg, pulse: make_sparse_data("qam-sd", cfg.E, 5, cfg, pulse),
-], ids=["sparse-equal", "full-equal", "qam-sd"])
+], ids=["qam-sd"])
 def test_cpofdm_constructors_reject_a_pulse(desk, proto, make):
+    # a pulse selects OQAM everywhere else; the qam-sd scenario names
+    # CP-OFDM, so it refuses one
     with pytest.raises(ValueError):
         make(desk, proto)
 
@@ -73,7 +85,7 @@ def test_cpofdm_constructors_reject_a_pulse(desk, proto, make):
 def test_truncated_pulse_sets_window_and_energy(desk, proto):
     # the pulse passed in alone fixes the window and the synthesized energy
     short = truncate_prototype(proto, desk.M + desk.L_h - 1)
-    p = make_sparse_equal("oqam", desk.L_h, 0, desk.E, desk, proto=short)
+    p = make_equal_comb(desk.L_h, 0, desk.E, desk, proto=short)
     assert p.proto is short and p.scaled(0.5).proto is short
     assert p.window == short.L_g == 135
     want = float(np.sum(np.abs(sfb(p.symbols, short)) ** 2))
@@ -82,14 +94,14 @@ def test_truncated_pulse_sets_window_and_energy(desk, proto):
 
 
 def test_full_equal_energy_modes(desk, proto):
-    q = make_full_equal("cpofdm", desk.E, desk)
+    q = make_equal_comb(desk.M, 0, desk.E, desk)
     assert abs(antenna_energy(q, desk) - desk.E) < E_REL * desk.E
-    o_ant = make_full_equal("oqam", desk.E, desk, proto)
+    o_ant = make_equal_comb(desk.M, 0, desk.E, desk, proto)
     assert abs(antenna_energy(o_ant, desk) - desk.E) < E_REL * desk.E
 
 
 def test_full_equal_divisor_styles(desk, proto):
-    pseudo = make_full_equal("oqam", desk.E, desk, proto)
+    pseudo = make_equal_comb(desk.M, 0, desk.E, desk, proto)
     a = pseudo.symbols[0, 0].real
     assert abs(pseudo.divisors[5] / a - (1 + 2 * proto.beta)) < 1e-9
 
@@ -187,15 +199,14 @@ def test_sparse_data_flat_channel_pilots(desk, proto):
 
 
 def test_tpr_windows_and_values(desk, proto):
-    q_sp = make_sparse_equal("cpofdm", desk.L_h, 0, desk.E, desk)
-    o_sp = make_sparse_equal("oqam", desk.L_h, 0, desk.E, desk, proto)
-    r = tpr(q_sp, o_sp, desk)
-    assert abs(r.value - desk.K * desk.M / (desk.M + desk.nu)) < 1e-9
-    assert abs(r.db - 10 * np.log10(r.value)) < 1e-12
+    q_sp = make_equal_comb(desk.L_h, 0, desk.E, desk)
+    o_sp = make_equal_comb(desk.L_h, 0, desk.E, desk, proto)
+    r = tpr(q_sp, o_sp)
+    assert abs(r - desk.K * desk.M / (desk.M + desk.nu)) < 1e-9
     sd = make_sparse_data("qam-sd", desk.E, 5, desk)
-    r2 = tpr(sd, q_sp, desk)
+    r2 = tpr(sd, q_sp)
     want = 1 + (desk.M - desk.L_h) * (desk.L_h - 1) / (desk.M * desk.L_h)
-    assert abs(r2.value - want) < 1e-9
+    assert abs(r2 - want) < 1e-9
     # two-column scenarios stretch the training window by half a symbol
     p2 = make_sparse_data("oqam-2", desk.E, 5, desk, proto)
     assert p2.window == proto.L_g + desk.M // 2
@@ -204,7 +215,7 @@ def test_tpr_windows_and_values(desk, proto):
 
 
 def test_scaled_preamble(desk, proto):
-    p = make_sparse_equal("oqam", desk.L_h, 0, desk.E, desk, proto)
+    p = make_equal_comb(desk.L_h, 0, desk.E, desk, proto)
     q = p.scaled(0.5)
     assert abs(q.E_train - 0.25 * p.E_train) < 1e-12
     assert np.max(np.abs(q.divisors - 0.5 * p.divisors)) < 1e-12
@@ -213,7 +224,7 @@ def test_scaled_preamble(desk, proto):
 
 
 def test_preamble_serialization_roundtrip(tmp_path, desk, proto):
-    q = make_sparse_equal("cpofdm", desk.L_h, 0, desk.E, desk)
+    q = make_equal_comb(desk.L_h, 0, desk.E, desk)
     path = tmp_path / "qam.csv"
     save_preamble(q, path)
     idx, vals = load_preamble_values(path)
@@ -226,10 +237,17 @@ def test_preamble_serialization_roundtrip(tmp_path, desk, proto):
         save_preamble(o, tmp_path / "oqam.csv")
 
 
-def test_preamble_rejects_a_grid_without_its_pulse(desk):
-    oqam = make_sparse_equal("oqam", desk.L_h, 0, desk.E, desk)
+def test_preamble_rejects_a_grid_without_its_pulse(desk, proto):
+    oqam = make_equal_comb(desk.L_h, 0, desk.E, desk, proto)
     with pytest.raises(ValueError):
         dataclasses.replace(oqam, proto=None)
-    qam = make_sparse_equal("cpofdm", desk.L_h, 0, desk.E, desk)
+    qam = make_equal_comb(desk.L_h, 0, desk.E, desk)
     with pytest.raises(ValueError):
         dataclasses.replace(qam, proto=design_prototype(desk.M, desk.K))
+
+
+def test_preamble_rejects_a_pulse_for_another_m(desk, proto):
+    # a pulse swapped in after construction is checked like one passed in
+    oqam = make_equal_comb(desk.L_h, 0, desk.E, desk, proto)
+    with pytest.raises(ValueError, match=rf"M=64 .*M={desk.M}\b"):
+        dataclasses.replace(oqam, proto=design_prototype(64, 4))

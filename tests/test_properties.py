@@ -9,10 +9,10 @@ from mcpreamble import (
     SystemConfig,
     antenna_energy,
     cp_energy,
+    cp_gram,
     design_prototype,
-    make_full_equal,
+    make_equal_comb,
     make_sparse_data,
-    make_sparse_equal,
     truncate_prototype,
 )
 
@@ -34,28 +34,21 @@ def oqam_systems(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(oqam_systems())
-def test_sparse_preamble_keeps_its_pulse(system):
+@given(oqam_systems(), st.data())
+def test_oqam_comb_keeps_its_pulse(system, data):
     cfg, proto, truncated = system
     # unit energy: the zero-offset inner product of the pulse with itself
     assert proto.kernel(0)[cfg.M - 1] == pytest.approx(1.0, abs=1e-12)
-    p = make_sparse_equal("oqam", cfg.L_h, 0, cfg.E, cfg, proto=proto)
+    # every comb N = L_h..M/2 of isolated pilots, and the full column N = M
+    N = 2 ** data.draw(st.integers(int(np.log2(cfg.L_h)), int(np.log2(cfg.M))))
+    p = make_equal_comb(N, 0, cfg.E, cfg, proto=proto)
     assert p.proto is proto
     assert p.window == proto.L_g
     if not truncated:
-        # isolated pilots of a frequency-sampling pulse add their energies
+        # isolated pilots of a frequency-sampling pulse add their energies;
+        # a^2 * (M*(1+2*beta) - 4*beta) is exact for the full column, whose
+        # in-column products beyond first order vanish for such pulses
         assert antenna_energy(p, cfg) == pytest.approx(cfg.E, rel=1e-9)
-
-
-@settings(max_examples=30, deadline=None)
-@given(oqam_systems())
-def test_full_equal_column_emits_its_budget(system):
-    cfg, proto, truncated = system
-    assume(not truncated)
-    # a^2 * (M*(1+2*beta) - 4*beta) is exact when the in-column products
-    # beyond first order vanish, as they do for frequency-sampling pulses
-    p = make_full_equal("oqam", cfg.E, cfg, proto=proto)
-    assert antenna_energy(p, cfg) == pytest.approx(cfg.E, rel=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -65,8 +58,26 @@ def test_equispaced_comb_leaves_the_prefix_empty(system, data):
     # every comb of N >= L_h tones dividing M, at every offset
     N = 2 ** data.draw(st.integers(int(np.log2(cfg.L_h)), int(np.log2(cfg.M))))
     i_0 = data.draw(st.integers(0, cfg.M // N - 1))
-    p = make_sparse_equal("cpofdm", N, i_0, cfg.E, cfg)
+    p = make_equal_comb(N, i_0, cfg.E, cfg)
     assert cp_energy(p.symbols, cfg) <= 1e-12 * cfg.E
+
+
+@settings(max_examples=30, deadline=None)
+@given(oqam_systems(), st.integers(0, 2 ** 32 - 1))
+def test_prefix_gram_identities(system, seed):
+    cfg = system[0]
+    M, nu = cfg.M, cfg.nu
+    G = cp_gram(M, nu)
+    # trace is M*nu; the all-ones bilinear form vanishes because every
+    # tail column of the DFT sums to zero
+    assert abs(np.trace(G) - M * nu) < 1e-9 * M * nu
+    assert abs(G.sum()) < 1e-9 * M * nu
+    # x^H G x / M equals the energy the cyclic prefix copies
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        x = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+        phys = cp_energy(x, cfg)
+        assert abs((x.conj() @ G @ x).real / M - phys) < 1e-9 * max(phys, 1.0)
 
 
 @settings(max_examples=30, deadline=None)
