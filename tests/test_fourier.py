@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from mcpreamble import (
+    SystemConfig,
     cfr_samples_to_cir,
+    cp_energy,
     cp_gram,
     dft_submatrix,
     equispaced_set,
@@ -26,11 +28,33 @@ def test_dft_submatrix_matches_dense():
     assert np.allclose(got, F[np.ix_(rows, cols)], rtol=REL, atol=ABS)
 
 
+def test_gram_trace_and_total_sum():
+    # trace is M*nu; the all-ones bilinear form vanishes because every
+    # tail column of the DFT sums to zero.
+    for M, nu in ((16, 3), (64, 15), (128, 7)):
+        G = cp_gram(M, nu)
+        assert abs(np.trace(G) - M * nu) < REL * M * nu
+        assert abs(G.sum()) < 1e-9 * M * nu
+
+
 def test_gram_is_dense_product():
     M, nu = 32, 7
     F = dense_dft(M)
     tail = F[:, M - nu:]
     assert np.allclose(cp_gram(M, nu), tail @ tail.conj().T, rtol=REL, atol=1e-9)
+
+
+def test_gram_quadratic_form_is_prefix_energy():
+    # x^H G x / M equals the energy the cyclic prefix copies.
+    rng = np.random.default_rng(11)
+    for M, L_h in ((16, 4), (64, 8), (128, 16)):
+        cfg = SystemConfig(M=M, L_h=L_h)
+        G = cp_gram(M, cfg.nu)
+        for _ in range(20):
+            x = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+            quad = (x.conj() @ G @ x).real / M
+            phys = cp_energy(x, cfg)
+            assert abs(quad - phys) < REL * max(phys, 1.0)
 
 
 def test_equispaced_gram_submatrix():

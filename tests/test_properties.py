@@ -35,20 +35,32 @@ def oqam_systems(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(oqam_systems(), st.data())
-def test_oqam_comb_keeps_its_pulse(system, data):
+def test_sparse_preamble_keeps_its_pulse(system, data):
     cfg, proto, truncated = system
     # unit energy: the zero-offset inner product of the pulse with itself
     assert proto.kernel(0)[cfg.M - 1] == pytest.approx(1.0, abs=1e-12)
-    # every comb N = L_h..M/2 of isolated pilots, and the full column N = M
-    N = 2 ** data.draw(st.integers(int(np.log2(cfg.L_h)), int(np.log2(cfg.M))))
+    # every comb N = L_h..M/2 of isolated pilots
+    N = 2 ** data.draw(st.integers(int(np.log2(cfg.L_h)),
+                                   int(np.log2(cfg.M)) - 1))
     p = make_equal_comb(N, 0, cfg.E, cfg, proto=proto)
     assert p.proto is proto
     assert p.window == proto.L_g
     if not truncated:
-        # isolated pilots of a frequency-sampling pulse add their energies;
-        # a^2 * (M*(1+2*beta) - 4*beta) is exact for the full column, whose
-        # in-column products beyond first order vanish for such pulses
+        # isolated pilots of a frequency-sampling pulse add their energies
         assert antenna_energy(p, cfg) == pytest.approx(cfg.E, rel=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(oqam_systems())
+def test_full_equal_column_emits_its_budget(system):
+    cfg, proto, truncated = system
+    assume(not truncated)
+    # a^2 * (M*(1+2*beta) - 4*beta) is exact when the in-column products
+    # beyond first order vanish, as they do for frequency-sampling pulses
+    p = make_equal_comb(cfg.M, 0, cfg.E, cfg, proto=proto)
+    assert p.proto is proto
+    assert p.window == proto.L_g
+    assert antenna_energy(p, cfg) == pytest.approx(cfg.E, rel=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
