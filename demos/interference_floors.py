@@ -20,15 +20,15 @@ proto = design_prototype(cfg.M, cfg.K)
 print(f"M={cfg.M}  L_h={cfg.L_h}  K={cfg.K}  beta={proto.beta:.6f}  "
       f"beta^2 = {10 * np.log10(proto.beta ** 2):.2f} dB")
 
-ch = gen_veh_a(np.random.SeedSequence([42]), cfg)
-den = float(np.sum(np.abs(cfr_from_cir(ch.h, cfg.M)) ** 2))
+h = gen_veh_a(np.random.SeedSequence([42]), cfg)
+den = float(np.sum(np.abs(cfr_from_cir(h, cfg.M)) ** 2))
 
 print(f"{'layout':>10s} {'guards':>7s} {'helpers':>8s} {'floor NMSE':>11s} "
       f"{'dB':>8s}")
 for sc in ("oqam-1a", "oqam-1b", "oqam-2", "oqam-3"):
     p = make_sparse_data(sc, cfg.E, np.random.SeedSequence([7]), cfg,
                          proto=proto)
-    floor = expected_error_floor(p, ch, cfg) / den
+    floor = expected_error_floor(p, h, cfg) / den
     n_cols = p.symbols.shape[1]
     # a two-column grid has a help pilot above every pilot
     helpers = p.n_pilots if n_cols == 2 else 0

@@ -19,7 +19,6 @@ from .analysis import (
     verify_optimality,
 )
 from .channel import (
-    ChannelRealization,
     TapProfile,
     awgn,
     cfr_from_cir,
@@ -30,7 +29,7 @@ from .channel import (
 )
 from .config import SystemConfig
 from .cpofdm import CpOfdmFrame, cp_energy, demodulate, modulate
-from .estimation import EstimationResult, estimate_from_pilots
+from .estimation import estimate_from_pilots
 from .fourier import cfr_samples_to_cir, cp_gram, dft_submatrix, equispaced_set
 from .harness import (
     CurveSpec,
@@ -47,14 +46,13 @@ from .oqam import (
     afb_column,
     data_phase,
     design_prototype,
-    help_pilot,
+    first_order_neighbours,
     pseudo_pilot,
     sfb,
     truncate_prototype,
 )
 from .preambles import (
     Preamble,
-    expected_helper_ratio,
     load_preamble_values,
     make_equal_comb,
     make_full_equipower_qam,

@@ -12,7 +12,9 @@ Conventions used by every routine here:
     help pilots), never through its own useful energy.
   * Error floors are the sigma -> 0 residuals of the projected estimator
     under the per-subcarrier-flat channel model, built from the exact pulse
-    inner products of the whole grid, not just the first-order ones.
+    inner products of the whole grid, not just the first-order ones.  A
+    help pilot enters through the first-order weights it was solved from
+    (oqam.first_order_neighbours).  A channel is its impulse response h.
   * A preamble is OQAM exactly when it carries the pulse it was built for
     (Preamble.proto); every OQAM quantity here reads its inner products
     from that pulse.
@@ -29,7 +31,13 @@ from .config import SystemConfig
 from .cpofdm import modulate
 from .estimation import _check_mode
 from .fourier import cfr_samples_to_cir, dft_submatrix
-from .oqam import PrototypeFilter, data_phase, design_prototype, sfb
+from .oqam import (
+    PrototypeFilter,
+    data_phase,
+    design_prototype,
+    first_order_neighbours,
+    sfb,
+)
 from .preambles import (
     Preamble,
     make_equal_comb,
@@ -118,21 +126,17 @@ def _flat_grid_outputs(x: np.ndarray, H, proto: PrototypeFilter,
     return out
 
 
-def error_floor(
-    preamble: Preamble,
-    channel,
-    config: SystemConfig,
-) -> float:
+def error_floor(preamble: Preamble, h, config: SystemConfig) -> float:
     """Zero-noise residual CFR MSE of this preamble instance, projected.
 
-    CP-OFDM preambles have none (the demodulated model is exact inside
-    the prefix).  OQAM floors come from the interference the divisor does
-    not account for, propagated through the projected estimator.
+    h is the channel impulse response.  CP-OFDM preambles have no floor
+    (the demodulated model is exact inside the prefix).  OQAM floors
+    come from the interference the divisor does not account for,
+    propagated through the projected estimator.
     """
     if preamble.proto is None:
         return 0.0
     M = config.M
-    h = channel.h if hasattr(channel, "h") else np.asarray(channel)
     H = cfr_from_cir(h, M)
     idx = preamble.pilot_idx
     y0 = _flat_grid_outputs(preamble.symbols, H, preamble.proto, idx)
@@ -141,11 +145,7 @@ def error_floor(
     return float(M * np.sum(np.abs(h_w) ** 2))
 
 
-def expected_error_floor(
-    preamble: Preamble,
-    channel,
-    config: SystemConfig,
-) -> float:
+def expected_error_floor(preamble: Preamble, h, config: SystemConfig) -> float:
     """Floor of error_floor averaged exactly over the random data.
 
     The zero-noise pilot distortion is linear in the data symbols: each
@@ -158,7 +158,6 @@ def expected_error_floor(
         return 0.0
     proto, n_cols = preamble.proto, preamble.symbols.shape[1]
     M = config.M
-    h = channel.h if hasattr(channel, "h") else np.asarray(channel)
     H = cfr_from_cir(h, M)
     idx = preamble.pilot_idx
     a = np.abs(preamble.divisors)  # the pilot amplitudes
@@ -168,19 +167,20 @@ def expected_error_floor(
     m, n = preamble.data_positions.T
     # T[i, j]: distortion at pilot i per unit data symbol at position j
     acc = H[m] * amb[n, M - 1 + m - idx[:, None]]
-    # tones P +/- 1 of a helped pilot P act through its help pilot (P, 1)
-    # too (the help amplitude is linear in the data, computed channel-blind
-    # at the transmitter, so it arrives faded by the pilot tone's gain);
-    # every pilot of a two-column grid is helped
     if n_cols == 2:
-        helped = np.zeros(M, dtype=bool)
-        helped[idx] = True
-        for side in (1, -1):
-            j = np.flatnonzero(helped[(m - side) % M])
-            P = (m[j] - side) % M
-            acc[:, j] -= (amb[n[j], M - 1 + m[j] - P] / proto.rho * H[P]
-                          * amb[1, M - 1 + P - idx[:, None]])
-    T = np.exp(1j * data_phase(m, n)) * acc / a[:, None]
+        # every pilot P of a two-column grid has a help pilot (P, 1) that
+        # carries -w/rho of each first-order data neighbour (see
+        # make_sparse_data); it is solved channel-blind, so it arrives
+        # faded by H[P], and reaches pilot i with weight A(P - i, 1)
+        nm, nn, w = first_order_neighbours(idx, n_cols, proto)
+        j = np.full((M, n_cols), -1)  # data index of each grid position
+        j[m, n] = np.arange(len(m))
+        gain = amb[1, M - 1 + idx - idx[:, None]] * H[idx]
+        for k in range(w.shape[1] - 1):  # the last offset is the help pilot
+            jk = j[nm[:, k], nn[:, k]]
+            on = jk >= 0
+            acc[:, jk[on]] -= gain[:, on] * (w[on, k] / w[on, -1])
+    T = np.exp(1j * data_phase(m, n)) * acc * (1.0 / a)[:, None]
     A = cfr_samples_to_cir(T, M, idx, config.L_h)
     return float(e_d * M * np.sum(np.abs(A) ** 2))
 
@@ -378,12 +378,12 @@ def verify_optimality(
         f"tangent residual {edge_scale:.3f}/a^3 is the edge effect"))
 
     # (c) floor ordering of the sparse-plus-data scenarios
-    ch = gen_veh_a(np.random.SeedSequence([seed, 7]), config)
+    h = gen_veh_a(np.random.SeedSequence([seed, 7]), config)
     floors = {}
     for sc in ("oqam-1a", "oqam-1b", "oqam-2", "oqam-3"):
         p = make_sparse_data(sc, E, np.random.SeedSequence([seed, 11]), config,
                              proto=proto)
-        floors[sc] = expected_error_floor(p, ch, config)
+        floors[sc] = expected_error_floor(p, h, config)
     ratio_guard = floors["oqam-1b"] / floors["oqam-1a"]
     ratio_help = max(floors["oqam-2"], floors["oqam-3"]) / floors["oqam-1a"]
     # help pilots are solved channel-blind, so a residual proportional to

@@ -74,22 +74,12 @@ def sample_profile(L_h: int, delays_ns=None, powers_db=None) -> TapProfile:
     return TapProfile(taps=taps, powers=merged)
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One draw of the fading channel, zero padded to length L_h."""
-
-    h: np.ndarray
-
-    def cfr(self, M: int) -> np.ndarray:
-        return cfr_from_cir(self.h, M)
-
-
-def gen_veh_a(seed, config: SystemConfig, profile: TapProfile | None = None) -> ChannelRealization:
-    """Draw one Rayleigh realization of the (resampled) Vehicular A channel.
+def gen_veh_a(seed, config: SystemConfig, profile: TapProfile | None = None) -> np.ndarray:
+    """Impulse response h of one Rayleigh draw of the Vehicular A channel.
 
     Each occupied tap is an independent circular complex Gaussian with
-    variance equal to its profile power.  seed is anything accepted by
-    numpy.random.default_rng.
+    variance equal to its profile power; h is zero padded to length L_h.
+    seed is anything accepted by numpy.random.default_rng.
     """
     if profile is None:
         profile = sample_profile(config.L_h)
@@ -102,7 +92,7 @@ def gen_veh_a(seed, config: SystemConfig, profile: TapProfile | None = None) -> 
     )
     h = np.zeros(config.L_h, dtype=complex)
     h[profile.taps] = gains
-    return ChannelRealization(h=h)
+    return h
 
 
 def cfr_from_cir(h, M: int) -> np.ndarray:
@@ -146,5 +136,13 @@ def ebn0_to_sigma2(ebn0_db: float, e_sym: float) -> float:
 
     e_sym is the per-subcarrier symbol energy; symbols are counted as
     QPSK (two bits), so E_b = e_sym / 2 and sigma^2 = E_b / 10^(g/10).
+    A point whose sigma^2 is not positive and finite raises ValueError.
     """
-    return e_sym / (2.0 * 10.0 ** (ebn0_db / 10.0))
+    try:
+        sigma2 = e_sym / (2.0 * 10.0 ** (ebn0_db / 10.0))
+    except ArithmeticError:  # 10^(g/10) overflows, or underflows to 0
+        sigma2 = np.nan
+    if not 0.0 < sigma2 < np.inf:
+        raise ValueError(f"Eb/N0 of {ebn0_db:g} dB gives no positive, finite "
+                         "noise variance")
+    return sigma2

@@ -11,21 +11,11 @@ for every equispaced pilot comb, the full grid (N = M) included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import SystemConfig
 from .fourier import cfr_samples_to_cir
 from .preambles import Preamble
-
-
-@dataclass(frozen=True)
-class EstimationResult:
-    """Channel estimate over all M tones, plus the fitted CIR if any."""
-
-    H_hat: np.ndarray
-    h_hat: np.ndarray | None
 
 
 def _check_mode(mode: str, n_pilots: int, M: int) -> None:
@@ -38,11 +28,11 @@ def _check_mode(mode: str, n_pilots: int, M: int) -> None:
 
 def estimate_from_pilots(
     y, preamble: Preamble, config: SystemConfig, mode: str = "projected"
-) -> EstimationResult:
-    """LS channel estimate from the pilot measurements y.
+) -> np.ndarray:
+    """LS estimate of the CFR on all M tones from the pilot measurements y.
 
     mode "raw" keeps the per-tone ratios; "projected" fits an L_h-tap
-    response through them.
+    response through them (cfr_samples_to_cir) and returns its DFT.
     """
     y = np.asarray(y, dtype=complex).reshape(-1)
     N = preamble.n_pilots
@@ -53,7 +43,6 @@ def estimate_from_pilots(
         raise ValueError("preamble has a zero divisor")
     ratios = y / preamble.divisors
     if mode == "raw":
-        return EstimationResult(H_hat=ratios, h_hat=None)
+        return ratios
     h_hat = cfr_samples_to_cir(ratios, config.M, preamble.pilot_idx, config.L_h)
-    H_hat = np.fft.fft(h_hat, n=config.M)
-    return EstimationResult(H_hat=H_hat, h_hat=h_hat)
+    return np.fft.fft(h_hat, n=config.M)

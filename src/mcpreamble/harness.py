@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .analysis import closed_form_mse, expected_error_floor, tpr
-from .channel import awgn, ebn0_to_sigma2, gen_veh_a, propagate
+from .channel import awgn, cfr_from_cir, ebn0_to_sigma2, gen_veh_a, propagate
 from .config import SystemConfig
 from .cpofdm import demodulate, modulate
 from .estimation import estimate_from_pilots
@@ -147,7 +147,7 @@ class _CurveRuntime:
     def estimate(self, r, p) -> np.ndarray:
         """Channel estimate over all M tones from receive samples r."""
         return estimate_from_pilots(self.receive(r), p, self.sc,
-                                    mode=self.spec.estimator).H_hat
+                                    mode=self.spec.estimator)
 
     def _scaled(self, p):
         return p if self.scale == 1.0 else p.scaled(self.scale)
@@ -180,13 +180,13 @@ def _run_channel(args) -> tuple:
     cfg, c = args
     sc = cfg.system
     runtimes = _runtimes(cfg)
-    ch = gen_veh_a(np.random.SeedSequence([cfg.seed, _TAG_CHANNEL, c]), sc)
-    H = ch.cfr(sc.M)
+    h = gen_veh_a(np.random.SeedSequence([cfg.seed, _TAG_CHANNEL, c]), sc)
+    H = cfr_from_cir(h, sc.M)
     norm_h2 = float(np.sum(np.abs(H) ** 2))
     e_sym = cfg.E / sc.M
     sig = np.sqrt([ebn0_to_sigma2(g, e_sym) for g in cfg.ebn0_db])[:, None]
 
-    floors = np.array([expected_error_floor(rt.preamble, ch, sc)
+    floors = np.array([expected_error_floor(rt.preamble, h, sc)
                        for rt in runtimes]) / norm_h2
     ratios = np.zeros((len(runtimes), len(sig)))
     a = [None] * len(runtimes)
@@ -196,7 +196,7 @@ def _run_channel(args) -> tuple:
                  np.random.SeedSequence([cfg.seed, _TAG_NOISE, c, t]))
         for i, (rt, (p, s)) in enumerate(zip(runtimes, draws)):
             if t == 0 or rt.make is not None:
-                a[i] = rt.estimate(propagate(s, ch.h, 0.0, None), p) - H
+                a[i] = rt.estimate(propagate(s, h, 0.0, None), p) - H
             e = rt.estimate(w[:len(s) + sc.L_h - 1], p)
             ratios[i] += np.sum(np.abs(a[i] + sig * e) ** 2, axis=1) / norm_h2
     ratios /= cfg.n_noise
@@ -206,7 +206,8 @@ def _run_channel(args) -> tuple:
 def run_experiment(cfg: ExperimentConfig) -> list[MseCurve]:
     """Run all curves of an experiment and aggregate across channels.
 
-    Bad dimensions or counts raise ValueError before any work is done.
+    Bad dimensions or counts, and Eb/N0 points whose noise variance is
+    not positive and finite, raise ValueError before any work is done.
     """
     sc = cfg.system
     if cfg.n_channels < 2:
@@ -216,8 +217,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[MseCurve]:
         raise ValueError(f"n_noise must be >= 1, got {cfg.n_noise}")
     if not cfg.ebn0_db:
         raise ValueError("the Eb/N0 grid is empty")
-    if not np.all(np.isfinite(cfg.ebn0_db)):
-        raise ValueError(f"Eb/N0 values must be finite, got {cfg.ebn0_db}")
+    e_sym = cfg.E / sc.M
+    sigmas = [ebn0_to_sigma2(g, e_sym) for g in cfg.ebn0_db]
     if cfg.workers < 1:
         raise ValueError(f"workers must be >= 1, got {cfg.workers}")
     jobs = [(cfg, c) for c in range(cfg.n_channels)]
@@ -227,8 +228,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[MseCurve]:
     else:
         per_channel = [_run_channel(j) for j in jobs]
 
-    e_sym = cfg.E / sc.M
-    sigmas = [ebn0_to_sigma2(g, e_sym) for g in cfg.ebn0_db]
     all_ratios = np.stack([pc[0] for pc in per_channel])   # (c, curve, snr)
     all_floors = np.stack([pc[1] for pc in per_channel])   # (c, curve)
     inv_h2 = np.array([pc[2] for pc in per_channel])

@@ -31,6 +31,12 @@ M-1 is the literal M-1, and A(dm + M, dn) = -A(dm, dn) for even L_g, so
 edge weights pick up a sign automatically).  Between arbitrary positions,
 <g'_{p+dm, q+dn}, g'_{p,q}> = (-1)^(dm*q) * A(dm, dn).
 
+Pilots sit in column 0.  Their first-order neighbourhood, the tones
+p +/- 1 of column 0 and p - 1..p + 1 of column 1, is defined once, by
+first_order_neighbours: positions and literal-offset weights as arrays
+over the pilot tones.  The pseudo pilots here, the help pilots and their
+energy in preambles and the floors in analysis all read it.
+
 Both filter banks have direct O(M*L_g) definitions; the implementations
 here use M-point FFTs after folding the pulse products modulo M, which is
 algebraically identical (geometric resummation, no approximation).
@@ -130,8 +136,8 @@ class PrototypeFilter:
             w = np.where(dm % 2, -w, w)
         return w
 
-    # Scalar shorthands for the first-order neighborhood: the real parts of
-    # its weights, which are real for a symmetric pulse.  An odd-length cut
+    # Scalar shorthands for two first-order weights: their real parts,
+    # which are the whole weight for a symmetric pulse.  An odd-length cut
     # gives weight(1, 0) a small imaginary part, which beta drops.
     @property
     def beta(self) -> float:
@@ -140,10 +146,6 @@ class PrototypeFilter:
     @property
     def rho(self) -> float:
         return float(self.weight(0, 1).real)
-
-    @property
-    def wtilde(self) -> float:
-        return float(abs(self.weight(1, 1)))
 
     def pr_residual(self) -> float:
         """Worst real-orthogonality violation over the pulse overlap range.
@@ -184,7 +186,7 @@ def truncate_prototype(proto: PrototypeFilter, length: int) -> PrototypeFilter:
 
     An even cut of a designed pulse stays symmetric.  An odd cut cannot be
     centred: its g[1:] is the palindrome, so the pulse sits half a sample
-    off its centre c, and the help-pilot solve rejects it.
+    off its centre c, and the helped layouts of make_sparse_data reject it.
     """
     if not (0 < length <= proto.L_g):
         raise ValueError(f"length must lie in 1..{proto.L_g}, got {length}")
@@ -272,63 +274,48 @@ def afb(r, proto: PrototypeFilter, points) -> np.ndarray:
     return out
 
 
-# Offsets whose pulse inner products are first order in magnitude.
-FIRST_ORDER_OFFSETS = [
-    (-1, -1), (0, -1), (1, -1),
-    (-1, 0), (1, 0),
-    (-1, 1), (0, 1), (1, 1),
-]
+# First-order offsets (dm, dn) around a pilot of column 0, the only pilot
+# column; the help pilot's own offset (0, 1) comes last.
+FIRST_ORDER_OFFSETS = ((-1, 0), (1, 0), (-1, 1), (1, 1), (0, 1))
 
 
-def _first_order_sum(x: np.ndarray, proto: PrototypeFilter, p: int, q: int,
-                     skip=None) -> complex:
-    """x_{p,q} plus every nonzero first-order term at (p, q) except `skip`."""
-    M, n_cols = x.shape
-    _check_pulse(proto, M)
-    c = complex(x[p, q])
-    for dm, dn in FIRST_ORDER_OFFSETS:
-        n = q + dn
-        if not (0 <= n < n_cols):
-            continue
-        m = (p + dm) % M
-        if x[m, n] != 0 and (m, n) != skip:
-            c += x[m, n] * proto.weight(m - p, dn, pilot_col=q)
-    return c
+def first_order_neighbours(tones, n_cols: int, proto: PrototypeFilter) -> tuple:
+    """First-order neighbourhood of the pilots (p, 0) at the given tones.
+
+    Returns (m, n, w), each of shape (len(tones), J): the grid position
+    (m, n) of every neighbour, its tone wrapped modulo M, and the weight
+    proto.weight(m - p, n) with which it reaches the pilot, at the
+    literal offset m - p (so the band edges pick up their sign).  The J
+    columns follow FIRST_ORDER_OFFSETS for the columns n < n_cols of the
+    grid; in a two-column grid the last one is the help pilot (p, 1).
+    """
+    M = proto.M
+    offsets = [o for o in FIRST_ORDER_OFFSETS if o[1] < n_cols]
+    dm, dn = np.array(offsets).T
+    p = np.asarray(tones, dtype=np.int64)[:, None]
+    wrap = (p + dm) // M  # -1 or 1 past the band edges, else 0
+    # the literal offset m - p = dm - wrap*M takes three values per column
+    table = np.array([[proto.weight(a - s * M, b) for a, b in offsets]
+                      for s in (-1, 0, 1)])
+    return (p + dm - wrap * M, np.broadcast_to(dn, wrap.shape),
+            table[wrap + 1, np.arange(len(offsets))])
 
 
-def pseudo_pilot(x: np.ndarray, proto: PrototypeFilter, point) -> complex:
-    """First-order equivalent pilot at a grid point.
+def pseudo_pilot(x: np.ndarray, proto: PrototypeFilter, tones) -> np.ndarray:
+    """First-order equivalent pilots at the column-0 tones of grid x.
 
     Over a channel flat across the pulse neighborhood, the analysis
-    output at `point` is approximately H * c with
+    output at (p, 0) is approximately H_p * c_p with
 
-        c = x_{p,q} + sum_first_order x_{p+dm, q+dn} <g'_{p+dm,q+dn}, g'_{p,q}>,
+        c_p = x_{p,0} + sum_first_order x_{m,n} <g'_{m,n}, g'_{p,0}>,
 
-    which this returns.  Dividing the measurement by c instead of x alone
-    removes the dominant intrinsic interference.
+    which this returns per tone p.  Dividing the measurement by c_p
+    instead of x_{p,0} alone removes the dominant intrinsic interference.
     """
-    return _first_order_sum(x, proto, int(point[0]), int(point[1]))
-
-
-def help_pilot(x: np.ndarray, proto: PrototypeFilter, pilot, helper) -> float:
-    """Real amplitude at `helper` that cancels the interference at `pilot`.
-
-    The helper carries the staggered phase data_phase(helper); the value
-    x holds there is ignored.  All eight first-order contributions to an
-    equal-phase pilot share one complex axis, so a single real amplitude
-    cancels them; the solve is rejected if the residual axis mismatch
-    exceeds roundoff by a wide margin.
-    """
-    p, q = int(pilot[0]), int(pilot[1])
-    r, s = int(helper[0]), int(helper[1])
-    v = _first_order_sum(x, proto, p, q, skip=(r, s)) - complex(x[p, q])
-    w_h = proto.weight(r - p, s - q, pilot_col=q)
-    if abs(w_h) == 0:
-        raise ValueError("helper position does not reach the pilot at first order")
-    amp = -v / (np.exp(1j * data_phase(r, s)) * w_h)
-    if abs(amp.imag) > 1e-9 * max(1.0, abs(amp.real)):
-        raise ValueError(
-            f"interference at pilot {pilot} is not on the helper axis "
-            f"(residual {amp.imag:.3e})"
-        )
-    return float(amp.real)
+    _check_pulse(proto, x.shape[0])
+    tones = np.asarray(tones, dtype=np.int64)
+    m, n, w = first_order_neighbours(tones, x.shape[1], proto)
+    c = x[tones, 0]
+    for k in range(m.shape[1]):
+        c = c + x[m[:, k], n[:, k]] * w[:, k]
+    return c

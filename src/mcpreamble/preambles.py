@@ -15,8 +15,11 @@ antenna over its observation window:
     wrap-around pairs whose weight is -beta instead of +beta.
   * sparse-plus-data scenarios: the data symbols are information, not
     training, but they leak energy into the training window (CP-OFDM) or
-    require side pilots (OQAM), and that expected cost is part of the
-    declared training energy.
+    require help pilots (OQAM), and that expected cost is part of the
+    declared training energy.  A help pilot is a fixed linear function
+    of the data in its pilot's first-order neighbourhood
+    (oqam.first_order_neighbours), and its expected energy is read from
+    the same weights.
 
 A constructor builds an OQAM preamble exactly when it is given a pulse,
 and a Preamble rejects a pulse built for another M.  Amplitudes are
@@ -38,7 +41,7 @@ from .oqam import (
     PrototypeFilter,
     _check_pulse,
     data_phase,
-    help_pilot,
+    first_order_neighbours,
     pseudo_pilot,
 )
 
@@ -154,7 +157,7 @@ def make_equal_comb(
     amp = np.sqrt(E / ant_factor)
     x = np.zeros((M, 1), dtype=complex)
     x[idx, 0] = amp
-    div = np.array([pseudo_pilot(x, proto, (m, 0)) for m in idx])
+    div = pseudo_pilot(x, proto, idx)
     return Preamble(
         pilot_idx=idx, divisors=div, symbols=x,
         E=E, E_train=amp ** 2 * ant_factor, window=proto.L_g, proto=proto,
@@ -205,20 +208,6 @@ def _qpsk(rng: np.random.Generator, n: int, energy: float) -> np.ndarray:
 def _real_halves(rng: np.random.Generator, n: int, energy: float) -> np.ndarray:
     """Random signs carrying half a QPSK symbol's energy each."""
     return np.sqrt(energy / 2.0) * (1 - 2 * rng.integers(0, 2, size=n))
-
-
-def expected_helper_ratio(scenario: str, proto: PrototypeFilter) -> float:
-    """zeta = E[helper^2] / E_x for the helper-pilot scenarios.
-
-    The helper cancels the first-order interference v at its pilot, so
-    E[helper^2] = E[|v|^2] / rho^2 with v summing the surviving data
-    neighbors (each carrying E_x/2).
-    """
-    if scenario == "oqam-2":
-        return proto.wtilde ** 2 / proto.rho ** 2
-    if scenario == "oqam-3":
-        return (proto.beta ** 2 + proto.wtilde ** 2) / proto.rho ** 2
-    return 0.0
 
 
 def make_sparse_data(
@@ -289,20 +278,33 @@ def make_sparse_data(
                        * np.exp(1j * data_phase(col0_data, 0)))
     data_positions = _positions(col0_data, 0)
 
+    e_train = N * e_x
     if n_cols == 2:
         col1_data = np.where(~pilot_mask)[0]
         x[col1_data, 1] = (_real_halves(rng, len(col1_data), e_x)
                            * np.exp(1j * data_phase(col1_data, 1)))
         data_positions = np.concatenate(
             [data_positions, _positions(col1_data, 1)])
-        for p in idx:
-            x[p, 1] = (help_pilot(x, proto, (p, 0), (p, 1))
-                       * np.exp(1j * data_phase(p, 1)))
+        # the help pilot (P, 1) of every pilot P takes the real amplitude
+        # that cancels P's first-order neighbours, whose symbols are data
+        # or 0; x[P, 1] is still 0, and w[:, -1] is its own weight rho
+        m, n, w = first_order_neighbours(idx, n_cols, proto)
+        nbr = x[m, n]
+        phase = np.exp(1j * data_phase(idx, 1))
+        a_h = -np.sum(nbr * w, axis=1) / (w[:, -1] * phase)
+        off = np.abs(a_h.imag) > 1e-9 * np.maximum(1.0, np.abs(a_h.real))
+        if off.any():
+            raise ValueError(
+                f"interference at pilot {idx[off][0]} is not on the helper "
+                f"axis (residual {a_h.imag[off][0]:.3e})")
+        x[idx, 1] = a_h.real * phase
+        # a data symbol's real amplitude carries E_x/2, so in expectation
+        # a help pilot costs E_x/2 * sum |w/rho|^2 over its data neighbours
+        e_train += e_x / 2.0 * np.sum((nbr != 0) * np.abs(w / w[:, -1:]) ** 2)
 
-    zeta = expected_helper_ratio(scenario, proto)
     window = proto.L_g + (M // 2 if n_cols == 2 else 0)
     return Preamble(
         pilot_idx=idx, divisors=np.full(N, amp, dtype=complex), symbols=x,
-        E=E, E_train=N * e_x * (1.0 + zeta), window=window,
+        E=E, E_train=e_train, window=window,
         data_positions=data_positions, proto=proto,
     )

@@ -158,15 +158,15 @@ def test_error_floors():
     worst_exact = 0.0
     sims = []
     for i in range(10):
-        ch = gen_veh_a(np.random.SeedSequence([9000 + i]), cfg)
-        den = float(np.sum(np.abs(cfr_from_cir(ch.h, cfg.M)) ** 2))
-        nmse = expected_error_floor(p, ch, cfg) / den
+        h = gen_veh_a(np.random.SeedSequence([9000 + i]), cfg)
+        den = float(np.sum(np.abs(cfr_from_cir(h, cfg.M)) ** 2))
+        nmse = expected_error_floor(p, h, cfg) / den
         worst_exact = max(worst_exact, abs(nmse / closed - 1.0))
         for d in range(150):
             pd = make_sparse_data("oqam-1a", cfg.E,
                                   np.random.SeedSequence([77, i, d]), cfg,
                                   proto=proto)
-            sims.append(error_floor(pd, ch, cfg) / den)
+            sims.append(error_floor(pd, h, cfg) / den)
     mc_dev = abs(float(np.mean(sims)) / closed - 1.0)
 
     grid = tuple(float(g) for g in range(0, 65, 5))

@@ -71,11 +71,11 @@ def test_qam_closed_forms_against_simulation(desk):
         acc = 0.0
         trials = 600
         for t in range(trials):
-            ch = gen_veh_a((1, t), desk)
-            r = propagate(modulate(p.symbols, desk).s, ch.h, sigma2, seed=(2, t))
+            h = gen_veh_a((1, t), desk)
+            r = propagate(modulate(p.symbols, desk).s, h, sigma2, seed=(2, t))
             y = demodulate(r[: desk.M + desk.nu], desk)[p.pilot_idx]
-            res = estimate_from_pilots(y, p, desk, mode=mode)
-            acc += np.sum(np.abs(res.H_hat - ch.cfr(desk.M)) ** 2)
+            H_hat = estimate_from_pilots(y, p, desk, mode=mode)
+            acc += np.sum(np.abs(H_hat - cfr_from_cir(h, desk.M)) ** 2)
         assert abs(acc / trials - pred) < 0.04 * pred
 
 
@@ -88,11 +88,11 @@ def test_oqam_closed_forms_against_simulation(desk, proto):
     trials = 500
     pts = [(m, 0) for m in p.pilot_idx]
     for t in range(trials):
-        ch = gen_veh_a((3, t), desk)
-        r = propagate(sfb(p.symbols, proto), ch.h, sigma2, seed=(4, t))
+        h = gen_veh_a((3, t), desk)
+        r = propagate(sfb(p.symbols, proto), h, sigma2, seed=(4, t))
         y = afb(r[: p.window], proto, pts)
-        res = estimate_from_pilots(y, p, desk)
-        acc += np.sum(np.abs(res.H_hat - ch.cfr(desk.M)) ** 2)
+        H_hat = estimate_from_pilots(y, p, desk)
+        acc += np.sum(np.abs(H_hat - cfr_from_cir(h, desk.M)) ** 2)
     assert abs(acc / trials - pred) < 0.05 * pred
 
 
@@ -108,11 +108,11 @@ def test_oqam_full_projected_uses_noise_correlation(desk, proto):
     trials = 800
     pts = [(m, 0) for m in range(desk.M)]
     for t in range(trials):
-        ch = gen_veh_a((5, t), desk)
-        r = propagate(sfb(p.symbols, proto), ch.h, sigma2, seed=(6, t))
+        h = gen_veh_a((5, t), desk)
+        r = propagate(sfb(p.symbols, proto), h, sigma2, seed=(6, t))
         y = afb(r[: p.window], proto, pts)
-        res = estimate_from_pilots(y, p, desk, mode="projected")
-        acc += np.sum(np.abs(res.H_hat - ch.cfr(desk.M)) ** 2)
+        H_hat = estimate_from_pilots(y, p, desk, mode="projected")
+        acc += np.sum(np.abs(H_hat - cfr_from_cir(h, desk.M)) ** 2)
     assert abs(acc / trials - pred) < 0.05 * pred
 
 
@@ -171,10 +171,10 @@ def test_full_oqam_projected_mse_matches_dense_trace(desk, K, truncate):
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
-def _loop_expected_floor(p, channel, cfg):
+def _loop_expected_floor(p, h, cfg):
     """expected_error_floor written pilot by pilot, data symbol by symbol."""
     M, idx, grid = cfg.M, p.pilot_idx, p.symbols
-    H = cfr_from_cir(channel.h, M)
+    H = cfr_from_cir(h, M)
     a = np.abs(p.divisors)
     # a two-column grid has a help pilot above every pilot
     helped = idx if grid.shape[1] == 2 else ()
@@ -196,10 +196,10 @@ def _loop_expected_floor(p, channel, cfg):
 
 @pytest.mark.parametrize("scenario", ["oqam-1a", "oqam-1b", "oqam-2", "oqam-3"])
 def test_expected_error_floor_matches_loop_definition(desk, proto, scenario):
-    ch = gen_veh_a(8, desk)
+    h = gen_veh_a(8, desk)
     p = make_sparse_data(scenario, desk.E, 2, desk, proto)
-    want = _loop_expected_floor(p, ch, desk)
-    got = expected_error_floor(p, ch, desk)
+    want = _loop_expected_floor(p, h, desk)
+    got = expected_error_floor(p, h, desk)
     if scenario == "oqam-1b":
         # guarded pilots: exactly zero up to roundoff of the O(1) terms
         assert got < 1e-20 * desk.M and want < 1e-20 * desk.M
@@ -213,35 +213,35 @@ def test_verify_optimality_rejects_bad_trial_count(desk):
 
 
 def test_error_floor_expectation(desk, proto):
-    ch = gen_veh_a(3, desk)
+    h = gen_veh_a(3, desk)
     for scenario, rel_tol in (("oqam-1a", 0.1), ("oqam-2", 0.15), ("oqam-3", 0.15)):
         p0 = make_sparse_data(scenario, desk.E, 0, desk, proto)
-        want = expected_error_floor(p0, ch, desk)
+        want = expected_error_floor(p0, h, desk)
         sims = []
         for seed in range(120):
             p = make_sparse_data(scenario, desk.E, seed, desk, proto)
-            sims.append(error_floor(p, ch, desk))
+            sims.append(error_floor(p, h, desk))
         assert abs(np.mean(sims) - want) < rel_tol * want
 
 
 def test_error_floor_orderings(desk, proto):
-    ch = gen_veh_a(4, desk)
+    h = gen_veh_a(4, desk)
     f = {}
     for scenario in ("oqam-1a", "oqam-1b", "oqam-2", "oqam-3"):
         p = make_sparse_data(scenario, desk.E, 0, desk, proto)
-        f[scenario] = expected_error_floor(p, ch, desk)
+        f[scenario] = expected_error_floor(p, h, desk)
     assert f["oqam-1b"] < 1e-9 * f["oqam-1a"]
     assert f["oqam-2"] <= f["oqam-3"] * (1 + 1e-9)
     assert f["oqam-3"] < 0.2 * f["oqam-1a"]
 
 
 def test_qam_scenarios_have_no_floor(desk, proto):
-    ch = gen_veh_a(5, desk)
+    h = gen_veh_a(5, desk)
     p = make_sparse_data("qam-sd", desk.E, 3, desk)
-    r = np.convolve(modulate(p.symbols, desk).s, ch.h)
+    r = np.convolve(modulate(p.symbols, desk).s, h)
     y = demodulate(r[: desk.M + desk.nu], desk)[p.pilot_idx]
-    res = estimate_from_pilots(y, p, desk)
-    err = np.sum(np.abs(res.H_hat - ch.cfr(desk.M)) ** 2)
+    H_hat = estimate_from_pilots(y, p, desk)
+    err = np.sum(np.abs(H_hat - cfr_from_cir(h, desk.M)) ** 2)
     assert err < 1e-18 * desk.M
 
 

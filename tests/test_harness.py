@@ -9,6 +9,7 @@ from mcpreamble import (
     ExperimentConfig,
     afb,
     awgn,
+    cfr_from_cir,
     demodulate,
     ebn0_to_sigma2,
     estimate_from_pilots,
@@ -150,9 +151,10 @@ def test_experiment_config_system():
 @pytest.mark.parametrize("bad", [
     dict(n_channels=1), dict(n_noise=0), dict(ebn0_db=()), dict(workers=0),
     dict(M=100), dict(ebn0_db=(float("nan"),)), dict(ebn0_db=(0.0, np.inf)),
-    dict(ebn0_db=(-np.inf, 10.0)),
+    dict(ebn0_db=(-np.inf, 10.0)), dict(ebn0_db=(0.0, 4000.0)),
+    dict(ebn0_db=(-4000.0, 0.0)),
 ], ids=["n_channels=1", "n_noise=0", "empty_ebn0", "workers=0", "M=100",
-        "nan_ebn0", "inf_ebn0", "-inf_ebn0"])
+        "nan_ebn0", "inf_ebn0", "-inf_ebn0", "ebn0=4000", "ebn0=-4000"])
 def test_run_experiment_rejects_bad_inputs_before_any_work(monkeypatch, bad):
     def work(args):
         raise AssertionError("a channel ran")
@@ -182,8 +184,8 @@ def test_superposed_trials_match_chain_loop(name):
     sc = cfg.system
     for c in (0, 1):
         ratios, floors, inv_h2 = harness._run_channel((cfg, c))
-        ch = gen_veh_a(np.random.SeedSequence([cfg.seed, 101, c]), sc)
-        H = ch.cfr(sc.M)
+        h = gen_veh_a(np.random.SeedSequence([cfg.seed, 101, c]), sc)
+        H = cfr_from_cir(h, sc.M)
         assert inv_h2 == 1.0 / np.sum(np.abs(H) ** 2)
         for i, rt in enumerate(harness._runtimes(cfg)):
             want = np.zeros(len(cfg.ebn0_db))
@@ -191,14 +193,14 @@ def test_superposed_trials_match_chain_loop(name):
                 p, s = rt.draw(cfg.seed, c, t)
                 for k, g in enumerate(cfg.ebn0_db):
                     sigma2 = ebn0_to_sigma2(g, cfg.E / sc.M)
-                    r = propagate(s, ch.h, sigma2,
+                    r = propagate(s, h, sigma2,
                                   np.random.SeedSequence([cfg.seed, 301, c, t]))
                     if rt.spec.system == "oqam":
                         y = afb(r, rt.proto, [(m, 0) for m in p.pilot_idx])
                     else:
                         y = demodulate(r, sc)[p.pilot_idx]
                     H_hat = estimate_from_pilots(y, p, sc,
-                                                 mode=rt.spec.estimator).H_hat
+                                                 mode=rt.spec.estimator)
                     want[k] += np.sum(np.abs(H_hat - H) ** 2) * inv_h2
             want /= cfg.n_noise
             assert np.all(np.abs(ratios[i] - want) <= 1e-10 * want)

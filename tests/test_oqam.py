@@ -7,8 +7,9 @@ from mcpreamble import (
     afb_column,
     data_phase,
     design_prototype,
-    help_pilot,
+    first_order_neighbours,
     make_equal_comb,
+    make_sparse_data,
     pseudo_pilot,
     sfb,
     truncate_prototype,
@@ -59,7 +60,7 @@ def test_interference_weights_frozen():
         assert abs(t.pr_residual()) <= 1.05 * PR_RESIDUAL[K]
     t4 = design_prototype(cfg.M, 4)
     assert abs(t4.rho - RHO4) < 1e-9
-    assert abs(t4.wtilde - WTILDE4) < 1e-9
+    assert abs(abs(t4.weight(1, 1)) - WTILDE4) < 1e-9
 
 
 def test_beta_independent_of_m():
@@ -198,13 +199,10 @@ def test_pseudo_pilot_predicts_flat_channel_output(small, small_proto):
     s = sfb(grid, small_proto)
     pts = [(m, 0) for m in range(small.M)]
     y = afb(s, small_proto, pts)
-    worst = 0.0
-    for m in range(small.M):
-        c = pseudo_pilot(grid, small_proto, (m, 0))
-        worst = max(worst, abs(y[m] - c))
+    c = pseudo_pilot(grid, small_proto, np.arange(small.M))
     # the pseudo pilot keeps first-order neighbours; the rest is the
     # prototype's (tiny) higher-order leakage
-    assert worst < 5e-3 * np.max(np.abs(y))
+    assert np.max(np.abs(y - c)) < 5e-3 * np.max(np.abs(y))
 
 
 def test_full_preamble_pseudo_pilots_exact(desk, proto):
@@ -221,31 +219,55 @@ def test_full_preamble_pseudo_pilots_exact(desk, proto):
     assert abs(mid - a * (1 + 2 * proto.beta)) < 1e-12
 
 
-def test_help_pilot_cancels_imaginary_part(small, small_proto):
-    rng = np.random.default_rng(11)
-    grid = np.zeros((small.M, 2), dtype=complex)
-    pilot = (8, 0)
-    grid[pilot] = 2.0 * np.exp(1j * data_phase(*pilot))
-    for m in range(small.M):
-        if m != pilot[0]:
-            grid[m, 0] = rng.standard_normal() * np.exp(1j * data_phase(m, 0))
-        grid[m, 1] = rng.standard_normal() * np.exp(1j * data_phase(m, 1))
-    helper = (8, 1)
-    grid[helper] = (help_pilot(grid, small_proto, pilot, helper)
-                    * np.exp(1j * data_phase(*helper)))
-    s = sfb(grid, small_proto)
-    y = afb(s, small_proto, [pilot])[0]
-    derot = np.exp(-1j * data_phase(*pilot))
-    # imaginary residual drops to the higher-order leakage level
-    assert abs(np.imag(y * derot)) < 5e-3 * abs(np.real(y * derot))
+def test_first_order_neighbourhood_wraps_tones_and_keeps_literal_offsets(
+        small, small_proto):
+    tones = np.array([0, 8, small.M - 1])
+    m, n, w = first_order_neighbours(tones, 2, small_proto)
+    assert m.shape == n.shape == w.shape == (3, 5)
+    for i, p in enumerate(tones):
+        got = {(int(a), int(b)) for a, b in zip(m[i], n[i])}
+        assert got == {((p + dm) % small.M, dn) for dm in (-1, 0, 1)
+                       for dn in (0, 1)} - {(p, 0)}
+        for k in range(5):
+            assert w[i, k] == small_proto.weight(int(m[i, k]) - p, int(n[i, k]))
+    # the help pilot (p, 1) comes last; a one-column grid has only (p +/- 1, 0)
+    assert np.array_equal(m[:, -1], tones) and np.all(n[:, -1] == 1)
+    m1, n1, w1 = first_order_neighbours(tones, 1, small_proto)
+    assert np.array_equal(m1, m[:, :2]) and not n1.any()
+    assert np.array_equal(w1, w[:, :2])
 
 
-def test_help_pilot_needs_aligned_axis(small, small_proto):
-    grid = np.zeros((small.M, 2), dtype=complex)
-    grid[4, 0] = np.exp(1j * data_phase(4, 0))
-    grid[5, 0] = np.exp(1j * data_phase(4, 0))  # wrong quarter turn for (5, 0)
-    with pytest.raises(ValueError):
-        help_pilot(grid, small_proto, (4, 0), (4, 1))
+def test_help_pilot_cancels_imaginary_part():
+    # every pilot of a helped grid: the help pilot takes the imaginary
+    # part of its sfb -> afb output down to the higher-order leakage level
+    for M, L_h in ((32, 4), (128, 8)):
+        cfg = SystemConfig(M=M, L_h=L_h, K=4)
+        proto = design_prototype(M, 4)
+        for scenario in ("oqam-2", "oqam-3"):
+            bare_worst = 0.0
+            for seed in range(3):
+                p = make_sparse_data(scenario, cfg.E, seed, cfg, proto)
+                pts = [(m, 0) for m in p.pilot_idx]
+                derot = np.exp(-1j * data_phase(p.pilot_idx, 0))
+                y = afb(sfb(p.symbols, proto), proto, pts) * derot
+                assert np.all(np.abs(y.imag) < 5e-3 * np.abs(y.real))
+                bare = p.symbols.copy()
+                bare[p.pilot_idx, 1] = 0.0
+                y0 = afb(sfb(bare, proto), proto, pts) * derot
+                bare_worst = max(bare_worst, np.max(np.abs(y0.imag / y0.real)))
+            # without their help pilots the same grids miss that bound
+            assert bare_worst > 5e-3
+
+
+def test_help_pilot_needs_aligned_axis(desk, proto):
+    # an odd cut sits half a sample off centre: the interference at a
+    # pilot leaves the helper's real axis, so the helped layouts reject it
+    odd = truncate_prototype(proto, desk.M + desk.L_h - 1)
+    even = truncate_prototype(proto, desk.M + desk.L_h)
+    for scenario in ("oqam-2", "oqam-3"):
+        with pytest.raises(ValueError, match="helper axis"):
+            make_sparse_data(scenario, desk.E, 1, desk, odd)
+        assert make_sparse_data(scenario, desk.E, 1, desk, even).proto is even
 
 
 def test_truncate_prototype_recenters_and_renormalizes():

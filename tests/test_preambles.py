@@ -8,7 +8,6 @@ from mcpreamble import (
     antenna_energy,
     cp_energy,
     design_prototype,
-    expected_helper_ratio,
     load_preamble_values,
     make_equal_comb,
     make_full_equipower_qam,
@@ -49,8 +48,8 @@ def test_sparse_equal_rejects_bad_counts(desk, proto):
     full = make_equal_comb(desk.M, 0, desk.E, desk, proto)
     assert list(full.pilot_idx) == list(range(desk.M))
     assert full.symbols.shape == (desk.M, 1)
-    assert np.array_equal(full.divisors, [
-        pseudo_pilot(full.symbols, proto, (m, 0)) for m in range(desk.M)])
+    assert np.array_equal(full.divisors,
+                          pseudo_pilot(full.symbols, proto, np.arange(desk.M)))
     assert not np.array_equal(full.divisors, full.symbols[:, 0])
 
 
@@ -165,9 +164,14 @@ def test_sparse_data_scenarios_layout(desk, proto):
                 assert p.symbols[(i - 1) % desk.M, 0] == 0.0
 
 
+def _helper_ratio(scenario, cfg, proto):
+    """zeta = E[helper^2] / E_x, as the declared energy N*E_x*(1 + zeta) holds it."""
+    return make_sparse_data(scenario, cfg.E, 0, cfg, proto).E_train / cfg.E - 1.0
+
+
 def test_sparse_data_helper_energy_ratio(desk, proto):
     for scenario in ("oqam-2", "oqam-3"):
-        zeta = expected_helper_ratio(scenario, proto)
+        zeta = _helper_ratio(scenario, desk, proto)
         assert zeta > 0
         ratios = []
         for seed in range(300):
@@ -176,8 +180,42 @@ def test_sparse_data_helper_energy_ratio(desk, proto):
             e_p = np.sum(np.abs(p.symbols[p.pilot_idx, 0]) ** 2)
             ratios.append(e_h / e_p)
         assert abs(np.mean(ratios) - zeta) < 0.1 * zeta
-    assert (expected_helper_ratio("oqam-3", proto)
-            > expected_helper_ratio("oqam-2", proto))
+    assert (_helper_ratio("oqam-3", desk, proto)
+            > _helper_ratio("oqam-2", desk, proto))
+
+
+def test_help_pilots_match_the_first_order_sum_pilot_by_pilot(desk, proto):
+    # the reference, one pilot and one neighbour at a time: the help pilot
+    # (P, 1) carries -v/rho, v the first-order sum of P's other neighbours
+    # at their literal offsets (the band edges wrap with their sign)
+    M = desk.M
+    for scenario in ("oqam-2", "oqam-3"):
+        for seed in range(3):
+            p = make_sparse_data(scenario, desk.E, seed, desk, proto)
+            x = p.symbols
+            for P in p.pilot_idx:
+                v = 0.0
+                for dm, dn in ((-1, 0), (1, 0), (-1, 1), (1, 1)):
+                    m = (P + dm) % M
+                    v += x[m, dn] * proto.weight(int(m - P), dn)
+                assert x[P, 1] == pytest.approx(-v / proto.rho, rel=1e-12,
+                                                abs=1e-12 * abs(x[P, 0]))
+
+
+@pytest.mark.parametrize("M", [32, 128, 1024])
+def test_helper_energy_ratio_has_its_closed_form(M):
+    # a help pilot cancels w~ from each data tone beside it in column 1
+    # and, in oqam-3, beta from each one beside it in column 0; each
+    # carries E_x/2, and the help pilot reaches its pilot with rho
+    for K in (2, 3, 4, 5):
+        cfg = SystemConfig(M=M, L_h=8, K=K, E=float(M))
+        proto = design_prototype(M, K)
+        wtilde = abs(proto.weight(1, 1))
+        want = {"oqam-2": wtilde ** 2 / proto.rho ** 2,
+                "oqam-3": (proto.beta ** 2 + wtilde ** 2) / proto.rho ** 2}
+        for scenario, zeta in want.items():
+            assert _helper_ratio(scenario, cfg, proto) == pytest.approx(
+                zeta, rel=1e-12)
 
 
 def test_sparse_data_flat_channel_pilots(desk, proto):
