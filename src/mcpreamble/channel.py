@@ -74,7 +74,8 @@ def sample_profile(L_h: int, delays_ns=None, powers_db=None) -> TapProfile:
     return TapProfile(taps=taps, powers=merged)
 
 
-def gen_veh_a(seed, config: SystemConfig, profile: TapProfile | None = None) -> np.ndarray:
+def gen_veh_a(seed, config: SystemConfig,
+              profile: TapProfile | None = None) -> np.ndarray:
     """Impulse response h of one Rayleigh draw of the Vehicular A channel.
 
     Each occupied tap is an independent circular complex Gaussian with

@@ -279,7 +279,8 @@ def afb(r, proto: PrototypeFilter, points) -> np.ndarray:
 FIRST_ORDER_OFFSETS = ((-1, 0), (1, 0), (-1, 1), (1, 1), (0, 1))
 
 
-def first_order_neighbours(tones, n_cols: int, proto: PrototypeFilter) -> tuple:
+def first_order_neighbours(tones, n_cols: int,
+                           proto: PrototypeFilter) -> tuple:
     """First-order neighbourhood of the pilots (p, 0) at the given tones.
 
     Returns (m, n, w), each of shape (len(tones), J): the grid position

@@ -32,7 +32,8 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from mcpreamble import preset, preset_names, run_experiment, write_csv  # noqa: E402
+from mcpreamble import (  # noqa: E402
+    preset, preset_names, run_experiment, write_csv)
 from mcpreamble.cli import main  # noqa: E402
 
 RUN = dict(n_channels=3, n_noise=2, seed=7)
@@ -72,8 +73,10 @@ def outputs() -> dict:
         out[f"paper-{name}.csv"] = partial(preset_csv, name, "paper")
     for path in sorted((ROOT / "demos").glob("*.py")):
         out[f"demo-{path.stem}.txt"] = partial(_demo, path)
-    out["verify.txt"] = partial(_printed, lambda: main(["verify", "--trials", "2000"]))
-    out["design.txt"] = partial(_printed, lambda: main(["design", "--M", "32", "--L-h", "4"]))
+    out["verify.txt"] = partial(
+        _printed, lambda: main(["verify", "--trials", "2000"]))
+    out["design.txt"] = partial(
+        _printed, lambda: main(["design", "--M", "32", "--L-h", "4"]))
     return out
 
 

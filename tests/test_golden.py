@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-_spec = importlib.util.spec_from_file_location("regenerate", GOLDEN / "regenerate.py")
+_spec = importlib.util.spec_from_file_location("regenerate",
+                                              GOLDEN / "regenerate.py")
 regenerate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(regenerate)
 
@@ -37,9 +38,10 @@ def mismatches(got: str, want: str) -> list:
         return [f"{len(got_lines)} lines, want {len(want_lines)}"]
     bad = []
     for k, (g, w) in enumerate(zip(got_lines, want_lines)):
+        nums_g, nums_w = NUMBER.findall(g), NUMBER.findall(w)
         same = (NUMBER.split(g) == NUMBER.split(w)
-                and len(NUMBER.findall(g)) == len(NUMBER.findall(w))
-                and all(map(_same_number, NUMBER.findall(g), NUMBER.findall(w))))
+                and len(nums_g) == len(nums_w)
+                and all(map(_same_number, nums_g, nums_w)))
         if not same:
             bad.append(f"line {k + 1}: {g!r} != {w!r}")
     return bad

@@ -229,7 +229,8 @@ def test_first_order_neighbourhood_wraps_tones_and_keeps_literal_offsets(
         assert got == {((p + dm) % small.M, dn) for dm in (-1, 0, 1)
                        for dn in (0, 1)} - {(p, 0)}
         for k in range(5):
-            assert w[i, k] == small_proto.weight(int(m[i, k]) - p, int(n[i, k]))
+            lit = int(m[i, k]) - p
+            assert w[i, k] == small_proto.weight(lit, int(n[i, k]))
     # the help pilot (p, 1) comes last; a one-column grid has only (p +/- 1, 0)
     assert np.array_equal(m[:, -1], tones) and np.all(n[:, -1] == 1)
     m1, n1, w1 = first_order_neighbours(tones, 1, small_proto)

@@ -165,8 +165,9 @@ def test_sparse_data_scenarios_layout(desk, proto):
 
 
 def _helper_ratio(scenario, cfg, proto):
-    """zeta = E[helper^2] / E_x, as the declared energy N*E_x*(1 + zeta) holds it."""
-    return make_sparse_data(scenario, cfg.E, 0, cfg, proto).E_train / cfg.E - 1.0
+    """zeta = E[helper^2] / E_x, read from E_train = N*E_x*(1 + zeta)."""
+    p = make_sparse_data(scenario, cfg.E, 0, cfg, proto)
+    return p.E_train / cfg.E - 1.0
 
 
 def test_sparse_data_helper_energy_ratio(desk, proto):
