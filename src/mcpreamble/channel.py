@@ -15,6 +15,7 @@ satisfies E||H||^2 = M.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -69,9 +70,15 @@ def sample_profile(L_h: int, delays_ns=None, powers_db=None) -> TapProfile:
     ts = delays.max() / last
     pos = np.round(delays / ts).astype(np.int64)
     lin = 10.0 ** (powers / 10.0)
-    taps = np.unique(pos)
+    taps = np.array(sorted(set(pos.tolist())), dtype=np.int64)
     merged = np.array([lin[pos == t].sum() for t in taps])
     return TapProfile(taps=taps, powers=merged)
+
+
+@lru_cache(maxsize=None)
+def _veh_a_profile(L_h: int) -> TapProfile:
+    """The default Vehicular A profile for L_h, built once per length."""
+    return sample_profile(L_h)
 
 
 def gen_veh_a(seed, config: SystemConfig,
@@ -83,7 +90,7 @@ def gen_veh_a(seed, config: SystemConfig,
     seed is anything accepted by numpy.random.default_rng.
     """
     if profile is None:
-        profile = sample_profile(config.L_h)
+        profile = _veh_a_profile(config.L_h)
     if profile.n_taps > config.L_h:
         raise ValueError("profile longer than L_h")
     rng = np.random.default_rng(seed)

@@ -25,13 +25,12 @@ deliberately matches per-pilot gain instead.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .analysis import closed_form_mse, expected_error_floor, tpr
+from .analysis import closed_form_mse, floor_map, tpr
 from .channel import awgn, cfr_from_cir, ebn0_to_sigma2, gen_veh_a, propagate
 from .config import SystemConfig
 from .cpofdm import demodulate, modulate
@@ -107,7 +106,9 @@ class _CurveRuntime:
 
     `preamble` is scaled to the curve's power: the static preamble, or
     draw 0 of a data-sharing layout, whose layout (not data values) sets
-    the floor and the closed form.  Every draw shares the pilot points.
+    the floor and the closed form.  `floor` is that layout's expected
+    error floor as a function of the channel's CFR (analysis.floor_map).
+    Every draw shares the pilot points.
     """
 
     def __init__(self, spec: CurveSpec, cfg: ExperimentConfig,
@@ -140,6 +141,7 @@ class _CurveRuntime:
         if ref is not None and spec.equalize:
             self.scale = float(np.sqrt(tpr(ref.preamble, base)))
         self.preamble = self._scaled(base)
+        self.floor = floor_map(self.preamble, sc)
         self.pilot_idx = base.pilot_idx
         self.points = np.stack([self.pilot_idx, 0 * self.pilot_idx], axis=1)
         self.tx = None if self.make else self.synthesize(self.preamble)
@@ -186,8 +188,7 @@ def _run_channel(args) -> tuple:
     e_sym = cfg.E / sc.M
     sig = np.sqrt([ebn0_to_sigma2(g, e_sym) for g in cfg.ebn0_db])[:, None]
 
-    floors = np.array([expected_error_floor(rt.preamble, h, sc)
-                       for rt in runtimes]) / norm_h2
+    floors = np.array([rt.floor(H) for rt in runtimes]) / norm_h2
     ratios = np.zeros((len(runtimes), len(sig)))
     a = [None] * len(runtimes)
     for t in range(cfg.n_noise):
@@ -223,6 +224,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[MseCurve]:
         raise ValueError(f"workers must be >= 1, got {cfg.workers}")
     jobs = [(cfg, c) for c in range(cfg.n_channels)]
     if cfg.workers > 1:
+        # imported here: it pulls in multiprocessing, which a serial run
+        # never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as ex:
             per_channel = list(ex.map(_run_channel, jobs))
     else:

@@ -268,9 +268,9 @@ def afb(r, proto: PrototypeFilter, points) -> np.ndarray:
     r = np.asarray(r, dtype=complex).reshape(-1)
     pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
     out = np.empty(len(pts), dtype=complex)
-    for n in np.unique(pts[:, 1]):
+    for n in sorted(set(pts[:, 1].tolist())):
         at = pts[:, 1] == n
-        out[at] = afb_column(r, proto, int(n))[pts[at, 0]]
+        out[at] = afb_column(r, proto, n)[pts[at, 0]]
     return out
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcpreamble import (
     SystemConfig,
@@ -16,6 +18,7 @@ from mcpreamble import (
     error_floor,
     estimate_from_pilots,
     expected_error_floor,
+    floor_map,
     gen_veh_a,
     genie_mse,
     make_equal_comb,
@@ -203,6 +206,39 @@ def test_expected_error_floor_matches_loop_definition(desk, proto, scenario):
     if scenario == "oqam-1b":
         # guarded pilots: exactly zero up to roundoff of the O(1) terms
         assert got < 1e-20 * desk.M and want < 1e-20 * desk.M
+    else:
+        assert abs(got - want) <= 1e-12 * want
+
+
+@st.composite
+def data_layouts(draw):
+    """(config, pulse, scenario): M = 2^4..2^7, every valid L_h, K = 1..5.
+
+    The one-column layouts also take the pulse cut to M + L_h - 1, which
+    the helped ones reject.
+    """
+    M = 2 ** draw(st.integers(4, 7))
+    L_h = 2 ** draw(st.integers(1, int(np.log2(M)) - 1))
+    K = draw(st.integers(1, 5))
+    scenario = draw(st.sampled_from(["oqam-1a", "oqam-1b", "oqam-2", "oqam-3"]))
+    cfg = SystemConfig(M=M, L_h=L_h, K=K, E=float(M))
+    proto = design_prototype(M, K)
+    if K > 1 and scenario in ("oqam-1a", "oqam-1b") and draw(st.booleans()):
+        proto = truncate_prototype(proto, M + L_h - 1)
+    return cfg, proto, scenario
+
+
+@settings(max_examples=40, deadline=None)
+@given(data_layouts(), st.integers(0, 2 ** 32 - 1))
+def test_floor_map_matches_loop_definition(layout, seed):
+    cfg, proto, scenario = layout
+    p = make_sparse_data(scenario, cfg.E, seed, cfg, proto)
+    h = gen_veh_a(seed, cfg)
+    got = floor_map(p, cfg)(cfr_from_cir(h, cfg.M))
+    want = _loop_expected_floor(p, h, cfg)
+    if scenario == "oqam-1b" and proto.K is not None:
+        # guarded pilots of a designed pulse: zero up to roundoff
+        assert got < 1e-20 * cfg.M and want < 1e-20 * cfg.M
     else:
         assert abs(got - want) <= 1e-12 * want
 

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ from mcpreamble import (
     demodulate,
     ebn0_to_sigma2,
     estimate_from_pilots,
+    floor_map,
     gen_veh_a,
     harness,
     preset,
@@ -223,3 +227,39 @@ def test_ebn0_grid_does_not_change_a_point():
     for a, b in zip(run_experiment(grid), run_experiment(alone)):
         assert a.nmse[1] == b.nmse[0]
         assert a.stderr_db[1] == b.stderr_db[0]
+
+
+def test_floor_map_is_built_once_per_curve(monkeypatch):
+    # the layout's map is built with the curve; each channel only
+    # contracts it with its CFR
+    built = []
+
+    def counted(preamble, config):
+        built.append(preamble)
+        return floor_map(preamble, config)
+
+    monkeypatch.setattr(harness, "floor_map", counted)
+    harness._runtimes.cache_clear()
+    cfg = preset("fig6", scale="desk", n_channels=3, n_noise=2)
+    run_experiment(cfg)
+    assert len(built) == len(cfg.curves)
+
+
+def test_serial_run_imports_neither_numpy_ma_nor_multiprocessing(tmp_path):
+    # numpy.ma (behind np.unique) and multiprocessing (behind the process
+    # pool) cost a serial run tens of milliseconds of imports
+    script = (
+        "import sys\n"
+        "from mcpreamble import preset, run_experiment, write_csv\n"
+        "for name in ('fig3', 'fig6'):\n"
+        "    cfg = preset(name, scale='desk', n_channels=2, n_noise=1)\n"
+        f"    write_csv(run_experiment(cfg), {str(tmp_path / 'out.csv')!r}, name)\n"
+        "print(sorted(m for m in ('numpy.ma', 'multiprocessing')\n"
+        "             if m in sys.modules))\n"
+    )
+    src = Path(harness.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
