@@ -54,12 +54,17 @@ def modulate(x, config: SystemConfig) -> CpOfdmFrame:
 
 
 def demodulate(r, config: SystemConfig) -> np.ndarray:
-    """Drop the prefix and apply the scaled DFT: y = F r[nu:nu+M] / sqrt(M)."""
-    r = np.asarray(r, dtype=complex).reshape(-1)
+    """Drop the prefix and apply the scaled DFT: y = F r[nu:nu+M] / sqrt(M).
+
+    r is (..., L) with the samples along the last axis; the result is
+    (..., M), one symbol per row.
+    """
+    r = np.asarray(r, dtype=complex)
     M, nu = config.M, config.nu
-    if len(r) < nu + M:
-        raise ValueError(f"need at least nu+M={nu + M} samples, got {len(r)}")
-    return np.fft.fft(r[nu:nu + M]) / np.sqrt(M)
+    if r.shape[-1] < nu + M:
+        raise ValueError(f"need at least nu+M={nu + M} samples, "
+                         f"got {r.shape[-1]}")
+    return np.fft.fft(r[..., nu:nu + M], axis=-1) / np.sqrt(M)
 
 
 def cp_energy(x, config: SystemConfig) -> float:

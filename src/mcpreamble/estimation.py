@@ -33,16 +33,22 @@ def estimate_from_pilots(
 
     mode "raw" keeps the per-tone ratios; "projected" fits an L_h-tap
     response through them (cfr_samples_to_cir) and returns its DFT.
+    y is (..., N), one measurement per pilot along the last axis, and the
+    estimate (..., M): a stack of measurement sets gives one estimate per
+    row, each exactly the row's own.
     """
-    y = np.asarray(y, dtype=complex).reshape(-1)
+    y = np.asarray(y, dtype=complex)
     N = preamble.n_pilots
     _check_mode(mode, N, config.M)
-    if len(y) != N:
-        raise ValueError(f"expected {N} pilot measurements, got {len(y)}")
+    if y.shape[-1:] != (N,):
+        raise ValueError(f"expected {N} pilot measurements, "
+                         f"got {y.shape[-1] if y.ndim else 1}")
     if np.any(preamble.divisors == 0):
         raise ValueError("preamble has a zero divisor")
     ratios = y / preamble.divisors
     if mode == "raw":
         return ratios
-    h_hat = cfr_samples_to_cir(ratios, config.M, preamble.pilot_idx, config.L_h)
-    return np.fft.fft(h_hat, n=config.M)
+    # cfr_samples_to_cir takes one sample set per column
+    h_hat = cfr_samples_to_cir(ratios.T, config.M, preamble.pilot_idx,
+                               config.L_h)
+    return np.fft.fft(h_hat.T, n=config.M, axis=-1)

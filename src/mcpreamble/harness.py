@@ -5,11 +5,14 @@ over an Eb/N0 grid against a common set of channel realizations.  All
 randomness derives from one master seed through named SeedSequence
 branches: the channel per index c, and the data and the noise per
 (channel, draw) pair.  One noise draw serves every Eb/N0 point: the LS
-estimate is linear in the received samples, so a trial is one noiseless
-pass plus one pass of unit noise scaled to each point.  Channel and noise
-are shared between the curves of an experiment too (the first n noise
-samples of a seed do not depend on n), so compared curves differ only
-through their preambles and estimators.
+estimate is linear in the received samples, so a trial's error is the
+noiseless error plus the unit-noise error scaled to each point.  A
+curve's draws on one channel go through receive and estimation as one
+stack (in blocks of about 1 MB of noise), and each draw reduces to three
+sums from which every point follows.  Channel and noise are shared
+between the curves of an experiment too (the first n noise samples of a
+seed do not depend on n), so compared curves differ only through their
+preambles and estimators.
 
 Results aggregate per channel first (mean over noise draws of
 ||H_hat - H||^2 / ||H||^2), then over channels; the reported standard
@@ -108,7 +111,8 @@ class _CurveRuntime:
     draw 0 of a data-sharing layout, whose layout (not data values) sets
     the floor and the closed form.  `floor` is that layout's expected
     error floor as a function of the channel's CFR (analysis.floor_map).
-    Every draw shares the pilot points.
+    Every draw shares the pilot points and divisors, so one estimate
+    serves a stack of draws; `n_rx` is the length of a received window.
     """
 
     def __init__(self, spec: CurveSpec, cfg: ExperimentConfig,
@@ -118,7 +122,7 @@ class _CurveRuntime:
         if spec.system == "cpofdm":
             self.proto = None
             self.synthesize = lambda p: modulate(p.symbols, sc).s
-            self.receive = lambda r: demodulate(r, sc)[self.pilot_idx]
+            self.receive = lambda r: demodulate(r, sc)[..., self.pilot_idx]
         else:
             proto = design_prototype(sc.M, sc.K)
             if spec.truncate_to is not None:
@@ -144,21 +148,31 @@ class _CurveRuntime:
         self.floor = floor_map(self.preamble, sc)
         self.pilot_idx = base.pilot_idx
         self.points = np.stack([self.pilot_idx, 0 * self.pilot_idx], axis=1)
-        self.tx = None if self.make else self.synthesize(self.preamble)
+        tx = self.synthesize(self.preamble)
+        self.n_rx = len(tx) + sc.L_h - 1
+        self.tx = None if self.make else tx
 
-    def estimate(self, r, p) -> np.ndarray:
-        """Channel estimate over all M tones from receive samples r."""
-        return estimate_from_pilots(self.receive(r), p, self.sc,
+    def estimate(self, r) -> np.ndarray:
+        """Channel estimates over all M tones from (..., n_rx) samples r."""
+        return estimate_from_pilots(self.receive(r), self.preamble, self.sc,
                                     mode=self.spec.estimator)
 
     def _scaled(self, p):
         return p if self.scale == 1.0 else p.scaled(self.scale)
 
     def draw(self, seed: int, c: int, t: int) -> tuple:
-        """Preamble and transmit samples of noise draw t on channel c."""
+        """Preamble and transmit samples of noise draw t on channel c.
+
+        A draw that moves the pilots or their divisors raises ValueError:
+        the draws of a curve share one estimate.
+        """
         if self.make is None:
             return self.preamble, self.tx
         p = self._scaled(self.make(np.random.SeedSequence([seed, _TAG_DATA, c, t])))
+        if not (np.array_equal(p.pilot_idx, self.pilot_idx)
+                and np.array_equal(p.divisors, self.preamble.divisors)):
+            raise ValueError(f"draw {t} of curve {self.spec.label!r} changes "
+                             "its pilots or divisors")
         return p, self.synthesize(p)
 
 
@@ -169,15 +183,24 @@ def _runtimes(cfg: ExperimentConfig) -> list[_CurveRuntime]:
     return [ref] + [_CurveRuntime(spec, cfg, ref) for spec in cfg.curves[1:]]
 
 
+# Unit-noise samples per block of draws (complex128, so about 1 MB): a
+# block holds as many draws as fit, and at least one.
+_BLOCK_SAMPLES = 1 << 16
+
+
 def _run_channel(args) -> tuple:
     """All trials of one channel: per-curve, per-SNR mean NMSE ratios.
 
     The estimate is linear in the received samples, so the error of draw t
     at noise level sigma is a + sigma * e: a from the noiseless pass (once
-    per curve for a static preamble, once per draw otherwise), e from one
-    pass of unit noise per draw, and every Eb/N0 point at once.  The unit
-    noise of draw t is drawn once, at the longest window, and each curve
-    reads its own prefix of it.
+    per curve for a static preamble, once per draw otherwise), e from the
+    unit-noise pass.  Each draw reduces to sum |a|^2, sum Re(conj(a) e)
+    and sum |e|^2; their totals over the draws give every Eb/N0 point.
+    The unit noise of draw t is drawn once, at the longest window, and
+    each curve reads its own prefix of it.  Draws go through in blocks of
+    about _BLOCK_SAMPLES noise samples, a block in one receive and one
+    estimate call per curve (two for a preamble redrawn per draw); no
+    row's result depends on its block.
     """
     cfg, c = args
     sc = cfg.system
@@ -186,30 +209,47 @@ def _run_channel(args) -> tuple:
     H = cfr_from_cir(h, sc.M)
     norm_h2 = float(np.sum(np.abs(H) ** 2))
     e_sym = cfg.E / sc.M
-    sig = np.sqrt([ebn0_to_sigma2(g, e_sym) for g in cfg.ebn0_db])[:, None]
+    sigma2 = np.array([ebn0_to_sigma2(g, e_sym) for g in cfg.ebn0_db])
 
     floors = np.array([rt.floor(H) for rt in runtimes]) / norm_h2
-    ratios = np.zeros((len(runtimes), len(sig)))
-    a = [None] * len(runtimes)
-    for t in range(cfg.n_noise):
-        draws = [rt.draw(cfg.seed, c, t) for rt in runtimes]
-        w = awgn(max(len(s) for _, s in draws) + sc.L_h - 1,
-                 np.random.SeedSequence([cfg.seed, _TAG_NOISE, c, t]))
-        for i, (rt, (p, s)) in enumerate(zip(runtimes, draws)):
-            if t == 0 or rt.make is not None:
-                a[i] = rt.estimate(propagate(s, h, 0.0, None), p) - H
-            e = rt.estimate(w[:len(s) + sc.L_h - 1], p)
-            ratios[i] += np.sum(np.abs(a[i] + sig * e) ** 2, axis=1) / norm_h2
-    ratios /= cfg.n_noise
+    n_win = max(rt.n_rx for rt in runtimes)
+    block = max(1, _BLOCK_SAMPLES // n_win)
+    # sum |a|^2, sum Re(conj(a) e), sum |e|^2 per curve and draw
+    sums = np.zeros((3, len(runtimes), cfg.n_noise))
+    a = [None if rt.make else rt.estimate(propagate(rt.tx, h, 0.0, None)) - H
+         for rt in runtimes]
+    for lo in range(0, cfg.n_noise, block):
+        hi = min(lo + block, cfg.n_noise)
+        ts = range(lo, hi)
+        w = np.empty((len(ts), n_win), dtype=complex)
+        for j, t in enumerate(ts):
+            w[j] = awgn(n_win, np.random.SeedSequence([cfg.seed, _TAG_NOISE, c, t]))
+        for i, rt in enumerate(runtimes):
+            if rt.make is not None:
+                r = np.empty((len(ts), rt.n_rx), dtype=complex)
+                for j, t in enumerate(ts):
+                    r[j] = propagate(rt.draw(cfg.seed, c, t)[1], h, 0.0, None)
+                a[i] = rt.estimate(r) - H
+            e = rt.estimate(w[:, :rt.n_rx])
+            sums[0, i, lo:hi] = np.sum(np.abs(a[i]) ** 2, axis=-1)
+            sums[1, i, lo:hi] = np.sum((a[i].conj() * e).real, axis=-1)
+            sums[2, i, lo:hi] = np.sum(np.abs(e) ** 2, axis=-1)
+    aa, ae, ee = sums.sum(axis=-1)[..., None]
+    sig = np.sqrt(sigma2)
+    ratios = (aa + 2.0 * sig * ae + sigma2 * ee) / (norm_h2 * cfg.n_noise)
     return ratios, floors, 1.0 / norm_h2
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[MseCurve]:
     """Run all curves of an experiment and aggregate across channels.
 
-    Bad dimensions or counts, and Eb/N0 points whose noise variance is
-    not positive and finite, raise ValueError before any work is done.
+    Bad dimensions, counts or seeds, and Eb/N0 points whose noise
+    variance is not positive and finite, raise ValueError before any work
+    is done.
     """
+    if (isinstance(cfg.seed, bool) or not isinstance(cfg.seed, (int, np.integer))
+            or cfg.seed < 0):
+        raise ValueError(f"seed must be a non-negative integer, got {cfg.seed!r}")
     sc = cfg.system
     if cfg.n_channels < 2:
         raise ValueError("n_channels must be >= 2 (the standard error is "

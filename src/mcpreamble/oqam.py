@@ -106,9 +106,7 @@ class PrototypeFilter:
             valid = (src >= 0) & (src < L_g)
             w = np.zeros(L_g)
             w[valid] = self.g[src[valid]] * self.g[l[valid]]
-            folded = np.zeros(M, dtype=complex)
-            np.add.at(folded, l % M, w)
-            self._fold_fft[dn] = M * np.fft.ifft(folded)
+            self._fold_fft[dn] = M * np.fft.ifft(_fold(w, 0, M))
         return self._fold_fft[dn]
 
     def weight(self, dm: int, dn: int, pilot_col: int = 0) -> complex:
@@ -232,45 +230,62 @@ def sfb(x: np.ndarray, proto: PrototypeFilter) -> np.ndarray:
     return s
 
 
+def _fold(w: np.ndarray, start: int, M: int) -> np.ndarray:
+    """Sum w[..., l] into bin (start + l) mod M, along the last axis.
+
+    The samples are zero-padded to a whole number of M-blocks (a cut
+    pulse's L_g need not be a multiple of M), summed block by block and
+    rotated by start mod M.
+    """
+    pad = -w.shape[-1] % M
+    if pad:
+        w = np.concatenate([w, np.zeros(w.shape[:-1] + (pad,), w.dtype)],
+                           axis=-1)
+    folded = w.reshape(w.shape[:-1] + (-1, M)).sum(axis=-2)
+    return np.roll(folded, start % M, axis=-1) if start % M else folded
+
+
 def _fold_column(r: np.ndarray, proto: PrototypeFilter, n: int) -> np.ndarray:
-    """Pulse-windowed receive samples of column n folded modulo M."""
-    M, L_g, half = proto.M, proto.L_g, proto.M // 2
-    start = n * half
-    if start < 0 or start + L_g > len(r):
+    """Pulse-windowed receive samples of column n folded modulo M.
+
+    r holds the samples along its last axis; leading axes are kept.
+    """
+    start = n * (proto.M // 2)
+    if start < 0 or start + proto.L_g > r.shape[-1]:
         raise ValueError(
-            f"column {n} needs samples {start}..{start + L_g - 1}, "
-            f"got {len(r)} samples"
+            f"column {n} needs samples {start}..{start + proto.L_g - 1}, "
+            f"got {r.shape[-1]} samples"
         )
-    w = r[start:start + L_g] * proto.g
-    folded = np.zeros(M, dtype=complex)
-    np.add.at(folded, (start + np.arange(L_g)) % M, w)
-    return folded
+    return _fold(r[..., start:start + proto.L_g] * proto.g, start, proto.M)
 
 
 def afb_column(r, proto: PrototypeFilter, n: int) -> np.ndarray:
     """All M analysis outputs of column n:  y_p = <r, g'_{p,n}>.
 
     Folding the windowed samples modulo M turns the projection into one
-    M-point DFT plus the center-phase rerotation.
+    M-point DFT plus the center-phase rerotation.  r is (..., L): the
+    samples lie along the last axis and the result is (..., M), each row
+    exactly the row's own result.
     """
-    r = np.asarray(r, dtype=complex).reshape(-1)
+    r = np.asarray(r, dtype=complex)
     folded = _fold_column(r, proto, n)
     rerot = np.exp(2j * np.pi * np.arange(proto.M) * proto.center / proto.M)
-    return np.fft.fft(folded) * rerot
+    return np.fft.fft(folded, axis=-1) * rerot
 
 
 def afb(r, proto: PrototypeFilter, points) -> np.ndarray:
     """Analysis filter bank outputs at the given (m, n) grid points.
 
     points is anything that converts to an (N, 2) integer array; each
-    distinct column n takes one afb_column pass.
+    distinct column n takes one afb_column pass.  r is (..., L) and the
+    result (..., N): a stack of receive windows gives a stack of outputs.
     """
-    r = np.asarray(r, dtype=complex).reshape(-1)
+    r = np.asarray(r, dtype=complex)
     pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
-    out = np.empty(len(pts), dtype=complex)
+    out = np.empty(r.shape[:-1] + (len(pts),), dtype=complex)
     for n in sorted(set(pts[:, 1].tolist())):
         at = pts[:, 1] == n
-        out[at] = afb_column(r, proto, n)[pts[at, 0]]
+        out[..., at] = afb_column(r, proto, n)[..., pts[at, 0]]
     return out
 
 

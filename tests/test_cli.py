@@ -25,9 +25,10 @@ def test_run_requires_preset(capsys):
 @pytest.mark.parametrize("bad", [
     ["--n-noise", "0"], ["--n-channels", "1"], ["--workers", "0"],
     ["--ebn0", ","], ["--M", "100"], ["--ebn0", "nan"], ["--ebn0", "0,inf"],
-    ["--E", "inf"], ["--ebn0", "4000"], ["--ebn0", "-4000"],
+    ["--E", "inf"], ["--ebn0", "4000"], ["--ebn0", "-4000"], ["--seed", "-1"],
 ], ids=["n-noise=0", "n-channels=1", "workers=0", "empty-ebn0", "M=100",
-        "nan-ebn0", "inf-ebn0", "inf-E", "ebn0=4000", "ebn0=-4000"])
+        "nan-ebn0", "inf-ebn0", "inf-E", "ebn0=4000", "ebn0=-4000",
+        "seed=-1"])
 def test_run_rejects_bad_options(tmp_path, capsys, bad):
     out = tmp_path / "bad.csv"
     rc = main(["run", "--preset", "fig1a", "--n-channels", "2",
@@ -36,6 +37,8 @@ def test_run_rejects_bad_options(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+    if bad[0] == "--seed":
+        assert "seed" in err
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from mcpreamble import (
     SystemConfig,
@@ -18,6 +19,19 @@ def test_frame_layout_and_roundtrip():
     assert len(frame.s) == cfg.M + cfg.nu
     assert np.array_equal(frame.s[: cfg.nu], frame.s[cfg.M:])
     assert np.max(np.abs(demodulate(frame.s, cfg) - x)) < 1e-12 * np.max(np.abs(x))
+
+
+def test_demodulate_takes_a_stack_of_windows():
+    cfg = SystemConfig(M=64, L_h=8)
+    rng = np.random.default_rng(6)
+    n = cfg.M + cfg.nu + cfg.L_h - 1
+    r = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+    y = demodulate(r, cfg)
+    assert y.shape == (4, cfg.M)
+    for t in range(4):
+        assert np.array_equal(y[t], demodulate(r[t], cfg))
+    with pytest.raises(ValueError, match=r"need at least nu\+M"):
+        demodulate(r[:, : cfg.M + cfg.nu - 1], cfg)
 
 
 def test_unitary_scaling():

@@ -64,6 +64,21 @@ def test_estimator_has_two_explicit_modes(desk):
             closed_form_mse(p, 1.0, desk, mode="auto")
 
 
+@pytest.mark.parametrize("mode", ["raw", "projected"])
+def test_estimate_takes_a_stack_of_measurements(desk, mode):
+    full = make_equal_comb(desk.M, 0, desk.E, desk)
+    rng = np.random.default_rng(7)
+    y = rng.standard_normal((6, desk.M)) + 1j * rng.standard_normal((6, desk.M))
+    H_hat = estimate_from_pilots(y, full, desk, mode=mode)
+    assert H_hat.shape == (6, desk.M)
+    for t in range(6):
+        assert np.array_equal(H_hat[t], estimate_from_pilots(y[t], full, desk,
+                                                             mode=mode))
+    with pytest.raises(ValueError, match=f"expected {desk.M} pilot "
+                                         f"measurements, got {desk.M - 1}"):
+        estimate_from_pilots(y[:, 1:], full, desk, mode=mode)
+
+
 def test_raw_estimate_is_plain_division(desk):
     full = make_equal_comb(desk.M, 0, desk.E, desk)
     rng = np.random.default_rng(3)

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from mcpreamble import (
     floor_map,
     gen_veh_a,
     harness,
+    make_sparse_data,
     preset,
     preset_names,
     propagate,
@@ -93,6 +95,74 @@ def test_noise_is_drawn_once_per_channel_and_draw(monkeypatch, name):
     assert len(calls) == 6
 
 
+@pytest.mark.parametrize("name", ["fig4b", "fig3"])
+def test_chain_calls_do_not_grow_with_the_draws(monkeypatch, name):
+    # a curve's draws go through one receive and one estimate as a stack
+    counts = []
+    for n_noise in (2, 12):
+        calls = []
+        for fn in ("afb", "demodulate", "estimate_from_pilots"):
+            def counted(*args, _fn=getattr(harness, fn), **kwargs):
+                calls.append(_fn)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(harness, fn, counted)
+        run_experiment(preset(name, scale="desk", n_channels=2,
+                              n_noise=n_noise))
+        monkeypatch.undo()
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig4b", "fig6", "fig8a"])
+def test_output_does_not_depend_on_the_block_size(monkeypatch, tmp_path, name):
+    cfg = preset(name, scale="desk", n_channels=3, n_noise=5)
+    n_win = max(rt.n_rx for rt in harness._runtimes(cfg))
+    paths = []
+    # the default (one block), one draw per block, and two per block with
+    # a shorter last block
+    for k, samples in enumerate((None, 1, 2 * n_win)):
+        if samples is not None:
+            monkeypatch.setattr(harness, "_BLOCK_SAMPLES", samples)
+        paths.append(tmp_path / f"{k}.csv")
+        write_csv(run_experiment(cfg), paths[-1], cfg.name)
+    assert read_bytes(paths[0]) == read_bytes(paths[1]) == read_bytes(paths[2])
+
+
+def test_draws_go_through_in_blocks_of_bounded_memory():
+    # paper fig6 at 40 draws: a window of 4,639 samples makes blocks of
+    # 14 draws.  All 40 at once peaked at about 10.7 MiB (numpy 2.4),
+    # blocked at about 3.8 MiB.
+    cfg = preset("fig6", scale="paper", n_channels=2, n_noise=40)
+    harness._runtimes(cfg)
+    tracemalloc.start()
+    try:
+        harness._run_channel((cfg, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
+
+
+def test_a_draw_must_keep_the_pilots_and_divisors(monkeypatch):
+    # the draws of a curve share one estimate, so a draw that moved its
+    # divisors would be estimated against the layout's
+    made = []
+
+    def moved(*args, **kwargs):
+        p = make_sparse_data(*args, **kwargs)
+        made.append(p)
+        # the first is the curve's layout, built with its runtime
+        return p if len(made) == 1 else dataclasses.replace(
+            p, divisors=p.divisors * 1.5)
+
+    harness._runtimes.cache_clear()
+    monkeypatch.setattr(harness, "make_sparse_data", moved)
+    with pytest.raises(ValueError, match="changes its pilots or divisors"):
+        run_experiment(preset("fig3", scale="desk", n_channels=2, n_noise=2))
+    harness._runtimes.cache_clear()
+
+
 def test_seed_changes_output(tmp_path):
     c1 = preset("fig1a", scale="desk", **SMALL)
     c2 = preset("fig1a", scale="desk", seed=43, **SMALL)
@@ -156,9 +226,11 @@ def test_experiment_config_system():
     dict(n_channels=1), dict(n_noise=0), dict(ebn0_db=()), dict(workers=0),
     dict(M=100), dict(ebn0_db=(float("nan"),)), dict(ebn0_db=(0.0, np.inf)),
     dict(ebn0_db=(-np.inf, 10.0)), dict(ebn0_db=(0.0, 4000.0)),
-    dict(ebn0_db=(-4000.0, 0.0)),
+    dict(ebn0_db=(-4000.0, 0.0)), dict(seed=-1), dict(seed=1.5),
+    dict(seed=True),
 ], ids=["n_channels=1", "n_noise=0", "empty_ebn0", "workers=0", "M=100",
-        "nan_ebn0", "inf_ebn0", "-inf_ebn0", "ebn0=4000", "ebn0=-4000"])
+        "nan_ebn0", "inf_ebn0", "-inf_ebn0", "ebn0=4000", "ebn0=-4000",
+        "seed=-1", "seed=1.5", "seed=True"])
 def test_run_experiment_rejects_bad_inputs_before_any_work(monkeypatch, bad):
     def work(args):
         raise AssertionError("a channel ran")
@@ -178,12 +250,14 @@ def test_prediction_is_linear_in_sigma2(name):
         assert np.max(np.abs(gain / gain[0] - 1.0)) < 1e-12
 
 
-# static OQAM preambles, CP-OFDM data redrawn per draw, OQAM help pilots
-@pytest.mark.parametrize("name", ["fig4b", "fig3", "fig6"])
+# static OQAM preambles, CP-OFDM data redrawn per draw, OQAM help pilots,
+# and the odd pulse cut, whose fold runs through the zero padding
+@pytest.mark.parametrize("name", ["fig4b", "fig3", "fig6", "fig8a"])
 def test_superposed_trials_match_chain_loop(name):
     # the harness adds the noiseless error and sigma times the unit-noise
-    # response; the loop runs the whole chain at every point instead.
-    # Two draws, so a preamble redrawn per draw needs its own noiseless pass.
+    # response over a stack of draws; the loop runs the whole chain at
+    # every point and draw instead.  Two draws, so a preamble redrawn per
+    # draw needs its own noiseless pass.
     cfg = preset(name, scale="desk", n_channels=2, n_noise=2)
     sc = cfg.system
     for c in (0, 1):

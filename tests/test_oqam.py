@@ -14,6 +14,7 @@ from mcpreamble import (
     sfb,
     truncate_prototype,
 )
+from mcpreamble.oqam import _fold_column
 
 # frequency-sampling designs, frozen from the closed-form coefficients
 BETA = {1: 0.0, 2: 0.25, 3: 0.25000000098, 4: 0.23927669486587827,
@@ -161,6 +162,41 @@ def test_afb_gathers_mixed_points_per_column(small, small_proto):
     expect = np.array([cols[n][m] for m, n in pts])
     assert np.array_equal(afb(r, small_proto, pts), expect)
     assert np.array_equal(afb(r, small_proto, np.array(pts)), expect)
+
+
+@pytest.mark.parametrize("cut", ["designed", "odd"])
+def test_fold_equals_add_at_reference(desk, proto, cut):
+    # the odd M + L_h - 1 cut is not a multiple of M long, so its fold
+    # runs through the zero padding
+    g = proto if cut == "designed" else truncate_prototype(
+        proto, desk.M + desk.L_h - 1)
+    rng = np.random.default_rng(13)
+    span = desk.M // 2 + g.L_g
+    r = rng.standard_normal(span) + 1j * rng.standard_normal(span)
+    for n in (0, 1):
+        start = n * desk.M // 2
+        want = np.zeros(desk.M, dtype=complex)
+        np.add.at(want, (start + np.arange(g.L_g)) % desk.M,
+                  r[start:start + g.L_g] * g.g)
+        assert np.array_equal(_fold_column(r, g, n), want)
+
+
+def test_filter_bank_takes_a_stack_of_windows(small, small_proto):
+    rng = np.random.default_rng(14)
+    span = small.M // 2 + small_proto.L_g
+    r = rng.standard_normal((5, span)) + 1j * rng.standard_normal((5, span))
+    pts = [(5, 1), (0, 0), (31, 1), (5, 0), (17, 1), (2, 0)]
+    y = afb(r, small_proto, pts)
+    assert y.shape == (5, len(pts))
+    for n in (0, 1):
+        col = afb_column(r, small_proto, n)
+        assert col.shape == (5, small.M)
+        for t in range(5):
+            assert np.array_equal(col[t], afb_column(r[t], small_proto, n))
+    for t in range(5):
+        assert np.array_equal(y[t], afb(r[t], small_proto, pts))
+    with pytest.raises(ValueError, match="column 1 needs samples"):
+        afb(r[:, :-1], small_proto, pts)
 
 
 def test_transmultiplexer_identity(small, small_proto):
