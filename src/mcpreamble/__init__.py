@@ -54,11 +54,14 @@ from .oqam import (
 )
 from .preambles import (
     Preamble,
+    SparseDataLayout,
+    draw_sparse_data,
     load_preamble_values,
     make_equal_comb,
     make_full_equipower_qam,
     make_sparse_data,
     save_preamble,
+    sparse_data_layout,
 )
 
 __version__ = "0.1.0"

@@ -183,7 +183,7 @@ def floor_map(preamble: Preamble, config: SystemConfig):
         return lambda H: float(D @ np.abs(H) ** 2)
     # every pilot P of a two-column grid has a help pilot (P, 1) that
     # carries -w/rho of each first-order data neighbour (see
-    # make_sparse_data); it is solved channel-blind, so it arrives faded
+    # sparse_data_layout); it is solved channel-blind, so it arrives faded
     # by H[P], and reaches pilot i with weight A(P - i, 1): column P of G
     nm, nn, w = first_order_neighbours(idx, n_cols, proto)
     j = np.full((M, n_cols), -1)  # data index of each grid position

@@ -28,28 +28,35 @@ from .config import SystemConfig
 class CpOfdmFrame:
     """Frequency-domain training vector and its time-domain frame."""
 
-    x: np.ndarray   # (M,) frequency symbols
-    s: np.ndarray   # (M + nu,) time samples including the prefix
+    x: np.ndarray   # (..., M) frequency symbols
+    s: np.ndarray   # (..., M + nu) time samples including the prefix
     nu: int
 
     @property
     def useful(self) -> np.ndarray:
         """Time samples after the prefix."""
-        return self.s[self.nu:]
+        return self.s[..., self.nu:]
 
     @property
     def energy(self) -> float:
+        """Energy of the frame, summed over the frames of a stack."""
         return float(np.sum(np.abs(self.s) ** 2))
 
 
 def modulate(x, config: SystemConfig) -> CpOfdmFrame:
-    """IDFT plus cyclic prefix.  u = sqrt(M) * ifft(x) equals F^H x / sqrt(M)."""
-    x = np.asarray(x, dtype=complex).reshape(-1)
+    """IDFT plus cyclic prefix.  u = sqrt(M) * ifft(x) equals F^H x / sqrt(M).
+
+    x is (..., M) with the symbols along the last axis; a stack of symbol
+    vectors gives a stack of frames s (..., M + nu), each row exactly the
+    row's own frame.
+    """
+    x = np.asarray(x, dtype=complex)
     M, nu = config.M, config.nu
-    if len(x) != M:
-        raise ValueError(f"x must have length M={M}, got {len(x)}")
-    u = np.sqrt(M) * np.fft.ifft(x)
-    s = np.concatenate([u[M - nu:], u])
+    if x.shape[-1:] != (M,):
+        raise ValueError(f"x must have length M={M}, "
+                         f"got {x.shape[-1] if x.ndim else 1}")
+    u = np.sqrt(M) * np.fft.ifft(x, axis=-1)
+    s = np.concatenate([u[..., M - nu:], u], axis=-1)
     return CpOfdmFrame(x=x, s=s, nu=nu)
 
 

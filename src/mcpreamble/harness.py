@@ -9,7 +9,9 @@ estimate is linear in the received samples, so a trial's error is the
 noiseless error plus the unit-noise error scaled to each point.  A
 curve's draws on one channel go through receive and estimation as one
 stack (in blocks of about 1 MB of noise), and each draw reduces to three
-sums from which every point follows.  Channel and noise are shared
+sums from which every point follows.  A preamble redrawn per draw is a
+layout built once per curve; a block of its draws is drawn, synthesized
+and propagated as one stack too.  Channel and noise are shared
 between the curves of an experiment too (the first n noise samples of a
 seed do not depend on n), so compared curves differ only through their
 preambles and estimators.
@@ -39,7 +41,7 @@ from .config import SystemConfig
 from .cpofdm import demodulate, modulate
 from .estimation import estimate_from_pilots
 from .oqam import afb, design_prototype, sfb, truncate_prototype
-from .preambles import make_equal_comb, make_sparse_data
+from .preambles import draw_sparse_data, make_equal_comb, sparse_data_layout
 
 # seed branch tags
 _TAG_CHANNEL = 101
@@ -108,11 +110,13 @@ class _CurveRuntime:
     """Per-process expansion of a CurveSpec, with its system picked once.
 
     `preamble` is scaled to the curve's power: the static preamble, or
-    draw 0 of a data-sharing layout, whose layout (not data values) sets
-    the floor and the closed form.  `floor` is that layout's expected
-    error floor as a function of the channel's CFR (analysis.floor_map).
-    Every draw shares the pilot points and divisors, so one estimate
-    serves a stack of draws; `n_rx` is the length of a received window.
+    the layout of a curve whose data is redrawn per draw (`layout`, see
+    sparse_data_layout), whose pilots, divisors and data positions (not
+    data values) set the floor, the closed form and the estimate.
+    `floor` is that layout's expected error floor as a function of the
+    channel's CFR (analysis.floor_map).  Every draw shares the pilot
+    points and divisors, so one estimate serves a stack of draws; `n_rx`
+    is the length of a received window.
     """
 
     def __init__(self, spec: CurveSpec, cfg: ExperimentConfig,
@@ -121,21 +125,21 @@ class _CurveRuntime:
         self.sc = sc = cfg.system
         if spec.system == "cpofdm":
             self.proto = None
-            self.synthesize = lambda p: modulate(p.symbols, sc).s
+            self.synthesize = lambda x: modulate(x, sc).s
             self.receive = lambda r: demodulate(r, sc)[..., self.pilot_idx]
         else:
             proto = design_prototype(sc.M, sc.K)
             if spec.truncate_to is not None:
                 proto = truncate_prototype(proto, spec.truncate_to)
             self.proto = proto
-            self.synthesize = lambda p: sfb(p.symbols, proto)
+            self.synthesize = lambda x: sfb(x, proto)
             self.receive = lambda r: afb(r, proto, self.points)
         e = cfg.E * spec.e_scale
-        self.make = None
+        self.layout = None
         if spec.family == "sparse_data":
-            self.make = lambda seed: make_sparse_data(
-                spec.scenario, e, seed, sc, proto=self.proto)
-            base = self.make(np.random.SeedSequence([cfg.seed, _TAG_DATA, 0]))
+            self.layout = sparse_data_layout(spec.scenario, e, sc,
+                                             proto=self.proto)
+            base = self.layout.preamble
         elif spec.family in ("sparse", "full"):
             base = make_equal_comb(spec.n_pilots or sc.M, 0, e, sc,
                                    proto=self.proto)
@@ -144,36 +148,24 @@ class _CurveRuntime:
         self.scale = 1.0
         if ref is not None and spec.equalize:
             self.scale = float(np.sqrt(tpr(ref.preamble, base)))
-        self.preamble = self._scaled(base)
+        self.preamble = base if self.scale == 1.0 else base.scaled(self.scale)
         self.floor = floor_map(self.preamble, sc)
         self.pilot_idx = base.pilot_idx
         self.points = np.stack([self.pilot_idx, 0 * self.pilot_idx], axis=1)
-        tx = self.synthesize(self.preamble)
+        tx = self.synthesize(self.preamble.symbols)
         self.n_rx = len(tx) + sc.L_h - 1
-        self.tx = None if self.make else tx
+        self.tx = None if self.layout else tx
 
     def estimate(self, r) -> np.ndarray:
         """Channel estimates over all M tones from (..., n_rx) samples r."""
         return estimate_from_pilots(self.receive(r), self.preamble, self.sc,
                                     mode=self.spec.estimator)
 
-    def _scaled(self, p):
-        return p if self.scale == 1.0 else p.scaled(self.scale)
-
-    def draw(self, seed: int, c: int, t: int) -> tuple:
-        """Preamble and transmit samples of noise draw t on channel c.
-
-        A draw that moves the pilots or their divisors raises ValueError:
-        the draws of a curve share one estimate.
-        """
-        if self.make is None:
-            return self.preamble, self.tx
-        p = self._scaled(self.make(np.random.SeedSequence([seed, _TAG_DATA, c, t])))
-        if not (np.array_equal(p.pilot_idx, self.pilot_idx)
-                and np.array_equal(p.divisors, self.preamble.divisors)):
-            raise ValueError(f"draw {t} of curve {self.spec.label!r} changes "
-                             "its pilots or divisors")
-        return p, self.synthesize(p)
+    def transmit(self, seeds) -> np.ndarray:
+        """Transmit samples (T, n_rx - L_h + 1) of one data draw per seed."""
+        x = draw_sparse_data(self.layout, seeds)
+        x *= self.scale
+        return self.synthesize(x)
 
 
 @lru_cache(maxsize=1)
@@ -199,8 +191,9 @@ def _run_channel(args) -> tuple:
     The unit noise of draw t is drawn once, at the longest window, and
     each curve reads its own prefix of it.  Draws go through in blocks of
     about _BLOCK_SAMPLES noise samples, a block in one receive and one
-    estimate call per curve (two for a preamble redrawn per draw); no
-    row's result depends on its block.
+    estimate call per curve.  A preamble redrawn per draw takes one more
+    of each, after one draw of its layout's data, one synthesis and one
+    propagation for the whole block; no row's result depends on its block.
     """
     cfg, c = args
     sc = cfg.system
@@ -216,7 +209,7 @@ def _run_channel(args) -> tuple:
     block = max(1, _BLOCK_SAMPLES // n_win)
     # sum |a|^2, sum Re(conj(a) e), sum |e|^2 per curve and draw
     sums = np.zeros((3, len(runtimes), cfg.n_noise))
-    a = [None if rt.make else rt.estimate(propagate(rt.tx, h, 0.0, None)) - H
+    a = [None if rt.layout else rt.estimate(propagate(rt.tx, h, 0.0, None)) - H
          for rt in runtimes]
     for lo in range(0, cfg.n_noise, block):
         hi = min(lo + block, cfg.n_noise)
@@ -225,11 +218,11 @@ def _run_channel(args) -> tuple:
         for j, t in enumerate(ts):
             w[j] = awgn(n_win, np.random.SeedSequence([cfg.seed, _TAG_NOISE, c, t]))
         for i, rt in enumerate(runtimes):
-            if rt.make is not None:
-                r = np.empty((len(ts), rt.n_rx), dtype=complex)
-                for j, t in enumerate(ts):
-                    r[j] = propagate(rt.draw(cfg.seed, c, t)[1], h, 0.0, None)
-                a[i] = rt.estimate(r) - H
+            if rt.layout is not None:
+                seeds = [np.random.SeedSequence([cfg.seed, _TAG_DATA, c, t])
+                         for t in ts]
+                a[i] = rt.estimate(propagate(rt.transmit(seeds), h, 0.0,
+                                             None)) - H
             e = rt.estimate(w[:, :rt.n_rx])
             sums[0, i, lo:hi] = np.sum(np.abs(a[i]) ** 2, axis=-1)
             sums[1, i, lo:hi] = np.sum((a[i].conj() * e).real, axis=-1)
@@ -243,14 +236,20 @@ def _run_channel(args) -> tuple:
 def run_experiment(cfg: ExperimentConfig) -> list[MseCurve]:
     """Run all curves of an experiment and aggregate across channels.
 
-    Bad dimensions, counts or seeds, and Eb/N0 points whose noise
-    variance is not positive and finite, raise ValueError before any work
-    is done.
+    Bad dimensions, counts or seeds, a pulse cut longer than the pulse,
+    and Eb/N0 points whose noise variance is not positive and finite,
+    raise ValueError before any work is done.
     """
     if (isinstance(cfg.seed, bool) or not isinstance(cfg.seed, (int, np.integer))
             or cfg.seed < 0):
         raise ValueError(f"seed must be a non-negative integer, got {cfg.seed!r}")
     sc = cfg.system
+    for spec in cfg.curves:
+        cut = spec.truncate_to
+        if cut is not None and not 0 < cut <= sc.K * sc.M:
+            raise ValueError(
+                f"curve {spec.label!r} cuts its pulse to {cut} samples, but "
+                f"the K={sc.K} pulse has {sc.K * sc.M}")
     if cfg.n_channels < 2:
         raise ValueError("n_channels must be >= 2 (the standard error is "
                          f"taken across channels), got {cfg.n_channels}")

@@ -45,6 +45,7 @@ algebraically identical (geometric resummation, no approximation).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -95,6 +96,11 @@ class PrototypeFilter:
     @property
     def energy(self) -> float:
         return float(np.sum(self.g ** 2))
+
+    @cached_property
+    def _rerot(self) -> np.ndarray:
+        """exp(j*2*pi*k*c/M), k = 0..M-1: the centre phase of afb_column."""
+        return np.exp(2j * np.pi * np.arange(self.M) * self.center / self.M)
 
     def _shifted_fft(self, dn: int) -> np.ndarray:
         """W_hat[k] = sum_l g(l - dn*M/2) g(l) exp(+j*2*pi*k*l/M), k = 0..M-1."""
@@ -184,7 +190,7 @@ def truncate_prototype(proto: PrototypeFilter, length: int) -> PrototypeFilter:
 
     An even cut of a designed pulse stays symmetric.  An odd cut cannot be
     centred: its g[1:] is the palindrome, so the pulse sits half a sample
-    off its centre c, and the helped layouts of make_sparse_data reject it.
+    off its centre c, and the helped layouts of sparse_data_layout reject it.
     """
     if not (0 < length <= proto.L_g):
         raise ValueError(f"length must lie in 1..{proto.L_g}, got {length}")
@@ -214,19 +220,27 @@ def sfb(x: np.ndarray, proto: PrototypeFilter) -> np.ndarray:
     to absolute sample time, so the ring is read at absolute residues:
 
         s(n*M/2 + l) += g(l) * (M * ifft(x_n * e^{-j2pi m c/M}))[(n*M/2 + l) mod M]
+
+    x may be a stack (..., M, n_cols) of grids; the result is (..., L),
+    each row exactly the row's own output.
     """
-    M, n_cols = x.shape
+    x = np.asarray(x)
+    M, n_cols = x.shape[-2:]
     _check_pulse(proto, M)
     L_g, half = proto.L_g, M // 2
-    s = np.zeros((n_cols - 1) * half + L_g, dtype=complex)
+    s = np.zeros(x.shape[:-2] + ((n_cols - 1) * half + L_g,), dtype=complex)
     derot = np.exp(-2j * np.pi * np.arange(M) * proto.center / M)
-    offsets = np.arange(L_g)
     for n in range(n_cols):
-        col = x[:, n]
+        col = x[..., n]
         if not col.any():
             continue
-        q = M * np.fft.ifft(col * derot)
-        s[n * half:n * half + L_g] += proto.g * q[(n * half + offsets) % M]
+        # the ring from residue n*M/2 on, laid under the pulse one M-block
+        # at a time (a stack needs no L_g-long gather)
+        q = np.roll(M * np.fft.ifft(col * derot, axis=-1), -n * half, axis=-1)
+        for b in range(0, L_g, M):
+            k = min(M, L_g - b)
+            s[..., n * half + b:n * half + b + k] += (proto.g[b:b + k]
+                                                      * q[..., :k])
     return s
 
 
@@ -269,8 +283,7 @@ def afb_column(r, proto: PrototypeFilter, n: int) -> np.ndarray:
     """
     r = np.asarray(r, dtype=complex)
     folded = _fold_column(r, proto, n)
-    rerot = np.exp(2j * np.pi * np.arange(proto.M) * proto.center / proto.M)
-    return np.fft.fft(folded, axis=-1) * rerot
+    return np.fft.fft(folded, axis=-1) * proto._rerot
 
 
 def afb(r, proto: PrototypeFilter, points) -> np.ndarray:

@@ -19,7 +19,9 @@ antenna over its observation window:
     declared training energy.  A help pilot is a fixed linear function
     of the data in its pilot's first-order neighbourhood
     (oqam.first_order_neighbours), and its expected energy is read from
-    the same weights.
+    the same weights.  Everything but the data values is a layout, built
+    once (sparse_data_layout); a block of draws of its data is then one
+    stack of symbols (draw_sparse_data).
 
 A constructor builds an OQAM preamble exactly when it is given a pulse,
 and a Preamble rejects a pulse built for another M.  Amplitudes are
@@ -31,6 +33,7 @@ sparse-plus-data ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -199,24 +202,41 @@ def make_full_equipower_qam(
     )
 
 
-def _qpsk(rng: np.random.Generator, n: int, energy: float) -> np.ndarray:
-    """Gray-mapped QPSK, |symbol|^2 = energy."""
-    bits = rng.integers(0, 2, size=(n, 2))
-    return np.sqrt(energy / 2.0) * ((1 - 2 * bits[:, 0]) + 1j * (1 - 2 * bits[:, 1]))
+class SparseDataLayout(NamedTuple):
+    """A sparse-plus-data preamble with its data left to draw.
+
+    Everything but the data values is fixed by the scenario, E, the
+    system and the pulse (see sparse_data_layout).  preamble is the layout
+    as a Preamble: its symbols hold the pilots alone (data and help pilots
+    0), and its pilots, divisors, E_train, window, data_positions and
+    pulse are those of every draw.  A draw's J data symbols fill
+    data_positions in order.  Their bits come from one generator per
+    draw, one integers(0, 2, size=k) call per entry k of calls; e_x is
+    the energy of a symbol, phase its e^{j*phi} for OQAM, and None means
+    QPSK, two bits per symbol.
+
+    The help pilots of a two-column grid are a linear map W of the data:
+    pilot i's first-order data neighbours are the symbols help_j[i] with
+    the weights help_w[i] (weight 0 where a neighbour carries no data),
+    and its help pilot is Re(-sum(d * w) / help_den[i]) * help_phase[i].
+    """
+
+    preamble: Preamble
+    calls: tuple
+    e_x: float
+    phase: np.ndarray | None = None
+    help_j: np.ndarray | None = None
+    help_w: np.ndarray | None = None
+    help_den: np.ndarray | None = None
+    help_phase: np.ndarray | None = None
 
 
-def _real_halves(rng: np.random.Generator, n: int, energy: float) -> np.ndarray:
-    """Random signs carrying half a QPSK symbol's energy each."""
-    return np.sqrt(energy / 2.0) * (1 - 2 * rng.integers(0, 2, size=n))
-
-
-def make_sparse_data(
+def sparse_data_layout(
     scenario: str,
     E: float,
-    data_seed,
     config: SystemConfig,
     proto: PrototypeFilter | None = None,
-) -> Preamble:
+) -> SparseDataLayout:
     """Sparse pilots sharing the training symbol with payload data.
 
     Scenarios:
@@ -230,81 +250,132 @@ def make_sparse_data(
                pilot column (larger help pilots).
 
     The scenario names the system: qam-sd rejects a pulse and every
-    OQAM layout needs one.  The helped layouts (2 and 3) reject an
-    odd-length cut, which is not symmetric (see truncate_prototype).
-    The data symbols are redrawn from data_seed on every call; pilots sit
-    on the comb from tone 0 in every draw and carry E/N each, data tones
-    the same constellation energy.
+    OQAM layout needs one.  Pilots sit on the comb from tone 0 and carry
+    E/N each, data tones the same constellation energy.  A help pilot
+    must be real for every draw of the data, so the helped layouts (2 and
+    3) reject a pulse that turns a data neighbour's interference off the
+    helper's axis, such as an odd-length cut (see truncate_prototype).
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"scenario must be one of {SCENARIOS}")
-    rng = np.random.default_rng(data_seed)
     N = config.L_h
     idx = equispaced_set(config.M, N, 0)
     e_x = E / N
     amp = np.sqrt(e_x)
     M = config.M
+    divisors = np.full(N, amp, dtype=complex)
 
     if scenario == "qam-sd":
         x = np.zeros(M, dtype=complex)
         x[idx] = amp
-        mask = np.ones(M, dtype=bool)
-        mask[idx] = False
-        x[mask] = _qpsk(rng, int(mask.sum()), e_x)
+        data = np.ones(M, dtype=bool)
+        data[idx] = False
+        tones = np.flatnonzero(data)
         # expected prefix cost of the data comb: E_x * nu / M per tone
         e_train = N * e_x + (M - N) * e_x * config.nu / M
-        return Preamble(
-            pilot_idx=idx, divisors=np.full(N, amp, dtype=complex), symbols=x,
-            E=E, E_train=e_train, window=M + config.nu,
-            data_positions=_positions(np.flatnonzero(mask), 0), proto=proto,
-        )
+        return SparseDataLayout(
+            Preamble(pilot_idx=idx, divisors=divisors, symbols=x, E=E,
+                     E_train=e_train, window=M + config.nu,
+                     data_positions=_positions(tones, 0), proto=proto),
+            calls=(2 * len(tones),), e_x=e_x)
 
     if proto is None:
         raise ValueError(f"scenario {scenario} is OQAM and needs its pulse")
-
+    _check_pulse(proto, M)
     n_cols = 1 if scenario in ("oqam-1a", "oqam-1b") else 2
     x = np.zeros((M, n_cols), dtype=complex)
     x[idx, 0] = amp
-
-    guard = np.zeros(M, dtype=bool)
+    # data everywhere but on the pilots, their help pilots and the guards
+    data = np.ones((M, n_cols), dtype=bool)
+    data[idx] = False
     if scenario in ("oqam-1b", "oqam-2"):
-        guard[(idx + 1) % M] = True
-        guard[(idx - 1) % M] = True
-    pilot_mask = np.zeros(M, dtype=bool)
-    pilot_mask[idx] = True
-
-    col0_data = np.where(~pilot_mask & ~guard)[0]
-    x[col0_data, 0] = (_real_halves(rng, len(col0_data), e_x)
-                       * np.exp(1j * data_phase(col0_data, 0)))
-    data_positions = _positions(col0_data, 0)
-
+        data[(idx + 1) % M, 0] = False
+        data[(idx - 1) % M, 0] = False
+    cols = [np.flatnonzero(data[:, n]) for n in range(n_cols)]
+    positions = np.concatenate([_positions(t, n) for n, t in enumerate(cols)])
+    m, n = positions.T
+    phase = np.exp(1j * data_phase(m, n))
+    helpers = {}
     e_train = N * e_x
     if n_cols == 2:
-        col1_data = np.where(~pilot_mask)[0]
-        x[col1_data, 1] = (_real_halves(rng, len(col1_data), e_x)
-                           * np.exp(1j * data_phase(col1_data, 1)))
-        data_positions = np.concatenate(
-            [data_positions, _positions(col1_data, 1)])
         # the help pilot (P, 1) of every pilot P takes the real amplitude
-        # that cancels P's first-order neighbours, whose symbols are data
-        # or 0; x[P, 1] is still 0, and w[:, -1] is its own weight rho
-        m, n, w = first_order_neighbours(idx, n_cols, proto)
-        nbr = x[m, n]
-        phase = np.exp(1j * data_phase(idx, 1))
-        a_h = -np.sum(nbr * w, axis=1) / (w[:, -1] * phase)
-        off = np.abs(a_h.imag) > 1e-9 * np.maximum(1.0, np.abs(a_h.real))
+        # that cancels P's first-order neighbours; w[:, -1] is its own
+        # weight rho, and its own position holds no data
+        nm, nn, w = first_order_neighbours(idx, n_cols, proto)
+        j = np.full((M, n_cols), -1)
+        j[m, n] = np.arange(len(m))
+        jk = j[nm, nn]  # -1 where a neighbour holds no data
+        has = jk >= 0
+        help_phase = np.exp(1j * data_phase(idx, 1))
+        den = w[:, -1] * help_phase
+        # per unit real amplitude of each data neighbour
+        coef = -phase[jk] * w / den[:, None]
+        off = has & (np.abs(coef.imag)
+                     > 1e-9 * np.maximum(1.0, np.abs(coef.real)))
         if off.any():
+            i, k = np.argwhere(off)[0]
             raise ValueError(
-                f"interference at pilot {idx[off][0]} is not on the helper "
-                f"axis (residual {a_h.imag[off][0]:.3e})")
-        x[idx, 1] = a_h.real * phase
+                f"interference at pilot {idx[i]} is not on the helper "
+                f"axis (residual {coef[i, k].imag:.3e})")
+        helpers = dict(help_j=np.where(has, jk, 0)[:, :-1],
+                       help_w=np.where(has, w, 0)[:, :-1],
+                       help_den=den, help_phase=help_phase)
         # a data symbol's real amplitude carries E_x/2, so in expectation
         # a help pilot costs E_x/2 * sum |w/rho|^2 over its data neighbours
-        e_train += e_x / 2.0 * np.sum((nbr != 0) * np.abs(w / w[:, -1:]) ** 2)
+        e_train += e_x / 2.0 * np.sum(has * np.abs(w / w[:, -1:]) ** 2)
 
     window = proto.L_g + (M // 2 if n_cols == 2 else 0)
-    return Preamble(
-        pilot_idx=idx, divisors=np.full(N, amp, dtype=complex), symbols=x,
-        E=E, E_train=e_train, window=window,
-        data_positions=data_positions, proto=proto,
-    )
+    return SparseDataLayout(
+        Preamble(pilot_idx=idx, divisors=divisors, symbols=x, E=E,
+                 E_train=e_train, window=window, data_positions=positions,
+                 proto=proto),
+        calls=tuple(len(t) for t in cols), e_x=e_x, phase=phase, **helpers)
+
+
+def draw_sparse_data(layout: SparseDataLayout, seeds) -> np.ndarray:
+    """Symbols of one draw of the layout's data per seed, as a stack.
+
+    Draw t takes its bits from default_rng(seeds[t]) alone, so it does
+    not depend on the other draws.  The result is (T, M) for CP-OFDM and
+    (T, M, n_cols) for OQAM: the pilot grid, the data symbols at their
+    positions and, in a helped grid, the help pilots.
+    """
+    bits = np.stack([
+        np.concatenate([rng.integers(0, 2, size=k) for k in layout.calls])
+        for rng in map(np.random.default_rng, seeds)])
+    half = np.sqrt(layout.e_x / 2.0)
+    p = layout.preamble
+    x = np.repeat(p.symbols[None], len(bits), axis=0)
+    m, n = p.data_positions.T
+    if p.proto is None:
+        b = bits.reshape(len(bits), -1, 2)
+        x[:, m] = half * ((1 - 2 * b[..., 0]) + 1j * (1 - 2 * b[..., 1]))
+        return x
+    d = half * (1 - 2 * bits) * layout.phase
+    x[:, m, n] = d
+    if layout.help_j is not None:
+        t = d[:, layout.help_j] * layout.help_w
+        # one fixed order of the four terms, whatever the memory layout
+        # of the stack, so that a draw does not depend on its stack
+        a_h = (-((t[..., 0] + t[..., 1]) + (t[..., 2] + t[..., 3]))
+               / layout.help_den)
+        x[:, p.pilot_idx, 1] = a_h.real * layout.help_phase
+    return x
+
+
+def make_sparse_data(
+    scenario: str,
+    E: float,
+    data_seed,
+    config: SystemConfig,
+    proto: PrototypeFilter | None = None,
+) -> Preamble:
+    """One draw of a sparse-plus-data layout (sparse_data_layout).
+
+    The data symbols are drawn from data_seed, anything
+    numpy.random.default_rng takes; pilots, divisors and the declared
+    training energy are the layout's.
+    """
+    layout = sparse_data_layout(scenario, E, config, proto)
+    return replace(layout.preamble,
+                   symbols=draw_sparse_data(layout, [data_seed])[0])

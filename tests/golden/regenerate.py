@@ -2,7 +2,10 @@
 """Golden outputs of the library, and the script that regenerates them.
 
 Run `python3 tests/golden/regenerate.py` from a checkout to rewrite every
-file in this directory from the current code.  The outputs are:
+file in this directory from the current code, or `python3
+tests/golden/regenerate.py --check` to recompute them all, write nothing,
+name each file whose bytes differ and exit 1 if any does.  The outputs
+are:
 
   * the CSV of every preset at desk scale and of paper fig3, fig4a,
     fig4b, fig6 and fig8b at Eb/N0 = 0 and 20 dB, all with 3 channels,
@@ -13,9 +16,10 @@ file in this directory from the current code.  The outputs are:
 
 tests/test_golden.py recomputes them and compares text exactly and
 numbers to a relative 1e-12, because numpy picks its SIMD kernels per
-CPU and the last bits of a value may differ between machines.  A change
-that moves an output on purpose regenerates these files in the same
-commit and says which rows and columns moved.
+CPU and the last bits of a value may differ between machines.  --check
+compares bytes, so it holds only on a machine whose kernels wrote the
+files.  A change that moves an output on purpose regenerates these files
+in the same commit and says which rows and columns moved.
 """
 
 from __future__ import annotations
@@ -80,7 +84,24 @@ def outputs() -> dict:
     return out
 
 
-if __name__ == "__main__":
+def regenerate(argv) -> int:
+    if argv not in ([], ["--check"]):
+        print("usage: regenerate.py [--check]", file=sys.stderr)
+        return 2
+    differ = []
     for fname, make in outputs().items():
-        (HERE / fname).write_text(make())
-        print(f"wrote {fname}")
+        text = make()
+        if argv:
+            if (HERE / fname).read_bytes() != text.encode():
+                differ.append(fname)
+                print(f"differs: {fname}")
+        else:
+            (HERE / fname).write_text(text)
+            print(f"wrote {fname}")
+    if argv:
+        print(f"{len(differ)} of {len(outputs())} outputs differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate(sys.argv[1:]))

@@ -87,6 +87,18 @@ def test_propagate_noiseless_is_convolution():
     assert np.array_equal(propagate(s, h, 0.0, seed=1), np.convolve(s, h))
 
 
+@pytest.mark.parametrize("sigma2", [0.0, 0.3], ids=["noiseless", "noisy"])
+def test_propagate_takes_a_stack_of_signals(sigma2):
+    # each row is its own 1-D call, the seed's noise included
+    rng = np.random.default_rng(8)
+    s = rng.standard_normal((2, 3, 40)) + 1j * rng.standard_normal((2, 3, 40))
+    h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    r = propagate(s, h, sigma2, seed=(4, 2))
+    assert r.shape == (2, 3, 43)
+    for t in np.ndindex(2, 3):
+        assert np.array_equal(r[t], propagate(s[t], h, sigma2, seed=(4, 2)))
+
+
 @pytest.mark.parametrize("sigma2", [-1.0, float("nan")], ids=["negative", "nan"])
 def test_propagate_rejects_bad_noise_variance(sigma2):
     with pytest.raises(ValueError):

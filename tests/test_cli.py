@@ -26,9 +26,10 @@ def test_run_requires_preset(capsys):
     ["--n-noise", "0"], ["--n-channels", "1"], ["--workers", "0"],
     ["--ebn0", ","], ["--M", "100"], ["--ebn0", "nan"], ["--ebn0", "0,inf"],
     ["--E", "inf"], ["--ebn0", "4000"], ["--ebn0", "-4000"], ["--seed", "-1"],
+    ["--preset", "fig8a", "--K", "1"],
 ], ids=["n-noise=0", "n-channels=1", "workers=0", "empty-ebn0", "M=100",
         "nan-ebn0", "inf-ebn0", "inf-E", "ebn0=4000", "ebn0=-4000",
-        "seed=-1"])
+        "seed=-1", "fig8a-K=1"])
 def test_run_rejects_bad_options(tmp_path, capsys, bad):
     out = tmp_path / "bad.csv"
     rc = main(["run", "--preset", "fig1a", "--n-channels", "2",
@@ -39,6 +40,9 @@ def test_run_rejects_bad_options(tmp_path, capsys, bad):
     assert not out.exists()
     if bad[0] == "--seed":
         assert "seed" in err
+    if "--K" in bad:
+        # the cut M + L_h - 1 = 135 is longer than the K=1 pulse of M = 128
+        assert "'oqam-truncated'" in err and "135" in err and "K=1" in err
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

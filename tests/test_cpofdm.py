@@ -34,6 +34,18 @@ def test_demodulate_takes_a_stack_of_windows():
         demodulate(r[:, : cfg.M + cfg.nu - 1], cfg)
 
 
+def test_modulate_takes_a_stack_of_symbols():
+    cfg = SystemConfig(M=64, L_h=8)
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((3, 2, cfg.M)) + 1j * rng.standard_normal((3, 2, cfg.M))
+    frame = modulate(x, cfg)
+    assert frame.s.shape == (3, 2, cfg.M + cfg.nu)
+    for t in np.ndindex(3, 2):
+        assert np.array_equal(frame.s[t], modulate(x[t], cfg).s)
+    with pytest.raises(ValueError, match="length M=64"):
+        modulate(x[..., 1:], cfg)
+
+
 def test_unitary_scaling():
     # the useful part carries exactly the subcarrier energy
     cfg = SystemConfig(M=32, L_h=4)

@@ -71,3 +71,19 @@ def test_comparison_holds_text_and_numbers_to_their_tolerance():
 def test_two_workers_write_the_serial_bytes(name):
     serial = regenerate.preset_csv(name, "desk")
     assert regenerate.preset_csv(name, "desk", workers=2) == serial
+
+
+def test_check_names_the_files_whose_bytes_differ(monkeypatch, tmp_path,
+                                                   capsys):
+    # `regenerate.py --check` writes nothing and exits 1 on any byte
+    monkeypatch.setattr(regenerate, "HERE", tmp_path)
+    monkeypatch.setattr(regenerate, "outputs", lambda: {
+        "a.csv": lambda: "x,1\n", "b.txt": lambda: "y 2\n"})
+    (tmp_path / "a.csv").write_text("x,1\n")
+    (tmp_path / "b.txt").write_text("y 2.0\n")
+    assert regenerate.regenerate(["--check"]) == 1
+    out = capsys.readouterr().out
+    assert "differs: b.txt" in out and "a.csv" not in out
+    assert (tmp_path / "b.txt").read_text() == "y 2.0\n"
+    (tmp_path / "b.txt").write_text("y 2\n")
+    assert regenerate.regenerate(["--check"]) == 0

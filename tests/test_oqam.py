@@ -12,6 +12,7 @@ from mcpreamble import (
     make_sparse_data,
     pseudo_pilot,
     sfb,
+    sparse_data_layout,
     truncate_prototype,
 )
 from mcpreamble.oqam import _fold_column
@@ -199,6 +200,22 @@ def test_filter_bank_takes_a_stack_of_windows(small, small_proto):
         afb(r[:, :-1], small_proto, pts)
 
 
+@pytest.mark.parametrize("cut", [None, 32 + 4 - 1, 32 + 4],
+                         ids=["designed", "odd-cut", "even-cut"])
+def test_sfb_takes_a_stack_of_grids(small, small_proto, cut):
+    # a cut pulse ends in a partial M-block; row 1 leaves column 0 empty
+    pulse = small_proto if cut is None else truncate_prototype(small_proto,
+                                                               cut)
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((4, small.M, 2)) + 1j * rng.standard_normal(
+        (4, small.M, 2))
+    x[1, :, 0] = 0
+    s = sfb(x, pulse)
+    assert s.shape == (4, small.M // 2 + pulse.L_g)
+    for t in range(4):
+        assert np.array_equal(s[t], sfb(x[t], pulse))
+
+
 def test_transmultiplexer_identity(small, small_proto):
     # a lone unit pilot at (p, q) lands on (p+dm, q+dn) with weight
     # (-1)^{dm q} conj(A(dm, dn))
@@ -298,12 +315,17 @@ def test_help_pilot_cancels_imaginary_part():
 
 def test_help_pilot_needs_aligned_axis(desk, proto):
     # an odd cut sits half a sample off centre: the interference at a
-    # pilot leaves the helper's real axis, so the helped layouts reject it
+    # pilot leaves the helper's real axis, so the helped layouts reject it,
+    # when the layout is built and before any data is drawn
     odd = truncate_prototype(proto, desk.M + desk.L_h - 1)
     even = truncate_prototype(proto, desk.M + desk.L_h)
     for scenario in ("oqam-2", "oqam-3"):
         with pytest.raises(ValueError, match="helper axis"):
+            sparse_data_layout(scenario, desk.E, desk, odd)
+        with pytest.raises(ValueError, match="helper axis"):
             make_sparse_data(scenario, desk.E, 1, desk, odd)
+        assert sparse_data_layout(scenario, desk.E, desk,
+                                  even).preamble.proto is even
         assert make_sparse_data(scenario, desk.E, 1, desk, even).proto is even
 
 

@@ -8,6 +8,7 @@ from mcpreamble import (
     antenna_energy,
     cp_energy,
     design_prototype,
+    draw_sparse_data,
     load_preamble_values,
     make_equal_comb,
     make_full_equipower_qam,
@@ -15,9 +16,11 @@ from mcpreamble import (
     pseudo_pilot,
     save_preamble,
     sfb,
+    sparse_data_layout,
     tpr,
     truncate_prototype,
 )
+from mcpreamble.preambles import SCENARIOS
 
 E_REL = 1e-6
 
@@ -162,6 +165,34 @@ def test_sparse_data_scenarios_layout(desk, proto):
             for i in p.pilot_idx:
                 assert p.symbols[(i + 1) % desk.M, 0] == 0.0
                 assert p.symbols[(i - 1) % desk.M, 0] == 0.0
+
+
+@pytest.mark.parametrize("T", [1, 5])
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.parametrize("M", [32, 128])
+def test_a_layout_draw_is_a_stack_of_single_draws(M, scenario, T):
+    # row t of one draw of the layout is make_sparse_data on the seed of
+    # row t, bit for bit, scaled or not: a row never depends on its stack
+    cfg = SystemConfig(M=M, L_h=M // 16, K=4, E=float(M))
+    pulse = None if scenario == "qam-sd" else design_prototype(M, 4)
+    layout = sparse_data_layout(scenario, cfg.E, cfg, pulse)
+    seeds = [np.random.SeedSequence([5, 201, 3, t]) for t in range(T)]
+    stack = draw_sparse_data(layout, seeds)
+    assert stack.shape == (T,) + layout.preamble.symbols.shape
+    for amp in (1.0, 0.7):
+        base = layout.preamble.scaled(amp)
+        for t in range(T):
+            p = make_sparse_data(scenario, cfg.E, seeds[t], cfg,
+                                 pulse).scaled(amp)
+            assert (stack[t] * amp).tobytes() == p.symbols.tobytes()
+            assert base.divisors.tobytes() == p.divisors.tobytes()
+            assert base.E_train == p.E_train
+            assert np.array_equal(base.pilot_idx, p.pilot_idx)
+            assert np.array_equal(base.data_positions, p.data_positions)
+    # the layout's own symbols are the pilots alone
+    x = layout.preamble.symbols.reshape(M, -1)
+    assert np.count_nonzero(x) == cfg.L_h
+    assert np.all(x[layout.preamble.pilot_idx, 0] != 0)
 
 
 def _helper_ratio(scenario, cfg, proto):
