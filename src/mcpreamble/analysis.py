@@ -37,14 +37,10 @@ from .estimation import _check_mode
 from .fourier import cfr_samples_to_cir
 # unused here; perfbench's tracer test expects the name in this module
 from .fourier import dft_submatrix  # noqa: F401
-from .oqam import (
-    PrototypeFilter,
-    design_prototype,
-    first_order_neighbours,
-    sfb,
-)
+from .oqam import PrototypeFilter, design_prototype, sfb
 from .preambles import (
     Preamble,
+    _data_neighbours,
     make_equal_comb,
     make_full_equipower_qam,
     make_sparse_data,
@@ -117,21 +113,6 @@ def closed_form_mse(
     return float(sigma2 * M * L_h / N ** 2 * inv2)
 
 
-def _flat_grid_outputs(x: np.ndarray, H, proto: PrototypeFilter,
-                       pilots) -> np.ndarray:
-    """Noiseless AFB outputs under the per-subcarrier-flat channel model.
-
-    Every pulse (m, n) arrives scaled by H_m; the output at pilot point
-    (p, 0) sums the exact inner products of the whole grid x.
-    """
-    out = np.zeros(len(pilots), dtype=complex)
-    for n in range(x.shape[1]):
-        col = H * x[:, n]
-        if col.any():
-            out += proto.row(pilots, n) @ col
-    return out
-
-
 def error_floor(preamble: Preamble, h, config: SystemConfig) -> float:
     """Zero-noise residual CFR MSE of this preamble instance, projected.
 
@@ -142,10 +123,13 @@ def error_floor(preamble: Preamble, h, config: SystemConfig) -> float:
     """
     if preamble.proto is None:
         return 0.0
-    M = config.M
+    M, x = config.M, preamble.symbols
     H = cfr_from_cir(h, M)
     idx = preamble.pilot_idx
-    y0 = _flat_grid_outputs(preamble.symbols, H, preamble.proto, idx)
+    # noiseless pilot outputs under the per-subcarrier-flat channel: every
+    # pulse (m, n) arrives scaled by H_m, through the exact inner products
+    y0 = sum(preamble.proto.row(idx, n) @ (H * x[:, n])
+             for n in range(x.shape[1]))
     w1 = y0 / preamble.divisors - H[idx]
     h_w = cfr_samples_to_cir(w1, M, idx, config.L_h)
     return float(M * np.sum(np.abs(h_w) ** 2))
@@ -185,11 +169,9 @@ def floor_map(preamble: Preamble, config: SystemConfig):
     # carries -w/rho of each first-order data neighbour (see
     # sparse_data_layout); it is solved channel-blind, so it arrives faded
     # by H[P], and reaches pilot i with weight A(P - i, 1): column P of G
-    nm, nn, w = first_order_neighbours(idx, n_cols, proto)
-    j = np.full((M, n_cols), -1)  # data index of each grid position
-    j[m, n] = np.arange(len(m))
-    jk = j[nm[:, :-1], nn[:, :-1]]  # the last offset is the help pilot
-    q, k = np.nonzero(jk >= 0)  # (pilot, neighbour) pairs with data
+    jk, w = _data_neighbours(idx, preamble.data_positions, n_cols, proto)
+    # (pilot, neighbour) pairs with data; the last offset is the help pilot
+    q, k = np.nonzero(jk[:, :-1] >= 0)
     jq = jk[q, k]
     helped = np.zeros(len(m), dtype=bool)
     helped[jq] = True
@@ -231,9 +213,7 @@ def afb_noise_cov(proto: PrototypeFilter) -> np.ndarray:
     (which closed_form_mse contracts without forming B): b(0) = 1, b(+/-1) =
     beta, b(+/-(M-1)) = -beta, and zero elsewhere for frequency sampling.
     """
-    M = proto.M
-    delta = np.arange(M)[None, :] - np.arange(M)[:, None]
-    return proto.kernel(0)[delta + M - 1]
+    return proto.row(np.arange(proto.M), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,14 @@ accounting) takes one of these instead of loose integers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+
+
+def _check_int(name: str, value) -> None:
+    """Reject anything but an integer; numpy integers pass, bool does not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _is_pow2(n: int) -> bool:
@@ -35,6 +42,8 @@ class SystemConfig:
     E: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("M", "L_h", "K"):
+            _check_int(name, getattr(self, name))
         if not _is_pow2(self.M):
             raise ValueError(f"M must be a power of two, got {self.M}")
         if not _is_pow2(self.L_h):
@@ -45,7 +54,7 @@ class SystemConfig:
             )
         if self.M % self.L_h != 0:
             raise ValueError("M must be an integer multiple of L_h")
-        if not (1 <= int(self.K) <= 5):
+        if not (1 <= self.K <= 5):
             raise ValueError(f"K must be an integer in 1..5, got {self.K}")
         if not (math.isfinite(self.E) and self.E > 0):
             raise ValueError(f"E must be positive and finite, got {self.E}")

@@ -35,6 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import config
 from .analysis import closed_form_mse, floor_map, tpr
 from .channel import awgn, cfr_from_cir, ebn0_to_sigma2, gen_veh_a, propagate
 from .config import SystemConfig
@@ -240,8 +241,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[MseCurve]:
     and Eb/N0 points whose noise variance is not positive and finite,
     raise ValueError before any work is done.
     """
-    if (isinstance(cfg.seed, bool) or not isinstance(cfg.seed, (int, np.integer))
-            or cfg.seed < 0):
+    # through its module: the names bound here are the trial chain's calls
+    for name in ("seed", "n_channels", "n_noise", "workers"):
+        config._check_int(name, getattr(cfg, name))
+    if cfg.seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {cfg.seed!r}")
     sc = cfg.system
     for spec in cfg.curves:

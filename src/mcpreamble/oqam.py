@@ -22,14 +22,16 @@ than two subcarrier spacings, which makes every inner product between
 pulses two or more subcarriers apart on the same column vanish exactly;
 cross-column products decay with |dm| but are nonzero for |dm| <= 1.
 
-Each prototype computes and caches its own inner products
+Every weight in the package is read from one read-only table per pulse
+and column offset dn, PrototypeFilter.kernel(dn), of the inner products
 
     A(dm, dn) = sum_l g(l - dn*M/2) * g(l) * exp(j*2*pi*dm*(l - c)/M)
 
-for literal index offsets dm (no wrapping: the offset between tones 0 and
-M-1 is the literal M-1, and A(dm + M, dn) = -A(dm, dn) for even L_g, so
-edge weights pick up a sign automatically).  Between arbitrary positions,
-<g'_{p+dm, q+dn}, g'_{p,q}> = (-1)^(dm*q) * A(dm, dn).
+at the literal index offsets dm = -(M-1)..M-1 (no wrapping: the offset
+between tones 0 and M-1 is the literal M-1, and A(dm - M, dn) = -A(dm, dn)
+for even L_g, so edge weights pick up a sign automatically).  Between
+arbitrary positions, <g'_{p+dm, q+dn}, g'_{p,q}> = (-1)^(dm*q) * A(dm, dn).
+The filter banks take their centre phases from the same phase ramp.
 
 Pilots sit in column 0.  Their first-order neighbourhood, the tones
 p +/- 1 of column 0 and p - 1..p + 1 of column 1, is defined once, by
@@ -67,9 +69,10 @@ class PrototypeFilter:
 
     K is the overlapping factor for frequency-sampling designs and None
     for pulses of other lengths (e.g. truncated ones).  The pulse owns its
-    inner products: weight() returns the literal-offset one, kernel() all
-    of them for one column offset; row() gathers the weights of every tone
-    of one column onto one analysis point, or onto each of an array of them.
+    inner products: kernel(dn) is the one table of them for column offset
+    dn, weight() reads one entry of it, and row() gathers the weights of
+    every tone of one column onto one analysis point, or onto each of an
+    array of them.
     Pulses compare and hash by identity.  A designed pulse is symmetric,
     g == g[::-1]; an odd-length cut of one is not (see truncate_prototype).
     """
@@ -77,10 +80,11 @@ class PrototypeFilter:
     g: np.ndarray
     M: int
     K: int | None
-    _fold_fft: dict = field(default_factory=dict, init=False, repr=False)
+    _kernels: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        g = np.asarray(self.g, dtype=float)
+        g = np.array(self.g, dtype=float)  # its own copy: the tables read it
+        g.flags.writeable = False
         object.__setattr__(self, "g", g)
         if self.K is not None and len(g) != self.K * self.M:
             raise ValueError("frequency-sampling prototype must have length K*M")
@@ -98,38 +102,38 @@ class PrototypeFilter:
         return float(np.sum(self.g ** 2))
 
     @cached_property
-    def _rerot(self) -> np.ndarray:
-        """exp(j*2*pi*k*c/M), k = 0..M-1: the centre phase of afb_column."""
-        return np.exp(2j * np.pi * np.arange(self.M) * self.center / self.M)
+    def _ramp(self) -> np.ndarray:
+        """exp(-j*2*pi*dm*c/M), dm = -(M-1)..M-1: the phase of A, read-only."""
+        dm = np.arange(1 - self.M, self.M)
+        ramp = np.exp(-2j * np.pi * dm * self.center / self.M)
+        ramp.flags.writeable = False
+        return ramp
 
-    def _shifted_fft(self, dn: int) -> np.ndarray:
-        """W_hat[k] = sum_l g(l - dn*M/2) g(l) exp(+j*2*pi*k*l/M), k = 0..M-1."""
-        if dn not in self._fold_fft:
+    def kernel(self, dn: int) -> np.ndarray:
+        """A(dm, dn) at every literal offset dm = -(M-1)..M-1, in that order.
+
+        Built once per pulse and dn, read-only; the sum over l folds
+        modulo M into one M-point FFT.
+        """
+        if dn not in self._kernels:
             M, L_g = self.M, self.L_g
-            shift = dn * (M // 2)
             l = np.arange(L_g)
-            src = l - shift
+            src = l - dn * (M // 2)
             valid = (src >= 0) & (src < L_g)
             w = np.zeros(L_g)
             w[valid] = self.g[src[valid]] * self.g[l[valid]]
-            self._fold_fft[dn] = M * np.fft.ifft(_fold(w, 0, M))
-        return self._fold_fft[dn]
+            what = M * np.fft.ifft(_fold(w, 0, M))  # bin k: dm = k mod M
+            a = self._ramp * what[np.arange(1 - M, M) % M]
+            a.flags.writeable = False
+            self._kernels[dn] = a
+        return self._kernels[dn]
 
     def weight(self, dm: int, dn: int, pilot_col: int = 0) -> complex:
-        """<g'_{p+dm, q+dn}, g'_{p, q}> for literal offsets, q = pilot_col."""
-        M = self.M
-        what = self._shifted_fft(dn)
-        a = np.exp(-2j * np.pi * dm * self.center / M) * what[dm % M]
-        if (dm * pilot_col) % 2:
-            a = -a
-        return complex(a)
-
-    def kernel(self, dn: int) -> np.ndarray:
-        """A(dm, dn) at every literal offset dm = -(M-1)..M-1, in that order."""
-        M = self.M
-        dm = np.arange(1 - M, M)
-        what = self._shifted_fft(dn)
-        return np.exp(-2j * np.pi * dm * self.center / M) * what[dm % M]
+        """<g'_{p+dm, q+dn}, g'_{p, q}> at a literal |dm| < M, q = pilot_col."""
+        if not -self.M < dm < self.M:
+            raise ValueError(f"need |dm| < M={self.M}, got dm={dm}")
+        a = complex(self.kernel(dn)[dm + self.M - 1])
+        return -a if (dm * pilot_col) % 2 else a
 
     def row(self, p, dn: int, pilot_col: int = 0) -> np.ndarray:
         """Weights of tones 0..M-1 (column pilot_col + dn) onto (p, pilot_col), per tone p."""
@@ -159,15 +163,12 @@ class PrototypeFilter:
         satisfy it exactly by symmetry, so the residual is dominated by
         second-order frequency offsets.
         """
-        n_cols = 2 * (self.L_g // self.M) + 1
-        worst = 0.0
-        for dn in range(0, n_cols):
-            for dm in (0, 1, 2):
-                if dm == 0 and dn == 0:
-                    continue
-                val = (1j ** (-(dm + dn) % 4) * self.weight(dm, dn)).real
-                worst = max(worst, abs(val))
-        return worst
+        M, n_cols = self.M, 2 * (self.L_g // self.M) + 1
+        a = np.stack([self.kernel(dn)[M - 1:M + 2] for dn in range(n_cols)])
+        dm_dn = np.arange(3) + np.arange(n_cols)[:, None]  # dm = 0, 1, 2
+        v = (1j ** (-dm_dn % 4) * a).real
+        v[0, 0] = 0.0  # A(0, 0) = 1 is the pulse's own energy
+        return float(np.max(np.abs(v)))
 
 
 def design_prototype(M: int, K: int) -> PrototypeFilter:
@@ -229,7 +230,7 @@ def sfb(x: np.ndarray, proto: PrototypeFilter) -> np.ndarray:
     _check_pulse(proto, M)
     L_g, half = proto.L_g, M // 2
     s = np.zeros(x.shape[:-2] + ((n_cols - 1) * half + L_g,), dtype=complex)
-    derot = np.exp(-2j * np.pi * np.arange(M) * proto.center / M)
+    derot = proto._ramp[M - 1:]  # exp(-j*2*pi*m*c/M), m = 0..M-1
     for n in range(n_cols):
         col = x[..., n]
         if not col.any():
@@ -283,7 +284,8 @@ def afb_column(r, proto: PrototypeFilter, n: int) -> np.ndarray:
     """
     r = np.asarray(r, dtype=complex)
     folded = _fold_column(r, proto, n)
-    return np.fft.fft(folded, axis=-1) * proto._rerot
+    # exp(+j*2*pi*k*c/M), k = 0..M-1
+    return np.fft.fft(folded, axis=-1) * proto._ramp[proto.M - 1::-1]
 
 
 def afb(r, proto: PrototypeFilter, points) -> np.ndarray:
@@ -313,21 +315,19 @@ def first_order_neighbours(tones, n_cols: int,
 
     Returns (m, n, w), each of shape (len(tones), J): the grid position
     (m, n) of every neighbour, its tone wrapped modulo M, and the weight
-    proto.weight(m - p, n) with which it reaches the pilot, at the
-    literal offset m - p (so the band edges pick up their sign).  The J
-    columns follow FIRST_ORDER_OFFSETS for the columns n < n_cols of the
-    grid; in a two-column grid the last one is the help pilot (p, 1).
+    A(m - p, n) = proto.kernel(n)[m - p + M - 1] with which it reaches
+    the pilot, at the literal offset m - p (so the band edges pick up
+    their sign).  The J columns follow FIRST_ORDER_OFFSETS for the columns
+    n < n_cols of the grid; in a two-column grid the last one is the help
+    pilot (p, 1).
     """
     M = proto.M
-    offsets = [o for o in FIRST_ORDER_OFFSETS if o[1] < n_cols]
-    dm, dn = np.array(offsets).T
+    dm, dn = np.array([o for o in FIRST_ORDER_OFFSETS if o[1] < n_cols]).T
     p = np.asarray(tones, dtype=np.int64)[:, None]
-    wrap = (p + dm) // M  # -1 or 1 past the band edges, else 0
-    # the literal offset m - p = dm - wrap*M takes three values per column
-    table = np.array([[proto.weight(a - s * M, b) for a, b in offsets]
-                      for s in (-1, 0, 1)])
-    return (p + dm - wrap * M, np.broadcast_to(dn, wrap.shape),
-            table[wrap + 1, np.arange(len(offsets))])
+    m = (p + dm) % M
+    table = np.stack([proto.kernel(k) for k in dn])  # row k: A(., dn[k])
+    return (m, np.broadcast_to(dn, m.shape),
+            table[np.arange(len(dn)), m - p + M - 1])
 
 
 def pseudo_pilot(x: np.ndarray, proto: PrototypeFilter, tones) -> np.ndarray:

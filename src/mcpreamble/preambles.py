@@ -106,6 +106,16 @@ def _positions(tones: np.ndarray, n: int) -> np.ndarray:
     return np.stack([tones, np.full_like(tones, n)], axis=1).astype(np.int64)
 
 
+def _data_neighbours(pilot_idx, positions, n_cols: int,
+                     proto: PrototypeFilter) -> tuple:
+    """(jk, w): data index (-1 for none) and weight of every neighbour of
+    first_order_neighbours, for data at the (m, n) rows of positions."""
+    nm, nn, w = first_order_neighbours(pilot_idx, n_cols, proto)
+    j = np.full((proto.M, n_cols), -1)  # data index of each grid position
+    j[positions[:, 0], positions[:, 1]] = np.arange(len(positions))
+    return j[nm, nn], w
+
+
 def save_preamble(p: Preamble, path) -> None:
     """Plain-text form of a CP-OFDM preamble: `index,re,im` per nonzero tone."""
     if p.proto is not None:
@@ -301,10 +311,7 @@ def sparse_data_layout(
         # the help pilot (P, 1) of every pilot P takes the real amplitude
         # that cancels P's first-order neighbours; w[:, -1] is its own
         # weight rho, and its own position holds no data
-        nm, nn, w = first_order_neighbours(idx, n_cols, proto)
-        j = np.full((M, n_cols), -1)
-        j[m, n] = np.arange(len(m))
-        jk = j[nm, nn]  # -1 where a neighbour holds no data
+        jk, w = _data_neighbours(idx, positions, n_cols, proto)
         has = jk >= 0
         help_phase = np.exp(1j * data_phase(idx, 1))
         den = w[:, -1] * help_phase

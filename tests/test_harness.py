@@ -11,6 +11,7 @@ import pytest
 from mcpreamble import (
     CurveSpec,
     ExperimentConfig,
+    SystemConfig,
     afb,
     awgn,
     cfr_from_cir,
@@ -208,14 +209,41 @@ def test_experiment_config_system():
 
 
 @pytest.mark.parametrize("bad", [
+    dict(M=128.0), dict(L_h=8.0), dict(K=2.5), dict(K=True), dict(M=True),
+    dict(L_h=np.float64(8.0)), dict(K=np.bool_(True)),
+], ids=["M=128.0", "L_h=8.0", "K=2.5", "K=True", "M=True", "L_h=float64",
+        "K=bool_"])
+def test_system_config_takes_integer_dimensions_only(bad):
+    with pytest.raises(ValueError, match="must be an integer"):
+        SystemConfig(**{"M": 128, "L_h": 8, "K": 4, **bad})
+    sc = SystemConfig(M=np.int64(128), L_h=np.int32(8), K=np.int64(4))
+    assert (sc.M, sc.L_h, sc.K, sc.nu) == (128, 8, 4, 7)
+
+
+def test_run_experiment_takes_numpy_integer_counts():
+    cfg = preset("fig1a", scale="desk", n_channels=np.int64(2),
+                 n_noise=np.int32(1), workers=np.int64(1), seed=np.int64(3),
+                 ebn0_db=(10.0,))
+    want = preset("fig1a", scale="desk", n_channels=2, n_noise=1, workers=1,
+                  seed=3, ebn0_db=(10.0,))
+    got = run_experiment(cfg)
+    for a, b in zip(got, run_experiment(want)):
+        assert a.nmse.tobytes() == b.nmse.tobytes()
+
+
+@pytest.mark.parametrize("bad", [
     dict(n_channels=1), dict(n_noise=0), dict(ebn0_db=()), dict(workers=0),
     dict(M=100), dict(ebn0_db=(float("nan"),)), dict(ebn0_db=(0.0, np.inf)),
     dict(ebn0_db=(-np.inf, 10.0)), dict(ebn0_db=(0.0, 4000.0)),
     dict(ebn0_db=(-4000.0, 0.0)), dict(seed=-1), dict(seed=1.5),
-    dict(seed=True),
+    dict(seed=True), dict(n_channels=2.5), dict(n_noise=1.5),
+    dict(n_noise=True), dict(workers=1.5), dict(workers=True), dict(K=2.5),
+    dict(K=True), dict(M=128.0), dict(L_h=8.0),
 ], ids=["n_channels=1", "n_noise=0", "empty_ebn0", "workers=0", "M=100",
         "nan_ebn0", "inf_ebn0", "-inf_ebn0", "ebn0=4000", "ebn0=-4000",
-        "seed=-1", "seed=1.5", "seed=True"])
+        "seed=-1", "seed=1.5", "seed=True", "n_channels=2.5", "n_noise=1.5",
+        "n_noise=True", "workers=1.5", "workers=True", "K=2.5", "K=True",
+        "M=128.0", "L_h=8.0"])
 def test_run_experiment_rejects_bad_inputs_before_any_work(monkeypatch, bad):
     def work(args):
         raise AssertionError("a channel ran")

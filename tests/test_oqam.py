@@ -86,8 +86,59 @@ def test_ambiguity_symmetries():
         assert abs(t.weight(-dm, dn) - np.conj(a)) < 1e-12
         # time reversal flips by the staggering phase
         assert abs(t.weight(dm, -dn) - (-1) ** (dm * dn) * a) < 1e-12
-        # shifting dm by M flips the sign (half-sample center offset)
-        assert abs(t.weight(dm + cfg.M, dn) + a) < 1e-12
+        # shifting dm by M flips the sign (half-sample center offset); the
+        # offsets lie in -(M-1)..M-1, so dm = 0 has no shifted partner
+        if dm:
+            assert abs(t.weight(dm - cfg.M, dn) + a) < 1e-12
+
+
+@pytest.mark.parametrize("M, K, cut", [
+    (128, 4, None), (64, 2, None), (64, 5, None), (128, 4, 135),
+    (128, 4, 136), (64, 3, 71),
+], ids=["128-K4", "64-K2", "64-K5", "128-K4-odd-cut", "128-K4-even-cut",
+        "64-K3-odd-cut"])
+def test_one_table_of_inner_products(M, K, cut):
+    proto = design_prototype(M, K)
+    if cut is not None:
+        proto = truncate_prototype(proto, cut)
+    # every scalar weight is an entry of the kernel, bit for bit
+    for dn in (-1, 0, 1, 2):
+        table = proto.kernel(dn)
+        assert table is proto.kernel(dn)
+        for dm in range(1 - M, M):
+            assert proto.weight(dm, dn) == table[dm + M - 1]
+            assert proto.weight(dm, dn, pilot_col=1) == (
+                -table[dm + M - 1] if dm % 2 else table[dm + M - 1])
+    assert proto.beta == proto.kernel(0)[M].real
+    assert proto.rho == proto.kernel(1)[M - 1].real
+    # the first-order weights are one gather from the same tables
+    tones = np.array([0, 1, M // 2, M - 1])
+    m, n, w = first_order_neighbours(tones, 2, proto)
+    lit = m - tones[:, None]
+    assert np.array_equal(w, np.stack([proto.kernel(int(b)) for b in n[0]])
+                          [np.arange(w.shape[1]), lit + M - 1])
+    # no grid has two tones M or more apart
+    for dm in (M, -M, 200):
+        with pytest.raises(ValueError):
+            proto.weight(dm, 0)
+
+
+def test_cached_tables_are_read_only(small, small_proto):
+    rng = np.random.default_rng(3)
+    x = phased(rng.standard_normal((small.M, 2)))
+    s = sfb(x, small_proto)
+    y = afb_column(s, small_proto, 0)
+    w = small_proto.weight(1, 0)
+    with pytest.raises(ValueError):
+        small_proto.kernel(0)[small.M] = 0.0
+    with pytest.raises(ValueError):
+        small_proto.kernel(1)[:] *= 2.0
+    with pytest.raises(ValueError):
+        small_proto._ramp[0] = 1.0
+    # nothing a caller reaches moved
+    assert small_proto.weight(1, 0) == w
+    assert np.array_equal(sfb(x, small_proto), s)
+    assert np.array_equal(afb_column(s, small_proto, 0), y)
 
 
 def test_row_of_tone_array_stacks_single_rows(small, small_proto):

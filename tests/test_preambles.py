@@ -20,6 +20,7 @@ from mcpreamble import (
     tpr,
     truncate_prototype,
 )
+from mcpreamble import analysis, preambles
 from mcpreamble.preambles import SCENARIOS
 
 E_REL = 1e-6
@@ -193,6 +194,33 @@ def test_a_layout_draw_is_a_stack_of_single_draws(M, scenario, T):
     x = layout.preamble.symbols.reshape(M, -1)
     assert np.count_nonzero(x) == cfg.L_h
     assert np.all(x[layout.preamble.pilot_idx, 0] != 0)
+
+
+@pytest.mark.parametrize("scenario", ["oqam-2", "oqam-3"])
+def test_layout_and_floor_read_one_data_neighbour_table(monkeypatch,
+                                                        scenario):
+    # the help pilots of a layout and its floor map take the data index
+    # and weight of every first-order neighbour from one function
+    tables, build = [], preambles._data_neighbours
+
+    def recorded(*args):
+        tables.append(build(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(preambles, "_data_neighbours", recorded)
+    monkeypatch.setattr(analysis, "_data_neighbours", recorded)
+    cfg = SystemConfig(M=64, L_h=4, K=4, E=64.0)
+    layout = sparse_data_layout(scenario, cfg.E, cfg, design_prototype(64, 4))
+    analysis.floor_map(layout.preamble, cfg)
+    assert len(tables) == 2
+    (jk, w), (jk2, w2) = tables
+    assert np.array_equal(jk, jk2) and np.array_equal(w, w2)
+    # the help pilot's own position (last) holds no data
+    has = jk[:, :-1] >= 0
+    assert not np.any(jk[:, -1] >= 0)
+    assert np.array_equal(layout.help_j, np.where(has, jk[:, :-1], 0))
+    assert np.array_equal(layout.help_w, np.where(has, w[:, :-1], 0))
+    assert np.array_equal(layout.help_den, w[:, -1] * layout.help_phase)
 
 
 def _helper_ratio(scenario, cfg, proto):
