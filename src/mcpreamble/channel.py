@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import SystemConfig
+from .config import SystemConfig, _check_real
 
 VEH_A_DELAYS_NS = np.array([0.0, 310.0, 710.0, 1090.0, 1730.0, 2510.0])
 VEH_A_POWERS_DB = np.array([0.0, -1.0, -9.0, -10.0, -15.0, -20.0])
@@ -111,15 +111,20 @@ def cfr_from_cir(h, M: int) -> np.ndarray:
     return np.fft.fft(h, n=M)
 
 
-def awgn(n: int, seed) -> np.ndarray:
-    """n samples of circular complex white Gaussian noise of unit variance.
+def awgn(n, seed) -> np.ndarray:
+    """Circular complex white Gaussian noise of unit variance, shape n.
 
-    The draw is interleaved (real, imaginary) per sample, so the first n
-    samples of a stream do not depend on n: equal seeds give common noise
-    across windows of different lengths.
+    n is a length or a shape.  The result is filled in place, row after
+    row and (real, imaginary) per sample, so it is the only buffer, and
+    the first n samples of a stream do not depend on n: equal seeds give
+    common noise across windows of different lengths.  seed is anything
+    numpy.random.default_rng accepts; a Generator continues its stream,
+    so awgn((T, n), g) equals T successive awgn(n, g) rows.
     """
-    z = np.random.default_rng(seed).standard_normal((n, 2))
-    return np.sqrt(0.5) * z.view(complex)[:, 0]
+    w = np.empty(n, dtype=complex)
+    np.random.default_rng(seed).standard_normal(out=w.view(float))
+    w *= np.sqrt(0.5)
+    return w
 
 
 def propagate(s, h, sigma2: float, seed) -> np.ndarray:
@@ -149,8 +154,10 @@ def ebn0_to_sigma2(ebn0_db: float, e_sym: float) -> float:
 
     e_sym is the per-subcarrier symbol energy; symbols are counted as
     QPSK (two bits), so E_b = e_sym / 2 and sigma^2 = E_b / 10^(g/10).
-    A point whose sigma^2 is not positive and finite raises ValueError.
+    A point that is not a real number, or whose sigma^2 is not positive
+    and finite, raises ValueError.
     """
+    _check_real("Eb/N0", ebn0_db)
     try:
         sigma2 = e_sym / (2.0 * 10.0 ** (ebn0_db / 10.0))
     except ArithmeticError:  # 10^(g/10) overflows, or underflows to 0

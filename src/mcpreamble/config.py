@@ -20,6 +20,12 @@ def _check_int(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_real(name: str, value) -> None:
+    """Reject anything but a real number; numpy floats pass, bool does not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -56,6 +62,7 @@ class SystemConfig:
             raise ValueError("M must be an integer multiple of L_h")
         if not (1 <= self.K <= 5):
             raise ValueError(f"K must be an integer in 1..5, got {self.K}")
+        _check_real("E", self.E)
         if not (math.isfinite(self.E) and self.E > 0):
             raise ValueError(f"E must be positive and finite, got {self.E}")
 

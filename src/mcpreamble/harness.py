@@ -3,18 +3,20 @@
 An experiment is a set of curves (scheme + preamble + estimator) swept
 over an Eb/N0 grid against a common set of channel realizations.  All
 randomness derives from one master seed through named SeedSequence
-branches: the channel per index c, and the data and the noise per
-(channel, draw) pair.  One noise draw serves every Eb/N0 point: the LS
-estimate is linear in the received samples, so a trial's error is the
-noiseless error plus the unit-noise error scaled to each point.  A
-curve's draws on one channel go through receive and estimation as one
-stack (in blocks of about 1 MB of noise), and each draw reduces to three
-sums from which every point follows.  A preamble redrawn per draw is a
-layout built once per curve; a block of its draws is drawn, synthesized
-and propagated as one stack too.  Channel and noise are shared
-between the curves of an experiment too (the first n noise samples of a
-seed do not depend on n), so compared curves differ only through their
-preambles and estimators.
+branches: the channel per index c, [seed, 101, c]; the data per
+(channel, draw) pair, [seed, 201, c, t]; and the noise per channel,
+[seed, 301, c], one stream whose rows are the draws in draw order, so a
+draw's noise depends on neither the block size nor the draw count.  One
+noise draw serves every Eb/N0 point: the LS estimate is linear in the
+received samples, so a trial's error is the noiseless error plus the
+unit-noise error scaled to each point.  A curve's draws on one channel
+go through receive and estimation as one stack (in blocks of about 1 MB
+of noise), and each draw reduces to three sums from which every point
+follows.  A preamble redrawn per draw is a layout built once per curve;
+a block of its draws is drawn, synthesized and propagated as one stack
+too.  Channel and noise are shared between the curves of an experiment
+too (each curve reads a prefix of the draw's noise row), so compared
+curves differ only through their preambles and estimators.
 
 Results aggregate per channel first (mean over noise draws of
 ||H_hat - H||^2 / ||H||^2), then over channels; the reported standard
@@ -189,9 +191,12 @@ def _run_channel(args) -> tuple:
     per curve for a static preamble, once per draw otherwise), e from the
     unit-noise pass.  Each draw reduces to sum |a|^2, sum Re(conj(a) e)
     and sum |e|^2; their totals over the draws give every Eb/N0 point.
-    The unit noise of draw t is drawn once, at the longest window, and
-    each curve reads its own prefix of it.  Draws go through in blocks of
-    about _BLOCK_SAMPLES noise samples, a block in one receive and one
+    The channel's unit noise is one generator, seeded [seed, 301, c]; a
+    block of draws takes its rows from it in draw order with one awgn
+    call, at the longest window, and each curve reads its own prefix of
+    a row.  The stream fills row after row, so draw t's noise does not
+    depend on the block size or on n_noise.  Draws go through in blocks
+    of about _BLOCK_SAMPLES noise samples, a block in one receive and one
     estimate call per curve.  A preamble redrawn per draw takes one more
     of each, after one draw of its layout's data, one synthesis and one
     propagation for the whole block; no row's result depends on its block.
@@ -212,12 +217,12 @@ def _run_channel(args) -> tuple:
     sums = np.zeros((3, len(runtimes), cfg.n_noise))
     a = [None if rt.layout else rt.estimate(propagate(rt.tx, h, 0.0, None)) - H
          for rt in runtimes]
+    noise = np.random.default_rng(
+        np.random.SeedSequence([cfg.seed, _TAG_NOISE, c]))
     for lo in range(0, cfg.n_noise, block):
         hi = min(lo + block, cfg.n_noise)
         ts = range(lo, hi)
-        w = np.empty((len(ts), n_win), dtype=complex)
-        for j, t in enumerate(ts):
-            w[j] = awgn(n_win, np.random.SeedSequence([cfg.seed, _TAG_NOISE, c, t]))
+        w = awgn((len(ts), n_win), noise)
         for i, rt in enumerate(runtimes):
             if rt.layout is not None:
                 seeds = [np.random.SeedSequence([cfg.seed, _TAG_DATA, c, t])
@@ -237,9 +242,10 @@ def _run_channel(args) -> tuple:
 def run_experiment(cfg: ExperimentConfig) -> list[MseCurve]:
     """Run all curves of an experiment and aggregate across channels.
 
-    Bad dimensions, counts or seeds, a pulse cut longer than the pulse,
-    and Eb/N0 points whose noise variance is not positive and finite,
-    raise ValueError before any work is done.
+    Bad dimensions, energies, counts or seeds, a pulse cut longer than
+    the pulse, and Eb/N0 points that are not real numbers or whose noise
+    variance is not positive and finite, raise ValueError before any work
+    is done.
     """
     # through its module: the names bound here are the trial chain's calls
     for name in ("seed", "n_channels", "n_noise", "workers"):

@@ -4,8 +4,8 @@
 Run `python3 tests/golden/regenerate.py` from a checkout to rewrite every
 file in this directory from the current code, or `python3
 tests/golden/regenerate.py --check` to recompute them all, write nothing,
-name each file whose bytes differ and exit 1 if any does.  The outputs
-are:
+name each file whose bytes differ (and, for a CSV, the columns that
+differ in some row) and exit 1 if any does.  The outputs are:
 
   * the CSV of every preset at desk scale and of paper fig3, fig4a,
     fig4b, fig6 and fig8b at Eb/N0 = 0 and 20 dB, all with 3 channels,
@@ -84,6 +84,25 @@ def outputs() -> dict:
     return out
 
 
+def differing_columns(got: str, want: str) -> str:
+    """The header names of the CSV columns whose values differ in some row.
+
+    A change of header, row count or row length is named as such, and
+    equal fields with different bytes as line breaks.
+    """
+    got_rows = [line.split(",") for line in got.splitlines()]
+    want_rows = [line.split(",") for line in want.splitlines()]
+    if got_rows[:1] != want_rows[:1]:
+        return "header"
+    if len(got_rows) != len(want_rows):
+        return f"{len(got_rows) - 1} rows, want {len(want_rows) - 1}"
+    if any(len(g) != len(w) for g, w in zip(got_rows, want_rows)):
+        return "row lengths"
+    return ", ".join(name for k, name in enumerate(want_rows[0])
+                     if any(g[k] != w[k] for g, w in zip(got_rows, want_rows))
+                     ) or "line breaks"
+
+
 def regenerate(argv) -> int:
     if argv not in ([], ["--check"]):
         print("usage: regenerate.py [--check]", file=sys.stderr)
@@ -92,9 +111,13 @@ def regenerate(argv) -> int:
     for fname, make in outputs().items():
         text = make()
         if argv:
-            if (HERE / fname).read_bytes() != text.encode():
+            want = (HERE / fname).read_bytes()
+            if want != text.encode():
                 differ.append(fname)
-                print(f"differs: {fname}")
+                what = ""
+                if fname.endswith(".csv"):
+                    what = f" ({differing_columns(text, want.decode())})"
+                print(f"differs: {fname}{what}")
         else:
             (HERE / fname).write_text(text)
             print(f"wrote {fname}")

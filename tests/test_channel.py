@@ -139,6 +139,31 @@ def test_propagate_noise_is_scaled_awgn():
     assert np.array_equal(awgn(16, 11), w[:16])
 
 
+@pytest.mark.parametrize("n", [1, 7, 519, 5632])
+def test_awgn_is_the_interleaved_normals_of_its_seed(n):
+    # filled in place, the draw keeps the bits of the (n, 2) formulation
+    seed = np.random.SeedSequence([7, 301, 2])
+    z = np.random.default_rng(seed).standard_normal((n, 2))
+    want = np.sqrt(0.5) * z.view(complex)[:, 0]
+    assert awgn(n, seed).tobytes() == want.tobytes()
+
+
+def test_awgn_block_continues_a_generator_row_by_row():
+    # a block of rows from a generator is its successive 1-D draws
+    block = awgn((5, 37), np.random.default_rng(4))
+    rng = np.random.default_rng(4)
+    rows = np.stack([awgn(37, rng) for _ in range(5)])
+    assert block.shape == (5, 37)
+    assert block.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("g", [True, "5", None], ids=["bool", "str", "None"])
+def test_ebn0_conversion_takes_a_real_number_only(g):
+    with pytest.raises(ValueError, match="must be a real number"):
+        ebn0_to_sigma2(g, 1.0)
+    assert ebn0_to_sigma2(np.float64(10.0), 2.0) == ebn0_to_sigma2(10.0, 2.0)
+
+
 def test_ebn0_conversion():
     # at 0 dB, sigma^2 is half the per-symbol energy
     assert abs(ebn0_to_sigma2(0.0, 1.0) - 0.5) < 1e-12

@@ -87,3 +87,23 @@ def test_check_names_the_files_whose_bytes_differ(monkeypatch, tmp_path,
     assert (tmp_path / "b.txt").read_text() == "y 2.0\n"
     (tmp_path / "b.txt").write_text("y 2\n")
     assert regenerate.regenerate(["--check"]) == 0
+
+
+def test_check_names_the_csv_columns_that_differ(monkeypatch, tmp_path,
+                                                  capsys):
+    want = "p,nmse_db,floor_db,stderr_db\nx,-10.5,-inf,0.25\nx,-20.5,-inf,0.5\n"
+    got = want.replace("-20.5", "-20.6").replace("0.25", "0.3")
+    monkeypatch.setattr(regenerate, "HERE", tmp_path)
+    monkeypatch.setattr(regenerate, "outputs", lambda: {
+        "a.csv": lambda: got, "b.csv": lambda: got + "x,1,2,3\n",
+        "c.csv": lambda: want.replace("p,", "q,"),
+        "d.csv": lambda: want.rstrip("\n")})
+    for name in ("a.csv", "b.csv", "c.csv", "d.csv"):
+        (tmp_path / name).write_text(want)
+    assert regenerate.regenerate(["--check"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["differs: a.csv (nmse_db, stderr_db)",
+                   "differs: b.csv (3 rows, want 2)",
+                   "differs: c.csv (header)",
+                   "differs: d.csv (line breaks)",
+                   "4 of 4 outputs differ"]

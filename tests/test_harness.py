@@ -84,18 +84,47 @@ def test_parallel_equals_serial(tmp_path, name):
     assert read_bytes(a) == read_bytes(b)
 
 
-@pytest.mark.parametrize("name", ["fig4b", "fig6"])
-def test_noise_is_drawn_once_per_channel_and_draw(monkeypatch, name):
-    # every curve reads its own prefix of one unit-noise draw
+def _recorded_noise(monkeypatch, cfg):
+    """(generator, block) per harness.awgn call of a serial run of cfg."""
     calls = []
 
-    def counted(n, seed):
-        calls.append(n)
-        return awgn(n, seed)
+    def recorded(n, seed):
+        w = awgn(n, seed)
+        calls.append((seed, w))
+        return w
 
-    monkeypatch.setattr(harness, "awgn", counted)
-    run_experiment(preset(name, scale="desk", n_channels=2, n_noise=3))
-    assert len(calls) == 6
+    monkeypatch.setattr(harness, "awgn", recorded)
+    run_experiment(cfg)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["fig4b", "fig6"])
+def test_noise_is_drawn_once_per_channel_and_draw(monkeypatch, name):
+    # one generator per channel, one awgn call per block of draws; every
+    # curve reads its own prefix of a draw's row.  Blocks of two draws,
+    # so three draws take two blocks.
+    cfg = preset(name, scale="desk", n_channels=2, n_noise=3)
+    n_win = max(rt.n_rx for rt in harness._runtimes(cfg))
+    monkeypatch.setattr(harness, "_BLOCK_SAMPLES", 2 * n_win)
+    calls = _recorded_noise(monkeypatch, cfg)
+    gens = [g for g, _ in calls]
+    assert all(isinstance(g, np.random.Generator) for g in gens)
+    assert [g is gens[0] for g in gens] == [True, True, False, False]
+    assert gens[2] is gens[3]
+    assert [w.shape for _, w in calls] == [(2, n_win), (1, n_win)] * 2
+
+
+def test_a_draws_noise_does_not_depend_on_the_draw_count(monkeypatch):
+    # the channel's stream is continued in draw order, so draw t is the
+    # same row whether the run takes 3 draws or 5
+    rows = []
+    for n_noise in (3, 5):
+        cfg = preset("fig4b", scale="desk", n_channels=2, n_noise=n_noise)
+        calls = _recorded_noise(monkeypatch, cfg)
+        assert len(calls) == 2
+        rows.append([w[:3] for _, w in calls])
+    for few, many in zip(*rows):
+        assert few.tobytes() == many.tobytes()
 
 
 @pytest.mark.parametrize("name", ["fig4b", "fig3", "fig6"])
@@ -220,6 +249,24 @@ def test_system_config_takes_integer_dimensions_only(bad):
     assert (sc.M, sc.L_h, sc.K, sc.nu) == (128, 8, 4, 7)
 
 
+@pytest.mark.parametrize("E", [True, np.bool_(True), "1", None],
+                         ids=["True", "bool_", "str", "None"])
+def test_system_config_takes_a_real_energy_only(E):
+    with pytest.raises(ValueError, match="E must be a real number"):
+        SystemConfig(M=128, L_h=8, E=E)
+    for ok in (3, np.float32(2.5), np.float64(128.0)):
+        assert SystemConfig(M=128, L_h=8, E=ok).E == ok
+
+
+def test_run_experiment_takes_numpy_floats():
+    cfg = preset("fig1a", scale="desk", n_channels=2, n_noise=1,
+                 E=np.float64(128.0), ebn0_db=(np.float64(10.0),))
+    want = preset("fig1a", scale="desk", n_channels=2, n_noise=1,
+                  E=128.0, ebn0_db=(10.0,))
+    for a, b in zip(run_experiment(cfg), run_experiment(want)):
+        assert a.nmse.tobytes() == b.nmse.tobytes()
+
+
 def test_run_experiment_takes_numpy_integer_counts():
     cfg = preset("fig1a", scale="desk", n_channels=np.int64(2),
                  n_noise=np.int32(1), workers=np.int64(1), seed=np.int64(3),
@@ -238,12 +285,13 @@ def test_run_experiment_takes_numpy_integer_counts():
     dict(ebn0_db=(-4000.0, 0.0)), dict(seed=-1), dict(seed=1.5),
     dict(seed=True), dict(n_channels=2.5), dict(n_noise=1.5),
     dict(n_noise=True), dict(workers=1.5), dict(workers=True), dict(K=2.5),
-    dict(K=True), dict(M=128.0), dict(L_h=8.0),
+    dict(K=True), dict(M=128.0), dict(L_h=8.0), dict(E=True), dict(E="1"),
+    dict(ebn0_db=("5",)), dict(ebn0_db=(0.0, True)),
 ], ids=["n_channels=1", "n_noise=0", "empty_ebn0", "workers=0", "M=100",
         "nan_ebn0", "inf_ebn0", "-inf_ebn0", "ebn0=4000", "ebn0=-4000",
         "seed=-1", "seed=1.5", "seed=True", "n_channels=2.5", "n_noise=1.5",
         "n_noise=True", "workers=1.5", "workers=True", "K=2.5", "K=True",
-        "M=128.0", "L_h=8.0"])
+        "M=128.0", "L_h=8.0", "E=True", "E=str", "str_ebn0", "bool_ebn0"])
 def test_run_experiment_rejects_bad_inputs_before_any_work(monkeypatch, bad):
     def work(args):
         raise AssertionError("a channel ran")
@@ -273,11 +321,15 @@ def test_superposed_trials_match_chain_loop(name):
     # draw needs its own noiseless pass.
     cfg = preset(name, scale="desk", n_channels=2, n_noise=2)
     sc = cfg.system
+    n_win = max(rt.n_rx for rt in harness._runtimes(cfg))
     for c in (0, 1):
         ratios, floors, inv_h2 = harness._run_channel((cfg, c))
         h = gen_veh_a(np.random.SeedSequence([cfg.seed, 101, c]), sc)
         H = cfr_from_cir(h, sc.M)
         assert inv_h2 == 1.0 / np.sum(np.abs(H) ** 2)
+        # draw t's unit noise is row t of the channel's stream
+        stream = np.random.default_rng(np.random.SeedSequence([cfg.seed, 301, c]))
+        noise = [awgn(n_win, stream) for _ in range(cfg.n_noise)]
         for i, rt in enumerate(harness._runtimes(cfg)):
             spec = rt.spec
             want = np.zeros(len(cfg.ebn0_db))
@@ -292,8 +344,8 @@ def test_superposed_trials_match_chain_loop(name):
                      else sfb(p.symbols, rt.proto))
                 for k, g in enumerate(cfg.ebn0_db):
                     sigma2 = ebn0_to_sigma2(g, cfg.E / sc.M)
-                    r = propagate(s, h, sigma2,
-                                  np.random.SeedSequence([cfg.seed, 301, c, t]))
+                    r = propagate(s, h, 0.0, None)
+                    r += np.sqrt(sigma2) * noise[t][:len(r)]
                     if rt.spec.system == "oqam":
                         y = afb(r, rt.proto, [(m, 0) for m in p.pilot_idx])
                     else:
