@@ -132,10 +132,10 @@ def propagate(s, h, sigma2: float, seed) -> np.ndarray:
 
     Returns the full convolution, length len(s) + len(h) - 1.  sigma2 is
     the total noise variance per complex sample (sigma2/2 per component);
-    the noise is sqrt(sigma2) * awgn(len(r), seed).  s may be a stack
+    the noise is sqrt(sigma2) * awgn(r.shape, seed).  s may be a stack
     (..., L) of signals: each row is convolved on its own (np.convolve)
-    and takes the seed's noise, so each row of the result is exactly the
-    row's own 1-D result.
+    and takes the next row of the seed's noise stream, so the noise of
+    row k is the k-th of successive 1-D draws from one generator.
     """
     s = np.asarray(s, dtype=complex)
     h = np.asarray(h, dtype=complex).reshape(-1)
@@ -145,7 +145,7 @@ def propagate(s, h, sigma2: float, seed) -> np.ndarray:
     for row, out in zip(s.reshape(-1, s.shape[-1]), r.reshape(-1, r.shape[-1])):
         out[:] = np.convolve(row, h)
     if sigma2 > 0:
-        r = r + np.sqrt(sigma2) * awgn(r.shape[-1], seed)
+        r += np.sqrt(sigma2) * awgn(r.shape, seed)
     return r
 
 

@@ -3,20 +3,19 @@
 An experiment is a set of curves (scheme + preamble + estimator) swept
 over an Eb/N0 grid against a common set of channel realizations.  All
 randomness derives from one master seed through named SeedSequence
-branches: the channel per index c, [seed, 101, c]; the data per
-(channel, draw) pair, [seed, 201, c, t]; and the noise per channel,
-[seed, 301, c], one stream whose rows are the draws in draw order, so a
-draw's noise depends on neither the block size nor the draw count.  One
-noise draw serves every Eb/N0 point: the LS estimate is linear in the
-received samples, so a trial's error is the noiseless error plus the
-unit-noise error scaled to each point.  A curve's draws on one channel
-go through receive and estimation as one stack (in blocks of about 1 MB
-of noise), and each draw reduces to three sums from which every point
-follows.  A preamble redrawn per draw is a layout built once per curve;
-a block of its draws is drawn, synthesized and propagated as one stack
-too.  Channel and noise are shared between the curves of an experiment
-too (each curve reads a prefix of the draw's noise row), so compared
-curves differ only through their preambles and estimators.
+branches: channel c is seeded [seed, 101, c]; its noise [seed, 301, c]
+and the data of curve i on it [seed, 201, c, i] are one stream each, in
+draw order, so a draw depends on neither the block size nor the draw
+count.  One noise draw serves every Eb/N0 point: the LS estimate is
+linear in the received samples, so a trial's error is the noiseless
+error plus the unit-noise error scaled to each point.  A curve's draws
+on one channel go through receive and estimation as one stack (in blocks
+of about 1 MB of noise), and each draw reduces to three sums from which
+every point follows.  A preamble redrawn per draw is a layout built once
+per curve; a block of its draws is drawn, synthesized and propagated as
+one stack too.  Channel and noise are shared between the curves of an
+experiment (each curve reads a prefix of the draw's noise row), so
+compared curves differ only through their preambles and estimators.
 
 Results aggregate per channel first (mean over noise draws of
 ||H_hat - H||^2 / ||H||^2), then over channels; the reported standard
@@ -131,10 +130,7 @@ class _CurveRuntime:
             self.synthesize = lambda x: modulate(x, sc).s
             self.receive = lambda r: demodulate(r, sc)[..., self.pilot_idx]
         else:
-            proto = design_prototype(sc.M, sc.K)
-            if spec.truncate_to is not None:
-                proto = truncate_prototype(proto, spec.truncate_to)
-            self.proto = proto
+            self.proto = proto = _pulse(sc.M, sc.K, spec.truncate_to)
             self.synthesize = lambda x: sfb(x, proto)
             self.receive = lambda r: afb(r, proto, self.points)
         e = cfg.E * spec.e_scale
@@ -164,11 +160,18 @@ class _CurveRuntime:
         return estimate_from_pilots(self.receive(r), self.preamble, self.sc,
                                     mode=self.spec.estimator)
 
-    def transmit(self, seeds) -> np.ndarray:
-        """Transmit samples (T, n_rx - L_h + 1) of one data draw per seed."""
-        x = draw_sparse_data(self.layout, seeds)
+    def transmit(self, rng, T: int) -> np.ndarray:
+        """Transmit samples (T, n_rx - L_h + 1) of T data draws from rng."""
+        x = draw_sparse_data(self.layout, rng, T)
         x *= self.scale
         return self.synthesize(x)
+
+
+@lru_cache(maxsize=None)
+def _pulse(M: int, K: int, cut: int | None):
+    """The pulse of M, K and cut, once per process: curves share its tables."""
+    proto = design_prototype(M, K)
+    return proto if cut is None else truncate_prototype(proto, cut)
 
 
 @lru_cache(maxsize=1)
@@ -191,15 +194,15 @@ def _run_channel(args) -> tuple:
     per curve for a static preamble, once per draw otherwise), e from the
     unit-noise pass.  Each draw reduces to sum |a|^2, sum Re(conj(a) e)
     and sum |e|^2; their totals over the draws give every Eb/N0 point.
-    The channel's unit noise is one generator, seeded [seed, 301, c]; a
-    block of draws takes its rows from it in draw order with one awgn
-    call, at the longest window, and each curve reads its own prefix of
-    a row.  The stream fills row after row, so draw t's noise does not
-    depend on the block size or on n_noise.  Draws go through in blocks
-    of about _BLOCK_SAMPLES noise samples, a block in one receive and one
-    estimate call per curve.  A preamble redrawn per draw takes one more
-    of each, after one draw of its layout's data, one synthesis and one
-    propagation for the whole block; no row's result depends on its block.
+    The channel's unit noise is one generator, seeded [seed, 301, c], and
+    a curve i whose preamble is redrawn per draw has one data generator,
+    seeded [seed, 201, c, i].  A block of draws takes its rows from each
+    in draw order with one call (awgn at the longest window, of which a
+    curve reads a prefix; draw_sparse_data), so draw t depends on neither
+    the block size nor n_noise.  A block holds about _BLOCK_SAMPLES noise
+    samples and takes one receive and one estimate call per curve, plus a
+    synthesis, a propagation, a receive and an estimate for a preamble
+    redrawn per draw; no row's result depends on its block.
     """
     cfg, c = args
     sc = cfg.system
@@ -207,8 +210,7 @@ def _run_channel(args) -> tuple:
     h = gen_veh_a(np.random.SeedSequence([cfg.seed, _TAG_CHANNEL, c]), sc)
     H = cfr_from_cir(h, sc.M)
     norm_h2 = float(np.sum(np.abs(H) ** 2))
-    e_sym = cfg.E / sc.M
-    sigma2 = np.array([ebn0_to_sigma2(g, e_sym) for g in cfg.ebn0_db])
+    sigma2 = np.array([ebn0_to_sigma2(g, cfg.E / sc.M) for g in cfg.ebn0_db])
 
     floors = np.array([rt.floor(H) for rt in runtimes]) / norm_h2
     n_win = max(rt.n_rx for rt in runtimes)
@@ -217,18 +219,16 @@ def _run_channel(args) -> tuple:
     sums = np.zeros((3, len(runtimes), cfg.n_noise))
     a = [None if rt.layout else rt.estimate(propagate(rt.tx, h, 0.0, None)) - H
          for rt in runtimes]
-    noise = np.random.default_rng(
-        np.random.SeedSequence([cfg.seed, _TAG_NOISE, c]))
+    noise = np.random.default_rng([cfg.seed, _TAG_NOISE, c])
+    data = [np.random.default_rng([cfg.seed, _TAG_DATA, c, i])
+            if rt.layout else None for i, rt in enumerate(runtimes)]
     for lo in range(0, cfg.n_noise, block):
         hi = min(lo + block, cfg.n_noise)
-        ts = range(lo, hi)
-        w = awgn((len(ts), n_win), noise)
+        w = awgn((hi - lo, n_win), noise)
         for i, rt in enumerate(runtimes):
             if rt.layout is not None:
-                seeds = [np.random.SeedSequence([cfg.seed, _TAG_DATA, c, t])
-                         for t in ts]
-                a[i] = rt.estimate(propagate(rt.transmit(seeds), h, 0.0,
-                                             None)) - H
+                a[i] = rt.estimate(propagate(rt.transmit(data[i], hi - lo),
+                                             h, 0.0, None)) - H
             e = rt.estimate(w[:, :rt.n_rx])
             sums[0, i, lo:hi] = np.sum(np.abs(a[i]) ** 2, axis=-1)
             sums[1, i, lo:hi] = np.sum((a[i].conj() * e).real, axis=-1)

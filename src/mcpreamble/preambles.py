@@ -220,10 +220,9 @@ class SparseDataLayout(NamedTuple):
     as a Preamble: its symbols hold the pilots alone (data and help pilots
     0), and its pilots, divisors, E_train, window, data_positions and
     pulse are those of every draw.  A draw's J data symbols fill
-    data_positions in order.  Their bits come from one generator per
-    draw, one integers(0, 2, size=k) call per entry k of calls; e_x is
-    the energy of a symbol, phase its e^{j*phi} for OQAM, and None means
-    QPSK, two bits per symbol.
+    data_positions in order from n_bits bits; e_x is the energy of a
+    symbol, phase its e^{j*phi} for OQAM, and None means QPSK, two bits
+    per symbol.
 
     The help pilots of a two-column grid are a linear map W of the data:
     pilot i's first-order data neighbours are the symbols help_j[i] with
@@ -232,7 +231,7 @@ class SparseDataLayout(NamedTuple):
     """
 
     preamble: Preamble
-    calls: tuple
+    n_bits: int
     e_x: float
     phase: np.ndarray | None = None
     help_j: np.ndarray | None = None
@@ -287,7 +286,7 @@ def sparse_data_layout(
             Preamble(pilot_idx=idx, divisors=divisors, symbols=x, E=E,
                      E_train=e_train, window=M + config.nu,
                      data_positions=_positions(tones, 0), proto=proto),
-            calls=(2 * len(tones),), e_x=e_x)
+            n_bits=2 * len(tones), e_x=e_x)
 
     if proto is None:
         raise ValueError(f"scenario {scenario} is OQAM and needs its pulse")
@@ -336,26 +335,26 @@ def sparse_data_layout(
         Preamble(pilot_idx=idx, divisors=divisors, symbols=x, E=E,
                  E_train=e_train, window=window, data_positions=positions,
                  proto=proto),
-        calls=tuple(len(t) for t in cols), e_x=e_x, phase=phase, **helpers)
+        n_bits=len(positions), e_x=e_x, phase=phase, **helpers)
 
 
-def draw_sparse_data(layout: SparseDataLayout, seeds) -> np.ndarray:
-    """Symbols of one draw of the layout's data per seed, as a stack.
+def draw_sparse_data(layout: SparseDataLayout, rng, T: int) -> np.ndarray:
+    """Symbols of T successive draws of the layout's data, as a stack.
 
-    Draw t takes its bits from default_rng(seeds[t]) alone, so it does
-    not depend on the other draws.  The result is (T, M) for CP-OFDM and
-    (T, M, n_cols) for OQAM: the pilot grid, the data symbols at their
-    positions and, in a helped grid, the help pilots.
+    rng is anything numpy.random.default_rng takes; a Generator continues
+    its stream.  Row t of one integers(0, 2, size=(T, n_bits)) call holds
+    draw t's bits; int64 draws continue across calls, so a draw depends
+    on neither its stack nor the draws after it.  The result is (T, M)
+    for CP-OFDM and (T, M, n_cols) for OQAM: the pilot grid, the data
+    symbols at their positions and, in a helped grid, the help pilots.
     """
-    bits = np.stack([
-        np.concatenate([rng.integers(0, 2, size=k) for k in layout.calls])
-        for rng in map(np.random.default_rng, seeds)])
+    bits = np.random.default_rng(rng).integers(0, 2, size=(T, layout.n_bits))
     half = np.sqrt(layout.e_x / 2.0)
     p = layout.preamble
-    x = np.repeat(p.symbols[None], len(bits), axis=0)
+    x = np.repeat(p.symbols[None], T, axis=0)
     m, n = p.data_positions.T
     if p.proto is None:
-        b = bits.reshape(len(bits), -1, 2)
+        b = bits.reshape(T, -1, 2)
         x[:, m] = half * ((1 - 2 * b[..., 0]) + 1j * (1 - 2 * b[..., 1]))
         return x
     d = half * (1 - 2 * bits) * layout.phase
@@ -380,9 +379,9 @@ def make_sparse_data(
     """One draw of a sparse-plus-data layout (sparse_data_layout).
 
     The data symbols are drawn from data_seed, anything
-    numpy.random.default_rng takes; pilots, divisors and the declared
-    training energy are the layout's.
+    numpy.random.default_rng takes (a Generator continues its stream);
+    pilots, divisors and the declared training energy are the layout's.
     """
     layout = sparse_data_layout(scenario, E, config, proto)
     return replace(layout.preamble,
-                   symbols=draw_sparse_data(layout, [data_seed])[0])
+                   symbols=draw_sparse_data(layout, data_seed, 1)[0])

@@ -89,14 +89,23 @@ def test_propagate_noiseless_is_convolution():
 
 @pytest.mark.parametrize("sigma2", [0.0, 0.3], ids=["noiseless", "noisy"])
 def test_propagate_takes_a_stack_of_signals(sigma2):
-    # each row is its own 1-D call, the seed's noise included
+    # each row is convolved on its own and takes the next row of the
+    # seed's noise stream: row k is the k-th of successive 1-D calls on
+    # one generator, so the rows' noises are independent
     rng = np.random.default_rng(8)
     s = rng.standard_normal((2, 3, 40)) + 1j * rng.standard_normal((2, 3, 40))
     h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     r = propagate(s, h, sigma2, seed=(4, 2))
     assert r.shape == (2, 3, 43)
+    stream = np.random.default_rng((4, 2))
     for t in np.ndindex(2, 3):
-        assert np.array_equal(r[t], propagate(s[t], h, sigma2, seed=(4, 2)))
+        assert np.array_equal(r[t], propagate(s[t], h, sigma2, seed=stream))
+    # a single signal is the convolution plus the seed's first noise row
+    want = np.convolve(s[0, 0], h) + np.sqrt(sigma2) * awgn(43, (4, 2))
+    assert np.array_equal(propagate(s[0, 0], h, sigma2, seed=(4, 2)), want)
+    if sigma2:
+        w = propagate(np.zeros((2, 40)), [1], sigma2, seed=1)
+        assert not np.array_equal(w[0], w[1])
 
 
 @pytest.mark.parametrize("sigma2", [-1.0, float("nan")], ids=["negative", "nan"])

@@ -16,6 +16,8 @@ from mcpreamble import (
     awgn,
     cfr_from_cir,
     demodulate,
+    design_prototype,
+    draw_sparse_data,
     ebn0_to_sigma2,
     estimate_from_pilots,
     floor_map,
@@ -125,6 +127,79 @@ def test_a_draws_noise_does_not_depend_on_the_draw_count(monkeypatch):
         rows.append([w[:3] for _, w in calls])
     for few, many in zip(*rows):
         assert few.tobytes() == many.tobytes()
+
+
+def _recorded_data(monkeypatch, cfg):
+    """(generator, draws) per harness.draw_sparse_data call of a serial
+    run of cfg."""
+    calls = []
+
+    def recorded(layout, rng, T):
+        x = draw_sparse_data(layout, rng, T)
+        calls.append((rng, x))
+        return x
+
+    monkeypatch.setattr(harness, "draw_sparse_data", recorded)
+    run_experiment(cfg)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig6"])
+def test_data_is_drawn_once_per_channel_and_curve(monkeypatch, name):
+    # one generator per (channel, data curve), seeded [seed, 201, c, i]
+    # for curve i, and one draw_sparse_data call per block of draws.
+    # Blocks of two draws, so three draws take two blocks.
+    cfg = preset(name, scale="desk", n_channels=2, n_noise=3)
+    runtimes = harness._runtimes(cfg)
+    n_win = max(rt.n_rx for rt in runtimes)
+    (i,) = [i for i, rt in enumerate(runtimes) if rt.layout is not None]
+    monkeypatch.setattr(harness, "_BLOCK_SAMPLES", 2 * n_win)
+    calls = _recorded_data(monkeypatch, cfg)
+    gens = [g for g, _ in calls]
+    assert all(isinstance(g, np.random.Generator) for g in gens)
+    assert [g is gens[0] for g in gens] == [True, True, False, False]
+    assert gens[2] is gens[3]
+    assert [g.bit_generator.seed_seq.entropy for g in gens[1:3]] == [
+        [cfg.seed, 201, 0, i], [cfg.seed, 201, 1, i]]
+    assert [len(x) for _, x in calls] == [2, 1] * 2
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig6"])
+def test_a_draws_data_does_not_depend_on_the_draw_count(monkeypatch, name):
+    # the (channel, curve) stream is continued in draw order, so draw t
+    # holds the same data whether the run takes 3 draws or 5
+    rows = []
+    for n_noise in (3, 5):
+        cfg = preset(name, scale="desk", n_channels=2, n_noise=n_noise)
+        calls = _recorded_data(monkeypatch, cfg)
+        assert len(calls) == 2
+        rows.append([x[:3] for _, x in calls])
+    for few, many in zip(*rows):
+        assert few.tobytes() == many.tobytes()
+
+
+def test_curves_on_one_pulse_share_it(monkeypatch):
+    # the two OQAM curves of fig4b and fig6 hold one pulse object, built
+    # once per process; fig8's cut pulse is another object
+    designed = []
+
+    def counted(M, K):
+        designed.append((M, K))
+        return design_prototype(M, K)
+
+    monkeypatch.setattr(harness, "design_prototype", counted)
+    harness._pulse.cache_clear()
+    harness._runtimes.cache_clear()
+    for name in ("fig4b", "fig6"):
+        cfg = preset(name, scale="desk", **SMALL)
+        a, b = harness._runtimes(cfg)
+        assert a.proto is b.proto is harness._pulse(cfg.M, cfg.K, None)
+    assert designed == [(128, 4)]
+    cfg = preset("fig8a", scale="desk", **SMALL)
+    cut = harness._runtimes(cfg)[1].proto
+    assert cut.L_g == cfg.M + cfg.L_h - 1
+    assert cut is not harness._pulse(cfg.M, cfg.K, None)
+    assert cut is harness._pulse(cfg.M, cfg.K, cfg.M + cfg.L_h - 1)
 
 
 @pytest.mark.parametrize("name", ["fig4b", "fig3", "fig6"])
@@ -333,12 +408,14 @@ def test_superposed_trials_match_chain_loop(name):
         for i, rt in enumerate(harness._runtimes(cfg)):
             spec = rt.spec
             want = np.zeros(len(cfg.ebn0_db))
+            # draw t's data is draw t of the (channel, curve) stream
+            data = np.random.default_rng(
+                np.random.SeedSequence([cfg.seed, 201, c, i]))
             for t in range(cfg.n_noise):
                 p = rt.preamble
                 if spec.family == "sparse_data":
                     p = make_sparse_data(
-                        spec.scenario, cfg.E * spec.e_scale,
-                        np.random.SeedSequence([cfg.seed, 201, c, t]), sc,
+                        spec.scenario, cfg.E * spec.e_scale, data, sc,
                         rt.proto).scaled(rt.scale)
                 s = (modulate(p.symbols, sc).s if rt.proto is None
                      else sfb(p.symbols, rt.proto))

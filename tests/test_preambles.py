@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from mcpreamble import (
     SystemConfig,
     antenna_energy,
     cp_energy,
+    data_phase,
     design_prototype,
     draw_sparse_data,
     load_preamble_values,
@@ -172,19 +174,25 @@ def test_sparse_data_scenarios_layout(desk, proto):
 @pytest.mark.parametrize("scenario", SCENARIOS)
 @pytest.mark.parametrize("M", [32, 128])
 def test_a_layout_draw_is_a_stack_of_single_draws(M, scenario, T):
-    # row t of one draw of the layout is make_sparse_data on the seed of
-    # row t, bit for bit, scaled or not: a row never depends on its stack
+    # row t of T draws from a stream is the t-th of successive
+    # make_sparse_data draws from an equally seeded stream, bit for bit,
+    # scaled or not: a row never depends on its stack
     cfg = SystemConfig(M=M, L_h=M // 16, K=4, E=float(M))
     pulse = None if scenario == "qam-sd" else design_prototype(M, 4)
     layout = sparse_data_layout(scenario, cfg.E, cfg, pulse)
-    seeds = [np.random.SeedSequence([5, 201, 3, t]) for t in range(T)]
-    stack = draw_sparse_data(layout, seeds)
+    seed = np.random.SeedSequence([5, 201, 3, 1])
+    stack = draw_sparse_data(layout, np.random.default_rng(seed), T)
     assert stack.shape == (T,) + layout.preamble.symbols.shape
+    stream = np.random.default_rng(seed)
+    singles = [make_sparse_data(scenario, cfg.E, stream, cfg, pulse)
+               for _ in range(T)]
+    # a seed that is not a generator starts its stream: draw 0
+    first = make_sparse_data(scenario, cfg.E, seed, cfg, pulse)
+    assert first.symbols.tobytes() == singles[0].symbols.tobytes()
     for amp in (1.0, 0.7):
         base = layout.preamble.scaled(amp)
         for t in range(T):
-            p = make_sparse_data(scenario, cfg.E, seeds[t], cfg,
-                                 pulse).scaled(amp)
+            p = singles[t].scaled(amp)
             assert (stack[t] * amp).tobytes() == p.symbols.tobytes()
             assert base.divisors.tobytes() == p.divisors.tobytes()
             assert base.E_train == p.E_train
@@ -194,6 +202,21 @@ def test_a_layout_draw_is_a_stack_of_single_draws(M, scenario, T):
     x = layout.preamble.symbols.reshape(M, -1)
     assert np.count_nonzero(x) == cfg.L_h
     assert np.all(x[layout.preamble.pilot_idx, 0] != 0)
+
+
+def test_make_sparse_data_keeps_its_symbols_for_an_integer_seed():
+    # an integer seed gives the symbols it gave when each draw took one
+    # integers call per data column: the QPSK symbols by their bytes (all
+    # exact in binary) and the signs of an OQAM draw's real data
+    cfg = SystemConfig(M=16, L_h=2, K=4, E=16.0)
+    p = make_sparse_data("qam-sd", cfg.E, 11, cfg)
+    assert hashlib.sha256(p.symbols.tobytes()).hexdigest() == (
+        "1be75a841f400ba18379d077c7e7d3ce52c33fda7d0af7af990145f9f6337873")
+    q = make_sparse_data("oqam-3", cfg.E, 11, cfg, design_prototype(16, 4))
+    m, n = q.data_positions.T
+    d = (q.symbols[m, n] * np.exp(-1j * data_phase(m, n))).real
+    assert "".join("+" if v > 0 else "-" for v in d) == (
+        "++-+---++++--+-+-----++-+--+")
 
 
 @pytest.mark.parametrize("scenario", ["oqam-2", "oqam-3"])
