@@ -29,12 +29,12 @@ for _ in range(6):
     mods = np.abs(p.symbols) ** 2
     spread = float(np.ptp(mods)) / (cfg.E / cfg.M)
     cp = cp_energy(p.symbols, cfg) / cfg.E
-    pr = papr(modulate(p.symbols, cfg).useful)
+    pr = papr(modulate(p.symbols, cfg)[cfg.nu:])
     mse = (cfg.L_h * sigma2 / cfg.M ** 2) * float(np.sum(1.0 / mods))
     print(f"{k:>4d} {g2:>8.3f} {th:>7.3f} {spread:>11.2e} "
           f"{cp:>9.2e} {10 * np.log10(pr):>8.2f} {mse / genie:>10.6f}")
 
 flat = make_equal_comb(cfg.M, 0, cfg.E, cfg)
-pr = papr(modulate(flat.symbols, cfg).useful)
+pr = papr(modulate(flat.symbols, cfg)[cfg.nu:])
 print(f"\nequal-value column (a single time impulse) for comparison: papr "
       f"{10 * np.log10(pr):.2f} dB; any proper two-impulse split does better")

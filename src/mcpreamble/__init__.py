@@ -29,7 +29,7 @@ from .channel import (
     sample_profile,
 )
 from .config import SystemConfig
-from .cpofdm import CpOfdmFrame, cp_energy, demodulate, modulate
+from .cpofdm import cp_energy, demodulate, modulate
 from .estimation import estimate_from_pilots
 from .fourier import cfr_samples_to_cir, cp_gram, dft_submatrix, equispaced_set
 from .harness import (

@@ -26,13 +26,13 @@ Conventions used by every routine here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .channel import cfr_from_cir, gen_veh_a
-from .config import SystemConfig
-from .cpofdm import modulate
+from .config import SystemConfig, _check_int
+from .cpofdm import cp_energy, modulate
 from .estimation import _check_mode
 from .fourier import cfr_samples_to_cir
 # unused here; perfbench's tracer test expects the name in this module
@@ -64,8 +64,9 @@ def antenna_energy(preamble: Preamble, config: SystemConfig) -> float:
     the expectation-based accounting instead.
     """
     if preamble.proto is None:
-        return modulate(preamble.symbols, config).energy
-    s = sfb(preamble.symbols, preamble.proto)
+        s = modulate(preamble.symbols, config)
+    else:
+        s = sfb(preamble.symbols, preamble.proto)
     return float(np.sum(np.abs(s) ** 2))
 
 
@@ -256,13 +257,6 @@ class OptimalityReport:
         return "\n".join(lines)
 
 
-def _cp_energy_batch(X: np.ndarray, nu: int) -> np.ndarray:
-    """Prefix energies of a batch of frequency rows (shape T x M)."""
-    M = X.shape[1]
-    u = np.fft.ifft(X, axis=1)
-    return M * np.sum(np.abs(u[:, M - nu:]) ** 2, axis=1)
-
-
 def verify_optimality(
     config: SystemConfig,
     trials: int = 10000,
@@ -283,8 +277,13 @@ def verify_optimality(
         always meets the genie MSE.
 
     Plus stationarity/curvature of (a) and (b) at their optimizers and
-    the exact sparse OQAM energy identity.
+    the exact sparse OQAM energy identity.  Prefix energies come from
+    cp_energy, the equal comb from make_equal_comb, single-preamble MSEs
+    from closed_form_mse and the full column's pseudo pilots from the
+    pulse's AFB noise covariance (afb_noise_cov).
     """
+    _check_int("trials", trials)
+    _check_int("seed", seed)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
@@ -304,7 +303,7 @@ def verify_optimality(
         i_0 = int(rng.integers(0, M // N))
         X = np.zeros((n_t, M), dtype=complex)
         X[:, i_0 + (M // N) * np.arange(N)] = vals
-        e_train = np.sum(np.abs(vals) ** 2, axis=1) + _cp_energy_batch(X, nu) / M
+        e_train = np.sum(np.abs(vals) ** 2, axis=1) + cp_energy(X, config)
         vals *= np.sqrt(E / e_train)[:, None]
         mse = (L_h * sigma2 / N ** 2) * np.sum(1.0 / np.abs(vals) ** 2, axis=1)
         worst_a = min(worst_a, float(np.min(mse / bound_a)))
@@ -313,16 +312,15 @@ def verify_optimality(
         f"min mse/bound = {worst_a:.9f} (>= 1)"))
 
     # equality case: the equal comb reaches the bound exactly
-    eq = np.full(L_h, np.sqrt(E / L_h))
-    mse_eq = (L_h * sigma2 / L_h ** 2) * np.sum(1.0 / eq ** 2)
-    dev = abs(mse_eq / bound_a - 1.0)
+    comb = make_equal_comb(L_h, 0, E, config)
+    f = lambda v: closed_form_mse(replace(comb, divisors=v), sigma2, config) / M
+    dev = abs(f(comb.divisors) / bound_a - 1.0)
     add(CheckResult(
         "qam_sparse_equality", dev < 1e-12, dev, 1e-12,
         f"equal comb deviation {dev:.2e} (< 1e-12)"))
 
     # stationarity and curvature of (a) at the equal comb, on the sphere
-    x0 = eq.astype(complex)
-    f = lambda v: np.sum(1.0 / np.abs(v) ** 2)
+    x0 = comb.divisors
     g_num = np.zeros(L_h)
     eps = 1e-6
     for i in range(L_h):
@@ -343,20 +341,22 @@ def verify_optimality(
         f"projected gradient {grad_norm:.2e} (< 1e-6), curvature >= 0: {curv_ok}"))
 
     # (b) full OQAM raw lower bound under the SFB-input energy constraint.
-    # sum 1/c_p^2 >= M^2 / sum c_p^2 and ||J a||^2 < (1+2*beta)^2 ||a||^2
-    # (the interference matrix J has negacyclic eigenvalues
-    # 1 + 2*beta*cos(pi*(2k+1)/M), all strictly below 1 + 2*beta).
+    # A real column a has the raw pseudo pilots c = a @ B, B the AFB noise
+    # covariance of the pulse.  sum 1/c_p^2 >= M^2 / sum c_p^2, and
+    # ||c||^2 < (1+2*beta)^2 ||a||^2: the first-order part of B, with
+    # -beta in its wrap-around corners, has the negacyclic eigenvalues
+    # 1 + 2*beta*cos(pi*(2k+1)/M), all strictly below 1 + 2*beta.
+    B = afb_noise_cov(proto).real
+    f_b = lambda a: np.sum(1.0 / (a @ B) ** 2, axis=-1)
     bound_b = M ** 2 * sigma2 / (E * (1.0 + 2.0 * beta) ** 2)
     n_t = trials
     A_rand = np.abs(rng.standard_normal((n_t, M))) + 0.05
     A_rand *= np.sqrt(E / np.sum(A_rand ** 2, axis=1))[:, None]
-    C = A_rand + beta * (np.roll(A_rand, 1, axis=1) + np.roll(A_rand, -1, axis=1))
-    C[:, 0] -= 2 * beta * A_rand[:, -1]
-    C[:, -1] -= 2 * beta * A_rand[:, 0]
-    mse_b = sigma2 * np.sum(1.0 / C ** 2, axis=1)
+    mse_b = sigma2 * f_b(A_rand)
     worst_b = float(np.min(mse_b / bound_b))
     a_eq = np.sqrt(E / M)
-    mse_beq = sigma2 * ((M - 2) / (a_eq * (1 + 2 * beta)) ** 2 + 2 / a_eq ** 2)
+    a0 = np.full(M, a_eq)
+    mse_beq = sigma2 * f_b(a0)
     gap_eq = mse_beq / bound_b - 1.0
     add(CheckResult(
         "oqam_full_lower_bound", worst_b >= 1.0 - 1e-9 and mse_beq <= np.min(mse_b),
@@ -364,24 +364,9 @@ def verify_optimality(
         f"min mse/bound = {worst_b:.6f} (>= 1), equal column within "
         f"{gap_eq:.2%} of the asymptotic bound"))
 
-    # gradient of (b) at the equal column: matches the exact edge terms
-    def f_b(a_vec):
-        c = a_vec + beta * (np.roll(a_vec, 1) + np.roll(a_vec, -1))
-        c[0] -= 2 * beta * a_vec[-1]
-        c[-1] -= 2 * beta * a_vec[0]
-        return np.sum(1.0 / c ** 2)
-
-    a0 = np.full(M, a_eq)
-    c0 = a0 + 2 * beta * a0
-    c0 = c0.copy(); c0[0] = a_eq; c0[-1] = a_eq
-    # analytic gradient: d f / d a_q = -2 sum_p c_p^-3 dc_p/da_q
-    J = np.zeros((M, M))
-    J[np.arange(M), np.arange(M)] = 1.0
-    J[np.arange(M), (np.arange(M) + 1) % M] += beta
-    J[np.arange(M), (np.arange(M) - 1) % M] += beta
-    J[0, M - 1] -= 2 * beta
-    J[M - 1, 0] -= 2 * beta
-    g_ana = -2.0 * (J.T @ (1.0 / c0 ** 3))
+    # gradient of (b) at the equal column: matches the exact edge terms;
+    # d f_b / d a_q = -2 sum_p B[q, p] c_p^-3
+    g_ana = -2.0 * (B @ (1.0 / (a0 @ B) ** 3))
     g_chk = np.zeros(4)
     for t, i in enumerate((0, 1, M // 2, M - 1)):
         d = np.zeros(M); d[i] = 1e-7
@@ -421,7 +406,7 @@ def verify_optimality(
     n_t = trials
     theta = rng.uniform(0, 2 * np.pi, size=(n_t, M))
     X = np.sqrt(E / M) * np.exp(1j * theta)
-    cps = _cp_energy_batch(X, nu) / M
+    cps = cp_energy(X, config)
     min_cp = float(np.min(cps) / E)
     ks = rng.integers(0, M - nu - M // 2, size=64)
     gammas = rng.uniform(0.05, 0.95, size=64)
@@ -433,7 +418,7 @@ def verify_optimality(
                                     E, config)
         mods = np.abs(p.symbols) ** 2
         dev_mod = float(np.max(np.abs(mods - E / M)) / (E / M))
-        mse_t = (L_h * sigma2 / M ** 2) * np.sum(1.0 / mods)
+        mse_t = closed_form_mse(p, sigma2, config) / M
         dev_mse = abs(mse_t / bound_a - 1.0)
         cp_rel = (p.E_train - E) / E
         fam_worst = max(fam_worst, dev_mod, dev_mse, abs(cp_rel))
@@ -449,8 +434,8 @@ def verify_optimality(
     # PAPR: any proper two-impulse split beats the single-impulse column
     p_half = make_full_equipower_qam(0, M // 2, np.sqrt(0.5), 0.0, E, config)
     p_flat = make_equal_comb(M, 0, E, config)
-    pr_two = papr(modulate(p_half.symbols, config).useful)
-    pr_one = papr(modulate(p_flat.symbols, config).useful)
+    pr_two = papr(modulate(p_half.symbols, config)[nu:])
+    pr_one = papr(modulate(p_flat.symbols, config)[nu:])
     add(CheckResult(
         "equipower_papr", pr_two < pr_one - 1e-9, pr_two, pr_one,
         f"two-impulse PAPR {pr_two:.1f} < equal-value column PAPR {pr_one:.1f}"))

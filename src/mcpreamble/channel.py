@@ -49,27 +49,19 @@ class TapProfile:
         object.__setattr__(self, "taps", taps)
         object.__setattr__(self, "powers", powers / powers.sum())
 
-    @property
-    def n_taps(self) -> int:
-        return int(self.taps[-1]) + 1
 
-
-def sample_profile(L_h: int, delays_ns=None, powers_db=None) -> TapProfile:
-    """Resample a continuous power delay profile for a given channel length.
+def sample_profile(L_h: int) -> TapProfile:
+    """Resample the Vehicular A power delay profile for a channel length.
 
     The sample period is set so the largest delay rounds to the tap
     round(_REF_LAST_TAP * L_h / _REF_L_H), capped at L_h - 1 so very
     short responses stay in range; paths rounding to the same sample
     have their linear powers added.
     """
-    delays = VEH_A_DELAYS_NS if delays_ns is None else np.asarray(delays_ns, float)
-    powers = VEH_A_POWERS_DB if powers_db is None else np.asarray(powers_db, float)
-    if delays.shape != powers.shape:
-        raise ValueError("delay and power vectors must have equal length")
     last = min(max(1, round(_REF_LAST_TAP * L_h / _REF_L_H)), L_h - 1)
-    ts = delays.max() / last
-    pos = np.round(delays / ts).astype(np.int64)
-    lin = 10.0 ** (powers / 10.0)
+    ts = VEH_A_DELAYS_NS.max() / last
+    pos = np.round(VEH_A_DELAYS_NS / ts).astype(np.int64)
+    lin = 10.0 ** (VEH_A_POWERS_DB / 10.0)
     taps = np.array(sorted(set(pos.tolist())), dtype=np.int64)
     merged = np.array([lin[pos == t].sum() for t in taps])
     return TapProfile(taps=taps, powers=merged)
@@ -81,18 +73,14 @@ def _veh_a_profile(L_h: int) -> TapProfile:
     return sample_profile(L_h)
 
 
-def gen_veh_a(seed, config: SystemConfig,
-              profile: TapProfile | None = None) -> np.ndarray:
+def gen_veh_a(seed, config: SystemConfig) -> np.ndarray:
     """Impulse response h of one Rayleigh draw of the Vehicular A channel.
 
     Each occupied tap is an independent circular complex Gaussian with
     variance equal to its profile power; h is zero padded to length L_h.
     seed is anything accepted by numpy.random.default_rng.
     """
-    if profile is None:
-        profile = _veh_a_profile(config.L_h)
-    if profile.n_taps > config.L_h:
-        raise ValueError("profile longer than L_h")
+    profile = _veh_a_profile(config.L_h)
     rng = np.random.default_rng(seed)
     n = len(profile.taps)
     gains = np.sqrt(profile.powers / 2.0) * (

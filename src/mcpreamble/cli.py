@@ -112,14 +112,13 @@ def _cmd_design(args: argparse.Namespace) -> int:
     theta = args.theta
     p = make_full_equipower_qam(k, m, gamma, theta, cfg.E, cfg)
     mods = np.abs(p.symbols) ** 2
-    frame = modulate(p.symbols, cfg)
     print(f"two-impulse equal-power preamble  M={cfg.M} L_h={cfg.L_h} "
           f"E={cfg.E:g}")
     print(f"k={k} m={m} gamma={gamma:.6f} theta={theta:.6f}")
     print(f"subcarrier power spread: {mods.max() - mods.min():.3e} "
           f"(target {cfg.E / cfg.M:.6g} per tone)")
     print(f"prefix energy fraction: {(p.E_train - p.E) / p.E:.3e}")
-    print(f"useful-part PAPR: {papr(frame.useful):.2f} "
+    print(f"useful-part PAPR: {papr(modulate(p.symbols, cfg)[cfg.nu:]):.2f} "
           f"(equal-value column: {cfg.M:.0f})")
     if args.out:
         save_preamble(p, args.out)

@@ -127,7 +127,7 @@ class _CurveRuntime:
         self.sc = sc = cfg.system
         if spec.system == "cpofdm":
             self.proto = None
-            self.synthesize = lambda x: modulate(x, sc).s
+            self.synthesize = lambda x: modulate(x, sc)
             self.receive = lambda r: demodulate(r, sc)[..., self.pilot_idx]
         else:
             self.proto = proto = _pulse(sc.M, sc.K, spec.truncate_to)

@@ -4,8 +4,9 @@
 Run `python3 tests/golden/regenerate.py` from a checkout to rewrite every
 file in this directory from the current code, or `python3
 tests/golden/regenerate.py --check` to recompute them all, write nothing,
-name each file whose bytes differ (and, for a CSV, the columns that
-differ in some row) and exit 1 if any does.  The outputs are:
+name each file whose bytes differ (with, for a CSV, the columns that
+differ in some row, and for a text output the 1-based lines that differ)
+and exit 1 if any does.  The outputs are:
 
   * the CSV of every preset at desk scale and of paper fig3, fig4a,
     fig4b, fig6 and fig8b at Eb/N0 = 0 and 20 dB, all with 3 channels,
@@ -103,6 +104,22 @@ def differing_columns(got: str, want: str) -> str:
                      ) or "line breaks"
 
 
+def differing_lines(got: str, want: str) -> str:
+    """The 1-based numbers of the lines of a text output that differ.
+
+    A change of line count is named as such, and equal lines with
+    different bytes as line breaks.
+    """
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    if len(got_lines) != len(want_lines):
+        return f"{len(got_lines)} lines, want {len(want_lines)}"
+    moved = [str(k) for k, (g, w) in enumerate(zip(got_lines, want_lines), 1)
+             if g != w]
+    if not moved:
+        return "line breaks"
+    return f"line{'s' if len(moved) > 1 else ''} {', '.join(moved)}"
+
+
 def regenerate(argv) -> int:
     if argv not in ([], ["--check"]):
         print("usage: regenerate.py [--check]", file=sys.stderr)
@@ -114,10 +131,9 @@ def regenerate(argv) -> int:
             want = (HERE / fname).read_bytes()
             if want != text.encode():
                 differ.append(fname)
-                what = ""
-                if fname.endswith(".csv"):
-                    what = f" ({differing_columns(text, want.decode())})"
-                print(f"differs: {fname}{what}")
+                what = (differing_columns if fname.endswith(".csv")
+                        else differing_lines)(text, want.decode())
+                print(f"differs: {fname} ({what})")
         else:
             (HERE / fname).write_text(text)
             print(f"wrote {fname}")

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcpreamble import analysis
 from mcpreamble import (
     SystemConfig,
     afb,
@@ -75,7 +76,7 @@ def test_qam_closed_forms_against_simulation(desk):
         trials = 600
         for t in range(trials):
             h = gen_veh_a((1, t), desk)
-            r = propagate(modulate(p.symbols, desk).s, h, sigma2, seed=(2, t))
+            r = propagate(modulate(p.symbols, desk), h, sigma2, seed=(2, t))
             y = demodulate(r[: desk.M + desk.nu], desk)[p.pilot_idx]
             H_hat = estimate_from_pilots(y, p, desk, mode=mode)
             acc += np.sum(np.abs(H_hat - cfr_from_cir(h, desk.M)) ** 2)
@@ -243,9 +244,15 @@ def test_floor_map_matches_loop_definition(layout, seed):
         assert abs(got - want) <= 1e-12 * want
 
 
-def test_verify_optimality_rejects_bad_trial_count(desk):
-    with pytest.raises(ValueError):
-        verify_optimality(desk, trials=0)
+def test_verify_optimality_rejects_bad_trial_count(desk, monkeypatch):
+    # rejected before any work: the pulse is never designed
+    def no_work(*args):
+        raise AssertionError("verify_optimality started work")
+    monkeypatch.setattr(analysis, "design_prototype", no_work)
+    for kw in (dict(trials=0), dict(trials=2.5), dict(trials=True),
+               dict(trials="10"), dict(seed=1.5)):
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            verify_optimality(desk, **kw)
 
 
 def test_error_floor_expectation(desk, proto):
@@ -274,7 +281,7 @@ def test_error_floor_orderings(desk, proto):
 def test_qam_scenarios_have_no_floor(desk, proto):
     h = gen_veh_a(5, desk)
     p = make_sparse_data("qam-sd", desk.E, 3, desk)
-    r = np.convolve(modulate(p.symbols, desk).s, h)
+    r = np.convolve(modulate(p.symbols, desk), h)
     y = demodulate(r[: desk.M + desk.nu], desk)[p.pilot_idx]
     H_hat = estimate_from_pilots(y, p, desk)
     err = np.sum(np.abs(H_hat - cfr_from_cir(h, desk.M)) ** 2)
@@ -298,6 +305,8 @@ def test_verify_optimality_report(desk):
 
 
 def test_verify_optimality_other_geometry():
-    cfg = SystemConfig(M=64, L_h=4, K=4)
-    rep = verify_optimality(cfg, trials=300, seed=5)
-    assert rep.passed
+    # (1024, 32) is the paper geometry: check (b) reads a 1024 x 1024 B
+    for M, L_h in ((64, 4), (1024, 32)):
+        cfg = SystemConfig(M=M, L_h=L_h, K=4)
+        rep = verify_optimality(cfg, trials=300, seed=5)
+        assert rep.passed, rep.to_text()

@@ -15,10 +15,10 @@ def test_frame_layout_and_roundtrip():
     cfg = SystemConfig(M=64, L_h=8)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(cfg.M) + 1j * rng.standard_normal(cfg.M)
-    frame = modulate(x, cfg)
-    assert len(frame.s) == cfg.M + cfg.nu
-    assert np.array_equal(frame.s[: cfg.nu], frame.s[cfg.M:])
-    assert np.max(np.abs(demodulate(frame.s, cfg) - x)) < 1e-12 * np.max(np.abs(x))
+    s = modulate(x, cfg)
+    assert len(s) == cfg.M + cfg.nu
+    assert np.array_equal(s[: cfg.nu], s[cfg.M:])
+    assert np.max(np.abs(demodulate(s, cfg) - x)) < 1e-12 * np.max(np.abs(x))
 
 
 def test_demodulate_takes_a_stack_of_windows():
@@ -38,24 +38,29 @@ def test_modulate_takes_a_stack_of_symbols():
     cfg = SystemConfig(M=64, L_h=8)
     rng = np.random.default_rng(7)
     x = rng.standard_normal((3, 2, cfg.M)) + 1j * rng.standard_normal((3, 2, cfg.M))
-    frame = modulate(x, cfg)
-    assert frame.s.shape == (3, 2, cfg.M + cfg.nu)
+    s = modulate(x, cfg)
+    assert s.shape == (3, 2, cfg.M + cfg.nu)
     for t in np.ndindex(3, 2):
-        assert np.array_equal(frame.s[t], modulate(x[t], cfg).s)
+        assert np.array_equal(s[t], modulate(x[t], cfg))
     with pytest.raises(ValueError, match="length M=64"):
         modulate(x[..., 1:], cfg)
 
 
 def test_unitary_scaling():
-    # the useful part carries exactly the subcarrier energy
+    # the useful part carries exactly the subcarrier energy, and the
+    # prefix of each row of a stack carries that row's cp_energy
     cfg = SystemConfig(M=32, L_h=4)
     rng = np.random.default_rng(1)
-    for _ in range(10):
-        x = rng.standard_normal(cfg.M) + 1j * rng.standard_normal(cfg.M)
-        frame = modulate(x, cfg)
-        e_useful = np.sum(np.abs(frame.useful) ** 2)
-        assert abs(e_useful - np.sum(np.abs(x) ** 2)) < 1e-9 * e_useful
-        assert abs(frame.energy - e_useful - cp_energy(x, cfg)) < 1e-9 * frame.energy
+    x = rng.standard_normal((10, cfg.M)) + 1j * rng.standard_normal((10, cfg.M))
+    s = modulate(x, cfg)
+    e_cp = cp_energy(x, cfg)
+    assert e_cp.shape == (10,)
+    for t in range(10):
+        e_frame = np.sum(np.abs(s[t]) ** 2)
+        e_useful = np.sum(np.abs(s[t, cfg.nu:]) ** 2)
+        assert abs(e_useful - np.sum(np.abs(x[t]) ** 2)) < 1e-9 * e_useful
+        assert e_cp[t] == cp_energy(x[t], cfg)
+        assert abs(e_frame - e_useful - e_cp[t]) < 1e-9 * e_frame
 
 
 def test_channel_diagonalization_is_exact():
@@ -65,7 +70,7 @@ def test_channel_diagonalization_is_exact():
         cfg = SystemConfig(M=M, L_h=L_h)
         x = rng.standard_normal(M) + 1j * rng.standard_normal(M)
         h = gen_veh_a(rng.integers(1 << 30), cfg)
-        r = np.convolve(modulate(x, cfg).s, h)
+        r = np.convolve(modulate(x, cfg), h)
         y = demodulate(r, cfg)
         H = cfr_from_cir(h, M)
         assert np.max(np.abs(y - H * x)) < 1e-10 * np.max(np.abs(H * x))

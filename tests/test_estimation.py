@@ -20,7 +20,7 @@ from mcpreamble import (
 def test_noiseless_sparse_estimate_is_exact(desk):
     p = make_equal_comb(2 * desk.L_h, 0, desk.E, desk)
     h = gen_veh_a(1, desk)
-    r = np.convolve(modulate(p.symbols, desk).s, h)
+    r = np.convolve(modulate(p.symbols, desk), h)
     y = demodulate(r[: desk.M + desk.nu], desk)[p.pilot_idx]
     H_hat = estimate_from_pilots(y, p, desk)
     assert np.max(np.abs(H_hat - cfr_from_cir(h, desk.M))) < 1e-9

@@ -107,3 +107,22 @@ def test_check_names_the_csv_columns_that_differ(monkeypatch, tmp_path,
                    "differs: c.csv (header)",
                    "differs: d.csv (line breaks)",
                    "4 of 4 outputs differ"]
+
+
+def test_check_names_the_text_lines_that_differ(monkeypatch, tmp_path,
+                                                capsys):
+    want = "suite\n[PASS] a 1.09\n[PASS] b 2\n[PASS] c 9.71e-05\nPASS\n"
+    got = want.replace("1.09", "1.16").replace("9.71e-05", "1.24e-02")
+    monkeypatch.setattr(regenerate, "HERE", tmp_path)
+    monkeypatch.setattr(regenerate, "outputs", lambda: {
+        "a.txt": lambda: got, "b.txt": lambda: want.replace("b 2", "b 3"),
+        "c.txt": lambda: want + "more\n", "d.txt": lambda: want.rstrip("\n")})
+    for name in ("a.txt", "b.txt", "c.txt", "d.txt"):
+        (tmp_path / name).write_text(want)
+    assert regenerate.regenerate(["--check"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["differs: a.txt (lines 2, 4)",
+                   "differs: b.txt (line 3)",
+                   "differs: c.txt (6 lines, want 5)",
+                   "differs: d.txt (line breaks)",
+                   "4 of 4 outputs differ"]

@@ -417,7 +417,7 @@ def test_superposed_trials_match_chain_loop(name):
                     p = make_sparse_data(
                         spec.scenario, cfg.E * spec.e_scale, data, sc,
                         rt.proto).scaled(rt.scale)
-                s = (modulate(p.symbols, sc).s if rt.proto is None
+                s = (modulate(p.symbols, sc) if rt.proto is None
                      else sfb(p.symbols, rt.proto))
                 for k, g in enumerate(cfg.ebn0_db):
                     sigma2 = ebn0_to_sigma2(g, cfg.E / sc.M)
