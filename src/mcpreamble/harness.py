@@ -11,11 +11,15 @@ linear in the received samples, so a trial's error is the noiseless
 error plus the unit-noise error scaled to each point.  A curve's draws
 on one channel go through receive and estimation as one stack (in blocks
 of about 1 MB of noise), and each draw reduces to three sums from which
-every point follows.  A preamble redrawn per draw is a layout built once
-per curve; a block of its draws is drawn, synthesized and propagated as
-one stack too.  Channel and noise are shared between the curves of an
-experiment (each curve reads a prefix of the draw's noise row), so
-compared curves differ only through their preambles and estimators.
+every point follows.  The chain is linear in the channel taps too: a
+static preamble's noiseless estimate is its response to each tap, built
+once per curve, weighted by the channel's taps.  A preamble redrawn per
+draw is a layout built once per curve; a block of its draws is drawn,
+synthesized and propagated as one stack too.  Channel and noise are
+shared between the curves of an experiment, and a block of noise goes
+once through each receiver (a pulse, or the CP-OFDM demodulator), whose
+curves read their pilot tones from it, so compared curves differ only
+through their preambles and estimators.
 
 Results aggregate per channel first (mean over noise draws of
 ||H_hat - H||^2 / ||H||^2), then over channels; the reported standard
@@ -38,11 +42,12 @@ import numpy as np
 
 from . import config
 from .analysis import closed_form_mse, floor_map, tpr
-from .channel import awgn, cfr_from_cir, ebn0_to_sigma2, gen_veh_a, propagate
+from .channel import (_veh_a_profile, awgn, cfr_from_cir, ebn0_to_sigma2,
+                      gen_veh_a, propagate)
 from .config import SystemConfig
 from .cpofdm import demodulate, modulate
 from .estimation import estimate_from_pilots
-from .oqam import afb, design_prototype, sfb, truncate_prototype
+from .oqam import afb, afb_column, design_prototype, sfb, truncate_prototype
 from .preambles import draw_sparse_data, make_equal_comb, sparse_data_layout
 
 # seed branch tags
@@ -118,7 +123,10 @@ class _CurveRuntime:
     `floor` is that layout's expected error floor as a function of the
     channel's CFR (analysis.floor_map).  Every draw shares the pilot
     points and divisors, so one estimate serves a stack of draws; `n_rx`
-    is the length of a received window.
+    is the length of a received window and `tones` the receiver's output
+    on all M tones.  For a static preamble, row k of `taps` is the curve's
+    noiseless estimate through the whole chain for a unit tap at the k-th
+    delay the channel model occupies (channel._veh_a_profile).
     """
 
     def __init__(self, spec: CurveSpec, cfg: ExperimentConfig,
@@ -128,10 +136,12 @@ class _CurveRuntime:
         if spec.system == "cpofdm":
             self.proto = None
             self.synthesize = lambda x: modulate(x, sc)
-            self.receive = lambda r: demodulate(r, sc)[..., self.pilot_idx]
+            self.tones = lambda r: demodulate(r, sc)
+            self.receive = lambda r: self.tones(r)[..., self.pilot_idx]
         else:
             self.proto = proto = _pulse(sc.M, sc.K, spec.truncate_to)
             self.synthesize = lambda x: sfb(x, proto)
+            self.tones = lambda r: afb_column(r, proto, 0)
             self.receive = lambda r: afb(r, proto, self.points)
         e = cfg.E * spec.e_scale
         self.layout = None
@@ -153,12 +163,20 @@ class _CurveRuntime:
         self.points = np.stack([self.pilot_idx, 0 * self.pilot_idx], axis=1)
         tx = self.synthesize(self.preamble.symbols)
         self.n_rx = len(tx) + sc.L_h - 1
-        self.tx = None if self.layout else tx
+        self.fit = lambda y: estimate_from_pilots(y, self.preamble, sc,
+                                                  mode=spec.estimator)
+        self.taps = None
+        if self.layout is None:
+            # tx delayed by each tap, as propagate through a unit tap gives
+            delays = _veh_a_profile(sc.L_h).taps
+            r = np.zeros((len(delays), self.n_rx), dtype=complex)
+            for row, d in zip(r, delays):
+                row[d:d + len(tx)] = tx
+            self.taps = self.estimate(r)
 
     def estimate(self, r) -> np.ndarray:
         """Channel estimates over all M tones from (..., n_rx) samples r."""
-        return estimate_from_pilots(self.receive(r), self.preamble, self.sc,
-                                    mode=self.spec.estimator)
+        return self.fit(self.receive(r))
 
     def transmit(self, rng, T: int) -> np.ndarray:
         """Transmit samples (T, n_rx - L_h + 1) of T data draws from rng."""
@@ -190,19 +208,21 @@ def _run_channel(args) -> tuple:
     """All trials of one channel: per-curve, per-SNR mean NMSE ratios.
 
     The estimate is linear in the received samples, so the error of draw t
-    at noise level sigma is a + sigma * e: a from the noiseless pass (once
-    per curve for a static preamble, once per draw otherwise), e from the
-    unit-noise pass.  Each draw reduces to sum |a|^2, sum Re(conj(a) e)
-    and sum |e|^2; their totals over the draws give every Eb/N0 point.
-    The channel's unit noise is one generator, seeded [seed, 301, c], and
-    a curve i whose preamble is redrawn per draw has one data generator,
-    seeded [seed, 201, c, i].  A block of draws takes its rows from each
-    in draw order with one call (awgn at the longest window, of which a
-    curve reads a prefix; draw_sparse_data), so draw t depends on neither
-    the block size nor n_noise.  A block holds about _BLOCK_SAMPLES noise
-    samples and takes one receive and one estimate call per curve, plus a
-    synthesis, a propagation, a receive and an estimate for a preamble
-    redrawn per draw; no row's result depends on its block.
+    at noise level sigma is a + sigma * e: a from the noiseless pass, e
+    from the unit-noise pass.  A static preamble's a is h[delays] @ taps
+    - H, with no propagation; a redrawn one takes the chain per draw.
+    Each draw reduces to sum |a|^2, sum Re(conj(a) e) and sum |e|^2;
+    their totals over the draws give every Eb/N0 point.  The channel's
+    unit noise is one generator, seeded [seed, 301, c], and a curve i
+    whose preamble is redrawn per draw has one data generator, seeded
+    [seed, 201, c, i].  A block of draws takes its rows from each in draw
+    order with one call (awgn at the longest window; draw_sparse_data),
+    so draw t depends on neither the block size nor n_noise.  A block
+    holds about _BLOCK_SAMPLES noise samples and takes one receive per
+    receiver (keyed on the pulse, None for CP-OFDM), which reads only its
+    own part of the window, and one estimate per curve, plus a synthesis,
+    a propagation, a receive and an estimate for a preamble redrawn per
+    draw; no row's result depends on its block.
     """
     cfg, c = args
     sc = cfg.system
@@ -217,19 +237,21 @@ def _run_channel(args) -> tuple:
     block = max(1, _BLOCK_SAMPLES // n_win)
     # sum |a|^2, sum Re(conj(a) e), sum |e|^2 per curve and draw
     sums = np.zeros((3, len(runtimes), cfg.n_noise))
-    a = [None if rt.layout else rt.estimate(propagate(rt.tx, h, 0.0, None)) - H
-         for rt in runtimes]
+    delays = _veh_a_profile(sc.L_h).taps
+    a = [None if rt.layout else h[delays] @ rt.taps - H for rt in runtimes]
+    receivers = {rt.proto: rt.tones for rt in runtimes}
     noise = np.random.default_rng([cfg.seed, _TAG_NOISE, c])
     data = [np.random.default_rng([cfg.seed, _TAG_DATA, c, i])
             if rt.layout else None for i, rt in enumerate(runtimes)]
     for lo in range(0, cfg.n_noise, block):
         hi = min(lo + block, cfg.n_noise)
         w = awgn((hi - lo, n_win), noise)
+        y = {key: tones(w) for key, tones in receivers.items()}
         for i, rt in enumerate(runtimes):
             if rt.layout is not None:
                 a[i] = rt.estimate(propagate(rt.transmit(data[i], hi - lo),
                                              h, 0.0, None)) - H
-            e = rt.estimate(w[:, :rt.n_rx])
+            e = rt.fit(y[rt.proto][..., rt.pilot_idx])
             sums[0, i, lo:hi] = np.sum(np.abs(a[i]) ** 2, axis=-1)
             sums[1, i, lo:hi] = np.sum((a[i].conj() * e).real, axis=-1)
             sums[2, i, lo:hi] = np.sum(np.abs(e) ** 2, axis=-1)

@@ -32,6 +32,7 @@ from mcpreamble import (
     sfb,
     write_csv,
 )
+from mcpreamble.channel import _veh_a_profile
 
 SMALL = dict(n_channels=6, n_noise=8)
 
@@ -209,8 +210,8 @@ def test_chain_calls_do_not_grow_with_the_draws(monkeypatch, name):
     counts = []
     for n_noise in (2, 12):
         calls = []
-        for fn in ("sfb", "modulate", "propagate", "afb", "demodulate",
-                   "estimate_from_pilots"):
+        for fn in ("sfb", "modulate", "propagate", "afb", "afb_column",
+                   "demodulate", "estimate_from_pilots"):
             def counted(*args, _fn=getattr(harness, fn), **kwargs):
                 calls.append(_fn)
                 return _fn(*args, **kwargs)
@@ -221,6 +222,73 @@ def test_chain_calls_do_not_grow_with_the_draws(monkeypatch, name):
         monkeypatch.undo()
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+# (demodulate, afb_column) calls on a block of unit noise: CP-OFDM curves
+# share the demodulator, OQAM curves on one pulse share its column 0, and
+# fig7a and fig8a hold one receiver of each (fig8a's pulse is a cut)
+@pytest.mark.parametrize("name, want", [
+    ("fig3", (1, 0)), ("fig4b", (0, 1)), ("fig6", (0, 1)), ("fig7a", (1, 1)),
+    ("fig8a", (1, 1))])
+def test_a_block_of_noise_goes_once_through_each_receiver(monkeypatch, name,
+                                                          want):
+    cfg = preset(name, scale="desk", n_channels=2, n_noise=3)
+    runtimes = harness._runtimes(cfg)
+    n_win = max(rt.n_rx for rt in runtimes)
+    monkeypatch.setattr(harness, "_BLOCK_SAMPLES", 2 * n_win)
+    blocks, calls = [], []
+
+    def drawn(n, seed):
+        blocks.append(awgn(n, seed))
+        return blocks[-1]
+
+    monkeypatch.setattr(harness, "awgn", drawn)
+    for fn in ("demodulate", "afb_column", "afb", "propagate"):
+        def counted(r, *args, _fn=fn, _f=getattr(harness, fn), **kwargs):
+            calls.append((_fn, r))
+            return _f(r, *args, **kwargs)
+
+        monkeypatch.setattr(harness, fn, counted)
+    for c in range(cfg.n_channels):
+        harness._run_channel((cfg, c))
+    assert len(blocks) == 4
+    for w in blocks:
+        on_w = [fn for fn, r in calls if np.shares_memory(r, w)]
+        assert (on_w.count("demodulate"), on_w.count("afb_column")) == want
+        assert len(on_w) == sum(want)
+    # a static preamble is never propagated, a redrawn one once per block
+    redrawn = sum(rt.layout is not None for rt in runtimes)
+    assert [fn for fn, _ in calls].count("propagate") == 4 * redrawn
+    assert redrawn == (name in ("fig3", "fig6"))
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_tap_responses_are_the_chain(name):
+    # every channel the model draws lies on the tap delays, and the tap
+    # responses weighted by its taps give the chain's noiseless estimate:
+    # synthesis, propagation, receive and LS on the pilots
+    cfg = preset(name, scale="desk")
+    sc = cfg.system
+    delays = _veh_a_profile(sc.L_h).taps
+    for c in range(3):
+        h = gen_veh_a(np.random.SeedSequence([cfg.seed, 101, c]), sc)
+        H = cfr_from_cir(h, sc.M)
+        assert set(np.flatnonzero(h)) <= set(delays)
+        for rt in harness._runtimes(cfg):
+            if rt.layout is not None:
+                assert rt.taps is None
+                continue
+            p = rt.preamble
+            if rt.proto is None:
+                r = propagate(modulate(p.symbols, sc), h, 0.0, None)
+                y = demodulate(r, sc)[p.pilot_idx]
+            else:
+                r = propagate(sfb(p.symbols, rt.proto), h, 0.0, None)
+                y = afb(r, rt.proto, [(m, 0) for m in p.pilot_idx])
+            want = estimate_from_pilots(y, p, sc, mode=rt.spec.estimator)
+            assert rt.taps.shape == (len(delays), sc.M)
+            assert (np.linalg.norm(h[delays] @ rt.taps - want)
+                    <= 1e-12 * np.linalg.norm(H))
 
 
 @pytest.mark.parametrize("name", ["fig3", "fig4b", "fig6", "fig8a"])
@@ -246,6 +314,20 @@ def test_draws_go_through_in_blocks_of_bounded_memory():
     harness._runtimes(cfg)
     tracemalloc.start()
     try:
+        harness._run_channel((cfg, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
+    # paper fig4b, its pulse and curves built inside the trace, so the
+    # tap responses count: about 1.3 MiB for the set-up and 3.8 MiB with
+    # a channel (numpy 2.4)
+    cfg = preset("fig4b", scale="paper", n_channels=2, n_noise=40)
+    harness._pulse.cache_clear()
+    harness._runtimes.cache_clear()
+    tracemalloc.start()
+    try:
+        harness._runtimes(cfg)
         harness._run_channel((cfg, 0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
