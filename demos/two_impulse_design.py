@@ -10,8 +10,9 @@ power split is a free knob for PAPR.
 
 import numpy as np
 
-from mcpreamble import (SystemConfig, cp_energy, genie_mse, make_equal_comb,
-                        make_full_equipower_qam, modulate, papr)
+from mcpreamble import (SystemConfig, closed_form_mse, cp_energy, genie_mse,
+                        make_equal_comb, make_full_equipower_qam, modulate,
+                        papr)
 
 cfg = SystemConfig(M=128, L_h=8, K=4, E=128.0)
 sigma2 = 1.0
@@ -30,7 +31,7 @@ for _ in range(6):
     spread = float(np.ptp(mods)) / (cfg.E / cfg.M)
     cp = cp_energy(p.symbols, cfg) / cfg.E
     pr = papr(modulate(p.symbols, cfg)[cfg.nu:])
-    mse = (cfg.L_h * sigma2 / cfg.M ** 2) * float(np.sum(1.0 / mods))
+    mse = closed_form_mse(p, sigma2, cfg) / cfg.M
     print(f"{k:>4d} {g2:>8.3f} {th:>7.3f} {spread:>11.2e} "
           f"{cp:>9.2e} {10 * np.log10(pr):>8.2f} {mse / genie:>10.6f}")
 

@@ -92,13 +92,15 @@ def closed_form_mse(
     formulas are shared by both systems, except that a full OQAM column
     estimated projected goes through the correlated AFB noise.  The
     interference floor of the sparse-plus-data OQAM layouts depends on
-    the channel; floor_map gives it.
+    the channel; floor_map gives it.  Bar that full column, divisors may
+    be a stack (..., N) of rows, giving one value per row (else a float).
     """
     M, L_h, N = config.M, config.L_h, preamble.n_pilots
     _check_mode(mode, N, M)
-    inv2 = np.sum(1.0 / np.abs(preamble.divisors) ** 2)
+    inv2 = np.sum(1.0 / np.abs(preamble.divisors) ** 2, axis=-1)
+    per_row = lambda v: float(v) if np.ndim(v) == 0 else v
     if mode == "raw":
-        return float(sigma2 * inv2)
+        return per_row(sigma2 * inv2)
     if preamble.proto is not None and N == M:
         # exact projected noise through the correlated AFB outputs:
         # (sigma^2/M) tr(D^H G0 D B^T), D = diag(d = 1/c), G0 = F F^H.  As
@@ -111,7 +113,7 @@ def closed_form_mse(
         r_d = np.fft.ifft(D * np.conj(D))[-delta]
         return float(np.real(np.sum(g0 * preamble.proto.kernel(0) * r_d)) * sigma2 / M)
     # white pilot noise: CP-OFDM tones, or OQAM pilots >= 2 subcarriers apart
-    return float(sigma2 * M * L_h / N ** 2 * inv2)
+    return per_row(sigma2 * M * L_h / N ** 2 * inv2)
 
 
 def error_floor(preamble: Preamble, h, config: SystemConfig) -> float:
@@ -278,9 +280,10 @@ def verify_optimality(
 
     Plus stationarity/curvature of (a) and (b) at their optimizers and
     the exact sparse OQAM energy identity.  Prefix energies come from
-    cp_energy, the equal comb from make_equal_comb, single-preamble MSEs
-    from closed_form_mse and the full column's pseudo pilots from the
-    pulse's AFB noise covariance (afb_noise_cov).
+    cp_energy, the combs from make_equal_comb, the LS MSEs (of one
+    preamble or a batch of divisors) from closed_form_mse and the full
+    column's pseudo pilots from the pulse's AFB noise covariance
+    (afb_noise_cov).
     """
     _check_int("trials", trials)
     _check_int("seed", seed)
@@ -300,12 +303,12 @@ def verify_optimality(
         n_t = max(1, trials // 3)
         vals = rng.standard_normal((n_t, N)) + 1j * rng.standard_normal((n_t, N))
         vals *= (0.2 + rng.random((n_t, N)))  # spread the moduli
-        i_0 = int(rng.integers(0, M // N))
+        comb_n = make_equal_comb(N, int(rng.integers(0, M // N)), E, config)
         X = np.zeros((n_t, M), dtype=complex)
-        X[:, i_0 + (M // N) * np.arange(N)] = vals
+        X[:, comb_n.pilot_idx] = vals
         e_train = np.sum(np.abs(vals) ** 2, axis=1) + cp_energy(X, config)
         vals *= np.sqrt(E / e_train)[:, None]
-        mse = (L_h * sigma2 / N ** 2) * np.sum(1.0 / np.abs(vals) ** 2, axis=1)
+        mse = closed_form_mse(replace(comb_n, divisors=vals), sigma2, config) / M
         worst_a = min(worst_a, float(np.min(mse / bound_a)))
     add(CheckResult(
         "qam_sparse_lower_bound", worst_a >= 1.0 - 1e-9, worst_a, 1.0,

@@ -15,9 +15,12 @@ every point follows.  The chain is linear in the channel taps too: a
 static preamble's noiseless estimate is its response to each tap, built
 once per curve, weighted by the channel's taps.  A preamble redrawn per
 draw is a layout built once per curve; a block of its draws is drawn,
-synthesized and propagated as one stack too.  Channel and noise are
-shared between the curves of an experiment, and a block of noise goes
-once through each receiver (a pulse, or the CP-OFDM demodulator), whose
+synthesized and propagated as one stack too.  Only a pulse carries data
+to the pilots: behind a prefix that covers the channel, CP-OFDM pilots
+never see the data tones, whose only cost is prefix energy, so such a
+curve is static and has no data stream.  Channel and noise are shared
+between the curves of an experiment, and a block of noise goes once
+through each receiver (a pulse, or the CP-OFDM demodulator), whose
 curves read their pilot tones from it, so compared curves differ only
 through their preambles and estimators.
 
@@ -117,9 +120,10 @@ class _CurveRuntime:
     """Per-process expansion of a CurveSpec, with its system picked once.
 
     `preamble` is scaled to the curve's power: the static preamble, or
-    the layout of a curve whose data is redrawn per draw (`layout`, see
-    sparse_data_layout), whose pilots, divisors and data positions (not
-    data values) set the floor, the closed form and the estimate.
+    the layout of a sparse-plus-data curve (see sparse_data_layout), whose
+    pilots, divisors and data positions (not data values) set the floor,
+    the closed form and the estimate.  `layout` is set, and the data
+    redrawn per draw, only where a pulse carries the data to the pilots.
     `floor` is that layout's expected error floor as a function of the
     channel's CFR (analysis.floor_map).  Every draw shares the pilot
     points and divisors, so one estimate serves a stack of draws; `n_rx`
@@ -146,9 +150,10 @@ class _CurveRuntime:
         e = cfg.E * spec.e_scale
         self.layout = None
         if spec.family == "sparse_data":
-            self.layout = sparse_data_layout(spec.scenario, e, sc,
-                                             proto=self.proto)
-            base = self.layout.preamble
+            layout = sparse_data_layout(spec.scenario, e, sc, proto=self.proto)
+            base = layout.preamble
+            # CP-OFDM pilots never see the data: the curve is static
+            self.layout = None if self.proto is None else layout
         elif spec.family in ("sparse", "full"):
             base = make_equal_comb(spec.n_pilots or sc.M, 0, e, sc,
                                    proto=self.proto)
@@ -210,7 +215,8 @@ def _run_channel(args) -> tuple:
     The estimate is linear in the received samples, so the error of draw t
     at noise level sigma is a + sigma * e: a from the noiseless pass, e
     from the unit-noise pass.  A static preamble's a is h[delays] @ taps
-    - H, with no propagation; a redrawn one takes the chain per draw.
+    - H, with no propagation (CP-OFDM data beside the pilots included);
+    a redrawn one takes the chain per draw.
     Each draw reduces to sum |a|^2, sum Re(conj(a) e) and sum |e|^2;
     their totals over the draws give every Eb/N0 point.  The channel's
     unit noise is one generator, seeded [seed, 301, c], and a curve i

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,27 @@ def test_equipower_two_impulse_attains_genie(desk):
     p = make_full_equipower_qam(0, desk.M // 2, np.sqrt(0.5), 0.3, desk.E, desk)
     pred = closed_form_mse(p, 0.01, desk, mode="projected")
     assert abs(pred - desk.M * genie_mse(0.01, desk.E, desk)) < 1e-9
+
+
+def test_closed_form_takes_a_stack_of_divisor_rows(desk, proto):
+    # raw and white-pilot noise give one value per row of divisors, that
+    # of the preamble holding the row alone; one row gives a float
+    rng = np.random.default_rng(2)
+    full = make_equal_comb(desk.M, 0, desk.E, desk)
+    cases = [(make_equal_comb(2 * desk.L_h, 1, desk.E, desk), "projected"),
+             (full, "projected"), (full, "raw"),
+             (make_equal_comb(2 * desk.L_h, 0, desk.E, desk, proto),
+              "projected"),
+             (make_equal_comb(desk.M, 0, desk.E, desk, proto), "raw")]
+    for p, mode in cases:
+        rows = p.divisors * (0.5 + rng.random((3, 2, p.n_pilots)))
+        got = closed_form_mse(replace(p, divisors=rows), 0.01, desk, mode=mode)
+        assert got.shape == (3, 2)
+        for k in np.ndindex(3, 2):
+            one = closed_form_mse(replace(p, divisors=rows[k]), 0.01, desk,
+                                  mode=mode)
+            assert isinstance(one, float)
+            assert abs(got[k] / one - 1.0) < 1e-14
 
 
 def test_qam_closed_forms_against_simulation(desk):

@@ -35,6 +35,7 @@ from mcpreamble import (
 from mcpreamble.channel import _veh_a_profile
 
 SMALL = dict(n_channels=6, n_noise=8)
+_default_rng = np.random.default_rng
 
 
 def read_bytes(path):
@@ -75,7 +76,7 @@ def test_runs_are_deterministic(tmp_path):
     assert read_bytes(a) == read_bytes(b)
 
 
-# static preambles, CP-OFDM data redrawn per draw, OQAM help pilots
+# static preambles, CP-OFDM pilots beside data, OQAM help pilots
 @pytest.mark.parametrize("name", ["fig4b", "fig3", "fig6"])
 def test_parallel_equals_serial(tmp_path, name):
     serial = preset(name, scale="desk", **SMALL)
@@ -132,30 +133,41 @@ def test_a_draws_noise_does_not_depend_on_the_draw_count(monkeypatch):
 
 def _recorded_data(monkeypatch, cfg):
     """(generator, draws) per harness.draw_sparse_data call of a serial
-    run of cfg."""
-    calls = []
+    run of cfg, and the seed of every data generator the run builds."""
+    calls, streams = [], []
 
     def recorded(layout, rng, T):
         x = draw_sparse_data(layout, rng, T)
         calls.append((rng, x))
         return x
 
+    def built(seed=None):
+        if isinstance(seed, list) and seed[1:2] == [201]:
+            streams.append(seed)
+        return _default_rng(seed)
+
     monkeypatch.setattr(harness, "draw_sparse_data", recorded)
+    monkeypatch.setattr(np.random, "default_rng", built)
     run_experiment(cfg)
-    return calls
+    return calls, streams
 
 
 @pytest.mark.parametrize("name", ["fig3", "fig6"])
 def test_data_is_drawn_once_per_channel_and_curve(monkeypatch, name):
-    # one generator per (channel, data curve), seeded [seed, 201, c, i]
-    # for curve i, and one draw_sparse_data call per block of draws.
-    # Blocks of two draws, so three draws take two blocks.
+    # one generator per (channel, curve whose receiver sees its data),
+    # seeded [seed, 201, c, i] for curve i, and one draw_sparse_data call
+    # per block of draws.  Blocks of two draws, so three draws take two
+    # blocks.  fig3's CP-OFDM pilots never see its data: it draws none.
     cfg = preset(name, scale="desk", n_channels=2, n_noise=3)
     runtimes = harness._runtimes(cfg)
     n_win = max(rt.n_rx for rt in runtimes)
-    (i,) = [i for i, rt in enumerate(runtimes) if rt.layout is not None]
     monkeypatch.setattr(harness, "_BLOCK_SAMPLES", 2 * n_win)
-    calls = _recorded_data(monkeypatch, cfg)
+    calls, streams = _recorded_data(monkeypatch, cfg)
+    if name == "fig3":
+        assert calls == [] and streams == []
+        return
+    (i,) = [i for i, rt in enumerate(runtimes) if rt.layout is not None]
+    assert streams == [[cfg.seed, 201, c, i] for c in (0, 1)]
     gens = [g for g, _ in calls]
     assert all(isinstance(g, np.random.Generator) for g in gens)
     assert [g is gens[0] for g in gens] == [True, True, False, False]
@@ -168,11 +180,15 @@ def test_data_is_drawn_once_per_channel_and_curve(monkeypatch, name):
 @pytest.mark.parametrize("name", ["fig3", "fig6"])
 def test_a_draws_data_does_not_depend_on_the_draw_count(monkeypatch, name):
     # the (channel, curve) stream is continued in draw order, so draw t
-    # holds the same data whether the run takes 3 draws or 5
+    # holds the same data whether the run takes 3 draws or 5; fig3 draws
+    # no data at either count
     rows = []
     for n_noise in (3, 5):
         cfg = preset(name, scale="desk", n_channels=2, n_noise=n_noise)
-        calls = _recorded_data(monkeypatch, cfg)
+        calls, streams = _recorded_data(monkeypatch, cfg)
+        if name == "fig3":
+            assert calls == [] and streams == []
+            continue
         assert len(calls) == 2
         rows.append([x[:3] for _, x in calls])
     for few, many in zip(*rows):
@@ -256,10 +272,11 @@ def test_a_block_of_noise_goes_once_through_each_receiver(monkeypatch, name,
         on_w = [fn for fn, r in calls if np.shares_memory(r, w)]
         assert (on_w.count("demodulate"), on_w.count("afb_column")) == want
         assert len(on_w) == sum(want)
-    # a static preamble is never propagated, a redrawn one once per block
+    # a static preamble is never propagated, a redrawn one once per block;
+    # fig3's data is not redrawn, as its CP-OFDM pilots never see it
     redrawn = sum(rt.layout is not None for rt in runtimes)
     assert [fn for fn, _ in calls].count("propagate") == 4 * redrawn
-    assert redrawn == (name in ("fig3", "fig6"))
+    assert redrawn == (name == "fig6")
 
 
 @pytest.mark.parametrize("name", preset_names())
@@ -289,6 +306,46 @@ def test_tap_responses_are_the_chain(name):
             assert rt.taps.shape == (len(delays), sc.M)
             assert (np.linalg.norm(h[delays] @ rt.taps - want)
                     <= 1e-12 * np.linalg.norm(H))
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig6"])
+def test_tap_responses_stand_for_data_only_where_the_receiver_is_blind(name):
+    # a data-bearing draw through the chain (make_sparse_data, synthesis,
+    # propagation, receive, LS) gives the pilot-only estimate on fig3,
+    # whose CP-OFDM pilots never see the data tones, so its curve is
+    # static; on fig6 the pulse carries the data to the pilots, so a draw
+    # misses the pilot-only estimate by far more than roundoff
+    cfg = preset(name, scale="desk")
+    sc = cfg.system
+    delays = _veh_a_profile(sc.L_h).taps
+    rt = harness._runtimes(cfg)[1]
+    spec = rt.spec
+    assert spec.family == "sparse_data"
+    assert (rt.layout is None) == (name == "fig3")
+    rng = np.random.default_rng(5)
+    for c in range(3):
+        h = gen_veh_a(np.random.SeedSequence([cfg.seed, 101, c]), sc)
+        H = cfr_from_cir(h, sc.M)
+
+        def chain(p):
+            if rt.proto is None:
+                r = propagate(modulate(p.symbols, sc), h, 0.0, None)
+                y = demodulate(r, sc)[p.pilot_idx]
+            else:
+                r = propagate(sfb(p.symbols, rt.proto), h, 0.0, None)
+                y = afb(r, rt.proto, [(m, 0) for m in p.pilot_idx])
+            return estimate_from_pilots(y, p, sc, mode=spec.estimator)
+
+        pilots_only = (chain(rt.preamble) if rt.taps is None
+                       else h[delays] @ rt.taps)
+        for _ in range(4):
+            p = make_sparse_data(spec.scenario, cfg.E * spec.e_scale, rng,
+                                 sc, rt.proto).scaled(rt.scale)
+            miss = np.linalg.norm(chain(p) - pilots_only)
+            if name == "fig3":
+                assert miss <= 1e-12 * np.linalg.norm(H)
+            else:
+                assert miss > 1e-6 * np.linalg.norm(H)
 
 
 @pytest.mark.parametrize("name", ["fig3", "fig4b", "fig6", "fig8a"])
