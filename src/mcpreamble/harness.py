@@ -15,11 +15,11 @@ every point follows.  The chain is linear in the channel taps too: a
 static preamble's noiseless estimate is its response to each tap, built
 once per curve, weighted by the channel's taps.  A preamble redrawn per
 draw is a layout built once per curve; a block of its draws is drawn,
-synthesized and propagated as one stack too.  Only a pulse carries data
-to the pilots: behind a prefix that covers the channel, CP-OFDM pilots
-never see the data tones, whose only cost is prefix energy, so such a
-curve is static and has no data stream.  Channel and noise are shared
-between the curves of an experiment, and a block of noise goes once
+synthesized and shifted to each channel tap as one stack.  Only a pulse
+carries data to the pilots: behind a prefix covering the channel, CP-OFDM
+pilots never see the data tones, whose only cost is prefix energy, so
+such a curve is static and has no data stream.  Channel and noise are
+shared between the curves of an experiment, and a block of noise goes once
 through each receiver (a pulse, or the CP-OFDM demodulator), whose
 curves read their pilot tones from it, so compared curves differ only
 through their preambles and estimators.
@@ -46,7 +46,7 @@ import numpy as np
 from . import config
 from .analysis import closed_form_mse, floor_map, tpr
 from .channel import (_veh_a_profile, awgn, cfr_from_cir, ebn0_to_sigma2,
-                      gen_veh_a, propagate)
+                      gen_veh_a)
 from .config import SystemConfig
 from .cpofdm import demodulate, modulate
 from .estimation import estimate_from_pilots
@@ -122,21 +122,22 @@ class _CurveRuntime:
     `preamble` is scaled to the curve's power: the static preamble, or
     the layout of a sparse-plus-data curve (see sparse_data_layout), whose
     pilots, divisors and data positions (not data values) set the floor,
-    the closed form and the estimate.  `layout` is set, and the data
-    redrawn per draw, only where a pulse carries the data to the pilots.
+    the closed form and the estimate.  transmit(rng, T) synthesizes T data
+    draws; `layout` is set only where a pulse carries data to the pilots.
     `floor` is that layout's expected error floor as a function of the
     channel's CFR (analysis.floor_map).  Every draw shares the pilot
     points and divisors, so one estimate serves a stack of draws; `n_rx`
     is the length of a received window and `tones` the receiver's output
     on all M tones.  For a static preamble, row k of `taps` is the curve's
     noiseless estimate through the whole chain for a unit tap at the k-th
-    delay the channel model occupies (channel._veh_a_profile).
+    of the `delays` the channel model occupies (channel._veh_a_profile).
     """
 
     def __init__(self, spec: CurveSpec, cfg: ExperimentConfig,
                  ref: _CurveRuntime | None = None):
         self.spec = spec
-        self.sc = sc = cfg.system
+        self.sc = sc = cfg.system if ref is None else ref.sc
+        self.delays = _veh_a_profile(sc.L_h).taps
         if spec.system == "cpofdm":
             self.proto = None
             self.synthesize = lambda x: modulate(x, sc)
@@ -154,6 +155,8 @@ class _CurveRuntime:
             base = layout.preamble
             # CP-OFDM pilots never see the data: the curve is static
             self.layout = None if self.proto is None else layout
+            self.transmit = lambda rng, T: self.synthesize(
+                draw_sparse_data(layout, rng, T) * self.scale)
         elif spec.family in ("sparse", "full"):
             base = make_equal_comb(spec.n_pilots or sc.M, 0, e, sc,
                                    proto=self.proto)
@@ -172,22 +175,20 @@ class _CurveRuntime:
                                                   mode=spec.estimator)
         self.taps = None
         if self.layout is None:
-            # tx delayed by each tap, as propagate through a unit tap gives
-            delays = _veh_a_profile(sc.L_h).taps
-            r = np.zeros((len(delays), self.n_rx), dtype=complex)
-            for row, d in zip(r, delays):
-                row[d:d + len(tx)] = tx
-            self.taps = self.estimate(r)
+            self.taps = self.estimate(np.stack(
+                [self.delayed(tx, np.eye(sc.L_h)[d]) for d in self.delays]))
 
     def estimate(self, r) -> np.ndarray:
         """Channel estimates over all M tones from (..., n_rx) samples r."""
         return self.fit(self.receive(r))
 
-    def transmit(self, rng, T: int) -> np.ndarray:
-        """Transmit samples (T, n_rx - L_h + 1) of T data draws from rng."""
-        x = draw_sparse_data(self.layout, rng, T)
-        x *= self.scale
-        return self.synthesize(x)
+    def delayed(self, s, h) -> np.ndarray:
+        """propagate(s, h, 0.0, None), s (n,) or (T, n), shift-added by row."""
+        r = np.zeros(s.shape[:-1] + (self.n_rx,), dtype=complex)
+        for r_t, s_t in zip(np.atleast_2d(r), np.atleast_2d(s)):
+            for d in self.delays:
+                r_t[d:d + len(s_t)] += h[d] * s_t
+        return r
 
 
 @lru_cache(maxsize=None)
@@ -204,6 +205,14 @@ def _runtimes(cfg: ExperimentConfig) -> list[_CurveRuntime]:
     return [ref] + [_CurveRuntime(spec, cfg, ref) for spec in cfg.curves[1:]]
 
 
+@lru_cache(maxsize=1)
+def _sigma2(cfg: ExperimentConfig) -> np.ndarray:
+    """The noise variance of each Eb/N0 point of cfg, once per process."""
+    sigma2 = np.array([ebn0_to_sigma2(g, cfg.E / cfg.M) for g in cfg.ebn0_db])
+    sigma2.flags.writeable = False  # shared by every caller
+    return sigma2
+
+
 # Unit-noise samples per block of draws (complex128, so about 1 MB): a
 # block holds as many draws as fit, and at least one.
 _BLOCK_SAMPLES = 1 << 16
@@ -215,8 +224,8 @@ def _run_channel(args) -> tuple:
     The estimate is linear in the received samples, so the error of draw t
     at noise level sigma is a + sigma * e: a from the noiseless pass, e
     from the unit-noise pass.  A static preamble's a is h[delays] @ taps
-    - H, with no propagation (CP-OFDM data beside the pilots included);
-    a redrawn one takes the chain per draw.
+    - H (CP-OFDM data beside the pilots included); a redrawn one takes the
+    chain per draw, with the channel as its delay line (delayed).
     Each draw reduces to sum |a|^2, sum Re(conj(a) e) and sum |e|^2;
     their totals over the draws give every Eb/N0 point.  The channel's
     unit noise is one generator, seeded [seed, 301, c], and a curve i
@@ -227,24 +236,23 @@ def _run_channel(args) -> tuple:
     holds about _BLOCK_SAMPLES noise samples and takes one receive per
     receiver (keyed on the pulse, None for CP-OFDM), which reads only its
     own part of the window, and one estimate per curve, plus a synthesis,
-    a propagation, a receive and an estimate for a preamble redrawn per
+    a delay line, a receive and an estimate for a preamble redrawn per
     draw; no row's result depends on its block.
     """
     cfg, c = args
-    sc = cfg.system
     runtimes = _runtimes(cfg)
+    sc = runtimes[0].sc
     h = gen_veh_a(np.random.SeedSequence([cfg.seed, _TAG_CHANNEL, c]), sc)
     H = cfr_from_cir(h, sc.M)
     norm_h2 = float(np.sum(np.abs(H) ** 2))
-    sigma2 = np.array([ebn0_to_sigma2(g, cfg.E / sc.M) for g in cfg.ebn0_db])
+    sigma2 = _sigma2(cfg)
 
     floors = np.array([rt.floor(H) for rt in runtimes]) / norm_h2
     n_win = max(rt.n_rx for rt in runtimes)
     block = max(1, _BLOCK_SAMPLES // n_win)
     # sum |a|^2, sum Re(conj(a) e), sum |e|^2 per curve and draw
     sums = np.zeros((3, len(runtimes), cfg.n_noise))
-    delays = _veh_a_profile(sc.L_h).taps
-    a = [None if rt.layout else h[delays] @ rt.taps - H for rt in runtimes]
+    a = [None if rt.layout else h[rt.delays] @ rt.taps - H for rt in runtimes]
     receivers = {rt.proto: rt.tones for rt in runtimes}
     noise = np.random.default_rng([cfg.seed, _TAG_NOISE, c])
     data = [np.random.default_rng([cfg.seed, _TAG_DATA, c, i])
@@ -255,8 +263,8 @@ def _run_channel(args) -> tuple:
         y = {key: tones(w) for key, tones in receivers.items()}
         for i, rt in enumerate(runtimes):
             if rt.layout is not None:
-                a[i] = rt.estimate(propagate(rt.transmit(data[i], hi - lo),
-                                             h, 0.0, None)) - H
+                a[i] = rt.estimate(rt.delayed(rt.transmit(data[i], hi - lo),
+                                              h)) - H
             e = rt.fit(y[rt.proto][..., rt.pilot_idx])
             sums[0, i, lo:hi] = np.sum(np.abs(a[i]) ** 2, axis=-1)
             sums[1, i, lo:hi] = np.sum((a[i].conj() * e).real, axis=-1)
@@ -294,8 +302,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[MseCurve]:
         raise ValueError(f"n_noise must be >= 1, got {cfg.n_noise}")
     if not cfg.ebn0_db:
         raise ValueError("the Eb/N0 grid is empty")
-    e_sym = cfg.E / sc.M
-    sigmas = [ebn0_to_sigma2(g, e_sym) for g in cfg.ebn0_db]
+    sigma2 = _sigma2(cfg)
     if cfg.workers < 1:
         raise ValueError(f"workers must be >= 1, got {cfg.workers}")
     jobs = [(cfg, c) for c in range(cfg.n_channels)]
@@ -322,7 +329,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[MseCurve]:
         floor = float(all_floors[:, i].mean())
         # the closed form is linear in sigma^2: evaluate it once per curve
         gain = closed_form_mse(rt.preamble, 1.0, sc, mode=rt.spec.estimator)
-        pred = gain * np.array(sigmas) * inv_h2.mean() + floor
+        pred = gain * sigma2 * inv_h2.mean() + floor
         curves.append(MseCurve(
             label=rt.spec.label, system=rt.spec.system,
             ebn0_db=np.asarray(cfg.ebn0_db, dtype=float),

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -34,6 +35,7 @@ from mcpreamble import (
     truncate_prototype,
     verify_optimality,
 )
+from mcpreamble.preambles import sparse_data_layout
 
 
 def test_papr_reference_points():
@@ -265,6 +267,32 @@ def test_floor_map_matches_loop_definition(layout, seed):
         assert got < 1e-20 * cfg.M and want < 1e-20 * cfg.M
     else:
         assert abs(got - want) <= 1e-12 * want
+
+
+def test_floor_map_of_the_paper_help_layout_stays_small():
+    # the unhelped symbols' floor is a per-tone map, with no (pilots x
+    # symbols) stack: paper fig6's sparse-data-3 layout, its pulse tables
+    # built inside the trace, peaks at about 0.5 MiB (2.1 MiB for the
+    # stack, numpy 2.4)
+    cfg = SystemConfig(M=1024, L_h=32, K=4, E=1024.0)
+    proto = design_prototype(cfg.M, cfg.K)
+    p = sparse_data_layout("oqam-3", cfg.E, cfg, proto).preamble
+    tracemalloc.start()
+    try:
+        floor_map(p, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_floor_map_rejects_a_data_comb_of_other_than_L_h_pilots(desk, proto):
+    # its per-tone form needs the LS fit to keep every pilot's tap
+    for scenario in ("oqam-1a", "oqam-3"):
+        p = make_sparse_data(scenario, desk.E, 0, desk, proto)
+        for L_h in (desk.L_h // 2, 2 * desk.L_h):
+            with pytest.raises(ValueError, match="pilots"):
+                floor_map(p, replace(desk, L_h=L_h))
 
 
 def test_verify_optimality_rejects_bad_trial_count(desk, monkeypatch):

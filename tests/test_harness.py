@@ -221,18 +221,19 @@ def test_curves_on_one_pulse_share_it(monkeypatch):
 
 @pytest.mark.parametrize("name", ["fig4b", "fig3", "fig6"])
 def test_chain_calls_do_not_grow_with_the_draws(monkeypatch, name):
-    # a curve's draws go through one synthesis, one propagation, one
+    # a curve's draws go through one synthesis, one delay line, one
     # receive and one estimate as a stack, a preamble redrawn per draw too
     counts = []
     for n_noise in (2, 12):
         calls = []
-        for fn in ("sfb", "modulate", "propagate", "afb", "afb_column",
-                   "demodulate", "estimate_from_pilots"):
-            def counted(*args, _fn=getattr(harness, fn), **kwargs):
+        chain = [(harness, fn) for fn in ("sfb", "modulate", "afb",
+                 "afb_column", "demodulate", "estimate_from_pilots")]
+        for owner, fn in chain + [(harness._CurveRuntime, "delayed")]:
+            def counted(*args, _fn=getattr(owner, fn), **kwargs):
                 calls.append(_fn)
                 return _fn(*args, **kwargs)
 
-            monkeypatch.setattr(harness, fn, counted)
+            monkeypatch.setattr(owner, fn, counted)
         run_experiment(preset(name, scale="desk", n_channels=2,
                               n_noise=n_noise))
         monkeypatch.undo()
@@ -259,12 +260,19 @@ def test_a_block_of_noise_goes_once_through_each_receiver(monkeypatch, name,
         return blocks[-1]
 
     monkeypatch.setattr(harness, "awgn", drawn)
-    for fn in ("demodulate", "afb_column", "afb", "propagate"):
+    for fn in ("demodulate", "afb_column", "afb"):
         def counted(r, *args, _fn=fn, _f=getattr(harness, fn), **kwargs):
             calls.append((_fn, r))
             return _f(r, *args, **kwargs)
 
         monkeypatch.setattr(harness, fn, counted)
+    delayed = harness._CurveRuntime.delayed
+
+    def delay_line(rt, s, h):
+        calls.append(("delayed", s))
+        return delayed(rt, s, h)
+
+    monkeypatch.setattr(harness._CurveRuntime, "delayed", delay_line)
     for c in range(cfg.n_channels):
         harness._run_channel((cfg, c))
     assert len(blocks) == 4
@@ -272,11 +280,47 @@ def test_a_block_of_noise_goes_once_through_each_receiver(monkeypatch, name,
         on_w = [fn for fn, r in calls if np.shares_memory(r, w)]
         assert (on_w.count("demodulate"), on_w.count("afb_column")) == want
         assert len(on_w) == sum(want)
-    # a static preamble is never propagated, a redrawn one once per block;
+    # a static preamble never goes through the delay line, a redrawn one
+    # once per block (test_no_preset_propagates: nothing is propagated);
     # fig3's data is not redrawn, as its CP-OFDM pilots never see it
     redrawn = sum(rt.layout is not None for rt in runtimes)
-    assert [fn for fn, _ in calls].count("propagate") == 4 * redrawn
+    assert [fn for fn, _ in calls].count("delayed") == 4 * redrawn
     assert redrawn == (name == "fig6")
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_no_preset_propagates(monkeypatch, name):
+    # the engine sends a redrawn preamble through the channel's delay
+    # line; channel.propagate stays the reference the tests compare with.
+    # Every name the package binds it to counts its calls.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return propagate(*args, **kwargs)
+
+    for mod in [m for key, m in sys.modules.items()
+                if key.split(".")[0] == "mcpreamble"]:
+        if getattr(mod, "propagate", None) is propagate:
+            monkeypatch.setattr(mod, "propagate", counted)
+    run_experiment(preset(name, scale="desk", n_channels=2, n_noise=2))
+    assert calls == []
+
+
+@pytest.mark.parametrize("scale", ["desk", "paper"])
+def test_delay_line_is_the_noiseless_propagation(scale):
+    # a block of fig6 data draws through the channel's occupied delays
+    # is their convolution with the whole L_h-tap response
+    cfg = preset("fig6", scale=scale)
+    rt = harness._CurveRuntime(cfg.curves[1], cfg)
+    assert rt.layout is not None
+    s = rt.synthesize(draw_sparse_data(rt.layout, np.random.default_rng(8), 5))
+    for c in range(3):
+        h = gen_veh_a(np.random.SeedSequence([cfg.seed, 101, c]), rt.sc)
+        want = propagate(s, h, 0.0, None)
+        got = rt.delayed(s, h)
+        assert got.shape == want.shape == (5, rt.n_rx)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("name", preset_names())
