@@ -191,12 +191,12 @@ def floor_map(preamble: Preamble, config: SystemConfig):
     # a helped symbol's error vector is kept explicitly, as B[c] applied
     # to the channel at tones[c]: its own fade (U), then one per help pilot
     cir = lambda m_, n_: cfr_samples_to_cir(
-        amb[n_, M - 1 + m_ - idx[:, None]] / a[:, None], M, idx, L_h)
-    U, G = cir(m[jh], n[jh]), cir(idx, 1)
+        amb[n_, M - 1 + m_ - idx] / a, M, idx, L_h)
+    U, G = cir(m[jh, None], n[jh, None]), cir(idx[:, None], 1)
     B = np.zeros((len(jh), 2 + rank.max(), L_h), dtype=complex)
     tones = np.zeros(B.shape[:2], dtype=np.int64)  # padding: B = 0 there
-    B[:, 0], tones[:, 0] = U.T, m[jh]
-    B[c, 1 + rank] = -(G[:, q] * (w[q, k] / w[q, -1])).T
+    B[:, 0], tones[:, 0] = U, m[jh]
+    B[c, 1 + rank] = -G[q] * (w[q, k] / w[q, -1])[:, None]
     tones[c, 1 + rank] = idx[q]
     d[jh] = 0.0
     D = np.bincount(m, weights=d, minlength=M)

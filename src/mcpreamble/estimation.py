@@ -48,7 +48,6 @@ def estimate_from_pilots(
     ratios = y / preamble.divisors
     if mode == "raw":
         return ratios
-    # cfr_samples_to_cir takes one sample set per column
-    h_hat = cfr_samples_to_cir(ratios.T, config.M, preamble.pilot_idx,
+    h_hat = cfr_samples_to_cir(ratios, config.M, preamble.pilot_idx,
                                config.L_h)
-    return np.fft.fft(h_hat.T, n=config.M, axis=-1)
+    return np.fft.fft(h_hat, n=config.M, axis=-1)

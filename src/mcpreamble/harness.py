@@ -130,7 +130,8 @@ class _CurveRuntime:
     is the length of a received window and `tones` the receiver's output
     on all M tones.  For a static preamble, row k of `taps` is the curve's
     noiseless estimate through the whole chain for a unit tap at the k-th
-    of the `delays` the channel model occupies (channel._veh_a_profile).
+    of the `delays` the channel model occupies (channel._veh_a_profile):
+    its samples shifted to that delay, received and fitted.
     """
 
     def __init__(self, spec: CurveSpec, cfg: ExperimentConfig,
@@ -176,16 +177,16 @@ class _CurveRuntime:
         self.taps = None
         if self.layout is None:
             self.taps = self.estimate(np.stack(
-                [self.delayed(tx, np.eye(sc.L_h)[d]) for d in self.delays]))
+                [np.pad(tx, (d, sc.L_h - 1 - d)) for d in self.delays]))
 
     def estimate(self, r) -> np.ndarray:
         """Channel estimates over all M tones from (..., n_rx) samples r."""
         return self.fit(self.receive(r))
 
     def delayed(self, s, h) -> np.ndarray:
-        """propagate(s, h, 0.0, None), s (n,) or (T, n), shift-added by row."""
-        r = np.zeros(s.shape[:-1] + (self.n_rx,), dtype=complex)
-        for r_t, s_t in zip(np.atleast_2d(r), np.atleast_2d(s)):
+        """propagate(s, h, 0.0, None) of a (T, n) stack, shift-added by row."""
+        r = np.zeros((len(s), self.n_rx), dtype=complex)
+        for r_t, s_t in zip(r, s):
             for d in self.delays:
                 r_t[d:d + len(s_t)] += h[d] * s_t
         return r
@@ -346,17 +347,16 @@ CSV_HEADER = ("preset,scheme,preamble,ebn0_db,nmse_db,nmse_linear,"
 
 def write_csv(curves: list, path, preset_name: str) -> None:
     """Fixed-format CSV so identical runs give identical bytes."""
-    floor_fmt = lambda v: "-inf" if v <= 0 else f"{10.0 * np.log10(v):.10g}"
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
         for cu in curves:
-            for k, g in enumerate(cu.ebn0_db):
-                fh.write(
-                    f"{preset_name},{cu.system},{cu.label},{g:.10g},"
-                    f"{cu.nmse_db[k]:.10g},{cu.nmse[k]:.12e},"
-                    f"{cu.predicted_db[k]:.10g},{floor_fmt(cu.floor)},"
-                    f"{cu.stderr_db[k]:.10g},{cu.n_samples}\n"
-                )
+            floor_db = ("-inf" if cu.floor <= 0
+                        else f"{10.0 * np.log10(cu.floor):.10g}")
+            for g, db, lin, pred_db, se in zip(cu.ebn0_db, cu.nmse_db, cu.nmse,
+                                               cu.predicted_db, cu.stderr_db):
+                fh.write(f"{preset_name},{cu.system},{cu.label},{g:.10g},"
+                         f"{db:.10g},{lin:.12e},{pred_db:.10g},{floor_db},"
+                         f"{se:.10g},{cu.n_samples}\n")
 
 
 _DESK = dict(M=128, L_h=8, n_channels=50, n_noise=100)

@@ -207,7 +207,7 @@ def _loop_expected_floor(p, h, cfg):
     a = np.abs(p.divisors)
     # a two-column grid has a help pilot above every pilot
     helped = idx if grid.shape[1] == 2 else ()
-    T = np.zeros((len(idx), len(p.data_positions)), dtype=complex)
+    T = np.zeros((len(p.data_positions), len(idx)), dtype=complex)
     for j, (m, n) in enumerate(p.data_positions):
         for i, q in enumerate(idx):
             # own pulse of the data symbol onto pilot (q, 0)
@@ -217,7 +217,7 @@ def _loop_expected_floor(p, h, cfg):
                 if m in ((P + 1) % M, (P - 1) % M):
                     acc -= (p.proto.row(P, n)[m] / p.proto.rho * H[P]
                             * p.proto.row(q, 1)[P])
-            T[i, j] = np.exp(1j * data_phase(m, n)) * acc / a[i]
+            T[j, i] = np.exp(1j * data_phase(m, n)) * acc / a[i]
     A = cfr_samples_to_cir(T, M, idx, cfg.L_h)
     e_d = np.mean(np.abs(grid[idx, 0]) ** 2) / 2.0
     return float(e_d * M * np.sum(np.abs(A) ** 2))

@@ -90,14 +90,14 @@ def test_cfr_samples_roundtrip():
             idx = equispaced_set(M, N, i_0)
             got = cfr_samples_to_cir(H[idx], M, idx, L_h)
             assert np.max(np.abs(got - h)) < 1e-9
-            # a matrix of sample sets is fitted column by column
-            cols = (rng.standard_normal((N, 3))
-                    + 1j * rng.standard_normal((N, 3)))
-            batch = cfr_samples_to_cir(cols, M, idx, L_h)
-            assert batch.shape == (L_h, 3)
-            for j in range(3):
-                one = cfr_samples_to_cir(cols[:, j], M, idx, L_h)
-                assert np.max(np.abs(batch[:, j] - one)) < 1e-12
+            # a stack of sample sets is fitted row by row
+            rows = (rng.standard_normal((2, 3, N))
+                    + 1j * rng.standard_normal((2, 3, N)))
+            batch = cfr_samples_to_cir(rows, M, idx, L_h)
+            assert batch.shape == (2, 3, L_h)
+            for j in np.ndindex(2, 3):
+                one = cfr_samples_to_cir(rows[j], M, idx, L_h)
+                assert np.max(np.abs(batch[j] - one)) < 1e-12
     # on the full set the fit is the truncated inverse FFT
     H = rng.standard_normal(M) + 1j * rng.standard_normal(M)
     got = cfr_samples_to_cir(H, M, np.arange(M), L_h)

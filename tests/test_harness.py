@@ -324,18 +324,30 @@ def test_delay_line_is_the_noiseless_propagation(scale):
 
 
 @pytest.mark.parametrize("name", preset_names())
-def test_tap_responses_are_the_chain(name):
+def test_tap_responses_are_the_chain(monkeypatch, name):
     # every channel the model draws lies on the tap delays, and the tap
     # responses weighted by its taps give the chain's noiseless estimate:
-    # synthesis, propagation, receive and LS on the pilots
+    # synthesis, propagation, receive and LS on the pilots.  They are the
+    # samples shifted to each delay: building them takes no delay line.
     cfg = preset(name, scale="desk")
     sc = cfg.system
     delays = _veh_a_profile(sc.L_h).taps
+    calls = []
+    delayed = harness._CurveRuntime.delayed
+
+    def delay_line(rt, s, h):
+        calls.append(s)
+        return delayed(rt, s, h)
+
+    monkeypatch.setattr(harness._CurveRuntime, "delayed", delay_line)
+    harness._runtimes.cache_clear()
+    runtimes = harness._runtimes(cfg)
+    assert calls == []
     for c in range(3):
         h = gen_veh_a(np.random.SeedSequence([cfg.seed, 101, c]), sc)
         H = cfr_from_cir(h, sc.M)
         assert set(np.flatnonzero(h)) <= set(delays)
-        for rt in harness._runtimes(cfg):
+        for rt in runtimes:
             if rt.layout is not None:
                 assert rt.taps is None
                 continue
