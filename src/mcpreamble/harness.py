@@ -61,17 +61,31 @@ _TAG_DATA = 201
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """One curve of an experiment."""
+    """One curve of an experiment: its preamble is an equal comb of
+    n_pilots tones (all M when None), or the sparse-plus-data layout of a
+    scenario, which fixes its own N = L_h pilots, so a spec that sets
+    both raises ValueError.  `family` names which of the three it is."""
 
     label: str
     system: str                  # "cpofdm" | "oqam"
-    family: str                  # "sparse" | "full" | "sparse_data"
     estimator: str               # "raw" | "projected"
-    n_pilots: int | None = None  # sparse families
-    scenario: str | None = None  # sparse_data only
+    n_pilots: int | None = None  # comb size; None: every tone
+    scenario: str | None = None  # sparse-plus-data layout
     e_scale: float = 1.0         # budget multiplier before equalization
     equalize: bool = False       # match training power to the first curve
     truncate_to: int | None = None  # prototype truncation (oqam)
+
+    def __post_init__(self) -> None:
+        if self.scenario is not None and self.n_pilots is not None:
+            raise ValueError(f"curve {self.label!r}: its scenario fixes "
+                             "its pilots, so it takes no n_pilots")
+
+    @property
+    def family(self) -> str:
+        """Its kind: "sparse_data" with a scenario, else "sparse" or "full"."""
+        if self.scenario is not None:
+            return "sparse_data"
+        return "full" if self.n_pilots is None else "sparse"
 
 
 @dataclass(frozen=True)
@@ -125,10 +139,10 @@ class _CurveRuntime:
     the closed form and the estimate.  transmit(rng, T) synthesizes T data
     draws; `layout` is set only where a pulse carries data to the pilots.
     `floor` is that layout's expected error floor as a function of the
-    channel's CFR (analysis.floor_map).  Every draw shares the pilot
-    points and divisors, so one estimate serves a stack of draws; `n_rx`
-    is the length of a received window and `tones` the receiver's output
-    on all M tones.  For a static preamble, row k of `taps` is the curve's
+    channel's CFR (analysis.floor_map).  Every draw shares the pilot tones
+    and divisors, so one estimate serves a stack of draws; `n_rx` is the
+    preamble's window plus L_h - 1 and `tones` the receiver's output on
+    all M tones.  Only a static preamble has `taps`: row k is the curve's
     noiseless estimate through the whole chain for a unit tap at the k-th
     of the `delays` the channel model occupies (channel._veh_a_profile):
     its samples shifted to that delay, received and fitted.
@@ -148,34 +162,31 @@ class _CurveRuntime:
             self.proto = proto = _pulse(sc.M, sc.K, spec.truncate_to)
             self.synthesize = lambda x: sfb(x, proto)
             self.tones = lambda r: afb_column(r, proto, 0)
-            self.receive = lambda r: afb(r, proto, self.points)
+            self.receive = lambda r: afb(r, proto, self.pilot_idx)
         e = cfg.E * spec.e_scale
         self.layout = None
-        if spec.family == "sparse_data":
+        if spec.scenario is not None:
             layout = sparse_data_layout(spec.scenario, e, sc, proto=self.proto)
             base = layout.preamble
             # CP-OFDM pilots never see the data: the curve is static
             self.layout = None if self.proto is None else layout
             self.transmit = lambda rng, T: self.synthesize(
                 draw_sparse_data(layout, rng, T) * self.scale)
-        elif spec.family in ("sparse", "full"):
+        else:
             base = make_equal_comb(spec.n_pilots or sc.M, 0, e, sc,
                                    proto=self.proto)
-        else:
-            raise ValueError(f"unknown curve family {spec.family!r}")
         self.scale = 1.0
         if ref is not None and spec.equalize:
             self.scale = float(np.sqrt(tpr(ref.preamble, base)))
         self.preamble = base if self.scale == 1.0 else base.scaled(self.scale)
         self.floor = floor_map(self.preamble, sc)
         self.pilot_idx = base.pilot_idx
-        self.points = np.stack([self.pilot_idx, 0 * self.pilot_idx], axis=1)
-        tx = self.synthesize(self.preamble.symbols)
-        self.n_rx = len(tx) + sc.L_h - 1
+        self.n_rx = self.preamble.window + sc.L_h - 1
         self.fit = lambda y: estimate_from_pilots(y, self.preamble, sc,
                                                   mode=spec.estimator)
         self.taps = None
         if self.layout is None:
+            tx = self.synthesize(self.preamble.symbols)
             self.taps = self.estimate(np.stack(
                 [np.pad(tx, (d, sc.L_h - 1 - d)) for d in self.delays]))
 
@@ -366,14 +377,12 @@ _EBN0_DEFAULT = tuple(float(g) for g in range(0, 35, 5))
 _EBN0_LONG = tuple(float(g) for g in range(0, 50, 5))
 
 
-def _qam(label, family, estimator, **kw):
-    return CurveSpec(label=label, system="cpofdm", family=family,
-                     estimator=estimator, **kw)
+def _qam(label, estimator, **kw):
+    return CurveSpec(label=label, system="cpofdm", estimator=estimator, **kw)
 
 
-def _oqam(label, family, estimator, **kw):
-    return CurveSpec(label=label, system="oqam", family=family,
-                     estimator=estimator, **kw)
+def _oqam(label, estimator, **kw):
+    return CurveSpec(label=label, system="oqam", estimator=estimator, **kw)
 
 
 def preset(
@@ -424,69 +433,62 @@ def preset_names() -> list:
 _PRESETS = {
     # full-grid vs sparse CP-OFDM at equal training energy
     "fig1a": dict(K=4, curves=lambda M, L: [
-        _qam("full-raw", "full", "raw"),
-        _qam("sparse", "sparse", "projected", n_pilots=L, equalize=True),
+        _qam("full-raw", "raw"),
+        _qam("sparse", "projected", n_pilots=L, equalize=True),
     ]),
     "fig1b": dict(K=4, curves=lambda M, L: [
-        _qam("full-projected", "full", "projected"),
-        _qam("sparse", "sparse", "projected", n_pilots=L, equalize=True),
+        _qam("full-projected", "projected"),
+        _qam("sparse", "projected", n_pilots=L, equalize=True),
     ]),
     # more pilots at the same per-pilot gain (unequalized) or same energy
     "fig2a": dict(K=4, curves=lambda M, L: [
-        _qam("sparse-Lh", "sparse", "projected", n_pilots=L),
-        _qam("sparse-2Lh-samegain", "sparse", "projected", n_pilots=2 * L,
-             e_scale=2.0),
+        _qam("sparse-Lh", "projected", n_pilots=L),
+        _qam("sparse-2Lh-samegain", "projected", n_pilots=2 * L, e_scale=2.0),
     ]),
     "fig2b": dict(K=4, curves=lambda M, L: [
-        _qam("sparse-Lh", "sparse", "projected", n_pilots=L),
-        _qam("sparse-2Lh", "sparse", "projected", n_pilots=2 * L,
-             equalize=True),
+        _qam("sparse-Lh", "projected", n_pilots=L),
+        _qam("sparse-2Lh", "projected", n_pilots=2 * L, equalize=True),
     ]),
     # pilots sharing the symbol with data, power equalized
     "fig3": dict(K=4, curves=lambda M, L: [
-        _qam("sparse", "sparse", "projected", n_pilots=L),
-        _qam("sparse-data", "sparse_data", "projected", scenario="qam-sd",
-             equalize=True),
+        _qam("sparse", "projected", n_pilots=L),
+        _qam("sparse-data", "projected", scenario="qam-sd", equalize=True),
     ]),
     # full-grid vs sparse OQAM
     "fig4a": dict(K=4, curves=lambda M, L: [
-        _oqam("full-pseudo-raw", "full", "raw"),
-        _oqam("sparse", "sparse", "projected", n_pilots=L, equalize=True),
+        _oqam("full-pseudo-raw", "raw"),
+        _oqam("sparse", "projected", n_pilots=L, equalize=True),
     ]),
     "fig4b": dict(K=4, curves=lambda M, L: [
-        _oqam("full-pseudo-projected", "full", "projected"),
-        _oqam("sparse", "sparse", "projected", n_pilots=L, equalize=True),
+        _oqam("full-pseudo-projected", "projected"),
+        _oqam("sparse", "projected", n_pilots=L, equalize=True),
     ]),
     "fig5": dict(K=4, curves=lambda M, L: [
-        _oqam("sparse-Lh", "sparse", "projected", n_pilots=L),
-        _oqam("sparse-2Lh", "sparse", "projected", n_pilots=2 * L,
-              equalize=True),
+        _oqam("sparse-Lh", "projected", n_pilots=L),
+        _oqam("sparse-2Lh", "projected", n_pilots=2 * L, equalize=True),
     ]),
     "fig6": dict(K=4, ebn0=_EBN0_LONG, curves=lambda M, L: [
-        _oqam("sparse", "sparse", "projected", n_pilots=L),
-        _oqam("sparse-data-3", "sparse_data", "projected", scenario="oqam-3",
-              equalize=True),
+        _oqam("sparse", "projected", n_pilots=L),
+        _oqam("sparse-data-3", "projected", scenario="oqam-3", equalize=True),
     ]),
     # cross-system comparisons at equal training power per window
     "fig7a": dict(K=3, paper=dict(M=512, L_h=32), curves=lambda M, L: [
-        _qam("qam-sparse", "sparse", "projected", n_pilots=L),
-        _oqam("oqam-sparse", "sparse", "projected", n_pilots=L,
-              equalize=True),
+        _qam("qam-sparse", "projected", n_pilots=L),
+        _oqam("oqam-sparse", "projected", n_pilots=L, equalize=True),
     ]),
     "fig7b": dict(K=4, paper=dict(M=1024, L_h=32), curves=lambda M, L: [
-        _qam("qam-sparse", "sparse", "projected", n_pilots=L),
-        _oqam("oqam-sparse", "sparse", "projected", n_pilots=L,
-              equalize=True),
+        _qam("qam-sparse", "projected", n_pilots=L),
+        _oqam("oqam-sparse", "projected", n_pilots=L, equalize=True),
     ]),
     # truncated-prototype OQAM against CP-OFDM in (almost) equal windows
     "fig8a": dict(K=2, paper=dict(M=512, L_h=32), curves=lambda M, L: [
-        _qam("qam-sparse", "sparse", "projected", n_pilots=L),
-        _oqam("oqam-truncated", "sparse", "projected", n_pilots=L,
+        _qam("qam-sparse", "projected", n_pilots=L),
+        _oqam("oqam-truncated", "projected", n_pilots=L,
               truncate_to=M + L - 1, equalize=True),
     ]),
     "fig8b": dict(K=4, paper=dict(M=1024, L_h=32), curves=lambda M, L: [
-        _qam("qam-sparse", "sparse", "projected", n_pilots=L),
-        _oqam("oqam-truncated", "sparse", "projected", n_pilots=L,
+        _qam("qam-sparse", "projected", n_pilots=L),
+        _oqam("oqam-truncated", "projected", n_pilots=L,
               truncate_to=M + L - 1, equalize=True),
     ]),
 }

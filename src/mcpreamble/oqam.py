@@ -33,11 +33,11 @@ for even L_g, so edge weights pick up a sign automatically).  Between
 arbitrary positions, <g'_{p+dm, q+dn}, g'_{p,q}> = (-1)^(dm*q) * A(dm, dn).
 The filter banks take their centre phases from the same phase ramp.
 
-Pilots sit in column 0.  Their first-order neighbourhood, the tones
-p +/- 1 of column 0 and p - 1..p + 1 of column 1, is defined once, by
-first_order_neighbours: positions and literal-offset weights as arrays
-over the pilot tones.  The pseudo pilots here, the help pilots and their
-energy in preambles and the floors in analysis all read it.
+Pilots sit in column 0, which afb reads.  Their first-order neighbourhood,
+the tones p +/- 1 of column 0 and p - 1..p + 1 of column 1, is defined
+once, by first_order_neighbours: positions and literal-offset weights as
+arrays over the pilot tones.  The pseudo pilots here, the help pilots and
+their energy in preambles and the floors in analysis all read it.
 
 Both filter banks have direct O(M*L_g) definitions; the implementations
 here use M-point FFTs after folding the pulse products modulo M, which is
@@ -288,20 +288,18 @@ def afb_column(r, proto: PrototypeFilter, n: int) -> np.ndarray:
     return np.fft.fft(folded, axis=-1) * proto._ramp[proto.M - 1::-1]
 
 
-def afb(r, proto: PrototypeFilter, points) -> np.ndarray:
-    """Analysis filter bank outputs at the given (m, n) grid points.
+def afb(r, proto: PrototypeFilter, tones) -> np.ndarray:
+    """Analysis outputs of column 0, the pilot column, at the given tones.
 
-    points is anything that converts to an (N, 2) integer array; each
-    distinct column n takes one afb_column pass.  r is (..., L) and the
-    result (..., N): a stack of receive windows gives a stack of outputs.
+    tones are integers in 0..M-1, in any order, repeats allowed; any other
+    tone raises ValueError.  r is (..., L) and the result (..., len(tones)):
+    a stack of windows gives a stack of outputs.  afb_column reads any column.
     """
-    r = np.asarray(r, dtype=complex)
-    pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
-    out = np.empty(r.shape[:-1] + (len(pts),), dtype=complex)
-    for n in sorted(set(pts[:, 1].tolist())):
-        at = pts[:, 1] == n
-        out[..., at] = afb_column(r, proto, n)[..., pts[at, 0]]
-    return out
+    t = np.asarray(tones)
+    if not (t.dtype.kind in "iu" and np.all((t >= 0) & (t < proto.M))):
+        raise ValueError(f"tones must be integers in 0..{proto.M - 1}, "
+                         f"got {t.tolist()!r}")
+    return afb_column(r, proto, 0)[..., t]
 
 
 # First-order offsets (dm, dn) around a pilot of column 0, the only pilot

@@ -115,11 +115,10 @@ def test_oqam_closed_forms_against_simulation(desk, proto):
     pred = closed_form_mse(p, sigma2, desk)
     acc = 0.0
     trials = 500
-    pts = [(m, 0) for m in p.pilot_idx]
     for t in range(trials):
         h = gen_veh_a((3, t), desk)
         r = propagate(sfb(p.symbols, proto), h, sigma2, seed=(4, t))
-        y = afb(r[: p.window], proto, pts)
+        y = afb(r[: p.window], proto, p.pilot_idx)
         H_hat = estimate_from_pilots(y, p, desk)
         acc += np.sum(np.abs(H_hat - cfr_from_cir(h, desk.M)) ** 2)
     assert abs(acc / trials - pred) < 0.05 * pred
@@ -135,11 +134,10 @@ def test_oqam_full_projected_uses_noise_correlation(desk, proto):
     assert abs(pred / white - 1.0) > 0.1
     acc = 0.0
     trials = 800
-    pts = [(m, 0) for m in range(desk.M)]
     for t in range(trials):
         h = gen_veh_a((5, t), desk)
         r = propagate(sfb(p.symbols, proto), h, sigma2, seed=(6, t))
-        y = afb(r[: p.window], proto, pts)
+        y = afb(r[: p.window], proto, p.pilot_idx)
         H_hat = estimate_from_pilots(y, p, desk, mode="projected")
         acc += np.sum(np.abs(H_hat - cfr_from_cir(h, desk.M)) ** 2)
     assert abs(acc / trials - pred) < 0.05 * pred
@@ -152,11 +150,11 @@ def test_afb_noise_cov_matches_monte_carlo(small, small_proto):
     rng = np.random.default_rng(1)
     acc = np.zeros_like(B)
     trials = 6000
-    pts = [(m, 0) for m in range(small.M)]
+    tones = np.arange(small.M)
     for _ in range(trials):
         z = (rng.standard_normal(small_proto.L_g)
              + 1j * rng.standard_normal(small_proto.L_g)) / np.sqrt(2)
-        y = afb(z, small_proto, pts)
+        y = afb(z, small_proto, tones)
         acc += np.outer(y, y.conj())
     acc /= trials
     assert np.max(np.abs(acc - B)) < 0.04

@@ -32,7 +32,7 @@ def test_noiseless_oqam_sparse_estimate(desk, proto):
     p = make_equal_comb(desk.L_h, 0, desk.E, desk, proto)
     h = gen_veh_a(2, desk)
     r = np.convolve(sfb(p.symbols, proto), h)
-    y = afb(r[: p.window], proto, [(m, 0) for m in p.pilot_idx])
+    y = afb(r[: p.window], proto, p.pilot_idx)
     H = cfr_from_cir(h, desk.M)
     # limited by the flat-per-subcarrier front end, not by noise
     H_hat = estimate_from_pilots(y, p, desk)

@@ -67,6 +67,35 @@ def test_preset_overrides():
     assert cfg.E == 64.0
 
 
+# the family of each preset's curves, at both scales
+_FAMILIES = {
+    "fig1a": ("full", "sparse"), "fig1b": ("full", "sparse"),
+    "fig2a": ("sparse", "sparse"), "fig2b": ("sparse", "sparse"),
+    "fig3": ("sparse", "sparse_data"), "fig4a": ("full", "sparse"),
+    "fig4b": ("full", "sparse"), "fig5": ("sparse", "sparse"),
+    "fig6": ("sparse", "sparse_data"), "fig7a": ("sparse", "sparse"),
+    "fig7b": ("sparse", "sparse"), "fig8a": ("sparse", "sparse"),
+    "fig8b": ("sparse", "sparse"),
+}
+
+
+@pytest.mark.parametrize("scale", ["desk", "paper"])
+def test_a_curve_family_follows_from_its_spec(scale):
+    # benchmark output checks branch on it, so every preset keeps its own
+    assert {name: tuple(spec.family for spec in preset(name, scale).curves)
+            for name in preset_names()} == _FAMILIES
+
+
+def test_a_curve_spec_takes_a_scenario_or_a_comb_size_not_both():
+    # a sparse-plus-data layout fixes its own N = L_h pilots
+    kw = dict(label="x", system="oqam", estimator="projected")
+    with pytest.raises(ValueError, match="takes no n_pilots"):
+        CurveSpec(scenario="oqam-3", n_pilots=8, **kw)
+    # the family is read from the spec, never set beside it
+    with pytest.raises(TypeError):
+        CurveSpec(family="sparse", n_pilots=8, **kw)
+
+
 def test_runs_are_deterministic(tmp_path):
     cfg = preset("fig1b", scale="desk", **SMALL)
     a = tmp_path / "a.csv"
@@ -357,7 +386,7 @@ def test_tap_responses_are_the_chain(monkeypatch, name):
                 y = demodulate(r, sc)[p.pilot_idx]
             else:
                 r = propagate(sfb(p.symbols, rt.proto), h, 0.0, None)
-                y = afb(r, rt.proto, [(m, 0) for m in p.pilot_idx])
+                y = afb(r, rt.proto, p.pilot_idx)
             want = estimate_from_pilots(y, p, sc, mode=rt.spec.estimator)
             assert rt.taps.shape == (len(delays), sc.M)
             assert (np.linalg.norm(h[delays] @ rt.taps - want)
@@ -389,7 +418,7 @@ def test_tap_responses_stand_for_data_only_where_the_receiver_is_blind(name):
                 y = demodulate(r, sc)[p.pilot_idx]
             else:
                 r = propagate(sfb(p.symbols, rt.proto), h, 0.0, None)
-                y = afb(r, rt.proto, [(m, 0) for m in p.pilot_idx])
+                y = afb(r, rt.proto, p.pilot_idx)
             return estimate_from_pilots(y, p, sc, mode=spec.estimator)
 
         pilots_only = (chain(rt.preamble) if rt.taps is None
@@ -500,8 +529,8 @@ def test_same_gain_pair_separates_by_3db():
 def test_experiment_config_system():
     cfg = ExperimentConfig(
         name="x", scale="desk", M=64, L_h=8, K=4, E=64.0,
-        curves=(CurveSpec(label="a", system="cpofdm", family="sparse",
-                          estimator="projected", n_pilots=8),),
+        curves=(CurveSpec(label="a", system="cpofdm", estimator="projected",
+                          n_pilots=8),),
         ebn0_db=(0.0,), n_channels=1, n_noise=1, seed=1)
     assert cfg.system.M == 64
     assert dataclasses.replace(cfg, M=128).system.M == 128
@@ -619,7 +648,7 @@ def test_superposed_trials_match_chain_loop(name):
                     r = propagate(s, h, 0.0, None)
                     r += np.sqrt(sigma2) * noise[t][:len(r)]
                     if rt.spec.system == "oqam":
-                        y = afb(r, rt.proto, [(m, 0) for m in p.pilot_idx])
+                        y = afb(r, rt.proto, p.pilot_idx)
                     else:
                         y = demodulate(r, sc)[p.pilot_idx]
                     H_hat = estimate_from_pilots(y, p, sc,
@@ -662,6 +691,32 @@ def test_floor_map_is_built_once_per_curve(monkeypatch):
     cfg = preset("fig6", scale="desk", n_channels=3, n_noise=2)
     run_experiment(cfg)
     assert len(built) == len(cfg.curves)
+
+
+@pytest.mark.parametrize("scale", ["desk", "paper"])
+def test_a_received_window_is_the_preamble_window_and_the_channel(scale):
+    # n_rx is read from the preamble; its synthesized samples agree
+    for name in preset_names():
+        cfg = preset(name, scale=scale)
+        for rt in harness._runtimes(cfg):
+            tx = rt.synthesize(rt.preamble.symbols)
+            assert rt.n_rx == len(tx) + cfg.L_h - 1
+
+
+def test_only_a_static_curve_synthesizes_at_set_up(monkeypatch):
+    # fig6's static comb synthesizes once, for its tap responses; its
+    # redrawn curve synthesizes only the draws of a channel
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sfb(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "sfb", counted)
+    harness._runtimes.cache_clear()
+    static, redrawn = harness._runtimes(preset("fig6", scale="desk"))
+    assert static.layout is None and redrawn.layout is not None
+    assert len(calls) == 1
 
 
 def test_serial_run_imports_neither_numpy_ma_nor_multiprocessing(tmp_path):

@@ -194,26 +194,36 @@ def test_afb_matches_direct_form(small, small_proto):
     n_cols = 3
     span = (n_cols - 1) * small.M // 2 + small_proto.L_g
     r = rng.standard_normal(span) + 1j * rng.standard_normal(span)
-    pts = [(m, n) for n in range(n_cols) for m in range(small.M)]
-    y = afb(r, small_proto, pts)
     half = small.M // 2
-    for i, (m, n) in enumerate(pts):
+    for n in range(n_cols):
+        y = afb_column(r, small_proto, n)
         seg = r[n * half : n * half + small_proto.L_g]
-        direct = np.vdot(direct_pulse(small_proto, m, n), seg)
-        assert abs(y[i] - direct) < 1e-9
-    col = afb_column(r, small_proto, 1)
-    assert np.max(np.abs(col - y[small.M : 2 * small.M])) < 1e-12
+        for m in range(small.M):
+            direct = np.vdot(direct_pulse(small_proto, m, n), seg)
+            assert abs(y[m] - direct) < 1e-9
+    col = afb_column(r, small_proto, 0)
+    assert np.array_equal(afb(r, small_proto, np.arange(small.M)), col)
 
 
-def test_afb_gathers_mixed_points_per_column(small, small_proto):
+def test_afb_gathers_column_0_tones_in_order(small, small_proto):
+    # any order, repeats allowed; column 1's samples are present but unread
     rng = np.random.default_rng(12)
     span = small.M // 2 + small_proto.L_g
     r = rng.standard_normal(span) + 1j * rng.standard_normal(span)
-    pts = [(5, 1), (0, 0), (31, 1), (5, 0), (17, 1), (2, 0), (5, 1)]
-    cols = {n: afb_column(r, small_proto, n) for n in (0, 1)}
-    expect = np.array([cols[n][m] for m, n in pts])
-    assert np.array_equal(afb(r, small_proto, pts), expect)
-    assert np.array_equal(afb(r, small_proto, np.array(pts)), expect)
+    tones = [5, 0, 31, 5, 17, 2, 5]
+    col = afb_column(r, small_proto, 0)
+    expect = np.array([col[m] for m in tones])
+    assert np.array_equal(afb(r, small_proto, tones), expect)
+    assert np.array_equal(afb(r, small_proto, np.array(tones)), expect)
+
+
+@pytest.mark.parametrize("tone", [-1, "M", 0.5])
+def test_afb_rejects_tones_off_the_grid(small, small_proto, tone):
+    # numpy would read -1 as tone M - 1 and fail on M with an IndexError
+    r = np.ones(small_proto.L_g, dtype=complex)
+    tones = [3, small.M if tone == "M" else tone]
+    with pytest.raises(ValueError, match=f"integers in 0..{small.M - 1}"):
+        afb(r, small_proto, tones)
 
 
 @pytest.mark.parametrize("cut", ["designed", "odd"])
@@ -237,18 +247,20 @@ def test_filter_bank_takes_a_stack_of_windows(small, small_proto):
     rng = np.random.default_rng(14)
     span = small.M // 2 + small_proto.L_g
     r = rng.standard_normal((5, span)) + 1j * rng.standard_normal((5, span))
-    pts = [(5, 1), (0, 0), (31, 1), (5, 0), (17, 1), (2, 0)]
-    y = afb(r, small_proto, pts)
-    assert y.shape == (5, len(pts))
+    tones = [5, 0, 31, 5, 17, 2]
+    y = afb(r, small_proto, tones)
+    assert y.shape == (5, len(tones))
     for n in (0, 1):
         col = afb_column(r, small_proto, n)
         assert col.shape == (5, small.M)
         for t in range(5):
             assert np.array_equal(col[t], afb_column(r[t], small_proto, n))
     for t in range(5):
-        assert np.array_equal(y[t], afb(r[t], small_proto, pts))
+        assert np.array_equal(y[t], afb(r[t], small_proto, tones))
     with pytest.raises(ValueError, match="column 1 needs samples"):
-        afb(r[:, :-1], small_proto, pts)
+        afb_column(r[:, :-1], small_proto, 1)
+    with pytest.raises(ValueError, match="column 0 needs samples"):
+        afb(r[:, :small_proto.L_g - 1], small_proto, tones)
 
 
 @pytest.mark.parametrize("cut", [None, 32 + 4 - 1, 32 + 4],
@@ -277,7 +289,7 @@ def test_transmultiplexer_identity(small, small_proto):
         for dn in (-1, 0, 1):
             if not 0 <= q + dn < 4:
                 continue
-            y = afb(s, small_proto, [(m, q + dn) for m in range(small.M)])
+            y = afb_column(s, small_proto, q + dn)
             for m in range(small.M):
                 dm = m - p
                 want = (-1) ** (dm * q) * np.conj(small_proto.weight(dm, dn)) * x
@@ -290,8 +302,7 @@ def test_real_orthogonality_of_phased_grid(small, small_proto):
     rng = np.random.default_rng(9)
     a = rng.standard_normal((small.M, 5))
     s = sfb(phased(a), small_proto)
-    pts = [(m, 2) for m in range(small.M)]
-    y = afb(s, small_proto, pts)
+    y = afb_column(s, small_proto, 2)
     derot = np.array([np.exp(-1j * data_phase(m, 2)) for m in range(small.M)])
     rec = np.real(y * derot)
     assert np.max(np.abs(rec - a[:, 2])) < 5e-3 * np.max(np.abs(a))
@@ -301,8 +312,7 @@ def test_pseudo_pilot_predicts_flat_channel_output(small, small_proto):
     rng = np.random.default_rng(10)
     grid = phased(rng.standard_normal((small.M, 2)))
     s = sfb(grid, small_proto)
-    pts = [(m, 0) for m in range(small.M)]
-    y = afb(s, small_proto, pts)
+    y = afb(s, small_proto, np.arange(small.M))
     c = pseudo_pilot(grid, small_proto, np.arange(small.M))
     # the pseudo pilot keeps first-order neighbours; the rest is the
     # prototype's (tiny) higher-order leakage
@@ -314,7 +324,7 @@ def test_full_preamble_pseudo_pilots_exact(desk, proto):
     # so the pseudo pilots equal the flat-channel outputs to precision
     p = make_equal_comb(desk.M, 0, desk.E, desk, proto)
     s = sfb(p.symbols, proto)
-    y = afb(s, proto, [(m, 0) for m in range(desk.M)])
+    y = afb(s, proto, np.arange(desk.M))
     assert np.max(np.abs(y - p.divisors)) < 1e-12
     a = p.symbols[0, 0].real
     assert abs(p.divisors[0] - a) < 1e-12
@@ -352,13 +362,12 @@ def test_help_pilot_cancels_imaginary_part():
             bare_worst = 0.0
             for seed in range(3):
                 p = make_sparse_data(scenario, cfg.E, seed, cfg, proto)
-                pts = [(m, 0) for m in p.pilot_idx]
                 derot = np.exp(-1j * data_phase(p.pilot_idx, 0))
-                y = afb(sfb(p.symbols, proto), proto, pts) * derot
+                y = afb(sfb(p.symbols, proto), proto, p.pilot_idx) * derot
                 assert np.all(np.abs(y.imag) < 5e-3 * np.abs(y.real))
                 bare = p.symbols.copy()
                 bare[p.pilot_idx, 1] = 0.0
-                y0 = afb(sfb(bare, proto), proto, pts) * derot
+                y0 = afb(sfb(bare, proto), proto, p.pilot_idx) * derot
                 bare_worst = max(bare_worst, np.max(np.abs(y0.imag / y0.real)))
             # without their help pilots the same grids miss that bound
             assert bare_worst > 5e-3
