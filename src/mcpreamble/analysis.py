@@ -176,28 +176,23 @@ def floor_map(preamble: Preamble, config: SystemConfig):
     # sparse_data_layout); it is solved channel-blind, so it arrives faded
     # by H[P], and reaches pilot i with weight A(P - i, 1): column P of G
     jk, w = _data_neighbours(idx, preamble.data_positions, n_cols, proto)
-    # (pilot, neighbour) pairs with data; the last offset is the help pilot
+    # (pilot, neighbour) pairs with data, in pilot order; the last offset
+    # is the help pilot
     q, k = np.nonzero(jk[:, :-1] >= 0)
-    jq = jk[q, k]
-    helped = np.zeros(len(m), dtype=bool)
-    helped[jq] = True
-    jh = np.flatnonzero(helped)
-    # row c of each pair's symbol among the helped ones, and its rank
-    # among the (at most two) pilots that symbol neighbours
-    c = (np.cumsum(helped) - 1)[jq]
-    order = np.argsort(c, kind="stable")
-    rank = np.empty_like(c)
-    rank[order] = np.arange(len(c)) - np.searchsorted(c[order], c[order])
+    # row c of each pair's symbol among the helped symbols jh, and its
+    # slot among the (at most two) pilots that symbol neighbours
+    jh, first, c = np.unique(jk[q, k], return_index=True, return_inverse=True)
+    slot = np.arange(len(c)) != first[c]
     # a helped symbol's error vector is kept explicitly, as B[c] applied
     # to the channel at tones[c]: its own fade (U), then one per help pilot
     cir = lambda m_, n_: cfr_samples_to_cir(
         amb[n_, M - 1 + m_ - idx] / a, M, idx, L_h)
     U, G = cir(m[jh, None], n[jh, None]), cir(idx[:, None], 1)
-    B = np.zeros((len(jh), 2 + rank.max(), L_h), dtype=complex)
+    B = np.zeros((len(jh), 2 + slot.max(), L_h), dtype=complex)
     tones = np.zeros(B.shape[:2], dtype=np.int64)  # padding: B = 0 there
     B[:, 0], tones[:, 0] = U, m[jh]
-    B[c, 1 + rank] = -G[q] * (w[q, k] / w[q, -1])[:, None]
-    tones[c, 1 + rank] = idx[q]
+    B[c, 1 + slot] = -G[q] * (w[q, k] / w[q, -1])[:, None]
+    tones[c, 1 + slot] = idx[q]
     d[jh] = 0.0
     D = np.bincount(m, weights=d, minlength=M)
 

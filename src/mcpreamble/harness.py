@@ -63,8 +63,11 @@ _TAG_DATA = 201
 class CurveSpec:
     """One curve of an experiment: its preamble is an equal comb of
     n_pilots tones (all M when None), or the sparse-plus-data layout of a
-    scenario, which fixes its own N = L_h pilots, so a spec that sets
-    both raises ValueError.  `family` names which of the three it is."""
+    scenario, which fixes its own N = L_h pilots.  `family` names which
+    of the three it is.  A spec that sets both, a system other than
+    "cpofdm" or "oqam", an e_scale that is not a positive finite real, or
+    truncate_to on a "cpofdm" curve raises ValueError naming its curve;
+    run_experiment rejects an n_pilots that is not a positive integer."""
 
     label: str
     system: str                  # "cpofdm" | "oqam"
@@ -76,9 +79,21 @@ class CurveSpec:
     truncate_to: int | None = None  # prototype truncation (oqam)
 
     def __post_init__(self) -> None:
+        curve = f"curve {self.label!r}"
+        if self.system not in ("cpofdm", "oqam"):
+            raise ValueError(f"{curve}: system must be 'cpofdm' or 'oqam', "
+                             f"got {self.system!r}")
         if self.scenario is not None and self.n_pilots is not None:
-            raise ValueError(f"curve {self.label!r}: its scenario fixes "
-                             "its pilots, so it takes no n_pilots")
+            raise ValueError(f"{curve}: its scenario fixes its pilots, so "
+                             "it takes no n_pilots")
+        # through its module: the names bound here are the trial chain's calls
+        config._check_real(f"{curve}: e_scale", self.e_scale)
+        if not (np.isfinite(self.e_scale) and self.e_scale > 0):
+            raise ValueError(f"{curve}: e_scale must be positive and "
+                             f"finite, got {self.e_scale}")
+        if self.system == "cpofdm" and self.truncate_to is not None:
+            raise ValueError(f"{curve}: a CP-OFDM curve has no pulse to "
+                             "cut, so it takes no truncate_to")
 
     @property
     def family(self) -> str:
@@ -173,8 +188,8 @@ class _CurveRuntime:
             self.transmit = lambda rng, T: self.synthesize(
                 draw_sparse_data(layout, rng, T) * self.scale)
         else:
-            base = make_equal_comb(spec.n_pilots or sc.M, 0, e, sc,
-                                   proto=self.proto)
+            n = sc.M if spec.n_pilots is None else spec.n_pilots
+            base = make_equal_comb(n, 0, e, sc, proto=self.proto)
         self.scale = 1.0
         if ref is not None and spec.equalize:
             self.scale = float(np.sqrt(tpr(ref.preamble, base)))
@@ -290,10 +305,10 @@ def _run_channel(args) -> tuple:
 def run_experiment(cfg: ExperimentConfig) -> list[MseCurve]:
     """Run all curves of an experiment and aggregate across channels.
 
-    Bad dimensions, energies, counts or seeds, a pulse cut longer than
-    the pulse, and Eb/N0 points that are not real numbers or whose noise
-    variance is not positive and finite, raise ValueError before any work
-    is done.
+    Bad dimensions, energies, counts, comb sizes or seeds, a pulse cut
+    longer than the pulse, and Eb/N0 points that are not real numbers or
+    whose noise variance is not positive and finite, raise ValueError
+    before any work is done.
     """
     # through its module: the names bound here are the trial chain's calls
     for name in ("seed", "n_channels", "n_noise", "workers"):
@@ -302,6 +317,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[MseCurve]:
         raise ValueError(f"seed must be a non-negative integer, got {cfg.seed!r}")
     sc = cfg.system
     for spec in cfg.curves:
+        # checked here, not by the spec: a preset's comb size is its L_h,
+        # which cfg.system has just checked
+        if spec.n_pilots is not None:
+            config._check_int(f"curve {spec.label!r}: n_pilots", spec.n_pilots)
+            if spec.n_pilots < 1:
+                raise ValueError(f"curve {spec.label!r}: n_pilots must be "
+                                 f"positive, got {spec.n_pilots}")
         cut = spec.truncate_to
         if cut is not None and not 0 < cut <= sc.K * sc.M:
             raise ValueError(

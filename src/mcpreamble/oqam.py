@@ -128,21 +128,16 @@ class PrototypeFilter:
             self._kernels[dn] = a
         return self._kernels[dn]
 
-    def weight(self, dm: int, dn: int, pilot_col: int = 0) -> complex:
-        """<g'_{p+dm, q+dn}, g'_{p, q}> at a literal |dm| < M, q = pilot_col."""
+    def weight(self, dm: int, dn: int) -> complex:
+        """<g'_{p+dm, dn}, g'_{p, 0}> at a literal |dm| < M."""
         if not -self.M < dm < self.M:
             raise ValueError(f"need |dm| < M={self.M}, got dm={dm}")
-        a = complex(self.kernel(dn)[dm + self.M - 1])
-        return -a if (dm * pilot_col) % 2 else a
+        return complex(self.kernel(dn)[dm + self.M - 1])
 
-    def row(self, p, dn: int, pilot_col: int = 0) -> np.ndarray:
-        """Weights of tones 0..M-1 (column pilot_col + dn) onto (p, pilot_col), per tone p."""
+    def row(self, p, dn: int) -> np.ndarray:
+        """Weights of tones 0..M-1 (column dn) onto (p, 0), per tone p."""
         M = self.M
-        dm = np.arange(M) - np.asarray(p)[..., None]
-        w = self.kernel(dn)[dm + M - 1]
-        if pilot_col % 2:
-            w = np.where(dm % 2, -w, w)
-        return w
+        return self.kernel(dn)[np.arange(M) - np.asarray(p)[..., None] + M - 1]
 
     # Scalar shorthands for two first-order weights: their real parts,
     # which are the whole weight for a symmetric pulse.  An odd-length cut

@@ -101,11 +101,6 @@ class Preamble:
         )
 
 
-def _positions(tones: np.ndarray, n: int) -> np.ndarray:
-    """(m, n) rows, one per tone m of column n, as a (J, 2) int64 array."""
-    return np.stack([tones, np.full_like(tones, n)], axis=1).astype(np.int64)
-
-
 def _data_neighbours(pilot_idx, positions, n_cols: int,
                      proto: PrototypeFilter) -> tuple:
     """(jk, w): data index (-1 for none) and weight of every neighbour of
@@ -220,9 +215,9 @@ class SparseDataLayout(NamedTuple):
     as a Preamble: its symbols hold the pilots alone (data and help pilots
     0), and its pilots, divisors, E_train, window, data_positions and
     pulse are those of every draw.  A draw's J data symbols fill
-    data_positions in order from n_bits bits; e_x is the energy of a
-    symbol, phase its e^{j*phi} for OQAM, and None means QPSK, two bits
-    per symbol.
+    data_positions in order, each of energy E / n_pilots (the pilots'):
+    phase holds their e^{j*phi} for OQAM, one bit per symbol, and None
+    means QPSK, two bits per symbol.
 
     The help pilots of a two-column grid are a linear map W of the data:
     pilot i's first-order data neighbours are the symbols help_j[i] with
@@ -231,8 +226,6 @@ class SparseDataLayout(NamedTuple):
     """
 
     preamble: Preamble
-    n_bits: int
-    e_x: float
     phase: np.ndarray | None = None
     help_j: np.ndarray | None = None
     help_w: np.ndarray | None = None
@@ -267,31 +260,12 @@ def sparse_data_layout(
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"scenario must be one of {SCENARIOS}")
-    N = config.L_h
-    idx = equispaced_set(config.M, N, 0)
+    M, N = config.M, config.L_h
+    idx = equispaced_set(M, N, 0)
     e_x = E / N
     amp = np.sqrt(e_x)
-    M = config.M
     divisors = np.full(N, amp, dtype=complex)
-
-    if scenario == "qam-sd":
-        x = np.zeros(M, dtype=complex)
-        x[idx] = amp
-        data = np.ones(M, dtype=bool)
-        data[idx] = False
-        tones = np.flatnonzero(data)
-        # expected prefix cost of the data comb: E_x * nu / M per tone
-        e_train = N * e_x + (M - N) * e_x * config.nu / M
-        return SparseDataLayout(
-            Preamble(pilot_idx=idx, divisors=divisors, symbols=x, E=E,
-                     E_train=e_train, window=M + config.nu,
-                     data_positions=_positions(tones, 0), proto=proto),
-            n_bits=2 * len(tones), e_x=e_x)
-
-    if proto is None:
-        raise ValueError(f"scenario {scenario} is OQAM and needs its pulse")
-    _check_pulse(proto, M)
-    n_cols = 1 if scenario in ("oqam-1a", "oqam-1b") else 2
+    n_cols = 2 if scenario in ("oqam-2", "oqam-3") else 1
     x = np.zeros((M, n_cols), dtype=complex)
     x[idx, 0] = amp
     # data everywhere but on the pilots, their help pilots and the guards
@@ -300,12 +274,23 @@ def sparse_data_layout(
     if scenario in ("oqam-1b", "oqam-2"):
         data[(idx + 1) % M, 0] = False
         data[(idx - 1) % M, 0] = False
-    cols = [np.flatnonzero(data[:, n]) for n in range(n_cols)]
-    positions = np.concatenate([_positions(t, n) for n, t in enumerate(cols)])
+    positions = np.argwhere(data.T)[:, ::-1]  # column by column
+    e_train = N * e_x
+
+    if scenario == "qam-sd":
+        # expected prefix cost of the data comb: E_x * nu / M per tone
+        e_train += (M - N) * e_x * config.nu / M
+        return SparseDataLayout(
+            Preamble(pilot_idx=idx, divisors=divisors, symbols=x[:, 0], E=E,
+                     E_train=e_train, window=M + config.nu,
+                     data_positions=positions, proto=proto))
+
+    if proto is None:
+        raise ValueError(f"scenario {scenario} is OQAM and needs its pulse")
+    _check_pulse(proto, M)
     m, n = positions.T
     phase = np.exp(1j * data_phase(m, n))
     helpers = {}
-    e_train = N * e_x
     if n_cols == 2:
         # the help pilot (P, 1) of every pilot P takes the real amplitude
         # that cancels P's first-order neighbours; w[:, -1] is its own
@@ -335,27 +320,28 @@ def sparse_data_layout(
         Preamble(pilot_idx=idx, divisors=divisors, symbols=x, E=E,
                  E_train=e_train, window=window, data_positions=positions,
                  proto=proto),
-        n_bits=len(positions), e_x=e_x, phase=phase, **helpers)
+        phase=phase, **helpers)
 
 
 def draw_sparse_data(layout: SparseDataLayout, rng, T: int) -> np.ndarray:
     """Symbols of T successive draws of the layout's data, as a stack.
 
     rng is anything numpy.random.default_rng takes; a Generator continues
-    its stream.  Row t of one integers(0, 2, size=(T, n_bits)) call holds
-    draw t's bits; int64 draws continue across calls, so a draw depends
-    on neither its stack nor the draws after it.  The result is (T, M)
-    for CP-OFDM and (T, M, n_cols) for OQAM: the pilot grid, the data
-    symbols at their positions and, in a helped grid, the help pilots.
+    its stream.  Row t of one integers(0, 2, size=(T, J)) call, or
+    (T, J, 2) for QPSK, holds draw t's bits for its J data symbols; int64
+    draws continue across calls, so a draw depends on neither its stack
+    nor the draws after it.  The result is (T, M) for CP-OFDM and
+    (T, M, n_cols) for OQAM: the pilot grid, the data symbols at their
+    positions and, in a helped grid, the help pilots.
     """
-    bits = np.random.default_rng(rng).integers(0, 2, size=(T, layout.n_bits))
-    half = np.sqrt(layout.e_x / 2.0)
     p = layout.preamble
-    x = np.repeat(p.symbols[None], T, axis=0)
     m, n = p.data_positions.T
+    shape = (T, len(m)) if p.proto is not None else (T, len(m), 2)
+    bits = np.random.default_rng(rng).integers(0, 2, size=shape)
+    half = np.sqrt(p.E / p.n_pilots / 2.0)
+    x = np.repeat(p.symbols[None], T, axis=0)
     if p.proto is None:
-        b = bits.reshape(T, -1, 2)
-        x[:, m] = half * ((1 - 2 * b[..., 0]) + 1j * (1 - 2 * b[..., 1]))
+        x[:, m] = half * ((1 - 2 * bits[..., 0]) + 1j * (1 - 2 * bits[..., 1]))
         return x
     d = half * (1 - 2 * bits) * layout.phase
     x[:, m, n] = d

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcpreamble import analysis
@@ -252,8 +252,15 @@ def data_layouts(draw):
     return cfg, proto, scenario
 
 
+# At M/L_h = 2 every data symbol of a helped layout borders two pilots:
+# the only grid where a symbol takes the second help-pilot slot of B.
+_TWO_PILOT = (SystemConfig(M=16, L_h=8, K=4, E=16.0), design_prototype(16, 4))
+
+
 @settings(max_examples=40, deadline=None)
 @given(data_layouts(), st.integers(0, 2 ** 32 - 1))
+@example((*_TWO_PILOT, "oqam-2"), 0)
+@example((*_TWO_PILOT, "oqam-3"), 1)
 def test_floor_map_matches_loop_definition(layout, seed):
     cfg, proto, scenario = layout
     p = make_sparse_data(scenario, cfg.E, seed, cfg, proto)

@@ -96,6 +96,29 @@ def test_a_curve_spec_takes_a_scenario_or_a_comb_size_not_both():
         CurveSpec(family="sparse", n_pilots=8, **kw)
 
 
+@pytest.mark.parametrize("bad, why", [
+    (dict(system="ofdm"), "system must be"),
+    (dict(e_scale=0.0), "e_scale must be positive"),
+    (dict(e_scale=-1.0), "e_scale must be positive"),
+    (dict(e_scale=float("nan")), "e_scale must be positive"),
+    (dict(n_pilots=0), "n_pilots must be positive"),
+    (dict(n_pilots=8.0), "n_pilots must be an integer"),
+    (dict(system="cpofdm", truncate_to=135), "takes no truncate_to"),
+], ids=["system=ofdm", "e_scale=0", "e_scale=-1", "e_scale=nan",
+        "n_pilots=0", "n_pilots=8.0", "cpofdm-truncate_to"])
+def test_a_curve_is_rejected_before_any_work(monkeypatch, bad, why):
+    # each ran before: the OQAM chain labelled "ofdm", an all-NaN CSV, the
+    # full comb for 0 pilots, an IndexError, a cut that changed nothing
+    def work(args):
+        raise AssertionError("a channel ran")
+
+    monkeypatch.setattr(harness, "_run_channel", work)
+    cfg = preset("fig4b", "desk", n_channels=3, n_noise=2)
+    with pytest.raises(ValueError, match=f"curve 'sparse': .*{why}"):
+        spec = dataclasses.replace(cfg.curves[1], **bad)
+        run_experiment(dataclasses.replace(cfg, curves=(cfg.curves[0], spec)))
+
+
 def test_runs_are_deterministic(tmp_path):
     cfg = preset("fig1b", scale="desk", **SMALL)
     a = tmp_path / "a.csv"

@@ -107,8 +107,6 @@ def test_one_table_of_inner_products(M, K, cut):
         assert table is proto.kernel(dn)
         for dm in range(1 - M, M):
             assert proto.weight(dm, dn) == table[dm + M - 1]
-            assert proto.weight(dm, dn, pilot_col=1) == (
-                -table[dm + M - 1] if dm % 2 else table[dm + M - 1])
     assert proto.beta == proto.kernel(0)[M].real
     assert proto.rho == proto.kernel(1)[M - 1].real
     # the first-order weights are one gather from the same tables
@@ -143,14 +141,13 @@ def test_cached_tables_are_read_only(small, small_proto):
 
 def test_row_of_tone_array_stacks_single_rows(small, small_proto):
     tones = np.array([0, 3, small.M - 1])
-    for dn, col in ((0, 0), (1, 0), (-1, 1), (2, 1)):
-        rows = small_proto.row(tones, dn, pilot_col=col)
-        want = np.vstack([small_proto.row(int(t), dn, pilot_col=col)
-                          for t in tones])
+    for dn in (0, 1):
+        rows = small_proto.row(tones, dn)
+        want = np.vstack([small_proto.row(int(t), dn) for t in tones])
         assert np.array_equal(rows, want)
         # entry [i, m] is the literal-offset weight onto tone i
-        assert rows[1, 5] == pytest.approx(
-            small_proto.weight(5 - 3, dn, pilot_col=col), abs=1e-15)
+        assert rows[1, 5] == pytest.approx(small_proto.weight(5 - 3, dn),
+                                           abs=1e-15)
 
 
 def test_ambiguity_against_direct_sum():
