@@ -262,9 +262,9 @@ def verify_optimality(
     config: SystemConfig,
     trials: int = 10000,
     seed: int = 1,
-    sigma2: float = 1.0,
 ) -> OptimalityReport:
-    """Numerical verification of the optimality claims.
+    """Numerical verification of the optimality claims, each a ratio to a
+    bound linear in sigma^2 and so taken at sigma^2 = 1.
 
     (a) every random feasible sparse CP-OFDM preamble at training energy
         E has LS MSE >= L_h*sigma^2/E, with equality for the equal comb;
@@ -296,7 +296,7 @@ def verify_optimality(
     add = report.checks.append
 
     # (a) sparse CP-OFDM lower bound, random values and pilot counts
-    bound_a = L_h * sigma2 / E
+    bound_a = L_h / E
     worst_a = np.inf
     for N in (L_h, 2 * L_h, min(4 * L_h, M)):
         n_t = max(1, trials // 3)
@@ -307,7 +307,7 @@ def verify_optimality(
         X[:, comb_n.pilot_idx] = vals
         e_train = np.sum(np.abs(vals) ** 2, axis=1) + cp_energy(X, config)
         vals *= np.sqrt(E / e_train)[:, None]
-        mse = closed_form_mse(replace(comb_n, divisors=vals), sigma2, config) / M
+        mse = closed_form_mse(replace(comb_n, divisors=vals), 1.0, config) / M
         worst_a = min(worst_a, float(np.min(mse / bound_a)))
     add(CheckResult(
         "qam_sparse_lower_bound", worst_a >= 1.0 - 1e-9, worst_a, 1.0,
@@ -315,7 +315,7 @@ def verify_optimality(
 
     # equality case: the equal comb reaches the bound exactly
     comb = make_equal_comb(L_h, 0, E, config)
-    f = lambda v: closed_form_mse(replace(comb, divisors=v), sigma2, config) / M
+    f = lambda v: closed_form_mse(replace(comb, divisors=v), 1.0, config) / M
     dev = abs(f(comb.divisors) / bound_a - 1.0)
     add(CheckResult(
         "qam_sparse_equality", dev < 1e-12, dev, 1e-12,
@@ -350,15 +350,15 @@ def verify_optimality(
     # 1 + 2*beta*cos(pi*(2k+1)/M), all strictly below 1 + 2*beta.
     B = np.ascontiguousarray(afb_noise_cov(proto).real)  # BLAS needs it
     f_b = lambda a: np.sum(1.0 / (a @ B) ** 2, axis=-1)
-    bound_b = M ** 2 * sigma2 / (E * (1.0 + 2.0 * beta) ** 2)
+    bound_b = M ** 2 / (E * (1.0 + 2.0 * beta) ** 2)
     n_t = trials
     A_rand = np.abs(rng.standard_normal((n_t, M))) + 0.05
     A_rand *= np.sqrt(E / np.sum(A_rand ** 2, axis=1))[:, None]
-    mse_b = sigma2 * f_b(A_rand)
+    mse_b = f_b(A_rand)
     worst_b = float(np.min(mse_b / bound_b))
     a_eq = np.sqrt(E / M)
     a0 = np.full(M, a_eq)
-    mse_beq = sigma2 * f_b(a0)
+    mse_beq = f_b(a0)
     gap_eq = mse_beq / bound_b - 1.0
     add(CheckResult(
         "oqam_full_lower_bound", worst_b >= 1.0 - 1e-9 and mse_beq <= np.min(mse_b),
@@ -419,7 +419,7 @@ def verify_optimality(
                                     E, config)
         mods = np.abs(p.symbols) ** 2
         dev_mod = float(np.max(np.abs(mods - E / M)) / (E / M))
-        mse_t = closed_form_mse(p, sigma2, config) / M
+        mse_t = closed_form_mse(p, 1.0, config) / M
         dev_mse = abs(mse_t / bound_a - 1.0)
         cp_rel = (p.E_train - E) / E
         fam_worst = max(fam_worst, dev_mod, dev_mse, abs(cp_rel))

@@ -24,11 +24,14 @@ through each receiver (a pulse, or the CP-OFDM demodulator), whose
 curves read their pilot tones from it, so compared curves differ only
 through their preambles and estimators.
 
-Results aggregate per channel first (mean over noise draws of
-||H_hat - H||^2 / ||H||^2), then over channels; the reported standard
-error is across channels.  Channels are processed by index through a
-plain map, serially or in a process pool, and reduced in index order, so
-the output bytes do not depend on the worker count.
+A channel's job returns the totals of those sums over its draws, its
+floors and ||H||^2, and reads no noise level.  The experiment alone
+forms every point from them: per channel the mean over noise draws of
+||H_hat - H||^2 / ||H||^2 at each Eb/N0, then the mean over channels;
+the reported standard error is across channels.  Channels are processed
+by index through a plain map, serially or in a process pool, and
+reduced in index order, so the output bytes do not depend on the worker
+count.
 
 Power between compared preambles is always equalized through the
 training power ratio (declared training energy per observation window)
@@ -67,7 +70,8 @@ class CurveSpec:
     of the three it is.  A spec that sets both, a system other than
     "cpofdm" or "oqam", an e_scale that is not a positive finite real, or
     truncate_to on a "cpofdm" curve raises ValueError naming its curve;
-    run_experiment rejects an n_pilots that is not a positive integer."""
+    run_experiment rejects an n_pilots that is not a positive integer and
+    a truncate_to that is not an integer or is longer than the pulse."""
 
     label: str
     system: str                  # "cpofdm" | "oqam"
@@ -210,11 +214,10 @@ class _CurveRuntime:
         return self.fit(self.receive(r))
 
     def delayed(self, s, h) -> np.ndarray:
-        """propagate(s, h, 0.0, None) of a (T, n) stack, shift-added by row."""
+        """propagate(s, h, 0.0, None) of a (T, n) stack: one add per delay."""
         r = np.zeros((len(s), self.n_rx), dtype=complex)
-        for r_t, s_t in zip(r, s):
-            for d in self.delays:
-                r_t[d:d + len(s_t)] += h[d] * s_t
+        for d in self.delays:
+            r[:, d:d + s.shape[-1]] += h[d] * s
         return r
 
 
@@ -232,49 +235,39 @@ def _runtimes(cfg: ExperimentConfig) -> list[_CurveRuntime]:
     return [ref] + [_CurveRuntime(spec, cfg, ref) for spec in cfg.curves[1:]]
 
 
-@lru_cache(maxsize=1)
-def _sigma2(cfg: ExperimentConfig) -> np.ndarray:
-    """The noise variance of each Eb/N0 point of cfg, once per process."""
-    sigma2 = np.array([ebn0_to_sigma2(g, cfg.E / cfg.M) for g in cfg.ebn0_db])
-    sigma2.flags.writeable = False  # shared by every caller
-    return sigma2
-
-
 # Unit-noise samples per block of draws (complex128, so about 1 MB): a
 # block holds as many draws as fit, and at least one.
 _BLOCK_SAMPLES = 1 << 16
 
 
 def _run_channel(args) -> tuple:
-    """All trials of one channel: per-curve, per-SNR mean NMSE ratios.
+    """All trials of one channel, as raw sums: it reads no noise level.
 
-    The estimate is linear in the received samples, so the error of draw t
-    at noise level sigma is a + sigma * e: a from the noiseless pass, e
-    from the unit-noise pass.  A static preamble's a is h[delays] @ taps
-    - H (CP-OFDM data beside the pilots included); a redrawn one takes the
-    chain per draw, with the channel as its delay line (delayed).
-    Each draw reduces to sum |a|^2, sum Re(conj(a) e) and sum |e|^2;
-    their totals over the draws give every Eb/N0 point.  The channel's
-    unit noise is one generator, seeded [seed, 301, c], and a curve i
-    whose preamble is redrawn per draw has one data generator, seeded
-    [seed, 201, c, i].  A block of draws takes its rows from each in draw
-    order with one call (awgn at the longest window; draw_sparse_data),
-    so draw t depends on neither the block size nor n_noise.  A block
-    holds about _BLOCK_SAMPLES noise samples and takes one receive per
-    receiver (keyed on the pulse, None for CP-OFDM), which reads only its
-    own part of the window, and one estimate per curve, plus a synthesis,
-    a delay line, a receive and an estimate for a preamble redrawn per
-    draw; no row's result depends on its block.
+    Returns per curve the totals over the draws of sum |a|^2,
+    sum Re(conj(a) e) and sum |e|^2 (a (3, curve) array), per curve the
+    unnormalized floor(H), and ||H||^2.  The estimate is linear in the
+    received samples, so the error of draw t at noise level sigma is
+    a + sigma * e: a from the noiseless pass, e from the unit-noise pass.
+    A static preamble's a is h[delays] @ taps - H (CP-OFDM data beside
+    the pilots included); a redrawn one takes the chain per draw, with
+    the channel as its delay line (delayed).  The channel's unit noise
+    is one generator, seeded [seed, 301, c], and a curve i whose preamble
+    is redrawn per draw has one data generator, seeded [seed, 201, c, i].
+    A block of draws takes its rows from each in draw order with one call
+    (awgn at the longest window; draw_sparse_data), so draw t depends on
+    neither the block size nor n_noise.  A block holds about
+    _BLOCK_SAMPLES noise samples and takes one receive per receiver
+    (keyed on the pulse, None for CP-OFDM), which reads only its own part
+    of the window, and one estimate per curve, plus a synthesis, a delay
+    line, a receive and an estimate for a preamble redrawn per draw; no
+    row's result depends on its block.
     """
     cfg, c = args
     runtimes = _runtimes(cfg)
     sc = runtimes[0].sc
     h = gen_veh_a(np.random.SeedSequence([cfg.seed, _TAG_CHANNEL, c]), sc)
     H = cfr_from_cir(h, sc.M)
-    norm_h2 = float(np.sum(np.abs(H) ** 2))
-    sigma2 = _sigma2(cfg)
-
-    floors = np.array([rt.floor(H) for rt in runtimes]) / norm_h2
+    floors = np.array([rt.floor(H) for rt in runtimes])
     n_win = max(rt.n_rx for rt in runtimes)
     block = max(1, _BLOCK_SAMPLES // n_win)
     # sum |a|^2, sum Re(conj(a) e), sum |e|^2 per curve and draw
@@ -296,19 +289,20 @@ def _run_channel(args) -> tuple:
             sums[0, i, lo:hi] = np.sum(np.abs(a[i]) ** 2, axis=-1)
             sums[1, i, lo:hi] = np.sum((a[i].conj() * e).real, axis=-1)
             sums[2, i, lo:hi] = np.sum(np.abs(e) ** 2, axis=-1)
-    aa, ae, ee = sums.sum(axis=-1)[..., None]
-    sig = np.sqrt(sigma2)
-    ratios = (aa + 2.0 * sig * ae + sigma2 * ee) / (norm_h2 * cfg.n_noise)
-    return ratios, floors, 1.0 / norm_h2
+    return sums.sum(axis=-1), floors, float(np.sum(np.abs(H) ** 2))
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[MseCurve]:
     """Run all curves of an experiment and aggregate across channels.
 
-    Bad dimensions, energies, counts, comb sizes or seeds, a pulse cut
-    longer than the pulse, and Eb/N0 points that are not real numbers or
-    whose noise variance is not positive and finite, raise ValueError
-    before any work is done.
+    The Eb/N0 grid enters only here: from channel c's raw sums
+    (_run_channel), its ratio at noise variance sigma^2 is
+    (aa + 2 sigma ae + sigma^2 ee) / (||H||^2 n_noise) and its floor is
+    floor(H) / ||H||^2.  Bad dimensions, energies, counts, comb sizes or
+    seeds, a pulse cut that is not an integer or is longer than the
+    pulse, and Eb/N0 points that are not real numbers or whose noise
+    variance is not positive and finite, raise ValueError before any
+    work is done.
     """
     # through its module: the names bound here are the trial chain's calls
     for name in ("seed", "n_channels", "n_noise", "workers"):
@@ -325,10 +319,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[MseCurve]:
                 raise ValueError(f"curve {spec.label!r}: n_pilots must be "
                                  f"positive, got {spec.n_pilots}")
         cut = spec.truncate_to
-        if cut is not None and not 0 < cut <= sc.K * sc.M:
-            raise ValueError(
-                f"curve {spec.label!r} cuts its pulse to {cut} samples, but "
-                f"the K={sc.K} pulse has {sc.K * sc.M}")
+        if cut is not None:
+            config._check_int(f"curve {spec.label!r}: truncate_to", cut)
+            if not 0 < cut <= sc.K * sc.M:
+                raise ValueError(
+                    f"curve {spec.label!r} cuts its pulse to {cut} samples, "
+                    f"but the K={sc.K} pulse has {sc.K * sc.M}")
     if cfg.n_channels < 2:
         raise ValueError("n_channels must be >= 2 (the standard error is "
                          f"taken across channels), got {cfg.n_channels}")
@@ -336,7 +332,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[MseCurve]:
         raise ValueError(f"n_noise must be >= 1, got {cfg.n_noise}")
     if not cfg.ebn0_db:
         raise ValueError("the Eb/N0 grid is empty")
-    sigma2 = _sigma2(cfg)
+    sigma2 = np.array([ebn0_to_sigma2(g, cfg.E / cfg.M) for g in cfg.ebn0_db])
     if cfg.workers < 1:
         raise ValueError(f"workers must be >= 1, got {cfg.workers}")
     jobs = [(cfg, c) for c in range(cfg.n_channels)]
@@ -350,9 +346,11 @@ def run_experiment(cfg: ExperimentConfig) -> list[MseCurve]:
     else:
         per_channel = [_run_channel(j) for j in jobs]
 
-    all_ratios = np.stack([pc[0] for pc in per_channel])   # (c, curve, snr)
-    all_floors = np.stack([pc[1] for pc in per_channel])   # (c, curve)
-    inv_h2 = np.array([pc[2] for pc in per_channel])
+    sums, floors, norm_h2 = map(np.array, zip(*per_channel))
+    aa, ae, ee = sums.transpose(1, 0, 2)[..., None]       # (c, curve, 1)
+    all_ratios = ((aa + 2.0 * np.sqrt(sigma2) * ae + sigma2 * ee)
+                  / (norm_h2[:, None, None] * cfg.n_noise))  # (c, curve, snr)
+    all_floors = floors / norm_h2[:, None]                # (c, curve)
 
     curves = []
     for i, rt in enumerate(_runtimes(cfg)):
@@ -363,7 +361,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[MseCurve]:
         floor = float(all_floors[:, i].mean())
         # the closed form is linear in sigma^2: evaluate it once per curve
         gain = closed_form_mse(rt.preamble, 1.0, sc, mode=rt.spec.estimator)
-        pred = gain * sigma2 * inv_h2.mean() + floor
+        pred = gain * sigma2 * (1.0 / norm_h2).mean() + floor
         curves.append(MseCurve(
             label=rt.spec.label, system=rt.spec.system,
             ebn0_db=np.asarray(cfg.ebn0_db, dtype=float),

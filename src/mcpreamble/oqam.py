@@ -228,8 +228,6 @@ def sfb(x: np.ndarray, proto: PrototypeFilter) -> np.ndarray:
     derot = proto._ramp[M - 1:]  # exp(-j*2*pi*m*c/M), m = 0..M-1
     for n in range(n_cols):
         col = x[..., n]
-        if not col.any():
-            continue
         # the ring from residue n*M/2 on, laid under the pulse one M-block
         # at a time (a stack needs no L_g-long gather)
         q = np.roll(M * np.fft.ifft(col * derot, axis=-1), -n * half, axis=-1)

@@ -104,11 +104,15 @@ def test_a_curve_spec_takes_a_scenario_or_a_comb_size_not_both():
     (dict(n_pilots=0), "n_pilots must be positive"),
     (dict(n_pilots=8.0), "n_pilots must be an integer"),
     (dict(system="cpofdm", truncate_to=135), "takes no truncate_to"),
+    (dict(truncate_to=135.5), "truncate_to must be an integer"),
+    (dict(truncate_to=True), "truncate_to must be an integer"),
 ], ids=["system=ofdm", "e_scale=0", "e_scale=-1", "e_scale=nan",
-        "n_pilots=0", "n_pilots=8.0", "cpofdm-truncate_to"])
+        "n_pilots=0", "n_pilots=8.0", "cpofdm-truncate_to",
+        "truncate_to=135.5", "truncate_to=True"])
 def test_a_curve_is_rejected_before_any_work(monkeypatch, bad, why):
     # each ran before: the OQAM chain labelled "ofdm", an all-NaN CSV, the
-    # full comb for 0 pilots, an IndexError, a cut that changed nothing
+    # full comb for 0 pilots, an IndexError, a cut that changed nothing,
+    # a TypeError from the cut, a one-sample pulse
     def work(args):
         raise AssertionError("a channel ran")
 
@@ -644,11 +648,14 @@ def test_superposed_trials_match_chain_loop(name):
     cfg = preset(name, scale="desk", n_channels=2, n_noise=2)
     sc = cfg.system
     n_win = max(rt.n_rx for rt in harness._runtimes(cfg))
+    # each point from the channel's raw sums, as run_experiment forms it
+    s2 = np.array([ebn0_to_sigma2(g, cfg.E / sc.M) for g in cfg.ebn0_db])
     for c in (0, 1):
-        ratios, floors, inv_h2 = harness._run_channel((cfg, c))
+        sums, floors, norm_h2 = harness._run_channel((cfg, c))
         h = gen_veh_a(np.random.SeedSequence([cfg.seed, 101, c]), sc)
         H = cfr_from_cir(h, sc.M)
-        assert inv_h2 == 1.0 / np.sum(np.abs(H) ** 2)
+        assert norm_h2 == np.sum(np.abs(H) ** 2)
+        inv_h2 = 1.0 / norm_h2
         # draw t's unit noise is row t of the channel's stream
         stream = np.random.default_rng(np.random.SeedSequence([cfg.seed, 301, c]))
         noise = [awgn(n_win, stream) for _ in range(cfg.n_noise)]
@@ -678,7 +685,10 @@ def test_superposed_trials_match_chain_loop(name):
                                                  mode=rt.spec.estimator)
                     want[k] += np.sum(np.abs(H_hat - H) ** 2) * inv_h2
             want /= cfg.n_noise
-            assert np.all(np.abs(ratios[i] - want) <= 1e-10 * want)
+            aa, ae, ee = sums[:, i]
+            got = ((aa + 2.0 * np.sqrt(s2) * ae + s2 * ee)
+                   / (norm_h2 * cfg.n_noise))
+            assert np.all(np.abs(got - want) <= 1e-10 * want)
 
 
 def test_system_string_stays_at_the_harness():
@@ -698,6 +708,11 @@ def test_ebn0_grid_does_not_change_a_point():
     for a, b in zip(run_experiment(grid), run_experiment(alone)):
         assert a.nmse[1] == b.nmse[0]
         assert a.stderr_db[1] == b.stderr_db[0]
+    # a channel's job reads no Eb/N0 value: the grid enters after it
+    for c in range(grid.n_channels):
+        for x, y in zip(harness._run_channel((grid, c)),
+                        harness._run_channel((alone, c))):
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
 
 
 def test_floor_map_is_built_once_per_curve(monkeypatch):
