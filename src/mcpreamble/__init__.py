@@ -54,7 +54,6 @@ from .oqam import (
 )
 from .preambles import (
     Preamble,
-    SparseDataLayout,
     draw_sparse_data,
     load_preamble_values,
     make_equal_comb,

@@ -43,7 +43,7 @@ from .preambles import (
     _data_neighbours,
     make_equal_comb,
     make_full_equipower_qam,
-    make_sparse_data,
+    sparse_data_layout,
 )
 
 
@@ -386,9 +386,8 @@ def verify_optimality(
     h = gen_veh_a(np.random.SeedSequence([seed, 7]), config)
     floors = {}
     for sc in ("oqam-1a", "oqam-1b", "oqam-2", "oqam-3"):
-        p = make_sparse_data(sc, E, np.random.SeedSequence([seed, 11]), config,
-                             proto=proto)
-        floors[sc] = expected_error_floor(p, h, config)
+        layout = sparse_data_layout(sc, E, config, proto)
+        floors[sc] = expected_error_floor(layout, h, config)
     ratio_guard = floors["oqam-1b"] / floors["oqam-1a"]
     ratio_help = max(floors["oqam-2"], floors["oqam-3"]) / floors["oqam-1a"]
     # help pilots are solved channel-blind, so a residual proportional to

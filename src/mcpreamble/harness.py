@@ -109,6 +109,10 @@ class CurveSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment.  curves and ebn0_db are stored as tuples, whatever
+    sequence is given, so a config hashes (the per-process curve cache is
+    keyed on it) and compares by value; run_experiment checks the rest."""
+
     name: str
     scale: str
     M: int
@@ -121,6 +125,10 @@ class ExperimentConfig:
     n_noise: int
     seed: int
     workers: int = 1
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "curves", tuple(self.curves))
+        object.__setattr__(self, "ebn0_db", tuple(self.ebn0_db))
 
     @property
     def system(self) -> SystemConfig:
@@ -185,8 +193,8 @@ class _CurveRuntime:
         e = cfg.E * spec.e_scale
         self.layout = None
         if spec.scenario is not None:
-            layout = sparse_data_layout(spec.scenario, e, sc, proto=self.proto)
-            base = layout.preamble
+            base = layout = sparse_data_layout(spec.scenario, e, sc,
+                                               proto=self.proto)
             # CP-OFDM pilots never see the data: the curve is static
             self.layout = None if self.proto is None else layout
             self.transmit = lambda rng, T: self.synthesize(
@@ -299,10 +307,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[MseCurve]:
     (_run_channel), its ratio at noise variance sigma^2 is
     (aa + 2 sigma ae + sigma^2 ee) / (||H||^2 n_noise) and its floor is
     floor(H) / ||H||^2.  Bad dimensions, energies, counts, comb sizes or
-    seeds, a pulse cut that is not an integer or is longer than the
-    pulse, and Eb/N0 points that are not real numbers or whose noise
-    variance is not positive and finite, raise ValueError before any
-    work is done.
+    seeds, an empty curve list, a pulse cut that is not an integer or is
+    longer than the pulse, and Eb/N0 points that are not real numbers or
+    whose noise variance is not positive and finite, raise ValueError
+    before any work is done.
     """
     # through its module: the names bound here are the trial chain's calls
     for name in ("seed", "n_channels", "n_noise", "workers"):
@@ -310,6 +318,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[MseCurve]:
     if cfg.seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {cfg.seed!r}")
     sc = cfg.system
+    if not cfg.curves:
+        raise ValueError("the experiment has no curves")
     for spec in cfg.curves:
         # checked here, not by the spec: a preset's comb size is its L_h,
         # which cfg.system has just checked

@@ -33,7 +33,6 @@ sparse-plus-data ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -67,6 +66,17 @@ class Preamble:
     symbol (none without data).  A two-column grid carries a help pilot at
     (p, 1) above every pilot p, and only the helped layouts have two
     columns.
+
+    A sparse-plus-data layout (sparse_data_layout) also carries the map
+    from its data to its symbols, which draw_sparse_data applies; its own
+    symbols hold only its pilots.  Data symbol j, at data_positions[j],
+    has energy E / n_pilots (the pilots'): phase[j] is its e^{j*phi} for
+    OQAM, one real amplitude per symbol, and phase is None for QPSK, two
+    bits per symbol.  Only a two-column grid has help_j and help_c: the
+    help pilot (p_i, 1) is sum_k help_c[i, k] * s[help_j[i, k]], with s
+    the data's real amplitudes, so help_c[i, k] is its value per unit of
+    real amplitude of data symbol help_j[i, k] (0 where that neighbour
+    carries no data).
     """
 
     pilot_idx: np.ndarray
@@ -78,6 +88,9 @@ class Preamble:
     data_positions: np.ndarray = field(
         default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
     proto: PrototypeFilter | None = None
+    phase: np.ndarray | None = None
+    help_j: np.ndarray | None = None
+    help_c: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if (np.ndim(self.symbols) == 2) != (self.proto is not None):
@@ -207,38 +220,12 @@ def make_full_equipower_qam(
     )
 
 
-class SparseDataLayout(NamedTuple):
-    """A sparse-plus-data preamble with its data left to draw.
-
-    Everything but the data values is fixed by the scenario, E, the
-    system and the pulse (see sparse_data_layout).  preamble is the layout
-    as a Preamble: its symbols hold the pilots alone (data and help pilots
-    0), and its pilots, divisors, E_train, window, data_positions and
-    pulse are those of every draw.  A draw's J data symbols fill
-    data_positions in order, each of energy E / n_pilots (the pilots'):
-    phase holds their e^{j*phi} for OQAM, one bit per symbol, and None
-    means QPSK, two bits per symbol.
-
-    The help pilots of a two-column grid are a linear map W of the data:
-    pilot i's first-order data neighbours are the symbols help_j[i] with
-    the weights help_w[i] (weight 0 where a neighbour carries no data),
-    and its help pilot is Re(-sum(d * w) / help_den[i]) * help_phase[i].
-    """
-
-    preamble: Preamble
-    phase: np.ndarray | None = None
-    help_j: np.ndarray | None = None
-    help_w: np.ndarray | None = None
-    help_den: np.ndarray | None = None
-    help_phase: np.ndarray | None = None
-
-
 def sparse_data_layout(
     scenario: str,
     E: float,
     config: SystemConfig,
     proto: PrototypeFilter | None = None,
-) -> SparseDataLayout:
+) -> Preamble:
     """Sparse pilots sharing the training symbol with payload data.
 
     Scenarios:
@@ -253,10 +240,14 @@ def sparse_data_layout(
 
     The scenario names the system: qam-sd rejects a pulse and every
     OQAM layout needs one.  Pilots sit on the comb from tone 0 and carry
-    E/N each, data tones the same constellation energy.  A help pilot
-    must be real for every draw of the data, so the helped layouts (2 and
-    3) reject a pulse that turns a data neighbour's interference off the
-    helper's axis, such as an odd-length cut (see truncate_prototype).
+    E/N each, data tones the same constellation energy.  The result is
+    the layout as a Preamble: its symbols hold the pilots alone, and its
+    pilots, divisors, E_train, window, data positions and pulse are those
+    of every draw (draw_sparse_data); phase, help_j and help_c map a
+    draw's data to its symbols (see Preamble).  A help pilot must be real
+    for every draw of the data, so the helped layouts (2 and 3) reject a
+    pulse that turns a data neighbour's interference off the helper's
+    axis, such as an odd-length cut (see truncate_prototype).
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"scenario must be one of {SCENARIOS}")
@@ -280,10 +271,9 @@ def sparse_data_layout(
     if scenario == "qam-sd":
         # expected prefix cost of the data comb: E_x * nu / M per tone
         e_train += (M - N) * e_x * config.nu / M
-        return SparseDataLayout(
-            Preamble(pilot_idx=idx, divisors=divisors, symbols=x[:, 0], E=E,
-                     E_train=e_train, window=M + config.nu,
-                     data_positions=positions, proto=proto))
+        return Preamble(pilot_idx=idx, divisors=divisors, symbols=x[:, 0],
+                        E=E, E_train=e_train, window=M + config.nu,
+                        data_positions=positions, proto=proto)
 
     if proto is None:
         raise ValueError(f"scenario {scenario} is OQAM and needs its pulse")
@@ -297,10 +287,9 @@ def sparse_data_layout(
         # weight rho, and its own position holds no data
         jk, w = _data_neighbours(idx, positions, n_cols, proto)
         has = jk >= 0
-        help_phase = np.exp(1j * data_phase(idx, 1))
-        den = w[:, -1] * help_phase
+        helper = np.exp(1j * data_phase(idx, 1))
         # per unit real amplitude of each data neighbour
-        coef = -phase[jk] * w / den[:, None]
+        coef = -phase[jk] * w / (w[:, -1] * helper)[:, None]
         off = has & (np.abs(coef.imag)
                      > 1e-9 * np.maximum(1.0, np.abs(coef.real)))
         if off.any():
@@ -308,33 +297,33 @@ def sparse_data_layout(
             raise ValueError(
                 f"interference at pilot {idx[i]} is not on the helper "
                 f"axis (residual {coef[i, k].imag:.3e})")
-        helpers = dict(help_j=np.where(has, jk, 0)[:, :-1],
-                       help_w=np.where(has, w, 0)[:, :-1],
-                       help_den=den, help_phase=help_phase)
+        helpers = dict(
+            help_j=np.where(has, jk, 0)[:, :-1],
+            help_c=np.where(has, coef.real, 0)[:, :-1] * helper[:, None])
         # a data symbol's real amplitude carries E_x/2, so in expectation
         # a help pilot costs E_x/2 * sum |w/rho|^2 over its data neighbours
         e_train += e_x / 2.0 * np.sum(has * np.abs(w / w[:, -1:]) ** 2)
 
     window = proto.L_g + (M // 2 if n_cols == 2 else 0)
-    return SparseDataLayout(
-        Preamble(pilot_idx=idx, divisors=divisors, symbols=x, E=E,
-                 E_train=e_train, window=window, data_positions=positions,
-                 proto=proto),
-        phase=phase, **helpers)
+    return Preamble(pilot_idx=idx, divisors=divisors, symbols=x, E=E,
+                    E_train=e_train, window=window, data_positions=positions,
+                    proto=proto, phase=phase, **helpers)
 
 
-def draw_sparse_data(layout: SparseDataLayout, rng, T: int) -> np.ndarray:
-    """Symbols of T successive draws of the layout's data, as a stack.
+def draw_sparse_data(p: Preamble, rng, T: int) -> np.ndarray:
+    """Symbols of T successive draws of the data of layout p, as a stack.
 
-    rng is anything numpy.random.default_rng takes; a Generator continues
-    its stream.  Row t of one integers(0, 2, size=(T, J)) call, or
-    (T, J, 2) for QPSK, holds draw t's bits for its J data symbols; int64
-    draws continue across calls, so a draw depends on neither its stack
-    nor the draws after it.  The result is (T, M) for CP-OFDM and
-    (T, M, n_cols) for OQAM: the pilot grid, the data symbols at their
-    positions and, in a helped grid, the help pilots.
+    p is a sparse_data_layout, or a draw of one, whose data and help
+    pilots every draw overwrites.  rng is anything
+    numpy.random.default_rng takes; a Generator continues its stream.
+    Row t of one integers(0, 2, size=(T, J)) call, or (T, J, 2) for QPSK,
+    holds draw t's bits for its J data symbols; int64 draws continue
+    across calls, so a draw depends on neither its stack nor the draws
+    after it.  The result is (T, M) for CP-OFDM and (T, M, n_cols) for
+    OQAM: the pilot grid, the data symbols at their positions and, in a
+    helped grid, the help pilots, each a real-linear map of the data's
+    real amplitudes (help_c).
     """
-    p = layout.preamble
     m, n = p.data_positions.T
     shape = (T, len(m)) if p.proto is not None else (T, len(m), 2)
     bits = np.random.default_rng(rng).integers(0, 2, size=shape)
@@ -343,15 +332,13 @@ def draw_sparse_data(layout: SparseDataLayout, rng, T: int) -> np.ndarray:
     if p.proto is None:
         x[:, m] = half * ((1 - 2 * bits[..., 0]) + 1j * (1 - 2 * bits[..., 1]))
         return x
-    d = half * (1 - 2 * bits) * layout.phase
-    x[:, m, n] = d
-    if layout.help_j is not None:
-        t = d[:, layout.help_j] * layout.help_w
+    s = half * (1 - 2 * bits)
+    x[:, m, n] = s * p.phase
+    if p.help_j is not None:
+        t = s[:, p.help_j] * p.help_c
         # one fixed order of the four terms, whatever the memory layout
         # of the stack, so that a draw does not depend on its stack
-        a_h = (-((t[..., 0] + t[..., 1]) + (t[..., 2] + t[..., 3]))
-               / layout.help_den)
-        x[:, p.pilot_idx, 1] = a_h.real * layout.help_phase
+        x[:, p.pilot_idx, 1] = (t[..., 0] + t[..., 1]) + (t[..., 2] + t[..., 3])
     return x
 
 
@@ -366,8 +353,7 @@ def make_sparse_data(
 
     The data symbols are drawn from data_seed, anything
     numpy.random.default_rng takes (a Generator continues its stream);
-    pilots, divisors and the declared training energy are the layout's.
+    everything else, the data map included, is the layout's.
     """
-    layout = sparse_data_layout(scenario, E, config, proto)
-    return replace(layout.preamble,
-                   symbols=draw_sparse_data(layout, data_seed, 1)[0])
+    p = sparse_data_layout(scenario, E, config, proto)
+    return replace(p, symbols=draw_sparse_data(p, data_seed, 1)[0])

@@ -5,8 +5,8 @@ Run `python3 tests/golden/regenerate.py` from a checkout to rewrite every
 file in this directory from the current code, or `python3
 tests/golden/regenerate.py --check` to recompute them all, write nothing,
 name each file whose bytes differ (with, for a CSV, the columns that
-differ in some row, and for a text output the 1-based lines that differ)
-and exit 1 if any does.  The outputs are:
+differ in some row and how far each moved, and for a text output the
+1-based lines that differ) and exit 1 if any does.  The outputs are:
 
   * the CSV of every preset at desk scale and of paper fig3, fig4a,
     fig4b, fig6 and fig8b at Eb/N0 = 0 and 20 dB, all with 3 channels,
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import runpy
 import sys
 import tempfile
@@ -85,10 +86,23 @@ def outputs() -> dict:
     return out
 
 
+def relative_difference(a: str, b: str) -> float:
+    """|x - y| / max(|x|, |y|) of two number fields: 0 for equal values
+    and inf where one is not finite; ValueError for a text field."""
+    x, y = float(a), float(b)
+    if x == y:
+        return 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
 def differing_columns(got: str, want: str) -> str:
     """The header names of the CSV columns whose values differ in some row.
 
-    A change of header, row count or row length is named as such, and
+    A number column is followed by its largest relative difference over
+    the rows ("nmse_db by 3.1e-13"); a text column is named alone.  A
+    change of header, row count or row length is named as such, and
     equal fields with different bytes as line breaks.
     """
     got_rows = [line.split(",") for line in got.splitlines()]
@@ -99,9 +113,18 @@ def differing_columns(got: str, want: str) -> str:
         return f"{len(got_rows) - 1} rows, want {len(want_rows) - 1}"
     if any(len(g) != len(w) for g, w in zip(got_rows, want_rows)):
         return "row lengths"
-    return ", ".join(name for k, name in enumerate(want_rows[0])
-                     if any(g[k] != w[k] for g, w in zip(got_rows, want_rows))
-                     ) or "line breaks"
+    moved = []
+    for k, name in enumerate(want_rows[0]):
+        pairs = [(g[k], w[k]) for g, w in zip(got_rows, want_rows)
+                 if g[k] != w[k]]
+        if not pairs:
+            continue
+        try:
+            name += f" by {max(relative_difference(*p) for p in pairs):.1e}"
+        except ValueError:
+            pass
+        moved.append(name)
+    return ", ".join(moved) or "line breaks"
 
 
 def differing_lines(got: str, want: str) -> str:

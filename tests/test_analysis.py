@@ -19,9 +19,11 @@ from mcpreamble import (
     demodulate,
     design_prototype,
     dft_submatrix,
+    draw_sparse_data,
     error_floor,
     estimate_from_pilots,
     expected_error_floor,
+    first_order_neighbours,
     floor_map,
     gen_veh_a,
     genie_mse,
@@ -235,7 +237,7 @@ def test_expected_error_floor_matches_loop_definition(desk, proto, scenario):
 
 
 @st.composite
-def data_layouts(draw):
+def data_layouts(draw, scenarios=("oqam-1a", "oqam-1b", "oqam-2", "oqam-3")):
     """(config, pulse, scenario): M = 2^4..2^7, every valid L_h, K = 1..5.
 
     The one-column layouts also take the pulse cut to M + L_h - 1, which
@@ -244,7 +246,7 @@ def data_layouts(draw):
     M = 2 ** draw(st.integers(4, 7))
     L_h = 2 ** draw(st.integers(1, int(np.log2(M)) - 1))
     K = draw(st.integers(1, 5))
-    scenario = draw(st.sampled_from(["oqam-1a", "oqam-1b", "oqam-2", "oqam-3"]))
+    scenario = draw(st.sampled_from(scenarios))
     cfg = SystemConfig(M=M, L_h=L_h, K=K, E=float(M))
     proto = design_prototype(M, K)
     if K > 1 and scenario in ("oqam-1a", "oqam-1b") and draw(st.booleans()):
@@ -274,6 +276,33 @@ def test_floor_map_matches_loop_definition(layout, seed):
         assert abs(got - want) <= 1e-12 * want
 
 
+@settings(max_examples=30, deadline=None)
+@given(data_layouts(("oqam-2", "oqam-3")), st.integers(1, 4),
+       st.integers(0, 2 ** 32 - 1))
+@example((*_TWO_PILOT, "oqam-2"), 1, 0)
+@example((*_TWO_PILOT, "oqam-3"), 4, 1)
+@example((SystemConfig(M=16, L_h=2, K=2, E=16.0), design_prototype(16, 2),
+          "oqam-2"), 1, 0)
+def test_help_pilots_match_the_complex_cancellation_rule(layout, T, seed):
+    # every help pilot of a draw is the real amplitude that cancels its
+    # pilot's first-order data interference, written here as the complex
+    # rule Re(-sum_k d_k w_k / (rho e^{j phi(P, 1)})) e^{j phi(P, 1)} with
+    # d_k read from the draw (guards read 0), not the layout's real map.
+    # The tolerance is 1e-12 of the largest sum of |d_k w_k / rho|, which
+    # bounds every help pilot: where a draw's data cancel (the last
+    # example), every help pilot is roundoff of a zero
+    cfg, proto, scenario = layout
+    p = sparse_data_layout(scenario, cfg.E, cfg, proto)
+    x = draw_sparse_data(p, seed, T)
+    m, n, w = first_order_neighbours(p.pilot_idx, 2, proto)
+    helper = np.exp(1j * data_phase(p.pilot_idx, 1))
+    dw = x[:, m[:, :-1], n[:, :-1]] * w[:, :-1]
+    want = (-np.sum(dw, axis=-1) / (w[:, -1] * helper)).real * helper
+    got = x[:, p.pilot_idx, 1]
+    scale = np.max(np.sum(np.abs(dw), axis=-1) / np.abs(w[:, -1]))
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
 def test_floor_map_of_the_paper_help_layout_stays_small():
     # the unhelped symbols' floor is a per-tone map, with no (pilots x
     # symbols) stack: paper fig6's sparse-data-3 layout, its pulse tables
@@ -281,7 +310,7 @@ def test_floor_map_of_the_paper_help_layout_stays_small():
     # stack, numpy 2.4)
     cfg = SystemConfig(M=1024, L_h=32, K=4, E=1024.0)
     proto = design_prototype(cfg.M, cfg.K)
-    p = sparse_data_layout("oqam-3", cfg.E, cfg, proto).preamble
+    p = sparse_data_layout("oqam-3", cfg.E, cfg, proto)
     tracemalloc.start()
     try:
         floor_map(p, cfg)

@@ -75,17 +75,24 @@ def test_two_workers_write_the_serial_bytes(name):
 
 def test_check_names_the_files_whose_bytes_differ(monkeypatch, tmp_path,
                                                    capsys):
-    # `regenerate.py --check` writes nothing and exits 1 on any byte
+    # `regenerate.py --check` writes nothing and exits 1 on any byte; a
+    # CSV number that moved by roundoff is named with the size of its move
     monkeypatch.setattr(regenerate, "HERE", tmp_path)
+    roundoff = "p,nmse_db,floor_db\nx,-10.000000000003,-inf\ny,0.1,-40\n"
     monkeypatch.setattr(regenerate, "outputs", lambda: {
-        "a.csv": lambda: "x,1\n", "b.txt": lambda: "y 2\n"})
+        "a.csv": lambda: "x,1\n", "b.txt": lambda: "y 2\n",
+        "c.csv": lambda: roundoff})
     (tmp_path / "a.csv").write_text("x,1\n")
     (tmp_path / "b.txt").write_text("y 2.0\n")
+    (tmp_path / "c.csv").write_text(
+        "p,nmse_db,floor_db\nx,-10,-inf\nz,0.1,-40.0\n")
     assert regenerate.regenerate(["--check"]) == 1
     out = capsys.readouterr().out
     assert "differs: b.txt" in out and "a.csv" not in out
+    assert "differs: c.csv (p, nmse_db by 3.0e-13, floor_db by 0.0e+00)" in out
     assert (tmp_path / "b.txt").read_text() == "y 2.0\n"
     (tmp_path / "b.txt").write_text("y 2\n")
+    (tmp_path / "c.csv").write_text(roundoff)
     assert regenerate.regenerate(["--check"]) == 0
 
 
@@ -102,7 +109,7 @@ def test_check_names_the_csv_columns_that_differ(monkeypatch, tmp_path,
         (tmp_path / name).write_text(want)
     assert regenerate.regenerate(["--check"]) == 1
     out = capsys.readouterr().out.splitlines()
-    assert out == ["differs: a.csv (nmse_db, stderr_db)",
+    assert out == ["differs: a.csv (nmse_db by 4.9e-03, stderr_db by 1.7e-01)",
                    "differs: b.csv (3 rows, want 2)",
                    "differs: c.csv (header)",
                    "differs: d.csv (line breaks)",

@@ -2,11 +2,14 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mcpreamble import (
     CurveSpec,
@@ -41,6 +44,10 @@ _default_rng = np.random.default_rng
 def read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def _no_channel_runs(args):
+    raise AssertionError("a channel ran")
 
 
 def test_preset_names_complete():
@@ -113,10 +120,7 @@ def test_a_curve_is_rejected_before_any_work(monkeypatch, bad, why):
     # each ran before: the OQAM chain labelled "ofdm", an all-NaN CSV, the
     # full comb for 0 pilots, an IndexError, a cut that changed nothing,
     # a TypeError from the cut, a one-sample pulse
-    def work(args):
-        raise AssertionError("a channel ran")
-
-    monkeypatch.setattr(harness, "_run_channel", work)
+    monkeypatch.setattr(harness, "_run_channel", _no_channel_runs)
     cfg = preset("fig4b", "desk", n_channels=3, n_noise=2)
     with pytest.raises(ValueError, match=f"curve 'sparse': .*{why}"):
         spec = dataclasses.replace(cfg.curves[1], **bad)
@@ -475,6 +479,42 @@ def test_output_does_not_depend_on_the_block_size(monkeypatch, tmp_path, name):
     assert read_bytes(paths[0]) == read_bytes(paths[1]) == read_bytes(paths[2])
 
 
+# (M, L_h) off the presets' M/L_h = 16 and 32, from 2 to 32
+_OFF_PRESET_SHAPES = [(16, 8), (32, 4), (64, 16), (128, 64), (256, 8)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_OFF_PRESET_SHAPES), st.integers(1, 5),
+       st.sampled_from(["fig1a", "fig3", "fig4b", "fig6", "fig8a"]))
+@example((16, 8), 1, "fig8a")
+@example((128, 64), 5, "fig6")
+def test_presets_run_off_their_shape(shape, K, name):
+    # every point is finite and the bytes do not depend on the block
+    # size; the one combination the engine cannot run, a fig8a pulse cut
+    # longer than the K = 1 pulse, fails before any channel runs
+    M, L_h = shape
+    cfg = preset(name, scale="desk", M=M, L_h=L_h, K=K, n_channels=2,
+                 n_noise=2)
+    with pytest.MonkeyPatch.context() as mp:
+        if name == "fig8a" and K == 1:
+            mp.setattr(harness, "_run_channel", _no_channel_runs)
+            with pytest.raises(ValueError, match="curve 'oqam-truncated'"):
+                run_experiment(cfg)
+            return
+        curves = run_experiment(cfg)
+        assert all(np.all(np.isfinite(cu.nmse_db)) for cu in curves)
+        n_win = max(rt.n_rx for rt in harness._runtimes(cfg))
+        mp.setattr(harness, "_BLOCK_SAMPLES", n_win)
+        assert _csv_text(run_experiment(cfg), cfg) == _csv_text(curves, cfg)
+
+
+def _csv_text(curves, cfg) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        write_csv(curves, path, cfg.name)
+        return path.read_text()
+
+
 def test_draws_go_through_in_blocks_of_bounded_memory():
     # paper fig6 at 40 draws: a window of 4,639 samples makes blocks of
     # 14 draws.  All 40 at once peaked at about 10.7 MiB (numpy 2.4),
@@ -619,13 +659,27 @@ def test_run_experiment_takes_numpy_integer_counts():
         "n_noise=True", "workers=1.5", "workers=True", "K=2.5", "K=True",
         "M=128.0", "L_h=8.0", "E=True", "E=str", "str_ebn0", "bool_ebn0"])
 def test_run_experiment_rejects_bad_inputs_before_any_work(monkeypatch, bad):
-    def work(args):
-        raise AssertionError("a channel ran")
-
-    monkeypatch.setattr(harness, "_run_channel", work)
+    monkeypatch.setattr(harness, "_run_channel", _no_channel_runs)
     cfg = preset("fig1a", scale="desk", **{"n_channels": 3, "n_noise": 2, **bad})
     with pytest.raises(ValueError):
         run_experiment(cfg)
+
+
+def test_a_config_takes_any_sequence_of_curves_and_points(monkeypatch):
+    # a list or an array is stored as a tuple, so the config hashes and
+    # writes the tuple config's bytes; no curves is a ValueError
+    cfg = preset("fig1a", scale="desk", n_channels=2, n_noise=1,
+                 ebn0_db=(0.0, 10.0))
+    want = _csv_text(run_experiment(cfg), cfg)
+    for kw in [dict(curves=list(cfg.curves)), dict(ebn0_db=[0.0, 10.0]),
+               dict(ebn0_db=np.array([0.0, 10.0]))]:
+        other = dataclasses.replace(cfg, **kw)
+        assert other == cfg
+        assert _csv_text(run_experiment(other), other) == want
+
+    monkeypatch.setattr(harness, "_run_channel", _no_channel_runs)
+    with pytest.raises(ValueError, match="no curves"):
+        run_experiment(dataclasses.replace(cfg, curves=()))
 
 
 @pytest.mark.parametrize("name", ["fig4b", "fig6"])

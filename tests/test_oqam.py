@@ -381,8 +381,7 @@ def test_help_pilot_needs_aligned_axis(desk, proto):
             sparse_data_layout(scenario, desk.E, desk, odd)
         with pytest.raises(ValueError, match="helper axis"):
             make_sparse_data(scenario, desk.E, 1, desk, odd)
-        assert sparse_data_layout(scenario, desk.E, desk,
-                                  even).preamble.proto is even
+        assert sparse_data_layout(scenario, desk.E, desk, even).proto is even
         assert make_sparse_data(scenario, desk.E, 1, desk, even).proto is even
 
 

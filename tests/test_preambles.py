@@ -182,7 +182,7 @@ def test_a_layout_draw_is_a_stack_of_single_draws(M, scenario, T):
     layout = sparse_data_layout(scenario, cfg.E, cfg, pulse)
     seed = np.random.SeedSequence([5, 201, 3, 1])
     stack = draw_sparse_data(layout, np.random.default_rng(seed), T)
-    assert stack.shape == (T,) + layout.preamble.symbols.shape
+    assert stack.shape == (T,) + layout.symbols.shape
     stream = np.random.default_rng(seed)
     singles = [make_sparse_data(scenario, cfg.E, stream, cfg, pulse)
                for _ in range(T)]
@@ -190,7 +190,7 @@ def test_a_layout_draw_is_a_stack_of_single_draws(M, scenario, T):
     first = make_sparse_data(scenario, cfg.E, seed, cfg, pulse)
     assert first.symbols.tobytes() == singles[0].symbols.tobytes()
     for amp in (1.0, 0.7):
-        base = layout.preamble.scaled(amp)
+        base = layout.scaled(amp)
         for t in range(T):
             p = singles[t].scaled(amp)
             assert (stack[t] * amp).tobytes() == p.symbols.tobytes()
@@ -199,9 +199,9 @@ def test_a_layout_draw_is_a_stack_of_single_draws(M, scenario, T):
             assert np.array_equal(base.pilot_idx, p.pilot_idx)
             assert np.array_equal(base.data_positions, p.data_positions)
     # the layout's own symbols are the pilots alone
-    x = layout.preamble.symbols.reshape(M, -1)
+    x = layout.symbols.reshape(M, -1)
     assert np.count_nonzero(x) == cfg.L_h
-    assert np.all(x[layout.preamble.pilot_idx, 0] != 0)
+    assert np.all(x[layout.pilot_idx, 0] != 0)
 
 
 def test_make_sparse_data_keeps_its_symbols_for_an_integer_seed():
@@ -234,7 +234,7 @@ def test_layout_and_floor_read_one_data_neighbour_table(monkeypatch,
     monkeypatch.setattr(analysis, "_data_neighbours", recorded)
     cfg = SystemConfig(M=64, L_h=4, K=4, E=64.0)
     layout = sparse_data_layout(scenario, cfg.E, cfg, design_prototype(64, 4))
-    analysis.floor_map(layout.preamble, cfg)
+    analysis.floor_map(layout, cfg)
     assert len(tables) == 2
     (jk, w), (jk2, w2) = tables
     assert np.array_equal(jk, jk2) and np.array_equal(w, w2)
@@ -242,8 +242,14 @@ def test_layout_and_floor_read_one_data_neighbour_table(monkeypatch,
     has = jk[:, :-1] >= 0
     assert not np.any(jk[:, -1] >= 0)
     assert np.array_equal(layout.help_j, np.where(has, jk[:, :-1], 0))
-    assert np.array_equal(layout.help_w, np.where(has, w[:, :-1], 0))
-    assert np.array_equal(layout.help_den, w[:, -1] * layout.help_phase)
+    # help_c: the help pilot per unit real amplitude of each neighbour
+    mn = layout.data_positions[jk[:, :-1]]
+    m, n = mn[..., 0], mn[..., 1]
+    helper = np.exp(1j * data_phase(layout.pilot_idx, 1))[:, None]
+    c = -np.exp(1j * data_phase(m, n)) * w[:, :-1] / (w[:, -1:] * helper)
+    np.testing.assert_allclose(layout.help_c,
+                               np.where(has, c.real, 0) * helper,
+                               rtol=1e-14, atol=0)
 
 
 def _helper_ratio(scenario, cfg, proto):
