@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import _check_int
+
 
 def dft_submatrix(M: int, rows, cols) -> np.ndarray:
     """Submatrix of the M x M DFT matrix with entries exp(-2j*pi*m*l/M).
@@ -41,8 +43,9 @@ def dft_submatrix(M: int, rows, cols) -> np.ndarray:
 def equispaced_set(M: int, N: int, i_0: int = 0) -> np.ndarray:
     """Indices i_0 + k*M/N for k = 0..N-1.
 
-    Requires N to divide M and 0 <= i_0 < M/N so the set never wraps.
+    Requires an integer N dividing M and 0 <= i_0 < M/N: it never wraps.
     """
+    _check_int("N", N)
     if N < 1 or M % N != 0:
         raise ValueError(f"N must divide M, got M={M} N={N}")
     step = M // N

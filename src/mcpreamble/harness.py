@@ -46,11 +46,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import config
 from .analysis import closed_form_mse, floor_map, tpr
 from .channel import (_veh_a_profile, awgn, cfr_from_cir, ebn0_to_sigma2,
                       gen_veh_a)
-from .config import SystemConfig
+from .config import SystemConfig, _check_int, _check_real
 from .cpofdm import demodulate, modulate
 from .estimation import estimate_from_pilots
 from .oqam import afb, afb_column, design_prototype, sfb, truncate_prototype
@@ -68,10 +67,10 @@ class CurveSpec:
     n_pilots tones (all M when None), or the sparse-plus-data layout of a
     scenario, which fixes its own N = L_h pilots.  `family` names which
     of the three it is.  A spec that sets both, a system other than
-    "cpofdm" or "oqam", an e_scale that is not a positive finite real, or
-    truncate_to on a "cpofdm" curve raises ValueError naming its curve;
-    run_experiment rejects an n_pilots that is not a positive integer and
-    a truncate_to that is not an integer or is longer than the pulse."""
+    "cpofdm" or "oqam", an e_scale that is not a positive finite real, an
+    n_pilots or truncate_to that is not an integer (the curve cache would
+    take 8.0 for 8), or truncate_to on a "cpofdm" curve raises ValueError
+    naming its curve; the rest is checked as the curve is built."""
 
     label: str
     system: str                  # "cpofdm" | "oqam"
@@ -90,14 +89,16 @@ class CurveSpec:
         if self.scenario is not None and self.n_pilots is not None:
             raise ValueError(f"{curve}: its scenario fixes its pilots, so "
                              "it takes no n_pilots")
-        # through its module: the names bound here are the trial chain's calls
-        config._check_real(f"{curve}: e_scale", self.e_scale)
+        _check_real(f"{curve}: e_scale", self.e_scale)
         if not (np.isfinite(self.e_scale) and self.e_scale > 0):
             raise ValueError(f"{curve}: e_scale must be positive and "
                              f"finite, got {self.e_scale}")
         if self.system == "cpofdm" and self.truncate_to is not None:
             raise ValueError(f"{curve}: a CP-OFDM curve has no pulse to "
                              "cut, so it takes no truncate_to")
+        for name in ("n_pilots", "truncate_to"):
+            if getattr(self, name) is not None:
+                _check_int(f"{curve}: {name}", getattr(self, name))
 
     @property
     def family(self) -> str:
@@ -109,9 +110,15 @@ class CurveSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment.  curves and ebn0_db are stored as tuples, whatever
-    sequence is given, so a config hashes (the per-process curve cache is
-    keyed on it) and compares by value; run_experiment checks the rest."""
+    """One experiment, which checks its fields when it is built.
+
+    curves and ebn0_db take any sequence but a scalar and are stored as
+    tuples, so a config hashes (the per-process curve cache is keyed on
+    it) and compares by value.  Dimensions SystemConfig rejects, a seed
+    below 0, fewer than 2 channels (the standard error is taken across
+    them), no noise draw or worker, no curves, equalize on the first (the
+    power reference), or an empty Eb/N0 grid or a point of it without a
+    positive, finite sigma2 raise ValueError."""
 
     name: str
     scale: str
@@ -127,12 +134,36 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "curves", tuple(self.curves))
-        object.__setattr__(self, "ebn0_db", tuple(self.ebn0_db))
+        for name in ("curves", "ebn0_db"):
+            try:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be a sequence") from None
+        self.system  # checks the dimensions and E
+        for name, low in zip(("seed", "n_channels", "n_noise", "workers"),
+                             (0, 2, 1, 1)):
+            value = getattr(self, name)
+            _check_int(name, value)
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        if not self.curves:
+            raise ValueError("the experiment has no curves")
+        if self.curves[0].equalize:
+            raise ValueError(f"curve {self.curves[0].label!r}: the first "
+                             "curve is the power reference: no equalize")
+        if not self.ebn0_db:
+            raise ValueError("the Eb/N0 grid is empty")
+        self.sigma2  # checks every point
 
     @property
     def system(self) -> SystemConfig:
         return SystemConfig(M=self.M, L_h=self.L_h, K=self.K, E=self.E)
+
+    @property
+    def sigma2(self) -> np.ndarray:
+        """Noise variance per complex sample at each Eb/N0 point."""
+        return np.array([ebn0_to_sigma2(g, self.E / self.M)
+                         for g in self.ebn0_db])
 
 
 @dataclass
@@ -166,13 +197,15 @@ class _CurveRuntime:
     the closed form and the estimate.  transmit(rng, T) synthesizes T data
     draws; `layout` is set only where a pulse carries data to the pilots.
     `floor` is that layout's expected error floor as a function of the
-    channel's CFR (analysis.floor_map).  Every draw shares the pilot tones
-    and divisors, so one estimate serves a stack of draws; `n_rx` is the
-    preamble's window plus L_h - 1 and `tones` the receiver's output on
-    all M tones.  Only a static preamble has `taps`: row k is the curve's
-    noiseless estimate through the whole chain for a unit tap at the k-th
-    of the `delays` the channel model occupies (channel._veh_a_profile):
-    its samples shifted to that delay, received and fitted.
+    channel's CFR (analysis.floor_map), and `gain` the closed-form noise
+    MSE at sigma^2 = 1, whose build checks the estimator.  Every draw
+    shares the pilot tones and divisors, so one estimate serves a stack of
+    draws; `n_rx` is the preamble's window plus L_h - 1 and `tones` the
+    receiver's output on all M tones.  Only a static preamble has `taps`:
+    row k is the curve's noiseless estimate through the whole chain for a
+    unit tap at the k-th of the `delays` the channel model occupies
+    (channel._veh_a_profile): its samples shifted to that delay, received
+    and fitted.
     """
 
     def __init__(self, spec: CurveSpec, cfg: ExperimentConfig,
@@ -207,6 +240,7 @@ class _CurveRuntime:
             self.scale = float(np.sqrt(tpr(ref.preamble, base)))
         self.preamble = base if self.scale == 1.0 else base.scaled(self.scale)
         self.floor = floor_map(self.preamble, sc)
+        self.gain = closed_form_mse(self.preamble, 1.0, sc, mode=spec.estimator)
         self.pilot_idx = base.pilot_idx
         self.n_rx = self.preamble.window + sc.L_h - 1
         self.fit = lambda y: estimate_from_pilots(y, self.preamble, sc,
@@ -238,9 +272,16 @@ def _pulse(M: int, K: int, cut: int | None):
 
 @lru_cache(maxsize=1)
 def _runtimes(cfg: ExperimentConfig) -> list[_CurveRuntime]:
-    """The curves of cfg, power-equalized to the first, once per process."""
-    ref = _CurveRuntime(cfg.curves[0], cfg)
-    return [ref] + [_CurveRuntime(spec, cfg, ref) for spec in cfg.curves[1:]]
+    """The curves of cfg, power-equalized to the first, once per process;
+    a ValueError from building one is raised again naming its curve."""
+    runtimes = []
+    for spec in cfg.curves:
+        try:
+            rt = _CurveRuntime(spec, cfg, runtimes[0] if runtimes else None)
+        except ValueError as exc:
+            raise ValueError(f"curve {spec.label!r}: {exc}") from exc
+        runtimes.append(rt)
+    return runtimes
 
 
 # Unit-noise samples per block of draws (complex128, so about 1 MB): a
@@ -301,50 +342,15 @@ def _run_channel(args) -> tuple:
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[MseCurve]:
-    """Run all curves of an experiment and aggregate across channels.
+    """Build every curve, run every channel, and aggregate across channels.
 
-    The Eb/N0 grid enters only here: from channel c's raw sums
-    (_run_channel), its ratio at noise variance sigma^2 is
-    (aa + 2 sigma ae + sigma^2 ee) / (||H||^2 n_noise) and its floor is
-    floor(H) / ||H||^2.  Bad dimensions, energies, counts, comb sizes or
-    seeds, an empty curve list, a pulse cut that is not an integer or is
-    longer than the pulse, and Eb/N0 points that are not real numbers or
-    whose noise variance is not positive and finite, raise ValueError
-    before any work is done.
+    A curve that cannot be built raises ValueError naming it before any
+    channel runs.  The Eb/N0 grid (cfg.sigma2) enters only here: from
+    channel c's raw sums (_run_channel), its ratio at noise variance
+    sigma^2 is (aa + 2 sigma ae + sigma^2 ee) / (||H||^2 n_noise) and its
+    floor is floor(H) / ||H||^2.
     """
-    # through its module: the names bound here are the trial chain's calls
-    for name in ("seed", "n_channels", "n_noise", "workers"):
-        config._check_int(name, getattr(cfg, name))
-    if cfg.seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {cfg.seed!r}")
-    sc = cfg.system
-    if not cfg.curves:
-        raise ValueError("the experiment has no curves")
-    for spec in cfg.curves:
-        # checked here, not by the spec: a preset's comb size is its L_h,
-        # which cfg.system has just checked
-        if spec.n_pilots is not None:
-            config._check_int(f"curve {spec.label!r}: n_pilots", spec.n_pilots)
-            if spec.n_pilots < 1:
-                raise ValueError(f"curve {spec.label!r}: n_pilots must be "
-                                 f"positive, got {spec.n_pilots}")
-        cut = spec.truncate_to
-        if cut is not None:
-            config._check_int(f"curve {spec.label!r}: truncate_to", cut)
-            if not 0 < cut <= sc.K * sc.M:
-                raise ValueError(
-                    f"curve {spec.label!r} cuts its pulse to {cut} samples, "
-                    f"but the K={sc.K} pulse has {sc.K * sc.M}")
-    if cfg.n_channels < 2:
-        raise ValueError("n_channels must be >= 2 (the standard error is "
-                         f"taken across channels), got {cfg.n_channels}")
-    if cfg.n_noise < 1:
-        raise ValueError(f"n_noise must be >= 1, got {cfg.n_noise}")
-    if not cfg.ebn0_db:
-        raise ValueError("the Eb/N0 grid is empty")
-    sigma2 = np.array([ebn0_to_sigma2(g, cfg.E / cfg.M) for g in cfg.ebn0_db])
-    if cfg.workers < 1:
-        raise ValueError(f"workers must be >= 1, got {cfg.workers}")
+    runtimes = _runtimes(cfg)
     jobs = [(cfg, c) for c in range(cfg.n_channels)]
     if cfg.workers > 1:
         # imported here: it pulls in multiprocessing, which a serial run
@@ -357,21 +363,20 @@ def run_experiment(cfg: ExperimentConfig) -> list[MseCurve]:
         per_channel = [_run_channel(j) for j in jobs]
 
     sums, floors, norm_h2 = map(np.array, zip(*per_channel))
+    sigma2 = cfg.sigma2
     aa, ae, ee = sums.transpose(1, 0, 2)[..., None]       # (c, curve, 1)
     all_ratios = ((aa + 2.0 * np.sqrt(sigma2) * ae + sigma2 * ee)
                   / (norm_h2[:, None, None] * cfg.n_noise))  # (c, curve, snr)
     all_floors = floors / norm_h2[:, None]                # (c, curve)
 
     curves = []
-    for i, rt in enumerate(_runtimes(cfg)):
+    for i, rt in enumerate(runtimes):
         per_ch = all_ratios[:, i, :]
         nmse = per_ch.mean(axis=0)
         stderr = per_ch.std(axis=0, ddof=1) / np.sqrt(cfg.n_channels)
         stderr_db = 10.0 / np.log(10.0) * stderr / nmse
         floor = float(all_floors[:, i].mean())
-        # the closed form is linear in sigma^2: evaluate it once per curve
-        gain = closed_form_mse(rt.preamble, 1.0, sc, mode=rt.spec.estimator)
-        pred = gain * sigma2 * (1.0 / norm_h2).mean() + floor
+        pred = rt.gain * sigma2 * (1.0 / norm_h2).mean() + floor
         curves.append(MseCurve(
             label=rt.spec.label, system=rt.spec.system,
             ebn0_db=np.asarray(cfg.ebn0_db, dtype=float),
@@ -428,7 +433,8 @@ def preset(
     workers: int = 1,
     ebn0_db=None,
 ) -> ExperimentConfig:
-    """Named experiment at desk or paper dimensions, with overrides."""
+    """Named experiment at desk or paper dimensions, with overrides; a bad
+    override raises ValueError as the config is built (ExperimentConfig)."""
     if scale not in ("desk", "paper"):
         raise ValueError(f"scale must be 'desk' or 'paper', got {scale!r}")
     dims = dict(_DESK if scale == "desk" else _PAPER)
@@ -436,21 +442,14 @@ def preset(
     if spec is None:
         raise ValueError(f"unknown preset {name!r} (have {sorted(_PRESETS)})")
     dims.update(spec.get(scale, {}))
-    if M is not None:
-        dims["M"] = M
-    if L_h is not None:
-        dims["L_h"] = L_h
-    if n_channels is not None:
-        dims["n_channels"] = n_channels
-    if n_noise is not None:
-        dims["n_noise"] = n_noise
+    given = dict(M=M, L_h=L_h, n_channels=n_channels, n_noise=n_noise)
+    dims.update({k: v for k, v in given.items() if v is not None})
     k_eff = K if K is not None else spec.get("K", 4)
     e_eff = E if E is not None else float(dims["M"])
-    grid = tuple(ebn0_db) if ebn0_db is not None else spec.get("ebn0", _EBN0_DEFAULT)
-    curves = spec["curves"](dims["M"], dims["L_h"])
+    grid = ebn0_db if ebn0_db is not None else spec.get("ebn0", _EBN0_DEFAULT)
     return ExperimentConfig(
         name=name, scale=scale, M=dims["M"], L_h=dims["L_h"], K=k_eff,
-        E=e_eff, curves=tuple(curves), ebn0_db=grid,
+        E=e_eff, curves=spec["curves"](dims["M"], dims["L_h"]), ebn0_db=grid,
         n_channels=dims["n_channels"], n_noise=dims["n_noise"],
         seed=seed, workers=workers,
     )

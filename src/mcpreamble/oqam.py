@@ -51,6 +51,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import _check_int
+
 # Frequency-sampling prototype coefficients G_0..G_{K-1} (G_0 = 1; the
 # remaining 2*K-1 frequency samples follow by symmetry and the power
 # complementarity G_k^2 + G_{K-k}^2 = 1).
@@ -187,9 +189,12 @@ def truncate_prototype(proto: PrototypeFilter, length: int) -> PrototypeFilter:
     An even cut of a designed pulse stays symmetric.  An odd cut cannot be
     centred: its g[1:] is the palindrome, so the pulse sits half a sample
     off its centre c, and the helped layouts of sparse_data_layout reject it.
+    A length that is not an integer in 1..L_g raises ValueError.
     """
+    _check_int("length", length)
     if not (0 < length <= proto.L_g):
-        raise ValueError(f"length must lie in 1..{proto.L_g}, got {length}")
+        raise ValueError(f"length must lie in 1..{proto.L_g}, the length of "
+                         f"the K={proto.K} pulse, got {length}")
     start = (proto.L_g - length) // 2
     g = proto.g[start:start + length].copy()
     g /= np.sqrt(np.sum(g ** 2))

@@ -269,11 +269,13 @@ def sparse_data_layout(
     e_train = N * e_x
 
     if scenario == "qam-sd":
+        if proto is not None:
+            raise ValueError("scenario qam-sd is CP-OFDM and takes no pulse")
         # expected prefix cost of the data comb: E_x * nu / M per tone
         e_train += (M - N) * e_x * config.nu / M
         return Preamble(pilot_idx=idx, divisors=divisors, symbols=x[:, 0],
                         E=E, E_train=e_train, window=M + config.nu,
-                        data_positions=positions, proto=proto)
+                        data_positions=positions)
 
     if proto is None:
         raise ValueError(f"scenario {scenario} is OQAM and needs its pulse")

@@ -76,6 +76,10 @@ def test_equispaced_set_validation():
         equispaced_set(16, 5)
     with pytest.raises(ValueError):
         equispaced_set(16, 4, 4)
+    # 4.0 gave float indices, True the set {0}
+    for bad in (4.0, True, np.float64(4.0)):
+        with pytest.raises(ValueError, match="N must be an integer"):
+            equispaced_set(16, bad)
 
 
 def test_cfr_samples_roundtrip():

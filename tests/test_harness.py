@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import os
 import subprocess
@@ -108,18 +109,33 @@ def test_a_curve_spec_takes_a_scenario_or_a_comb_size_not_both():
     (dict(e_scale=0.0), "e_scale must be positive"),
     (dict(e_scale=-1.0), "e_scale must be positive"),
     (dict(e_scale=float("nan")), "e_scale must be positive"),
-    (dict(n_pilots=0), "n_pilots must be positive"),
+    (dict(n_pilots=0), "need N >= L_h=8 pilots, got 0"),
     (dict(n_pilots=8.0), "n_pilots must be an integer"),
     (dict(system="cpofdm", truncate_to=135), "takes no truncate_to"),
     (dict(truncate_to=135.5), "truncate_to must be an integer"),
     (dict(truncate_to=True), "truncate_to must be an integer"),
+    (dict(n_pilots=3), "need N >= L_h=8 pilots, got 3"),
+    (dict(truncate_to=2000), "length must lie in 1..512, the length of the "
+                             "K=4 pulse, got 2000"),
+    (dict(n_pilots=None, scenario="bogus"), "scenario must be one of"),
+    (dict(estimator="bogus"), "mode must be 'raw' or 'projected'"),
+    (dict(estimator="raw"), "raw mode needs a measurement on every tone"),
+    (dict(n_pilots=None, scenario="qam-sd"), "qam-sd is CP-OFDM"),
+    (dict(system="cpofdm", n_pilots=None, scenario="oqam-3"),
+     "oqam-3 is OQAM and needs its pulse"),
+    (dict(n_pilots=None, scenario="oqam-2", truncate_to=135),
+     "not on the helper axis"),
 ], ids=["system=ofdm", "e_scale=0", "e_scale=-1", "e_scale=nan",
         "n_pilots=0", "n_pilots=8.0", "cpofdm-truncate_to",
-        "truncate_to=135.5", "truncate_to=True"])
+        "truncate_to=135.5", "truncate_to=True", "n_pilots=3",
+        "truncate_to=2000", "scenario=bogus", "estimator=bogus",
+        "raw-on-a-comb", "qam-sd-on-oqam", "oqam-3-on-cpofdm",
+        "oqam-2-on-an-odd-cut"])
 def test_a_curve_is_rejected_before_any_work(monkeypatch, bad, why):
     # each ran before: the OQAM chain labelled "ofdm", an all-NaN CSV, the
     # full comb for 0 pilots, an IndexError, a cut that changed nothing,
-    # a TypeError from the cut, a one-sample pulse
+    # a TypeError from the cut, a one-sample pulse.  A curve's own checks
+    # and those of the constructors that build it name the curve
     monkeypatch.setattr(harness, "_run_channel", _no_channel_runs)
     cfg = preset("fig4b", "desk", n_channels=3, n_noise=2)
     with pytest.raises(ValueError, match=f"curve 'sparse': .*{why}"):
@@ -508,6 +524,43 @@ def test_presets_run_off_their_shape(shape, K, name):
         assert _csv_text(run_experiment(cfg), cfg) == _csv_text(curves, cfg)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_OFF_PRESET_SHAPES), st.integers(1, 5),
+       st.sampled_from(["oqam-1a", "oqam-1b", "oqam-2", "oqam-3"]),
+       st.sampled_from(["none", "even", "odd"]))
+@example((16, 8), 1, "oqam-1a", "even")
+@example((32, 4), 3, "oqam-3", "odd")
+@example((256, 8), 5, "oqam-2", "even")
+def test_data_layouts_run_off_their_shape(shape, K, scenario, cut):
+    # fig6's data curve as each OQAM layout, on the whole pulse or cut to
+    # M + L_h or M + L_h - 1 samples: every point is finite and the bytes
+    # do not depend on the block size, or the curve fails, naming itself,
+    # before any channel runs (a cut longer than the K = 1 pulse; a helped
+    # layout on the odd cut, whose interference is off the helper axis)
+    M, L_h = shape
+    cfg = preset("fig6", scale="desk", M=M, L_h=L_h, K=K, n_channels=2,
+                 n_noise=2)
+    length = dict(none=None, even=M + L_h, odd=M + L_h - 1)[cut]
+    spec = dataclasses.replace(cfg.curves[1], scenario=scenario,
+                               truncate_to=length)
+    cfg = dataclasses.replace(cfg, curves=(cfg.curves[0], spec))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_run_channel", _no_channel_runs)
+        try:
+            run_experiment(cfg)
+        except ValueError as exc:
+            assert str(exc).startswith("curve 'sparse-data-3': ")
+            return
+        except AssertionError as exc:  # every curve was built
+            assert str(exc) == "a channel ran"
+    with pytest.MonkeyPatch.context() as mp:
+        curves = run_experiment(cfg)
+        assert all(np.all(np.isfinite(cu.nmse_db)) for cu in curves)
+        n_win = max(rt.n_rx for rt in harness._runtimes(cfg))
+        mp.setattr(harness, "_BLOCK_SAMPLES", n_win)
+        assert _csv_text(run_experiment(cfg), cfg) == _csv_text(curves, cfg)
+
+
 def _csv_text(curves, cfg) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "out.csv"
@@ -598,7 +651,7 @@ def test_experiment_config_system():
         name="x", scale="desk", M=64, L_h=8, K=4, E=64.0,
         curves=(CurveSpec(label="a", system="cpofdm", estimator="projected",
                           n_pilots=8),),
-        ebn0_db=(0.0,), n_channels=1, n_noise=1, seed=1)
+        ebn0_db=(0.0,), n_channels=2, n_noise=1, seed=1)
     assert cfg.system.M == 64
     assert dataclasses.replace(cfg, M=128).system.M == 128
 
@@ -652,17 +705,22 @@ def test_run_experiment_takes_numpy_integer_counts():
     dict(seed=True), dict(n_channels=2.5), dict(n_noise=1.5),
     dict(n_noise=True), dict(workers=1.5), dict(workers=True), dict(K=2.5),
     dict(K=True), dict(M=128.0), dict(L_h=8.0), dict(E=True), dict(E="1"),
-    dict(ebn0_db=("5",)), dict(ebn0_db=(0.0, True)),
+    dict(ebn0_db=("5",)), dict(ebn0_db=(0.0, True)), dict(ebn0_db=5.0),
 ], ids=["n_channels=1", "n_noise=0", "empty_ebn0", "workers=0", "M=100",
         "nan_ebn0", "inf_ebn0", "-inf_ebn0", "ebn0=4000", "ebn0=-4000",
         "seed=-1", "seed=1.5", "seed=True", "n_channels=2.5", "n_noise=1.5",
         "n_noise=True", "workers=1.5", "workers=True", "K=2.5", "K=True",
-        "M=128.0", "L_h=8.0", "E=True", "E=str", "str_ebn0", "bool_ebn0"])
+        "M=128.0", "L_h=8.0", "E=True", "E=str", "str_ebn0", "bool_ebn0",
+        "scalar_ebn0"])
 def test_run_experiment_rejects_bad_inputs_before_any_work(monkeypatch, bad):
+    # the config checks its fields when it is built, by preset or by
+    # dataclasses.replace, so no bad config reaches run_experiment
     monkeypatch.setattr(harness, "_run_channel", _no_channel_runs)
-    cfg = preset("fig1a", scale="desk", **{"n_channels": 3, "n_noise": 2, **bad})
     with pytest.raises(ValueError):
-        run_experiment(cfg)
+        preset("fig1a", scale="desk", **{"n_channels": 3, "n_noise": 2, **bad})
+    cfg = preset("fig1a", scale="desk", n_channels=3, n_noise=2)
+    with pytest.raises(ValueError):
+        dataclasses.replace(cfg, **bad)
 
 
 def test_a_config_takes_any_sequence_of_curves_and_points(monkeypatch):
@@ -680,6 +738,43 @@ def test_a_config_takes_any_sequence_of_curves_and_points(monkeypatch):
     monkeypatch.setattr(harness, "_run_channel", _no_channel_runs)
     with pytest.raises(ValueError, match="no curves"):
         run_experiment(dataclasses.replace(cfg, curves=()))
+    # a scalar is no sequence: a ValueError, not a TypeError
+    for kw in [dict(curves=cfg.curves[0]), dict(ebn0_db=5.0),
+               dict(ebn0_db=np.float64(5.0))]:
+        with pytest.raises(ValueError, match="must be a sequence"):
+            dataclasses.replace(cfg, **kw)
+
+
+def test_the_power_reference_takes_no_equalize():
+    # the first curve is the one the others are equalized to, so the flag
+    # did nothing there
+    cfg = preset("fig1a", scale="desk", n_channels=2, n_noise=1)
+    first = dataclasses.replace(cfg.curves[0], equalize=True)
+    with pytest.raises(ValueError, match="curve 'full-raw': .*power reference"):
+        dataclasses.replace(cfg, curves=(first, cfg.curves[1]))
+
+
+def test_a_redrawn_curve_is_checked_when_built(monkeypatch):
+    # fig6's data curve builds no tap responses, so its estimator was
+    # first read by the first channel's estimate
+    monkeypatch.setattr(harness, "_run_channel", _no_channel_runs)
+    cfg = preset("fig6", scale="desk", n_channels=2, n_noise=1)
+    for estimator, why in (("bogus", "mode must be"), ("raw", "raw mode")):
+        spec = dataclasses.replace(cfg.curves[1], estimator=estimator)
+        with pytest.raises(ValueError, match=f"^curve 'sparse-data-3': {why}"):
+            run_experiment(dataclasses.replace(cfg, curves=(cfg.curves[0], spec)))
+
+
+def test_a_bad_curve_fails_before_the_pool_starts(monkeypatch):
+    # the parent builds every curve before it starts any worker
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    cfg = preset("fig4b", scale="desk", n_channels=2, n_noise=1, workers=2)
+    spec = dataclasses.replace(cfg.curves[1], n_pilots=3)
+    with pytest.raises(ValueError, match="^curve 'sparse': need N >= L_h"):
+        run_experiment(dataclasses.replace(cfg, curves=(cfg.curves[0], spec)))
 
 
 @pytest.mark.parametrize("name", ["fig4b", "fig6"])

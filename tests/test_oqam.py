@@ -395,6 +395,13 @@ def test_truncate_prototype_recenters_and_renormalizes():
     start = (p.L_g - t.L_g) // 2
     seg = p.g[start : start + t.L_g]
     assert np.max(np.abs(t.g - seg / np.linalg.norm(seg))) < 1e-12
+    # a length is an integer within the pulse: 71.5 was a TypeError and
+    # True a one-sample pulse
+    for bad, why in ((71.5, "must be an integer"), (True, "must be an integer"),
+                     (0, "1..256, the length of the K=4 pulse"),
+                     (257, "1..256, the length of the K=4 pulse")):
+        with pytest.raises(ValueError, match=why):
+            truncate_prototype(p, bad)
 
 
 def test_only_an_even_cut_stays_symmetric(desk, proto):

@@ -79,11 +79,12 @@ def test_oqam_scenarios_need_their_pulse(desk):
 
 @pytest.mark.parametrize("make", [
     lambda cfg, pulse: make_sparse_data("qam-sd", cfg.E, 5, cfg, pulse),
-], ids=["qam-sd"])
+    lambda cfg, pulse: sparse_data_layout("qam-sd", cfg.E, cfg, proto=pulse),
+], ids=["qam-sd", "qam-sd-layout"])
 def test_cpofdm_constructors_reject_a_pulse(desk, proto, make):
     # a pulse selects OQAM everywhere else; the qam-sd scenario names
-    # CP-OFDM, so it refuses one
-    with pytest.raises(ValueError):
+    # CP-OFDM, so it refuses one, and says so
+    with pytest.raises(ValueError, match="qam-sd is CP-OFDM"):
         make(desk, proto)
 
 
