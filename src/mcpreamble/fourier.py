@@ -46,6 +46,7 @@ def equispaced_set(M: int, N: int, i_0: int = 0) -> np.ndarray:
     Requires an integer N dividing M and 0 <= i_0 < M/N: it never wraps.
     """
     _check_int("N", N)
+    _check_int("i_0", i_0)
     if N < 1 or M % N != 0:
         raise ValueError(f"N must divide M, got M={M} N={N}")
     step = M // N

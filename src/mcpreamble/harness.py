@@ -33,10 +33,10 @@ by index through a plain map, serially or in a process pool, and
 reduced in index order, so the output bytes do not depend on the worker
 count.
 
-Power between compared preambles is always equalized through the
-training power ratio (declared training energy per observation window)
-against the first curve of the experiment, except where a preset
-deliberately matches per-pilot gain instead.
+Compared preambles carry equal power: every curve after the first is
+scaled to the first curve's training power ratio (declared training
+energy per observation window), unless its e_scale fixes a budget of
+E * e_scale, where a preset matches per-pilot gain instead (fig2a).
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ from .config import SystemConfig, _check_int, _check_real
 from .cpofdm import demodulate, modulate
 from .estimation import estimate_from_pilots
 from .oqam import afb, afb_column, design_prototype, sfb, truncate_prototype
-from .preambles import draw_sparse_data, make_equal_comb, sparse_data_layout
+from .preambles import (Preamble, draw_sparse_data, make_equal_comb,
+                        sparse_data_layout)
 
 # seed branch tags
 _TAG_CHANNEL = 101
@@ -70,15 +71,16 @@ class CurveSpec:
     "cpofdm" or "oqam", an e_scale that is not a positive finite real, an
     n_pilots or truncate_to that is not an integer (the curve cache would
     take 8.0 for 8), or truncate_to on a "cpofdm" curve raises ValueError
-    naming its curve; the rest is checked as the curve is built."""
+    naming its curve; the rest is checked as the curve is built.  Unless
+    e_scale fixes a budget of E * e_scale, a curve is scaled to the first
+    curve's training power, and the first is built at E."""
 
     label: str
     system: str                  # "cpofdm" | "oqam"
     estimator: str               # "raw" | "projected"
     n_pilots: int | None = None  # comb size; None: every tone
     scenario: str | None = None  # sparse-plus-data layout
-    e_scale: float = 1.0         # budget multiplier before equalization
-    equalize: bool = False       # match training power to the first curve
+    e_scale: float | None = None  # fixed budget E * e_scale; None: equal
     truncate_to: int | None = None  # prototype truncation (oqam)
 
     def __post_init__(self) -> None:
@@ -89,10 +91,11 @@ class CurveSpec:
         if self.scenario is not None and self.n_pilots is not None:
             raise ValueError(f"{curve}: its scenario fixes its pilots, so "
                              "it takes no n_pilots")
-        _check_real(f"{curve}: e_scale", self.e_scale)
-        if not (np.isfinite(self.e_scale) and self.e_scale > 0):
-            raise ValueError(f"{curve}: e_scale must be positive and "
-                             f"finite, got {self.e_scale}")
+        if self.e_scale is not None:
+            _check_real(f"{curve}: e_scale", self.e_scale)
+            if not (np.isfinite(self.e_scale) and self.e_scale > 0):
+                raise ValueError(f"{curve}: e_scale must be positive and "
+                                 f"finite, got {self.e_scale}")
         if self.system == "cpofdm" and self.truncate_to is not None:
             raise ValueError(f"{curve}: a CP-OFDM curve has no pulse to "
                              "cut, so it takes no truncate_to")
@@ -116,9 +119,8 @@ class ExperimentConfig:
     tuples, so a config hashes (the per-process curve cache is keyed on
     it) and compares by value.  Dimensions SystemConfig rejects, a seed
     below 0, fewer than 2 channels (the standard error is taken across
-    them), no noise draw or worker, no curves, equalize on the first (the
-    power reference), or an empty Eb/N0 grid or a point of it without a
-    positive, finite sigma2 raise ValueError."""
+    them), no noise draw or worker, no curves, or an empty Eb/N0 grid or
+    a point of it without a positive, finite sigma2 raise ValueError."""
 
     name: str
     scale: str
@@ -148,9 +150,6 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
         if not self.curves:
             raise ValueError("the experiment has no curves")
-        if self.curves[0].equalize:
-            raise ValueError(f"curve {self.curves[0].label!r}: the first "
-                             "curve is the power reference: no equalize")
         if not self.ebn0_db:
             raise ValueError("the Eb/N0 grid is empty")
         self.sigma2  # checks every point
@@ -189,29 +188,31 @@ class MseCurve:
 
 
 class _CurveRuntime:
-    """Per-process expansion of a CurveSpec, with its system picked once.
+    """Per-process expansion of a CurveSpec on the run's SystemConfig sc,
+    with its system picked once; ref is the first curve's preamble, the
+    power reference (see CurveSpec), or None for the first curve.
 
-    `preamble` is scaled to the curve's power: the static preamble, or
-    the layout of a sparse-plus-data curve (see sparse_data_layout), whose
-    pilots, divisors and data positions (not data values) set the floor,
-    the closed form and the estimate.  transmit(rng, T) synthesizes T data
-    draws; `layout` is set only where a pulse carries data to the pilots.
-    `floor` is that layout's expected error floor as a function of the
-    channel's CFR (analysis.floor_map), and `gain` the closed-form noise
-    MSE at sigma^2 = 1, whose build checks the estimator.  Every draw
-    shares the pilot tones and divisors, so one estimate serves a stack of
-    draws; `n_rx` is the preamble's window plus L_h - 1 and `tones` the
-    receiver's output on all M tones.  Only a static preamble has `taps`:
-    row k is the curve's noiseless estimate through the whole chain for a
-    unit tap at the k-th of the `delays` the channel model occupies
+    `preamble` is the curve's one preamble at its power: the static
+    preamble, or the layout of a sparse-plus-data curve (see
+    sparse_data_layout) that its draws are drawn from, whose pilots,
+    divisors and data positions (not data values) set the floor, the
+    closed form and the estimate.  `floor` is that layout's expected
+    error floor as a function of the channel's CFR (analysis.floor_map),
+    and `gain` the closed-form noise MSE at sigma^2 = 1, whose build
+    checks the estimator.  Every draw shares the pilot tones and
+    divisors, so one estimate serves a stack of draws; `n_rx` is the
+    preamble's window plus L_h - 1 and `tones` the receiver's output on
+    all M tones.  `taps` is None exactly where a pulse carries data to
+    the pilots, whose curve is redrawn per draw; else row k is the
+    noiseless estimate through the whole chain for a unit tap at the
+    k-th of the `delays` the channel model occupies
     (channel._veh_a_profile): its samples shifted to that delay, received
     and fitted.
     """
 
-    def __init__(self, spec: CurveSpec, cfg: ExperimentConfig,
-                 ref: _CurveRuntime | None = None):
+    def __init__(self, spec: CurveSpec, sc: SystemConfig, ref: Preamble | None):
         self.spec = spec
-        self.sc = sc = cfg.system if ref is None else ref.sc
+        self.sc = sc
         self.delays = _veh_a_profile(sc.L_h).taps
         if spec.system == "cpofdm":
             self.proto = None
@@ -223,31 +224,24 @@ class _CurveRuntime:
             self.synthesize = lambda x: sfb(x, proto)
             self.tones = lambda r: afb_column(r, proto, 0)
             self.receive = lambda r: afb(r, proto, self.pilot_idx)
-        e = cfg.E * spec.e_scale
-        self.layout = None
+        e = sc.E * (1.0 if spec.e_scale is None else spec.e_scale)
         if spec.scenario is not None:
-            base = layout = sparse_data_layout(spec.scenario, e, sc,
-                                               proto=self.proto)
-            # CP-OFDM pilots never see the data: the curve is static
-            self.layout = None if self.proto is None else layout
-            self.transmit = lambda rng, T: self.synthesize(
-                draw_sparse_data(layout, rng, T) * self.scale)
+            p = sparse_data_layout(spec.scenario, e, sc, proto=self.proto)
         else:
             n = sc.M if spec.n_pilots is None else spec.n_pilots
-            base = make_equal_comb(n, 0, e, sc, proto=self.proto)
-        self.scale = 1.0
-        if ref is not None and spec.equalize:
-            self.scale = float(np.sqrt(tpr(ref.preamble, base)))
-        self.preamble = base if self.scale == 1.0 else base.scaled(self.scale)
-        self.floor = floor_map(self.preamble, sc)
-        self.gain = closed_form_mse(self.preamble, 1.0, sc, mode=spec.estimator)
-        self.pilot_idx = base.pilot_idx
-        self.n_rx = self.preamble.window + sc.L_h - 1
-        self.fit = lambda y: estimate_from_pilots(y, self.preamble, sc,
-                                                  mode=spec.estimator)
+            p = make_equal_comb(n, 0, e, sc, proto=self.proto)
+        if spec.e_scale is None and ref is not None:
+            p = p.scaled(float(np.sqrt(tpr(ref, p))))
+        self.preamble = p
+        self.floor = floor_map(p, sc)
+        self.gain = closed_form_mse(p, 1.0, sc, mode=spec.estimator)
+        self.pilot_idx = p.pilot_idx
+        self.n_rx = p.window + sc.L_h - 1
+        self.fit = lambda y: estimate_from_pilots(y, p, sc, mode=spec.estimator)
         self.taps = None
-        if self.layout is None:
-            tx = self.synthesize(self.preamble.symbols)
+        # CP-OFDM pilots never see the data: such a curve is static
+        if spec.scenario is None or self.proto is None:
+            tx = self.synthesize(p.symbols)
             self.taps = self.estimate(np.stack(
                 [np.pad(tx, (d, sc.L_h - 1 - d)) for d in self.delays]))
 
@@ -272,12 +266,15 @@ def _pulse(M: int, K: int, cut: int | None):
 
 @lru_cache(maxsize=1)
 def _runtimes(cfg: ExperimentConfig) -> list[_CurveRuntime]:
-    """The curves of cfg, power-equalized to the first, once per process;
-    a ValueError from building one is raised again naming its curve."""
+    """The curves of cfg on one SystemConfig, once per process, each
+    referred for its power to the first curve's preamble; a ValueError
+    from building one is raised again naming its curve."""
+    sc = cfg.system
     runtimes = []
     for spec in cfg.curves:
         try:
-            rt = _CurveRuntime(spec, cfg, runtimes[0] if runtimes else None)
+            rt = _CurveRuntime(spec, sc,
+                               runtimes[0].preamble if runtimes else None)
         except ValueError as exc:
             raise ValueError(f"curve {spec.label!r}: {exc}") from exc
         runtimes.append(rt)
@@ -321,19 +318,21 @@ def _run_channel(args) -> tuple:
     block = max(1, _BLOCK_SAMPLES // n_win)
     # sum |a|^2, sum Re(conj(a) e), sum |e|^2 per curve and draw
     sums = np.zeros((3, len(runtimes), cfg.n_noise))
-    a = [None if rt.layout else h[rt.delays] @ rt.taps - H for rt in runtimes]
+    a = [None if rt.taps is None else h[rt.delays] @ rt.taps - H
+         for rt in runtimes]
     receivers = {rt.proto: rt.tones for rt in runtimes}
     noise = np.random.default_rng([cfg.seed, _TAG_NOISE, c])
     data = [np.random.default_rng([cfg.seed, _TAG_DATA, c, i])
-            if rt.layout else None for i, rt in enumerate(runtimes)]
+            if rt.taps is None else None for i, rt in enumerate(runtimes)]
     for lo in range(0, cfg.n_noise, block):
         hi = min(lo + block, cfg.n_noise)
         w = awgn((hi - lo, n_win), noise)
         y = {key: tones(w) for key, tones in receivers.items()}
         for i, rt in enumerate(runtimes):
-            if rt.layout is not None:
-                a[i] = rt.estimate(rt.delayed(rt.transmit(data[i], hi - lo),
-                                              h)) - H
+            if rt.taps is None:
+                # one expression: a bound draw would outlive its synthesis
+                a[i] = rt.estimate(rt.delayed(rt.synthesize(draw_sparse_data(
+                    rt.preamble, data[i], hi - lo)), h)) - H
             e = rt.fit(y[rt.proto][..., rt.pilot_idx])
             sums[0, i, lo:hi] = np.sum(np.abs(a[i]) ** 2, axis=-1)
             sums[1, i, lo:hi] = np.sum((a[i].conj() * e).real, axis=-1)
@@ -463,11 +462,11 @@ _PRESETS = {
     # full-grid vs sparse CP-OFDM at equal training energy
     "fig1a": dict(K=4, curves=lambda M, L: [
         _qam("full-raw", "raw"),
-        _qam("sparse", "projected", n_pilots=L, equalize=True),
+        _qam("sparse", "projected", n_pilots=L),
     ]),
     "fig1b": dict(K=4, curves=lambda M, L: [
         _qam("full-projected", "projected"),
-        _qam("sparse", "projected", n_pilots=L, equalize=True),
+        _qam("sparse", "projected", n_pilots=L),
     ]),
     # more pilots at the same per-pilot gain (unequalized) or same energy
     "fig2a": dict(K=4, curves=lambda M, L: [
@@ -476,48 +475,46 @@ _PRESETS = {
     ]),
     "fig2b": dict(K=4, curves=lambda M, L: [
         _qam("sparse-Lh", "projected", n_pilots=L),
-        _qam("sparse-2Lh", "projected", n_pilots=2 * L, equalize=True),
+        _qam("sparse-2Lh", "projected", n_pilots=2 * L),
     ]),
     # pilots sharing the symbol with data, power equalized
     "fig3": dict(K=4, curves=lambda M, L: [
         _qam("sparse", "projected", n_pilots=L),
-        _qam("sparse-data", "projected", scenario="qam-sd", equalize=True),
+        _qam("sparse-data", "projected", scenario="qam-sd"),
     ]),
     # full-grid vs sparse OQAM
     "fig4a": dict(K=4, curves=lambda M, L: [
         _oqam("full-pseudo-raw", "raw"),
-        _oqam("sparse", "projected", n_pilots=L, equalize=True),
+        _oqam("sparse", "projected", n_pilots=L),
     ]),
     "fig4b": dict(K=4, curves=lambda M, L: [
         _oqam("full-pseudo-projected", "projected"),
-        _oqam("sparse", "projected", n_pilots=L, equalize=True),
+        _oqam("sparse", "projected", n_pilots=L),
     ]),
     "fig5": dict(K=4, curves=lambda M, L: [
         _oqam("sparse-Lh", "projected", n_pilots=L),
-        _oqam("sparse-2Lh", "projected", n_pilots=2 * L, equalize=True),
+        _oqam("sparse-2Lh", "projected", n_pilots=2 * L),
     ]),
     "fig6": dict(K=4, ebn0=_EBN0_LONG, curves=lambda M, L: [
         _oqam("sparse", "projected", n_pilots=L),
-        _oqam("sparse-data-3", "projected", scenario="oqam-3", equalize=True),
+        _oqam("sparse-data-3", "projected", scenario="oqam-3"),
     ]),
     # cross-system comparisons at equal training power per window
     "fig7a": dict(K=3, paper=dict(M=512, L_h=32), curves=lambda M, L: [
         _qam("qam-sparse", "projected", n_pilots=L),
-        _oqam("oqam-sparse", "projected", n_pilots=L, equalize=True),
+        _oqam("oqam-sparse", "projected", n_pilots=L),
     ]),
     "fig7b": dict(K=4, paper=dict(M=1024, L_h=32), curves=lambda M, L: [
         _qam("qam-sparse", "projected", n_pilots=L),
-        _oqam("oqam-sparse", "projected", n_pilots=L, equalize=True),
+        _oqam("oqam-sparse", "projected", n_pilots=L),
     ]),
     # truncated-prototype OQAM against CP-OFDM in (almost) equal windows
     "fig8a": dict(K=2, paper=dict(M=512, L_h=32), curves=lambda M, L: [
         _qam("qam-sparse", "projected", n_pilots=L),
-        _oqam("oqam-truncated", "projected", n_pilots=L,
-              truncate_to=M + L - 1, equalize=True),
+        _oqam("oqam-truncated", "projected", n_pilots=L, truncate_to=M + L - 1),
     ]),
     "fig8b": dict(K=4, paper=dict(M=1024, L_h=32), curves=lambda M, L: [
         _qam("qam-sparse", "projected", n_pilots=L),
-        _oqam("oqam-truncated", "projected", n_pilots=L,
-              truncate_to=M + L - 1, equalize=True),
+        _oqam("oqam-truncated", "projected", n_pilots=L, truncate_to=M + L - 1),
     ]),
 }

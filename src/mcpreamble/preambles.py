@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import SystemConfig
+from .config import SystemConfig, _check_int
 from .cpofdm import cp_energy
 from .fourier import equispaced_set
 from .oqam import (
@@ -202,6 +202,8 @@ def make_full_equipower_qam(
     ratio of the useful part is M * max(gamma^2, 1 - gamma^2).
     """
     M = config.M
+    _check_int("k", k)
+    _check_int("m", m)
     if not (0 <= k < M and 0 <= m < M):
         raise ValueError("impulse positions must lie in 0..M-1")
     if (k - m) % M != M // 2:

@@ -80,6 +80,10 @@ def test_equispaced_set_validation():
     for bad in (4.0, True, np.float64(4.0)):
         with pytest.raises(ValueError, match="N must be an integer"):
             equispaced_set(16, bad)
+    # 0.5 gave float indices, True the offset 1
+    for bad in (0.5, True, np.float64(1.0)):
+        with pytest.raises(ValueError, match="i_0 must be an integer"):
+            equispaced_set(16, 4, bad)
 
 
 def test_cfr_samples_roundtrip():

@@ -27,13 +27,14 @@ from mcpreamble import (
     floor_map,
     gen_veh_a,
     harness,
-    make_sparse_data,
+    make_equal_comb,
     modulate,
     preset,
     preset_names,
     propagate,
     run_experiment,
     sfb,
+    tpr,
     write_csv,
 )
 from mcpreamble.channel import _veh_a_profile
@@ -242,7 +243,7 @@ def test_data_is_drawn_once_per_channel_and_curve(monkeypatch, name):
     if name == "fig3":
         assert calls == [] and streams == []
         return
-    (i,) = [i for i, rt in enumerate(runtimes) if rt.layout is not None]
+    (i,) = [i for i, rt in enumerate(runtimes) if rt.taps is None]
     assert streams == [[cfg.seed, 201, c, i] for c in (0, 1)]
     gens = [g for g, _ in calls]
     assert all(isinstance(g, np.random.Generator) for g in gens)
@@ -359,7 +360,7 @@ def test_a_block_of_noise_goes_once_through_each_receiver(monkeypatch, name,
     # a static preamble never goes through the delay line, a redrawn one
     # once per block (test_no_preset_propagates: nothing is propagated);
     # fig3's data is not redrawn, as its CP-OFDM pilots never see it
-    redrawn = sum(rt.layout is not None for rt in runtimes)
+    redrawn = sum(rt.taps is None for rt in runtimes)
     assert [fn for fn, _ in calls].count("delayed") == 4 * redrawn
     assert redrawn == (name == "fig6")
 
@@ -388,9 +389,10 @@ def test_delay_line_is_the_noiseless_propagation(scale):
     # a block of fig6 data draws through the channel's occupied delays
     # is their convolution with the whole L_h-tap response
     cfg = preset("fig6", scale=scale)
-    rt = harness._CurveRuntime(cfg.curves[1], cfg)
-    assert rt.layout is not None
-    s = rt.synthesize(draw_sparse_data(rt.layout, np.random.default_rng(8), 5))
+    rt = harness._runtimes(cfg)[1]
+    assert rt.taps is None
+    rng = np.random.default_rng(8)
+    s = rt.synthesize(draw_sparse_data(rt.preamble, rng, 5))
     for c in range(3):
         h = gen_veh_a(np.random.SeedSequence([cfg.seed, 101, c]), rt.sc)
         want = propagate(s, h, 0.0, None)
@@ -424,8 +426,8 @@ def test_tap_responses_are_the_chain(monkeypatch, name):
         H = cfr_from_cir(h, sc.M)
         assert set(np.flatnonzero(h)) <= set(delays)
         for rt in runtimes:
-            if rt.layout is not None:
-                assert rt.taps is None
+            if rt.taps is None:
+                assert rt.spec.scenario is not None and rt.proto is not None
                 continue
             p = rt.preamble
             if rt.proto is None:
@@ -442,7 +444,7 @@ def test_tap_responses_are_the_chain(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["fig3", "fig6"])
 def test_tap_responses_stand_for_data_only_where_the_receiver_is_blind(name):
-    # a data-bearing draw through the chain (make_sparse_data, synthesis,
+    # a data-bearing draw through the chain (draw_sparse_data, synthesis,
     # propagation, receive, LS) gives the pilot-only estimate on fig3,
     # whose CP-OFDM pilots never see the data tones, so its curve is
     # static; on fig6 the pulse carries the data to the pilots, so a draw
@@ -453,7 +455,7 @@ def test_tap_responses_stand_for_data_only_where_the_receiver_is_blind(name):
     rt = harness._runtimes(cfg)[1]
     spec = rt.spec
     assert spec.family == "sparse_data"
-    assert (rt.layout is None) == (name == "fig3")
+    assert (rt.taps is None) == (name == "fig6")
     rng = np.random.default_rng(5)
     for c in range(3):
         h = gen_veh_a(np.random.SeedSequence([cfg.seed, 101, c]), sc)
@@ -471,8 +473,8 @@ def test_tap_responses_stand_for_data_only_where_the_receiver_is_blind(name):
         pilots_only = (chain(rt.preamble) if rt.taps is None
                        else h[delays] @ rt.taps)
         for _ in range(4):
-            p = make_sparse_data(spec.scenario, cfg.E * spec.e_scale, rng,
-                                 sc, rt.proto).scaled(rt.scale)
+            p = dataclasses.replace(rt.preamble, symbols=draw_sparse_data(
+                rt.preamble, rng, 1)[0])
             miss = np.linalg.norm(chain(p) - pilots_only)
             if name == "fig3":
                 assert miss <= 1e-12 * np.linalg.norm(H)
@@ -570,8 +572,11 @@ def _csv_text(curves, cfg) -> str:
 
 def test_draws_go_through_in_blocks_of_bounded_memory():
     # paper fig6 at 40 draws: a window of 4,639 samples makes blocks of
-    # 14 draws.  All 40 at once peaked at about 10.7 MiB (numpy 2.4),
-    # blocked at about 3.8 MiB.
+    # 14 draws.  All 40 at once peak at about 12.6 MiB, blocked at about
+    # 4.65 MiB (numpy 2.4.6, numpy.random imported as under pytest).  A
+    # block's data draw must not outlive its synthesis: bound to a local
+    # in _run_channel, it stayed alive through the estimate and raised
+    # the peak to about 5.08 MiB.
     cfg = preset("fig6", scale="paper", n_channels=2, n_noise=40)
     harness._runtimes(cfg)
     tracemalloc.start()
@@ -582,8 +587,8 @@ def test_draws_go_through_in_blocks_of_bounded_memory():
         tracemalloc.stop()
     assert peak < 5 * 2 ** 20
     # paper fig4b, its pulse and curves built inside the trace, so the
-    # tap responses count: about 1.3 MiB for the set-up and 3.8 MiB with
-    # a channel (numpy 2.4)
+    # tap responses count: about 1.2 MiB for the set-up and 3.0 MiB with
+    # a channel (numpy 2.4.6)
     cfg = preset("fig4b", scale="paper", n_channels=2, n_noise=40)
     harness._pulse.cache_clear()
     harness._runtimes.cache_clear()
@@ -745,13 +750,25 @@ def test_a_config_takes_any_sequence_of_curves_and_points(monkeypatch):
             dataclasses.replace(cfg, **kw)
 
 
-def test_the_power_reference_takes_no_equalize():
-    # the first curve is the one the others are equalized to, so the flag
-    # did nothing there
-    cfg = preset("fig1a", scale="desk", n_channels=2, n_noise=1)
-    first = dataclasses.replace(cfg.curves[0], equalize=True)
-    with pytest.raises(ValueError, match="curve 'full-raw': .*power reference"):
-        dataclasses.replace(cfg, curves=(first, cfg.curves[1]))
+@pytest.mark.parametrize("name", preset_names())
+def test_equal_power_is_the_default(name):
+    # a curve without e_scale carries the first curve's training power per
+    # window, and the first is built at E; fig2a's same-gain comb fixes
+    # its budget at 2E, unequalized
+    cfg = preset(name, scale="desk")
+    sc = cfg.system
+    first, *rest = harness._runtimes(cfg)
+    assert first.spec.e_scale is None
+    n = sc.M if first.spec.n_pilots is None else first.spec.n_pilots
+    at_e = make_equal_comb(n, 0, cfg.E, sc, proto=first.proto)
+    assert first.preamble.E_train == at_e.E_train
+    for rt in rest:
+        if rt.spec.e_scale is None:
+            assert abs(tpr(first.preamble, rt.preamble) - 1.0) <= 1e-12
+        else:
+            assert (name, rt.spec.e_scale) == ("fig2a", 2.0)
+            at_2e = make_equal_comb(rt.spec.n_pilots, 0, 2.0 * cfg.E, sc)
+            assert rt.preamble.E_train == at_2e.E_train
 
 
 def test_a_redrawn_curve_is_checked_when_built(monkeypatch):
@@ -817,9 +834,8 @@ def test_superposed_trials_match_chain_loop(name):
             for t in range(cfg.n_noise):
                 p = rt.preamble
                 if spec.family == "sparse_data":
-                    p = make_sparse_data(
-                        spec.scenario, cfg.E * spec.e_scale, data, sc,
-                        rt.proto).scaled(rt.scale)
+                    p = dataclasses.replace(p, symbols=draw_sparse_data(
+                        p, data, 1)[0])
                 s = (modulate(p.symbols, sc) if rt.proto is None
                      else sfb(p.symbols, rt.proto))
                 for k, g in enumerate(cfg.ebn0_db):
@@ -902,7 +918,7 @@ def test_only_a_static_curve_synthesizes_at_set_up(monkeypatch):
     monkeypatch.setattr(harness, "sfb", counted)
     harness._runtimes.cache_clear()
     static, redrawn = harness._runtimes(preset("fig6", scale="desk"))
-    assert static.layout is None and redrawn.layout is not None
+    assert static.taps is not None and redrawn.taps is None
     assert len(calls) == 1
 
 

@@ -125,6 +125,12 @@ def test_equipower_two_impulse_family(desk):
         assert abs(p.E_train - desk.E) < 1e-9 * desk.E
     with pytest.raises(ValueError):
         make_full_equipower_qam(0, 3, 0.5, 0.0, desk.E, desk)
+    # half-sample positions made no two-impulse preamble (3.5 % of E in
+    # the prefix), and True stood for 1
+    for k, m, name in ((0.5, 64.5, "k"), (True, 65, "k"),
+                       (0, np.float64(64.0), "m")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            make_full_equipower_qam(k, m, 0.7, 0.0, desk.E, desk)
 
 
 def test_sparse_data_energy_declarations(desk, proto):
