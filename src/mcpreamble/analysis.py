@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import cfr_from_cir, gen_veh_a
-from .config import SystemConfig, _check_int
+from .config import SystemConfig, _check_int, _check_real
 from .cpofdm import cp_energy, modulate
 from .estimation import _check_mode
 from .fourier import cfr_samples_to_cir
@@ -94,7 +94,11 @@ def closed_form_mse(
     interference floor of the sparse-plus-data OQAM layouts depends on
     the channel; floor_map gives it.  Bar that full column, divisors may
     be a stack (..., N) of rows, giving one value per row (else a float).
+    A sigma2 that is not a finite real number >= 0 raises ValueError.
     """
+    _check_real("sigma2", sigma2)
+    if not (np.isfinite(sigma2) and sigma2 >= 0):
+        raise ValueError(f"sigma2 must be finite and >= 0, got {sigma2}")
     M, L_h, N = config.M, config.L_h, preamble.n_pilots
     _check_mode(mode, N, M)
     inv2 = np.sum(1.0 / np.abs(preamble.divisors) ** 2, axis=-1)

@@ -26,6 +26,14 @@ def _check_real(name: str, value) -> None:
         raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
+def _check_energy(name: str, value) -> None:
+    """Reject anything but a positive, finite real number: an energy
+    budget or its scale."""
+    _check_real(name, value)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -62,9 +70,7 @@ class SystemConfig:
             raise ValueError("M must be an integer multiple of L_h")
         if not (1 <= self.K <= 5):
             raise ValueError(f"K must be an integer in 1..5, got {self.K}")
-        _check_real("E", self.E)
-        if not (math.isfinite(self.E) and self.E > 0):
-            raise ValueError(f"E must be positive and finite, got {self.E}")
+        _check_energy("E", self.E)
 
     @property
     def nu(self) -> int:

@@ -49,7 +49,7 @@ import numpy as np
 from .analysis import closed_form_mse, floor_map, tpr
 from .channel import (_veh_a_profile, awgn, cfr_from_cir, ebn0_to_sigma2,
                       gen_veh_a)
-from .config import SystemConfig, _check_int, _check_real
+from .config import SystemConfig, _check_energy, _check_int
 from .cpofdm import demodulate, modulate
 from .estimation import estimate_from_pilots
 from .oqam import afb, afb_column, design_prototype, sfb, truncate_prototype
@@ -92,10 +92,7 @@ class CurveSpec:
             raise ValueError(f"{curve}: its scenario fixes its pilots, so "
                              "it takes no n_pilots")
         if self.e_scale is not None:
-            _check_real(f"{curve}: e_scale", self.e_scale)
-            if not (np.isfinite(self.e_scale) and self.e_scale > 0):
-                raise ValueError(f"{curve}: e_scale must be positive and "
-                                 f"finite, got {self.e_scale}")
+            _check_energy(f"{curve}: e_scale", self.e_scale)
         if self.system == "cpofdm" and self.truncate_to is not None:
             raise ValueError(f"{curve}: a CP-OFDM curve has no pulse to "
                              "cut, so it takes no truncate_to")

@@ -169,7 +169,12 @@ class PrototypeFilter:
 
 
 def design_prototype(M: int, K: int) -> PrototypeFilter:
-    """Frequency-sampling prototype of length K*M, unit energy."""
+    """Frequency-sampling prototype of length K*M, unit energy; M is an
+    integer >= 1 and K an integer in 1..5 (else ValueError)."""
+    _check_int("M", M)
+    if M < 1:
+        raise ValueError(f"M must be >= 1, got {M}")
+    _check_int("K", K)
     if K not in PROTO_COEFFS:
         raise ValueError(f"K must be one of {sorted(PROTO_COEFFS)}, got {K}")
     L_g = K * M

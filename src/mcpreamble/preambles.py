@@ -1,7 +1,8 @@
 """Training preamble constructors with exact energy accounting.
 
-Every constructor targets a training energy budget E and records, next to
-the symbols themselves, the energy the preamble actually costs at the
+Every constructor targets a training energy budget E, a positive and
+finite real number as SystemConfig's (else ValueError), and records, next
+to the symbols themselves, the energy the preamble actually costs at the
 antenna over its observation window:
 
   * CP-OFDM, N >= L_h equal pilots on an equispaced set: the prefix
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import SystemConfig, _check_int
+from .config import SystemConfig, _check_energy, _check_int
 from .cpofdm import cp_energy
 from .fourier import equispaced_set
 from .oqam import (
@@ -156,6 +157,7 @@ def make_equal_comb(
     pilots, which equal the amplitude wherever the pilots are isolated.
     The amplitude is solved so the energy leaving the antenna equals E.
     """
+    _check_energy("E", E)
     if N < config.L_h:
         raise ValueError(f"need N >= L_h={config.L_h} pilots, got {N}")
     M = config.M
@@ -202,6 +204,7 @@ def make_full_equipower_qam(
     ratio of the useful part is M * max(gamma^2, 1 - gamma^2).
     """
     M = config.M
+    _check_energy("E", E)
     _check_int("k", k)
     _check_int("m", m)
     if not (0 <= k < M and 0 <= m < M):
@@ -253,6 +256,7 @@ def sparse_data_layout(
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"scenario must be one of {SCENARIOS}")
+    _check_energy("E", E)
     M, N = config.M, config.L_h
     idx = equispaced_set(M, N, 0)
     e_x = E / N

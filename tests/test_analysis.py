@@ -55,6 +55,15 @@ def test_genie_mse_domains(desk):
     assert np.max(np.abs(F.conj().T @ F - desk.M * np.eye(desk.L_h))) < 1e-9
 
 
+@pytest.mark.parametrize("sigma2", [-1.0, np.nan, np.inf, True, "1"])
+def test_closed_form_takes_a_finite_nonnegative_noise_variance(desk, sigma2):
+    # -1 gave a negative MSE and NaN a NaN; 0 is the noiseless case
+    p = make_equal_comb(desk.L_h, 0, desk.E, desk)
+    with pytest.raises(ValueError, match="sigma2 must be"):
+        closed_form_mse(p, sigma2, desk)
+    assert closed_form_mse(p, 0.0, desk) == 0.0
+
+
 def test_equispaced_equal_comb_attains_genie(desk):
     # the closed form for the projected equal comb reduces to the bound
     for N in (desk.L_h, 2 * desk.L_h):

@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import dataclasses
 import os
@@ -16,28 +17,22 @@ from mcpreamble import (
     CurveSpec,
     ExperimentConfig,
     SystemConfig,
-    afb,
     awgn,
-    cfr_from_cir,
-    demodulate,
     design_prototype,
     draw_sparse_data,
     ebn0_to_sigma2,
-    estimate_from_pilots,
     floor_map,
-    gen_veh_a,
     harness,
     make_equal_comb,
-    modulate,
     preset,
     preset_names,
     propagate,
     run_experiment,
-    sfb,
     tpr,
     write_csv,
 )
-from mcpreamble.channel import _veh_a_profile
+
+import reference
 
 SMALL = dict(n_channels=6, n_noise=8)
 _default_rng = np.random.default_rng
@@ -48,7 +43,8 @@ def read_bytes(path):
         return fh.read()
 
 
-def _no_channel_runs(args):
+def _no_channel_runs(*args):
+    # stands for gen_veh_a, the draw every channel starts with
     raise AssertionError("a channel ran")
 
 
@@ -137,7 +133,7 @@ def test_a_curve_is_rejected_before_any_work(monkeypatch, bad, why):
     # full comb for 0 pilots, an IndexError, a cut that changed nothing,
     # a TypeError from the cut, a one-sample pulse.  A curve's own checks
     # and those of the constructors that build it name the curve
-    monkeypatch.setattr(harness, "_run_channel", _no_channel_runs)
+    monkeypatch.setattr(harness, "gen_veh_a", _no_channel_runs)
     cfg = preset("fig4b", "desk", n_channels=3, n_noise=2)
     with pytest.raises(ValueError, match=f"curve 'sparse': .*{why}"):
         spec = dataclasses.replace(cfg.curves[1], **bad)
@@ -185,7 +181,7 @@ def test_noise_is_drawn_once_per_channel_and_draw(monkeypatch, name):
     # curve reads its own prefix of a draw's row.  Blocks of two draws,
     # so three draws take two blocks.
     cfg = preset(name, scale="desk", n_channels=2, n_noise=3)
-    n_win = max(rt.n_rx for rt in harness._runtimes(cfg))
+    n_win = reference.window(cfg)
     monkeypatch.setattr(harness, "_BLOCK_SAMPLES", 2 * n_win)
     calls = _recorded_noise(monkeypatch, cfg)
     gens = [g for g, _ in calls]
@@ -236,14 +232,12 @@ def test_data_is_drawn_once_per_channel_and_curve(monkeypatch, name):
     # per block of draws.  Blocks of two draws, so three draws take two
     # blocks.  fig3's CP-OFDM pilots never see its data: it draws none.
     cfg = preset(name, scale="desk", n_channels=2, n_noise=3)
-    runtimes = harness._runtimes(cfg)
-    n_win = max(rt.n_rx for rt in runtimes)
-    monkeypatch.setattr(harness, "_BLOCK_SAMPLES", 2 * n_win)
+    monkeypatch.setattr(harness, "_BLOCK_SAMPLES", 2 * reference.window(cfg))
     calls, streams = _recorded_data(monkeypatch, cfg)
     if name == "fig3":
         assert calls == [] and streams == []
         return
-    (i,) = [i for i, rt in enumerate(runtimes) if rt.taps is None]
+    (i,) = [i for i, spec in enumerate(cfg.curves) if spec.scenario]
     assert streams == [[cfg.seed, 201, c, i] for c in (0, 1)]
     gens = [g for g, _ in calls]
     assert all(isinstance(g, np.random.Generator) for g in gens)
@@ -327,9 +321,7 @@ def test_chain_calls_do_not_grow_with_the_draws(monkeypatch, name):
 def test_a_block_of_noise_goes_once_through_each_receiver(monkeypatch, name,
                                                           want):
     cfg = preset(name, scale="desk", n_channels=2, n_noise=3)
-    runtimes = harness._runtimes(cfg)
-    n_win = max(rt.n_rx for rt in runtimes)
-    monkeypatch.setattr(harness, "_BLOCK_SAMPLES", 2 * n_win)
+    monkeypatch.setattr(harness, "_BLOCK_SAMPLES", 2 * reference.window(cfg))
     blocks, calls = [], []
 
     def drawn(n, seed):
@@ -350,8 +342,7 @@ def test_a_block_of_noise_goes_once_through_each_receiver(monkeypatch, name,
         return delayed(rt, s, h)
 
     monkeypatch.setattr(harness._CurveRuntime, "delayed", delay_line)
-    for c in range(cfg.n_channels):
-        harness._run_channel((cfg, c))
+    run_experiment(cfg)
     assert len(blocks) == 4
     for w in blocks:
         on_w = [fn for fn, r in calls if np.shares_memory(r, w)]
@@ -360,9 +351,7 @@ def test_a_block_of_noise_goes_once_through_each_receiver(monkeypatch, name,
     # a static preamble never goes through the delay line, a redrawn one
     # once per block (test_no_preset_propagates: nothing is propagated);
     # fig3's data is not redrawn, as its CP-OFDM pilots never see it
-    redrawn = sum(rt.taps is None for rt in runtimes)
-    assert [fn for fn, _ in calls].count("delayed") == 4 * redrawn
-    assert redrawn == (name == "fig6")
+    assert [fn for fn, _ in calls].count("delayed") == 4 * (name == "fig6")
 
 
 @pytest.mark.parametrize("name", preset_names())
@@ -384,108 +373,46 @@ def test_no_preset_propagates(monkeypatch, name):
     assert calls == []
 
 
-@pytest.mark.parametrize("scale", ["desk", "paper"])
-def test_delay_line_is_the_noiseless_propagation(scale):
-    # a block of fig6 data draws through the channel's occupied delays
-    # is their convolution with the whole L_h-tap response
-    cfg = preset("fig6", scale=scale)
-    rt = harness._runtimes(cfg)[1]
-    assert rt.taps is None
-    rng = np.random.default_rng(8)
-    s = rt.synthesize(draw_sparse_data(rt.preamble, rng, 5))
-    for c in range(3):
-        h = gen_veh_a(np.random.SeedSequence([cfg.seed, 101, c]), rt.sc)
-        want = propagate(s, h, 0.0, None)
-        got = rt.delayed(s, h)
-        assert got.shape == want.shape == (5, rt.n_rx)
-        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+def _assert_matches_the_reference(curves, cfg):
+    _, nmse, stderr_db = reference.chain(cfg)
+    for cu, want, se in zip(curves, nmse, stderr_db, strict=True):
+        assert np.all(np.abs(cu.nmse - want) <= 1e-10 * want)
+        assert np.all(np.abs(cu.stderr_db - se) <= 1e-10 * se)
 
 
 @pytest.mark.parametrize("name", preset_names())
-def test_tap_responses_are_the_chain(monkeypatch, name):
-    # every channel the model draws lies on the tap delays, and the tap
-    # responses weighted by its taps give the chain's noiseless estimate:
-    # synthesis, propagation, receive and LS on the pilots.  They are the
-    # samples shifted to each delay: building them takes no delay line.
-    cfg = preset(name, scale="desk")
-    sc = cfg.system
-    delays = _veh_a_profile(sc.L_h).taps
-    calls = []
-    delayed = harness._CurveRuntime.delayed
-
-    def delay_line(rt, s, h):
-        calls.append(s)
-        return delayed(rt, s, h)
-
-    monkeypatch.setattr(harness._CurveRuntime, "delayed", delay_line)
-    harness._runtimes.cache_clear()
-    runtimes = harness._runtimes(cfg)
-    assert calls == []
-    for c in range(3):
-        h = gen_veh_a(np.random.SeedSequence([cfg.seed, 101, c]), sc)
-        H = cfr_from_cir(h, sc.M)
-        assert set(np.flatnonzero(h)) <= set(delays)
-        for rt in runtimes:
-            if rt.taps is None:
-                assert rt.spec.scenario is not None and rt.proto is not None
-                continue
-            p = rt.preamble
-            if rt.proto is None:
-                r = propagate(modulate(p.symbols, sc), h, 0.0, None)
-                y = demodulate(r, sc)[p.pilot_idx]
-            else:
-                r = propagate(sfb(p.symbols, rt.proto), h, 0.0, None)
-                y = afb(r, rt.proto, p.pilot_idx)
-            want = estimate_from_pilots(y, p, sc, mode=rt.spec.estimator)
-            assert rt.taps.shape == (len(delays), sc.M)
-            assert (np.linalg.norm(h[delays] @ rt.taps - want)
-                    <= 1e-12 * np.linalg.norm(H))
+def test_every_preset_matches_the_reference_chain(name):
+    # the engine adds a noiseless error to sigma times a unit-noise one,
+    # weights tap responses by the channel's taps and sends redrawn data
+    # through a delay line; the reference runs the whole chain at every
+    # channel, draw and point instead.  It redraws fig3's data too, so
+    # the match shows that CP-OFDM pilots never see it
+    cfg = preset(name, scale="desk", n_channels=2, n_noise=2)
+    _assert_matches_the_reference(run_experiment(cfg), cfg)
 
 
-@pytest.mark.parametrize("name", ["fig3", "fig6"])
-def test_tap_responses_stand_for_data_only_where_the_receiver_is_blind(name):
-    # a data-bearing draw through the chain (draw_sparse_data, synthesis,
-    # propagation, receive, LS) gives the pilot-only estimate on fig3,
-    # whose CP-OFDM pilots never see the data tones, so its curve is
-    # static; on fig6 the pulse carries the data to the pilots, so a draw
-    # misses the pilot-only estimate by far more than roundoff
-    cfg = preset(name, scale="desk")
-    sc = cfg.system
-    delays = _veh_a_profile(sc.L_h).taps
-    rt = harness._runtimes(cfg)[1]
-    spec = rt.spec
-    assert spec.family == "sparse_data"
-    assert (rt.taps is None) == (name == "fig6")
-    rng = np.random.default_rng(5)
-    for c in range(3):
-        h = gen_veh_a(np.random.SeedSequence([cfg.seed, 101, c]), sc)
-        H = cfr_from_cir(h, sc.M)
-
-        def chain(p):
-            if rt.proto is None:
-                r = propagate(modulate(p.symbols, sc), h, 0.0, None)
-                y = demodulate(r, sc)[p.pilot_idx]
-            else:
-                r = propagate(sfb(p.symbols, rt.proto), h, 0.0, None)
-                y = afb(r, rt.proto, p.pilot_idx)
-            return estimate_from_pilots(y, p, sc, mode=spec.estimator)
-
-        pilots_only = (chain(rt.preamble) if rt.taps is None
-                       else h[delays] @ rt.taps)
-        for _ in range(4):
-            p = dataclasses.replace(rt.preamble, symbols=draw_sparse_data(
-                rt.preamble, rng, 1)[0])
-            miss = np.linalg.norm(chain(p) - pilots_only)
-            if name == "fig3":
-                assert miss <= 1e-12 * np.linalg.norm(H)
-            else:
-                assert miss > 1e-6 * np.linalg.norm(H)
+def test_the_reference_shares_no_code_with_the_engine():
+    # tests/reference.py imports public mcpreamble names only, never the
+    # harness, and reads no private attribute
+    names = []
+    for node in ast.walk(ast.parse(Path(reference.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names += [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Attribute):
+            names.append(node.attr)
+    assert "mcpreamble.propagate" in names
+    for name in names:
+        parts = name.split(".")
+        assert "harness" not in parts, name
+        assert not any(part.startswith("_") for part in parts), name
 
 
 @pytest.mark.parametrize("name", ["fig3", "fig4b", "fig6", "fig8a"])
 def test_output_does_not_depend_on_the_block_size(monkeypatch, tmp_path, name):
     cfg = preset(name, scale="desk", n_channels=3, n_noise=5)
-    n_win = max(rt.n_rx for rt in harness._runtimes(cfg))
+    n_win = reference.window(cfg)
     paths = []
     # the default (one block), one draw per block, and two per block with
     # a shorter last block
@@ -507,22 +434,22 @@ _OFF_PRESET_SHAPES = [(16, 8), (32, 4), (64, 16), (128, 64), (256, 8)]
 @example((16, 8), 1, "fig8a")
 @example((128, 64), 5, "fig6")
 def test_presets_run_off_their_shape(shape, K, name):
-    # every point is finite and the bytes do not depend on the block
-    # size; the one combination the engine cannot run, a fig8a pulse cut
+    # every point is finite, matches the reference chain and does not
+    # depend on the block size; the one combination the engine cannot run, a fig8a pulse cut
     # longer than the K = 1 pulse, fails before any channel runs
     M, L_h = shape
     cfg = preset(name, scale="desk", M=M, L_h=L_h, K=K, n_channels=2,
                  n_noise=2)
     with pytest.MonkeyPatch.context() as mp:
         if name == "fig8a" and K == 1:
-            mp.setattr(harness, "_run_channel", _no_channel_runs)
+            mp.setattr(harness, "gen_veh_a", _no_channel_runs)
             with pytest.raises(ValueError, match="curve 'oqam-truncated'"):
                 run_experiment(cfg)
             return
         curves = run_experiment(cfg)
         assert all(np.all(np.isfinite(cu.nmse_db)) for cu in curves)
-        n_win = max(rt.n_rx for rt in harness._runtimes(cfg))
-        mp.setattr(harness, "_BLOCK_SAMPLES", n_win)
+        _assert_matches_the_reference(curves, cfg)
+        mp.setattr(harness, "_BLOCK_SAMPLES", reference.window(cfg))
         assert _csv_text(run_experiment(cfg), cfg) == _csv_text(curves, cfg)
 
 
@@ -535,8 +462,8 @@ def test_presets_run_off_their_shape(shape, K, name):
 @example((256, 8), 5, "oqam-2", "even")
 def test_data_layouts_run_off_their_shape(shape, K, scenario, cut):
     # fig6's data curve as each OQAM layout, on the whole pulse or cut to
-    # M + L_h or M + L_h - 1 samples: every point is finite and the bytes
-    # do not depend on the block size, or the curve fails, naming itself,
+    # M + L_h or M + L_h - 1 samples: every point is finite, matches the
+    # reference chain and does not depend on the block size, or the curve fails, naming itself,
     # before any channel runs (a cut longer than the K = 1 pulse; a helped
     # layout on the odd cut, whose interference is off the helper axis)
     M, L_h = shape
@@ -547,7 +474,7 @@ def test_data_layouts_run_off_their_shape(shape, K, scenario, cut):
                                truncate_to=length)
     cfg = dataclasses.replace(cfg, curves=(cfg.curves[0], spec))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "_run_channel", _no_channel_runs)
+        mp.setattr(harness, "gen_veh_a", _no_channel_runs)
         try:
             run_experiment(cfg)
         except ValueError as exc:
@@ -558,8 +485,8 @@ def test_data_layouts_run_off_their_shape(shape, K, scenario, cut):
     with pytest.MonkeyPatch.context() as mp:
         curves = run_experiment(cfg)
         assert all(np.all(np.isfinite(cu.nmse_db)) for cu in curves)
-        n_win = max(rt.n_rx for rt in harness._runtimes(cfg))
-        mp.setattr(harness, "_BLOCK_SAMPLES", n_win)
+        _assert_matches_the_reference(curves, cfg)
+        mp.setattr(harness, "_BLOCK_SAMPLES", reference.window(cfg))
         assert _csv_text(run_experiment(cfg), cfg) == _csv_text(curves, cfg)
 
 
@@ -720,7 +647,7 @@ def test_run_experiment_takes_numpy_integer_counts():
 def test_run_experiment_rejects_bad_inputs_before_any_work(monkeypatch, bad):
     # the config checks its fields when it is built, by preset or by
     # dataclasses.replace, so no bad config reaches run_experiment
-    monkeypatch.setattr(harness, "_run_channel", _no_channel_runs)
+    monkeypatch.setattr(harness, "gen_veh_a", _no_channel_runs)
     with pytest.raises(ValueError):
         preset("fig1a", scale="desk", **{"n_channels": 3, "n_noise": 2, **bad})
     cfg = preset("fig1a", scale="desk", n_channels=3, n_noise=2)
@@ -740,7 +667,7 @@ def test_a_config_takes_any_sequence_of_curves_and_points(monkeypatch):
         assert other == cfg
         assert _csv_text(run_experiment(other), other) == want
 
-    monkeypatch.setattr(harness, "_run_channel", _no_channel_runs)
+    monkeypatch.setattr(harness, "gen_veh_a", _no_channel_runs)
     with pytest.raises(ValueError, match="no curves"):
         run_experiment(dataclasses.replace(cfg, curves=()))
     # a scalar is no sequence: a ValueError, not a TypeError
@@ -774,7 +701,7 @@ def test_equal_power_is_the_default(name):
 def test_a_redrawn_curve_is_checked_when_built(monkeypatch):
     # fig6's data curve builds no tap responses, so its estimator was
     # first read by the first channel's estimate
-    monkeypatch.setattr(harness, "_run_channel", _no_channel_runs)
+    monkeypatch.setattr(harness, "gen_veh_a", _no_channel_runs)
     cfg = preset("fig6", scale="desk", n_channels=2, n_noise=1)
     for estimator, why in (("bogus", "mode must be"), ("raw", "raw mode")):
         spec = dataclasses.replace(cfg.curves[1], estimator=estimator)
@@ -801,59 +728,6 @@ def test_prediction_is_linear_in_sigma2(name):
     for cu in run_experiment(cfg):
         gain = (cu.predicted - cu.floor) / sigma2
         assert np.max(np.abs(gain / gain[0] - 1.0)) < 1e-12
-
-
-# static OQAM preambles, CP-OFDM data redrawn per draw, OQAM help pilots,
-# and the odd pulse cut, whose fold runs through the zero padding
-@pytest.mark.parametrize("name", ["fig4b", "fig3", "fig6", "fig8a"])
-def test_superposed_trials_match_chain_loop(name):
-    # the harness adds the noiseless error and sigma times the unit-noise
-    # response over a stack of draws; the loop runs the whole chain at
-    # every point and draw instead.  Two draws, so a preamble redrawn per
-    # draw needs its own noiseless pass.
-    cfg = preset(name, scale="desk", n_channels=2, n_noise=2)
-    sc = cfg.system
-    n_win = max(rt.n_rx for rt in harness._runtimes(cfg))
-    # each point from the channel's raw sums, as run_experiment forms it
-    s2 = np.array([ebn0_to_sigma2(g, cfg.E / sc.M) for g in cfg.ebn0_db])
-    for c in (0, 1):
-        sums, floors, norm_h2 = harness._run_channel((cfg, c))
-        h = gen_veh_a(np.random.SeedSequence([cfg.seed, 101, c]), sc)
-        H = cfr_from_cir(h, sc.M)
-        assert norm_h2 == np.sum(np.abs(H) ** 2)
-        inv_h2 = 1.0 / norm_h2
-        # draw t's unit noise is row t of the channel's stream
-        stream = np.random.default_rng(np.random.SeedSequence([cfg.seed, 301, c]))
-        noise = [awgn(n_win, stream) for _ in range(cfg.n_noise)]
-        for i, rt in enumerate(harness._runtimes(cfg)):
-            spec = rt.spec
-            want = np.zeros(len(cfg.ebn0_db))
-            # draw t's data is draw t of the (channel, curve) stream
-            data = np.random.default_rng(
-                np.random.SeedSequence([cfg.seed, 201, c, i]))
-            for t in range(cfg.n_noise):
-                p = rt.preamble
-                if spec.family == "sparse_data":
-                    p = dataclasses.replace(p, symbols=draw_sparse_data(
-                        p, data, 1)[0])
-                s = (modulate(p.symbols, sc) if rt.proto is None
-                     else sfb(p.symbols, rt.proto))
-                for k, g in enumerate(cfg.ebn0_db):
-                    sigma2 = ebn0_to_sigma2(g, cfg.E / sc.M)
-                    r = propagate(s, h, 0.0, None)
-                    r += np.sqrt(sigma2) * noise[t][:len(r)]
-                    if rt.spec.system == "oqam":
-                        y = afb(r, rt.proto, p.pilot_idx)
-                    else:
-                        y = demodulate(r, sc)[p.pilot_idx]
-                    H_hat = estimate_from_pilots(y, p, sc,
-                                                 mode=rt.spec.estimator)
-                    want[k] += np.sum(np.abs(H_hat - H) ** 2) * inv_h2
-            want /= cfg.n_noise
-            aa, ae, ee = sums[:, i]
-            got = ((aa + 2.0 * np.sqrt(s2) * ae + s2 * ee)
-                   / (norm_h2 * cfg.n_noise))
-            assert np.all(np.abs(got - want) <= 1e-10 * want)
 
 
 def test_system_string_stays_at_the_harness():
@@ -907,19 +781,21 @@ def test_a_received_window_is_the_preamble_window_and_the_channel(scale):
 
 
 def test_only_a_static_curve_synthesizes_at_set_up(monkeypatch):
-    # fig6's static comb synthesizes once, for its tap responses; its
-    # redrawn curve synthesizes only the draws of a channel
+    # fig6's static comb synthesizes once, for its tap responses, which
+    # are its samples shifted to each delay: building them takes no delay
+    # line.  Its redrawn curve synthesizes only the draws of a channel
     calls = []
+    for owner, fn in ((harness, "sfb"), (harness._CurveRuntime, "delayed")):
+        def counted(*args, _fn=fn, _f=getattr(owner, fn), **kwargs):
+            calls.append(_fn)
+            return _f(*args, **kwargs)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return sfb(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "sfb", counted)
+        monkeypatch.setattr(owner, fn, counted)
+    monkeypatch.setattr(harness, "gen_veh_a", _no_channel_runs)
     harness._runtimes.cache_clear()
-    static, redrawn = harness._runtimes(preset("fig6", scale="desk"))
-    assert static.taps is not None and redrawn.taps is None
-    assert len(calls) == 1
+    with pytest.raises(AssertionError, match="a channel ran"):
+        run_experiment(preset("fig6", scale="desk"))
+    assert calls == ["sfb"]
 
 
 def test_serial_run_imports_neither_numpy_ma_nor_multiprocessing(tmp_path):

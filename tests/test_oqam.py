@@ -54,6 +54,18 @@ def test_prototype_rejects_unknown_overlap():
         design_prototype(64, 6)
 
 
+@pytest.mark.parametrize("M, K, why", [
+    (0, 4, "M must be >= 1"), (-4, 4, "M must be >= 1"),
+    (128.0, 4, "M must be an integer"), (True, 4, "M must be an integer"),
+    (128, True, "K must be an integer"), (128, 4.0, "K must be an integer"),
+])
+def test_prototype_takes_integer_sizes_only(M, K, why):
+    # each ran before: an empty pulse, numpy's TypeError or "negative
+    # dimensions", or a K=1 pulse that kept K=True
+    with pytest.raises(ValueError, match=why):
+        design_prototype(M, K)
+
+
 def test_interference_weights_frozen():
     cfg = SystemConfig(M=128, L_h=8)
     for K, beta in BETA.items():

@@ -88,6 +88,23 @@ def test_cpofdm_constructors_reject_a_pulse(desk, proto, make):
         make(desk, proto)
 
 
+@pytest.mark.parametrize("E", [-1.0, 0.0, np.inf, np.nan, True],
+                         ids=["-1", "0", "inf", "nan", "True"])
+@pytest.mark.parametrize("make", [
+    lambda cfg, E, pulse: make_equal_comb(8, 0, E, cfg),
+    lambda cfg, E, pulse: make_equal_comb(8, 0, E, cfg, proto=pulse),
+    lambda cfg, E, pulse: make_full_equipower_qam(0, 64, 0.5, 0.0, E, cfg),
+    lambda cfg, E, pulse: make_sparse_data("qam-sd", E, 1, cfg),
+    lambda cfg, E, pulse: sparse_data_layout("oqam-3", E, cfg, proto=pulse),
+], ids=["comb", "oqam-comb", "two-impulse", "qam-sd", "oqam-3-layout"])
+def test_constructors_take_a_positive_finite_energy_only(desk, proto, make, E):
+    # SystemConfig's rule for E: each ran before, to a bare RuntimeWarning
+    # from sqrt, zero divisors that failed only in the estimator, a
+    # non-finite preamble, or E = 1
+    with pytest.raises(ValueError, match="E must be"):
+        make(desk, E, proto)
+
+
 def test_truncated_pulse_sets_window_and_energy(desk, proto):
     # the pulse passed in alone fixes the window and the synthesized energy
     short = truncate_prototype(proto, desk.M + desk.L_h - 1)
