@@ -391,6 +391,67 @@ def test_every_preset_matches_the_reference_chain(name):
     _assert_matches_the_reference(run_experiment(cfg), cfg)
 
 
+# static OQAM preambles, CP-OFDM data redrawn per draw, OQAM help pilots,
+# and the odd pulse cut, whose fold runs through the zero padding
+@pytest.mark.parametrize("name", ["fig4b", "fig3", "fig6", "fig8a"])
+def test_superposed_trials_match_chain_loop(name):
+    # the engine's noiseless error plus sigma times its unit-noise one
+    # holds from noise-bound to floor-bound points, and at an odd draw
+    # count, so a preamble redrawn per draw needs its own noiseless pass
+    cfg = preset(name, scale="desk", n_channels=2, n_noise=3,
+                 ebn0_db=np.arange(-10.0, 61.0, 10.0))
+    _assert_matches_the_reference(run_experiment(cfg), cfg)
+
+
+# Eb/N0 at which sigma^2 is 1e-30 E/M: the chain's error is its floor
+_NOISELESS_DB = [300.0]
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_tap_responses_are_the_chain(name):
+    # at the noiseless point a static curve's error is its tap responses
+    # weighted by the channel's taps, the reference's that of the chain:
+    # synthesis, propagation, receive and LS on the pilots.  A CP-OFDM
+    # floor is 0, so both sides may differ by roundoff: 1e-24 is an
+    # estimate within 1e-12 ||H|| of the channel
+    cfg = preset(name, scale="desk", n_channels=2, n_noise=2,
+                 ebn0_db=_NOISELESS_DB)
+    _, nmse, _ = reference.chain(cfg)
+    for cu, want in zip(run_experiment(cfg), nmse, strict=True):
+        assert np.all(np.abs(cu.nmse - want) <= 1e-10 * want + 1e-24)
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig6"])
+def test_tap_responses_stand_for_data_only_where_the_receiver_is_blind(
+        monkeypatch, name):
+    # a reference that keeps the data curve's preamble as built, with no
+    # data drawn, still matches fig3, whose CP-OFDM pilots never see the
+    # data tones, so its curve is static; on fig6 the pulse carries the
+    # data to the pilots, so it misses by far more than roundoff
+    cfg = preset(name, scale="desk", n_channels=2, n_noise=2)
+    assert [spec.scenario is not None for spec in cfg.curves] == [False, True]
+    monkeypatch.setattr(reference, "draw_sparse_data",
+                        lambda p, rng, n: np.repeat(p.symbols[None], n, 0))
+    _, nmse, _ = reference.chain(cfg)
+    got = run_experiment(cfg)[1].nmse
+    miss = np.max(np.abs(got - nmse[1]) / nmse[1])
+    if name == "fig3":
+        assert miss <= 1e-10
+    else:
+        assert miss > 1e-6
+
+
+@pytest.mark.parametrize("scale", ["desk", "paper"])
+def test_delay_line_is_the_noiseless_propagation(scale):
+    # fig6's data curve sends each draw through the channel's occupied
+    # delays; at the noiseless point its error is that of channel.propagate
+    cfg = preset("fig6", scale=scale, n_channels=3, n_noise=5,
+                 ebn0_db=_NOISELESS_DB)
+    _, nmse, _ = reference.chain(cfg)
+    got = run_experiment(cfg)[1].nmse
+    assert np.all(np.abs(got - nmse[1]) <= 1e-10 * nmse[1])
+
+
 def test_the_reference_shares_no_code_with_the_engine():
     # tests/reference.py imports public mcpreamble names only, never the
     # harness, and reads no private attribute
