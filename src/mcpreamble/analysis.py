@@ -31,7 +31,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import cfr_from_cir, gen_veh_a
-from .config import SystemConfig, _check_int, _check_real
+from .config import (SystemConfig, _check_energy, _check_int,
+                     _check_noise_variance)
 from .cpofdm import cp_energy, modulate
 from .estimation import _check_mode
 from .fourier import cfr_samples_to_cir
@@ -76,7 +77,11 @@ def tpr(p1: Preamble, p2: Preamble) -> float:
 
 
 def genie_mse(sigma2: float, E: float, config: SystemConfig) -> float:
-    """Estimation-theoretic lower bound L_h*sigma^2/E (CIR domain)."""
+    """Estimation-theoretic lower bound L_h*sigma^2/E (CIR domain).  A
+    sigma2 that is not a finite real number >= 0, or an E that is not a
+    positive finite one, raises ValueError."""
+    _check_noise_variance("sigma2", sigma2)
+    _check_energy("E", E)
     return config.L_h * sigma2 / E
 
 
@@ -96,9 +101,7 @@ def closed_form_mse(
     be a stack (..., N) of rows, giving one value per row (else a float).
     A sigma2 that is not a finite real number >= 0 raises ValueError.
     """
-    _check_real("sigma2", sigma2)
-    if not (np.isfinite(sigma2) and sigma2 >= 0):
-        raise ValueError(f"sigma2 must be finite and >= 0, got {sigma2}")
+    _check_noise_variance("sigma2", sigma2)
     M, L_h, N = config.M, config.L_h, preamble.n_pilots
     _check_mode(mode, N, M)
     inv2 = np.sum(1.0 / np.abs(preamble.divisors) ** 2, axis=-1)

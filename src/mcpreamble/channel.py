@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import SystemConfig, _check_real
+from .config import SystemConfig, _check_noise_variance, _check_real
 
 VEH_A_DELAYS_NS = np.array([0.0, 310.0, 710.0, 1090.0, 1730.0, 2510.0])
 VEH_A_POWERS_DB = np.array([0.0, -1.0, -9.0, -10.0, -15.0, -20.0])
@@ -123,12 +123,12 @@ def propagate(s, h, sigma2: float, seed) -> np.ndarray:
     the noise is sqrt(sigma2) * awgn(r.shape, seed).  s may be a stack
     (..., L) of signals: each row is convolved on its own (np.convolve)
     and takes the next row of the seed's noise stream, so the noise of
-    row k is the k-th of successive 1-D draws from one generator.
+    row k is the k-th of successive 1-D draws from one generator.  A
+    sigma2 that is not a finite real number >= 0 raises ValueError.
     """
     s = np.asarray(s, dtype=complex)
     h = np.asarray(h, dtype=complex).reshape(-1)
-    if not sigma2 >= 0:
-        raise ValueError(f"noise variance must be nonnegative, got {sigma2}")
+    _check_noise_variance("sigma2", sigma2)
     r = np.empty(s.shape[:-1] + (s.shape[-1] + len(h) - 1,), dtype=complex)
     for row, out in zip(s.reshape(-1, s.shape[-1]), r.reshape(-1, r.shape[-1])):
         out[:] = np.convolve(row, h)

@@ -34,6 +34,13 @@ def _check_energy(name: str, value) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def _check_noise_variance(name: str, value) -> None:
+    """Reject anything but a finite real number >= 0: a noise variance."""
+    _check_real(name, value)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
 def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 

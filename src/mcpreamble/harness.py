@@ -27,11 +27,11 @@ through their preambles and estimators.
 A channel's job returns the totals of those sums over its draws, its
 floors and ||H||^2, and reads no noise level.  The experiment alone
 forms every point from them: per channel the mean over noise draws of
-||H_hat - H||^2 / ||H||^2 at each Eb/N0, then the mean over channels;
-the reported standard error is across channels.  Channels are processed
-by index through a plain map, serially or in a process pool, and
-reduced in index order, so the output bytes do not depend on the worker
-count.
+||H_hat - H||^2 / ||H||^2 at each Eb/N0, which its curve keeps with its
+floors and reduces to the mean over channels and its standard error.
+Channels are processed by index through a plain map, serially or in a
+process pool, and reduced in index order, so the output bytes do not
+depend on the worker count.
 
 Compared preambles carry equal power: every curve after the first is
 scaled to the first curve's training power ratio (declared training
@@ -164,16 +164,29 @@ class ExperimentConfig:
 
 @dataclass
 class MseCurve:
-    """Aggregated Monte Carlo result for one curve."""
+    """One curve, per channel (row): the mean over draws of ||H_hat - H||^2
+    / ||H||^2 at each Eb/N0 (ratios), and floor(H) / ||H||^2 (floors)."""
 
     label: str
     system: str
     ebn0_db: np.ndarray
-    nmse: np.ndarray
+    ratios: np.ndarray
+    floors: np.ndarray
     predicted: np.ndarray
-    floor: float
-    stderr_db: np.ndarray
     n_samples: int
+
+    @property
+    def nmse(self) -> np.ndarray:
+        return self.ratios.mean(axis=0)
+
+    @property
+    def stderr_db(self) -> np.ndarray:
+        se = self.ratios.std(axis=0, ddof=1) / np.sqrt(len(self.ratios))
+        return 10.0 / np.log(10.0) * se / self.nmse
+
+    @property
+    def floor(self) -> float:
+        return float(self.floors.mean())
 
     @property
     def nmse_db(self) -> np.ndarray:
@@ -239,8 +252,10 @@ class _CurveRuntime:
         # CP-OFDM pilots never see the data: such a curve is static
         if spec.scenario is None or self.proto is None:
             tx = self.synthesize(p.symbols)
-            self.taps = self.estimate(np.stack(
-                [np.pad(tx, (d, sc.L_h - 1 - d)) for d in self.delays]))
+            r = np.zeros((len(self.delays), self.n_rx), dtype=complex)
+            for k, d in enumerate(self.delays):
+                r[k, d:d + len(tx)] = tx
+            self.taps = self.estimate(r)
 
     def estimate(self, r) -> np.ndarray:
         """Channel estimates over all M tones from (..., n_rx) samples r."""
@@ -338,7 +353,7 @@ def _run_channel(args) -> tuple:
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[MseCurve]:
-    """Build every curve, run every channel, and aggregate across channels.
+    """Build every curve, run every channel, and give each curve its rows.
 
     A curve that cannot be built raises ValueError naming it before any
     channel runs.  The Eb/N0 grid (cfg.sigma2) enters only here: from
@@ -365,22 +380,14 @@ def run_experiment(cfg: ExperimentConfig) -> list[MseCurve]:
                   / (norm_h2[:, None, None] * cfg.n_noise))  # (c, curve, snr)
     all_floors = floors / norm_h2[:, None]                # (c, curve)
 
-    curves = []
-    for i, rt in enumerate(runtimes):
-        per_ch = all_ratios[:, i, :]
-        nmse = per_ch.mean(axis=0)
-        stderr = per_ch.std(axis=0, ddof=1) / np.sqrt(cfg.n_channels)
-        stderr_db = 10.0 / np.log(10.0) * stderr / nmse
-        floor = float(all_floors[:, i].mean())
-        pred = rt.gain * sigma2 * (1.0 / norm_h2).mean() + floor
-        curves.append(MseCurve(
-            label=rt.spec.label, system=rt.spec.system,
-            ebn0_db=np.asarray(cfg.ebn0_db, dtype=float),
-            nmse=nmse, predicted=pred, floor=floor,
-            stderr_db=stderr_db,
-            n_samples=cfg.n_channels * cfg.n_noise,
-        ))
-    return curves
+    inv_h2 = (1.0 / norm_h2).mean()
+    return [MseCurve(label=rt.spec.label, system=rt.spec.system,
+                     ebn0_db=np.asarray(cfg.ebn0_db, dtype=float),
+                     ratios=all_ratios[:, i], floors=all_floors[:, i],
+                     predicted=rt.gain * sigma2 * inv_h2
+                     + float(all_floors[:, i].mean()),
+                     n_samples=cfg.n_channels * cfg.n_noise)
+            for i, rt in enumerate(runtimes)]
 
 
 CSV_HEADER = ("preset,scheme,preamble,ebn0_db,nmse_db,nmse_linear,"

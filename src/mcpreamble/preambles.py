@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import SystemConfig, _check_energy, _check_int
+from .config import SystemConfig, _check_energy, _check_int, _check_real
 from .cpofdm import cp_energy
 from .fourier import equispaced_set
 from .oqam import (
@@ -201,12 +201,17 @@ def make_full_equipower_qam(
     M/2 and the two coefficients in phase quadrature.  The time-domain
     symbol is two impulses at samples k and m, so the prefix energy is
     exactly zero whenever both fall before M - nu, and the peak-to-mean
-    ratio of the useful part is M * max(gamma^2, 1 - gamma^2).
+    ratio of the useful part is M * max(gamma^2, 1 - gamma^2).  gamma
+    must be a real number in [0, 1] and theta a finite one.
     """
     M = config.M
     _check_energy("E", E)
     _check_int("k", k)
     _check_int("m", m)
+    _check_real("gamma", gamma)
+    _check_real("theta", theta)
+    if not np.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     if not (0 <= k < M and 0 <= m < M):
         raise ValueError("impulse positions must lie in 0..M-1")
     if (k - m) % M != M // 2:

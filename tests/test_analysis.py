@@ -64,6 +64,18 @@ def test_closed_form_takes_a_finite_nonnegative_noise_variance(desk, sigma2):
     assert closed_form_mse(p, 0.0, desk) == 0.0
 
 
+@pytest.mark.parametrize("sigma2, E", [
+    (-1.0, 1.0), (np.nan, 1.0), (np.inf, 1.0), (True, 1.0), ("1", 1.0),
+    (1.0, 0.0), (1.0, -1.0), (1.0, np.inf),
+], ids=["sigma2=-1", "sigma2=nan", "sigma2=inf", "sigma2=True", "sigma2=str",
+        "E=0", "E=-1", "E=inf"])
+def test_genie_takes_a_finite_nonnegative_noise_variance(desk, sigma2, E):
+    # sigma2 = -1 gave -8.0, NaN a NaN, and E = 0 a bare ZeroDivisionError
+    with pytest.raises(ValueError, match="sigma2 must be|E must be"):
+        genie_mse(sigma2, E, desk)
+    assert genie_mse(0.0, 1.0, desk) == 0.0
+
+
 def test_equispaced_equal_comb_attains_genie(desk):
     # the closed form for the projected equal comb reduces to the bound
     for N in (desk.L_h, 2 * desk.L_h):

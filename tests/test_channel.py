@@ -108,8 +108,10 @@ def test_propagate_takes_a_stack_of_signals(sigma2):
         assert not np.array_equal(w[0], w[1])
 
 
-@pytest.mark.parametrize("sigma2", [-1.0, float("nan")], ids=["negative", "nan"])
+@pytest.mark.parametrize("sigma2", [-1.0, float("nan"), np.inf],
+                         ids=["negative", "nan", "inf"])
 def test_propagate_rejects_bad_noise_variance(sigma2):
+    # inf gave an all-infinite signal
     with pytest.raises(ValueError):
         propagate(np.ones(8, dtype=complex), np.ones(2), sigma2, seed=1)
 

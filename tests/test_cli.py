@@ -106,7 +106,8 @@ def test_verify_keeps_explicit_zero_seed(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--M", "0", "--trials", "200"], ["design", "--E", "0"],
-], ids=["verify-M=0", "design-E=0"])
+    ["design", "--theta", "inf"],  # a NaN preamble behind a RuntimeWarning
+], ids=["verify-M=0", "design-E=0", "design-theta=inf"])
 def test_zero_dimension_is_rejected(capsys, argv):
     rc = main(argv)
     assert rc == 2

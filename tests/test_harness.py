@@ -374,8 +374,12 @@ def test_no_preset_propagates(monkeypatch, name):
 
 
 def _assert_matches_the_reference(curves, cfg):
-    _, nmse, stderr_db = reference.chain(cfg)
-    for cu, want, se in zip(curves, nmse, stderr_db, strict=True):
+    # channel by channel, and so in each channel's place: a curve whose
+    # channels were shuffled keeps its nmse and stderr_db up to roundoff
+    ratios, nmse, stderr_db = reference.chain(cfg)
+    for cu, rows, want, se in zip(curves, ratios.transpose(1, 0, 2), nmse,
+                                  stderr_db, strict=True):
+        assert np.all(np.abs(cu.ratios - rows) <= 1e-10 * rows)
         assert np.all(np.abs(cu.nmse - want) <= 1e-10 * want)
         assert np.all(np.abs(cu.stderr_db - se) <= 1e-10 * se)
 

@@ -150,6 +150,18 @@ def test_equipower_two_impulse_family(desk):
             make_full_equipower_qam(k, m, 0.7, 0.0, desk.E, desk)
 
 
+@pytest.mark.parametrize("gamma, theta", [
+    (0.5, np.inf), (0.5, np.nan), (0.5, "0"), ("0.5", 0.0), (np.nan, 0.0),
+    (np.inf, 0.0), (True, 0.0),
+], ids=["theta=inf", "theta=nan", "theta=str", "gamma=str", "gamma=nan",
+        "gamma=inf", "gamma=True"])
+def test_two_impulse_takes_a_real_gamma_and_a_finite_theta(desk, gamma, theta):
+    # an infinite theta built NaN symbols behind a bare RuntimeWarning,
+    # and a string gamma raised TypeError
+    with pytest.raises(ValueError, match="gamma must|theta must"):
+        make_full_equipower_qam(0, 64, gamma, theta, desk.E, desk)
+
+
 def test_sparse_data_energy_declarations(desk, proto):
     sd = make_sparse_data("qam-sd", desk.E, 5, desk)
     e_x = desk.E / desk.L_h
