@@ -13,8 +13,8 @@ Conventions used by every routine here:
   * Error floors are the sigma -> 0 residuals of the projected estimator
     under the per-subcarrier-flat channel model, built from the exact pulse
     inner products of the whole grid, not just the first-order ones.  A
-    help pilot enters through the first-order weights it was solved from
-    (oqam.first_order_neighbours).  A channel is its impulse response h.
+    help pilot enters through its layout's help map (Preamble.help_c).
+    A channel is its impulse response h.
   * The data-averaged floor of a layout is linear in the channel before
     its squared norm is taken, so floor_map builds its channel-independent
     part once per layout and returns a function that contracts it with
@@ -39,13 +39,8 @@ from .fourier import cfr_samples_to_cir
 # unused here; perfbench's tracer test expects the name in this module
 from .fourier import dft_submatrix  # noqa: F401
 from .oqam import PrototypeFilter, design_prototype, sfb
-from .preambles import (
-    Preamble,
-    _data_neighbours,
-    make_equal_comb,
-    make_full_equipower_qam,
-    sparse_data_layout,
-)
+from .preambles import (Preamble, make_equal_comb, make_full_equipower_qam,
+                        sparse_data_layout)
 
 
 def papr(s) -> float:
@@ -102,8 +97,8 @@ def closed_form_mse(
     A sigma2 that is not a finite real number >= 0 raises ValueError.
     """
     _check_noise_variance("sigma2", sigma2)
+    _check_mode(mode, preamble, config)
     M, L_h, N = config.M, config.L_h, preamble.n_pilots
-    _check_mode(mode, N, M)
     inv2 = np.sum(1.0 / np.abs(preamble.divisors) ** 2, axis=-1)
     per_row = lambda v: float(v) if np.ndim(v) == 0 else v
     if mode == "raw":
@@ -131,6 +126,7 @@ def error_floor(preamble: Preamble, h, config: SystemConfig) -> float:
     come from the interference the divisor does not account for,
     propagated through the projected estimator.
     """
+    _check_mode("projected", preamble, config)
     if preamble.proto is None:
         return 0.0
     M, x = config.M, preamble.symbols
@@ -159,6 +155,7 @@ def floor_map(preamble: Preamble, config: SystemConfig):
     one keeps its error vector.  All but H is built here once; floor(H)
     costs one product of M-vectors plus one L_h-vector per helped symbol.
     """
+    _check_mode("projected", preamble, config)
     if preamble.proto is None or len(preamble.data_positions) == 0:
         return lambda H: 0.0
     proto, n_cols = preamble.proto, preamble.symbols.shape[1]
@@ -179,16 +176,14 @@ def floor_map(preamble: Preamble, config: SystemConfig):
         D = np.bincount(m, weights=d, minlength=M)  # summed per tone
         return lambda H: float(D @ np.abs(H) ** 2)
     # every pilot P of a two-column grid has a help pilot (P, 1) that
-    # carries -w/rho of each first-order data neighbour (see
-    # sparse_data_layout); it is solved channel-blind, so it arrives faded
-    # by H[P], and reaches pilot i with weight A(P - i, 1): column P of G
-    jk, w = _data_neighbours(idx, preamble.data_positions, n_cols, proto)
-    # (pilot, neighbour) pairs with data, in pilot order; the last offset
-    # is the help pilot
-    q, k = np.nonzero(jk[:, :-1] >= 0)
+    # carries help_c of the real amplitude of each data neighbour (see
+    # Preamble); it is solved channel-blind, so it arrives faded by H[P],
+    # and reaches pilot i with weight A(P - i, 1): column P of G
+    q, k = np.nonzero(preamble.help_c)  # (pilot, neighbour) pairs with data
     # row c of each pair's symbol among the helped symbols jh, and its
     # slot among the (at most two) pilots that symbol neighbours
-    jh, first, c = np.unique(jk[q, k], return_index=True, return_inverse=True)
+    jh, first, c = np.unique(preamble.help_j[q, k], return_index=True,
+                             return_inverse=True)
     slot = np.arange(len(c)) != first[c]
     # a helped symbol's error vector is kept explicitly, as B[c] applied
     # to the channel at tones[c]: its own fade (U), then one per help pilot
@@ -197,8 +192,8 @@ def floor_map(preamble: Preamble, config: SystemConfig):
     U, G = cir(m[jh, None], n[jh, None]), cir(idx[:, None], 1)
     B = np.zeros((len(jh), 2 + slot.max(), L_h), dtype=complex)
     tones = np.zeros(B.shape[:2], dtype=np.int64)  # padding: B = 0 there
-    B[:, 0], tones[:, 0] = U, m[jh]
-    B[c, 1 + slot] = -G[q] * (w[q, k] / w[q, -1])[:, None]
+    B[:, 0], tones[:, 0] = U * preamble.phase[jh, None], m[jh]
+    B[c, 1 + slot] = G[q] * preamble.help_c[q, k, None]
     tones[c, 1 + slot] = idx[q]
     d[jh] = 0.0
     D = np.bincount(m, weights=d, minlength=M)

@@ -19,7 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import SystemConfig, _check_noise_variance, _check_real
+from .config import (SystemConfig, _check_int, _check_noise_variance,
+                     _check_real)
 
 VEH_A_DELAYS_NS = np.array([0.0, 310.0, 710.0, 1090.0, 1730.0, 2510.0])
 VEH_A_POWERS_DB = np.array([0.0, -1.0, -9.0, -10.0, -15.0, -20.0])
@@ -56,9 +57,13 @@ def sample_profile(L_h: int) -> TapProfile:
     The sample period is set so the largest delay rounds to the tap
     round(_REF_LAST_TAP * L_h / _REF_L_H), capped at L_h - 1 so very
     short responses stay in range; paths rounding to the same sample
-    have their linear powers added.
+    have their linear powers added.  L_h is an integer >= 2 (else
+    ValueError).
     """
-    last = min(max(1, round(_REF_LAST_TAP * L_h / _REF_L_H)), L_h - 1)
+    _check_int("L_h", L_h)
+    if L_h < 2:
+        raise ValueError(f"L_h must be >= 2, got {L_h}")
+    last = min(round(_REF_LAST_TAP * L_h / _REF_L_H), L_h - 1)
     ts = VEH_A_DELAYS_NS.max() / last
     pos = np.round(VEH_A_DELAYS_NS / ts).astype(np.int64)
     lin = 10.0 ** (VEH_A_POWERS_DB / 10.0)

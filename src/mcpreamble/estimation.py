@@ -18,12 +18,20 @@ from .fourier import cfr_samples_to_cir
 from .preambles import Preamble
 
 
-def _check_mode(mode: str, n_pilots: int, M: int) -> None:
-    """Accept "projected" on any comb and "raw" on the full grid only."""
+def _check_mode(mode: str, preamble: Preamble, config: SystemConfig) -> None:
+    """Accept a preamble built for config's M, estimated "projected" from
+    at least L_h pilots or "raw" from every tone."""
     if mode not in ("raw", "projected"):
         raise ValueError(f"mode must be 'raw' or 'projected', got {mode!r}")
-    if mode == "raw" and n_pilots != M:
+    M, N = config.M, preamble.n_pilots
+    if len(preamble.symbols) != M:
+        raise ValueError(f"preamble built for M={len(preamble.symbols)} "
+                         f"on a system of M={M}")
+    if mode == "raw" and N != M:
         raise ValueError("raw mode needs a measurement on every tone")
+    if mode == "projected" and N < config.L_h:
+        raise ValueError(f"projected mode needs at least L_h={config.L_h} "
+                         f"pilots, got {N}")
 
 
 def estimate_from_pilots(
@@ -39,7 +47,7 @@ def estimate_from_pilots(
     """
     y = np.asarray(y, dtype=complex)
     N = preamble.n_pilots
-    _check_mode(mode, N, config.M)
+    _check_mode(mode, preamble, config)
     if y.shape[-1:] != (N,):
         raise ValueError(f"expected {N} pilot measurements, "
                          f"got {y.shape[-1] if y.ndim else 1}")

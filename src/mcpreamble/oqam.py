@@ -36,8 +36,9 @@ The filter banks take their centre phases from the same phase ramp.
 Pilots sit in column 0, which afb reads.  Their first-order neighbourhood,
 the tones p +/- 1 of column 0 and p - 1..p + 1 of column 1, is defined
 once, by first_order_neighbours: positions and literal-offset weights as
-arrays over the pilot tones.  The pseudo pilots here, the help pilots and
-their energy in preambles and the floors in analysis all read it.
+arrays over the pilot tones.  The pseudo pilots here and the help map of
+a helped layout (see preambles) are solved from it.  Every function here
+that takes tones takes integers in 0..M-1 only (else ValueError).
 
 Both filter banks have direct O(M*L_g) definitions; the implementations
 here use M-point FFTs after folding the pulse products modulo M, which is
@@ -125,7 +126,11 @@ class PrototypeFilter:
             w = np.zeros(L_g)
             w[valid] = self.g[src[valid]] * self.g[l[valid]]
             what = M * np.fft.ifft(_fold(w, 0, M))  # bin k: dm = k mod M
-            a = self._ramp * what[np.arange(1 - M, M) % M]
+            # _ramp's angle reduced modulo one turn in integers first: the
+            # unreduced one is off by up to 2e-12 rad at M = 1024
+            dm = np.arange(1 - M, M)
+            a = np.exp(-1j * np.pi * (dm * (L_g - 1) % (2 * M)) / M)
+            a = a * what[dm % M]
             a.flags.writeable = False
             self._kernels[dn] = a
         return self._kernels[dn]
@@ -137,9 +142,11 @@ class PrototypeFilter:
         return complex(self.kernel(dn)[dm + self.M - 1])
 
     def row(self, p, dn: int) -> np.ndarray:
-        """Weights of tones 0..M-1 (column dn) onto (p, 0), per tone p."""
+        """Weights of tones 0..M-1 (column dn) onto (p, 0), per tone p in
+        0..M-1 (else ValueError)."""
         M = self.M
-        return self.kernel(dn)[np.arange(M) - np.asarray(p)[..., None] + M - 1]
+        p = _check_tones(p, M)
+        return self.kernel(dn)[np.arange(M) - p[..., None] + M - 1]
 
     # Scalar shorthands for two first-order weights: their real parts,
     # which are the whole weight for a symmetric pulse.  An odd-length cut
@@ -204,6 +211,15 @@ def truncate_prototype(proto: PrototypeFilter, length: int) -> PrototypeFilter:
     g = proto.g[start:start + length].copy()
     g /= np.sqrt(np.sum(g ** 2))
     return PrototypeFilter(g=g, M=proto.M, K=None)
+
+
+def _check_tones(tones, M: int) -> np.ndarray:
+    """tones as an array, rejecting anything but integers in 0..M-1."""
+    t = np.asarray(tones)
+    if not (t.dtype.kind in "iu" and np.all((t >= 0) & (t < M))):
+        raise ValueError(f"tones must be integers in 0..{M - 1}, "
+                         f"got {t.tolist()!r}")
+    return t
 
 
 def _check_pulse(proto: PrototypeFilter, M: int) -> None:
@@ -298,11 +314,7 @@ def afb(r, proto: PrototypeFilter, tones) -> np.ndarray:
     tone raises ValueError.  r is (..., L) and the result (..., len(tones)):
     a stack of windows gives a stack of outputs.  afb_column reads any column.
     """
-    t = np.asarray(tones)
-    if not (t.dtype.kind in "iu" and np.all((t >= 0) & (t < proto.M))):
-        raise ValueError(f"tones must be integers in 0..{proto.M - 1}, "
-                         f"got {t.tolist()!r}")
-    return afb_column(r, proto, 0)[..., t]
+    return afb_column(r, proto, 0)[..., _check_tones(tones, proto.M)]
 
 
 # First-order offsets (dm, dn) around a pilot of column 0, the only pilot
@@ -320,11 +332,11 @@ def first_order_neighbours(tones, n_cols: int,
     the pilot, at the literal offset m - p (so the band edges pick up
     their sign).  The J columns follow FIRST_ORDER_OFFSETS for the columns
     n < n_cols of the grid; in a two-column grid the last one is the help
-    pilot (p, 1).
+    pilot (p, 1).  tones are integers in 0..M-1 (else ValueError).
     """
     M = proto.M
     dm, dn = np.array([o for o in FIRST_ORDER_OFFSETS if o[1] < n_cols]).T
-    p = np.asarray(tones, dtype=np.int64)[:, None]
+    p = _check_tones(tones, M).astype(np.int64)[:, None]
     m = (p + dm) % M
     table = np.stack([proto.kernel(k) for k in dn])  # row k: A(., dn[k])
     return (m, np.broadcast_to(dn, m.shape),
@@ -343,7 +355,7 @@ def pseudo_pilot(x: np.ndarray, proto: PrototypeFilter, tones) -> np.ndarray:
     instead of x_{p,0} alone removes the dominant intrinsic interference.
     """
     _check_pulse(proto, x.shape[0])
-    tones = np.asarray(tones, dtype=np.int64)
+    tones = _check_tones(tones, proto.M)
     m, n, w = first_order_neighbours(tones, x.shape[1], proto)
     c = x[tones, 0]
     for k in range(m.shape[1]):

@@ -19,10 +19,10 @@ antenna over its observation window:
     require help pilots (OQAM), and that expected cost is part of the
     declared training energy.  A help pilot is a fixed linear function
     of the data in its pilot's first-order neighbourhood
-    (oqam.first_order_neighbours), and its expected energy is read from
-    the same weights.  Everything but the data values is a layout, built
-    once (sparse_data_layout); a block of draws of its data is then one
-    stack of symbols (draw_sparse_data).
+    (oqam.first_order_neighbours), solved once into the layout's help
+    map help_c, from which its expected energy is read.  Everything but
+    the data values is a layout, built once (sparse_data_layout); a
+    block of draws of its data is then one stack (draw_sparse_data).
 
 A constructor builds an OQAM preamble exactly when it is given a pulse,
 and a Preamble rejects a pulse built for another M.  Amplitudes are
@@ -105,7 +105,9 @@ class Preamble:
         return len(self.pilot_idx)
 
     def scaled(self, amp: float) -> "Preamble":
-        """Same layout with every amplitude multiplied by amp."""
+        """Same layout with every amplitude multiplied by amp, a positive
+        and finite real number (else ValueError)."""
+        _check_energy("amp", amp)
         return replace(
             self,
             divisors=self.divisors * amp,
@@ -113,16 +115,6 @@ class Preamble:
             E=self.E * amp ** 2,
             E_train=self.E_train * amp ** 2,
         )
-
-
-def _data_neighbours(pilot_idx, positions, n_cols: int,
-                     proto: PrototypeFilter) -> tuple:
-    """(jk, w): data index (-1 for none) and weight of every neighbour of
-    first_order_neighbours, for data at the (m, n) rows of positions."""
-    nm, nn, w = first_order_neighbours(pilot_idx, n_cols, proto)
-    j = np.full((proto.M, n_cols), -1)  # data index of each grid position
-    j[positions[:, 0], positions[:, 1]] = np.arange(len(positions))
-    return j[nm, nn], w
 
 
 def save_preamble(p: Preamble, path) -> None:
@@ -298,7 +290,10 @@ def sparse_data_layout(
         # the help pilot (P, 1) of every pilot P takes the real amplitude
         # that cancels P's first-order neighbours; w[:, -1] is its own
         # weight rho, and its own position holds no data
-        jk, w = _data_neighbours(idx, positions, n_cols, proto)
+        nm, nn, w = first_order_neighbours(idx, n_cols, proto)
+        jk = np.full((M, n_cols), -1)  # data index of each grid position
+        jk[m, n] = np.arange(len(m))
+        jk = jk[nm, nn]
         has = jk >= 0
         helper = np.exp(1j * data_phase(idx, 1))
         # per unit real amplitude of each data neighbour
@@ -310,12 +305,11 @@ def sparse_data_layout(
             raise ValueError(
                 f"interference at pilot {idx[i]} is not on the helper "
                 f"axis (residual {coef[i, k].imag:.3e})")
-        helpers = dict(
-            help_j=np.where(has, jk, 0)[:, :-1],
-            help_c=np.where(has, coef.real, 0)[:, :-1] * helper[:, None])
+        help_c = np.where(has, coef.real, 0)[:, :-1] * helper[:, None]
+        helpers = dict(help_j=np.where(has, jk, 0)[:, :-1], help_c=help_c)
         # a data symbol's real amplitude carries E_x/2, so in expectation
-        # a help pilot costs E_x/2 * sum |w/rho|^2 over its data neighbours
-        e_train += e_x / 2.0 * np.sum(has * np.abs(w / w[:, -1:]) ** 2)
+        # a help pilot costs E_x/2 * sum |help_c|^2 over its data neighbours
+        e_train += e_x / 2.0 * np.sum(np.abs(help_c) ** 2)
 
     window = proto.L_g + (M // 2 if n_cols == 2 else 0)
     return Preamble(pilot_idx=idx, divisors=divisors, symbols=x, E=E,

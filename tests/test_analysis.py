@@ -324,6 +324,23 @@ def test_help_pilots_match_the_complex_cancellation_rule(layout, T, seed):
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
+@settings(max_examples=30, deadline=None)
+@given(data_layouts(("oqam-2", "oqam-3")))
+@example((*_TWO_PILOT, "oqam-2"))
+@example((*_TWO_PILOT, "oqam-3"))
+def test_help_pilot_energy_is_the_first_order_sum(layout):
+    # a data symbol's real amplitude carries E_x/2, so the help pilots
+    # cost E_x/2 * sum |w/rho|^2 over every pilot's data neighbours
+    cfg, proto, scenario = layout
+    p = sparse_data_layout(scenario, cfg.E, cfg, proto)
+    e_x = cfg.E / cfg.L_h
+    m, n, w = first_order_neighbours(p.pilot_idx, 2, proto)
+    data = np.zeros((cfg.M, 2), dtype=bool)
+    data[p.data_positions[:, 0], p.data_positions[:, 1]] = True
+    want = e_x / 2.0 * np.sum(data[m, n] * np.abs(w / w[:, -1:]) ** 2)
+    assert p.E_train - cfg.L_h * e_x == pytest.approx(want, rel=1e-12)
+
+
 def test_floor_map_of_the_paper_help_layout_stays_small():
     # the unhelped symbols' floor is a per-tone map, with no (pilots x
     # symbols) stack: paper fig6's sparse-data-3 layout, its pulse tables

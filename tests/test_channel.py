@@ -31,6 +31,13 @@ def test_profile_short_responses_stay_in_range():
         assert p.taps[-1] <= L_h - 1
 
 
+@pytest.mark.parametrize("L_h", [1, True, 1.5, 0, -4, "8"])
+def test_profile_takes_an_integer_length_of_two_or_more(L_h):
+    # 1 and True divided by zero, 1.5 gave one tap and 0 a TapProfile error
+    with pytest.raises(ValueError, match="L_h must be"):
+        sample_profile(L_h)
+
+
 def test_profile_scales_with_length():
     p16 = sample_profile(16)
     assert p16.taps[-1] == 14  # round(28 * 16 / 32)

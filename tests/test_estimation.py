@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 
 from mcpreamble import (
+    SystemConfig,
     afb,
     cfr_from_cir,
     cfr_samples_to_cir,
     closed_form_mse,
     demodulate,
+    design_prototype,
+    error_floor,
     estimate_from_pilots,
+    floor_map,
     gen_veh_a,
     make_equal_comb,
+    make_sparse_data,
     modulate,
     sfb,
 )
@@ -62,6 +67,45 @@ def test_estimator_has_two_explicit_modes(desk):
             estimate_from_pilots(y, p, desk, mode="auto")
         with pytest.raises(ValueError):
             closed_form_mse(p, 1.0, desk, mode="auto")
+
+
+_COMB = SystemConfig(M=128, L_h=8)
+
+
+@pytest.mark.parametrize("full, config, why", [
+    (False, SystemConfig(M=128, L_h=16), "at least L_h=16 pilots, got 8"),
+    (False, SystemConfig(M=64, L_h=8), "built for M=128"),
+    (True, SystemConfig(M=64, L_h=8), "built for M=128"),
+])
+def test_a_preamble_must_fit_its_config(full, config, why):
+    # the 8-pilot comb and the full OQAM column of M = 128, fitted on
+    # another L_h or M: closed_form_mse gave 2048, 512 and 350.9 and the
+    # estimator failed on "not equispaced"
+    pulse = design_prototype(_COMB.M, 4)
+    p = make_equal_comb(_COMB.M if full else 8, 0, 1.0, _COMB,
+                        pulse if full else None)
+    y = np.ones(p.n_pilots, dtype=complex)
+    with pytest.raises(ValueError, match=why):
+        closed_form_mse(p, 1.0, config)
+    with pytest.raises(ValueError, match=why):
+        estimate_from_pilots(y, p, config)
+    if full:
+        with pytest.raises(ValueError, match=why):
+            closed_form_mse(p, 1.0, config, mode="raw")
+        with pytest.raises(ValueError, match=why):
+            estimate_from_pilots(y, p, config, mode="raw")
+
+
+@pytest.mark.parametrize("scenario", ["oqam-1a", "oqam-3"])
+def test_a_layout_floor_must_fit_its_config(scenario):
+    # on another M both floors failed with a numpy broadcast error
+    pulse = design_prototype(_COMB.M, 4)
+    p = make_sparse_data(scenario, 1.0, 0, _COMB, pulse)
+    other = SystemConfig(M=64, L_h=8)
+    with pytest.raises(ValueError, match="built for M=128"):
+        floor_map(p, other)
+    with pytest.raises(ValueError, match="built for M=128"):
+        error_floor(p, np.ones(other.L_h), other)
 
 
 @pytest.mark.parametrize("mode", ["raw", "projected"])

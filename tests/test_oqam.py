@@ -235,6 +235,23 @@ def test_afb_rejects_tones_off_the_grid(small, small_proto, tone):
         afb(r, small_proto, tones)
 
 
+@pytest.mark.parametrize("tone", [-1, "M", 200, 0.5])
+def test_pulse_tables_reject_tones_off_the_grid(small, small_proto, tone):
+    # a tone past M read other tones' weights (200 gave the
+    # neighbours 71 and 73 at M = 128), and -1 failed with an IndexError
+    t = small.M if tone == "M" else tone
+    match = f"integers in 0..{small.M - 1}"
+    with pytest.raises(ValueError, match=match):
+        small_proto.row(t, 0)
+    with pytest.raises(ValueError, match=match):
+        small_proto.row([3, t], 1)
+    with pytest.raises(ValueError, match=match):
+        first_order_neighbours([3, t], 2, small_proto)
+    # 0.5 was read as tone 0
+    with pytest.raises(ValueError, match=match):
+        pseudo_pilot(np.ones((small.M, 2)), small_proto, [3, t])
+
+
 @pytest.mark.parametrize("cut", ["designed", "odd"])
 def test_fold_equals_add_at_reference(desk, proto, cut):
     # the odd M + L_h - 1 cut is not a multiple of M long, so its fold

@@ -11,6 +11,7 @@ from mcpreamble import (
     data_phase,
     design_prototype,
     draw_sparse_data,
+    first_order_neighbours,
     load_preamble_values,
     make_equal_comb,
     make_full_equipower_qam,
@@ -22,7 +23,7 @@ from mcpreamble import (
     tpr,
     truncate_prototype,
 )
-from mcpreamble import analysis, preambles
+from mcpreamble import analysis, oqam, preambles
 from mcpreamble.preambles import SCENARIOS
 
 E_REL = 1e-6
@@ -256,36 +257,35 @@ def test_make_sparse_data_keeps_its_symbols_for_an_integer_seed():
 
 
 @pytest.mark.parametrize("scenario", ["oqam-2", "oqam-3"])
-def test_layout_and_floor_read_one_data_neighbour_table(monkeypatch,
-                                                        scenario):
-    # the help pilots of a layout and its floor map take the data index
-    # and weight of every first-order neighbour from one function
-    tables, build = [], preambles._data_neighbours
-
-    def recorded(*args):
-        tables.append(build(*args))
-        return tables[-1]
-
-    monkeypatch.setattr(preambles, "_data_neighbours", recorded)
-    monkeypatch.setattr(analysis, "_data_neighbours", recorded)
+def test_floor_map_reads_the_layout_help_map(monkeypatch, scenario):
+    # the layout's help_j and help_c are the first-order cancellation
+    # weights, and its floor map reads them, not the first-order table
     cfg = SystemConfig(M=64, L_h=4, K=4, E=64.0)
-    layout = sparse_data_layout(scenario, cfg.E, cfg, design_prototype(64, 4))
-    analysis.floor_map(layout, cfg)
-    assert len(tables) == 2
-    (jk, w), (jk2, w2) = tables
-    assert np.array_equal(jk, jk2) and np.array_equal(w, w2)
+    proto = design_prototype(64, 4)
+    layout = sparse_data_layout(scenario, cfg.E, cfg, proto)
+    nm, nn, w = first_order_neighbours(layout.pilot_idx, 2, proto)
+    grid = np.full((cfg.M, 2), -1)  # data index of each grid position
+    pos = layout.data_positions
+    grid[pos[:, 0], pos[:, 1]] = np.arange(len(pos))
+    jk = grid[nm, nn]
     # the help pilot's own position (last) holds no data
-    has = jk[:, :-1] >= 0
     assert not np.any(jk[:, -1] >= 0)
+    has = jk[:, :-1] >= 0
     assert np.array_equal(layout.help_j, np.where(has, jk[:, :-1], 0))
     # help_c: the help pilot per unit real amplitude of each neighbour
-    mn = layout.data_positions[jk[:, :-1]]
-    m, n = mn[..., 0], mn[..., 1]
+    m, n = nm[:, :-1], nn[:, :-1]
     helper = np.exp(1j * data_phase(layout.pilot_idx, 1))[:, None]
     c = -np.exp(1j * data_phase(m, n)) * w[:, :-1] / (w[:, -1:] * helper)
     np.testing.assert_allclose(layout.help_c,
                                np.where(has, c.real, 0) * helper,
                                rtol=1e-14, atol=0)
+
+    def no_table(*args):
+        raise AssertionError("floor_map read the first-order table")
+
+    monkeypatch.setattr(oqam, "first_order_neighbours", no_table)
+    monkeypatch.setattr(preambles, "first_order_neighbours", no_table)
+    assert analysis.floor_map(layout, cfg)(np.ones(cfg.M)) > 0
 
 
 def _helper_ratio(scenario, cfg, proto):
@@ -384,6 +384,15 @@ def test_scaled_preamble(desk, proto):
     assert np.max(np.abs(q.divisors - 0.5 * p.divisors)) < 1e-12
     assert np.max(np.abs(q.symbols - 0.5 * p.symbols)) < 1e-12
     assert p.symbols[p.pilot_idx[0], 0] != q.symbols[p.pilot_idx[0], 0]
+
+
+@pytest.mark.parametrize("amp", [np.nan, np.inf, 0.0, -1.0, True, "1"])
+def test_scaled_takes_a_positive_finite_amplitude(amp):
+    # NaN gave a NaN preamble, 0 one of E = 0 that closed_form_mse
+    # divided by
+    p = make_equal_comb(8, 0, 1.0, SystemConfig(128, 8))
+    with pytest.raises(ValueError, match="amp must be"):
+        p.scaled(amp)
 
 
 def test_preamble_serialization_roundtrip(tmp_path, desk, proto):
