@@ -97,11 +97,16 @@ def gen_veh_a(seed, config: SystemConfig) -> np.ndarray:
 
 
 def cfr_from_cir(h, M: int) -> np.ndarray:
-    """Channel frequency response F_{M x L_h} h (zero-padded FFT)."""
-    h = np.asarray(h, dtype=complex).reshape(-1)
-    if len(h) > M:
+    """Channel frequency response F_{M x L_h} h (zero-padded FFT).
+
+    h is (..., L_h), one impulse response per row along the last axis
+    (a scalar is one tap), and the CFR (..., M): a stack gives one CFR per
+    row.  L_h > M raises ValueError.
+    """
+    h = np.atleast_1d(np.asarray(h, dtype=complex))
+    if h.shape[-1] > M:
         raise ValueError("impulse response longer than the DFT size")
-    return np.fft.fft(h, n=M)
+    return np.fft.fft(h, n=M, axis=-1)
 
 
 def awgn(n, seed) -> np.ndarray:

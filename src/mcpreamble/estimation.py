@@ -7,6 +7,8 @@ modes: "raw" keeps those samples (full-grid preambles only), and
 "projected" fits the channel's short impulse response through them by
 least squares and returns its zero-padded DFT.  The fit is one operator
 for every equispaced pilot comb, the full grid (N = M) included.
+estimate_from_pilots checks its inputs on every call; pilot_fit checks a
+preamble once and returns its fit for any number of measurement sets.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import SystemConfig
-from .fourier import cfr_samples_to_cir
+from .fourier import cfr_samples_to_cir, cir_fit
 from .preambles import Preamble
 
 
@@ -59,3 +61,24 @@ def estimate_from_pilots(
     h_hat = cfr_samples_to_cir(ratios, config.M, preamble.pilot_idx,
                                config.L_h)
     return np.fft.fft(h_hat, n=config.M, axis=-1)
+
+
+def pilot_fit(preamble: Preamble, config: SystemConfig,
+              mode: str = "projected"):
+    """The LS fit of estimate_from_pilots on one preamble, checked once.
+
+    Returns a function, which checks nothing, from (..., N) pilot
+    measurements to the estimate in the estimator's own coordinates: the
+    (..., M) per-tone ratios for "raw", the (..., L_h) fitted taps for
+    "projected", whose DFT is the M-tone estimate and, by Parseval, has M
+    times their squared distances.  A mode or preamble estimate_from_pilots
+    rejects raises ValueError here.
+    """
+    _check_mode(mode, preamble, config)
+    if np.any(preamble.divisors == 0):
+        raise ValueError("preamble has a zero divisor")
+    divisors = preamble.divisors
+    if mode == "raw":
+        return lambda y: y / divisors
+    taps = cir_fit(config.M, preamble.pilot_idx, config.L_h)
+    return lambda y: taps(y / divisors)

@@ -70,6 +70,31 @@ def cp_gram(M: int, nu: int) -> np.ndarray:
     return F @ F.conj().T
 
 
+def cir_fit(M: int, indices, L_h: int):
+    """The fit of cfr_samples_to_cir on one index set, checked once.
+
+    Returns a function from (..., N) CFR samples on the indices to their
+    (..., L_h) least-squares CIR, which checks nothing.  Fewer than L_h
+    indices, or a set that is not i_0 + k*M/N, raises ValueError here.
+    """
+    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+    N = len(idx)
+    if N < L_h:
+        raise ValueError(f"need at least L_h={L_h} samples, got {N}")
+    step = M // N
+    if N * step != M or np.any(np.diff(idx) != step):
+        raise ValueError("index set is not equispaced over 0..M-1")
+    rot = np.exp(2j * np.pi * idx[0] * np.arange(L_h) / M) if idx[0] else None
+
+    def fit(H_sub) -> np.ndarray:
+        h = np.fft.ifft(H_sub, axis=-1)[..., :L_h]
+        if rot is not None:
+            h *= rot
+        return h
+
+    return fit
+
+
 def cfr_samples_to_cir(H_sub, M: int, indices, L_h: int) -> np.ndarray:
     """Least-squares CIR from CFR samples on an equispaced index set.
 
@@ -82,15 +107,6 @@ def cfr_samples_to_cir(H_sub, M: int, indices, L_h: int) -> np.ndarray:
     """
     idx = np.asarray(indices, dtype=np.int64).reshape(-1)
     H_sub = np.asarray(H_sub, dtype=complex)
-    N = len(idx)
-    if H_sub.shape[-1:] != (N,):
+    if H_sub.shape[-1:] != (len(idx),):
         raise ValueError("index set and sample vector lengths differ")
-    if N < L_h:
-        raise ValueError(f"need at least L_h={L_h} samples, got {N}")
-    step = M // N
-    if N * step != M or np.any(np.diff(idx) != step):
-        raise ValueError("index set is not equispaced over 0..M-1")
-    h = np.fft.ifft(H_sub, axis=-1)[..., :L_h]
-    if idx[0]:
-        h *= np.exp(2j * np.pi * idx[0] * np.arange(L_h) / M)
-    return h
+    return cir_fit(M, idx, L_h)(H_sub)

@@ -11,11 +11,15 @@ linear in the received samples, so a trial's error is the noiseless
 error plus the unit-noise error scaled to each point.  A curve's draws
 on one channel go through receive and estimation as one stack (in blocks
 of about 1 MB of noise), and each draw reduces to three sums from which
-every point follows.  The chain is linear in the channel taps too: a
-static preamble's noiseless estimate is its response to each tap, built
-once per curve, weighted by the channel's taps.  A preamble redrawn per
-draw is a layout built once per curve; a block of its draws is drawn,
-synthesized and shifted to each channel tap as one stack.  Only a pulse
+every point follows.  They are taken in the estimator's coordinates,
+with no M-point FFT per fit: a projected curve's L_h taps against the
+channel's taps h, with weight M (by Parseval, as F_{M x L_h}^H F_{M x L_h}
+= M I), a raw curve's M per-tone ratios against H, with weight 1.  The
+chain is linear in the channel taps too: a static preamble's noiseless
+estimate is its response to each tap, built once per curve, weighted by
+the channel's taps.  A preamble redrawn per draw is a layout built once
+per curve; a block of its draws is drawn, synthesized and shifted to
+each channel tap as one stack.  Only a pulse
 carries data to the pilots: behind a prefix covering the channel, CP-OFDM
 pilots never see the data tones, whose only cost is prefix energy, so
 such a curve is static and has no data stream.  Channel and noise are
@@ -51,7 +55,7 @@ from .channel import (_veh_a_profile, awgn, cfr_from_cir, ebn0_to_sigma2,
                       gen_veh_a)
 from .config import SystemConfig, _check_energy, _check_int
 from .cpofdm import demodulate, modulate
-from .estimation import estimate_from_pilots
+from .estimation import pilot_fit
 from .oqam import afb, afb_column, design_prototype, sfb, truncate_prototype
 from .preambles import (Preamble, draw_sparse_data, make_equal_comb,
                         sparse_data_layout)
@@ -62,12 +66,21 @@ _TAG_NOISE = 301
 _TAG_DATA = 201
 
 
+def _check_csv_field(name: str, value) -> None:
+    """Reject anything but a str that write_csv writes as one field: it
+    quotes nothing, so a comma, double quote or line break splits a row."""
+    if not isinstance(value, str) or any(c in value for c in ',"\r\n'):
+        raise ValueError(f"{name} must be a str without a comma, double "
+                         f"quote or line break, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CurveSpec:
     """One curve of an experiment: its preamble is an equal comb of
     n_pilots tones (all M when None), or the sparse-plus-data layout of a
     scenario, which fixes its own N = L_h pilots.  `family` names which
-    of the three it is.  A spec that sets both, a system other than
+    of the three it is.  A label write_csv cannot write as one field (see
+    _check_csv_field), a spec that sets both, a system other than
     "cpofdm" or "oqam", an e_scale that is not a positive finite real, an
     n_pilots or truncate_to that is not an integer (the curve cache would
     take 8.0 for 8), or truncate_to on a "cpofdm" curve raises ValueError
@@ -85,6 +98,7 @@ class CurveSpec:
 
     def __post_init__(self) -> None:
         curve = f"curve {self.label!r}"
+        _check_csv_field(f"{curve}: label", self.label)
         if self.system not in ("cpofdm", "oqam"):
             raise ValueError(f"{curve}: system must be 'cpofdm' or 'oqam', "
                              f"got {self.system!r}")
@@ -114,7 +128,8 @@ class ExperimentConfig:
 
     curves and ebn0_db take any sequence but a scalar and are stored as
     tuples, so a config hashes (the per-process curve cache is keyed on
-    it) and compares by value.  Dimensions SystemConfig rejects, a seed
+    it) and compares by value.  A name write_csv cannot write as one
+    field (see _check_csv_field), dimensions SystemConfig rejects, a seed
     below 0, fewer than 2 channels (the standard error is taken across
     them), no noise draw or worker, no curves, or an empty Eb/N0 grid or
     a point of it without a positive, finite sigma2 raise ValueError."""
@@ -133,6 +148,7 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        _check_csv_field("name", self.name)
         for name in ("curves", "ebn0_db"):
             try:
                 object.__setattr__(self, name, tuple(getattr(self, name)))
@@ -212,12 +228,16 @@ class _CurveRuntime:
     checks the estimator.  Every draw shares the pilot tones and
     divisors, so one estimate serves a stack of draws; `n_rx` is the
     preamble's window plus L_h - 1 and `tones` the receiver's output on
-    all M tones.  `taps` is None exactly where a pulse carries data to
-    the pilots, whose curve is redrawn per draw; else row k is the
-    noiseless estimate through the whole chain for a unit tap at the
-    k-th of the `delays` the channel model occupies
-    (channel._veh_a_profile): its samples shifted to that delay, received
-    and fitted.
+    all M tones.  `fit` is the estimator's LS fit, checked once
+    (estimation.pilot_fit), in its own coordinates: the L_h taps of a
+    projected curve (`in_taps`), scored against h with weight M, or the
+    M per-tone ratios of a raw one, against H with weight 1.  `taps`
+    is None exactly where a pulse carries data to the pilots, whose
+    curve is redrawn per draw; else row k is the noiseless estimate in
+    those coordinates through the whole chain for a unit tap at the k-th
+    of the `delays` the channel model occupies (channel._veh_a_profile):
+    its samples shifted to that delay, received and fitted, so `taps` is
+    (6, L_h) for a projected curve.
     """
 
     def __init__(self, spec: CurveSpec, sc: SystemConfig, ref: Preamble | None):
@@ -247,7 +267,8 @@ class _CurveRuntime:
         self.gain = closed_form_mse(p, 1.0, sc, mode=spec.estimator)
         self.pilot_idx = p.pilot_idx
         self.n_rx = p.window + sc.L_h - 1
-        self.fit = lambda y: estimate_from_pilots(y, p, sc, mode=spec.estimator)
+        self.fit = pilot_fit(p, sc, spec.estimator)
+        self.in_taps = spec.estimator == "projected"
         self.taps = None
         # CP-OFDM pilots never see the data: such a curve is static
         if spec.scenario is None or self.proto is None:
@@ -258,7 +279,8 @@ class _CurveRuntime:
             self.taps = self.estimate(r)
 
     def estimate(self, r) -> np.ndarray:
-        """Channel estimates over all M tones from (..., n_rx) samples r."""
+        """Channel estimates, in the fit's coordinates, from (..., n_rx)
+        samples r."""
         return self.fit(self.receive(r))
 
     def delayed(self, s, h) -> np.ndarray:
@@ -302,11 +324,14 @@ def _run_channel(args) -> tuple:
     """All trials of one channel, as raw sums: it reads no noise level.
 
     Returns per curve the totals over the draws of sum |a|^2,
-    sum Re(conj(a) e) and sum |e|^2 (a (3, curve) array), per curve the
-    unnormalized floor(H), and ||H||^2.  The estimate is linear in the
-    received samples, so the error of draw t at noise level sigma is
-    a + sigma * e: a from the noiseless pass, e from the unit-noise pass.
-    A static preamble's a is h[delays] @ taps - H (CP-OFDM data beside
+    sum Re(conj(a) e) and sum |e|^2 over the M tones (a (3, curve)
+    array), per curve the unnormalized floor(H), and ||H||^2.  The
+    estimate is linear in the received samples, so the error of draw t
+    at noise level sigma is a + sigma * e: a from the noiseless pass, e
+    from the unit-noise pass, both in the curve's coordinates.  The sums
+    are taken over a projected curve's L_h taps, their totals times M
+    (Parseval), or over a raw curve's M tones.  A static preamble's a is
+    h[delays] @ taps less h or H (CP-OFDM data beside
     the pilots included); a redrawn one takes the chain per draw, with
     the channel as its delay line (delayed).  The channel's unit noise
     is one generator, seeded [seed, 301, c], and a curve i whose preamble
@@ -330,8 +355,9 @@ def _run_channel(args) -> tuple:
     block = max(1, _BLOCK_SAMPLES // n_win)
     # sum |a|^2, sum Re(conj(a) e), sum |e|^2 per curve and draw
     sums = np.zeros((3, len(runtimes), cfg.n_noise))
-    a = [None if rt.taps is None else h[rt.delays] @ rt.taps - H
-         for rt in runtimes]
+    truth = [h if rt.in_taps else H for rt in runtimes]
+    a = [None if rt.taps is None else h[rt.delays] @ rt.taps - truth[i]
+         for i, rt in enumerate(runtimes)]
     receivers = {rt.proto: rt.tones for rt in runtimes}
     noise = np.random.default_rng([cfg.seed, _TAG_NOISE, c])
     data = [np.random.default_rng([cfg.seed, _TAG_DATA, c, i])
@@ -344,12 +370,14 @@ def _run_channel(args) -> tuple:
             if rt.taps is None:
                 # one expression: a bound draw would outlive its synthesis
                 a[i] = rt.estimate(rt.delayed(rt.synthesize(draw_sparse_data(
-                    rt.preamble, data[i], hi - lo)), h)) - H
+                    rt.preamble, data[i], hi - lo)), h)) - truth[i]
             e = rt.fit(y[rt.proto][..., rt.pilot_idx])
             sums[0, i, lo:hi] = np.sum(np.abs(a[i]) ** 2, axis=-1)
             sums[1, i, lo:hi] = np.sum((a[i].conj() * e).real, axis=-1)
             sums[2, i, lo:hi] = np.sum(np.abs(e) ** 2, axis=-1)
-    return sums.sum(axis=-1), floors, float(np.sum(np.abs(H) ** 2))
+    weights = [sc.M if rt.in_taps else 1 for rt in runtimes]
+    return (sums.sum(axis=-1) * weights, floors,
+            float(np.sum(np.abs(H) ** 2)))
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[MseCurve]:

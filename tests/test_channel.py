@@ -87,6 +87,20 @@ def test_cfr_from_cir_is_padded_fft():
         assert abs(H[m] - direct) < 1e-9
 
 
+def test_cfr_from_cir_takes_a_stack_of_responses():
+    # rows along the last axis, each its own CFR; it flattened a stack
+    # into one response of the concatenated rows
+    rng = np.random.default_rng(1)
+    h = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
+    H = cfr_from_cir(h, 16)
+    assert H.shape == (2, 3, 16)
+    for t in np.ndindex(2, 3):
+        assert np.array_equal(H[t], cfr_from_cir(h[t], 16))
+    assert cfr_from_cir(np.ones((2, 4)), 16).shape == (2, 16)
+    with pytest.raises(ValueError, match="longer than the DFT size"):
+        cfr_from_cir(np.ones((2, 17)), 16)
+
+
 def test_propagate_noiseless_is_convolution():
     rng = np.random.default_rng(5)
     s = rng.standard_normal(40) + 1j * rng.standard_normal(40)

@@ -1,7 +1,9 @@
 import ast
 import concurrent.futures
+import csv
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -138,6 +140,19 @@ def test_a_curve_is_rejected_before_any_work(monkeypatch, bad, why):
     with pytest.raises(ValueError, match=f"curve 'sparse': .*{why}"):
         spec = dataclasses.replace(cfg.curves[1], **bad)
         run_experiment(dataclasses.replace(cfg, curves=(cfg.curves[0], spec)))
+
+
+# write_csv quotes no field: the label "a,b" wrote an 11-field row, which
+# csv.DictReader read as preamble 'a' and ebn0_db 'b'
+_NOT_ONE_FIELD = ["a,b", 'a"b', "a\nb", "a\rb", 7, None]
+
+
+@pytest.mark.parametrize("label", _NOT_ONE_FIELD)
+def test_a_curve_label_must_be_one_csv_field(label):
+    spec = preset("fig4b", "desk").curves[1]
+    with pytest.raises(ValueError, match=rf"^curve {re.escape(repr(label))}: "
+                                         "label must be a str without"):
+        dataclasses.replace(spec, label=label)
 
 
 def test_runs_are_deterministic(tmp_path):
@@ -293,18 +308,27 @@ def test_curves_on_one_pulse_share_it(monkeypatch):
 @pytest.mark.parametrize("name", ["fig4b", "fig3", "fig6"])
 def test_chain_calls_do_not_grow_with_the_draws(monkeypatch, name):
     # a curve's draws go through one synthesis, one delay line, one
-    # receive and one estimate as a stack, a preamble redrawn per draw too
+    # receive and one fit as a stack, a preamble redrawn per draw too
     counts = []
     for n_noise in (2, 12):
         calls = []
-        chain = [(harness, fn) for fn in ("sfb", "modulate", "afb",
-                 "afb_column", "demodulate", "estimate_from_pilots")]
-        for owner, fn in chain + [(harness._CurveRuntime, "delayed")]:
-            def counted(*args, _fn=getattr(owner, fn), **kwargs):
+
+        def counted(_fn):
+            def call(*args, **kwargs):
                 calls.append(_fn)
                 return _fn(*args, **kwargs)
 
-            monkeypatch.setattr(owner, fn, counted)
+            return call
+
+        chain = [(harness, fn) for fn in ("sfb", "modulate", "afb",
+                 "afb_column", "demodulate")]
+        for owner, fn in chain + [(harness._CurveRuntime, "delayed")]:
+            monkeypatch.setattr(owner, fn, counted(getattr(owner, fn)))
+        # each curve's fit, built with the curve
+        fit = harness.pilot_fit
+        monkeypatch.setattr(harness, "pilot_fit",
+                            lambda *args: counted(fit(*args)))
+        harness._runtimes.cache_clear()
         run_experiment(preset(name, scale="desk", n_channels=2,
                               n_noise=n_noise))
         monkeypatch.undo()
@@ -718,6 +742,26 @@ def test_run_experiment_rejects_bad_inputs_before_any_work(monkeypatch, bad):
     cfg = preset("fig1a", scale="desk", n_channels=3, n_noise=2)
     with pytest.raises(ValueError):
         dataclasses.replace(cfg, **bad)
+
+
+@pytest.mark.parametrize("name", _NOT_ONE_FIELD)
+def test_an_experiment_name_must_be_one_csv_field(name):
+    cfg = preset("fig1a", scale="desk", n_channels=3, n_noise=2)
+    with pytest.raises(ValueError, match="^name must be a str without"):
+        dataclasses.replace(cfg, name=name)
+
+
+def test_labels_and_names_read_back_from_the_csv(tmp_path):
+    # what the checks let through is one field each
+    cfg = preset("fig1a", scale="desk", n_channels=2, n_noise=1,
+                 ebn0_db=(10.0,))
+    spec = dataclasses.replace(cfg.curves[1], label="sparse (L_h) 'x'")
+    cfg = dataclasses.replace(cfg, name="fig 1a;b", curves=(cfg.curves[0], spec))
+    write_csv(run_experiment(cfg), tmp_path / "out.csv", cfg.name)
+    with open(tmp_path / "out.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["preset"], r["preamble"]) for r in rows] == [
+        (cfg.name, c.label) for c in cfg.curves]
 
 
 def test_a_config_takes_any_sequence_of_curves_and_points(monkeypatch):

@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 from mcpreamble import (
     SystemConfig,
     antenna_energy,
+    cfr_from_cir,
     cp_energy,
     cp_gram,
     design_prototype,
+    estimate_from_pilots,
     make_equal_comb,
     make_sparse_data,
     truncate_prototype,
 )
+from mcpreamble.estimation import pilot_fit
 
 
 @st.composite
@@ -72,6 +75,30 @@ def test_equispaced_comb_leaves_the_prefix_empty(system, data):
     i_0 = data.draw(st.integers(0, cfg.M // N - 1))
     p = make_equal_comb(N, i_0, cfg.E, cfg)
     assert cp_energy(p.symbols, cfg) <= 1e-12 * cfg.E
+
+
+@settings(max_examples=40, deadline=None)
+@given(oqam_systems(), st.data(), st.integers(0, 2 ** 32 - 1))
+def test_a_projected_fit_is_scored_in_its_taps(system, data, seed):
+    # F_{M x L_h}^H F_{M x L_h} = M I (Parseval), so the squared error of
+    # a projected estimate over the M tones is M times that of its L_h
+    # taps, and so is the cross term of two: the engine scores in taps.
+    # Every comb of N >= L_h tones dividing M, at every offset
+    cfg = system[0]
+    M = cfg.M
+    N = 2 ** data.draw(st.integers(int(np.log2(cfg.L_h)), int(np.log2(M))))
+    p = make_equal_comb(N, data.draw(st.integers(0, M // N - 1)), cfg.E, cfg)
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((2, N)) + 1j * rng.standard_normal((2, N))
+    h = rng.standard_normal(cfg.L_h) + 1j * rng.standard_normal(cfg.L_h)
+    tones = estimate_from_pilots(y, p, cfg) - cfr_from_cir(h, M)
+    taps = pilot_fit(p, cfg)(y) - h
+    norm2 = np.sum(np.abs(taps) ** 2, axis=-1)
+    assert np.sum(np.abs(tones) ** 2, axis=-1) == pytest.approx(M * norm2,
+                                                               rel=1e-12)
+    cross = np.vdot(tones[0], tones[1]).real
+    assert abs(cross - M * np.vdot(taps[0], taps[1]).real) <= (
+        1e-12 * M * np.sqrt(norm2[0] * norm2[1]))
 
 
 @settings(max_examples=30, deadline=None)
