@@ -149,18 +149,18 @@ def floor_map(preamble: Preamble, config: SystemConfig):
     scenarios, through the help-pilot amplitudes it induces.  With
     independent zero-mean data of energy e_d per symbol the expected
     residual is e_d times a squared Frobenius norm of that linear map.
-    By Parseval, as the LS fit of the N = L_h comb pilots keeps every tap
-    (else ValueError), an unhelped unit symbol (m, n) leaves (1/N) sum_i
-    |A(m - p_i, n)|^2 / a_i^2 before its fade: a per-tone map.  A helped
-    one keeps its error vector.  All but H is built here once; floor(H)
-    costs one product of M-vectors plus one L_h-vector per helped symbol.
+    By Parseval, the LS fit of the N = L_h comb pilots (else ValueError)
+    keeps 1/N of their distortion's energy, so none is taken: an unhelped
+    unit symbol (m, n) leaves (1/N) sum_i |A(m - p_i, n)|^2 / a_i^2 before
+    its fade, a per-tone map, and a helped one keeps its pilot errors.
+    All but H is built here once; floor(H) costs one product of M-vectors
+    plus one N-vector per helped symbol.
     """
     _check_mode("projected", preamble, config)
     if preamble.proto is None or len(preamble.data_positions) == 0:
         return lambda H: 0.0
     proto, n_cols = preamble.proto, preamble.symbols.shape[1]
-    M, L_h = config.M, config.L_h
-    idx = preamble.pilot_idx
+    M, L_h, idx = config.M, config.L_h, preamble.pilot_idx
     if len(idx) != L_h:
         raise ValueError(f"a data layout has L_h={L_h} pilots, got {len(idx)}")
     a = np.abs(preamble.divisors)  # the pilot amplitudes
@@ -178,18 +178,17 @@ def floor_map(preamble: Preamble, config: SystemConfig):
     # every pilot P of a two-column grid has a help pilot (P, 1) that
     # carries help_c of the real amplitude of each data neighbour (see
     # Preamble); it is solved channel-blind, so it arrives faded by H[P],
-    # and reaches pilot i with weight A(P - i, 1): column P of G
+    # and reaches pilot i with weight A(P - i, 1) / a_i: row P of G
     q, k = np.nonzero(preamble.help_c)  # (pilot, neighbour) pairs with data
     # row c of each pair's symbol among the helped symbols jh, and its
     # slot among the (at most two) pilots that symbol neighbours
     jh, first, c = np.unique(preamble.help_j[q, k], return_index=True,
                              return_inverse=True)
     slot = np.arange(len(c)) != first[c]
-    # a helped symbol's error vector is kept explicitly, as B[c] applied
+    # a helped symbol's pilot errors are kept explicitly, as B[c] applied
     # to the channel at tones[c]: its own fade (U), then one per help pilot
-    cir = lambda m_, n_: cfr_samples_to_cir(
-        amb[n_, M - 1 + m_ - idx] / a, M, idx, L_h)
-    U, G = cir(m[jh, None], n[jh, None]), cir(idx[:, None], 1)
+    U = amb[n[jh, None], M - 1 + m[jh, None] - idx] / a
+    G = amb[1, M - 1 + idx[:, None] - idx] / a
     B = np.zeros((len(jh), 2 + slot.max(), L_h), dtype=complex)
     tones = np.zeros(B.shape[:2], dtype=np.int64)  # padding: B = 0 there
     B[:, 0], tones[:, 0] = U * preamble.phase[jh, None], m[jh]
@@ -200,7 +199,7 @@ def floor_map(preamble: Preamble, config: SystemConfig):
 
     def floor(H):
         Ah = H[tones][:, None, :] @ B
-        return float(D @ np.abs(H) ** 2 + s * np.vdot(Ah, Ah).real)
+        return float(D @ np.abs(H) ** 2 + s / L_h * np.vdot(Ah, Ah).real)
 
     return floor
 

@@ -21,8 +21,8 @@ from .preambles import Preamble
 
 
 def _check_mode(mode: str, preamble: Preamble, config: SystemConfig) -> None:
-    """Accept a preamble built for config's M, estimated "projected" from
-    at least L_h pilots or "raw" from every tone."""
+    """Accept a preamble for config's M, with no zero divisor, estimated
+    "projected" from at least L_h pilots or "raw" from every tone."""
     if mode not in ("raw", "projected"):
         raise ValueError(f"mode must be 'raw' or 'projected', got {mode!r}")
     M, N = config.M, preamble.n_pilots
@@ -34,6 +34,8 @@ def _check_mode(mode: str, preamble: Preamble, config: SystemConfig) -> None:
     if mode == "projected" and N < config.L_h:
         raise ValueError(f"projected mode needs at least L_h={config.L_h} "
                          f"pilots, got {N}")
+    if np.any(preamble.divisors == 0):
+        raise ValueError("preamble has a zero divisor")
 
 
 def estimate_from_pilots(
@@ -48,13 +50,10 @@ def estimate_from_pilots(
     row, each exactly the row's own.
     """
     y = np.asarray(y, dtype=complex)
-    N = preamble.n_pilots
     _check_mode(mode, preamble, config)
-    if y.shape[-1:] != (N,):
-        raise ValueError(f"expected {N} pilot measurements, "
+    if y.shape[-1:] != (preamble.n_pilots,):
+        raise ValueError(f"expected {preamble.n_pilots} pilot measurements, "
                          f"got {y.shape[-1] if y.ndim else 1}")
-    if np.any(preamble.divisors == 0):
-        raise ValueError("preamble has a zero divisor")
     ratios = y / preamble.divisors
     if mode == "raw":
         return ratios
@@ -75,8 +74,6 @@ def pilot_fit(preamble: Preamble, config: SystemConfig,
     rejects raises ValueError here.
     """
     _check_mode(mode, preamble, config)
-    if np.any(preamble.divisors == 0):
-        raise ValueError("preamble has a zero divisor")
     divisors = preamble.divisors
     if mode == "raw":
         return lambda y: y / divisors

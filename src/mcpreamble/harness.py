@@ -342,8 +342,9 @@ def _run_channel(args) -> tuple:
     _BLOCK_SAMPLES noise samples and takes one receive per receiver
     (keyed on the pulse, None for CP-OFDM), which reads only its own part
     of the window, and one estimate per curve, plus a synthesis, a delay
-    line, a receive and an estimate for a preamble redrawn per draw; no
-    row's result depends on its block.
+    line, a receive and an estimate for a preamble redrawn per draw.  The
+    pilots are gathered row-major (take), as numpy sums a column-major
+    stack's rows in another order: no row's result depends on its block.
     """
     cfg, c = args
     runtimes = _runtimes(cfg)
@@ -371,7 +372,7 @@ def _run_channel(args) -> tuple:
                 # one expression: a bound draw would outlive its synthesis
                 a[i] = rt.estimate(rt.delayed(rt.synthesize(draw_sparse_data(
                     rt.preamble, data[i], hi - lo)), h)) - truth[i]
-            e = rt.fit(y[rt.proto][..., rt.pilot_idx])
+            e = rt.fit(y[rt.proto].take(rt.pilot_idx, -1))
             sums[0, i, lo:hi] = np.sum(np.abs(a[i]) ** 2, axis=-1)
             sums[1, i, lo:hi] = np.sum((a[i].conj() * e).real, axis=-1)
             sums[2, i, lo:hi] = np.sum(np.abs(e) ** 2, axis=-1)
@@ -424,6 +425,7 @@ CSV_HEADER = ("preset,scheme,preamble,ebn0_db,nmse_db,nmse_linear,"
 
 def write_csv(curves: list, path, preset_name: str) -> None:
     """Fixed-format CSV so identical runs give identical bytes."""
+    _check_csv_field("preset_name", preset_name)
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
         for cu in curves:

@@ -106,18 +106,21 @@ class PrototypeFilter:
 
     @cached_property
     def _ramp(self) -> np.ndarray:
-        """exp(-j*2*pi*dm*c/M), dm = -(M-1)..M-1: the phase of A, read-only."""
-        dm = np.arange(1 - self.M, self.M)
-        ramp = np.exp(-2j * np.pi * dm * self.center / self.M)
+        """exp(-j*2*pi*dm*c/M), dm = -(M-1)..M-1, read-only: the centre phase
+        of A and of both filter banks.  Its angle is reduced modulo one turn
+        in integers, as unreduced it is off by up to 2e-12 rad at M = 1024."""
+        M, dm = self.M, np.arange(1 - self.M, self.M)
+        ramp = np.exp(-1j * np.pi * (dm * (self.L_g - 1) % (2 * M)) / M)
         ramp.flags.writeable = False
         return ramp
 
     def kernel(self, dn: int) -> np.ndarray:
         """A(dm, dn) at every literal offset dm = -(M-1)..M-1, in that order.
 
-        Built once per pulse and dn, read-only; the sum over l folds
-        modulo M into one M-point FFT.
+        Built once per pulse and integer dn (else ValueError), read-only;
+        the sum over l folds modulo M into one M-point FFT.
         """
+        _check_int("dn", dn)
         if dn not in self._kernels:
             M, L_g = self.M, self.L_g
             l = np.arange(L_g)
@@ -126,17 +129,14 @@ class PrototypeFilter:
             w = np.zeros(L_g)
             w[valid] = self.g[src[valid]] * self.g[l[valid]]
             what = M * np.fft.ifft(_fold(w, 0, M))  # bin k: dm = k mod M
-            # _ramp's angle reduced modulo one turn in integers first: the
-            # unreduced one is off by up to 2e-12 rad at M = 1024
-            dm = np.arange(1 - M, M)
-            a = np.exp(-1j * np.pi * (dm * (L_g - 1) % (2 * M)) / M)
-            a = a * what[dm % M]
+            a = self._ramp * what[np.arange(1 - M, M) % M]
             a.flags.writeable = False
             self._kernels[dn] = a
         return self._kernels[dn]
 
     def weight(self, dm: int, dn: int) -> complex:
-        """<g'_{p+dm, dn}, g'_{p, 0}> at a literal |dm| < M."""
+        """<g'_{p+dm, dn}, g'_{p, 0}> at integers dn and literal |dm| < M."""
+        _check_int("dm", dm)
         if not -self.M < dm < self.M:
             raise ValueError(f"need |dm| < M={self.M}, got dm={dm}")
         return complex(self.kernel(dn)[dm + self.M - 1])
@@ -299,8 +299,9 @@ def afb_column(r, proto: PrototypeFilter, n: int) -> np.ndarray:
     Folding the windowed samples modulo M turns the projection into one
     M-point DFT plus the center-phase rerotation.  r is (..., L): the
     samples lie along the last axis and the result is (..., M), each row
-    exactly the row's own result.
+    exactly the row's own result.  n is an integer (else ValueError).
     """
+    _check_int("n", n)
     r = np.asarray(r, dtype=complex)
     folded = _fold_column(r, proto, n)
     # exp(+j*2*pi*k*c/M), k = 0..M-1
@@ -314,7 +315,7 @@ def afb(r, proto: PrototypeFilter, tones) -> np.ndarray:
     tone raises ValueError.  r is (..., L) and the result (..., len(tones)):
     a stack of windows gives a stack of outputs.  afb_column reads any column.
     """
-    return afb_column(r, proto, 0)[..., _check_tones(tones, proto.M)]
+    return afb_column(r, proto, 0).take(_check_tones(tones, proto.M), -1)
 
 
 # First-order offsets (dm, dn) around a pilot of column 0, the only pilot

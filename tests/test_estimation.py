@@ -1,4 +1,5 @@
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from mcpreamble import (
     make_sparse_data,
     modulate,
     sfb,
+    sparse_data_layout,
 )
+from mcpreamble.estimation import pilot_fit
 
 
 def test_noiseless_sparse_estimate_is_exact(desk):
@@ -131,15 +134,33 @@ def test_raw_estimate_is_plain_division(desk):
     assert np.max(np.abs(H_hat - y / full.divisors)) < 1e-12
 
 
-def test_zero_divisor_is_rejected(desk):
+def _zero_divisor(p, row=()):
+    """p with its divisor 1 (of that row of a stack) set to zero."""
+    divisors = np.array(p.divisors)
+    divisors[row + (1,)] = 0.0
+    return dataclasses.replace(p, divisors=divisors)
+
+
+def test_zero_divisor_is_rejected(desk, proto):
+    # every LS consumer checks it through one fit check; closed_form_mse
+    # and error_floor returned inf, and floor_map NaN
     full = make_equal_comb(desk.M, 0, desk.E, desk)
-    divisors = full.divisors.copy()
-    divisors[5] = 0.0
-    bad = dataclasses.replace(full, divisors=divisors)
+    bad = _zero_divisor(full)
+    stack = _zero_divisor(dataclasses.replace(
+        full, divisors=np.stack([full.divisors] * 3)), (2,))
+    helped = _zero_divisor(sparse_data_layout("oqam-2", desk.E, desk, proto))
+    h = gen_veh_a(1, desk)
     y = np.ones(desk.M, dtype=complex)
+    calls = [partial(error_floor, helped, h, desk),
+             partial(floor_map, helped, desk)]
     for mode in ("raw", "projected"):
-        with pytest.raises(ValueError):
-            estimate_from_pilots(y, bad, desk, mode=mode)
+        calls += [partial(estimate_from_pilots, y, bad, desk, mode=mode),
+                  partial(pilot_fit, bad, desk, mode=mode),
+                  partial(closed_form_mse, bad, 1.0, desk, mode=mode),
+                  partial(closed_form_mse, stack, 1.0, desk, mode=mode)]
+    for call in calls:
+        with pytest.raises(ValueError, match="zero divisor"):
+            call()
 
 
 def _projected_from_raw(H_raw, full, desk):

@@ -502,15 +502,20 @@ def test_the_reference_shares_no_code_with_the_engine():
 def test_output_does_not_depend_on_the_block_size(monkeypatch, tmp_path, name):
     cfg = preset(name, scale="desk", n_channels=3, n_noise=5)
     n_win = reference.window(cfg)
-    paths = []
+    paths, ratios = [], []
     # the default (one block), one draw per block, and two per block with
     # a shorter last block
     for k, samples in enumerate((None, 1, 2 * n_win)):
         if samples is not None:
             monkeypatch.setattr(harness, "_BLOCK_SAMPLES", samples)
         paths.append(tmp_path / f"{k}.csv")
-        write_csv(run_experiment(cfg), paths[-1], cfg.name)
+        curves = run_experiment(cfg)
+        ratios.append(np.stack([cu.ratios for cu in curves]))
+        write_csv(curves, paths[-1], cfg.name)
     assert read_bytes(paths[0]) == read_bytes(paths[1]) == read_bytes(paths[2])
+    # bit for bit, past the CSV's digits: numpy summed the rows of a
+    # column-major pilot gather in another order than a lone row's
+    assert all(np.array_equal(ratios[0], r) for r in ratios[1:])
 
 
 # (M, L_h) off the presets' M/L_h = 16 and 32, from 2 to 32
@@ -539,7 +544,10 @@ def test_presets_run_off_their_shape(shape, K, name):
         assert all(np.all(np.isfinite(cu.nmse_db)) for cu in curves)
         _assert_matches_the_reference(curves, cfg)
         mp.setattr(harness, "_BLOCK_SAMPLES", reference.window(cfg))
-        assert _csv_text(run_experiment(cfg), cfg) == _csv_text(curves, cfg)
+        again = run_experiment(cfg)
+        assert _csv_text(again, cfg) == _csv_text(curves, cfg)
+        assert all(np.array_equal(a.ratios, b.ratios)
+                   for a, b in zip(again, curves))
 
 
 @settings(max_examples=100, deadline=None)
@@ -576,7 +584,10 @@ def test_data_layouts_run_off_their_shape(shape, K, scenario, cut):
         assert all(np.all(np.isfinite(cu.nmse_db)) for cu in curves)
         _assert_matches_the_reference(curves, cfg)
         mp.setattr(harness, "_BLOCK_SAMPLES", reference.window(cfg))
-        assert _csv_text(run_experiment(cfg), cfg) == _csv_text(curves, cfg)
+        again = run_experiment(cfg)
+        assert _csv_text(again, cfg) == _csv_text(curves, cfg)
+        assert all(np.array_equal(a.ratios, b.ratios)
+                   for a, b in zip(again, curves))
 
 
 def _csv_text(curves, cfg) -> str:
@@ -749,6 +760,17 @@ def test_an_experiment_name_must_be_one_csv_field(name):
     cfg = preset("fig1a", scale="desk", n_channels=3, n_noise=2)
     with pytest.raises(ValueError, match="^name must be a str without"):
         dataclasses.replace(cfg, name=name)
+
+
+@pytest.mark.parametrize("name", _NOT_ONE_FIELD)
+def test_write_csv_takes_a_preset_name_of_one_field(tmp_path, name):
+    # the name "a,b" wrote 11-field rows; now it writes no file
+    cfg = preset("fig1a", scale="desk", n_channels=2, n_noise=1,
+                 ebn0_db=(10.0,))
+    curves = run_experiment(cfg)
+    with pytest.raises(ValueError, match="^preset_name must be a str without"):
+        write_csv(curves, tmp_path / "out.csv", name)
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_labels_and_names_read_back_from_the_csv(tmp_path):

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -252,6 +254,29 @@ def test_pulse_tables_reject_tones_off_the_grid(small, small_proto, tone):
         pseudo_pilot(np.ones((small.M, 2)), small_proto, [3, t])
 
 
+@pytest.mark.parametrize("offset", [1.0, True, 0.5, "1"])
+def test_pulse_tables_take_integer_offsets(small, small_proto, offset):
+    # 1.0 failed with an IndexError on a fresh pulse but read the table of
+    # 1 once that was cached, True read column 1, and 0.5 failed with an
+    # IndexError or a TypeError
+    r = np.ones(small.M // 2 + small_proto.L_g, dtype=complex)
+    fresh = design_prototype(small.M, small.K)
+    small_proto.kernel(1)
+    for call in (partial(fresh.kernel, offset),
+                 partial(small_proto.kernel, offset),
+                 partial(small_proto.weight, 1, offset),
+                 partial(small_proto.weight, offset, 0),
+                 partial(afb_column, r, small_proto, offset)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+    # numpy integers pass
+    one = np.int64(1)
+    assert np.array_equal(small_proto.kernel(one), small_proto.kernel(1))
+    assert small_proto.weight(one, np.int32(0)) == small_proto.weight(1, 0)
+    assert np.array_equal(afb_column(r, small_proto, one),
+                          afb_column(r, small_proto, 1))
+
+
 @pytest.mark.parametrize("cut", ["designed", "odd"])
 def test_fold_equals_add_at_reference(desk, proto, cut):
     # the odd M + L_h - 1 cut is not a multiple of M long, so its fold
@@ -305,21 +330,39 @@ def test_sfb_takes_a_stack_of_grids(small, small_proto, cut):
         assert np.array_equal(s[t], sfb(x[t], pulse))
 
 
-def test_transmultiplexer_identity(small, small_proto):
+def test_transmultiplexer_identity():
     # a lone unit pilot at (p, q) lands on (p+dm, q+dn) with weight
-    # (-1)^{dm q} conj(A(dm, dn))
-    for (p, q) in ((5, 1), (0, 2), (31, 0)):
-        grid = np.zeros((small.M, 4), dtype=complex)
-        x = grid[p, q] = np.exp(1j * data_phase(p, q))
-        s = sfb(grid, small_proto)
-        for dn in (-1, 0, 1):
-            if not 0 <= q + dn < 4:
-                continue
-            y = afb_column(s, small_proto, q + dn)
-            for m in range(small.M):
-                dm = m - p
-                want = (-1) ** (dm * q) * np.conj(small_proto.weight(dm, dn)) * x
-                assert abs(y[m] - want) < 1e-10
+    # (-1)^{dm q} conj(A(dm, dn)).  The filter banks read the tables'
+    # centre phases, so at the band edge, where dm*c is largest, the
+    # chain matches them to roundoff at M = 512 and 1024 and on fig8b's
+    # cut: with the phase angle unreduced there, M = 1024 was off by
+    # 1.4e-12 relative.  The cut spreads weights of 1e-3 far off the
+    # pilot, which the FFTs' absolute roundoff puts 2.4e-14 off, so only
+    # weights above 1e-2 are held to 1e-14
+    for M, K, cut in ((32, 4, None), (512, 3, None), (1024, 4, None),
+                      (1024, 4, 1055)):
+        proto = design_prototype(M, K)
+        if cut is not None:
+            proto = truncate_prototype(proto, cut)
+        pilots = (((5, 1), (0, 2), (31, 0)) if M == 32 else
+                  ((0, 1), (1, 2), (M - 1, 0), (M - 2, 1)))
+        for (p, q) in pilots:
+            grid = np.zeros((M, 4), dtype=complex)
+            x = grid[p, q] = np.exp(1j * data_phase(p, q))
+            s = sfb(grid, proto)
+            for dn in (-1, 0, 1):
+                if not 0 <= q + dn < 4:
+                    continue
+                y = afb_column(s, proto, q + dn)
+                dm = np.arange(M) - p
+                want = ((-1.0) ** (dm * q)
+                        * np.conj(proto.kernel(dn)[dm + M - 1]) * x)
+                if M == 32:
+                    assert np.max(np.abs(y - want)) < 1e-10
+                else:
+                    big = np.abs(want) > 1e-2
+                    err = np.abs(y - want)[big] / np.abs(want[big])
+                    assert np.max(err) < 1e-14, (M, K, cut, p, q, dn)
 
 
 def test_real_orthogonality_of_phased_grid(small, small_proto):
