@@ -26,7 +26,7 @@ for _ in range(6):
     k = int(rng.integers(0, cfg.M // 2))
     g2 = float(rng.uniform(0.1, 0.9))
     th = float(rng.uniform(0.0, 2.0 * np.pi))
-    p = make_full_equipower_qam(k, k + cfg.M // 2, np.sqrt(g2), th, cfg.E, cfg)
+    p = make_full_equipower_qam(k, np.sqrt(g2), th, cfg.E, cfg)
     mods = np.abs(p.symbols) ** 2
     spread = float(np.ptp(mods)) / (cfg.E / cfg.M)
     cp = cp_energy(p.symbols, cfg) / cfg.E

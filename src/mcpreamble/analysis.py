@@ -415,8 +415,7 @@ def verify_optimality(
     fam_ok = True
     fam_worst = 0.0
     for k, g, th in zip(ks, gammas, thetas):
-        p = make_full_equipower_qam(int(k), int(k) + M // 2, float(g), float(th),
-                                    E, config)
+        p = make_full_equipower_qam(int(k), float(g), float(th), E, config)
         mods = np.abs(p.symbols) ** 2
         dev_mod = float(np.max(np.abs(mods - E / M)) / (E / M))
         mse_t = closed_form_mse(p, 1.0, config) / M
@@ -433,7 +432,7 @@ def verify_optimality(
         f"prefix energy never below {min_cp:.2e}*E over {n_t} trials"))
 
     # PAPR: any proper two-impulse split beats the single-impulse column
-    p_half = make_full_equipower_qam(0, M // 2, np.sqrt(0.5), 0.0, E, config)
+    p_half = make_full_equipower_qam(0, np.sqrt(0.5), 0.0, E, config)
     p_flat = make_equal_comb(M, 0, E, config)
     pr_two = papr(modulate(p_half.symbols, config)[nu:])
     pr_one = papr(modulate(p_flat.symbols, config)[nu:])

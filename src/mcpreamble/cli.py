@@ -6,9 +6,13 @@ Three subcommands:
   verify  run the numerical optimality suite (exit 1 on any failure)
   design  print a two-impulse equal-subcarrier-power preamble
 
-Options can also come from an INI file ([experiment] and [system]
-sections); flags given on the command line win over the file.  A bad
-option, dimension or config file prints one `error:` line and exits 2.
+Each takes only options its output depends on: run and verify no
+training energy E (an experiment is built at E = M, the verify report
+holds ratios at E = 1), design no K (its preamble is CP-OFDM) and only
+its first impulse k.  run's options can also come from an INI file
+([experiment] and [system] sections); flags given on the command line
+win over the file.  A bad option, dimension or config file prints one
+`error:` line and exits 2.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ _EXP_KEYS = {
     "preset": str, "scale": str, "seed": int, "out": str,
     "n_channels": int, "n_noise": int, "workers": int, "ebn0_db": str,
 }
-_SYS_KEYS = {"M": int, "L_h": int, "K": int, "E": float}
+_SYS_KEYS = {"M": int, "L_h": int, "K": int}
 
 
 def _load_ini(path: str) -> dict:
@@ -58,16 +62,17 @@ def _parse_grid(text: str) -> tuple:
 
 
 def _system(args: argparse.Namespace) -> SystemConfig:
-    """SystemConfig from the flags; an unset flag takes its default."""
-    vals = {"M": 128, "L_h": 8, "K": 4, "E": 1.0}
-    vals.update({k: getattr(args, k) for k in vals if getattr(args, k) is not None})
+    """SystemConfig from the flags given; the rest take their defaults."""
+    vals = {"M": 128, "L_h": 8}
+    vals.update({k: v for k, v in vars(args).items()
+                 if k in ("M", "L_h", "K", "E") and v is not None})
     return SystemConfig(**vals)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     opts = _load_ini(args.config) if args.config else {}
     for key in ("preset", "scale", "seed", "out", "n_channels", "n_noise",
-                "workers", "M", "L_h", "K", "E"):
+                "workers", "M", "L_h", "K"):
         val = getattr(args, key)
         if val is not None:
             opts[key] = val
@@ -84,7 +89,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if out:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
         write_csv(curves, out, cfg.name)
-    print(f"{cfg.name} ({cfg.scale}): M={cfg.M} L_h={cfg.L_h} K={cfg.K} "
+    print(f"{cfg.name}: M={cfg.M} L_h={cfg.L_h} K={cfg.K} "
           f"channels={cfg.n_channels} noise={cfg.n_noise} seed={cfg.seed}")
     for cu in curves:
         lo, hi = cu.nmse_db[0], cu.nmse_db[-1]
@@ -106,11 +111,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_design(args: argparse.Namespace) -> int:
     cfg = _system(args)
-    k = args.k if args.k is not None else 0
-    m = args.m if args.m is not None else k + cfg.M // 2
-    gamma = args.gamma if args.gamma is not None else float(np.sqrt(0.5))
-    theta = args.theta
-    p = make_full_equipower_qam(k, m, gamma, theta, cfg.E, cfg)
+    k, gamma, theta = args.k, args.gamma, args.theta
+    m = (k + cfg.M // 2) % cfg.M
+    p = make_full_equipower_qam(k, gamma, theta, cfg.E, cfg)
     mods = np.abs(p.symbols) ** 2
     print(f"two-impulse equal-power preamble  M={cfg.M} L_h={cfg.L_h} "
           f"E={cfg.E:g}")
@@ -130,8 +133,8 @@ def _cmd_design(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_system_flags(p: argparse.ArgumentParser) -> None:
-    for flag, typ in _SYS_KEYS.items():
+def _add_system_flags(p: argparse.ArgumentParser, keys: dict) -> None:
+    for flag, typ in keys.items():
         names = [f"--{flag}"]
         if "_" in flag:
             names.append(f"--{flag.replace('_', '-')}")
@@ -156,22 +159,22 @@ def main(argv=None) -> int:
     pr.add_argument("--workers", type=int, default=None)
     pr.add_argument("--ebn0", default=None,
                     help="comma separated Eb/N0 grid in dB")
-    _add_system_flags(pr)
+    _add_system_flags(pr, _SYS_KEYS)
     pr.set_defaults(func=_cmd_run)
 
     pv = sub.add_parser("verify", help="run the optimality suite")
     pv.add_argument("--trials", type=int, default=10000)
     pv.add_argument("--seed", type=int, default=1)
-    _add_system_flags(pv)
+    _add_system_flags(pv, _SYS_KEYS)
     pv.set_defaults(func=_cmd_verify)
 
     pd = sub.add_parser("design", help="print a two-impulse preamble")
-    pd.add_argument("--k", type=int, default=None)
-    pd.add_argument("--m", type=int, default=None)
-    pd.add_argument("--gamma", type=float, default=None)
+    pd.add_argument("--k", type=int, default=0,
+                    help="first impulse; the second is at (k + M/2) mod M")
+    pd.add_argument("--gamma", type=float, default=float(np.sqrt(0.5)))
     pd.add_argument("--theta", type=float, default=0.0)
     pd.add_argument("--out", default=None)
-    _add_system_flags(pd)
+    _add_system_flags(pd, {"M": int, "L_h": int, "E": float})
     pd.set_defaults(func=_cmd_design)
 
     args = parser.parse_args(argv)

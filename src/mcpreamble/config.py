@@ -73,8 +73,6 @@ class SystemConfig:
             raise ValueError(
                 f"L_h must satisfy 2 <= L_h <= M/2, got L_h={self.L_h} M={self.M}"
             )
-        if self.M % self.L_h != 0:
-            raise ValueError("M must be an integer multiple of L_h")
         if not (1 <= self.K <= 5):
             raise ValueError(f"K must be an integer in 1..5, got {self.K}")
         _check_energy("E", self.E)

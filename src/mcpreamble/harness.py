@@ -37,14 +37,17 @@ Channels are processed by index through a plain map, serially or in a
 process pool, and reduced in index order, so the output bytes do not
 depend on the worker count.
 
-Compared preambles carry equal power: every curve after the first is
-scaled to the first curve's training power ratio (declared training
-energy per observation window), unless its e_scale fixes a budget of
-E * e_scale, where a preset matches per-pilot gain instead (fig2a).
+Compared preambles carry equal power at the training energy E = M (E
+scales the preambles and sigma^2 alike, so no point depends on it):
+every curve after the first is scaled to the first curve's training
+power ratio (declared training energy per observation window), unless
+its e_scale fixes a budget of E * e_scale, where a preset matches
+per-pilot gain instead (fig2a).
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -126,7 +129,7 @@ class CurveSpec:
 class ExperimentConfig:
     """One experiment, which checks its fields when it is built.
 
-    curves and ebn0_db take any sequence but a scalar and are stored as
+    Its system has E = M (see the module docstring).  curves and ebn0_db take any sequence but a scalar and are stored as
     tuples, so a config hashes (the per-process curve cache is keyed on
     it) and compares by value.  A name write_csv cannot write as one
     field (see _check_csv_field), dimensions SystemConfig rejects, a seed
@@ -135,11 +138,9 @@ class ExperimentConfig:
     a point of it without a positive, finite sigma2 raise ValueError."""
 
     name: str
-    scale: str
     M: int
     L_h: int
     K: int
-    E: float
     curves: tuple
     ebn0_db: tuple
     n_channels: int
@@ -154,7 +155,7 @@ class ExperimentConfig:
                 object.__setattr__(self, name, tuple(getattr(self, name)))
             except TypeError:
                 raise ValueError(f"{name} must be a sequence") from None
-        self.system  # checks the dimensions and E
+        self.system  # checks the dimensions
         for name, low in zip(("seed", "n_channels", "n_noise", "workers"),
                              (0, 2, 1, 1)):
             value = getattr(self, name)
@@ -169,13 +170,12 @@ class ExperimentConfig:
 
     @property
     def system(self) -> SystemConfig:
-        return SystemConfig(M=self.M, L_h=self.L_h, K=self.K, E=self.E)
+        return SystemConfig(M=self.M, L_h=self.L_h, K=self.K, E=float(self.M))
 
     @property
     def sigma2(self) -> np.ndarray:
-        """Noise variance per complex sample at each Eb/N0 point."""
-        return np.array([ebn0_to_sigma2(g, self.E / self.M)
-                         for g in self.ebn0_db])
+        """Noise variance per complex sample at each Eb/N0 point (E/M = 1)."""
+        return np.array([ebn0_to_sigma2(g, 1.0) for g in self.ebn0_db])
 
 
 @dataclass
@@ -248,7 +248,7 @@ class _CurveRuntime:
             self.proto = None
             self.synthesize = lambda x: modulate(x, sc)
             self.tones = lambda r: demodulate(r, sc)
-            self.receive = lambda r: self.tones(r)[..., self.pilot_idx]
+            self.receive = lambda r: self.tones(r).take(self.pilot_idx, -1)
         else:
             self.proto = proto = _pulse(sc.M, sc.K, spec.truncate_to)
             self.synthesize = lambda x: sfb(x, proto)
@@ -385,19 +385,21 @@ def run_experiment(cfg: ExperimentConfig) -> list[MseCurve]:
     """Build every curve, run every channel, and give each curve its rows.
 
     A curve that cannot be built raises ValueError naming it before any
-    channel runs.  The Eb/N0 grid (cfg.sigma2) enters only here: from
-    channel c's raw sums (_run_channel), its ratio at noise variance
-    sigma^2 is (aa + 2 sigma ae + sigma^2 ee) / (||H||^2 n_noise) and its
-    floor is floor(H) / ||H||^2.
+    channel runs.  Channels run in min(workers, n_channels, CPUs)
+    processes, serially when that is 1.  The Eb/N0 grid (cfg.sigma2)
+    enters only here: from channel c's raw sums (_run_channel), its ratio
+    at noise variance sigma^2 is (aa + 2 sigma ae + sigma^2 ee) /
+    (||H||^2 n_noise) and its floor is floor(H) / ||H||^2.
     """
     runtimes = _runtimes(cfg)
     jobs = [(cfg, c) for c in range(cfg.n_channels)]
-    if cfg.workers > 1:
+    workers = min(cfg.workers, cfg.n_channels, os.cpu_count() or 1)
+    if workers > 1:
         # imported here: it pulls in multiprocessing, which a serial run
         # never needs
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.workers) as ex:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             per_channel = list(ex.map(_run_channel, jobs))
     else:
         per_channel = [_run_channel(j) for j in jobs]
@@ -459,15 +461,15 @@ def preset(
     M: int | None = None,
     L_h: int | None = None,
     K: int | None = None,
-    E: float | None = None,
     seed: int = 42,
     n_channels: int | None = None,
     n_noise: int | None = None,
     workers: int = 1,
     ebn0_db=None,
 ) -> ExperimentConfig:
-    """Named experiment at desk or paper dimensions, with overrides; a bad
-    override raises ValueError as the config is built (ExperimentConfig)."""
+    """Named experiment at the dimensions and counts of scale, "desk" or
+    "paper", with overrides; a bad override raises ValueError as the
+    config is built (ExperimentConfig)."""
     if scale not in ("desk", "paper"):
         raise ValueError(f"scale must be 'desk' or 'paper', got {scale!r}")
     dims = dict(_DESK if scale == "desk" else _PAPER)
@@ -478,11 +480,10 @@ def preset(
     given = dict(M=M, L_h=L_h, n_channels=n_channels, n_noise=n_noise)
     dims.update({k: v for k, v in given.items() if v is not None})
     k_eff = K if K is not None else spec.get("K", 4)
-    e_eff = E if E is not None else float(dims["M"])
     grid = ebn0_db if ebn0_db is not None else spec.get("ebn0", _EBN0_DEFAULT)
     return ExperimentConfig(
-        name=name, scale=scale, M=dims["M"], L_h=dims["L_h"], K=k_eff,
-        E=e_eff, curves=spec["curves"](dims["M"], dims["L_h"]), ebn0_db=grid,
+        name=name, M=dims["M"], L_h=dims["L_h"], K=k_eff,
+        curves=spec["curves"](dims["M"], dims["L_h"]), ebn0_db=grid,
         n_channels=dims["n_channels"], n_noise=dims["n_noise"],
         seed=seed, workers=workers,
     )

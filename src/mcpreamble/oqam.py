@@ -97,10 +97,6 @@ class PrototypeFilter:
         return len(self.g)
 
     @property
-    def center(self) -> float:
-        return (self.L_g - 1) / 2.0
-
-    @property
     def energy(self) -> float:
         return float(np.sum(self.g ** 2))
 

@@ -181,7 +181,6 @@ def make_equal_comb(
 
 def make_full_equipower_qam(
     k: int,
-    m: int,
     gamma: float,
     theta: float,
     E: float,
@@ -189,25 +188,24 @@ def make_full_equipower_qam(
 ) -> Preamble:
     """Two-impulse CP-OFDM preamble: equal power on every subcarrier.
 
-    x_r = a_k exp(-2j*pi*r*k/M) + a_m exp(-2j*pi*r*m/M) with |k - m| =
-    M/2 and the two coefficients in phase quadrature.  The time-domain
-    symbol is two impulses at samples k and m, so the prefix energy is
-    exactly zero whenever both fall before M - nu, and the peak-to-mean
-    ratio of the useful part is M * max(gamma^2, 1 - gamma^2).  gamma
-    must be a real number in [0, 1] and theta a finite one.
+    x_r = a_k exp(-2j*pi*r*k/M) + a_m exp(-2j*pi*r*m/M) with the second
+    impulse half a band away, m = (k + M/2) mod M, and the two
+    coefficients in phase quadrature.  The time-domain symbol is two
+    impulses at samples k and m, so the prefix energy is exactly zero
+    whenever both fall before M - nu, and the peak-to-mean ratio of the
+    useful part is M * max(gamma^2, 1 - gamma^2).  k must be an integer
+    in 0..M-1, gamma a real number in [0, 1] and theta a finite one.
     """
     M = config.M
     _check_energy("E", E)
     _check_int("k", k)
-    _check_int("m", m)
     _check_real("gamma", gamma)
     _check_real("theta", theta)
     if not np.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
-    if not (0 <= k < M and 0 <= m < M):
-        raise ValueError("impulse positions must lie in 0..M-1")
-    if (k - m) % M != M // 2:
-        raise ValueError("impulse positions must differ by M/2")
+    if not 0 <= k < M:
+        raise ValueError(f"k must lie in 0..M-1, got {k}")
+    m = (k + M // 2) % M
     if not (0.0 <= gamma <= 1.0):
         raise ValueError("gamma must lie in [0, 1]")
     a_k = gamma * np.sqrt(E / M) * np.exp(1j * theta)

@@ -202,7 +202,7 @@ def test_exact_property_suite():
         cp_rel = max(cp_rel, cp_energy(comb.symbols, cfg) / E)
     comb_ok = cp_rel <= 1e-18
 
-    pe = make_full_equipower_qam(0, M // 2, np.sqrt(0.5), 0.0, E, cfg)
+    pe = make_full_equipower_qam(0, np.sqrt(0.5), 0.0, E, cfg)
     mods = np.abs(pe.symbols) ** 2
     dev_mod = float(np.ptp(mods)) / (E / M)
     mse = (L_h / M ** 2) * float(np.sum(1.0 / mods))  # sigma2 = 1
@@ -225,7 +225,7 @@ def test_exact_property_suite():
     rng = np.random.default_rng(5)
     n_tr, Mm, L_g = 200_000, small.M, sproto.g.size
     acc = np.zeros((Mm, Mm), dtype=complex)
-    phase = np.exp(2j * np.pi * np.arange(Mm) * sproto.center / Mm)
+    phase = np.exp(2j * np.pi * np.arange(Mm) * ((L_g - 1) / 2) / Mm)
     done = 0
     while done < n_tr:
         blk = min(16384, n_tr - done)

@@ -85,7 +85,7 @@ def test_equispaced_equal_comb_attains_genie(desk):
 
 
 def test_equipower_two_impulse_attains_genie(desk):
-    p = make_full_equipower_qam(0, desk.M // 2, np.sqrt(0.5), 0.3, desk.E, desk)
+    p = make_full_equipower_qam(0, np.sqrt(0.5), 0.3, desk.E, desk)
     pred = closed_form_mse(p, 0.01, desk, mode="projected")
     assert abs(pred - desk.M * genie_mse(0.01, desk.E, desk)) < 1e-9
 

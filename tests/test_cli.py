@@ -1,8 +1,26 @@
+import re
+
 import numpy as np
 import pytest
 
-from mcpreamble import load_preamble_values
+from mcpreamble import cli, load_preamble_values
 from mcpreamble.cli import main
+
+# every option of each subcommand, aliases included, and of run's INI
+# file: each one changes some output, and a new one is added here
+FLAGS = {
+    "run": {"--preset", "--scale", "--seed", "--out", "--config",
+            "--n-channels", "--n-noise", "--workers", "--ebn0", "--M",
+            "--L_h", "--L-h", "--K"},
+    "verify": {"--trials", "--seed", "--M", "--L_h", "--L-h", "--K"},
+    "design": {"--k", "--gamma", "--theta", "--out", "--M", "--L_h", "--L-h",
+               "--E"},
+}
+INI_KEYS = {
+    "experiment": {"preset", "scale", "seed", "out", "n_channels", "n_noise",
+                   "workers", "ebn0_db"},
+    "system": {"M", "L_h", "K"},
+}
 
 
 def test_run_writes_csv(tmp_path, capsys):
@@ -25,10 +43,10 @@ def test_run_requires_preset(capsys):
 @pytest.mark.parametrize("bad", [
     ["--n-noise", "0"], ["--n-channels", "1"], ["--workers", "0"],
     ["--ebn0", ","], ["--M", "100"], ["--ebn0", "nan"], ["--ebn0", "0,inf"],
-    ["--E", "inf"], ["--ebn0", "4000"], ["--ebn0", "-4000"], ["--seed", "-1"],
+    ["--ebn0", "4000"], ["--ebn0", "-4000"], ["--seed", "-1"],
     ["--preset", "fig8a", "--K", "1"],
 ], ids=["n-noise=0", "n-channels=1", "workers=0", "empty-ebn0", "M=100",
-        "nan-ebn0", "inf-ebn0", "inf-E", "ebn0=4000", "ebn0=-4000",
+        "nan-ebn0", "inf-ebn0", "ebn0=4000", "ebn0=-4000",
         "seed=-1", "fig8a-K=1"])
 def test_run_rejects_bad_options(tmp_path, capsys, bad):
     out = tmp_path / "bad.csv"
@@ -80,6 +98,35 @@ def test_design_prints_and_saves(tmp_path, capsys):
     assert np.max(mods) - np.min(mods) < 1e-12
 
 
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_each_subcommand_takes_its_options_only(capsys, command):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    text = capsys.readouterr().out
+    assert set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", text)) == (
+        FLAGS[command] | {"--help"})
+
+
+def test_run_config_file_takes_its_keys_only():
+    assert {"experiment": set(cli._EXP_KEYS),
+            "system": set(cli._SYS_KEYS)} == INI_KEYS
+
+
+@pytest.mark.parametrize("k", range(32))
+def test_design_takes_any_first_impulse(capsys, k):
+    rc = main(["design", "--M", "32", "--L-h", "4", "--k", str(k)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert f"k={k} m={(k + 16) % 32} " in out
+    rows = out.split("index,re,im\n")[1].splitlines()
+    vals = np.array([complex(float(r.split(",")[1]), float(r.split(",")[2]))
+                     for r in rows])
+    mods = np.abs(vals) ** 2
+    assert len(vals) == 32
+    assert np.max(mods) - np.min(mods) < 1e-12 * np.mean(mods)
+
+
 @pytest.mark.parametrize("ini", [
     None,
     "[experiment]\npreset = fig1a\nbogus = 1\n",
@@ -107,7 +154,9 @@ def test_verify_keeps_explicit_zero_seed(capsys):
 @pytest.mark.parametrize("argv", [
     ["verify", "--M", "0", "--trials", "200"], ["design", "--E", "0"],
     ["design", "--theta", "inf"],  # a NaN preamble behind a RuntimeWarning
-], ids=["verify-M=0", "design-E=0", "design-theta=inf"])
+    ["design", "--k", "-1"], ["design", "--k", "128"],
+], ids=["verify-M=0", "design-E=0", "design-theta=inf", "design-k=-1",
+        "design-k=M"])
 def test_zero_dimension_is_rejected(capsys, argv):
     rc = main(argv)
     assert rc == 2

@@ -71,7 +71,7 @@ def test_preset_overrides():
                  n_noise=4, ebn0_db=(5.0, 15.0))
     assert cfg.M == 64 and cfg.L_h == 4 and cfg.seed == 9
     assert cfg.ebn0_db == (5.0, 15.0)
-    assert cfg.E == 64.0
+    assert cfg.system.E == 64.0
 
 
 # the family of each preset's curves, at both scales
@@ -173,6 +173,43 @@ def test_parallel_equals_serial(tmp_path, name):
     b = tmp_path / "parallel.csv"
     write_csv(run_experiment(serial), a, serial.name)
     write_csv(run_experiment(parallel), b, parallel.name)
+    assert read_bytes(a) == read_bytes(b)
+
+
+@pytest.mark.parametrize("cpus", ["real", None, 1, 2, 64],
+                         ids=["real", "unknown", "1", "2", "64"])
+def test_worker_pool_is_bounded(monkeypatch, tmp_path, cpus):
+    # a stand-in pool records its size and maps in this process, so no
+    # worker starts: min(workers, n_channels, CPUs), none when that is 1
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
+    if cpus != "real":
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    cap = min(3, os.cpu_count() or 1)
+    kw = dict(n_channels=3, n_noise=2)
+    many = preset("fig6", scale="desk", workers=10**6, **kw)
+    serial = preset("fig6", scale="desk", **kw)
+    a = tmp_path / "many.csv"
+    b = tmp_path / "serial.csv"
+    write_csv(run_experiment(many), a, many.name)
+    assert sizes == ([] if cap == 1 else [cap])
+    write_csv(run_experiment(serial), b, serial.name)
+    assert sizes == ([] if cap == 1 else [cap])
     assert read_bytes(a) == read_bytes(b)
 
 
@@ -680,7 +717,7 @@ def test_same_gain_pair_separates_by_3db():
 
 def test_experiment_config_system():
     cfg = ExperimentConfig(
-        name="x", scale="desk", M=64, L_h=8, K=4, E=64.0,
+        name="x", M=64, L_h=8, K=4,
         curves=(CurveSpec(label="a", system="cpofdm", estimator="projected",
                           n_pilots=8),),
         ebn0_db=(0.0,), n_channels=2, n_noise=1, seed=1)
@@ -711,9 +748,9 @@ def test_system_config_takes_a_real_energy_only(E):
 
 def test_run_experiment_takes_numpy_floats():
     cfg = preset("fig1a", scale="desk", n_channels=2, n_noise=1,
-                 E=np.float64(128.0), ebn0_db=(np.float64(10.0),))
+                 ebn0_db=(np.float64(10.0),))
     want = preset("fig1a", scale="desk", n_channels=2, n_noise=1,
-                  E=128.0, ebn0_db=(10.0,))
+                  ebn0_db=(10.0,))
     for a, b in zip(run_experiment(cfg), run_experiment(want)):
         assert a.nmse.tobytes() == b.nmse.tobytes()
 
@@ -736,13 +773,12 @@ def test_run_experiment_takes_numpy_integer_counts():
     dict(ebn0_db=(-4000.0, 0.0)), dict(seed=-1), dict(seed=1.5),
     dict(seed=True), dict(n_channels=2.5), dict(n_noise=1.5),
     dict(n_noise=True), dict(workers=1.5), dict(workers=True), dict(K=2.5),
-    dict(K=True), dict(M=128.0), dict(L_h=8.0), dict(E=True), dict(E="1"),
-    dict(ebn0_db=("5",)), dict(ebn0_db=(0.0, True)), dict(ebn0_db=5.0),
+    dict(K=True), dict(M=128.0), dict(L_h=8.0), dict(ebn0_db=("5",)), dict(ebn0_db=(0.0, True)), dict(ebn0_db=5.0),
 ], ids=["n_channels=1", "n_noise=0", "empty_ebn0", "workers=0", "M=100",
         "nan_ebn0", "inf_ebn0", "-inf_ebn0", "ebn0=4000", "ebn0=-4000",
         "seed=-1", "seed=1.5", "seed=True", "n_channels=2.5", "n_noise=1.5",
         "n_noise=True", "workers=1.5", "workers=True", "K=2.5", "K=True",
-        "M=128.0", "L_h=8.0", "E=True", "E=str", "str_ebn0", "bool_ebn0",
+        "M=128.0", "L_h=8.0", "str_ebn0", "bool_ebn0",
         "scalar_ebn0"])
 def test_run_experiment_rejects_bad_inputs_before_any_work(monkeypatch, bad):
     # the config checks its fields when it is built, by preset or by
@@ -818,14 +854,14 @@ def test_equal_power_is_the_default(name):
     first, *rest = harness._runtimes(cfg)
     assert first.spec.e_scale is None
     n = sc.M if first.spec.n_pilots is None else first.spec.n_pilots
-    at_e = make_equal_comb(n, 0, cfg.E, sc, proto=first.proto)
+    at_e = make_equal_comb(n, 0, sc.E, sc, proto=first.proto)
     assert first.preamble.E_train == at_e.E_train
     for rt in rest:
         if rt.spec.e_scale is None:
             assert abs(tpr(first.preamble, rt.preamble) - 1.0) <= 1e-12
         else:
             assert (name, rt.spec.e_scale) == ("fig2a", 2.0)
-            at_2e = make_equal_comb(rt.spec.n_pilots, 0, 2.0 * cfg.E, sc)
+            at_2e = make_equal_comb(rt.spec.n_pilots, 0, 2.0 * sc.E, sc)
             assert rt.preamble.E_train == at_2e.E_train
 
 
@@ -855,10 +891,23 @@ def test_a_bad_curve_fails_before_the_pool_starts(monkeypatch):
 @pytest.mark.parametrize("name", ["fig4b", "fig6"])
 def test_prediction_is_linear_in_sigma2(name):
     cfg = preset(name, scale="desk", n_channels=3, n_noise=2)
-    sigma2 = np.array([ebn0_to_sigma2(g, cfg.E / cfg.M) for g in cfg.ebn0_db])
+    sigma2 = np.array([ebn0_to_sigma2(g, cfg.system.E / cfg.M)
+                       for g in cfg.ebn0_db])
     for cu in run_experiment(cfg):
         gain = (cu.predicted - cu.floor) / sigma2
         assert np.max(np.abs(gain / gain[0] - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_receive_gives_a_row_major_stack(name):
+    # both systems gather their pilots with take, so a stack's tap
+    # responses and estimates are laid out alike
+    cfg = preset(name, scale="desk", n_channels=2, n_noise=1)
+    for rt in harness._runtimes(cfg):
+        r = awgn((3, rt.n_rx), np.random.default_rng(0))
+        y = rt.receive(r)
+        assert y.shape == (3, len(rt.pilot_idx))
+        assert y.flags.c_contiguous, rt.spec.label
 
 
 def test_system_string_stays_at_the_harness():

@@ -37,7 +37,7 @@ def test_prototype_compares_by_identity():
 
 def direct_pulse(proto, m, n):
     """Tone-m pulse of column n on the absolute time axis."""
-    M, L_g, c = proto.M, proto.L_g, proto.center
+    M, L_g, c = proto.M, proto.L_g, (proto.L_g - 1) / 2
     labs = n * (M // 2) + np.arange(L_g)
     return proto.g * np.exp(2j * np.pi * m * (labs - c) / M)
 
@@ -166,7 +166,7 @@ def test_row_of_tone_array_stacks_single_rows(small, small_proto):
 
 def test_ambiguity_against_direct_sum():
     proto = design_prototype(32, 3)
-    M, L_g, c = 32, proto.L_g, proto.center
+    M, L_g, c = 32, proto.L_g, (proto.L_g - 1) / 2
     l = np.arange(L_g)
     rng = np.random.default_rng(0)
     for _ in range(20):

@@ -94,7 +94,7 @@ def test_cpofdm_constructors_reject_a_pulse(desk, proto, make):
 @pytest.mark.parametrize("make", [
     lambda cfg, E, pulse: make_equal_comb(8, 0, E, cfg),
     lambda cfg, E, pulse: make_equal_comb(8, 0, E, cfg, proto=pulse),
-    lambda cfg, E, pulse: make_full_equipower_qam(0, 64, 0.5, 0.0, E, cfg),
+    lambda cfg, E, pulse: make_full_equipower_qam(0, 0.5, 0.0, E, cfg),
     lambda cfg, E, pulse: make_sparse_data("qam-sd", E, 1, cfg),
     lambda cfg, E, pulse: sparse_data_layout("oqam-3", E, cfg, proto=pulse),
 ], ids=["comb", "oqam-comb", "two-impulse", "qam-sd", "oqam-3-layout"])
@@ -134,21 +134,24 @@ def test_equipower_two_impulse_family(desk):
     rng = np.random.default_rng(0)
     for _ in range(25):
         k = int(rng.integers(0, desk.M))
-        m = (k + desk.M // 2) % desk.M
         gamma = float(rng.uniform(0, 1))
         theta = float(rng.uniform(0, 2 * np.pi))
-        p = make_full_equipower_qam(k, m, gamma, theta, desk.E, desk)
+        p = make_full_equipower_qam(k, gamma, theta, desk.E, desk)
         mods = np.abs(p.symbols) ** 2
         assert np.max(mods) - np.min(mods) < 1e-12 * desk.E / desk.M
         assert abs(p.E_train - desk.E) < 1e-9 * desk.E
-    with pytest.raises(ValueError):
-        make_full_equipower_qam(0, 3, 0.5, 0.0, desk.E, desk)
+    # the second impulse is at (k + M/2) mod M: time samples k and m
+    u = np.fft.ifft(make_full_equipower_qam(100, 0.6, 0.0, desk.E,
+                                            desk).symbols)
+    assert set(np.flatnonzero(np.abs(u) > 1e-9)) == {36, 100}
+    for k in (-1, desk.M, np.int64(desk.M + 64)):
+        with pytest.raises(ValueError, match="k must lie in 0..M-1"):
+            make_full_equipower_qam(k, 0.5, 0.0, desk.E, desk)
     # half-sample positions made no two-impulse preamble (3.5 % of E in
     # the prefix), and True stood for 1
-    for k, m, name in ((0.5, 64.5, "k"), (True, 65, "k"),
-                       (0, np.float64(64.0), "m")):
-        with pytest.raises(ValueError, match=f"{name} must be an integer"):
-            make_full_equipower_qam(k, m, 0.7, 0.0, desk.E, desk)
+    for k in (0.5, True, np.float64(3.0)):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            make_full_equipower_qam(k, 0.7, 0.0, desk.E, desk)
 
 
 @pytest.mark.parametrize("gamma, theta", [
@@ -160,7 +163,7 @@ def test_two_impulse_takes_a_real_gamma_and_a_finite_theta(desk, gamma, theta):
     # an infinite theta built NaN symbols behind a bare RuntimeWarning,
     # and a string gamma raised TypeError
     with pytest.raises(ValueError, match="gamma must|theta must"):
-        make_full_equipower_qam(0, 64, gamma, theta, desk.E, desk)
+        make_full_equipower_qam(0, gamma, theta, desk.E, desk)
 
 
 def test_sparse_data_energy_declarations(desk, proto):
