@@ -15,9 +15,10 @@ from mcpreamble import (SystemConfig, cfr_from_cir,
                         design_prototype, expected_error_floor, gen_veh_a,
                         make_sparse_data)
 
-cfg = SystemConfig(M=128, L_h=8, K=4, E=128.0)
-proto = design_prototype(cfg.M, cfg.K)
-print(f"M={cfg.M}  L_h={cfg.L_h}  K={cfg.K}  beta={proto.beta:.6f}  "
+cfg = SystemConfig(M=128, L_h=8)
+E = 128.0
+proto = design_prototype(cfg.M, 4)
+print(f"M={cfg.M}  L_h={cfg.L_h}  K={proto.K}  beta={proto.beta:.6f}  "
       f"beta^2 = {10 * np.log10(proto.beta ** 2):.2f} dB")
 
 h = gen_veh_a(np.random.SeedSequence([42]), cfg)
@@ -26,7 +27,7 @@ den = float(np.sum(np.abs(cfr_from_cir(h, cfg.M)) ** 2))
 print(f"{'layout':>10s} {'guards':>7s} {'helpers':>8s} {'floor NMSE':>11s} "
       f"{'dB':>8s}")
 for sc in ("oqam-1a", "oqam-1b", "oqam-2", "oqam-3"):
-    p = make_sparse_data(sc, cfg.E, np.random.SeedSequence([7]), cfg,
+    p = make_sparse_data(sc, E, np.random.SeedSequence([7]), cfg,
                          proto=proto)
     floor = expected_error_floor(p, h, cfg) / den
     n_cols = p.symbols.shape[1]

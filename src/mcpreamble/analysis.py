@@ -235,6 +235,7 @@ class CheckResult:
 @dataclass
 class OptimalityReport:
     config: SystemConfig
+    K: int
     trials: int
     seed: int
     checks: list = field(default_factory=list)
@@ -246,7 +247,7 @@ class OptimalityReport:
     def to_text(self) -> str:
         lines = [
             f"optimality suite  M={self.config.M} L_h={self.config.L_h} "
-            f"K={self.config.K}  trials={self.trials}  seed={self.seed}"
+            f"K={self.K}  trials={self.trials}  seed={self.seed}"
         ]
         for c in self.checks:
             mark = "PASS" if c.passed else "FAIL"
@@ -263,9 +264,11 @@ def verify_optimality(
     config: SystemConfig,
     trials: int = 10000,
     seed: int = 1,
+    K: int = 4,
 ) -> OptimalityReport:
     """Numerical verification of the optimality claims, each a ratio to a
-    bound linear in sigma^2 and so taken at sigma^2 = 1.
+    bound linear in sigma^2 and so taken at sigma^2 = 1 and at E = 1,
+    with the OQAM checks on the pulse of overlapping factor K.
 
     (a) every random feasible sparse CP-OFDM preamble at training energy
         E has LS MSE >= L_h*sigma^2/E, with equality for the equal comb;
@@ -283,17 +286,17 @@ def verify_optimality(
     cp_energy, the combs from make_equal_comb, the LS MSEs (of one
     preamble or a batch of divisors) from closed_form_mse and the full
     column's pseudo pilots from the pulse's AFB noise covariance
-    (afb_noise_cov).
+    (afb_noise_cov).  trials < 1 or seed < 0 raise ValueError at once.
     """
-    _check_int("trials", trials)
-    _check_int("seed", seed)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    for name, value, low in (("trials", trials, 1), ("seed", seed, 0)):
+        _check_int(name, value)
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
     rng = np.random.default_rng(seed)
-    M, L_h, nu, E = config.M, config.L_h, config.nu, config.E
-    proto = design_prototype(M, config.K)
+    M, L_h, nu, E = config.M, config.L_h, config.nu, 1.0
+    proto = design_prototype(M, K)
     beta = proto.beta
-    report = OptimalityReport(config=config, trials=trials, seed=seed)
+    report = OptimalityReport(config=config, K=K, trials=trials, seed=seed)
     add = report.checks.append
 
     # (a) sparse CP-OFDM lower bound, random values and pilot counts
@@ -344,13 +347,15 @@ def verify_optimality(
         f"projected gradient {grad_norm:.2e} (< 1e-6), curvature >= 0: {curv_ok}"))
 
     # (b) full OQAM raw lower bound under the SFB-input energy constraint.
-    # A real column a has the raw pseudo pilots c = a @ B, B the AFB noise
-    # covariance of the pulse.  sum 1/c_p^2 >= M^2 / sum c_p^2, and
-    # ||c||^2 < (1+2*beta)^2 ||a||^2: the first-order part of B, with
-    # -beta in its wrap-around corners, has the negacyclic eigenvalues
-    # 1 + 2*beta*cos(pi*(2k+1)/M), all strictly below 1 + 2*beta.
+    # A real column a has the raw pseudo pilots c = a @ B (the divisors of
+    # column), B the AFB noise covariance of the pulse.  sum 1/c_p^2 >=
+    # M^2 / sum c_p^2, and ||c||^2 < (1+2*beta)^2 ||a||^2: the first-order
+    # part of B, with -beta in its wrap-around corners, has the negacyclic
+    # eigenvalues 1 + 2*beta*cos(pi*(2k+1)/M), all strictly below 1 + 2*beta.
     B = np.ascontiguousarray(afb_noise_cov(proto).real)  # BLAS needs it
-    f_b = lambda a: np.sum(1.0 / (a @ B) ** 2, axis=-1)
+    column = make_equal_comb(M, 0, E, config, proto=proto)
+    f_b = lambda a: closed_form_mse(replace(column, divisors=a @ B), 1.0,
+                                    config, mode="raw")
     bound_b = M ** 2 / (E * (1.0 + 2.0 * beta) ** 2)
     n_t = trials
     A_rand = np.abs(rng.standard_normal((n_t, M))) + 0.05

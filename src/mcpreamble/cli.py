@@ -11,8 +11,9 @@ training energy E (an experiment is built at E = M, the verify report
 holds ratios at E = 1), design no K (its preamble is CP-OFDM) and only
 its first impulse k.  run's options can also come from an INI file
 ([experiment] and [system] sections); flags given on the command line
-win over the file.  A bad option, dimension or config file prints one
-`error:` line and exits 2.
+win over the file.  A bad option, dimension, config file or output path
+prints one `error:` line and exits 2, before any channel runs or any
+report line is printed.
 """
 
 from __future__ import annotations
@@ -57,37 +58,31 @@ def _load_ini(path: str) -> dict:
     return out
 
 
-def _parse_grid(text: str) -> tuple:
-    return tuple(float(v) for v in text.replace(",", " ").split())
+def _given(args: argparse.Namespace, keys) -> dict:
+    """The options among keys given on the command line."""
+    return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
 
 
 def _system(args: argparse.Namespace) -> SystemConfig:
     """SystemConfig from the flags given; the rest take their defaults."""
-    vals = {"M": 128, "L_h": 8}
-    vals.update({k: v for k, v in vars(args).items()
-                 if k in ("M", "L_h", "K", "E") and v is not None})
-    return SystemConfig(**vals)
+    return SystemConfig(**{"M": 128, "L_h": 8, **_given(args, ("M", "L_h"))})
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     opts = _load_ini(args.config) if args.config else {}
-    for key in ("preset", "scale", "seed", "out", "n_channels", "n_noise",
-                "workers", "M", "L_h", "K"):
-        val = getattr(args, key)
-        if val is not None:
-            opts[key] = val
-    if args.ebn0 is not None:
-        opts["ebn0_db"] = args.ebn0
+    opts.update(_given(args, (*_EXP_KEYS, *_SYS_KEYS)))
     name = opts.pop("preset", None)
     if name is None:
         raise ValueError("no preset given (flag --preset or config file)")
     out = opts.pop("out", None)
     if "ebn0_db" in opts:
-        opts["ebn0_db"] = _parse_grid(str(opts["ebn0_db"]))
+        grid = str(opts["ebn0_db"]).replace(",", " ").split()
+        opts["ebn0_db"] = tuple(float(v) for v in grid)
     cfg = preset(name, **opts)
-    curves = run_experiment(cfg)
     if out:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
+    curves = run_experiment(cfg)
+    if out:
         write_csv(curves, out, cfg.name)
     print(f"{cfg.name}: M={cfg.M} L_h={cfg.L_h} K={cfg.K} "
           f"channels={cfg.n_channels} noise={cfg.n_noise} seed={cfg.seed}")
@@ -104,27 +99,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = verify_optimality(_system(args), trials=args.trials, seed=args.seed)
+    report = verify_optimality(_system(args), trials=args.trials,
+                               seed=args.seed, **_given(args, ("K",)))
     print(report.to_text())
     return 0 if report.passed else 1
 
 
 def _cmd_design(args: argparse.Namespace) -> int:
-    cfg = _system(args)
+    cfg, E = _system(args), args.E
     k, gamma, theta = args.k, args.gamma, args.theta
     m = (k + cfg.M // 2) % cfg.M
-    p = make_full_equipower_qam(k, gamma, theta, cfg.E, cfg)
+    p = make_full_equipower_qam(k, gamma, theta, E, cfg)
+    if args.out:
+        save_preamble(p, args.out)
     mods = np.abs(p.symbols) ** 2
     print(f"two-impulse equal-power preamble  M={cfg.M} L_h={cfg.L_h} "
-          f"E={cfg.E:g}")
+          f"E={E:g}")
     print(f"k={k} m={m} gamma={gamma:.6f} theta={theta:.6f}")
     print(f"subcarrier power spread: {mods.max() - mods.min():.3e} "
-          f"(target {cfg.E / cfg.M:.6g} per tone)")
+          f"(target {E / cfg.M:.6g} per tone)")
     print(f"prefix energy fraction: {(p.E_train - p.E) / p.E:.3e}")
     print(f"useful-part PAPR: {papr(modulate(p.symbols, cfg)[cfg.nu:]):.2f} "
           f"(equal-value column: {cfg.M:.0f})")
     if args.out:
-        save_preamble(p, args.out)
         print(f"wrote {args.out}")
     else:
         print("index,re,im")
@@ -157,7 +154,7 @@ def main(argv=None) -> int:
     pr.add_argument("--n-channels", dest="n_channels", type=int, default=None)
     pr.add_argument("--n-noise", dest="n_noise", type=int, default=None)
     pr.add_argument("--workers", type=int, default=None)
-    pr.add_argument("--ebn0", default=None,
+    pr.add_argument("--ebn0", dest="ebn0_db", default=None,
                     help="comma separated Eb/N0 grid in dB")
     _add_system_flags(pr, _SYS_KEYS)
     pr.set_defaults(func=_cmd_run)
@@ -174,13 +171,14 @@ def main(argv=None) -> int:
     pd.add_argument("--gamma", type=float, default=float(np.sqrt(0.5)))
     pd.add_argument("--theta", type=float, default=0.0)
     pd.add_argument("--out", default=None)
-    _add_system_flags(pd, {"M": int, "L_h": int, "E": float})
+    pd.add_argument("--E", type=float, default=1.0, help="training energy")
+    _add_system_flags(pd, {"M": int, "L_h": int})
     pd.set_defaults(func=_cmd_design)
 
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError, configparser.Error) as exc:
+    except (OSError, ValueError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,10 +1,10 @@
 """System dimensions shared by every module.
 
-A single frozen dataclass pins down the multicarrier geometry: the number
-of subcarriers M, the channel length L_h (which also fixes the cyclic
-prefix nu = L_h - 1), the prototype overlapping factor K, and the training
-energy budget E.  Everything downstream (synthesis, estimation, energy
-accounting) takes one of these instead of loose integers.
+A single frozen dataclass pins down the multicarrier grid, and only it:
+the number of subcarriers M and the channel length L_h (which also fixes
+the cyclic prefix nu = L_h - 1).  A pulse carries its overlapping factor
+K, and each preamble constructor takes its training energy E.  Everything
+downstream takes one of these instead of loose integers.
 """
 
 from __future__ import annotations
@@ -47,23 +47,18 @@ def _is_pow2(n: int) -> bool:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Multicarrier dimensions and training budget.
+    """Multicarrier grid.
 
     M    -- subcarrier count, power of two
     L_h  -- channel impulse response length in samples, power of two,
             with 2 <= L_h <= M/2 so that M/L_h is an integer >= 2
-    K    -- prototype overlapping factor, integer 1..5 (OQAM only)
-    E    -- training energy budget used by the preamble constructors,
-            positive and finite
     """
 
     M: int
     L_h: int
-    K: int = 4
-    E: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("M", "L_h", "K"):
+        for name in ("M", "L_h"):
             _check_int(name, getattr(self, name))
         if not _is_pow2(self.M):
             raise ValueError(f"M must be a power of two, got {self.M}")
@@ -73,9 +68,6 @@ class SystemConfig:
             raise ValueError(
                 f"L_h must satisfy 2 <= L_h <= M/2, got L_h={self.L_h} M={self.M}"
             )
-        if not (1 <= self.K <= 5):
-            raise ValueError(f"K must be an integer in 1..5, got {self.K}")
-        _check_energy("E", self.E)
 
     @property
     def nu(self) -> int:

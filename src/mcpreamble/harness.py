@@ -59,9 +59,9 @@ from .channel import (_veh_a_profile, awgn, cfr_from_cir, ebn0_to_sigma2,
 from .config import SystemConfig, _check_energy, _check_int
 from .cpofdm import demodulate, modulate
 from .estimation import pilot_fit
-from .oqam import afb, afb_column, design_prototype, sfb, truncate_prototype
-from .preambles import (Preamble, draw_sparse_data, make_equal_comb,
-                        sparse_data_layout)
+from .oqam import (_check_overlap, afb, afb_column, design_prototype, sfb,
+                   truncate_prototype)
+from .preambles import draw_sparse_data, make_equal_comb, sparse_data_layout
 
 # seed branch tags
 _TAG_CHANNEL = 101
@@ -87,9 +87,7 @@ class CurveSpec:
     "cpofdm" or "oqam", an e_scale that is not a positive finite real, an
     n_pilots or truncate_to that is not an integer (the curve cache would
     take 8.0 for 8), or truncate_to on a "cpofdm" curve raises ValueError
-    naming its curve; the rest is checked as the curve is built.  Unless
-    e_scale fixes a budget of E * e_scale, a curve is scaled to the first
-    curve's training power, and the first is built at E."""
+    naming its curve; the rest is checked as the curve is built."""
 
     label: str
     system: str                  # "cpofdm" | "oqam"
@@ -129,13 +127,16 @@ class CurveSpec:
 class ExperimentConfig:
     """One experiment, which checks its fields when it is built.
 
-    Its system has E = M (see the module docstring).  curves and ebn0_db take any sequence but a scalar and are stored as
-    tuples, so a config hashes (the per-process curve cache is keyed on
-    it) and compares by value.  A name write_csv cannot write as one
-    field (see _check_csv_field), dimensions SystemConfig rejects, a seed
-    below 0, fewer than 2 channels (the standard error is taken across
-    them), no noise draw or worker, no curves, or an empty Eb/N0 grid or
-    a point of it without a positive, finite sigma2 raise ValueError."""
+    Its system is the grid M, L_h, its OQAM curves take the pulse of K,
+    and each curve is built at E = M (see the module docstring).  curves
+    and ebn0_db take any sequence but a scalar and are stored as tuples,
+    so a config hashes (the per-process curve cache is keyed on it) and
+    compares by value.  A name write_csv cannot write as one field (see
+    _check_csv_field), dimensions SystemConfig rejects, a K with no pulse
+    (checked with none built), a seed below 0, fewer than 2 channels (the
+    standard error is taken across them), no noise draw or worker, no
+    curves, or an empty Eb/N0 grid or a point of it without a positive,
+    finite sigma2 raise ValueError."""
 
     name: str
     M: int
@@ -156,6 +157,7 @@ class ExperimentConfig:
             except TypeError:
                 raise ValueError(f"{name} must be a sequence") from None
         self.system  # checks the dimensions
+        _check_overlap(self.K)
         for name, low in zip(("seed", "n_channels", "n_noise", "workers"),
                              (0, 2, 1, 1)):
             value = getattr(self, name)
@@ -170,7 +172,7 @@ class ExperimentConfig:
 
     @property
     def system(self) -> SystemConfig:
-        return SystemConfig(M=self.M, L_h=self.L_h, K=self.K, E=float(self.M))
+        return SystemConfig(M=self.M, L_h=self.L_h)
 
     @property
     def sigma2(self) -> np.ndarray:
@@ -215,8 +217,9 @@ class MseCurve:
 
 class _CurveRuntime:
     """Per-process expansion of a CurveSpec on the run's SystemConfig sc,
-    with its system picked once; ref is the first curve's preamble, the
-    power reference (see CurveSpec), or None for the first curve.
+    on its pulse proto (None: CP-OFDM) and at E = M; ref is the first
+    curve's preamble, the power reference (see CurveSpec), or None for
+    the first curve.
 
     `preamble` is the curve's one preamble at its power: the static
     preamble, or the layout of a sparse-plus-data curve (see
@@ -240,26 +243,25 @@ class _CurveRuntime:
     (6, L_h) for a projected curve.
     """
 
-    def __init__(self, spec: CurveSpec, sc: SystemConfig, ref: Preamble | None):
+    def __init__(self, spec: CurveSpec, sc: SystemConfig, proto, ref):
         self.spec = spec
         self.sc = sc
+        self.proto = proto
         self.delays = _veh_a_profile(sc.L_h).taps
-        if spec.system == "cpofdm":
-            self.proto = None
+        if proto is None:
             self.synthesize = lambda x: modulate(x, sc)
             self.tones = lambda r: demodulate(r, sc)
             self.receive = lambda r: self.tones(r).take(self.pilot_idx, -1)
         else:
-            self.proto = proto = _pulse(sc.M, sc.K, spec.truncate_to)
             self.synthesize = lambda x: sfb(x, proto)
             self.tones = lambda r: afb_column(r, proto, 0)
             self.receive = lambda r: afb(r, proto, self.pilot_idx)
-        e = sc.E * (1.0 if spec.e_scale is None else spec.e_scale)
+        e = float(sc.M) * (1.0 if spec.e_scale is None else spec.e_scale)
         if spec.scenario is not None:
-            p = sparse_data_layout(spec.scenario, e, sc, proto=self.proto)
+            p = sparse_data_layout(spec.scenario, e, sc, proto=proto)
         else:
             n = sc.M if spec.n_pilots is None else spec.n_pilots
-            p = make_equal_comb(n, 0, e, sc, proto=self.proto)
+            p = make_equal_comb(n, 0, e, sc, proto=proto)
         if spec.e_scale is None and ref is not None:
             p = p.scaled(float(np.sqrt(tpr(ref, p))))
         self.preamble = p
@@ -300,14 +302,16 @@ def _pulse(M: int, K: int, cut: int | None):
 
 @lru_cache(maxsize=1)
 def _runtimes(cfg: ExperimentConfig) -> list[_CurveRuntime]:
-    """The curves of cfg on one SystemConfig, once per process, each
-    referred for its power to the first curve's preamble; a ValueError
-    from building one is raised again naming its curve."""
+    """The curves of cfg on one SystemConfig and the pulse of cfg.K, once
+    per process, each referred for its power to the first curve's
+    preamble; a ValueError from building one names its curve."""
     sc = cfg.system
     runtimes = []
     for spec in cfg.curves:
         try:
-            rt = _CurveRuntime(spec, sc,
+            proto = (None if spec.system == "cpofdm"
+                     else _pulse(cfg.M, cfg.K, spec.truncate_to))
+            rt = _CurveRuntime(spec, sc, proto,
                                runtimes[0].preamble if runtimes else None)
         except ValueError as exc:
             raise ValueError(f"curve {spec.label!r}: {exc}") from exc
@@ -472,21 +476,17 @@ def preset(
     config is built (ExperimentConfig)."""
     if scale not in ("desk", "paper"):
         raise ValueError(f"scale must be 'desk' or 'paper', got {scale!r}")
-    dims = dict(_DESK if scale == "desk" else _PAPER)
     spec = _PRESETS.get(name)
     if spec is None:
         raise ValueError(f"unknown preset {name!r} (have {sorted(_PRESETS)})")
-    dims.update(spec.get(scale, {}))
-    given = dict(M=M, L_h=L_h, n_channels=n_channels, n_noise=n_noise)
+    dims = dict(_DESK if scale == "desk" else _PAPER, K=spec["K"],
+                **spec.get(scale, {}))
+    given = dict(M=M, L_h=L_h, K=K, n_channels=n_channels, n_noise=n_noise)
     dims.update({k: v for k, v in given.items() if v is not None})
-    k_eff = K if K is not None else spec.get("K", 4)
     grid = ebn0_db if ebn0_db is not None else spec.get("ebn0", _EBN0_DEFAULT)
     return ExperimentConfig(
-        name=name, M=dims["M"], L_h=dims["L_h"], K=k_eff,
-        curves=spec["curves"](dims["M"], dims["L_h"]), ebn0_db=grid,
-        n_channels=dims["n_channels"], n_noise=dims["n_noise"],
-        seed=seed, workers=workers,
-    )
+        name=name, curves=spec["curves"](dims["M"], dims["L_h"]),
+        ebn0_db=grid, seed=seed, workers=workers, **dims)
 
 
 def preset_names() -> list:

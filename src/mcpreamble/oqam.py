@@ -171,15 +171,20 @@ class PrototypeFilter:
         return float(np.max(np.abs(v)))
 
 
-def design_prototype(M: int, K: int) -> PrototypeFilter:
-    """Frequency-sampling prototype of length K*M, unit energy; M is an
-    integer >= 1 and K an integer in 1..5 (else ValueError)."""
-    _check_int("M", M)
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
+def _check_overlap(K) -> None:
+    """K must be an integer key of PROTO_COEFFS (else ValueError)."""
     _check_int("K", K)
     if K not in PROTO_COEFFS:
         raise ValueError(f"K must be one of {sorted(PROTO_COEFFS)}, got {K}")
+
+
+def design_prototype(M: int, K: int) -> PrototypeFilter:
+    """Frequency-sampling prototype of length K*M, unit energy; M is an
+    integer >= 1 and K passes _check_overlap (else ValueError)."""
+    _check_int("M", M)
+    if M < 1:
+        raise ValueError(f"M must be >= 1, got {M}")
+    _check_overlap(K)
     L_g = K * M
     c = (L_g - 1) / 2.0
     l = np.arange(L_g)

@@ -6,22 +6,22 @@ from mcpreamble import SystemConfig, design_prototype
 
 @pytest.fixture(scope="session")
 def desk():
-    return SystemConfig(M=128, L_h=8, K=4)
+    return SystemConfig(M=128, L_h=8)
 
 
 @pytest.fixture(scope="session")
 def proto(desk):
-    return design_prototype(desk.M, desk.K)
+    return design_prototype(desk.M, 4)
 
 
 @pytest.fixture(scope="session")
 def small():
-    return SystemConfig(M=32, L_h=4, K=4)
+    return SystemConfig(M=32, L_h=4)
 
 
 @pytest.fixture(scope="session")
 def small_proto(small):
-    return design_prototype(small.M, small.K)
+    return design_prototype(small.M, 4)
 
 
 def cgauss(rng, *shape):

@@ -23,15 +23,15 @@ from mcpreamble import (afb_column, awgn, cfr_from_cir, demodulate,
 
 def preambles(cfg) -> list:
     """Each curve's preamble at its power: at E * e_scale, or built at E
-    and scaled to the first curve's training power ratio."""
+    and scaled to the first curve's training power ratio, with E = M."""
     sc, out = cfg.system, []
     for spec in cfg.curves:
         proto = None
         if spec.system == "oqam":
-            proto = design_prototype(sc.M, sc.K)
+            proto = design_prototype(sc.M, cfg.K)
             if spec.truncate_to is not None:
                 proto = truncate_prototype(proto, spec.truncate_to)
-        e = sc.E * (spec.e_scale or 1.0)
+        e = sc.M * (spec.e_scale or 1.0)
         if spec.scenario is not None:
             p = sparse_data_layout(spec.scenario, e, sc, proto)
         else:
@@ -52,7 +52,7 @@ def chain(cfg) -> tuple:
     over draws of ||H_hat - H||^2 / ||H||^2, then per curve and point its
     mean over channels and the standard error of that mean in dB."""
     sc, ps, n_win = cfg.system, preambles(cfg), window(cfg)
-    sigma = np.sqrt([ebn0_to_sigma2(g, sc.E / sc.M) for g in cfg.ebn0_db])
+    sigma = np.sqrt([ebn0_to_sigma2(g, 1.0) for g in cfg.ebn0_db])  # E/M
     ratios = np.zeros((cfg.n_channels, len(ps), len(sigma)))
     for c in range(cfg.n_channels):
         h = gen_veh_a(np.random.SeedSequence([cfg.seed, 101, c]), sc)

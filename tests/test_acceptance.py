@@ -150,10 +150,10 @@ def test_error_floors():
     # data leaking through the intrinsic interference leaves a noiseless
     # residual of exactly beta^2 (the pilot comb and both neighbor combs
     # all sample |H|^2 to the same (L_h/M)||H||^2); CP-OFDM has no floor
-    cfg = SystemConfig(1024, 32, K=4, E=1024.0)
-    proto = design_prototype(cfg.M, cfg.K)
+    cfg, E = SystemConfig(1024, 32), 1024.0
+    proto = design_prototype(cfg.M, 4)
     closed = (cfg.M / cfg.L_h) * proto.beta ** 2 * (cfg.L_h / cfg.M)
-    p = make_sparse_data("oqam-1a", cfg.E, np.random.SeedSequence([77]), cfg,
+    p = make_sparse_data("oqam-1a", E, np.random.SeedSequence([77]), cfg,
                          proto=proto)
     worst_exact = 0.0
     sims = []
@@ -163,7 +163,7 @@ def test_error_floors():
         nmse = expected_error_floor(p, h, cfg) / den
         worst_exact = max(worst_exact, abs(nmse / closed - 1.0))
         for d in range(150):
-            pd = make_sparse_data("oqam-1a", cfg.E,
+            pd = make_sparse_data("oqam-1a", E,
                                   np.random.SeedSequence([77, i, d]), cfg,
                                   proto=proto)
             sims.append(error_floor(pd, h, cfg) / den)
@@ -184,8 +184,8 @@ def test_error_floors():
 
 
 def test_exact_property_suite():
-    cfg = SystemConfig(128, 8, K=4, E=128.0)
-    M, L_h, nu, E = cfg.M, cfg.L_h, cfg.nu, cfg.E
+    cfg, E = SystemConfig(128, 8), 128.0
+    M, L_h, nu = cfg.M, cfg.L_h, cfg.nu
     G = cp_gram(M, nu)
     dev_tr = abs(np.trace(G).real / (M * nu) - 1.0)
     dev_sum = abs(np.sum(G)) / (M * nu)
@@ -219,8 +219,8 @@ def test_exact_property_suite():
 
     report = verify_optimality(cfg, trials=10000, seed=1)
 
-    small = SystemConfig(32, 4, K=4, E=32.0)
-    sproto = design_prototype(small.M, small.K)
+    small = SystemConfig(32, 4)
+    sproto = design_prototype(small.M, 4)
     B = afb_noise_cov(sproto)
     rng = np.random.default_rng(5)
     n_tr, Mm, L_g = 200_000, small.M, sproto.g.size

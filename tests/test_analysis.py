@@ -39,6 +39,8 @@ from mcpreamble import (
 )
 from mcpreamble.preambles import sparse_data_layout
 
+E = 1.0  # the training energy of the desk preambles
+
 
 def test_papr_reference_points():
     assert abs(papr(np.ones(64)) - 1.0) < 1e-12
@@ -48,8 +50,8 @@ def test_papr_reference_points():
 
 
 def test_genie_mse_domains(desk):
-    v = genie_mse(0.01, desk.E, desk)
-    assert abs(v - desk.L_h * 0.01 / desk.E) < 1e-15
+    v = genie_mse(0.01, E, desk)
+    assert abs(v - desk.L_h * 0.01 / E) < 1e-15
     # the CFR-domain bound is M times larger: F_{M x L_h}^H F_{M x L_h} = M*I
     F = dft_submatrix(desk.M, np.arange(desk.M), np.arange(desk.L_h))
     assert np.max(np.abs(F.conj().T @ F - desk.M * np.eye(desk.L_h))) < 1e-9
@@ -58,7 +60,7 @@ def test_genie_mse_domains(desk):
 @pytest.mark.parametrize("sigma2", [-1.0, np.nan, np.inf, True, "1"])
 def test_closed_form_takes_a_finite_nonnegative_noise_variance(desk, sigma2):
     # -1 gave a negative MSE and NaN a NaN; 0 is the noiseless case
-    p = make_equal_comb(desk.L_h, 0, desk.E, desk)
+    p = make_equal_comb(desk.L_h, 0, E, desk)
     with pytest.raises(ValueError, match="sigma2 must be"):
         closed_form_mse(p, sigma2, desk)
     assert closed_form_mse(p, 0.0, desk) == 0.0
@@ -79,27 +81,27 @@ def test_genie_takes_a_finite_nonnegative_noise_variance(desk, sigma2, E):
 def test_equispaced_equal_comb_attains_genie(desk):
     # the closed form for the projected equal comb reduces to the bound
     for N in (desk.L_h, 2 * desk.L_h):
-        p = make_equal_comb(N, 0, desk.E, desk)
+        p = make_equal_comb(N, 0, E, desk)
         pred = closed_form_mse(p, 0.01, desk)
-        assert abs(pred - desk.M * genie_mse(0.01, desk.E, desk)) < 1e-9
+        assert abs(pred - desk.M * genie_mse(0.01, E, desk)) < 1e-9
 
 
 def test_equipower_two_impulse_attains_genie(desk):
-    p = make_full_equipower_qam(0, np.sqrt(0.5), 0.3, desk.E, desk)
+    p = make_full_equipower_qam(0, np.sqrt(0.5), 0.3, E, desk)
     pred = closed_form_mse(p, 0.01, desk, mode="projected")
-    assert abs(pred - desk.M * genie_mse(0.01, desk.E, desk)) < 1e-9
+    assert abs(pred - desk.M * genie_mse(0.01, E, desk)) < 1e-9
 
 
 def test_closed_form_takes_a_stack_of_divisor_rows(desk, proto):
     # raw and white-pilot noise give one value per row of divisors, that
     # of the preamble holding the row alone; one row gives a float
     rng = np.random.default_rng(2)
-    full = make_equal_comb(desk.M, 0, desk.E, desk)
-    cases = [(make_equal_comb(2 * desk.L_h, 1, desk.E, desk), "projected"),
+    full = make_equal_comb(desk.M, 0, E, desk)
+    cases = [(make_equal_comb(2 * desk.L_h, 1, E, desk), "projected"),
              (full, "projected"), (full, "raw"),
-             (make_equal_comb(2 * desk.L_h, 0, desk.E, desk, proto),
+             (make_equal_comb(2 * desk.L_h, 0, E, desk, proto),
               "projected"),
-             (make_equal_comb(desk.M, 0, desk.E, desk, proto), "raw")]
+             (make_equal_comb(desk.M, 0, E, desk, proto), "raw")]
     for p, mode in cases:
         rows = p.divisors * (0.5 + rng.random((3, 2, p.n_pilots)))
         got = closed_form_mse(replace(p, divisors=rows), 0.01, desk, mode=mode)
@@ -114,9 +116,9 @@ def test_closed_form_takes_a_stack_of_divisor_rows(desk, proto):
 def test_qam_closed_forms_against_simulation(desk):
     sigma2 = 0.01
     cases = [
-        (make_equal_comb(2 * desk.L_h, 0, desk.E, desk), "projected"),
-        (make_equal_comb(desk.M, 0, desk.E, desk), "raw"),
-        (make_equal_comb(desk.M, 0, desk.E, desk), "projected"),
+        (make_equal_comb(2 * desk.L_h, 0, E, desk), "projected"),
+        (make_equal_comb(desk.M, 0, E, desk), "raw"),
+        (make_equal_comb(desk.M, 0, E, desk), "projected"),
     ]
     for p, mode in cases:
         pred = closed_form_mse(p, sigma2, desk, mode=mode)
@@ -134,7 +136,7 @@ def test_qam_closed_forms_against_simulation(desk):
 def test_oqam_closed_forms_against_simulation(desk, proto):
     sigma2 = 0.01
     # sparse comb estimates through the flat-per-subcarrier front end
-    p = make_equal_comb(2 * desk.L_h, 0, desk.E, desk, proto)
+    p = make_equal_comb(2 * desk.L_h, 0, E, desk, proto)
     pred = closed_form_mse(p, sigma2, desk)
     acc = 0.0
     trials = 500
@@ -151,7 +153,7 @@ def test_oqam_full_projected_uses_noise_correlation(desk, proto):
     # the exact projected form differs from the white-noise shortcut by
     # the analysis-bank correlation; simulation arbitrates
     sigma2 = 0.01
-    p = make_equal_comb(desk.M, 0, desk.E, desk, proto)
+    p = make_equal_comb(desk.M, 0, E, desk, proto)
     pred = closed_form_mse(p, sigma2, desk, mode="projected")
     white = sigma2 * desk.L_h / desk.M * np.sum(1.0 / np.abs(p.divisors) ** 2)
     assert abs(pred / white - 1.0) > 0.1
@@ -211,13 +213,12 @@ def _dense_full_projected_mse(p, sigma2, cfg):
 @pytest.mark.parametrize("K,truncate", [(2, None), (3, None), (4, None),
                                         (5, None), (4, 128 + 8 - 1)])
 def test_full_oqam_projected_mse_matches_dense_trace(desk, K, truncate):
-    cfg = SystemConfig(M=desk.M, L_h=desk.L_h, K=K)
-    proto = design_prototype(cfg.M, K)
+    proto = design_prototype(desk.M, K)
     if truncate is not None:
         proto = truncate_prototype(proto, truncate)
-    p = make_equal_comb(cfg.M, 0, cfg.E, cfg, proto)
-    got = closed_form_mse(p, 0.01, cfg)
-    want = _dense_full_projected_mse(p, 0.01, cfg)
+    p = make_equal_comb(desk.M, 0, E, desk, proto)
+    got = closed_form_mse(p, 0.01, desk)
+    want = _dense_full_projected_mse(p, 0.01, desk)
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -247,7 +248,7 @@ def _loop_expected_floor(p, h, cfg):
 @pytest.mark.parametrize("scenario", ["oqam-1a", "oqam-1b", "oqam-2", "oqam-3"])
 def test_expected_error_floor_matches_loop_definition(desk, proto, scenario):
     h = gen_veh_a(8, desk)
-    p = make_sparse_data(scenario, desk.E, 2, desk, proto)
+    p = make_sparse_data(scenario, E, 2, desk, proto)
     want = _loop_expected_floor(p, h, desk)
     got = expected_error_floor(p, h, desk)
     if scenario == "oqam-1b":
@@ -268,7 +269,7 @@ def data_layouts(draw, scenarios=("oqam-1a", "oqam-1b", "oqam-2", "oqam-3")):
     L_h = 2 ** draw(st.integers(1, int(np.log2(M)) - 1))
     K = draw(st.integers(1, 5))
     scenario = draw(st.sampled_from(scenarios))
-    cfg = SystemConfig(M=M, L_h=L_h, K=K, E=float(M))
+    cfg = SystemConfig(M=M, L_h=L_h)
     proto = design_prototype(M, K)
     if K > 1 and scenario in ("oqam-1a", "oqam-1b") and draw(st.booleans()):
         proto = truncate_prototype(proto, M + L_h - 1)
@@ -277,7 +278,7 @@ def data_layouts(draw, scenarios=("oqam-1a", "oqam-1b", "oqam-2", "oqam-3")):
 
 # At M/L_h = 2 every data symbol of a helped layout borders two pilots:
 # the only grid where a symbol takes the second help-pilot slot of B.
-_TWO_PILOT = (SystemConfig(M=16, L_h=8, K=4, E=16.0), design_prototype(16, 4))
+_TWO_PILOT = (SystemConfig(M=16, L_h=8), design_prototype(16, 4))
 
 
 @settings(max_examples=40, deadline=None)
@@ -286,7 +287,7 @@ _TWO_PILOT = (SystemConfig(M=16, L_h=8, K=4, E=16.0), design_prototype(16, 4))
 @example((*_TWO_PILOT, "oqam-3"), 1)
 def test_floor_map_matches_loop_definition(layout, seed):
     cfg, proto, scenario = layout
-    p = make_sparse_data(scenario, cfg.E, seed, cfg, proto)
+    p = make_sparse_data(scenario, float(cfg.M), seed, cfg, proto)
     h = gen_veh_a(seed, cfg)
     got = floor_map(p, cfg)(cfr_from_cir(h, cfg.M))
     want = _loop_expected_floor(p, h, cfg)
@@ -302,7 +303,7 @@ def test_floor_map_matches_loop_definition(layout, seed):
        st.integers(0, 2 ** 32 - 1))
 @example((*_TWO_PILOT, "oqam-2"), 1, 0)
 @example((*_TWO_PILOT, "oqam-3"), 4, 1)
-@example((SystemConfig(M=16, L_h=2, K=2, E=16.0), design_prototype(16, 2),
+@example((SystemConfig(M=16, L_h=2), design_prototype(16, 2),
           "oqam-2"), 1, 0)
 def test_help_pilots_match_the_complex_cancellation_rule(layout, T, seed):
     # every help pilot of a draw is the real amplitude that cancels its
@@ -313,7 +314,7 @@ def test_help_pilots_match_the_complex_cancellation_rule(layout, T, seed):
     # bounds every help pilot: where a draw's data cancel (the last
     # example), every help pilot is roundoff of a zero
     cfg, proto, scenario = layout
-    p = sparse_data_layout(scenario, cfg.E, cfg, proto)
+    p = sparse_data_layout(scenario, float(cfg.M), cfg, proto)
     x = draw_sparse_data(p, seed, T)
     m, n, w = first_order_neighbours(p.pilot_idx, 2, proto)
     helper = np.exp(1j * data_phase(p.pilot_idx, 1))
@@ -332,8 +333,8 @@ def test_help_pilot_energy_is_the_first_order_sum(layout):
     # a data symbol's real amplitude carries E_x/2, so the help pilots
     # cost E_x/2 * sum |w/rho|^2 over every pilot's data neighbours
     cfg, proto, scenario = layout
-    p = sparse_data_layout(scenario, cfg.E, cfg, proto)
-    e_x = cfg.E / cfg.L_h
+    p = sparse_data_layout(scenario, float(cfg.M), cfg, proto)
+    e_x = cfg.M / cfg.L_h
     m, n, w = first_order_neighbours(p.pilot_idx, 2, proto)
     data = np.zeros((cfg.M, 2), dtype=bool)
     data[p.data_positions[:, 0], p.data_positions[:, 1]] = True
@@ -346,9 +347,9 @@ def test_floor_map_of_the_paper_help_layout_stays_small():
     # symbols) stack: paper fig6's sparse-data-3 layout, its pulse tables
     # built inside the trace, peaks at about 0.5 MiB (2.1 MiB for the
     # stack, numpy 2.4)
-    cfg = SystemConfig(M=1024, L_h=32, K=4, E=1024.0)
-    proto = design_prototype(cfg.M, cfg.K)
-    p = sparse_data_layout("oqam-3", cfg.E, cfg, proto)
+    cfg = SystemConfig(M=1024, L_h=32)
+    proto = design_prototype(cfg.M, 4)
+    p = sparse_data_layout("oqam-3", 1024.0, cfg, proto)
     tracemalloc.start()
     try:
         floor_map(p, cfg)
@@ -361,7 +362,7 @@ def test_floor_map_of_the_paper_help_layout_stays_small():
 def test_floor_map_rejects_a_data_comb_of_other_than_L_h_pilots(desk, proto):
     # its per-tone form needs the LS fit to keep every pilot's tap
     for scenario in ("oqam-1a", "oqam-3"):
-        p = make_sparse_data(scenario, desk.E, 0, desk, proto)
+        p = make_sparse_data(scenario, E, 0, desk, proto)
         for L_h in (desk.L_h // 2, 2 * desk.L_h):
             with pytest.raises(ValueError, match="pilots"):
                 floor_map(p, replace(desk, L_h=L_h))
@@ -373,7 +374,7 @@ def test_verify_optimality_rejects_bad_trial_count(desk, monkeypatch):
         raise AssertionError("verify_optimality started work")
     monkeypatch.setattr(analysis, "design_prototype", no_work)
     for kw in (dict(trials=0), dict(trials=2.5), dict(trials=True),
-               dict(trials="10"), dict(seed=1.5)):
+               dict(trials="10"), dict(seed=1.5), dict(seed=-1)):
         with pytest.raises(ValueError, match=next(iter(kw))):
             verify_optimality(desk, **kw)
 
@@ -381,11 +382,11 @@ def test_verify_optimality_rejects_bad_trial_count(desk, monkeypatch):
 def test_error_floor_expectation(desk, proto):
     h = gen_veh_a(3, desk)
     for scenario, rel_tol in (("oqam-1a", 0.1), ("oqam-2", 0.15), ("oqam-3", 0.15)):
-        p0 = make_sparse_data(scenario, desk.E, 0, desk, proto)
+        p0 = make_sparse_data(scenario, E, 0, desk, proto)
         want = expected_error_floor(p0, h, desk)
         sims = []
         for seed in range(120):
-            p = make_sparse_data(scenario, desk.E, seed, desk, proto)
+            p = make_sparse_data(scenario, E, seed, desk, proto)
             sims.append(error_floor(p, h, desk))
         assert abs(np.mean(sims) - want) < rel_tol * want
 
@@ -394,7 +395,7 @@ def test_error_floor_orderings(desk, proto):
     h = gen_veh_a(4, desk)
     f = {}
     for scenario in ("oqam-1a", "oqam-1b", "oqam-2", "oqam-3"):
-        p = make_sparse_data(scenario, desk.E, 0, desk, proto)
+        p = make_sparse_data(scenario, E, 0, desk, proto)
         f[scenario] = expected_error_floor(p, h, desk)
     assert f["oqam-1b"] < 1e-9 * f["oqam-1a"]
     assert f["oqam-2"] <= f["oqam-3"] * (1 + 1e-9)
@@ -403,7 +404,7 @@ def test_error_floor_orderings(desk, proto):
 
 def test_qam_scenarios_have_no_floor(desk, proto):
     h = gen_veh_a(5, desk)
-    p = make_sparse_data("qam-sd", desk.E, 3, desk)
+    p = make_sparse_data("qam-sd", E, 3, desk)
     r = np.convolve(modulate(p.symbols, desk), h)
     y = demodulate(r[: desk.M + desk.nu], desk)[p.pilot_idx]
     H_hat = estimate_from_pilots(y, p, desk)
@@ -412,10 +413,10 @@ def test_qam_scenarios_have_no_floor(desk, proto):
 
 
 def test_antenna_energy_dispatch(desk, proto):
-    q = make_equal_comb(desk.L_h, 0, desk.E, desk)
-    o = make_equal_comb(desk.L_h, 0, desk.E, desk, proto)
-    assert abs(antenna_energy(q, desk) - desk.E) < 1e-9
-    assert abs(antenna_energy(o, desk) - desk.E) < 1e-9
+    q = make_equal_comb(desk.L_h, 0, E, desk)
+    o = make_equal_comb(desk.L_h, 0, E, desk, proto)
+    assert abs(antenna_energy(q, desk) - E) < 1e-9
+    assert abs(antenna_energy(o, desk) - E) < 1e-9
 
 
 def test_verify_optimality_report(desk):
@@ -430,6 +431,6 @@ def test_verify_optimality_report(desk):
 def test_verify_optimality_other_geometry():
     # (1024, 32) is the paper geometry: check (b) reads a 1024 x 1024 B
     for M, L_h in ((64, 4), (1024, 32)):
-        cfg = SystemConfig(M=M, L_h=L_h, K=4)
+        cfg = SystemConfig(M=M, L_h=L_h)
         rep = verify_optimality(cfg, trials=300, seed=5)
         assert rep.passed, rep.to_text()

@@ -1,9 +1,10 @@
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
-from mcpreamble import cli, load_preamble_values
+from mcpreamble import SystemConfig, cli, harness, load_preamble_values
 from mcpreamble.cli import main
 
 # every option of each subcommand, aliases included, and of run's INI
@@ -21,6 +22,13 @@ INI_KEYS = {
                    "workers", "ebn0_db"},
     "system": {"M", "L_h", "K"},
 }
+# the grid alone: a pulse carries its K, a preamble constructor takes E
+SYSTEM_FIELDS = ["M", "L_h"]
+
+
+def _no_channel_runs(*args):
+    # stands for gen_veh_a, the draw every channel starts with
+    raise AssertionError("a channel ran")
 
 
 def test_run_writes_csv(tmp_path, capsys):
@@ -44,10 +52,10 @@ def test_run_requires_preset(capsys):
     ["--n-noise", "0"], ["--n-channels", "1"], ["--workers", "0"],
     ["--ebn0", ","], ["--M", "100"], ["--ebn0", "nan"], ["--ebn0", "0,inf"],
     ["--ebn0", "4000"], ["--ebn0", "-4000"], ["--seed", "-1"],
-    ["--preset", "fig8a", "--K", "1"],
+    ["--preset", "fig8a", "--K", "1"], ["--K", "6"],
 ], ids=["n-noise=0", "n-channels=1", "workers=0", "empty-ebn0", "M=100",
         "nan-ebn0", "inf-ebn0", "ebn0=4000", "ebn0=-4000",
-        "seed=-1", "fig8a-K=1"])
+        "seed=-1", "fig8a-K=1", "K=6"])
 def test_run_rejects_bad_options(tmp_path, capsys, bad):
     out = tmp_path / "bad.csv"
     rc = main(["run", "--preset", "fig1a", "--n-channels", "2",
@@ -58,7 +66,10 @@ def test_run_rejects_bad_options(tmp_path, capsys, bad):
     assert not out.exists()
     if bad[0] == "--seed":
         assert "seed" in err
-    if "--K" in bad:
+    if bad == ["--K", "6"]:
+        # fig1a is CP-OFDM only: K is checked with no pulse built
+        assert "K must be one of" in err
+    if "fig8a" in bad:
         # the cut M + L_h - 1 = 135 is longer than the K=1 pulse of M = 128
         assert "'oqam-truncated'" in err and "135" in err and "K=1" in err
 
@@ -113,6 +124,38 @@ def test_run_config_file_takes_its_keys_only():
             "system": set(cli._SYS_KEYS)} == INI_KEYS
 
 
+def test_system_config_is_the_grid():
+    assert [f.name for f in dataclasses.fields(SystemConfig)] == SYSTEM_FIELDS
+
+
+def _blocked_path(tmp_path):
+    """An output path under a plain file, so no directory can hold it."""
+    (tmp_path / "blocker").write_text("")
+    return tmp_path / "blocker" / "out"
+
+
+def test_run_fails_on_an_unwritable_path_before_any_channel(
+        tmp_path, capsys, monkeypatch):
+    # all channels ran before the error
+    monkeypatch.setattr(harness, "gen_veh_a", _no_channel_runs)
+    rc = main(["run", "--preset", "fig4b", "--n-channels", "5",
+               "--n-noise", "3", "--out", str(_blocked_path(tmp_path))])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_design_fails_on_an_unwritable_path_before_printing(tmp_path, capsys):
+    # five report lines came out before the error
+    rc = main(["design", "--M", "32", "--L-h", "4",
+               "--out", str(_blocked_path(tmp_path))])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("k", range(32))
 def test_design_takes_any_first_impulse(capsys, k):
     rc = main(["design", "--M", "32", "--L-h", "4", "--k", str(k)])
@@ -155,13 +198,18 @@ def test_verify_keeps_explicit_zero_seed(capsys):
     ["verify", "--M", "0", "--trials", "200"], ["design", "--E", "0"],
     ["design", "--theta", "inf"],  # a NaN preamble behind a RuntimeWarning
     ["design", "--k", "-1"], ["design", "--k", "128"],
+    ["verify", "--K", "6", "--trials", "200"],
+    ["verify", "--seed", "-1", "--trials", "200"],
 ], ids=["verify-M=0", "design-E=0", "design-theta=inf", "design-k=-1",
-        "design-k=M"])
+        "design-k=M", "verify-K=6", "verify-seed=-1"])
 def test_zero_dimension_is_rejected(capsys, argv):
     rc = main(argv)
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if "--seed" in argv:
+        # numpy's "expected non-negative integer" named no option
+        assert "seed must be >= 0" in err
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

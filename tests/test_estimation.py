@@ -24,9 +24,11 @@ from mcpreamble import (
 )
 from mcpreamble.estimation import pilot_fit
 
+E = 1.0  # the training energy of the desk preambles
+
 
 def test_noiseless_sparse_estimate_is_exact(desk):
-    p = make_equal_comb(2 * desk.L_h, 0, desk.E, desk)
+    p = make_equal_comb(2 * desk.L_h, 0, E, desk)
     h = gen_veh_a(1, desk)
     r = np.convolve(modulate(p.symbols, desk), h)
     y = demodulate(r[: desk.M + desk.nu], desk)[p.pilot_idx]
@@ -37,7 +39,7 @@ def test_noiseless_sparse_estimate_is_exact(desk):
 
 
 def test_noiseless_oqam_sparse_estimate(desk, proto):
-    p = make_equal_comb(desk.L_h, 0, desk.E, desk, proto)
+    p = make_equal_comb(desk.L_h, 0, E, desk, proto)
     h = gen_veh_a(2, desk)
     r = np.convolve(sfb(p.symbols, proto), h)
     y = afb(r[: p.window], proto, p.pilot_idx)
@@ -48,8 +50,8 @@ def test_noiseless_oqam_sparse_estimate(desk, proto):
 
 
 def test_estimator_has_two_explicit_modes(desk):
-    full = make_equal_comb(desk.M, 0, desk.E, desk)
-    sparse = make_equal_comb(desk.L_h, 0, desk.E, desk)
+    full = make_equal_comb(desk.M, 0, E, desk)
+    sparse = make_equal_comb(desk.L_h, 0, E, desk)
     rng = np.random.default_rng(2)
     y_full = rng.standard_normal(desk.M) + 1j * rng.standard_normal(desk.M)
     y_sp = np.ones(desk.L_h, dtype=complex)
@@ -113,7 +115,7 @@ def test_a_layout_floor_must_fit_its_config(scenario):
 
 @pytest.mark.parametrize("mode", ["raw", "projected"])
 def test_estimate_takes_a_stack_of_measurements(desk, mode):
-    full = make_equal_comb(desk.M, 0, desk.E, desk)
+    full = make_equal_comb(desk.M, 0, E, desk)
     rng = np.random.default_rng(7)
     y = rng.standard_normal((6, desk.M)) + 1j * rng.standard_normal((6, desk.M))
     H_hat = estimate_from_pilots(y, full, desk, mode=mode)
@@ -127,7 +129,7 @@ def test_estimate_takes_a_stack_of_measurements(desk, mode):
 
 
 def test_raw_estimate_is_plain_division(desk):
-    full = make_equal_comb(desk.M, 0, desk.E, desk)
+    full = make_equal_comb(desk.M, 0, E, desk)
     rng = np.random.default_rng(3)
     y = rng.standard_normal(desk.M) + 1j * rng.standard_normal(desk.M)
     H_hat = estimate_from_pilots(y, full, desk, mode="raw")
@@ -144,11 +146,11 @@ def _zero_divisor(p, row=()):
 def test_zero_divisor_is_rejected(desk, proto):
     # every LS consumer checks it through one fit check; closed_form_mse
     # and error_floor returned inf, and floor_map NaN
-    full = make_equal_comb(desk.M, 0, desk.E, desk)
+    full = make_equal_comb(desk.M, 0, E, desk)
     bad = _zero_divisor(full)
     stack = _zero_divisor(dataclasses.replace(
         full, divisors=np.stack([full.divisors] * 3)), (2,))
-    helped = _zero_divisor(sparse_data_layout("oqam-2", desk.E, desk, proto))
+    helped = _zero_divisor(sparse_data_layout("oqam-2", E, desk, proto))
     h = gen_veh_a(1, desk)
     y = np.ones(desk.M, dtype=complex)
     calls = [partial(error_floor, helped, h, desk),
@@ -169,7 +171,7 @@ def _projected_from_raw(H_raw, full, desk):
 
 
 def test_full_grid_projection_reduces_to_support(desk):
-    full = make_equal_comb(desk.M, 0, desk.E, desk)
+    full = make_equal_comb(desk.M, 0, E, desk)
     rng = np.random.default_rng(4)
     h = np.zeros(desk.M, dtype=complex)
     h[: desk.L_h] = rng.standard_normal(desk.L_h) + 1j * rng.standard_normal(desk.L_h)
@@ -187,7 +189,7 @@ def test_full_grid_projection_reduces_to_support(desk):
 
 
 def test_projection_is_idempotent(desk):
-    full = make_equal_comb(desk.M, 0, desk.E, desk)
+    full = make_equal_comb(desk.M, 0, E, desk)
     rng = np.random.default_rng(5)
     noisy = rng.standard_normal(desk.M) + 1j * rng.standard_normal(desk.M)
     once = _projected_from_raw(noisy, full, desk)

@@ -71,7 +71,9 @@ def test_preset_overrides():
                  n_noise=4, ebn0_db=(5.0, 15.0))
     assert cfg.M == 64 and cfg.L_h == 4 and cfg.seed == 9
     assert cfg.ebn0_db == (5.0, 15.0)
-    assert cfg.system.E == 64.0
+    assert cfg.system == SystemConfig(M=64, L_h=4)
+    # the first curve is built at E = M
+    assert harness._runtimes(cfg)[0].preamble.E == 64.0
 
 
 # the family of each preset's curves, at both scales
@@ -726,24 +728,13 @@ def test_experiment_config_system():
 
 
 @pytest.mark.parametrize("bad", [
-    dict(M=128.0), dict(L_h=8.0), dict(K=2.5), dict(K=True), dict(M=True),
-    dict(L_h=np.float64(8.0)), dict(K=np.bool_(True)),
-], ids=["M=128.0", "L_h=8.0", "K=2.5", "K=True", "M=True", "L_h=float64",
-        "K=bool_"])
+    dict(M=128.0), dict(L_h=8.0), dict(M=True), dict(L_h=np.float64(8.0)),
+], ids=["M=128.0", "L_h=8.0", "M=True", "L_h=float64"])
 def test_system_config_takes_integer_dimensions_only(bad):
     with pytest.raises(ValueError, match="must be an integer"):
-        SystemConfig(**{"M": 128, "L_h": 8, "K": 4, **bad})
-    sc = SystemConfig(M=np.int64(128), L_h=np.int32(8), K=np.int64(4))
-    assert (sc.M, sc.L_h, sc.K, sc.nu) == (128, 8, 4, 7)
-
-
-@pytest.mark.parametrize("E", [True, np.bool_(True), "1", None],
-                         ids=["True", "bool_", "str", "None"])
-def test_system_config_takes_a_real_energy_only(E):
-    with pytest.raises(ValueError, match="E must be a real number"):
-        SystemConfig(M=128, L_h=8, E=E)
-    for ok in (3, np.float32(2.5), np.float64(128.0)):
-        assert SystemConfig(M=128, L_h=8, E=ok).E == ok
+        SystemConfig(**{"M": 128, "L_h": 8, **bad})
+    sc = SystemConfig(M=np.int64(128), L_h=np.int32(8))
+    assert (sc.M, sc.L_h, sc.nu) == (128, 8, 7)
 
 
 def test_run_experiment_takes_numpy_floats():
@@ -766,6 +757,16 @@ def test_run_experiment_takes_numpy_integer_counts():
         assert a.nmse.tobytes() == b.nmse.tobytes()
 
 
+def test_a_numpy_integer_k_builds_its_pulse():
+    # K is checked as the config is built, with no pulse built; the
+    # curves take the pulse of that K
+    cfg = preset("fig4b", scale="desk", n_channels=2, n_noise=1,
+                 K=np.int64(3), ebn0_db=(10.0,))
+    assert cfg == dataclasses.replace(cfg, K=3)
+    run_experiment(cfg)
+    assert [rt.proto.K for rt in harness._runtimes(cfg)] == [3, 3]
+
+
 @pytest.mark.parametrize("bad", [
     dict(n_channels=1), dict(n_noise=0), dict(ebn0_db=()), dict(workers=0),
     dict(M=100), dict(ebn0_db=(float("nan"),)), dict(ebn0_db=(0.0, np.inf)),
@@ -773,16 +774,19 @@ def test_run_experiment_takes_numpy_integer_counts():
     dict(ebn0_db=(-4000.0, 0.0)), dict(seed=-1), dict(seed=1.5),
     dict(seed=True), dict(n_channels=2.5), dict(n_noise=1.5),
     dict(n_noise=True), dict(workers=1.5), dict(workers=True), dict(K=2.5),
-    dict(K=True), dict(M=128.0), dict(L_h=8.0), dict(ebn0_db=("5",)), dict(ebn0_db=(0.0, True)), dict(ebn0_db=5.0),
+    dict(K=True), dict(K=np.bool_(True)), dict(K=0), dict(K=6),
+    dict(M=128.0), dict(L_h=8.0), dict(ebn0_db=("5",)),
+    dict(ebn0_db=(0.0, True)), dict(ebn0_db=5.0),
 ], ids=["n_channels=1", "n_noise=0", "empty_ebn0", "workers=0", "M=100",
         "nan_ebn0", "inf_ebn0", "-inf_ebn0", "ebn0=4000", "ebn0=-4000",
         "seed=-1", "seed=1.5", "seed=True", "n_channels=2.5", "n_noise=1.5",
         "n_noise=True", "workers=1.5", "workers=True", "K=2.5", "K=True",
-        "M=128.0", "L_h=8.0", "str_ebn0", "bool_ebn0",
-        "scalar_ebn0"])
+        "K=bool_", "K=0", "K=6", "M=128.0", "L_h=8.0", "str_ebn0",
+        "bool_ebn0", "scalar_ebn0"])
 def test_run_experiment_rejects_bad_inputs_before_any_work(monkeypatch, bad):
     # the config checks its fields when it is built, by preset or by
-    # dataclasses.replace, so no bad config reaches run_experiment
+    # dataclasses.replace, so no bad config reaches run_experiment; fig1a
+    # is CP-OFDM only, and still takes no K without a designed pulse
     monkeypatch.setattr(harness, "gen_veh_a", _no_channel_runs)
     with pytest.raises(ValueError):
         preset("fig1a", scale="desk", **{"n_channels": 3, "n_noise": 2, **bad})
@@ -847,21 +851,21 @@ def test_a_config_takes_any_sequence_of_curves_and_points(monkeypatch):
 @pytest.mark.parametrize("name", preset_names())
 def test_equal_power_is_the_default(name):
     # a curve without e_scale carries the first curve's training power per
-    # window, and the first is built at E; fig2a's same-gain comb fixes
-    # its budget at 2E, unequalized
+    # window, and the first is built at E = M; fig2a's same-gain comb
+    # fixes its budget at 2E, unequalized
     cfg = preset(name, scale="desk")
     sc = cfg.system
     first, *rest = harness._runtimes(cfg)
     assert first.spec.e_scale is None
     n = sc.M if first.spec.n_pilots is None else first.spec.n_pilots
-    at_e = make_equal_comb(n, 0, sc.E, sc, proto=first.proto)
+    at_e = make_equal_comb(n, 0, float(sc.M), sc, proto=first.proto)
     assert first.preamble.E_train == at_e.E_train
     for rt in rest:
         if rt.spec.e_scale is None:
             assert abs(tpr(first.preamble, rt.preamble) - 1.0) <= 1e-12
         else:
             assert (name, rt.spec.e_scale) == ("fig2a", 2.0)
-            at_2e = make_equal_comb(rt.spec.n_pilots, 0, 2.0 * sc.E, sc)
+            at_2e = make_equal_comb(rt.spec.n_pilots, 0, 2.0 * sc.M, sc)
             assert rt.preamble.E_train == at_2e.E_train
 
 
@@ -891,8 +895,7 @@ def test_a_bad_curve_fails_before_the_pool_starts(monkeypatch):
 @pytest.mark.parametrize("name", ["fig4b", "fig6"])
 def test_prediction_is_linear_in_sigma2(name):
     cfg = preset(name, scale="desk", n_channels=3, n_noise=2)
-    sigma2 = np.array([ebn0_to_sigma2(g, cfg.system.E / cfg.M)
-                       for g in cfg.ebn0_db])
+    sigma2 = np.array([ebn0_to_sigma2(g, 1.0) for g in cfg.ebn0_db])  # E/M
     for cu in run_experiment(cfg):
         gain = (cu.predicted - cu.floor) / sigma2
         assert np.max(np.abs(gain / gain[0] - 1.0)) < 1e-12

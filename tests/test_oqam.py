@@ -26,6 +26,7 @@ RHO4 = 0.5644478310164335
 WTILDE4 = 0.2057996220521831
 PR_RESIDUAL = {1: 1e-15, 2: 1e-15, 3: 2.2537696983e-03, 4: 2.0349029918e-04,
                5: 5.9994751428e-04}
+E = 1.0  # the training energy of the desk preambles
 
 
 def test_prototype_compares_by_identity():
@@ -260,7 +261,7 @@ def test_pulse_tables_take_integer_offsets(small, small_proto, offset):
     # 1 once that was cached, True read column 1, and 0.5 failed with an
     # IndexError or a TypeError
     r = np.ones(small.M // 2 + small_proto.L_g, dtype=complex)
-    fresh = design_prototype(small.M, small.K)
+    fresh = design_prototype(small.M, small_proto.K)
     small_proto.kernel(1)
     for call in (partial(fresh.kernel, offset),
                  partial(small_proto.kernel, offset),
@@ -391,7 +392,7 @@ def test_pseudo_pilot_predicts_flat_channel_output(small, small_proto):
 def test_full_preamble_pseudo_pilots_exact(desk, proto):
     # one occupied column: in-column weights beyond first order vanish,
     # so the pseudo pilots equal the flat-channel outputs to precision
-    p = make_equal_comb(desk.M, 0, desk.E, desk, proto)
+    p = make_equal_comb(desk.M, 0, E, desk, proto)
     s = sfb(p.symbols, proto)
     y = afb(s, proto, np.arange(desk.M))
     assert np.max(np.abs(y - p.divisors)) < 1e-12
@@ -425,12 +426,12 @@ def test_help_pilot_cancels_imaginary_part():
     # every pilot of a helped grid: the help pilot takes the imaginary
     # part of its sfb -> afb output down to the higher-order leakage level
     for M, L_h in ((32, 4), (128, 8)):
-        cfg = SystemConfig(M=M, L_h=L_h, K=4)
+        cfg = SystemConfig(M=M, L_h=L_h)
         proto = design_prototype(M, 4)
         for scenario in ("oqam-2", "oqam-3"):
             bare_worst = 0.0
             for seed in range(3):
-                p = make_sparse_data(scenario, cfg.E, seed, cfg, proto)
+                p = make_sparse_data(scenario, E, seed, cfg, proto)
                 derot = np.exp(-1j * data_phase(p.pilot_idx, 0))
                 y = afb(sfb(p.symbols, proto), proto, p.pilot_idx) * derot
                 assert np.all(np.abs(y.imag) < 5e-3 * np.abs(y.real))
@@ -450,11 +451,11 @@ def test_help_pilot_needs_aligned_axis(desk, proto):
     even = truncate_prototype(proto, desk.M + desk.L_h)
     for scenario in ("oqam-2", "oqam-3"):
         with pytest.raises(ValueError, match="helper axis"):
-            sparse_data_layout(scenario, desk.E, desk, odd)
+            sparse_data_layout(scenario, E, desk, odd)
         with pytest.raises(ValueError, match="helper axis"):
-            make_sparse_data(scenario, desk.E, 1, desk, odd)
-        assert sparse_data_layout(scenario, desk.E, desk, even).proto is even
-        assert make_sparse_data(scenario, desk.E, 1, desk, even).proto is even
+            make_sparse_data(scenario, E, 1, desk, odd)
+        assert sparse_data_layout(scenario, E, desk, even).proto is even
+        assert make_sparse_data(scenario, E, 1, desk, even).proto is even
 
 
 def test_truncate_prototype_recenters_and_renormalizes():

@@ -27,32 +27,33 @@ from mcpreamble import analysis, oqam, preambles
 from mcpreamble.preambles import SCENARIOS
 
 E_REL = 1e-6
+E = 1.0  # the training energy of the desk preambles
 
 
 def test_sparse_equal_declared_energy_is_emitted(desk, proto):
     for pulse in (None, proto):
         for N in (desk.L_h, 2 * desk.L_h, 4 * desk.L_h):
-            p = make_equal_comb(N, 0, desk.E, desk, pulse)
+            p = make_equal_comb(N, 0, E, desk, pulse)
             meas = antenna_energy(p, desk)
             assert abs(meas - p.E_train) < E_REL * p.E_train
             assert p.n_pilots == N
             # equispaced equal combs leave the prefix empty
-            assert abs(p.E_train - desk.E) < E_REL * desk.E
+            assert abs(p.E_train - E) < E_REL * E
 
 
 def test_sparse_equal_comb_offset(desk):
-    p = make_equal_comb(desk.L_h, 3, desk.E, desk)
+    p = make_equal_comb(desk.L_h, 3, E, desk)
     step = desk.M // desk.L_h
     assert list(p.pilot_idx) == list(range(3, desk.M, step))
-    assert cp_energy(p.symbols, desk) < 1e-12 * desk.E
+    assert cp_energy(p.symbols, desk) < 1e-12 * E
 
 
 def test_sparse_equal_rejects_bad_counts(desk, proto):
     with pytest.raises(ValueError):
-        make_equal_comb(desk.L_h // 2, 0, desk.E, desk)
+        make_equal_comb(desk.L_h // 2, 0, E, desk)
     # N = M is no bad count: the OQAM comb is then the full column, whose
     # divisors are the pseudo pilots of its neighbour interference
-    full = make_equal_comb(desk.M, 0, desk.E, desk, proto)
+    full = make_equal_comb(desk.M, 0, E, desk, proto)
     assert list(full.pilot_idx) == list(range(desk.M))
     assert full.symbols.shape == (desk.M, 1)
     assert np.array_equal(full.divisors,
@@ -64,23 +65,23 @@ def test_oqam_constructors_reject_a_pulse_for_another_m(desk):
     other = design_prototype(desk.M // 2, 4)
     both = rf"M={desk.M // 2} .*M={desk.M}\b"
     with pytest.raises(ValueError, match=both):
-        make_equal_comb(desk.L_h, 0, desk.E, desk, proto=other)
+        make_equal_comb(desk.L_h, 0, E, desk, proto=other)
     with pytest.raises(ValueError, match=both):
-        make_equal_comb(desk.M, 0, desk.E, desk, proto=other)
+        make_equal_comb(desk.M, 0, E, desk, proto=other)
     for scenario in ("oqam-1a", "oqam-2"):
         with pytest.raises(ValueError, match=both):
-            make_sparse_data(scenario, desk.E, 1, desk, proto=other)
+            make_sparse_data(scenario, E, 1, desk, proto=other)
 
 
 def test_oqam_scenarios_need_their_pulse(desk):
     for scenario in ("oqam-1a", "oqam-2"):
         with pytest.raises(ValueError, match=scenario):
-            make_sparse_data(scenario, desk.E, 1, desk)
+            make_sparse_data(scenario, E, 1, desk)
 
 
 @pytest.mark.parametrize("make", [
-    lambda cfg, pulse: make_sparse_data("qam-sd", cfg.E, 5, cfg, pulse),
-    lambda cfg, pulse: sparse_data_layout("qam-sd", cfg.E, cfg, proto=pulse),
+    lambda cfg, pulse: make_sparse_data("qam-sd", E, 5, cfg, pulse),
+    lambda cfg, pulse: sparse_data_layout("qam-sd", E, cfg, proto=pulse),
 ], ids=["qam-sd", "qam-sd-layout"])
 def test_cpofdm_constructors_reject_a_pulse(desk, proto, make):
     # a pulse selects OQAM everywhere else; the qam-sd scenario names
@@ -99,7 +100,8 @@ def test_cpofdm_constructors_reject_a_pulse(desk, proto, make):
     lambda cfg, E, pulse: sparse_data_layout("oqam-3", E, cfg, proto=pulse),
 ], ids=["comb", "oqam-comb", "two-impulse", "qam-sd", "oqam-3-layout"])
 def test_constructors_take_a_positive_finite_energy_only(desk, proto, make, E):
-    # SystemConfig's rule for E: each ran before, to a bare RuntimeWarning
+    # each constructor checks the E it takes (positive, finite, real):
+    # each ran before, to a bare RuntimeWarning
     # from sqrt, zero divisors that failed only in the estimator, a
     # non-finite preamble, or E = 1
     with pytest.raises(ValueError, match="E must be"):
@@ -109,23 +111,23 @@ def test_constructors_take_a_positive_finite_energy_only(desk, proto, make, E):
 def test_truncated_pulse_sets_window_and_energy(desk, proto):
     # the pulse passed in alone fixes the window and the synthesized energy
     short = truncate_prototype(proto, desk.M + desk.L_h - 1)
-    p = make_equal_comb(desk.L_h, 0, desk.E, desk, proto=short)
+    p = make_equal_comb(desk.L_h, 0, E, desk, proto=short)
     assert p.proto is short and p.scaled(0.5).proto is short
     assert p.window == short.L_g == 135
     want = float(np.sum(np.abs(sfb(p.symbols, short)) ** 2))
     assert antenna_energy(p, desk) == want
-    assert abs(want - desk.E) > 1e-3 * desk.E
+    assert abs(want - E) > 1e-3 * E
 
 
 def test_full_equal_energy_modes(desk, proto):
-    q = make_equal_comb(desk.M, 0, desk.E, desk)
-    assert abs(antenna_energy(q, desk) - desk.E) < E_REL * desk.E
-    o_ant = make_equal_comb(desk.M, 0, desk.E, desk, proto)
-    assert abs(antenna_energy(o_ant, desk) - desk.E) < E_REL * desk.E
+    q = make_equal_comb(desk.M, 0, E, desk)
+    assert abs(antenna_energy(q, desk) - E) < E_REL * E
+    o_ant = make_equal_comb(desk.M, 0, E, desk, proto)
+    assert abs(antenna_energy(o_ant, desk) - E) < E_REL * E
 
 
 def test_full_equal_divisor_styles(desk, proto):
-    pseudo = make_equal_comb(desk.M, 0, desk.E, desk, proto)
+    pseudo = make_equal_comb(desk.M, 0, E, desk, proto)
     a = pseudo.symbols[0, 0].real
     assert abs(pseudo.divisors[5] / a - (1 + 2 * proto.beta)) < 1e-9
 
@@ -136,22 +138,22 @@ def test_equipower_two_impulse_family(desk):
         k = int(rng.integers(0, desk.M))
         gamma = float(rng.uniform(0, 1))
         theta = float(rng.uniform(0, 2 * np.pi))
-        p = make_full_equipower_qam(k, gamma, theta, desk.E, desk)
+        p = make_full_equipower_qam(k, gamma, theta, E, desk)
         mods = np.abs(p.symbols) ** 2
-        assert np.max(mods) - np.min(mods) < 1e-12 * desk.E / desk.M
-        assert abs(p.E_train - desk.E) < 1e-9 * desk.E
+        assert np.max(mods) - np.min(mods) < 1e-12 * E / desk.M
+        assert abs(p.E_train - E) < 1e-9 * E
     # the second impulse is at (k + M/2) mod M: time samples k and m
-    u = np.fft.ifft(make_full_equipower_qam(100, 0.6, 0.0, desk.E,
+    u = np.fft.ifft(make_full_equipower_qam(100, 0.6, 0.0, E,
                                             desk).symbols)
     assert set(np.flatnonzero(np.abs(u) > 1e-9)) == {36, 100}
     for k in (-1, desk.M, np.int64(desk.M + 64)):
         with pytest.raises(ValueError, match="k must lie in 0..M-1"):
-            make_full_equipower_qam(k, 0.5, 0.0, desk.E, desk)
+            make_full_equipower_qam(k, 0.5, 0.0, E, desk)
     # half-sample positions made no two-impulse preamble (3.5 % of E in
     # the prefix), and True stood for 1
     for k in (0.5, True, np.float64(3.0)):
         with pytest.raises(ValueError, match="k must be an integer"):
-            make_full_equipower_qam(k, 0.7, 0.0, desk.E, desk)
+            make_full_equipower_qam(k, 0.7, 0.0, E, desk)
 
 
 @pytest.mark.parametrize("gamma, theta", [
@@ -163,12 +165,12 @@ def test_two_impulse_takes_a_real_gamma_and_a_finite_theta(desk, gamma, theta):
     # an infinite theta built NaN symbols behind a bare RuntimeWarning,
     # and a string gamma raised TypeError
     with pytest.raises(ValueError, match="gamma must|theta must"):
-        make_full_equipower_qam(0, gamma, theta, desk.E, desk)
+        make_full_equipower_qam(0, gamma, theta, E, desk)
 
 
 def test_sparse_data_energy_declarations(desk, proto):
-    sd = make_sparse_data("qam-sd", desk.E, 5, desk)
-    e_x = desk.E / desk.L_h
+    sd = make_sparse_data("qam-sd", E, 5, desk)
+    e_x = E / desk.L_h
     want = desk.L_h * e_x + (desk.M - desk.L_h) * e_x * desk.nu / desk.M
     assert abs(sd.E_train - want) < 1e-9 * want
     assert sd.data_positions.shape == (desk.M - desk.L_h, 2)
@@ -179,9 +181,9 @@ def test_sparse_data_energy_declarations(desk, proto):
     # declared nu/M share on average
     got = []
     for seed in range(200):
-        p = make_sparse_data("qam-sd", desk.E, seed, desk)
+        p = make_sparse_data("qam-sd", E, seed, desk)
         got.append(cp_energy(p.symbols, desk))
-    assert abs(np.mean(got) - (want - desk.E)) < 0.05 * (want - desk.E)
+    assert abs(np.mean(got) - (want - E)) < 0.05 * (want - E)
 
 
 def test_sparse_data_scenarios_layout(desk, proto):
@@ -191,7 +193,7 @@ def test_sparse_data_scenarios_layout(desk, proto):
         ("oqam-2", 2 * desk.L_h, desk.L_h, 2),
         ("oqam-3", 0, desk.L_h, 2),
     ):
-        p = make_sparse_data(scenario, desk.E, 9, desk, proto)
+        p = make_sparse_data(scenario, E, 9, desk, proto)
         assert p.symbols.shape == (desk.M, cols)
         occupied = np.count_nonzero(p.symbols)
         # a helper amplitude may solve to exactly zero for lucky data
@@ -217,17 +219,17 @@ def test_a_layout_draw_is_a_stack_of_single_draws(M, scenario, T):
     # row t of T draws from a stream is the t-th of successive
     # make_sparse_data draws from an equally seeded stream, bit for bit,
     # scaled or not: a row never depends on its stack
-    cfg = SystemConfig(M=M, L_h=M // 16, K=4, E=float(M))
+    cfg, E = SystemConfig(M=M, L_h=M // 16), float(M)
     pulse = None if scenario == "qam-sd" else design_prototype(M, 4)
-    layout = sparse_data_layout(scenario, cfg.E, cfg, pulse)
+    layout = sparse_data_layout(scenario, E, cfg, pulse)
     seed = np.random.SeedSequence([5, 201, 3, 1])
     stack = draw_sparse_data(layout, np.random.default_rng(seed), T)
     assert stack.shape == (T,) + layout.symbols.shape
     stream = np.random.default_rng(seed)
-    singles = [make_sparse_data(scenario, cfg.E, stream, cfg, pulse)
+    singles = [make_sparse_data(scenario, E, stream, cfg, pulse)
                for _ in range(T)]
     # a seed that is not a generator starts its stream: draw 0
-    first = make_sparse_data(scenario, cfg.E, seed, cfg, pulse)
+    first = make_sparse_data(scenario, E, seed, cfg, pulse)
     assert first.symbols.tobytes() == singles[0].symbols.tobytes()
     for amp in (1.0, 0.7):
         base = layout.scaled(amp)
@@ -248,11 +250,11 @@ def test_make_sparse_data_keeps_its_symbols_for_an_integer_seed():
     # an integer seed gives the symbols it gave when each draw took one
     # integers call per data column: the QPSK symbols by their bytes (all
     # exact in binary) and the signs of an OQAM draw's real data
-    cfg = SystemConfig(M=16, L_h=2, K=4, E=16.0)
-    p = make_sparse_data("qam-sd", cfg.E, 11, cfg)
+    cfg, E = SystemConfig(M=16, L_h=2), 16.0
+    p = make_sparse_data("qam-sd", E, 11, cfg)
     assert hashlib.sha256(p.symbols.tobytes()).hexdigest() == (
         "1be75a841f400ba18379d077c7e7d3ce52c33fda7d0af7af990145f9f6337873")
-    q = make_sparse_data("oqam-3", cfg.E, 11, cfg, design_prototype(16, 4))
+    q = make_sparse_data("oqam-3", E, 11, cfg, design_prototype(16, 4))
     m, n = q.data_positions.T
     d = (q.symbols[m, n] * np.exp(-1j * data_phase(m, n))).real
     assert "".join("+" if v > 0 else "-" for v in d) == (
@@ -263,9 +265,9 @@ def test_make_sparse_data_keeps_its_symbols_for_an_integer_seed():
 def test_floor_map_reads_the_layout_help_map(monkeypatch, scenario):
     # the layout's help_j and help_c are the first-order cancellation
     # weights, and its floor map reads them, not the first-order table
-    cfg = SystemConfig(M=64, L_h=4, K=4, E=64.0)
+    cfg, E = SystemConfig(M=64, L_h=4), 64.0
     proto = design_prototype(64, 4)
-    layout = sparse_data_layout(scenario, cfg.E, cfg, proto)
+    layout = sparse_data_layout(scenario, E, cfg, proto)
     nm, nn, w = first_order_neighbours(layout.pilot_idx, 2, proto)
     grid = np.full((cfg.M, 2), -1)  # data index of each grid position
     pos = layout.data_positions
@@ -291,25 +293,25 @@ def test_floor_map_reads_the_layout_help_map(monkeypatch, scenario):
     assert analysis.floor_map(layout, cfg)(np.ones(cfg.M)) > 0
 
 
-def _helper_ratio(scenario, cfg, proto):
+def _helper_ratio(scenario, E, cfg, proto):
     """zeta = E[helper^2] / E_x, read from E_train = N*E_x*(1 + zeta)."""
-    p = make_sparse_data(scenario, cfg.E, 0, cfg, proto)
-    return p.E_train / cfg.E - 1.0
+    p = make_sparse_data(scenario, E, 0, cfg, proto)
+    return p.E_train / E - 1.0
 
 
 def test_sparse_data_helper_energy_ratio(desk, proto):
     for scenario in ("oqam-2", "oqam-3"):
-        zeta = _helper_ratio(scenario, desk, proto)
+        zeta = _helper_ratio(scenario, E, desk, proto)
         assert zeta > 0
         ratios = []
         for seed in range(300):
-            p = make_sparse_data(scenario, desk.E, seed, desk, proto)
+            p = make_sparse_data(scenario, E, seed, desk, proto)
             e_h = np.sum(np.abs(p.symbols[p.pilot_idx, 1]) ** 2)
             e_p = np.sum(np.abs(p.symbols[p.pilot_idx, 0]) ** 2)
             ratios.append(e_h / e_p)
         assert abs(np.mean(ratios) - zeta) < 0.1 * zeta
-    assert (_helper_ratio("oqam-3", desk, proto)
-            > _helper_ratio("oqam-2", desk, proto))
+    assert (_helper_ratio("oqam-3", E, desk, proto)
+            > _helper_ratio("oqam-2", E, desk, proto))
 
 
 def test_help_pilots_match_the_first_order_sum_pilot_by_pilot(desk, proto):
@@ -319,7 +321,7 @@ def test_help_pilots_match_the_first_order_sum_pilot_by_pilot(desk, proto):
     M = desk.M
     for scenario in ("oqam-2", "oqam-3"):
         for seed in range(3):
-            p = make_sparse_data(scenario, desk.E, seed, desk, proto)
+            p = make_sparse_data(scenario, E, seed, desk, proto)
             x = p.symbols
             for P in p.pilot_idx:
                 v = 0.0
@@ -336,14 +338,14 @@ def test_helper_energy_ratio_has_its_closed_form(M):
     # and, in oqam-3, beta from each one beside it in column 0; each
     # carries E_x/2, and the help pilot reaches its pilot with rho
     for K in (2, 3, 4, 5):
-        cfg = SystemConfig(M=M, L_h=8, K=K, E=float(M))
+        cfg = SystemConfig(M=M, L_h=8)
         proto = design_prototype(M, K)
         wtilde = abs(proto.weight(1, 1))
         want = {"oqam-2": wtilde ** 2 / proto.rho ** 2,
                 "oqam-3": (proto.beta ** 2 + wtilde ** 2) / proto.rho ** 2}
         for scenario, zeta in want.items():
-            assert _helper_ratio(scenario, cfg, proto) == pytest.approx(
-                zeta, rel=1e-12)
+            zeta_got = _helper_ratio(scenario, float(M), cfg, proto)
+            assert zeta_got == pytest.approx(zeta, rel=1e-12)
 
 
 def test_sparse_data_flat_channel_pilots(desk, proto):
@@ -354,7 +356,7 @@ def test_sparse_data_flat_channel_pilots(desk, proto):
 
     devs = {}
     for scenario in ("oqam-1a", "oqam-1b", "oqam-2", "oqam-3"):
-        p = make_sparse_data(scenario, desk.E, 4, desk, proto)
+        p = make_sparse_data(scenario, E, 4, desk, proto)
         s = sfb(p.symbols, proto)
         y = afb(s, proto, p.pilot_idx)
         devs[scenario] = np.max(np.abs(y / p.divisors - 1.0))
@@ -365,23 +367,23 @@ def test_sparse_data_flat_channel_pilots(desk, proto):
 
 
 def test_tpr_windows_and_values(desk, proto):
-    q_sp = make_equal_comb(desk.L_h, 0, desk.E, desk)
-    o_sp = make_equal_comb(desk.L_h, 0, desk.E, desk, proto)
+    q_sp = make_equal_comb(desk.L_h, 0, E, desk)
+    o_sp = make_equal_comb(desk.L_h, 0, E, desk, proto)
     r = tpr(q_sp, o_sp)
-    assert abs(r - desk.K * desk.M / (desk.M + desk.nu)) < 1e-9
-    sd = make_sparse_data("qam-sd", desk.E, 5, desk)
+    assert abs(r - proto.K * desk.M / (desk.M + desk.nu)) < 1e-9
+    sd = make_sparse_data("qam-sd", E, 5, desk)
     r2 = tpr(sd, q_sp)
     want = 1 + (desk.M - desk.L_h) * (desk.L_h - 1) / (desk.M * desk.L_h)
     assert abs(r2 - want) < 1e-9
     # two-column scenarios stretch the training window by half a symbol
-    p2 = make_sparse_data("oqam-2", desk.E, 5, desk, proto)
+    p2 = make_sparse_data("oqam-2", E, 5, desk, proto)
     assert p2.window == proto.L_g + desk.M // 2
     assert q_sp.window == desk.M + desk.nu
     assert o_sp.window == proto.L_g
 
 
 def test_scaled_preamble(desk, proto):
-    p = make_equal_comb(desk.L_h, 0, desk.E, desk, proto)
+    p = make_equal_comb(desk.L_h, 0, E, desk, proto)
     q = p.scaled(0.5)
     assert abs(q.E_train - 0.25 * p.E_train) < 1e-12
     assert np.max(np.abs(q.divisors - 0.5 * p.divisors)) < 1e-12
@@ -399,7 +401,7 @@ def test_scaled_takes_a_positive_finite_amplitude(amp):
 
 
 def test_preamble_serialization_roundtrip(tmp_path, desk, proto):
-    q = make_equal_comb(desk.L_h, 0, desk.E, desk)
+    q = make_equal_comb(desk.L_h, 0, E, desk)
     path = tmp_path / "qam.csv"
     save_preamble(q, path)
     idx, vals = load_preamble_values(path)
@@ -407,22 +409,22 @@ def test_preamble_serialization_roundtrip(tmp_path, desk, proto):
     assert np.max(np.abs(vals - q.symbols[q.pilot_idx])) == 0.0
 
     # only CP-OFDM frequency vectors have a plain-text form
-    o = make_sparse_data("oqam-2", desk.E, 5, desk, proto)
+    o = make_sparse_data("oqam-2", E, 5, desk, proto)
     with pytest.raises(ValueError):
         save_preamble(o, tmp_path / "oqam.csv")
 
 
 def test_preamble_rejects_a_grid_without_its_pulse(desk, proto):
-    oqam = make_equal_comb(desk.L_h, 0, desk.E, desk, proto)
+    oqam = make_equal_comb(desk.L_h, 0, E, desk, proto)
     with pytest.raises(ValueError):
         dataclasses.replace(oqam, proto=None)
-    qam = make_equal_comb(desk.L_h, 0, desk.E, desk)
+    qam = make_equal_comb(desk.L_h, 0, E, desk)
     with pytest.raises(ValueError):
-        dataclasses.replace(qam, proto=design_prototype(desk.M, desk.K))
+        dataclasses.replace(qam, proto=design_prototype(desk.M, 4))
 
 
 def test_preamble_rejects_a_pulse_for_another_m(desk, proto):
     # a pulse swapped in after construction is checked like one passed in
-    oqam = make_equal_comb(desk.L_h, 0, desk.E, desk, proto)
+    oqam = make_equal_comb(desk.L_h, 0, E, desk, proto)
     with pytest.raises(ValueError, match=rf"M=64 .*M={desk.M}\b"):
         dataclasses.replace(oqam, proto=design_prototype(64, 4))

@@ -22,14 +22,15 @@ from mcpreamble.estimation import pilot_fit
 
 @st.composite
 def oqam_systems(draw):
-    """(config, pulse, truncated): M = 2^4..2^10, every valid L_h, K = 1..5."""
+    """(config, pulse, truncated): M = 2^4..2^10, every valid L_h, K = 1..5;
+    the preambles of a system are built at E = M."""
     M = 2 ** draw(st.integers(4, 10))
     L_h = 2 ** draw(st.integers(1, int(np.log2(M)) - 1))
     K = draw(st.integers(1, 5))
     truncated = draw(st.booleans())
     # a K = 1 pulse is M samples long, shorter than the M + L_h - 1 window
     assume(not truncated or K > 1)
-    cfg = SystemConfig(M=M, L_h=L_h, K=K, E=float(M))
+    cfg = SystemConfig(M=M, L_h=L_h)
     proto = design_prototype(M, K)
     if truncated:
         proto = truncate_prototype(proto, M + L_h - 1)
@@ -45,12 +46,12 @@ def test_sparse_preamble_keeps_its_pulse(system, data):
     # every comb N = L_h..M/2 of isolated pilots
     N = 2 ** data.draw(st.integers(int(np.log2(cfg.L_h)),
                                    int(np.log2(cfg.M)) - 1))
-    p = make_equal_comb(N, 0, cfg.E, cfg, proto=proto)
+    p = make_equal_comb(N, 0, float(cfg.M), cfg, proto=proto)
     assert p.proto is proto
     assert p.window == proto.L_g
     if not truncated:
         # isolated pilots of a frequency-sampling pulse add their energies
-        assert antenna_energy(p, cfg) == pytest.approx(cfg.E, rel=1e-9)
+        assert antenna_energy(p, cfg) == pytest.approx(float(cfg.M), rel=1e-9)
 
 
 @settings(max_examples=30, deadline=None)
@@ -60,10 +61,10 @@ def test_full_equal_column_emits_its_budget(system):
     assume(not truncated)
     # a^2 * (M*(1+2*beta) - 4*beta) is exact when the in-column products
     # beyond first order vanish, as they do for frequency-sampling pulses
-    p = make_equal_comb(cfg.M, 0, cfg.E, cfg, proto=proto)
+    p = make_equal_comb(cfg.M, 0, float(cfg.M), cfg, proto=proto)
     assert p.proto is proto
     assert p.window == proto.L_g
-    assert antenna_energy(p, cfg) == pytest.approx(cfg.E, rel=1e-9)
+    assert antenna_energy(p, cfg) == pytest.approx(float(cfg.M), rel=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -73,8 +74,8 @@ def test_equispaced_comb_leaves_the_prefix_empty(system, data):
     # every comb of N >= L_h tones dividing M, at every offset
     N = 2 ** data.draw(st.integers(int(np.log2(cfg.L_h)), int(np.log2(cfg.M))))
     i_0 = data.draw(st.integers(0, cfg.M // N - 1))
-    p = make_equal_comb(N, i_0, cfg.E, cfg)
-    assert cp_energy(p.symbols, cfg) <= 1e-12 * cfg.E
+    p = make_equal_comb(N, i_0, float(cfg.M), cfg)
+    assert cp_energy(p.symbols, cfg) <= 1e-12 * float(cfg.M)
 
 
 @settings(max_examples=40, deadline=None)
@@ -87,7 +88,8 @@ def test_a_projected_fit_is_scored_in_its_taps(system, data, seed):
     cfg = system[0]
     M = cfg.M
     N = 2 ** data.draw(st.integers(int(np.log2(cfg.L_h)), int(np.log2(M))))
-    p = make_equal_comb(N, data.draw(st.integers(0, M // N - 1)), cfg.E, cfg)
+    i_0 = data.draw(st.integers(0, M // N - 1))
+    p = make_equal_comb(N, i_0, float(M), cfg)
     rng = np.random.default_rng(seed)
     y = rng.standard_normal((2, N)) + 1j * rng.standard_normal((2, N))
     h = rng.standard_normal(cfg.L_h) + 1j * rng.standard_normal(cfg.L_h)
@@ -124,8 +126,8 @@ def test_prefix_gram_identities(system, seed):
 def test_scaling_scales_the_antenna_energy(system, amp):
     cfg, proto, _ = system
     # phased data and pilots in both systems
-    for p in (make_sparse_data("qam-sd", cfg.E, 1, cfg),
-              make_sparse_data("oqam-1a", cfg.E, 1, cfg, proto=proto)):
+    for p in (make_sparse_data("qam-sd", float(cfg.M), 1, cfg),
+              make_sparse_data("oqam-1a", float(cfg.M), 1, cfg, proto=proto)):
         assert antenna_energy(p.scaled(amp), cfg) == pytest.approx(
             amp ** 2 * antenna_energy(p, cfg), rel=1e-9)
 
@@ -139,7 +141,7 @@ def test_sparse_data_is_a_function_of_its_seed(system, scenario, seed):
     # centre and the pilot interference leaves the helper axis: the help
     # pilot solve rejects such a pulse
     assume(not truncated or scenario in ("oqam-1a", "oqam-1b"))
-    p = make_sparse_data(scenario, cfg.E, seed, cfg, proto=proto)
-    q = make_sparse_data(scenario, cfg.E, seed, cfg, proto=proto)
+    p = make_sparse_data(scenario, float(cfg.M), seed, cfg, proto=proto)
+    q = make_sparse_data(scenario, float(cfg.M), seed, cfg, proto=proto)
     assert np.array_equal(p.symbols, q.symbols)
     assert np.array_equal(p.data_positions, q.data_positions)
