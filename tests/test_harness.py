@@ -728,13 +728,20 @@ def test_experiment_config_system():
 
 
 @pytest.mark.parametrize("bad", [
-    dict(M=128.0), dict(L_h=8.0), dict(M=True), dict(L_h=np.float64(8.0)),
-], ids=["M=128.0", "L_h=8.0", "M=True", "L_h=float64"])
+    dict(M=128.0), dict(L_h=8.0), dict(K=2.5), dict(K=True), dict(M=True),
+    dict(L_h=np.float64(8.0)), dict(K=np.bool_(True)),
+], ids=["M=128.0", "L_h=8.0", "K=2.5", "K=True", "M=True", "L_h=float64",
+        "K=bool_"])
 def test_system_config_takes_integer_dimensions_only(bad):
+    # M and L_h are the config's, K is its pulse's: each is held to the
+    # same integer rule where it is taken
+    dims = {"M": 128, "L_h": 8, "K": 4, **bad}
     with pytest.raises(ValueError, match="must be an integer"):
-        SystemConfig(**{"M": 128, "L_h": 8, **bad})
+        sc = SystemConfig(M=dims["M"], L_h=dims["L_h"])
+        design_prototype(sc.M, dims["K"])
     sc = SystemConfig(M=np.int64(128), L_h=np.int32(8))
-    assert (sc.M, sc.L_h, sc.nu) == (128, 8, 7)
+    proto = design_prototype(sc.M, np.int64(4))
+    assert (sc.M, sc.L_h, sc.nu, proto.K) == (128, 8, 7, 4)
 
 
 def test_run_experiment_takes_numpy_floats():
