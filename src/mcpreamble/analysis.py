@@ -288,10 +288,8 @@ def verify_optimality(
     column's pseudo pilots from the pulse's AFB noise covariance
     (afb_noise_cov).  trials < 1 or seed < 0 raise ValueError at once.
     """
-    for name, value, low in (("trials", trials, 1), ("seed", seed, 0)):
-        _check_int(name, value)
-        if value < low:
-            raise ValueError(f"{name} must be >= {low}, got {value}")
+    _check_int("trials", trials, 1)
+    _check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     M, L_h, nu, E = config.M, config.L_h, config.nu, 1.0
     proto = design_prototype(M, K)

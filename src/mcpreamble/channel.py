@@ -1,6 +1,6 @@
 """Multipath channel model: tapped delay line with Rayleigh-faded taps.
 
-The default profile is the six-path Vehicular A power delay profile
+The one profile is the six-path Vehicular A power delay profile
 (delays 0..2510 ns, powers 0..-20 dB).  It is resampled onto the system
 sample grid by rounding each path delay to the nearest sample and adding
 powers that land on the same tap.  The sample period is chosen so the
@@ -14,8 +14,8 @@ satisfies E||H||^2 = M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,51 +31,40 @@ _REF_LAST_TAP = 28
 _REF_L_H = 32
 
 
-@dataclass(frozen=True)
-class TapProfile:
-    """Discrete power delay profile on the system sample grid."""
+class TapProfile(NamedTuple):
+    """Discrete power delay profile on the system sample grid, as
+    sample_profile builds it, in read-only arrays."""
 
-    taps: np.ndarray     # integer sample positions, strictly increasing
+    taps: np.ndarray     # int64 sample positions, strictly increasing from 0
     powers: np.ndarray   # linear mean power per tap, sums to one
-
-    def __post_init__(self) -> None:
-        taps = np.asarray(self.taps, dtype=np.int64)
-        powers = np.asarray(self.powers, dtype=float)
-        if taps.shape != powers.shape or taps.ndim != 1:
-            raise ValueError("taps and powers must be 1-d arrays of equal length")
-        if np.any(np.diff(taps) <= 0) or taps[0] < 0:
-            raise ValueError("taps must be nonnegative and strictly increasing")
-        if np.any(powers <= 0):
-            raise ValueError("tap powers must be positive")
-        object.__setattr__(self, "taps", taps)
-        object.__setattr__(self, "powers", powers / powers.sum())
 
 
 def sample_profile(L_h: int) -> TapProfile:
-    """Resample the Vehicular A power delay profile for a channel length.
+    """The Vehicular A power delay profile resampled for a channel length.
 
     The sample period is set so the largest delay rounds to the tap
     round(_REF_LAST_TAP * L_h / _REF_L_H), capped at L_h - 1 so very
     short responses stay in range; paths rounding to the same sample
     have their linear powers added.  L_h is an integer >= 2 (else
-    ValueError).
+    ValueError); each length's profile is one record, built once.
     """
-    _check_int("L_h", L_h)
-    if L_h < 2:
-        raise ValueError(f"L_h must be >= 2, got {L_h}")
+    _check_int("L_h", L_h, 2)
+    return _veh_a_profile(int(L_h))
+
+
+@lru_cache(maxsize=None)
+def _veh_a_profile(L_h: int) -> TapProfile:
+    """sample_profile of a checked L_h, built once per length."""
     last = min(round(_REF_LAST_TAP * L_h / _REF_L_H), L_h - 1)
     ts = VEH_A_DELAYS_NS.max() / last
     pos = np.round(VEH_A_DELAYS_NS / ts).astype(np.int64)
     lin = 10.0 ** (VEH_A_POWERS_DB / 10.0)
     taps = np.array(sorted(set(pos.tolist())), dtype=np.int64)
-    merged = np.array([lin[pos == t].sum() for t in taps])
-    return TapProfile(taps=taps, powers=merged)
-
-
-@lru_cache(maxsize=None)
-def _veh_a_profile(L_h: int) -> TapProfile:
-    """The default Vehicular A profile for L_h, built once per length."""
-    return sample_profile(L_h)
+    powers = np.array([lin[pos == t].sum() for t in taps])
+    powers /= powers.sum()
+    for a in (taps, powers):
+        a.flags.writeable = False
+    return TapProfile(taps=taps, powers=powers)
 
 
 def gen_veh_a(seed, config: SystemConfig) -> np.ndarray:
@@ -85,7 +74,7 @@ def gen_veh_a(seed, config: SystemConfig) -> np.ndarray:
     variance equal to its profile power; h is zero padded to length L_h.
     seed is anything accepted by numpy.random.default_rng.
     """
-    profile = _veh_a_profile(config.L_h)
+    profile = sample_profile(config.L_h)
     rng = np.random.default_rng(seed)
     n = len(profile.taps)
     gains = np.sqrt(profile.powers / 2.0) * (

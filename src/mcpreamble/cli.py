@@ -81,6 +81,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg = preset(name, **opts)
     if out:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
+        if Path(out).is_dir():
+            raise IsADirectoryError(f"output path is a directory: {out}")
     curves = run_experiment(cfg)
     if out:
         write_csv(curves, out, cfg.name)

@@ -14,10 +14,13 @@ import numbers
 from dataclasses import dataclass
 
 
-def _check_int(name: str, value) -> None:
-    """Reject anything but an integer; numpy integers pass, bool does not."""
+def _check_int(name: str, value, low: int | None = None) -> None:
+    """Reject anything but an integer, and one below low when low is
+    given; numpy integers pass, bool does not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def _check_real(name: str, value) -> None:

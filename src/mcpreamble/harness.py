@@ -54,8 +54,8 @@ from functools import lru_cache
 import numpy as np
 
 from .analysis import closed_form_mse, floor_map, tpr
-from .channel import (_veh_a_profile, awgn, cfr_from_cir, ebn0_to_sigma2,
-                      gen_veh_a)
+from .channel import (awgn, cfr_from_cir, ebn0_to_sigma2, gen_veh_a,
+                      sample_profile)
 from .config import SystemConfig, _check_energy, _check_int
 from .cpofdm import demodulate, modulate
 from .estimation import pilot_fit
@@ -160,10 +160,7 @@ class ExperimentConfig:
         _check_overlap(self.K)
         for name, low in zip(("seed", "n_channels", "n_noise", "workers"),
                              (0, 2, 1, 1)):
-            value = getattr(self, name)
-            _check_int(name, value)
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
+            _check_int(name, getattr(self, name), low)
         if not self.curves:
             raise ValueError("the experiment has no curves")
         if not self.ebn0_db:
@@ -219,7 +216,8 @@ class _CurveRuntime:
     """Per-process expansion of a CurveSpec on the run's SystemConfig sc,
     on its pulse proto (None: CP-OFDM) and at E = M; ref is the first
     curve's preamble, the power reference (see CurveSpec), or None for
-    the first curve.
+    the first curve.  It holds only what it computes: the grid stays the
+    run's (cfg.system), and the pulse and pilot tones its preamble's.
 
     `preamble` is the curve's one preamble at its power: the static
     preamble, or the layout of a sparse-plus-data curve (see
@@ -238,24 +236,14 @@ class _CurveRuntime:
     is None exactly where a pulse carries data to the pilots, whose
     curve is redrawn per draw; else row k is the noiseless estimate in
     those coordinates through the whole chain for a unit tap at the k-th
-    of the `delays` the channel model occupies (channel._veh_a_profile):
+    of the `delays` the channel model occupies (channel.sample_profile):
     its samples shifted to that delay, received and fitted, so `taps` is
     (6, L_h) for a projected curve.
     """
 
     def __init__(self, spec: CurveSpec, sc: SystemConfig, proto, ref):
         self.spec = spec
-        self.sc = sc
-        self.proto = proto
-        self.delays = _veh_a_profile(sc.L_h).taps
-        if proto is None:
-            self.synthesize = lambda x: modulate(x, sc)
-            self.tones = lambda r: demodulate(r, sc)
-            self.receive = lambda r: self.tones(r).take(self.pilot_idx, -1)
-        else:
-            self.synthesize = lambda x: sfb(x, proto)
-            self.tones = lambda r: afb_column(r, proto, 0)
-            self.receive = lambda r: afb(r, proto, self.pilot_idx)
+        self.delays = sample_profile(sc.L_h).taps
         e = float(sc.M) * (1.0 if spec.e_scale is None else spec.e_scale)
         if spec.scenario is not None:
             p = sparse_data_layout(spec.scenario, e, sc, proto=proto)
@@ -265,15 +253,22 @@ class _CurveRuntime:
         if spec.e_scale is None and ref is not None:
             p = p.scaled(float(np.sqrt(tpr(ref, p))))
         self.preamble = p
+        if proto is None:
+            self.synthesize = lambda x: modulate(x, sc)
+            self.tones = lambda r: demodulate(r, sc)
+            self.receive = lambda r: self.tones(r).take(p.pilot_idx, -1)
+        else:
+            self.synthesize = lambda x: sfb(x, proto)
+            self.tones = lambda r: afb_column(r, proto, 0)
+            self.receive = lambda r: afb(r, proto, p.pilot_idx)
         self.floor = floor_map(p, sc)
         self.gain = closed_form_mse(p, 1.0, sc, mode=spec.estimator)
-        self.pilot_idx = p.pilot_idx
         self.n_rx = p.window + sc.L_h - 1
         self.fit = pilot_fit(p, sc, spec.estimator)
         self.in_taps = spec.estimator == "projected"
         self.taps = None
         # CP-OFDM pilots never see the data: such a curve is static
-        if spec.scenario is None or self.proto is None:
+        if spec.scenario is None or proto is None:
             tx = self.synthesize(p.symbols)
             r = np.zeros((len(self.delays), self.n_rx), dtype=complex)
             for k, d in enumerate(self.delays):
@@ -352,7 +347,7 @@ def _run_channel(args) -> tuple:
     """
     cfg, c = args
     runtimes = _runtimes(cfg)
-    sc = runtimes[0].sc
+    sc = cfg.system
     h = gen_veh_a(np.random.SeedSequence([cfg.seed, _TAG_CHANNEL, c]), sc)
     H = cfr_from_cir(h, sc.M)
     floors = np.array([rt.floor(H) for rt in runtimes])
@@ -363,7 +358,7 @@ def _run_channel(args) -> tuple:
     truth = [h if rt.in_taps else H for rt in runtimes]
     a = [None if rt.taps is None else h[rt.delays] @ rt.taps - truth[i]
          for i, rt in enumerate(runtimes)]
-    receivers = {rt.proto: rt.tones for rt in runtimes}
+    receivers = {rt.preamble.proto: rt.tones for rt in runtimes}
     noise = np.random.default_rng([cfg.seed, _TAG_NOISE, c])
     data = [np.random.default_rng([cfg.seed, _TAG_DATA, c, i])
             if rt.taps is None else None for i, rt in enumerate(runtimes)]
@@ -372,11 +367,12 @@ def _run_channel(args) -> tuple:
         w = awgn((hi - lo, n_win), noise)
         y = {key: tones(w) for key, tones in receivers.items()}
         for i, rt in enumerate(runtimes):
+            p = rt.preamble
             if rt.taps is None:
                 # one expression: a bound draw would outlive its synthesis
                 a[i] = rt.estimate(rt.delayed(rt.synthesize(draw_sparse_data(
-                    rt.preamble, data[i], hi - lo)), h)) - truth[i]
-            e = rt.fit(y[rt.proto].take(rt.pilot_idx, -1))
+                    p, data[i], hi - lo)), h)) - truth[i]
+            e = rt.fit(y[p.proto].take(p.pilot_idx, -1))
             sums[0, i, lo:hi] = np.sum(np.abs(a[i]) ** 2, axis=-1)
             sums[1, i, lo:hi] = np.sum((a[i].conj() * e).real, axis=-1)
             sums[2, i, lo:hi] = np.sum(np.abs(e) ** 2, axis=-1)
@@ -539,7 +535,7 @@ _PRESETS = {
         _qam("qam-sparse", "projected", n_pilots=L),
         _oqam("oqam-sparse", "projected", n_pilots=L),
     ]),
-    "fig7b": dict(K=4, paper=dict(M=1024, L_h=32), curves=lambda M, L: [
+    "fig7b": dict(K=4, curves=lambda M, L: [
         _qam("qam-sparse", "projected", n_pilots=L),
         _oqam("oqam-sparse", "projected", n_pilots=L),
     ]),
@@ -548,7 +544,7 @@ _PRESETS = {
         _qam("qam-sparse", "projected", n_pilots=L),
         _oqam("oqam-truncated", "projected", n_pilots=L, truncate_to=M + L - 1),
     ]),
-    "fig8b": dict(K=4, paper=dict(M=1024, L_h=32), curves=lambda M, L: [
+    "fig8b": dict(K=4, curves=lambda M, L: [
         _qam("qam-sparse", "projected", n_pilots=L),
         _oqam("oqam-truncated", "projected", n_pilots=L, truncate_to=M + L - 1),
     ]),

@@ -181,9 +181,7 @@ def _check_overlap(K) -> None:
 def design_prototype(M: int, K: int) -> PrototypeFilter:
     """Frequency-sampling prototype of length K*M, unit energy; M is an
     integer >= 1 and K passes _check_overlap (else ValueError)."""
-    _check_int("M", M)
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
+    _check_int("M", M, 1)
     _check_overlap(K)
     L_g = K * M
     c = (L_g - 1) / 2.0

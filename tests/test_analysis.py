@@ -47,6 +47,9 @@ def test_papr_reference_points():
     s = np.zeros(64)
     s[0] = 1.0
     assert abs(papr(s) - 64.0) < 1e-12
+    for s in ([], np.zeros(4)):
+        with pytest.raises(ValueError, match="empty or all-zero signal"):
+            papr(s)
 
 
 def test_genie_mse_domains(desk):
@@ -404,6 +407,8 @@ def test_error_floor_orderings(desk, proto):
 
 def test_qam_scenarios_have_no_floor(desk, proto):
     h = gen_veh_a(5, desk)
+    # the demodulated model is exact inside the prefix
+    assert error_floor(make_equal_comb(desk.L_h, 0, E, desk), h, desk) == 0.0
     p = make_sparse_data("qam-sd", E, 3, desk)
     r = np.convolve(modulate(p.symbols, desk), h)
     y = demodulate(r[: desk.M + desk.nu], desk)[p.pilot_idx]

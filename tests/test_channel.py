@@ -43,11 +43,18 @@ def test_profile_scales_with_length():
     assert p16.taps[-1] == 14  # round(28 * 16 / 32)
 
 
-def test_tap_profile_validation():
-    with pytest.raises(ValueError):
-        TapProfile(taps=np.array([0, 0, 3]), powers=np.ones(3))
-    with pytest.raises(ValueError):
-        TapProfile(taps=np.array([0, 2]), powers=np.array([1.0, -0.5]))
+@pytest.mark.parametrize("L_h", [2, 3, 4, 8, 16, 32, 64, 1024])
+def test_profile_is_one_read_only_record(L_h):
+    p = sample_profile(L_h)
+    assert p is sample_profile(L_h) is sample_profile(np.int64(L_h))
+    assert type(p) is TapProfile and TapProfile._fields == ("taps", "powers")
+    assert p.taps.dtype == np.int64 and p.taps[0] == 0
+    assert np.all(np.diff(p.taps) > 0) and p.taps[-1] < L_h
+    assert np.all(p.powers > 0)
+    assert abs(p.powers.sum() - 1.0) < 1e-12
+    for a in p:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
 
 
 def test_gen_veh_a_moments():

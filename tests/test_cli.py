@@ -134,16 +134,33 @@ def _blocked_path(tmp_path):
     return tmp_path / "blocker" / "out"
 
 
+def test_run_prints_each_curve_with_its_floor(capsys):
+    rc = main(["run", "--preset", "fig6", "--n-channels", "2",
+               "--n-noise", "1"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "fig6: M=128 L_h=8 K=4 channels=2 noise=1 seed=42"
+    # isolated pilots have no floor, pilots beside data one
+    assert re.fullmatch(r"  sparse +\[oqam\]  nmse .* @ 45, floor none",
+                        lines[1])
+    assert re.fullmatch(r"  sparse-data-3 +\[oqam\]  nmse .* @ 45, "
+                        r"floor -\d+\.\d dB", lines[2])
+    assert len(lines) == 3
+
+
 def test_run_fails_on_an_unwritable_path_before_any_channel(
         tmp_path, capsys, monkeypatch):
-    # all channels ran before the error
+    # all channels ran before the error, for either path
     monkeypatch.setattr(harness, "gen_veh_a", _no_channel_runs)
-    rc = main(["run", "--preset", "fig4b", "--n-channels", "5",
-               "--n-noise", "3", "--out", str(_blocked_path(tmp_path))])
-    assert rc == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert captured.out == ""
+    for out in (_blocked_path(tmp_path), tmp_path):
+        rc = main(["run", "--preset", "fig4b", "--n-channels", "5",
+                   "--n-noise", "3", "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+    assert captured.err == f"error: output path is a directory: {tmp_path}\n"
 
 
 def test_design_fails_on_an_unwritable_path_before_printing(tmp_path, capsys):

@@ -81,7 +81,7 @@ _COMB = SystemConfig(M=128, L_h=8)
     (False, SystemConfig(M=128, L_h=16), "at least L_h=16 pilots, got 8"),
     (False, SystemConfig(M=64, L_h=8), "built for M=128"),
     (True, SystemConfig(M=64, L_h=8), "built for M=128"),
-])
+], ids=["comb-L_h=16", "comb-M=64", "column-M=64"])
 def test_a_preamble_must_fit_its_config(full, config, why):
     # the 8-pilot comb and the full OQAM column of M = 128, fitted on
     # another L_h or M: closed_form_mse gave 2048, 512 and 350.9 and the

@@ -115,3 +115,16 @@ def test_cfr_samples_roundtrip():
 def test_cfr_samples_rejects_non_equispaced():
     with pytest.raises(ValueError):
         cfr_samples_to_cir(np.ones(4), 16, np.array([0, 4, 8, 13]), 4)
+
+
+@pytest.mark.parametrize("call, why", [
+    (lambda: dft_submatrix(0, [0], [0]), "M must be positive"),
+    (lambda: cp_gram(8, 8), r"nu must lie in 0\.\.M-1, got 8"),
+    (lambda: cfr_samples_to_cir(np.ones(4), 64, [0, 16, 32, 48], 8),
+     "need at least L_h=8 samples, got 4"),
+    (lambda: cfr_samples_to_cir(np.ones(3), 64, [0, 16, 32, 48], 4),
+     "index set and sample vector lengths differ"),
+], ids=["dft-M=0", "gram-nu=M", "fit-N<L_h", "fit-lengths"])
+def test_fourier_rejects_bad_sizes(call, why):
+    with pytest.raises(ValueError, match=why):
+        call()

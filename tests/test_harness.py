@@ -64,6 +64,9 @@ def test_preset_scales():
     assert paper.n_channels > desk.n_channels
     with pytest.raises(ValueError):
         preset("fig99")
+    with pytest.raises(ValueError,
+                       match="scale must be 'desk' or 'paper', got 'huge'"):
+        preset("fig1a", scale="huge")
 
 
 def test_preset_overrides():
@@ -335,10 +338,11 @@ def test_curves_on_one_pulse_share_it(monkeypatch):
     for name in ("fig4b", "fig6"):
         cfg = preset(name, scale="desk", **SMALL)
         a, b = harness._runtimes(cfg)
-        assert a.proto is b.proto is harness._pulse(cfg.M, cfg.K, None)
+        assert (a.preamble.proto is b.preamble.proto
+                is harness._pulse(cfg.M, cfg.K, None))
     assert designed == [(128, 4)]
     cfg = preset("fig8a", scale="desk", **SMALL)
-    cut = harness._runtimes(cfg)[1].proto
+    cut = harness._runtimes(cfg)[1].preamble.proto
     assert cut.L_g == cfg.M + cfg.L_h - 1
     assert cut is not harness._pulse(cfg.M, cfg.K, None)
     assert cut is harness._pulse(cfg.M, cfg.K, cfg.M + cfg.L_h - 1)
@@ -744,6 +748,16 @@ def test_system_config_takes_integer_dimensions_only(bad):
     assert (sc.M, sc.L_h, sc.nu, proto.K) == (128, 8, 7, 4)
 
 
+@pytest.mark.parametrize("L_h, why", [
+    (6, "L_h must be a power of two, got 6"),
+    (1, "L_h must satisfy 2 <= L_h <= M/2, got L_h=1 M=64"),
+    (64, "L_h must satisfy 2 <= L_h <= M/2, got L_h=64 M=64"),
+])
+def test_system_config_takes_a_power_of_two_up_to_half_m(L_h, why):
+    with pytest.raises(ValueError, match=re.escape(why)):
+        SystemConfig(M=64, L_h=L_h)
+
+
 def test_run_experiment_takes_numpy_floats():
     cfg = preset("fig1a", scale="desk", n_channels=2, n_noise=1,
                  ebn0_db=(np.float64(10.0),))
@@ -771,7 +785,7 @@ def test_a_numpy_integer_k_builds_its_pulse():
                  K=np.int64(3), ebn0_db=(10.0,))
     assert cfg == dataclasses.replace(cfg, K=3)
     run_experiment(cfg)
-    assert [rt.proto.K for rt in harness._runtimes(cfg)] == [3, 3]
+    assert [rt.preamble.proto.K for rt in harness._runtimes(cfg)] == [3, 3]
 
 
 @pytest.mark.parametrize("bad", [
@@ -865,7 +879,7 @@ def test_equal_power_is_the_default(name):
     first, *rest = harness._runtimes(cfg)
     assert first.spec.e_scale is None
     n = sc.M if first.spec.n_pilots is None else first.spec.n_pilots
-    at_e = make_equal_comb(n, 0, float(sc.M), sc, proto=first.proto)
+    at_e = make_equal_comb(n, 0, float(sc.M), sc, proto=first.preamble.proto)
     assert first.preamble.E_train == at_e.E_train
     for rt in rest:
         if rt.spec.e_scale is None:
@@ -916,7 +930,7 @@ def test_receive_gives_a_row_major_stack(name):
     for rt in harness._runtimes(cfg):
         r = awgn((3, rt.n_rx), np.random.default_rng(0))
         y = rt.receive(r)
-        assert y.shape == (3, len(rt.pilot_idx))
+        assert y.shape == (3, len(rt.preamble.pilot_idx))
         assert y.flags.c_contiguous, rt.spec.label
 
 

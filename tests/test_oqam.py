@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mcpreamble import (
+    PrototypeFilter,
     SystemConfig,
     afb,
     afb_column,
@@ -55,6 +56,11 @@ def test_prototype_shape_and_energy():
 def test_prototype_rejects_unknown_overlap():
     with pytest.raises(ValueError):
         design_prototype(64, 6)
+
+
+def test_a_pulse_of_overlap_k_has_k_m_samples():
+    with pytest.raises(ValueError, match=r"must have length K\*M"):
+        PrototypeFilter(g=np.ones(10), M=4, K=2)
 
 
 @pytest.mark.parametrize("M, K, why", [
