@@ -9,17 +9,14 @@ Three subcommands:
 Each takes only options its output depends on: run and verify no
 training energy E (an experiment is built at E = M, the verify report
 holds ratios at E = 1), design no K (its preamble is CP-OFDM) and only
-its first impulse k.  run's options can also come from an INI file
-([experiment] and [system] sections); flags given on the command line
-win over the file.  A bad option, dimension, config file or output path
-prints one `error:` line and exits 2, before any channel runs or any
-report line is printed.
+its first impulse k.  A bad option, dimension or output path prints
+one `error:` line and exits 2, before any channel runs or any report
+line is printed.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import sys
 from pathlib import Path
 
@@ -31,31 +28,7 @@ from .cpofdm import modulate
 from .harness import preset, preset_names, run_experiment, write_csv
 from .preambles import make_full_equipower_qam, save_preamble
 
-_EXP_KEYS = {
-    "preset": str, "scale": str, "seed": int, "out": str,
-    "n_channels": int, "n_noise": int, "workers": int, "ebn0_db": str,
-}
 _SYS_KEYS = {"M": int, "L_h": int, "K": int}
-
-
-def _load_ini(path: str) -> dict:
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise FileNotFoundError(f"config file not found: {path}")
-    out: dict = {}
-    for section, keys in (("experiment", _EXP_KEYS), ("system", _SYS_KEYS)):
-        if cp.has_section(section):
-            for key, val in cp.items(section):
-                target = {k.lower(): k for k in keys}.get(key.lower())
-                if target is None:
-                    raise ValueError(f"unknown key {key!r} in [{section}]")
-                try:
-                    out[target] = keys[target](val)
-                except ValueError:
-                    raise ValueError(
-                        f"bad value {val!r} for {key!r} in [{section}]") from None
-    return out
 
 
 def _given(args: argparse.Namespace, keys) -> dict:
@@ -69,23 +42,21 @@ def _system(args: argparse.Namespace) -> SystemConfig:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    opts = _load_ini(args.config) if args.config else {}
-    opts.update(_given(args, (*_EXP_KEYS, *_SYS_KEYS)))
-    name = opts.pop("preset", None)
-    if name is None:
-        raise ValueError("no preset given (flag --preset or config file)")
-    out = opts.pop("out", None)
+    if args.preset is None:
+        raise ValueError("no preset given (flag --preset)")
+    opts = _given(args, ("scale", "seed", "n_channels", "n_noise", "workers",
+                         "ebn0_db", *_SYS_KEYS))
     if "ebn0_db" in opts:
-        grid = str(opts["ebn0_db"]).replace(",", " ").split()
+        grid = opts["ebn0_db"].replace(",", " ").split()
         opts["ebn0_db"] = tuple(float(v) for v in grid)
-    cfg = preset(name, **opts)
-    if out:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        if Path(out).is_dir():
-            raise IsADirectoryError(f"output path is a directory: {out}")
+    cfg = preset(args.preset, **opts)
+    if args.out:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+        if Path(args.out).is_dir():
+            raise IsADirectoryError(f"output path is a directory: {args.out}")
     curves = run_experiment(cfg)
-    if out:
-        write_csv(curves, out, cfg.name)
+    if args.out:
+        write_csv(curves, args.out, cfg.name)
     print(f"{cfg.name}: M={cfg.M} L_h={cfg.L_h} K={cfg.K} "
           f"channels={cfg.n_channels} noise={cfg.n_noise} seed={cfg.seed}")
     for cu in curves:
@@ -95,8 +66,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"  {cu.label:<24s} [{cu.system}]  nmse {lo:+.2f} dB @ "
               f"{cu.ebn0_db[0]:g} -> {hi:+.2f} dB @ {cu.ebn0_db[-1]:g}, "
               f"floor {floor}")
-    if out:
-        print(f"wrote {out}")
+    if args.out:
+        print(f"wrote {args.out}")
     return 0
 
 
@@ -152,7 +123,6 @@ def main(argv=None) -> int:
     pr.add_argument("--scale", choices=("desk", "paper"), default=None)
     pr.add_argument("--seed", type=int, default=None)
     pr.add_argument("--out", default=None, help="CSV output path")
-    pr.add_argument("--config", default=None, help="INI file with options")
     pr.add_argument("--n-channels", dest="n_channels", type=int, default=None)
     pr.add_argument("--n-noise", dest="n_noise", type=int, default=None)
     pr.add_argument("--workers", type=int, default=None)
@@ -180,7 +150,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, configparser.Error) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

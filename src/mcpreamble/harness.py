@@ -48,8 +48,8 @@ per-pilot gain instead (fig2a).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, fields
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -128,7 +128,8 @@ class ExperimentConfig:
     """One experiment, which checks its fields when it is built.
 
     Its system is the grid M, L_h, its OQAM curves take the pulse of K,
-    and each curve is built at E = M (see the module docstring).  curves
+    and each curve is built at E = M (see the module docstring).  system
+    and sigma2 (read-only) are computed once, as the config is built.  curves
     and ebn0_db take any sequence but a scalar and are stored as tuples,
     so a config hashes (the per-process curve cache is keyed on it) and
     compares by value.  A name write_csv cannot write as one field (see
@@ -167,14 +168,20 @@ class ExperimentConfig:
             raise ValueError("the Eb/N0 grid is empty")
         self.sigma2  # checks every point
 
-    @property
+    @cached_property
     def system(self) -> SystemConfig:
         return SystemConfig(M=self.M, L_h=self.L_h)
 
-    @property
+    @cached_property
     def sigma2(self) -> np.ndarray:
         """Noise variance per complex sample at each Eb/N0 point (E/M = 1)."""
-        return np.array([ebn0_to_sigma2(g, 1.0) for g in self.ebn0_db])
+        sigma2 = np.array([ebn0_to_sigma2(g, 1.0) for g in self.ebn0_db])
+        sigma2.flags.writeable = False
+        return sigma2
+
+    def __getstate__(self) -> dict:
+        # the fields only: a worker's copy rebuilds what it reads
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass

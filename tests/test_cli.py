@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import re
 
 import numpy as np
@@ -7,20 +8,15 @@ import pytest
 from mcpreamble import SystemConfig, cli, harness, load_preamble_values
 from mcpreamble.cli import main
 
-# every option of each subcommand, aliases included, and of run's INI
-# file: each one changes some output, and a new one is added here
+# every option of each subcommand, aliases included: each one changes
+# some output, and a new one is added here
 FLAGS = {
-    "run": {"--preset", "--scale", "--seed", "--out", "--config",
-            "--n-channels", "--n-noise", "--workers", "--ebn0", "--M",
-            "--L_h", "--L-h", "--K"},
+    "run": {"--preset", "--scale", "--seed", "--out", "--n-channels",
+            "--n-noise", "--workers", "--ebn0", "--M", "--L_h", "--L-h",
+            "--K"},
     "verify": {"--trials", "--seed", "--M", "--L_h", "--L-h", "--K"},
     "design": {"--k", "--gamma", "--theta", "--out", "--M", "--L_h", "--L-h",
                "--E"},
-}
-INI_KEYS = {
-    "experiment": {"preset", "scale", "seed", "out", "n_channels", "n_noise",
-                   "workers", "ebn0_db"},
-    "system": {"M", "L_h", "K"},
 }
 # the grid alone: a pulse carries its K, a preamble constructor takes E
 SYSTEM_FIELDS = ["M", "L_h"]
@@ -74,12 +70,9 @@ def test_run_rejects_bad_options(tmp_path, capsys, bad):
         assert "'oqam-truncated'" in err and "135" in err and "K=1" in err
 
 
-def test_config_file_with_flag_override(tmp_path, capsys):
-    ini = tmp_path / "exp.ini"
-    ini.write_text(
-        "[experiment]\npreset = fig1a\nn_channels = 2\nn_noise = 2\n"
-        "ebn0_db = 0, 10\n\n[system]\nM = 64\nL_h = 4\n")
-    rc = main(["run", "--config", str(ini), "--ebn0", "20"])
+def test_run_flags_reach_the_run(capsys):
+    rc = main(["run", "--preset", "fig1a", "--n-channels", "2",
+               "--n-noise", "2", "--M", "64", "--L_h", "4", "--ebn0", "0,20"])
     assert rc == 0
     text = capsys.readouterr().out
     assert "M=64 L_h=4" in text
@@ -119,9 +112,21 @@ def test_each_subcommand_takes_its_options_only(capsys, command):
         FLAGS[command] | {"--help"})
 
 
-def test_run_config_file_takes_its_keys_only():
-    assert {"experiment": set(cli._EXP_KEYS),
-            "system": set(cli._SYS_KEYS)} == INI_KEYS
+def test_run_flags_are_the_preset_parameters_and_out(monkeypatch):
+    # each run flag is one parameter of preset (its name is --preset) or
+    # the CSV path, and there is no other way to give one
+    seen = {}
+    monkeypatch.setattr(cli, "_cmd_run", lambda args: seen.update(vars(args)))
+    main(["run"])
+    params = set(inspect.signature(harness.preset).parameters) - {"name"}
+    assert set(seen) - {"command", "func"} == params | {"preset", "out"}
+
+
+def test_run_takes_no_config_file(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--preset", "fig1a", "--config", "x.ini"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --config x.ini" in capsys.readouterr().err
 
 
 def test_system_config_is_the_grid():
@@ -187,23 +192,6 @@ def test_design_takes_any_first_impulse(capsys, k):
     assert np.max(mods) - np.min(mods) < 1e-12 * np.mean(mods)
 
 
-@pytest.mark.parametrize("ini", [
-    None,
-    "[experiment]\npreset = fig1a\nbogus = 1\n",
-    "[experiment]\npreset = fig1a\nn_channels = x\n",
-], ids=["missing-file", "unknown-key", "bad-value"])
-def test_run_rejects_bad_config(tmp_path, capsys, ini):
-    path = tmp_path / "exp.ini"
-    if ini is not None:
-        path.write_text(ini)
-    out = tmp_path / "bad.csv"
-    rc = main(["run", "--config", str(path), "--out", str(out)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert not out.exists()
-
-
 def test_verify_keeps_explicit_zero_seed(capsys):
     rc = main(["verify", "--M", "64", "--L-h", "4", "--trials", "200",
                "--seed", "0"])
@@ -227,6 +215,21 @@ def test_zero_dimension_is_rejected(capsys, argv):
     if "--seed" in argv:
         # numpy's "expected non-negative integer" named no option
         assert "seed must be >= 0" in err
+
+
+def test_verify_reports_a_zero_unguarded_floor(capsys):
+    # K=1's pulse has no intrinsic interference, so the unguarded floor
+    # is 0 and helping raises it: check (c) fails, with every line printed
+    rc = main(["verify", "--K", "1", "--trials", "200"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 11 and lines[0].startswith("optimality suite")
+    assert [ln for ln in lines if ln.startswith("[FAIL]")] == [
+        ln for ln in lines if "scenario_floor_ordering" in ln]
+    assert "helped/unguarded = inf (< 0.2)" in lines[6]
+    assert lines[-1] == "overall: FAIL (8/9)"
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

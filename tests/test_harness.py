@@ -3,6 +3,7 @@ import concurrent.futures
 import csv
 import dataclasses
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -729,6 +730,23 @@ def test_experiment_config_system():
         ebn0_db=(0.0,), n_channels=2, n_noise=1, seed=1)
     assert cfg.system.M == 64
     assert dataclasses.replace(cfg, M=128).system.M == 128
+
+
+def test_experiment_config_computes_its_grid_and_noise_once():
+    cfg = preset("fig4b", scale="desk", ebn0_db=(0.0, 10.0))
+    assert cfg.system is cfg.system and cfg.sigma2 is cfg.sigma2
+    assert not cfg.sigma2.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        cfg.sigma2[0] = 1.0
+    other = dataclasses.replace(cfg, M=256)
+    assert other.system == SystemConfig(M=256, L_h=cfg.L_h)
+    assert cfg.system == SystemConfig(M=128, L_h=cfg.L_h)
+    # a copy, as a worker gets it, is equal and computes its own
+    copy = pickle.loads(pickle.dumps(cfg))
+    assert copy == cfg and hash(copy) == hash(cfg)
+    assert copy.system == cfg.system and copy.system is not cfg.system
+    assert not copy.sigma2.flags.writeable
+    assert copy.sigma2.tobytes() == cfg.sigma2.tobytes()
 
 
 @pytest.mark.parametrize("bad", [
